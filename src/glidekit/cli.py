@@ -15,7 +15,7 @@ import time
 from typing import Any
 
 from . import __version__
-from .errors import GlidekitError
+from .errors import GlidekitError, MalformedInputError
 from .glides import GLIDE_METHODS, glide_polynomial
 from .jsonio import (
     comp_map_from_json,
@@ -23,6 +23,7 @@ from .jsonio import (
     parse_composition,
     parse_partition_tuple,
     poly_to_json,
+    read_json,
     string_key,
 )
 from .ktheory import chern_substitute, knutson_class
@@ -63,8 +64,9 @@ def _cmd_mprod(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_glide_expand(args: argparse.Namespace) -> dict[str, Any]:
-    with open(args.input, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = read_json(args.input)
+    if isinstance(payload, dict) and "coords" not in payload:
+        raise MalformedInputError(f"{args.input} has no \"coords\" key")
     items = payload["coords"] if isinstance(payload, dict) else payload
     element = QSymElement(comp_map_from_json(items), args.degree)
     return {"coords": comp_map_to_json(glide_expand(element, args.degree))}

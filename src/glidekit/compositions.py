@@ -7,7 +7,7 @@ empty composition ``()`` is a first-class value (it indexes the unit class).
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import InvalidCompositionError, SizeMismatchError
 
@@ -17,7 +17,10 @@ WeakComposition = tuple[int, ...]
 
 def as_composition(parts: Iterable[int]) -> Composition:
     """Validate and normalize to a composition (every part >= 1)."""
-    alpha = tuple(int(p) for p in parts)
+    try:
+        alpha = tuple(int(p) for p in parts)
+    except (TypeError, ValueError) as exc:
+        raise InvalidCompositionError(f"composition parts must be integers: {parts!r}") from exc
     if any(p < 1 for p in alpha):
         raise InvalidCompositionError(f"composition parts must be >= 1: {alpha}")
     return alpha
@@ -43,6 +46,30 @@ def canonical_key(alpha: Sequence[int]) -> tuple[int, int, tuple[int, ...]]:
     reproducible.
     """
     return (sum(alpha), len(alpha), tuple(alpha))
+
+
+def closure(
+    generators: Iterable[WeakComposition], pick: Callable[[int, int], int]
+) -> set[WeakComposition]:
+    """Close equal-length tuples under the componentwise ``pick`` (``max`` or ``min``).
+
+    Every element of the closure is ``pick`` applied to some set of
+    generators, so each newly found element only needs combining with the
+    generators, never with everything found so far.
+    """
+    gens = tuple(generators)
+    elements = set(gens)
+    frontier = list(elements)
+    while frontier:
+        fresh = []
+        for p in frontier:
+            for g in gens:
+                x = tuple(map(pick, p, g))
+                if x not in elements:
+                    elements.add(x)
+                    fresh.append(x)
+        frontier = fresh
+    return elements
 
 
 def run_encode(alpha: Sequence[int]) -> tuple[tuple[int, int], ...]:

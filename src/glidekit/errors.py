@@ -37,3 +37,11 @@ class UnknownLabelError(GlidekitError):
 
 class SizeMismatchError(GlidekitError):
     code = "size-mismatch"
+
+
+class InputFileError(GlidekitError):
+    code = "input-unreadable"
+
+
+class MalformedInputError(GlidekitError):
+    code = "malformed-input"

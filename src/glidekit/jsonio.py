@@ -7,11 +7,12 @@ empty composition as [].
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence
 
 from .compositions import canonical_key
-from .errors import InvalidCompositionError
+from .errors import InputFileError, InvalidCompositionError, MalformedInputError
 from .poly import SparsePoly
 
 
@@ -20,7 +21,21 @@ def frac_str(value: Fraction | int) -> str:
 
 
 def parse_frac(text: str | int) -> Fraction:
-    return Fraction(text)
+    try:
+        return Fraction(text)
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise MalformedInputError(f"cannot parse a rational from {text!r}") from exc
+
+
+def read_json(path: str) -> Any:
+    """Parse a JSON input file, with typed errors for unreadable or invalid files."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise InputFileError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        raise MalformedInputError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def parse_composition(text: str) -> tuple[int, ...]:
@@ -62,4 +77,9 @@ def comp_map_to_json(coords: Mapping[tuple[int, ...], Fraction | int]) -> list[d
 
 
 def comp_map_from_json(items: Iterable[Mapping[str, Any]]) -> dict[tuple[int, ...], Fraction]:
-    return {tuple(entry["comp"]): parse_frac(entry["coeff"]) for entry in items}
+    try:
+        return {tuple(entry["comp"]): parse_frac(entry["coeff"]) for entry in items}
+    except (KeyError, TypeError) as exc:
+        raise MalformedInputError(
+            "coordinates must be a list of {\"comp\": [...], \"coeff\": \"p/q\"} objects"
+        ) from exc

@@ -17,7 +17,7 @@ from itertools import combinations
 from math import comb, factorial, gcd
 from typing import Iterable, Sequence
 
-from .compositions import Composition, as_composition, positive_part
+from .compositions import Composition, as_composition, closure, positive_part
 from .errors import LengthMismatchError, OutOfRangeError
 from .poly import SparsePoly
 
@@ -128,23 +128,6 @@ def z_locus(alpha: Iterable[int], n: int, m: int) -> SchubertUnion:
     return SchubertUnion(alpha=a, n=n, m=m, components=frozenset(comps))
 
 
-def _intersection_closure(components: frozenset[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Close a set of subspace-dimension tuples under componentwise min."""
-    elements = set(components)
-    frontier = list(elements)
-    while frontier:
-        snapshot = tuple(elements)
-        fresh = []
-        for p in frontier:
-            for q in snapshot:
-                meet = tuple(min(a, b) for a, b in zip(p, q))
-                if meet not in elements:
-                    elements.add(meet)
-                    fresh.append(meet)
-        frontier = fresh
-    return sorted(elements)
-
-
 def knutson_class(alpha: Iterable[int], n: int, m: int) -> KRingElement:
     """Structure-sheaf class of the dual union, by Mobius inclusion-exclusion.
 
@@ -154,7 +137,7 @@ def knutson_class(alpha: Iterable[int], n: int, m: int) -> KRingElement:
     and is computed top-down here, independently of the string-poset engine.
     """
     locus = z_locus(alpha, n, m)
-    elements = _intersection_closure(locus.components)
+    elements = closure(locus.components, min)
     mu: dict[tuple[int, ...], int] = {}
     for w in sorted(elements, key=lambda e: (-sum(e), e)):
         above = sum(

@@ -7,6 +7,11 @@ that only exist through the bottom are reported as the BOTTOM sentinel.
 The Mobius function here uses the convention that the values below any
 element sum to 1 (so every minimal element gets 1); it is the negative of
 the traditional bottom-augmented Mobius function.
+
+Order queries run on bitsets over the element indices: bit k of a downset
+is set when element k lies below.  Per-coordinate tables give every
+downset and upset as an AND of n integers, so the Mobius recurrence, the
+cover relations and meets cost bit operations instead of loops over pairs.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .compositions import Composition, WeakComposition, as_composition
+from .compositions import Composition, WeakComposition, as_composition, closure
 from .errors import OutOfRangeError, LengthMismatchError
 
 
@@ -54,21 +59,39 @@ def atoms(alpha: Iterable[int], n: int) -> frozenset[WeakComposition]:
     return frozenset(out)
 
 
+def _greatest(bits: int) -> int:
+    """Index of the lexicographically largest element of a nonempty bitset.
+
+    If the set has a greatest element, this is it: that element dominates
+    every other one componentwise, so it is also the largest in lex order.
+    """
+    return bits.bit_length() - 1
+
+
 class GlidePoset:
     """Closure of the zero-paddings of ``alpha`` under componentwise max.
 
     Elements are stored lexicographically sorted, so iteration order, linear
     extensions, and serialized output are deterministic.  Instances are
-    immutable after construction.
+    immutable after construction; the order tables are built on the first
+    order query.
     """
 
-    def __init__(self, alpha: Composition, n: int, elements: frozenset[WeakComposition]):
+    def __init__(
+        self,
+        alpha: Composition,
+        n: int,
+        elements: Iterable[WeakComposition],
+        atom_set: frozenset[WeakComposition],
+    ):
         self.alpha = alpha
         self.n = n
         self.elements = tuple(sorted(elements))
-        self.atom_set = atoms(alpha, n)
+        self.atom_set = atom_set
         self._index = {p: i for i, p in enumerate(self.elements)}
         self._mobius: dict[WeakComposition, int] | None = None
+        self._down: list[int] | None = None
+        self._up: list[int] | None = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -82,19 +105,67 @@ class GlidePoset:
         except KeyError:
             raise OutOfRangeError(f"{tuple(p)} is not an element of this poset") from None
 
-    def _downset(self, p: WeakComposition) -> list[WeakComposition]:
-        return [q for q in self.elements if leq(q, p)]
+    def _order_sets(self, below: bool) -> list[int]:
+        """Bitset of the downset (``below``) or upset of every element, by index.
+
+        ``table[i][v]`` holds the elements whose coordinate i is at most v
+        (for downsets) or at least v (for upsets); a downset is the AND of
+        ``table[i][p_i]`` over the coordinates.
+        """
+        top = max((x for e in self.elements for x in e), default=0)
+        tables = []
+        for i in range(self.n):
+            exact = [0] * (top + 1)
+            for k, e in enumerate(self.elements):
+                exact[e[i]] |= 1 << k
+            table, acc = [], 0
+            for bits in exact if below else reversed(exact):
+                acc |= bits
+                table.append(acc)
+            if not below:
+                table.reverse()
+            tables.append(table)
+        full = (1 << len(self.elements)) - 1
+        out = []
+        for e in self.elements:
+            bits = full
+            for table, v in zip(tables, e):
+                bits &= table[v]
+            out.append(bits)
+        return out
+
+    def _downsets(self) -> list[int]:
+        if self._down is None:
+            self._down = self._order_sets(below=True)
+        return self._down
+
+    def _upsets(self) -> list[int]:
+        if self._up is None:
+            self._up = self._order_sets(below=False)
+        return self._up
 
     def mobius(self) -> dict[WeakComposition, int]:
         """Unique table with sum over {q <= p} of mu(q) equal to 1, for all p.
 
-        Computed bottom-up along the linear extension by increasing entry sum.
+        Computed bottom-up along the linear extension by increasing entry sum,
+        summing only over the elements below p with a nonzero value.
         """
         if self._mobius is None:
+            down = self._downsets()
+            values = [0] * len(self.elements)
+            nonzero = 0
             mu: dict[WeakComposition, int] = {}
             for p in sorted(self.elements, key=lambda e: (sum(e), e)):
-                below = sum(mu[q] for q in self.elements if q != p and leq(q, p))
-                mu[p] = 1 - below
+                k = self._index[p]
+                below = 0
+                bits = down[k] & nonzero
+                while bits:
+                    low = bits & -bits
+                    below += values[low.bit_length() - 1]
+                    bits ^= low
+                mu[p] = values[k] = 1 - below
+                if values[k]:
+                    nonzero |= 1 << k
             self._mobius = mu
         return dict(self._mobius)
 
@@ -124,47 +195,39 @@ class GlidePoset:
         for x in (pt, qt):
             if x not in self._index:
                 raise OutOfRangeError(f"{x} is not an element of this poset")
-        bounds = [r for r in self.elements if leq(r, pt) and leq(r, qt)]
-        if not bounds:
-            return BOTTOM
-        best = bounds[0]
-        for r in bounds[1:]:
-            best = join(best, r)
-        # the join of all lower bounds is itself a lower bound, by closure
-        return best
+        down = self._downsets()
+        common = down[self._index[pt]] & down[self._index[qt]]
+        # the join of all common lower bounds is itself one, by closure
+        return self.elements[_greatest(common)] if common else BOTTOM
 
     def covers(self) -> list[tuple[int, int]]:
-        """Cover relations as index pairs (i, j) with element i covered by j."""
-        by_sum: dict[int, list[WeakComposition]] = {}
-        for e in self.elements:
-            by_sum.setdefault(sum(e), []).append(e)
+        """Cover relations as index pairs (i, j) with element i covered by j.
+
+        Element i is covered by j when it is maximal in the strict downset
+        of j, that is, when no other element of that downset lies above it.
+        """
+        down, up = self._downsets(), self._upsets()
         out = []
-        for p in self.elements:
-            for q in self.elements:
-                if p == q or not leq(p, q):
-                    continue
-                strictly_between = any(
-                    z != p and z != q and leq(p, z) and leq(z, q)
-                    for s in range(sum(p) + 1, sum(q))
-                    for z in by_sum.get(s, ())
-                )
-                if not strictly_between:
-                    out.append((self._index[p], self._index[q]))
+        for j, d in enumerate(down):
+            strict = d ^ (1 << j)
+            bits = strict
+            while bits:
+                low = bits & -bits
+                i = low.bit_length() - 1
+                if up[i] & strict == low:
+                    out.append((i, j))
+                bits ^= low
         return sorted(out)
 
     def is_lattice_with_bottom(self) -> bool:
         """Check every pair has a join in the poset and a meet once BOTTOM is adjoined."""
-        element_set = set(self.elements)
-        for p, q in combinations(self.elements, 2):
-            if join(p, q) not in element_set:
+        down = self._downsets()
+        for (i, p), (j, q) in combinations(enumerate(self.elements), 2):
+            if join(p, q) not in self._index:
                 return False
-            m = self.meet(p, q)
-            if m is not BOTTOM:
-                if not (leq(m, p) and leq(m, q)):
-                    return False
-                for r in self.elements:
-                    if leq(r, p) and leq(r, q) and not leq(r, m):
-                        return False
+            common = down[i] & down[j]
+            if common and common & ~down[_greatest(common)]:
+                return False
         return True
 
 
@@ -172,16 +235,4 @@ def build_poset(alpha: Iterable[int], n: int) -> GlidePoset:
     """Join-closure of the zero-paddings of alpha inside length-n strings."""
     a = as_composition(alpha)
     base = atoms(a, n)
-    elements = set(base)
-    frontier = list(base)
-    while frontier:
-        snapshot = tuple(elements)
-        fresh = []
-        for p in frontier:
-            for q in snapshot:
-                j = join(p, q)
-                if j not in elements:
-                    elements.add(j)
-                    fresh.append(j)
-        frontier = fresh
-    return GlidePoset(a, n, frozenset(elements))
+    return GlidePoset(a, n, closure(base, max), base)

@@ -112,6 +112,27 @@ def test_domain_error_exit_code(capsys):
     assert payload["error"]["code"] == "out-of-range"
 
 
+@pytest.mark.parametrize(
+    "content, error_code",
+    [
+        (None, "input-unreadable"),
+        ('{"coords": [{"comp": [1], "coeff": "1"},\n', "malformed-input"),
+        ('{"coords": [{"comp": [1], "coeff": "1/0"}]}', "malformed-input"),
+        ('{"terms": [{"comp": [1], "coeff": "1"}]}', "malformed-input"),
+        ('{"coords": [{"comp": ["x"], "coeff": "1"}]}', "invalid-composition"),
+    ],
+    ids=["missing file", "malformed JSON", "1/0 coefficient", "missing coords key", "non-integer part"],
+)
+def test_glide_expand_bad_input_is_typed_error(tmp_path, capsys, content, error_code):
+    path = tmp_path / "element.json"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    code, out, err = invoke(capsys, "glide-expand", "--input", str(path), "--degree", "4")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == error_code
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["bogus-command"])

@@ -4,6 +4,7 @@ from math import factorial
 
 import pytest
 
+from glidekit.compositions import closure
 from glidekit.errors import LengthMismatchError, OutOfRangeError
 from glidekit.glides import glide_polynomial
 from glidekit.ktheory import (
@@ -18,6 +19,7 @@ from glidekit.ktheory import (
     z_locus,
 )
 from glidekit.poly import SparsePoly
+from glidekit.poset import build_poset
 from glidekit.qsym import m_to_polynomial
 
 from conftest import all_compositions
@@ -76,6 +78,18 @@ def test_z_locus_examples():
         z_locus((1, 3), 2, 2)
     with pytest.raises(OutOfRangeError):
         z_locus((1, 3), 1, 3)
+
+
+def test_intersection_closure_mirrors_string_poset():
+    # the components are m - (zero-paddings of alpha), so x -> m - x carries
+    # their min-closure onto the max-closure of the paddings (criterion-06 space)
+    for alpha in all_compositions(5):
+        lo_m = max(alpha) if alpha else 1
+        for n in range(len(alpha), 7):
+            strings = build_poset(alpha, n).elements
+            for m in range(lo_m, 6):
+                closed = closure(z_locus(alpha, n, m).components, min)
+                assert sorted(closed) == sorted(tuple(m - x for x in e) for e in strings)
 
 
 def test_knutson_class_examples():

@@ -1,9 +1,11 @@
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glidekit.errors import LengthMismatchError, OutOfRangeError
-from glidekit.poset import BOTTOM, atoms, build_poset, join, leq
+from glidekit.glides import enumerate_C
+from glidekit.poset import BOTTOM, GlidePoset, atoms, build_poset, join, leq
 
 from conftest import all_compositions
 
@@ -160,6 +162,8 @@ def test_is_lattice_with_bottom():
     assert build_poset((1, 3), 4).is_lattice_with_bottom()
     assert build_poset((2,), 1).is_lattice_with_bottom()
     assert build_poset((2, 1, 2), 5).is_lattice_with_bottom()
+    not_closed = GlidePoset((1,), 2, [(0, 1), (1, 0), (1, 2), (2, 1)], atoms((1,), 2))
+    assert not not_closed.is_lattice_with_bottom()
 
 
 def test_element_order_deterministic():
@@ -167,3 +171,83 @@ def test_element_order_deterministic():
     b = build_poset((1, 2), 4)
     assert a.elements == b.elements
     assert list(a.elements) == sorted(a.elements)
+
+
+# Naive references for the bitset order queries.  They use only join and leq,
+# never the poset's own tables, so they stay independent of the code they check.
+
+
+def _naive_closure(alpha, n):
+    """Join every pair of elements found so far until nothing new appears."""
+    elements = set(atoms(alpha, n))
+    while True:
+        fresh = {join(p, q) for p in elements for q in elements} - elements
+        if not fresh:
+            return elements
+        elements |= fresh
+
+
+def _naive_covers(p):
+    """Pairs x < y with no element strictly between them, by leq alone."""
+    out = []
+    for j, y in enumerate(p.elements):
+        below = [(i, x) for i, x in enumerate(p.elements) if x != y and leq(x, y)]
+        for i, x in below:
+            if not any(z != x and leq(x, z) for _, z in below):
+                out.append((i, j))
+    return sorted(out)
+
+
+def _naive_meets(p):
+    """Meet of every pair as the join of all its common lower bounds."""
+    lower = [{x for x in p.elements if leq(x, y)} for y in p.elements]
+    out = {}
+    for i, x in enumerate(p.elements):
+        for j, y in enumerate(p.elements):
+            common = lower[i] & lower[j]
+            out[x, y] = tuple(max(column) for column in zip(*common)) if common else BOTTOM
+    return out
+
+
+def _check_against_references(alpha, n):
+    p = build_poset(alpha, n)
+    assert set(p.elements) == _naive_closure(alpha, n), (alpha, n)
+    assert p.covers() == _naive_covers(p), (alpha, n)
+    for (x, y), m in _naive_meets(p).items():
+        assert p.meet(x, y) == m, (alpha, n, x, y)
+    return p
+
+
+def test_order_queries_match_naive_references():
+    for alpha in all_compositions(4):
+        for n in range(len(alpha), 7):
+            _check_against_references(alpha, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alpha=st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple),
+    extra=st.integers(0, 3),
+)
+def test_order_queries_property(alpha, extra):
+    n = len(alpha) + extra
+    p = _check_against_references(alpha, n)
+    mu = p.mobius()
+    mu_hat = _traditional_mobius(p)
+    assert list(mu) == sorted(p.elements, key=lambda e: (sum(e), e))
+    assert all(mu[x] == -mu_hat[x] for x in p.elements)
+    for sigma in p.elements:
+        if sum(1 for a in p.atom_set if leq(a, sigma)) <= 12:
+            assert p.mobius_crosscut(sigma) == mu[sigma], (alpha, n, sigma)
+
+
+@pytest.mark.parametrize("alpha", [(3, 1, 2), (2, 1, 3)])
+def test_heavy_tail_instances(alpha):
+    # the largest posets of the |alpha| <= 6, n <= 7 sweep
+    p = build_poset(alpha, 7)
+    mu = p.mobius()
+    assert len(p) == 787
+    assert len(p.covers()) == 2788
+    nonzero = {s for s, v in mu.items() if v}
+    assert len(nonzero) == 351
+    assert nonzero == enumerate_C(alpha, 7)
