@@ -18,10 +18,10 @@ WeakComposition = tuple[int, ...]
 def as_composition(parts: Iterable[int]) -> Composition:
     """Validate and normalize to a composition (every part >= 1)."""
     try:
-        alpha = tuple(int(p) for p in parts)
+        alpha = tuple(map(int, parts))
     except (TypeError, ValueError) as exc:
         raise InvalidCompositionError(f"composition parts must be integers: {parts!r}") from exc
-    if any(p < 1 for p in alpha):
+    if min(alpha, default=1) < 1:
         raise InvalidCompositionError(f"composition parts must be >= 1: {alpha}")
     return alpha
 
@@ -36,7 +36,7 @@ def as_weak_composition(parts: Iterable[int]) -> WeakComposition:
 
 def positive_part(w: Sequence[int]) -> Composition:
     """Delete all zero entries, preserving the order of the rest."""
-    return tuple(p for p in w if p != 0)
+    return tuple(filter(None, w))
 
 
 def canonical_key(alpha: Sequence[int]) -> tuple[int, int, tuple[int, ...]]:

@@ -17,9 +17,10 @@ from itertools import combinations
 from math import comb, factorial, gcd
 from typing import Iterable, Sequence
 
-from .compositions import Composition, as_composition, closure, positive_part
+from .compositions import Composition, as_composition, closure
 from .errors import LengthMismatchError, OutOfRangeError
 from .poly import SparsePoly
+from .qsym import read_m_coords
 
 
 @dataclass(frozen=True)
@@ -190,62 +191,46 @@ def chern_substitute(element: KRingElement, m: int | None = None) -> SparsePoly:
     if m != element.m:
         raise OutOfRangeError(f"substitution degree {m} differs from element cap {element.m}")
     # all series coefficients become integers after scaling by m!, so the
-    # hot accumulation runs on integers over one common denominator
+    # substitution runs on integers over one common denominator
     scale = factorial(m)
-    int_table = [
-        [(d, int(c * scale)) for d, c in enumerate(row) if c]
+    table = [
+        [((d,), int(c * scale)) for d, c in enumerate(row) if c]
         for row in _chern_power_table(m)
     ]
     n = element.nvars
     lcm_coeff = 1
     for coeff in element.poly.terms.values():
         lcm_coeff = lcm_coeff * coeff.denominator // gcd(lcm_coeff, coeff.denominator)
+    current = {
+        exps: coeff.numerator * (lcm_coeff // coeff.denominator)
+        for exps, coeff in element.poly.terms.items()
+    }
+    # one pass per variable: the exponent g in front becomes each d at the
+    # back, weighted by the scaled coefficient of x^d in the g-th power, so
+    # after n passes every key is back in its own order; equal keys merge
+    # after each pass
+    for _ in range(n):
+        nxt: dict[tuple[int, ...], int] = {}
+        for key, c in current.items():
+            rest = key[1:]
+            for d, a in table[key[0]]:
+                k = rest + d
+                nxt[k] = nxt.get(k, 0) + c * a
+        current = nxt
     denominator = scale**n * lcm_coeff
-    out: dict[tuple[int, ...], int] = {}
-    for exps, coeff in element.poly.terms.items():
-        active = [i for i, e in enumerate(exps) if e]
-        start = (
-            coeff.numerator
-            * (lcm_coeff // coeff.denominator)
-            * scale ** (n - len(active))
-        )
-        partial: dict[tuple[int, ...], int] = {(): start}
-        for i in active:
-            row = int_table[exps[i]]
-            nxt: dict[tuple[int, ...], int] = {}
-            for prefix, c in partial.items():
-                for d, sc in row:
-                    key = prefix + (d,)
-                    nxt[key] = nxt.get(key, 0) + c * sc
-            partial = nxt
-        for key, c in partial.items():
-            e = [0] * n
-            for i, d in zip(active, key):
-                e[i] = d
-            et = tuple(e)
-            v = out.get(et, 0) + c
-            if v:
-                out[et] = v
-            else:
-                del out[et]
-    return SparsePoly(n, {e: Fraction(c, denominator) for e, c in out.items()})
+    # one Fraction per distinct numerator; Fractions are immutable, so terms
+    # with equal coefficients can share one
+    shared: dict[int, Fraction] = {}
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for e, c in current.items():
+        if c:
+            q = shared.get(c)
+            if q is None:
+                q = shared[c] = Fraction(c, denominator)
+            terms[e] = q
+    return SparsePoly(n, terms)
 
 
 def is_quasisymmetric(f: SparsePoly, n: int) -> bool:
     """Whether all placements of each composition carry equal coefficients."""
-    if f.nvars != n:
-        raise LengthMismatchError(f"polynomial has {f.nvars} variables, expected {n}")
-    seen: set[Composition] = set()
-    for exps in f.terms:
-        gamma = positive_part(exps)
-        if gamma in seen:
-            continue
-        seen.add(gamma)
-        expected = f.coefficient(gamma + (0,) * (n - len(gamma)))
-        for positions in combinations(range(n), len(gamma)):
-            e = [0] * n
-            for i, part in zip(positions, gamma):
-                e[i] = part
-            if f.coefficient(e) != expected:
-                return False
-    return True
+    return read_m_coords(f, n)[1] is None

@@ -14,6 +14,8 @@ from .errors import LengthMismatchError
 
 ExponentVector = tuple[int, ...]
 
+_ZERO = Fraction(0)
+
 
 class SparsePoly:
     __slots__ = ("nvars", "terms")
@@ -27,7 +29,7 @@ class SparsePoly:
                     raise LengthMismatchError(
                         f"exponent vector {exps} does not have {nvars} entries"
                     )
-                c = Fraction(coeff)
+                c = coeff if type(coeff) is Fraction else Fraction(coeff)
                 if c:
                     clean[tuple(exps)] = c
         self.terms = clean
@@ -49,7 +51,7 @@ class SparsePoly:
         return not self.terms
 
     def coefficient(self, exps: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(exps), Fraction(0))
+        return self.terms.get(tuple(exps), _ZERO)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparsePoly):

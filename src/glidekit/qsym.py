@@ -16,6 +16,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Any, Callable, Hashable, Iterable, Mapping
 
 from .compositions import (
@@ -49,10 +50,12 @@ class QSymElement:
     degree_bound: int | None = UNBOUNDED
 
     def __post_init__(self):
+        if self.degree_bound is not None and self.degree_bound < 0:
+            raise OutOfRangeError(f"degree bound must be >= 0, got {self.degree_bound}")
         clean = {}
         for alpha, c in self.coords.items():
             a = as_composition(alpha)
-            cf = Fraction(c)
+            cf = c if type(c) is Fraction else Fraction(c)
             if self.degree_bound is not None and sum(a) > self.degree_bound:
                 raise OutOfRangeError(
                     f"coordinate {a} exceeds degree bound {self.degree_bound}"
@@ -110,35 +113,45 @@ def m_to_polynomial(alpha: Iterable[int], n: int) -> SparsePoly:
     return SparsePoly(n, terms)
 
 
-def polynomial_to_m(f: SparsePoly, n: int) -> QSymElement:
-    """Read monomial-basis coordinates off a quasisymmetric polynomial.
+def read_m_coords(
+    f: SparsePoly, n: int
+) -> tuple[dict[Composition, Fraction], Composition | None]:
+    """Group the terms of f by positive part, in first-seen order, in one pass.
 
-    The coordinate of a composition is the coefficient of its initial-segment
-    monomial; raises if some placement of a composition carries a different
-    coefficient (the input was not quasisymmetric).
+    Returns the groups as monomial-basis coordinates together with the first
+    composition whose group fails, or None when f is quasisymmetric.  A group
+    passes when it holds exactly the C(n, len(gamma)) placements of its
+    composition gamma, all with one coefficient.
     """
     if f.nvars != n:
         raise LengthMismatchError(f"polynomial has {f.nvars} variables, expected {n}")
     coords: dict[Composition, Fraction] = {}
-    seen: set[Composition] = set()
-    for exps in f.terms:
+    placements: dict[Composition, int] = {}
+    for exps, c in f.terms.items():
         gamma = positive_part(exps)
-        if gamma in seen:
-            continue
-        seen.add(gamma)
-        initial = gamma + (0,) * (n - len(gamma))
-        expected = f.coefficient(initial)
-        for positions in combinations(range(n), len(gamma)):
-            e = [0] * n
-            for i, part in zip(positions, gamma):
-                e[i] = part
-            if f.coefficient(e) != expected:
-                raise NotQuasisymmetricError(
-                    f"coefficient of {gamma} differs between placements "
-                    f"{tuple(initial)} and {tuple(e)}"
-                )
-        if expected:
-            coords[gamma] = expected
+        first = coords.setdefault(gamma, c)
+        if first is not c and first != c:
+            return coords, gamma
+        placements[gamma] = placements.get(gamma, 0) + 1
+    for gamma, count in placements.items():
+        if count != comb(n, len(gamma)):
+            return coords, gamma
+    return coords, None
+
+
+def polynomial_to_m(f: SparsePoly, n: int) -> QSymElement:
+    """Read monomial-basis coordinates off a quasisymmetric polynomial.
+
+    The coordinate of a composition is the coefficient shared by all its
+    placements; raises if some placement of a composition carries a
+    different coefficient (the input was not quasisymmetric).
+    """
+    coords, failed = read_m_coords(f, n)
+    if failed is not None:
+        raise NotQuasisymmetricError(
+            f"the {comb(n, len(failed))} placements of {failed} "
+            f"do not all carry one coefficient"
+        )
     return QSymElement(coords, UNBOUNDED)
 
 

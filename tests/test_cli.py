@@ -133,6 +133,28 @@ def test_glide_expand_bad_input_is_typed_error(tmp_path, capsys, content, error_
     assert json.loads(err)["error"]["code"] == error_code
 
 
+@pytest.mark.parametrize("command", ["glide-struct", "glide-expand"])
+def test_negative_degree_bound_is_out_of_range(tmp_path, capsys, command):
+    if command == "glide-struct":
+        argv = ["glide-struct", "--a", "1", "--b", "1"]
+    else:
+        path = tmp_path / "element.json"
+        path.write_text('{"coords": []}', encoding="utf-8")
+        argv = ["glide-expand", "--input", str(path)]
+    code, out, err = invoke(capsys, *argv, "--degree", "-1")
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "out-of-range"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_verify_paper_rejects_worker_count_below_one(capsys, jobs):
+    code, out, err = invoke(capsys, "verify-paper", "--jobs", jobs)
+    assert code == 1
+    assert out == ""
+    assert json.loads(err)["error"]["code"] == "out-of-range"
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["bogus-command"])

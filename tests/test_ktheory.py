@@ -3,6 +3,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from glidekit.compositions import closure
 from glidekit.errors import LengthMismatchError, OutOfRangeError
@@ -20,7 +21,7 @@ from glidekit.ktheory import (
 )
 from glidekit.poly import SparsePoly
 from glidekit.poset import build_poset
-from glidekit.qsym import m_to_polynomial
+from glidekit.qsym import m_to_polynomial, polynomial_to_m
 
 from conftest import all_compositions
 
@@ -181,6 +182,63 @@ def test_chern_substitute_matches_naive_expansion():
                 {e: c for e, c in expected.terms.items() if max(e) <= m},
             )
             assert chern_substitute(element) == expected
+
+
+def _compose_chern(terms, n, m):
+    """Plain composition: multiply out each term's factors (1 - exp(-x_i))^e_i
+    as dicts of exponent vectors, dropping exponents above m after each product."""
+    series = {j: Fraction((-1) ** (j + 1), factorial(j)) for j in range(1, m + 1)}
+    out = {}
+    for exps, coeff in terms.items():
+        product = {(0,) * n: Fraction(coeff)}
+        for i, e in enumerate(exps):
+            for _ in range(e):
+                grown = {}
+                for key, c in product.items():
+                    for j, s in series.items():
+                        if key[i] + j <= m:
+                            bumped = key[:i] + (key[i] + j,) + key[i + 1 :]
+                            grown[bumped] = grown.get(bumped, 0) + c * s
+                product = grown
+        for key, c in product.items():
+            out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+@st.composite
+def _kring_elements(draw):
+    n = draw(st.integers(0, 4))
+    m = draw(st.integers(0, 4))
+    coeff = st.builds(
+        Fraction, st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 5, 6, 9, 10])
+    )
+    exps = st.tuples(*[st.integers(0, m)] * n)
+    return KRingElement(SparsePoly(n, draw(st.dictionaries(exps, coeff, max_size=6))), m)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_kring_elements())
+@example(KRingElement(SparsePoly.zero(3), 2))
+@example(KRingElement(SparsePoly(0, {(): Fraction(-5, 3)}), 3))
+@example(KRingElement(SparsePoly(4, {(0, 0, 0, 0): Fraction(7, 4)}), 4))
+@example(KRingElement(SparsePoly(2, {(0, 0): Fraction(1, 2), (4, 4): Fraction(-2, 9)}), 4))
+def test_chern_substitute_matches_plain_composition(element):
+    expected = _compose_chern(element.poly.terms, element.nvars, element.m)
+    assert chern_substitute(element) == SparsePoly(element.nvars, expected)
+
+
+@pytest.mark.parametrize(
+    "alpha, kclass_terms, chern_terms, m_coords",
+    [((1, 2, 1), 111, 44450, 19250), ((1,), 63, 46655, 19530)],
+)
+def test_chern_heavy_tail_sizes(alpha, kclass_terms, chern_terms, m_coords):
+    # the two largest Chern images of the criterion-07 sweep, at n = 6, m = 5
+    element = knutson_class(alpha, 6, 5)
+    chern = chern_substitute(element)
+    assert len(element.poly.terms) == kclass_terms
+    assert len(chern.terms) == chern_terms
+    assert is_quasisymmetric(chern, 6)
+    assert len(polynomial_to_m(chern, 6).coords) == m_coords
 
 
 def test_quasisymmetry_detection():

@@ -1,8 +1,10 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glidekit.errors import (
     NotQuasisymmetricError,
@@ -10,6 +12,7 @@ from glidekit.errors import (
     UnknownLabelError,
 )
 from glidekit.glides import glide_polynomial
+from glidekit.ktheory import is_quasisymmetric
 from glidekit.poly import SparsePoly
 from glidekit.qsym import (
     GradedRingData,
@@ -67,6 +70,86 @@ def test_polynomial_to_m_roundtrip():
             for g, c in coords.items():
                 rebuilt = rebuilt + m_to_polynomial(g, n).scale(c)
             assert rebuilt == f
+
+
+def _reference_m_coords(f, n):
+    """The placement-by-placement reader: every placement of each composition
+    must carry the coefficient of its initial placement.  Returns the
+    coordinates in first-seen order, or None when f is not quasisymmetric."""
+    coords = {}
+    for exps in f.terms:
+        gamma = tuple(p for p in exps if p)
+        if gamma in coords:
+            continue
+        expected = f.terms.get(gamma + (0,) * (n - len(gamma)), 0)
+        for positions in combinations(range(n), len(gamma)):
+            e = [0] * n
+            for i, part in zip(positions, gamma):
+                e[i] = part
+            if f.terms.get(tuple(e), 0) != expected:
+                return None
+        coords[gamma] = expected
+    return coords
+
+
+def _assert_both_reject(f, n):
+    assert _reference_m_coords(f, n) is None
+    assert not is_quasisymmetric(f, n)
+    with pytest.raises(NotQuasisymmetricError) as exc:
+        polynomial_to_m(f, n)
+    assert exc.value.code == "not-quasisymmetric"
+
+
+_COEFFS = st.builds(
+    Fraction, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 3, 7])
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), n=st.integers(2, 4))
+def test_single_pass_reader_matches_placement_reference(data, n):
+    gammas = st.lists(st.integers(1, 3), max_size=n).map(tuple)
+    coords = data.draw(st.dictionaries(gammas, _COEFFS, min_size=1, max_size=5))
+    f = SparsePoly.zero(n)
+    for gamma, c in coords.items():
+        f = f + m_to_polynomial(gamma, n).scale(c)
+    read = polynomial_to_m(f, n).coords
+    assert read == coords
+    assert is_quasisymmetric(f, n)
+    assert list(_reference_m_coords(f, n).items()) == list(read.items())
+
+    # perturb one placement of a composition with at least two placements
+    shared = [e for e in f.terms if 0 < sum(1 for p in e if p) < n]
+    if shared:
+        target = data.draw(st.sampled_from(shared))
+        changed = dict(f.terms)
+        changed[target] += data.draw(_COEFFS)  # a sum of 0 deletes the placement
+        _assert_both_reject(SparsePoly(n, changed), n)
+        deleted = dict(f.terms)
+        del deleted[target]
+        _assert_both_reject(SparsePoly(n, deleted), n)
+    # a stray monomial, on a composition that then has 1 of >= 2 placements
+    # or one placement out of line with the others
+    k = data.draw(st.integers(1, n - 1))
+    positions = data.draw(st.sampled_from(list(combinations(range(n), k))))
+    stray = [0] * n
+    for i in positions:
+        stray[i] = data.draw(st.integers(1, 3))
+    added = dict(f.terms)
+    added[tuple(stray)] = added.get(tuple(stray), 0) + data.draw(_COEFFS)
+    _assert_both_reject(SparsePoly(n, added), n)
+
+
+def test_single_pass_reader_compares_values_not_objects():
+    c = Fraction(3, 2)
+    # (1) and (2) share one coefficient object, but (2) misses a placement
+    f = SparsePoly(3, {(1, 0, 0): c, (0, 1, 0): c, (0, 0, 1): c, (2, 0, 0): c, (0, 2, 0): c})
+    _assert_both_reject(f, 3)
+    # equal values held by distinct objects form one passing group
+    g = SparsePoly(3, {(1, 0, 0): c, (0, 1, 0): Fraction(3, 2), (0, 0, 1): Fraction(6, 4)})
+    assert polynomial_to_m(g, 3).coords == {(1,): c}
+    assert _reference_m_coords(g, 3) == {(1,): c}
+    assert is_quasisymmetric(g, 3)
 
 
 def test_overlapping_shuffle_examples():
@@ -127,6 +210,8 @@ def test_degree_bound_truncation():
     assert h.degree_bound == 3
     with pytest.raises(OutOfRangeError):
         QSymElement({(2, 2): Fraction(1)}, degree_bound=3)
+    with pytest.raises(OutOfRangeError):
+        QSymElement({}, degree_bound=-1)
 
 
 def test_glide_expand_examples():
