@@ -106,7 +106,7 @@ def _cmd_buk(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
-    rows = run_all(jobs=args.jobs)
+    rows = run_all()
     return {
         "rows": [row.as_json() for row in rows],
         "total": len(rows),
@@ -130,16 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--timing", action="store_true", help="include elapsed milliseconds (non-deterministic)"
     )
-    parser.add_argument(
-        "--jobs", type=int, default=1, help="parallel workers for independent work items"
-    )
 
     # the same flags are accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering values parsed at the top level
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true", default=argparse.SUPPRESS)
     common.add_argument("--timing", action="store_true", default=argparse.SUPPRESS)
-    common.add_argument("--jobs", type=int, default=argparse.SUPPRESS)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -236,7 +232,7 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def _echo_inputs(args: argparse.Namespace) -> dict[str, Any]:
-    skip = {"func", "command", "pretty", "timing", "jobs"}
+    skip = {"func", "command", "pretty", "timing"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 

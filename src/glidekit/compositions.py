@@ -7,7 +7,8 @@ empty composition ``()`` is a first-class value (it indexes the unit class).
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple, Sequence
+from itertools import combinations
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidCompositionError, SizeMismatchError
 
@@ -37,6 +38,19 @@ def as_weak_composition(parts: Iterable[int]) -> WeakComposition:
 def positive_part(w: Sequence[int]) -> Composition:
     """Delete all zero entries, preserving the order of the rest."""
     return tuple(filter(None, w))
+
+
+def paddings(parts: Sequence, n: int, blank=0) -> Iterator[tuple]:
+    """Every length-n tuple holding ``parts`` in order and ``blank`` elsewhere.
+
+    The tuples come in lexicographic order of the occupied positions; there
+    are C(n, len(parts)) of them, and none when n < len(parts).
+    """
+    for positions in combinations(range(n), len(parts)):
+        s = [blank] * n
+        for i, part in zip(positions, parts):
+            s[i] = part
+        yield tuple(s)
 
 
 def canonical_key(alpha: Sequence[int]) -> tuple[int, int, tuple[int, ...]]:

@@ -18,8 +18,7 @@ from a closed product of binomials; all three routes are implemented.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, product
-from math import comb
+from math import comb, prod
 from typing import Iterable, Sequence
 
 from .compositions import (
@@ -27,6 +26,7 @@ from .compositions import (
     WeakComposition,
     as_composition,
     as_weak_composition,
+    paddings,
     positive_part,
     run_encode,
 )
@@ -69,13 +69,47 @@ def enumerate_C_tilde(alpha: Composition, n: int) -> frozenset[tuple[int, ...]]:
     return _move_closure(atoms(as_composition(alpha), n))
 
 
-def _run_sizes(alpha: Composition) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _run_factor(size: int, mult: int) -> int:
+    """(-1)^(size - mult) * C(size - 1, mult - 1): the weight of a run of
+    multiplicity ``mult`` inflated to ``size`` entries."""
+    return (-1) ** (size - mult) * comb(size - 1, mult - 1)
+
+
+def _inflations(
+    alpha: Composition, max_length: int, max_degree: int
+) -> list[tuple[Composition, int]]:
+    """The run inflations of alpha up to a length and a size, with coefficients.
+
+    Each run of alpha, value v repeated N times, becomes v repeated l >= N
+    times; the coefficient is the product of the _run_factor(l, N).  The
+    pairs come in lexicographic order of the run-size vectors.
+    """
     runs = run_encode(alpha)
-    return tuple(v for v, _ in runs), tuple(m for _, m in runs)
+    out: list[tuple[Composition, int]] = []
+
+    def extend(i: int, prefix: Composition, length: int, degree: int, coeff: int) -> None:
+        # length and degree are the slack left once every run keeps its
+        # original multiplicity
+        if i == len(runs):
+            out.append((prefix, coeff))
+            return
+        v, m = runs[i]
+        for extra in range(min(length, degree // v) + 1):
+            extend(
+                i + 1,
+                prefix + (v,) * (m + extra),
+                length - extra,
+                degree - extra * v,
+                coeff * _run_factor(m + extra, m),
+            )
+
+    length, degree = max_length - len(alpha), max_degree - sum(alpha)
+    if length >= 0 and degree >= 0:
+        extend(0, (), length, degree, 1)
+    return out
 
 
-@lru_cache(maxsize=None)
-def enumerate_C(alpha: Composition, n: int) -> frozenset[WeakComposition]:
+def enumerate_C(alpha: Iterable[int], n: int) -> frozenset[WeakComposition]:
     """Unbarred move closure, by its block characterization.
 
     A string belongs iff its positive part consists of the runs of alpha in
@@ -86,30 +120,9 @@ def enumerate_C(alpha: Composition, n: int) -> frozenset[WeakComposition]:
     a = as_composition(alpha)
     if n < len(a):
         raise OutOfRangeError(f"need n >= {len(a)} slots for {a}, got {n}")
-    values, mults = _run_sizes(a)
-    out: set[WeakComposition] = set()
-    for sizes in _run_size_vectors(mults, n):
-        pos = tuple(
-            v for v, sz in zip(values, sizes) for _ in range(sz)
-        )
-        for positions in combinations(range(n), len(pos)):
-            s = [0] * n
-            for i, v in zip(positions, pos):
-                s[i] = v
-            out.add(tuple(s))
-    return frozenset(out)
-
-
-def _run_size_vectors(mults: tuple[int, ...], n: int):
-    """All vectors of run sizes with sizes[i] >= mults[i] and total <= n."""
-    if not mults:
-        yield ()
-        return
-    slack = n - sum(mults)
-    ranges = [range(m, m + slack + 1) for m in mults]
-    for sizes in product(*ranges):
-        if sum(sizes) <= n:
-            yield sizes
+    # no part exceeds max(a), so n * max(a) bounds no inflation of length n
+    gammas = _inflations(a, n, n * max(a, default=0))
+    return frozenset({s for gamma, _ in gammas for s in paddings(gamma, n)})
 
 
 def mu_closed(sigma: Sequence[int], alpha: Iterable[int]) -> int:
@@ -121,18 +134,14 @@ def mu_closed(sigma: Sequence[int], alpha: Iterable[int]) -> int:
     """
     a = as_composition(alpha)
     s = as_weak_composition(sigma)
-    values, mults = _run_sizes(a)
+    runs = run_encode(a)
     sruns = run_encode(positive_part(s))
-    if tuple(v for v, _ in sruns) != values:
+    if [v for v, _ in sruns] != [v for v, _ in runs]:
         raise NotInCSetError(f"{s} has no block decomposition over {a}")
-    sizes = tuple(m for _, m in sruns)
-    if any(sz < m for sz, m in zip(sizes, mults)):
+    blocks = [(sz, m) for (_, sz), (_, m) in zip(sruns, runs)]
+    if any(sz < m for sz, m in blocks):
         raise NotInCSetError(f"{s} has too few entries in some block over {a}")
-    sign = (-1) ** (sum(sizes) - sum(mults))
-    prod_binom = 1
-    for sz, m in zip(sizes, mults):
-        prod_binom *= comb(sz - 1, m - 1)
-    return sign * prod_binom
+    return prod(_run_factor(sz, m) for sz, m in blocks)
 
 
 def mu_prime(sigma: Sequence[int], alpha: Iterable[int], n: int) -> int:
@@ -171,20 +180,8 @@ def glide_polynomial(alpha: Iterable[int], n: int, method: str = "closed") -> Sp
             s = unbar(t)
             terms[s] = terms.get(s, 0) + (-1) ** barred_count(t)
         return SparsePoly(n, terms)
-    values, mults = _run_sizes(a)
-    terms = {}
-    for sizes in _run_size_vectors(mults, n):
-        sign = (-1) ** (sum(sizes) - sum(mults))
-        coeff = sign
-        for sz, m in zip(sizes, mults):
-            coeff *= comb(sz - 1, m - 1)
-        pos = tuple(v for v, sz in zip(values, sizes) for _ in range(sz))
-        for positions in combinations(range(n), len(pos)):
-            s = [0] * n
-            for i, v in zip(positions, pos):
-                s[i] = v
-            terms[tuple(s)] = coeff
-    return SparsePoly(n, terms)
+    gammas = _inflations(a, n, n * max(a, default=0))
+    return SparsePoly(n, {s: c for gamma, c in gammas for s in paddings(gamma, n)})
 
 
 def monomial_glide_weak(a: Iterable[int]) -> SparsePoly:
@@ -210,36 +207,13 @@ def glide_m_expansion(alpha: Iterable[int], degree_bound: int) -> dict[Compositi
     The coordinate of alpha itself is 1 and every other key has strictly
     larger size.
     """
-    a = as_composition(alpha)
-    values, mults = _run_sizes(a)
-    out: dict[Composition, int] = {}
-    if sum(a) > degree_bound:
-        return out
-    if not values:
-        return {(): 1}
-
-    def extend(i: int, prefix: tuple[int, ...], degree: int, coeff: int) -> None:
-        if i == len(values):
-            out[prefix] = coeff
-            return
-        v, m = values[i], mults[i]
-        sz = m
-        while degree + sz * v <= degree_bound:
-            extend(
-                i + 1,
-                prefix + (v,) * sz,
-                degree + sz * v,
-                coeff * (-1) ** (sz - m) * comb(sz - 1, m - 1),
-            )
-            sz += 1
-
-    extend(0, (), 0, 1)
-    return out
+    # every part is at least 1, so the degree bound also bounds the length
+    return dict(_inflations(as_composition(alpha), degree_bound, degree_bound))
 
 
 def check_binomial_identity(N: int, l: int) -> bool:
     """Alternating binomial sum telescoping to 1; a self-test of exact arithmetic."""
     if not 1 <= N <= l:
         raise OutOfRangeError(f"need 1 <= N <= l, got N={N}, l={l}")
-    total = sum((-1) ** (j - N) * comb(j - 1, N - 1) * comb(l, j) for j in range(N, l + 1))
+    total = sum(_run_factor(j, N) * comb(l, j) for j in range(N, l + 1))
     return total == 1

@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
 from math import comb, factorial, gcd
 from typing import Iterable, Sequence
 
-from .compositions import Composition, as_composition, closure
+from .compositions import Composition, as_composition, closure, paddings
 from .errors import LengthMismatchError, OutOfRangeError
 from .poly import SparsePoly
 from .qsym import read_m_coords
@@ -120,12 +119,7 @@ def z_locus(alpha: Iterable[int], n: int, m: int) -> SchubertUnion:
         raise OutOfRangeError(f"need n >= {len(a)} slots for {a}, got {n}")
     if a and m < max(a):
         raise OutOfRangeError(f"need m >= {max(a)} for {a}, got {m}")
-    comps = set()
-    for positions in combinations(range(n), len(a)):
-        b = [0] * n
-        for i, part in zip(positions, a):
-            b[i] = part
-        comps.add(tuple(m - x for x in b))
+    comps = set(paddings(tuple(m - x for x in a), n, m))
     return SchubertUnion(alpha=a, n=n, m=m, components=frozenset(comps))
 
 

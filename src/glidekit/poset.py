@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .compositions import Composition, WeakComposition, as_composition, closure
+from .compositions import Composition, WeakComposition, as_composition, closure, paddings
 from .errors import OutOfRangeError, LengthMismatchError
 
 
@@ -50,13 +50,9 @@ def atoms(alpha: Iterable[int], n: int) -> frozenset[WeakComposition]:
     k = len(a)
     if n < k:
         raise OutOfRangeError(f"need n >= {k} slots for {a}, got {n}")
-    out = set()
-    for positions in combinations(range(n), k):
-        s = [0] * n
-        for pos, part in zip(positions, a):
-            s[pos] = part
-        out.add(tuple(s))
-    return frozenset(out)
+    # through a set: frozenset() of a generator lays out its table otherwise,
+    # and the barred glide's term order follows this iteration order
+    return frozenset(set(paddings(a, n)))
 
 
 def _greatest(bits: int) -> int:

@@ -15,14 +15,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb
-from typing import Any, Callable, Hashable, Iterable, Mapping
+from itertools import combinations, product
+from math import comb, prod
+from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .compositions import (
     Composition,
     as_composition,
     canonical_key,
+    paddings,
     positive_part,
 )
 from .errors import (
@@ -103,14 +104,7 @@ def m_to_polynomial(alpha: Iterable[int], n: int) -> SparsePoly:
     The sum over strictly increasing placements; zero when alpha is longer
     than the variable count.
     """
-    a = as_composition(alpha)
-    terms = {}
-    for positions in combinations(range(n), len(a)):
-        e = [0] * n
-        for i, part in zip(positions, a):
-            e[i] = part
-        terms[tuple(e)] = 1
-    return SparsePoly(n, terms)
+    return SparsePoly(n, dict.fromkeys(paddings(as_composition(alpha), n), 1))
 
 
 def read_m_coords(
@@ -371,13 +365,20 @@ def m_tensor(ring: GradedRingData, labels: Iterable[Label], n: int) -> dict[Labe
     theta = _validate_label_tuple(labels, ring)
     if len(theta) > n:
         raise OutOfRangeError(f"label tuple {theta} is too long for {n} tensor factors")
-    out: dict[LabelTuple, Fraction] = {}
-    for positions in combinations(range(n), len(theta)):
-        key = [ring.unit] * n
-        for i, l in zip(positions, theta):
-            key[i] = l
-        out[tuple(key)] = Fraction(1)
-    return out
+    return {key: Fraction(1) for key in paddings(theta, n, ring.unit)}
+
+
+def _slot_product(
+    slots: Sequence[Mapping[Label, Fraction]], scale: Fraction
+) -> Iterator[tuple[LabelTuple, Fraction]]:
+    """Expand a product of one sparse sum per slot into label tuples.
+
+    Each choice of one item per slot gives the tuple of the chosen labels,
+    weighted by ``scale`` times the chosen coefficients; the choices come
+    with the first slot outermost, and an empty slot gives none.
+    """
+    for choice in product(*[slot.items() for slot in slots]):
+        yield tuple(l for l, _ in choice), prod((c for _, c in choice), start=scale)
 
 
 def _tensor_multiply(
@@ -388,17 +389,8 @@ def _tensor_multiply(
     out: dict[LabelTuple, Fraction] = {}
     for k1, c1 in f.items():
         for k2, c2 in g.items():
-            partial: dict[LabelTuple, Fraction] = {(): c1 * c2}
-            for a, b in zip(k1, k2):
-                factor = ring.product(a, b)
-                nxt: dict[LabelTuple, Fraction] = {}
-                for prefix, c in partial.items():
-                    for l, lc in factor.items():
-                        nxt[prefix + (l,)] = nxt.get(prefix + (l,), Fraction(0)) + c * lc
-                partial = nxt
-                if not partial:
-                    break
-            for key, c in partial.items():
+            slots = [ring.product(a, b) for a, b in zip(k1, k2)]
+            for key, c in _slot_product(slots, c1 * c2):
                 v = out.get(key, Fraction(0)) + c
                 if v:
                     out[key] = v
@@ -466,17 +458,7 @@ def qsym_r_product_shuffle(
                         slots.append({amap[i]: Fraction(1)})
                     else:
                         slots.append({bmap[i]: Fraction(1)})
-                partial: dict[LabelTuple, Fraction] = {(): Fraction(1)}
-                for factor in slots:
-                    nxt: dict[LabelTuple, Fraction] = {}
-                    for prefix, c in partial.items():
-                        for l, lc in factor.items():
-                            key = prefix + (l,)
-                            nxt[key] = nxt.get(key, Fraction(0)) + c * lc
-                    partial = nxt
-                    if not partial:
-                        break
-                for key, c in partial.items():
+                for key, c in _slot_product(slots, Fraction(1)):
                     v = out.get(key, Fraction(0)) + c
                     if v:
                         out[key] = v

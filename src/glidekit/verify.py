@@ -9,13 +9,11 @@ audited without reading any code.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from typing import Any, Callable
 
 from . import glides, ktheory, poset, qsym, schur
-from .errors import OutOfRangeError
 from .jsonio import comp_map_to_json, poly_to_json, string_key
 
 
@@ -226,12 +224,6 @@ def run_fixture(fixture: dict[str, Any]) -> FixtureRow:
     )
 
 
-def run_all(jobs: int = 1) -> list[FixtureRow]:
-    """Recompute every fixture; rows come back in fixture order regardless of jobs."""
-    if jobs < 1:
-        raise OutOfRangeError(f"need at least 1 worker, got {jobs}")
-    fixtures = load_fixtures()
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run_fixture, fixtures))
-    return [run_fixture(f) for f in fixtures]
+def run_all() -> list[FixtureRow]:
+    """Recompute every fixture; rows come back in fixture order."""
+    return [run_fixture(f) for f in load_fixtures()]

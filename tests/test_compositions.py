@@ -1,8 +1,12 @@
+from itertools import product
+from math import comb
+
 import pytest
 
 from glidekit.compositions import (
     as_composition,
     canonical_key,
+    paddings,
     positive_part,
     run_decode,
     run_encode,
@@ -19,6 +23,35 @@ def test_positive_part_examples():
     assert positive_part((2, 0, 4, 0, 0, 2)) == (2, 4, 2)
     assert positive_part((0, 0, 0)) == ()
     assert positive_part((1, 3, 0, 0)) == (1, 3)
+
+
+def _brute_paddings(alpha, n):
+    """Length-n tuples with positive part alpha, found by trying every tuple
+    of values up to max(alpha), ordered by their occupied positions."""
+    found = [
+        t for t in product(range(max(alpha, default=0) + 1), repeat=n) if positive_part(t) == alpha
+    ]
+    return sorted(found, key=lambda t: [i for i, x in enumerate(t) if x])
+
+
+def test_paddings_match_brute_force():
+    for alpha in all_compositions(5):
+        for n in range(6):
+            got = list(paddings(alpha, n))
+            assert got == _brute_paddings(alpha, n), (alpha, n)
+            assert len(got) == comb(n, len(alpha))
+    assert list(paddings((1, 2), 3)) == [(1, 2, 0), (1, 0, 2), (0, 1, 2)]
+    # too few slots: no padding at all
+    assert list(paddings((1, 2, 3), 2)) == []
+
+
+def test_paddings_with_other_blanks():
+    labels = {1: "a", 2: "b"}
+    for n in range(2, 6):
+        got = list(paddings(("a", "b"), n, blank="1"))
+        assert got == [tuple(labels.get(x, "1") for x in t) for t in _brute_paddings((1, 2), n)]
+    # the K-side components: codimensions m - part, and m in the empty slots
+    assert list(paddings((3, 1), 3, 4)) == [(3, 1, 4), (3, 4, 1), (4, 3, 1)]
 
 
 def test_positive_part_inverts_zero_insertion():

@@ -18,7 +18,7 @@ from glidekit.glides import (
 from glidekit.ktheory import is_quasisymmetric
 from glidekit.poset import atoms, build_poset, join
 from glidekit.poly import SparsePoly
-from glidekit.qsym import m_to_polynomial
+from glidekit.qsym import m_to_polynomial, polynomial_to_m
 
 from conftest import all_compositions
 
@@ -36,6 +36,12 @@ def test_enumerate_C_paper_examples():
     assert enumerate_C((1, 3), 4) == expected
     assert enumerate_C((1, 1), 3) == strings("011", "101", "110", "111")
     assert enumerate_C((2,), 1) == {(2,)}
+
+
+def test_enumerate_C_accepts_lists():
+    assert enumerate_C([1, 3], 4) == enumerate_C((1, 3), 4)
+    with pytest.raises(OutOfRangeError):
+        enumerate_C([1, 3], 1)
 
 
 def test_enumerate_C_tilde_paper_examples():
@@ -187,6 +193,19 @@ def test_glide_m_expansion_triangular():
         # coefficients agree with the closed formula on any padding
         for g, c in coords.items():
             assert mu_closed(g, alpha) == c
+
+
+def test_glide_m_expansion_matches_poset_route():
+    # in D variables every composition of size at most D is visible, so the
+    # poset-route glide read in the monomial basis and cut at degree D must
+    # give the closed-form expansion
+    for alpha in all_compositions(5):
+        for D in range(max(sum(alpha), 1), 8):
+            coords = polynomial_to_m(glide_polynomial(alpha, D, "poset"), D).coords
+            truncated = {g: c for g, c in coords.items() if sum(g) <= D}
+            assert glide_m_expansion(alpha, D) == truncated, (alpha, D)
+    assert glide_m_expansion((2, 1), 2) == {}
+    assert glide_m_expansion((), -1) == {}
 
 
 def test_check_binomial_identity():

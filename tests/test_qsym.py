@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from glidekit.errors import (
     NotQuasisymmetricError,
@@ -17,6 +17,7 @@ from glidekit.poly import SparsePoly
 from glidekit.qsym import (
     GradedRingData,
     QSymElement,
+    _slot_product,
     cpinf_ring,
     glide_element,
     glide_expand,
@@ -150,6 +151,39 @@ def test_single_pass_reader_compares_values_not_objects():
     assert polynomial_to_m(g, 3).coords == {(1,): c}
     assert _reference_m_coords(g, 3) == {(1,): c}
     assert is_quasisymmetric(g, 3)
+
+
+def _reference_slot_expansion(slots, scale):
+    """The prefix-by-prefix expansion that the tensor engine and the label
+    shuffle each used to carry: extend every prefix by every item of the
+    next slot, merging equal keys."""
+    partial = {(): scale}
+    for factor in slots:
+        nxt = {}
+        for prefix, c in partial.items():
+            for l, lc in factor.items():
+                key = prefix + (l,)
+                nxt[key] = nxt.get(key, Fraction(0)) + c * lc
+        partial = nxt
+        if not partial:
+            break
+    return partial
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    slots=st.lists(
+        st.dictionaries(st.sampled_from(["e", "a", "b", 2, (1, 0)]), _COEFFS, max_size=3),
+        max_size=4,
+    ),
+    scale=_COEFFS,
+)
+@example(slots=[{"a": Fraction(1, 2)}, {}, {"b": Fraction(1, 2)}], scale=Fraction(3))
+@example(slots=[], scale=Fraction(3))
+@example(slots=[{"a": Fraction(1, 2), "b": Fraction(2)}, {"c": Fraction(1, 2)}], scale=Fraction(1))
+def test_slot_product_matches_prefix_expansion(slots, scale):
+    expected = _reference_slot_expansion(slots, scale)
+    assert list(_slot_product(slots, scale)) == list(expected.items())
 
 
 def test_overlapping_shuffle_examples():
