@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 from typing import Any
 
 from . import __version__
@@ -115,7 +116,12 @@ def _cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
     }
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later call.
+
+    Parsing leaves it unchanged: each call gets a fresh namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="glidekit",
         description=(

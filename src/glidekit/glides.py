@@ -63,10 +63,20 @@ def _move_closure(seed: Iterable[tuple[int, ...]]) -> frozenset[tuple[int, ...]]
     return frozenset(seen)
 
 
-@lru_cache(maxsize=None)
-def enumerate_C_tilde(alpha: Composition, n: int) -> frozenset[tuple[int, ...]]:
+def enumerate_C_tilde(alpha: Iterable[int], n: int) -> frozenset[tuple[int, ...]]:
     """Barred strings reachable from the zero-paddings of alpha by M.1/M.2."""
-    return _move_closure(atoms(as_composition(alpha), n))
+    return _c_tilde(as_composition(alpha), n)
+
+
+@lru_cache(maxsize=1024)
+def _c_tilde(alpha: Composition, n: int) -> frozenset[tuple[int, ...]]:
+    return _move_closure(atoms(alpha, n))
+
+
+# the cache is keyed on the normalised arguments; its statistics and its
+# reset stay reachable from the public function
+enumerate_C_tilde.cache_info = _c_tilde.cache_info
+enumerate_C_tilde.cache_clear = _c_tilde.cache_clear
 
 
 def _run_factor(size: int, mult: int) -> int:
@@ -173,15 +183,17 @@ def glide_polynomial(alpha: Iterable[int], n: int, method: str = "closed") -> Sp
     if method not in GLIDE_METHODS:
         raise OutOfRangeError(f"unknown method {method!r}, expected one of {GLIDE_METHODS}")
     if method == "poset":
-        return SparsePoly(n, build_poset(a, n).mobius())
-    if method == "barred":
-        terms: dict[WeakComposition, int] = {}
+        terms = build_poset(a, n).mobius()
+    elif method == "barred":
+        terms = {}
         for t in enumerate_C_tilde(a, n):
             s = unbar(t)
             terms[s] = terms.get(s, 0) + (-1) ** barred_count(t)
-        return SparsePoly(n, terms)
-    gammas = _inflations(a, n, n * max(a, default=0))
-    return SparsePoly(n, {s: c for gamma, c in gammas for s in paddings(gamma, n)})
+    else:
+        gammas = _inflations(a, n, n * max(a, default=0))
+        terms = {s: c for gamma, c in gammas for s in paddings(gamma, n)}
+    # every key is a length-n string built here
+    return SparsePoly._from_numerators(n, terms, 1)
 
 
 def monomial_glide_weak(a: Iterable[int]) -> SparsePoly:

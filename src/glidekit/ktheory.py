@@ -37,7 +37,8 @@ class KRingElement:
         reduced = {
             e: c for e, c in self.poly.terms.items() if all(x <= self.m for x in e)
         }
-        object.__setattr__(self, "poly", SparsePoly(self.poly.nvars, reduced))
+        # a subset of a polynomial's terms needs no second check
+        object.__setattr__(self, "poly", SparsePoly._trusted(self.poly.nvars, reduced))
 
     @property
     def nvars(self) -> int:
@@ -211,18 +212,7 @@ def chern_substitute(element: KRingElement, m: int | None = None) -> SparsePoly:
                 k = rest + d
                 nxt[k] = nxt.get(k, 0) + c * a
         current = nxt
-    denominator = scale**n * lcm_coeff
-    # one Fraction per distinct numerator; Fractions are immutable, so terms
-    # with equal coefficients can share one
-    shared: dict[int, Fraction] = {}
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for e, c in current.items():
-        if c:
-            q = shared.get(c)
-            if q is None:
-                q = shared[c] = Fraction(c, denominator)
-            terms[e] = q
-    return SparsePoly(n, terms)
+    return SparsePoly._from_numerators(n, current, scale**n * lcm_coeff)
 
 
 def is_quasisymmetric(f: SparsePoly, n: int) -> bool:

@@ -3,11 +3,18 @@
 The universal polynomial container of the package: a finitely supported
 mapping exponent-vector -> Fraction, with a fixed number of variables.
 Zero coefficients are never stored.
+
+Products run on integers: each factor is scaled to integer numerators over
+the lcm of its denominators, the numerators are multiplied and summed as
+plain ints, and the Fractions are built at the end, one per distinct
+numerator.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Iterable, Mapping
 
 from .errors import LengthMismatchError
@@ -15,6 +22,14 @@ from .errors import LengthMismatchError
 ExponentVector = tuple[int, ...]
 
 _ZERO = Fraction(0)
+
+
+def _integer_numerators(
+    terms: Mapping[ExponentVector, Fraction],
+) -> tuple[list[tuple[ExponentVector, int]], int]:
+    """The terms as integer numerators over the lcm of their denominators."""
+    d = lcm(*{c.denominator for c in terms.values()})
+    return [(e, c.numerator * (d // c.denominator)) for e, c in terms.items()], d
 
 
 class SparsePoly:
@@ -33,6 +48,38 @@ class SparsePoly:
                 if c:
                     clean[tuple(exps)] = c
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict[ExponentVector, Fraction]) -> "SparsePoly":
+        """Wrap terms built inside the package without checking them again.
+
+        The caller guarantees what ``__init__`` enforces: every key is a
+        tuple of ``nvars`` ints and every value a nonzero ``Fraction``.
+        """
+        self = object.__new__(cls)
+        self.nvars = nvars
+        self.terms = terms
+        return self
+
+    @classmethod
+    def _from_numerators(
+        cls, nvars: int, numerators: Mapping[ExponentVector, int], denominator: int
+    ) -> "SparsePoly":
+        """Terms given as integer numerators over one positive denominator.
+
+        The keys must be as ``_trusted`` requires.  Zero numerators are
+        dropped, and equal numerators share one Fraction (Fractions are
+        immutable), so a polynomial with few distinct coefficients builds few.
+        """
+        shared: dict[int, Fraction] = {}
+        terms: dict[ExponentVector, Fraction] = {}
+        for e, c in numerators.items():
+            if c:
+                q = shared.get(c)
+                if q is None:
+                    q = shared[c] = Fraction(c, denominator)
+                terms[e] = q
+        return cls._trusted(nvars, terms)
 
     @classmethod
     def zero(cls, nvars: int) -> "SparsePoly":
@@ -65,37 +112,45 @@ class SparsePoly:
         self._check_compatible(other)
         out = dict(self.terms)
         for exps, coeff in other.terms.items():
-            c = out.get(exps, Fraction(0)) + coeff
+            c = out.get(exps)
+            if c is None:
+                out[exps] = coeff
+                continue
+            c += coeff
             if c:
                 out[exps] = c
             else:
-                out.pop(exps, None)
-        return SparsePoly(self.nvars, out)
+                del out[exps]
+        return SparsePoly._trusted(self.nvars, out)
 
     def __neg__(self) -> "SparsePoly":
-        return SparsePoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return SparsePoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
         return self + (-other)
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
         self._check_compatible(other)
-        out: dict[ExponentVector, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = out.get(e, Fraction(0)) + c1 * c2
+        left, d1 = _integer_numerators(self.terms)
+        right, d2 = _integer_numerators(other.terms)
+        # both scalings are positive, so a running sum is zero exactly when
+        # the rational one is, and keys come and go in the same order
+        out: dict[ExponentVector, int] = {}
+        for e1, a in left:
+            for e2, b in right:
+                e = tuple(map(add, e1, e2))
+                c = out.get(e, 0) + a * b
                 if c:
                     out[e] = c
                 else:
                     del out[e]
-        return SparsePoly(self.nvars, out)
+        return SparsePoly._from_numerators(self.nvars, out, d1 * d2)
 
     def scale(self, factor: Fraction | int) -> "SparsePoly":
         f = Fraction(factor)
-        if not f:
-            return SparsePoly.zero(self.nvars)
-        return SparsePoly(self.nvars, {e: c * f for e, c in self.terms.items()})
+        numerators, d = _integer_numerators(self.terms)
+        scaled = {e: a * f.numerator for e, a in numerators}
+        return SparsePoly._from_numerators(self.nvars, scaled, d * f.denominator)
 
     def restrict(self, nvars: int) -> "SparsePoly":
         """Set the variables beyond index ``nvars`` to zero."""
@@ -104,7 +159,7 @@ class SparsePoly:
         out = {
             e[:nvars]: c for e, c in self.terms.items() if all(x == 0 for x in e[nvars:])
         }
-        return SparsePoly(nvars, out)
+        return SparsePoly._trusted(nvars, out)
 
     def sorted_terms(self) -> list[tuple[ExponentVector, Fraction]]:
         """Terms in canonical order: by total degree, then exponent vector."""

@@ -27,6 +27,7 @@ from .compositions import (
     positive_part,
 )
 from .errors import (
+    InvalidCompositionError,
     LengthMismatchError,
     NotQuasisymmetricError,
     OutOfRangeError,
@@ -36,6 +37,9 @@ from .glides import glide_m_expansion
 from .poly import SparsePoly
 
 UNBOUNDED = None
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -66,6 +70,18 @@ class QSymElement:
         object.__setattr__(self, "coords", clean)
 
     @classmethod
+    def _trusted(cls, coords: dict[Composition, Fraction], degree_bound: int | None) -> "QSymElement":
+        """Wrap coordinates built inside the package without checking them again.
+
+        The caller guarantees what ``__post_init__`` enforces: every key is a
+        composition within the bound and every value a nonzero ``Fraction``.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "degree_bound", degree_bound)
+        return self
+
+    @classmethod
     def monomial(cls, alpha: Iterable[int], degree_bound: int | None = UNBOUNDED) -> "QSymElement":
         return cls({as_composition(alpha): Fraction(1)}, degree_bound)
 
@@ -76,7 +92,7 @@ class QSymElement:
         bound = _combined_bound(self.degree_bound, other.degree_bound)
         out = dict(self.coords)
         for a, c in other.coords.items():
-            out[a] = out.get(a, Fraction(0)) + c
+            out[a] = out.get(a, _ZERO) + c
         return QSymElement(_truncate(out, bound), bound)
 
     def scale(self, factor: Fraction | int) -> "QSymElement":
@@ -104,7 +120,7 @@ def m_to_polynomial(alpha: Iterable[int], n: int) -> SparsePoly:
     The sum over strictly increasing placements; zero when alpha is longer
     than the variable count.
     """
-    return SparsePoly(n, dict.fromkeys(paddings(as_composition(alpha), n), 1))
+    return SparsePoly._trusted(n, dict.fromkeys(paddings(as_composition(alpha), n), _ONE))
 
 
 def read_m_coords(
@@ -146,7 +162,13 @@ def polynomial_to_m(f: SparsePoly, n: int) -> QSymElement:
             f"the {comb(n, len(failed))} placements of {failed} "
             f"do not all carry one coefficient"
         )
-    return QSymElement(coords, UNBOUNDED)
+    # the keys are the positive parts of f's exponent vectors, so only a
+    # negative exponent keeps one from being a composition; the values are
+    # coefficients of f, hence nonzero Fractions
+    bad = next((gamma for gamma in coords if min(gamma, default=1) < 1), None)
+    if bad is not None:
+        raise InvalidCompositionError(f"composition parts must be >= 1: {bad}")
+    return QSymElement._trusted(coords, UNBOUNDED)
 
 
 def overlapping_shuffle(alpha: Iterable[int], beta: Iterable[int]) -> dict[Composition, int]:
@@ -185,7 +207,7 @@ def m_multiply(f: QSymElement, g: QSymElement) -> QSymElement:
                 continue
             c = ca * cb
             for gamma, mult in overlapping_shuffle(a, b).items():
-                out[gamma] = out.get(gamma, Fraction(0)) + mult * c
+                out[gamma] = out.get(gamma, _ZERO) + mult * c
     return QSymElement(_truncate(out, bound), bound)
 
 
@@ -219,7 +241,7 @@ def glide_expand(f: QSymElement, degree_bound: int) -> dict[Composition, Fractio
         for a, c in layer.items():
             coords[a] = c
             for g, gc in glide_m_expansion(a, degree_bound).items():
-                v = residual.get(g, Fraction(0)) - c * gc
+                v = residual.get(g, _ZERO) - c * gc
                 if v:
                     residual[g] = v
                 else:
@@ -262,9 +284,9 @@ class GradedRingData:
 
     def product(self, a: Label, b: Label) -> dict[Label, Fraction]:
         if a == self.unit:
-            return {b: Fraction(1)}
+            return {b: _ONE}
         if b == self.unit:
-            return {a: Fraction(1)}
+            return {a: _ONE}
         return {l: Fraction(c) for l, c in self.multiply(a, b).items() if c}
 
     @classmethod
@@ -342,7 +364,7 @@ def cpinf_ring() -> GradedRingData:
     return GradedRingData(
         unit=0,
         degree=lambda a: a,
-        multiply=lambda a, b: {a + b: Fraction(1)},
+        multiply=lambda a, b: {a + b: _ONE},
         counit=lambda a: Fraction(1) if a == 0 else Fraction(0),
         contains=lambda a: isinstance(a, int) and a >= 0,
     )
@@ -365,7 +387,7 @@ def m_tensor(ring: GradedRingData, labels: Iterable[Label], n: int) -> dict[Labe
     theta = _validate_label_tuple(labels, ring)
     if len(theta) > n:
         raise OutOfRangeError(f"label tuple {theta} is too long for {n} tensor factors")
-    return {key: Fraction(1) for key in paddings(theta, n, ring.unit)}
+    return dict.fromkeys(paddings(theta, n, ring.unit), _ONE)
 
 
 def _slot_product(
@@ -391,7 +413,7 @@ def _tensor_multiply(
         for k2, c2 in g.items():
             slots = [ring.product(a, b) for a, b in zip(k1, k2)]
             for key, c in _slot_product(slots, c1 * c2):
-                v = out.get(key, Fraction(0)) + c
+                v = out.get(key, _ZERO) + c
                 if v:
                     out[key] = v
                 else:
@@ -455,11 +477,11 @@ def qsym_r_product_shuffle(
                     if i in aset and i in bset:
                         slots.append(ring.product(amap[i], bmap[i]))
                     elif i in aset:
-                        slots.append({amap[i]: Fraction(1)})
+                        slots.append({amap[i]: _ONE})
                     else:
-                        slots.append({bmap[i]: Fraction(1)})
-                for key, c in _slot_product(slots, Fraction(1)):
-                    v = out.get(key, Fraction(0)) + c
+                        slots.append({bmap[i]: _ONE})
+                for key, c in _slot_product(slots, _ONE):
+                    v = out.get(key, _ZERO) + c
                     if v:
                         out[key] = v
                     else:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from glidekit.cli import run
+from glidekit.cli import build_parser, run
 from glidekit.verify import load_fixtures, run_all, run_fixture
 
 
@@ -218,3 +218,36 @@ def test_argv_corpus_stdout_digests(capsys, monkeypatch):
         assert code == request["exit"], request["argv"]
         digest = hashlib.sha256(out.encode()).hexdigest()
         assert digest == request["stdout_sha256"], request["argv"]
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    """One parser serves every call of a process; no call leaks into the next."""
+    assert build_parser() is build_parser()
+
+    code, out, _ = invoke(capsys, "glide", "--alpha", "1,3", "--n", "4", "--method", "barred")
+    assert code == 0 and json.loads(out)["inputs"]["method"] == "barred"
+    code, out, _ = invoke(capsys, "glide", "--alpha", "1,3", "--n", "4")
+    assert code == 0 and json.loads(out)["inputs"]["method"] == "closed"
+
+    _, pretty, _ = invoke(capsys, "shuffle", "--a", "1", "--b", "1", "--pretty")
+    _, plain, _ = invoke(capsys, "shuffle", "--a", "1", "--b", "1")
+    assert "\n  " in pretty
+    assert plain == json.dumps(json.loads(plain)) + "\n"
+
+    corpus = json.loads((REPO_ROOT / "perfbench/corpus/argv.json").read_text(encoding="utf-8"))
+    request = next(r for r in corpus["requests"] if r["exit"] == 0)
+    for bad in (["shuffle", "--a", "1"], ["glide", "--alpha", "1", "--n", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            run(bad)
+        assert exc.value.code == 2
+        capsys.readouterr()
+        code, out, _ = invoke(capsys, *request["argv"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == request["stdout_sha256"]
+
+    with pytest.raises(SystemExit) as exc:
+        run(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("glidekit ")
+    code, out, _ = invoke(capsys, "shuffle", "--a", "1", "--b", "1")
+    assert code == 0 and out == plain

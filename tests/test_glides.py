@@ -3,7 +3,7 @@ import random
 import pytest
 
 from glidekit.compositions import semistandardize, sorting_data
-from glidekit.errors import NotInCSetError, OutOfRangeError
+from glidekit.errors import InvalidCompositionError, NotInCSetError, OutOfRangeError
 from glidekit.glides import (
     GLIDE_METHODS,
     check_binomial_identity,
@@ -55,6 +55,20 @@ def test_enumerate_C_tilde_paper_examples():
         (1, -1, 1), (1, 1, -1)
     }
     assert enumerate_C_tilde((1,), 1) == {(1,)}
+
+
+def test_enumerate_C_tilde_accepts_lists_and_bounds_its_cache():
+    enumerate_C_tilde.cache_clear()
+    assert enumerate_C_tilde([1, 3], 4) == enumerate_C_tilde((1, 3), 4)
+    info = enumerate_C_tilde.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    assert info.maxsize is not None
+    with pytest.raises(InvalidCompositionError):
+        enumerate_C_tilde([1, 0], 3)
+    with pytest.raises(OutOfRangeError):
+        enumerate_C_tilde([1, 3], 1)
+    enumerate_C_tilde.cache_clear()
+    assert enumerate_C_tilde.cache_info().currsize == 0
 
 
 def _move_closure_unbarred(alpha, n):

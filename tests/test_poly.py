@@ -1,0 +1,120 @@
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from glidekit.errors import LengthMismatchError
+from glidekit.poly import SparsePoly
+
+
+def reference_mul(f, g):
+    """The Fraction loop that SparsePoly.__mul__ replaces, term for term."""
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            c = out.get(e, Fraction(0)) + c1 * c2
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+    return out
+
+
+def reference_add(f_terms, g_terms):
+    """The Fraction loop that SparsePoly.__add__ replaces, term for term."""
+    out = dict(f_terms)
+    for exps, coeff in g_terms.items():
+        c = out.get(exps, Fraction(0)) + coeff
+        if c:
+            out[exps] = c
+        else:
+            out.pop(exps, None)
+    return out
+
+
+def assert_terms(p, expected):
+    """Equal terms in the same insertion order, each an exact nonzero Fraction."""
+    assert list(p.terms.items()) == list(expected.items())
+    assert all(type(c) is Fraction and c for c in p.terms.values())
+
+
+_COEFFS = st.sampled_from(
+    [Fraction(k, d) for k in (-3, -2, -1, 1, 2, 3) for d in (1, 2, 3, 4, 6)] + [0]
+)
+
+
+@st.composite
+def poly_pairs(draw):
+    n = draw(st.integers(0, 3))
+    keys = st.tuples(*[st.integers(0, 2)] * n)
+    polys = [
+        SparsePoly(n, draw(st.dictionaries(keys, _COEFFS, max_size=6))) for _ in range(2)
+    ]
+    return polys[0], polys[1], draw(_COEFFS), draw(st.integers(0, n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=poly_pairs())
+@example(pair=(SparsePoly(2), SparsePoly(2, {(1, 0): Fraction(1, 2)}), Fraction(0), 1))
+@example(pair=(SparsePoly(0, {(): Fraction(2, 3)}), SparsePoly(0, {(): Fraction(-3, 4)}), Fraction(5, 6), 0))
+def test_arithmetic_matches_the_fraction_loops(pair):
+    f, g, factor, k = pair
+    assert_terms(f * g, reference_mul(f, g))
+    assert_terms(f + g, reference_add(f.terms, g.terms))
+    assert_terms(f - g, reference_add(f.terms, {e: -c for e, c in g.terms.items()}))
+    assert_terms(-f, {e: -c for e, c in f.terms.items()})
+    assert_terms(f.scale(factor), {e: c * factor for e, c in f.terms.items()} if factor else {})
+    assert_terms(
+        f.restrict(k), {e[:k]: c for e, c in f.terms.items() if not any(e[k:])}
+    )
+
+
+def test_mixed_denominators():
+    f = SparsePoly(2, {(1, 0): Fraction(1, 2), (0, 1): Fraction(1, 3)})
+    g = SparsePoly(2, {(1, 0): Fraction(1, 4), (0, 1): Fraction(-1, 6), (0, 0): 5})
+    product = f * g
+    assert_terms(product, reference_mul(f, g))
+    # the two x1*x2 contributions, -1/12 and 1/12, cancel
+    assert list(product.terms.items()) == [
+        ((2, 0), Fraction(1, 8)),
+        ((1, 0), Fraction(5, 2)),
+        ((0, 2), Fraction(-1, 18)),
+        ((0, 1), Fraction(5, 3)),
+    ]
+
+
+def test_sums_that_cancel_part_way_keep_the_insertion_order():
+    # (1 + x + x^2)(1 - x + x^2) = 1 + x^2 + x^4: the x^2 key is made, then
+    # cancelled, then made again, so it comes after x^4
+    f = SparsePoly(1, {(0,): 1, (1,): 1, (2,): 1})
+    g = SparsePoly(1, {(2,): 1, (1,): -1, (0,): 1})
+    product = f * g
+    assert list(product.terms) == [(0,), (4,), (2,)]
+    assert_terms(product, reference_mul(f, g))
+
+    h = SparsePoly(1, {(2,): -1, (3,): 2})
+    assert list((product + h).terms) == [(0,), (4,), (3,)]
+
+
+def test_zero_polynomial_and_no_variables():
+    zero = SparsePoly.zero(3)
+    f = SparsePoly(3, {(1, 0, 2): Fraction(2, 3)})
+    assert (zero * f).is_zero() and (f * zero).is_zero()
+    assert_terms(zero + f, f.terms)
+    assert (f - f).is_zero()
+    assert f.scale(0).is_zero()
+
+    c = SparsePoly(0, {(): Fraction(2, 3)})
+    assert_terms(c * c, {(): Fraction(4, 9)})
+    assert_terms(c.restrict(0), {(): Fraction(2, 3)})
+    assert (SparsePoly.zero(0) * c).is_zero()
+
+
+def test_public_constructor_keeps_its_checks():
+    with pytest.raises(LengthMismatchError):
+        SparsePoly(2, {(1, 0, 0): 1})
+    f = SparsePoly(2, {(1, 0): 0, (0, 1): Fraction(0), (1, 1): 3, (2, 0): Fraction(1, 2)})
+    assert_terms(f, {(1, 1): Fraction(3), (2, 0): Fraction(1, 2)})
+    with pytest.raises(LengthMismatchError):
+        SparsePoly(2, {(1, 0): 1}) * SparsePoly(3, {(1, 0, 0): 1})

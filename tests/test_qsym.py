@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from glidekit.errors import (
+    InvalidCompositionError,
     NotQuasisymmetricError,
     OutOfRangeError,
     UnknownLabelError,
@@ -48,6 +49,9 @@ def test_polynomial_to_m_examples():
     assert polynomial_to_m(f, 3).coords == {(1, 3): Fraction(1)}
     with pytest.raises(NotQuasisymmetricError):
         polynomial_to_m(SparsePoly(2, {(1, 0): 1}), 2)
+    # every placement present, but a negative exponent is no composition part
+    with pytest.raises(InvalidCompositionError):
+        polynomial_to_m(SparsePoly(2, {(-1, 0): 1, (0, -1): 1}), 2)
 
     g = polynomial_to_m(glide_polynomial((1, 3), 4), 4)
     assert g.coords == {
