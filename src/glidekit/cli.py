@@ -2,8 +2,7 @@
 
 All output is a single JSON document on stdout with a top-level schema tag;
 rationals are "p/q" strings.  Exit codes: 0 success, 1 domain error, 2 usage
-error.  Identical argv on the same build produces byte-identical output
-(timing is only included on request, since it would break that guarantee).
+error.  Identical argv on the same build produces byte-identical output.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from functools import cache
 from typing import Any
 
@@ -133,15 +131,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"glidekit {__version__}")
     parser.add_argument("--pretty", action="store_true", help="indent the JSON output")
-    parser.add_argument(
-        "--timing", action="store_true", help="include elapsed milliseconds (non-deterministic)"
-    )
 
-    # the same flags are accepted after the subcommand; SUPPRESS keeps the
-    # subparser from clobbering values parsed at the top level
+    # the same flag is accepted after the subcommand; SUPPRESS keeps the
+    # subparser from clobbering a value parsed at the top level
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--pretty", action="store_true", default=argparse.SUPPRESS)
-    common.add_argument("--timing", action="store_true", default=argparse.SUPPRESS)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -210,7 +204,6 @@ def build_parser() -> argparse.ArgumentParser:
 def run(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    started = time.monotonic()
     try:
         output = args.func(args)
     except GlidekitError as exc:
@@ -228,8 +221,6 @@ def run(argv: list[str] | None = None) -> int:
         "exact": True,
         "output": output,
     }
-    if args.timing:
-        result["elapsed_ms"] = round((time.monotonic() - started) * 1000, 3)
     indent = 2 if args.pretty else None
     print(json.dumps(result, indent=indent))
     if args.command == "verify-paper" and not output["all_pass"]:
@@ -238,7 +229,7 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def _echo_inputs(args: argparse.Namespace) -> dict[str, Any]:
-    skip = {"func", "command", "pretty", "timing"}
+    skip = {"func", "command", "pretty"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 

@@ -47,10 +47,37 @@ def paddings(parts: Sequence, n: int, blank=0) -> Iterator[tuple]:
     are C(n, len(parts)) of them, and none when n < len(parts).
     """
     for positions in combinations(range(n), len(parts)):
-        s = [blank] * n
-        for i, part in zip(positions, parts):
-            s[i] = part
-        yield tuple(s)
+        yield _place(parts, positions, n, blank)
+
+
+def overlapping_paddings(
+    left: Sequence, right: Sequence, k: int, blank=0
+) -> Iterator[tuple[tuple, tuple]]:
+    """Every pair of length-k paddings of ``left`` and ``right`` that leaves
+    no slot blank on both sides.
+
+    The pairs come with the left positions outermost and each side in the
+    order of ``paddings``.  The right side must hit every slot the left one
+    leaves free, and shares its other slots with the left one, so there are
+    C(k, m) * C(m, m + n - k) pairs for m = len(left), n = len(right).
+    """
+    m, n = len(left), len(right)
+    if k > m + n:
+        return
+    for lpos in combinations(range(k), m):
+        free = set(range(k)).difference(lpos)
+        placed = _place(left, lpos, k, blank)
+        # every right side holds the free slots, so two right sides compare
+        # as their shared slots do: the right side keeps paddings order
+        for shared in combinations(lpos, m + n - k):
+            yield placed, _place(right, sorted(free.union(shared)), k, blank)
+
+
+def _place(parts: Sequence, positions: Iterable[int], n: int, blank) -> tuple:
+    s = [blank] * n
+    for i, part in zip(positions, parts):
+        s[i] = part
+    return tuple(s)
 
 
 def canonical_key(alpha: Sequence[int]) -> tuple[int, int, tuple[int, ...]]:

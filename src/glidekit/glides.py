@@ -132,7 +132,7 @@ def enumerate_C(alpha: Iterable[int], n: int) -> frozenset[WeakComposition]:
         raise OutOfRangeError(f"need n >= {len(a)} slots for {a}, got {n}")
     # no part exceeds max(a), so n * max(a) bounds no inflation of length n
     gammas = _inflations(a, n, n * max(a, default=0))
-    return frozenset({s for gamma, _ in gammas for s in paddings(gamma, n)})
+    return frozenset(s for gamma, _ in gammas for s in paddings(gamma, n))
 
 
 def mu_closed(sigma: Sequence[int], alpha: Iterable[int]) -> int:
@@ -189,6 +189,8 @@ def glide_polynomial(alpha: Iterable[int], n: int, method: str = "closed") -> Sp
         for t in enumerate_C_tilde(a, n):
             s = unbar(t)
             terms[s] = terms.get(s, 0) + (-1) ** barred_count(t)
+        # the closure is a set; sorting fixes the term order
+        terms = dict(sorted(terms.items()))
     else:
         gammas = _inflations(a, n, n * max(a, default=0))
         terms = {s: c for gamma, c in gammas for s in paddings(gamma, n)}

@@ -50,9 +50,7 @@ def atoms(alpha: Iterable[int], n: int) -> frozenset[WeakComposition]:
     k = len(a)
     if n < k:
         raise OutOfRangeError(f"need n >= {k} slots for {a}, got {n}")
-    # through a set: frozenset() of a generator lays out its table otherwise,
-    # and the barred glide's term order follows this iteration order
-    return frozenset(set(paddings(a, n)))
+    return frozenset(paddings(a, n))
 
 
 def _greatest(bits: int) -> int:

@@ -15,14 +15,15 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from math import comb, prod
+from operator import add
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .compositions import (
     Composition,
     as_composition,
-    canonical_key,
+    overlapping_paddings,
     paddings,
     positive_part,
 )
@@ -84,9 +85,6 @@ class QSymElement:
     @classmethod
     def monomial(cls, alpha: Iterable[int], degree_bound: int | None = UNBOUNDED) -> "QSymElement":
         return cls({as_composition(alpha): Fraction(1)}, degree_bound)
-
-    def sorted_coords(self) -> list[tuple[Composition, Fraction]]:
-        return sorted(self.coords.items(), key=lambda kv: canonical_key(kv[0]))
 
     def __add__(self, other: "QSymElement") -> "QSymElement":
         bound = _combined_bound(self.degree_bound, other.degree_bound)
@@ -179,21 +177,11 @@ def overlapping_shuffle(alpha: Iterable[int], beta: Iterable[int]) -> dict[Compo
     parts.
     """
     a, b = as_composition(alpha), as_composition(beta)
-    m, n = len(a), len(b)
     out: dict[Composition, int] = {}
-    for k in range(max(m, n), m + n + 1):
-        for apos in combinations(range(k), m):
-            aset = set(apos)
-            for bpos in combinations(range(k), n):
-                if len(aset | set(bpos)) != k:
-                    continue
-                gamma = [0] * k
-                for i, part in zip(apos, a):
-                    gamma[i] += part
-                for i, part in zip(bpos, b):
-                    gamma[i] += part
-                g = tuple(gamma)
-                out[g] = out.get(g, 0) + 1
+    for k in range(max(len(a), len(b)), len(a) + len(b) + 1):
+        for l, r in overlapping_paddings(a, b, k):
+            gamma = tuple(map(add, l, r))
+            out[gamma] = out.get(gamma, 0) + 1
     return out
 
 
@@ -461,29 +449,14 @@ def qsym_r_product_shuffle(
     resolved through the ring's structure constants."""
     t = _validate_label_tuple(theta, ring)
     k = _validate_label_tuple(kappa, ring)
-    m, n = len(t), len(k)
     out: dict[LabelTuple, Fraction] = {}
-    for length in range(max(m, n), m + n + 1):
-        for apos in combinations(range(length), m):
-            aset = set(apos)
-            for bpos in combinations(range(length), n):
-                bset = set(bpos)
-                if len(aset | bset) != length:
-                    continue
-                slots: list[dict[Label, Fraction]] = []
-                amap = dict(zip(apos, t))
-                bmap = dict(zip(bpos, k))
-                for i in range(length):
-                    if i in aset and i in bset:
-                        slots.append(ring.product(amap[i], bmap[i]))
-                    elif i in aset:
-                        slots.append({amap[i]: _ONE})
-                    else:
-                        slots.append({bmap[i]: _ONE})
-                for key, c in _slot_product(slots, _ONE):
-                    v = out.get(key, _ZERO) + c
-                    if v:
-                        out[key] = v
-                    else:
-                        del out[key]
+    for length in range(max(len(t), len(k)), len(t) + len(k) + 1):
+        for l, r in overlapping_paddings(t, k, length, ring.unit):
+            slots = [ring.product(x, y) for x, y in zip(l, r)]
+            for key, c in _slot_product(slots, _ONE):
+                v = out.get(key, _ZERO) + c
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
     return out

@@ -13,6 +13,7 @@ from functools import cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
+from .compositions import overlapping_paddings
 from .errors import (
     InvalidCompositionError,
     LengthMismatchError,
@@ -160,11 +161,15 @@ def lr_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> 
     l, m_, n_ = tuple(lam), tuple(mu), tuple(nu)
     if not (len(l) == len(m_) == len(n_)):
         raise LengthMismatchError(f"partitions {l}, {m_}, {n_} must share one length")
-    l, m_, n_ = as_partition(l), as_partition(m_), as_partition(n_)
-    if not contains(n_, l) or sum(l) + sum(m_) != sum(n_):
+    return _lr(as_partition(l), as_partition(m_), as_partition(n_))
+
+
+def _lr(lam: Partition, mu: Partition, nu: Partition) -> int:
+    """``lr_coefficient`` on partitions already validated to share one length."""
+    if not contains(nu, lam) or sum(lam) + sum(mu) != sum(nu):
         return 0
-    shape = SkewShape(outer=n_, inner=l)
-    return sum(1 for t in ssyt_enumerate(shape, m_) if is_ballot(t))
+    shape = SkewShape(outer=nu, inner=lam)
+    return sum(1 for t in ssyt_enumerate(shape, mu) if is_ballot(t))
 
 
 def schur_polynomial(lam: Iterable[int], k: int) -> SparsePoly:
@@ -251,25 +256,23 @@ def buk_structure_constant(
     """Cellular structure coefficient for tuples of length-k partitions.
 
     Sums over pairs of order-preserving placements of the two factor tuples
-    into the slots of the target tuple; each slot contributes a ballot
-    tableau count, with unhit factors read as the zero partition.
+    into the slots of the target tuple that leave no slot unhit; each slot
+    contributes a ballot tableau count, with a factor missing from a slot
+    read as the zero partition.
     """
     lams = as_partition_tuple(lam_tuple, k)
     mus = as_partition_tuple(mu_tuple, k)
     nus = as_partition_tuple(nu_tuple, k)
-    zero = (0,) * k
-    slots = len(nus)
     total = 0
-    for ipos in combinations(range(slots), len(lams)):
-        lam_at = dict(zip(ipos, lams))
-        for jpos in combinations(range(slots), len(mus)):
-            mu_at = dict(zip(jpos, mus))
-            prod = 1
-            for i in range(slots):
-                prod *= lr_coefficient(lam_at.get(i, zero), mu_at.get(i, zero), nus[i])
-                if prod == 0:
-                    break
-            total += prod
+    # a placement pair that leaves a slot unhit on both sides contributes 0
+    # there: nus holds no zero partition, and lr(0, 0, nu) = 0 for |nu| > 0
+    for lam_at, mu_at in overlapping_paddings(lams, mus, len(nus), (0,) * k):
+        prod = 1
+        for lam, mu, nu in zip(lam_at, mu_at, nus):
+            prod *= _lr(lam, mu, nu)
+            if prod == 0:
+                break
+        total += prod
     return total
 
 

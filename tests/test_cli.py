@@ -155,15 +155,20 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
-def test_pretty_and_timing_flags(capsys):
+def test_pretty_flag_and_no_timing_flag(capsys):
     _, plain, _ = invoke(capsys, "shuffle", "--a", "1", "--b", "1")
     _, pretty, _ = invoke(capsys, "shuffle", "--a", "1", "--b", "1", "--pretty")
+    _, before, _ = invoke(capsys, "--pretty", "shuffle", "--a", "1", "--b", "1")
     assert json.loads(plain) == json.loads(pretty)
     assert "\n  " in pretty and "\n  " not in plain
+    assert before == pretty
 
-    _, timed, _ = invoke(capsys, "--timing", "shuffle", "--a", "1", "--b", "1")
-    assert "elapsed_ms" in json.loads(timed)
-    assert "elapsed_ms" not in json.loads(plain)
+    # the same argv gives the same bytes, so there is no elapsed-time field
+    for argv in (["--timing", "shuffle"], ["shuffle", "--timing"]):
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--a", "1", "--b", "1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_verify_paper_all_pass(capsys):

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -6,6 +6,7 @@ import pytest
 from glidekit.compositions import (
     as_composition,
     canonical_key,
+    overlapping_paddings,
     paddings,
     positive_part,
     run_decode,
@@ -52,6 +53,41 @@ def test_paddings_with_other_blanks():
         assert got == [tuple(labels.get(x, "1") for x in t) for t in _brute_paddings((1, 2), n)]
     # the K-side components: codimensions m - part, and m in the empty slots
     assert list(paddings((3, 1), 3, 4)) == [(3, 1, 4), (3, 4, 1), (4, 3, 1)]
+
+
+def _filtered_padding_pairs(left, right, k, blank):
+    """The loop the shuffle routes used to carry: every pair of position
+    sets, left outermost, kept when together they hit every slot."""
+    for apos in combinations(range(k), len(left)):
+        aset = set(apos)
+        for bpos in combinations(range(k), len(right)):
+            if len(aset | set(bpos)) != k:
+                continue
+            l, r = [blank] * k, [blank] * k
+            for i, part in zip(apos, left):
+                l[i] = part
+            for i, part in zip(bpos, right):
+                r[i] = part
+            yield tuple(l), tuple(r)
+
+
+def test_overlapping_paddings_match_filtered_pairs():
+    for m in range(5):
+        for n in range(5):
+            left, right = tuple(range(1, m + 1)), tuple(range(10, 10 + n))
+            for k in range(m + n + 2):
+                got = list(overlapping_paddings(left, right, k))
+                assert got == list(_filtered_padding_pairs(left, right, k, 0)), (m, n, k)
+                expected = comb(k, m) * comb(m, m + n - k) if k <= m + n else 0
+                assert len(got) == expected, (m, n, k)
+    assert list(overlapping_paddings((1,), (2,), 2)) == [((1, 0), (0, 2)), ((0, 1), (2, 0))]
+    labels = list(overlapping_paddings(("a", "b"), ("c",), 3, blank="e"))
+    assert labels == list(_filtered_padding_pairs(("a", "b"), ("c",), 3, "e"))
+    assert labels == [
+        (("a", "b", "e"), ("e", "e", "c")),
+        (("a", "e", "b"), ("e", "c", "e")),
+        (("e", "a", "b"), ("c", "e", "e")),
+    ]
 
 
 def test_positive_part_inverts_zero_insertion():

@@ -201,6 +201,28 @@ def test_overlapping_shuffle_examples():
     assert overlapping_shuffle((1,), (1,)) == {(1, 1): 2, (2,): 1}
 
 
+_SMALL_COMPOSITIONS = st.lists(st.integers(1, 3), max_size=3).map(tuple)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_SMALL_COMPOSITIONS, b=_SMALL_COMPOSITIONS, extra=st.integers(0, 1))
+def test_overlapping_shuffle_matches_polynomial_product(a, b, extra):
+    # every term of the product has length at most len(a) + len(b)
+    n = len(a) + len(b) + extra
+    product = m_to_polynomial(a, n) * m_to_polynomial(b, n)
+    expected = {g: Fraction(c) for g, c in overlapping_shuffle(a, b).items()}
+    assert polynomial_to_m(product, n).coords == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_SMALL_COMPOSITIONS, b=_SMALL_COMPOSITIONS, extra=st.integers(0, 1))
+def test_cpinf_tensor_product_matches_both_shuffles(a, b, extra):
+    ring = cpinf_ring()
+    tensor = qsym_r_product(a, b, ring, len(a) + len(b) + extra)
+    assert tensor == qsym_r_product_shuffle(a, b, ring)
+    assert tensor == {g: Fraction(c) for g, c in overlapping_shuffle(a, b).items()}
+
+
 def test_m_multiply_examples():
     prod = m_multiply(QSymElement.monomial((3,)), QSymElement.monomial((1, 3)))
     assert prod.coords == {

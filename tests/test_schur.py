@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -17,6 +17,7 @@ from glidekit.schur import (
     Tableau,
     _partitions_of,
     as_partition,
+    as_partition_tuple,
     buk_structure_constant,
     content,
     coxeter_length,
@@ -29,6 +30,8 @@ from glidekit.schur import (
     schur_ring,
     ssyt_enumerate,
 )
+
+from conftest import compositions_of
 
 
 def test_partition_validation():
@@ -176,6 +179,46 @@ def test_buk_structure_constant_examples():
         buk_structure_constant(((1, 0),), ((1, 0, 0),), (((1, 0, 0)),), 3)
     with pytest.raises(InvalidCompositionError):
         buk_structure_constant(((0, 0, 0),), mu, mu, 3)
+
+
+def _buk_all_pairs(lam_tuple, mu_tuple, nu_tuple, k):
+    """The loop buk_structure_constant used to run: every pair of placements,
+    hit or not, with unhit slots read as the zero partition."""
+    lams = as_partition_tuple(lam_tuple, k)
+    mus = as_partition_tuple(mu_tuple, k)
+    nus = as_partition_tuple(nu_tuple, k)
+    zero = (0,) * k
+    slots = len(nus)
+    total = 0
+    for ipos in combinations(range(slots), len(lams)):
+        lam_at = dict(zip(ipos, lams))
+        for jpos in combinations(range(slots), len(mus)):
+            mu_at = dict(zip(jpos, mus))
+            prod = 1
+            for i in range(slots):
+                prod *= lr_coefficient(lam_at.get(i, zero), mu_at.get(i, zero), nus[i])
+                if prod == 0:
+                    break
+            total += prod
+    return total
+
+
+def test_buk_surjective_pairs_match_all_pairs():
+    for k in (1, 2, 3):
+        small = [p for s in (1, 2) for p in _partitions_of(s, k, s)]
+        ends = (small[0], small[-1])
+        nonzero = 0
+        for lam in [(p,) for p in small] + [ends, ends[::-1]]:
+            for mu in [ends[1:], ends]:
+                size = sum(map(sum, lam + mu))
+                # every target length, including those no placement pair fills
+                sizes = [c for c in compositions_of(size) if len(c) <= len(lam) + len(mu) + 1]
+                for c in sizes:
+                    for nu in product(*(_partitions_of(s, k, s) for s in c)):
+                        got = buk_structure_constant(lam, mu, nu, k)
+                        assert got == _buk_all_pairs(lam, mu, nu, k), (k, lam, mu, nu)
+                        nonzero += got > 0
+        assert nonzero > 0, k
 
 
 def test_buk_agrees_with_generic_engine():
