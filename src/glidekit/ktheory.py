@@ -118,8 +118,8 @@ def z_locus(alpha: Iterable[int], n: int, m: int) -> SchubertUnion:
     a = as_composition(alpha)
     if n < len(a):
         raise OutOfRangeError(f"need n >= {len(a)} slots for {a}, got {n}")
-    if a and m < max(a):
-        raise OutOfRangeError(f"need m >= {max(a)} for {a}, got {m}")
+    if m < max(a, default=0):
+        raise OutOfRangeError(f"need m >= {max(a, default=0)} for {a}, got {m}")
     comps = set(paddings(tuple(m - x for x in a), n, m))
     return SchubertUnion(alpha=a, n=n, m=m, components=frozenset(comps))
 

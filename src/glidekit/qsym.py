@@ -281,10 +281,11 @@ class GradedRingData:
     def from_dict(cls, data: Mapping[str, Any]) -> "GradedRingData":
         """Build from the JSON schema {basis, constants, counit, unit}.
 
-        Labels are strings.  Structure constants are validated against the
-        grading, and the counit must send the unit to 1 and positive-degree
-        labels to 0 (a graded map to the ground ring concentrated in degree
-        zero admits nothing else).
+        Labels are strings.  Every label other than the unit must have
+        positive degree, which the tensor engine relies on.  Structure
+        constants are validated against the grading, and the counit must send
+        the unit to 1 and positive-degree labels to 0 (a graded map to the
+        ground ring concentrated in degree zero admits nothing else).
         """
         degrees = {entry["label"]: int(entry["degree"]) for entry in data["basis"]}
         unit = data.get("unit")
@@ -297,6 +298,11 @@ class GradedRingData:
             unit = zero_labels[0]
         if degrees.get(unit) != 0:
             raise UnknownLabelError(f"unit label {unit!r} must have degree 0")
+        nonpositive = [l for l, d in degrees.items() if d <= 0 and l != unit]
+        if nonpositive:
+            raise UnknownLabelError(
+                f"labels other than the unit must have positive degree: {nonpositive}"
+            )
         constants: dict[tuple[str, str], dict[str, Fraction]] = {}
         for left, rights in data.get("constants", {}).items():
             for right, terms in rights.items():
@@ -370,14 +376,6 @@ def _validate_label_tuple(labels: Iterable[Label], ring: GradedRingData) -> Labe
     return out
 
 
-def m_tensor(ring: GradedRingData, labels: Iterable[Label], n: int) -> dict[LabelTuple, Fraction]:
-    """The monomial-type sum of a label tuple inside the n-fold tensor power."""
-    theta = _validate_label_tuple(labels, ring)
-    if len(theta) > n:
-        raise OutOfRangeError(f"label tuple {theta} is too long for {n} tensor factors")
-    return dict.fromkeys(paddings(theta, n, ring.unit), _ONE)
-
-
 def _slot_product(
     slots: Sequence[Mapping[Label, Fraction]], scale: Fraction
 ) -> Iterator[tuple[LabelTuple, Fraction]]:
@@ -391,24 +389,6 @@ def _slot_product(
         yield tuple(l for l, _ in choice), prod((c for _, c in choice), start=scale)
 
 
-def _tensor_multiply(
-    ring: GradedRingData,
-    f: Mapping[LabelTuple, Fraction],
-    g: Mapping[LabelTuple, Fraction],
-) -> dict[LabelTuple, Fraction]:
-    out: dict[LabelTuple, Fraction] = {}
-    for k1, c1 in f.items():
-        for k2, c2 in g.items():
-            slots = [ring.product(a, b) for a, b in zip(k1, k2)]
-            for key, c in _slot_product(slots, c1 * c2):
-                v = out.get(key, _ZERO) + c
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
-    return out
-
-
 def qsym_r_product(
     theta: Iterable[Label],
     kappa: Iterable[Label],
@@ -417,10 +397,11 @@ def qsym_r_product(
 ) -> dict[LabelTuple, Fraction]:
     """Expand a product of two monomial-type sums over label tuples.
 
-    Both factors are realized inside the n-fold tensor power and multiplied
-    there; coordinates are read back off the initial-segment pure tensors
-    (non-unit labels packed at the front), which pick out each basis element
-    exactly once.
+    Both factors are realized inside the n-fold tensor power as sums over
+    their paddings with the unit; the product is read off the
+    initial-segment pure tensors (non-unit labels packed at the front),
+    which pick out each basis element exactly once.  Only the pairs of
+    paddings that reach such a tensor are multiplied.
     """
     t = _validate_label_tuple(theta, ring)
     k = _validate_label_tuple(kappa, ring)
@@ -428,15 +409,25 @@ def qsym_r_product(
         raise OutOfRangeError(
             f"need n >= {len(t) + len(k)} tensor factors, got {n}"
         )
-    prod = _tensor_multiply(ring, m_tensor(ring, t, n), m_tensor(ring, k, n))
+    unit = ring.unit
     out: dict[LabelTuple, Fraction] = {}
-    for key, c in prod.items():
-        nonunit = [l for l in key if l != ring.unit]
-        length = len(nonunit)
-        if tuple(key[:length]) == tuple(nonunit) and all(
-            l == ring.unit for l in key[length:]
-        ):
-            out[tuple(nonunit)] = c
+    for k1 in paddings(t, n, unit):
+        for k2 in paddings(k, n, unit):
+            # every non-unit label has positive degree (``from_dict`` rejects
+            # any other), so two non-unit labels never multiply to the unit:
+            # a pair's tensors are non-unit exactly on the slots hit from
+            # either side, and an initial segment needs those to come first
+            hit = [a != unit or b != unit for a, b in zip(k1, k2)]
+            length = hit.count(True)
+            if any(hit[length:]):
+                continue
+            slots = [ring.product(a, b) for a, b in zip(k1[:length], k2[:length])]
+            for key, c in _slot_product(slots, _ONE):
+                v = out.get(key, _ZERO) + c
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
     return out
 
 

@@ -1,11 +1,14 @@
+import argparse
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import glidekit
 from glidekit.cli import build_parser, run
 from glidekit.verify import load_fixtures, run_all, run_fixture
 
@@ -149,6 +152,57 @@ def test_negative_degree_bound_is_out_of_range(tmp_path, capsys, command):
     assert json.loads(err)["error"]["code"] == "out-of-range"
 
 
+# argv that parse but carry a bad value, for every subcommand, with the typed
+# error code each must end in (None: the request is valid and exits 0)
+MALFORMED_ARGV = [
+    (["poset", "--alpha", "1,x", "--n", "3"], "invalid-composition"),
+    (["poset", "--alpha", "0,1", "--n", "3"], "invalid-composition"),
+    (["poset", "--alpha", "1", "--n", "-1"], "out-of-range"),
+    (["glide", "--alpha", "a", "--n", "2"], "invalid-composition"),
+    (["glide", "--alpha", "", "--n", "-2"], "out-of-range"),
+    (["glide", "--alpha", "1", "--n", "0", "--method", "poset"], "out-of-range"),
+    (["shuffle", "--a", "1,0", "--b", "1"], "invalid-composition"),
+    (["shuffle", "--a", "1", "--b", "1;2"], "invalid-composition"),
+    (["shuffle", "--a", "", "--b", ""], None),
+    (["mprod", "--a", "-3", "--b", "1"], "invalid-composition"),
+    (["mprod", "--a", "1", "--b", "1.5"], "invalid-composition"),
+    (["glide-expand", "--input", ".", "--degree", "2"], "input-unreadable"),
+    (["glide-struct", "--a", "0", "--b", "1", "--degree", "2"], "invalid-composition"),
+    (["kclass", "--alpha", "", "--n", "2", "--m", "-1"], "out-of-range"),
+    (["kclass", "--alpha", "", "--n", "2", "--m", "-1", "--chern"], "out-of-range"),
+    (["kclass", "--alpha", "3", "--n", "2", "--m", "2"], "out-of-range"),
+    (["kclass", "--alpha", "1", "--n", "-1", "--m", "1", "--chern"], "out-of-range"),
+    (["kclass", "--alpha", "", "--n", "0", "--m", "0", "--chern"], None),
+    (["lr", "--lambda", "1", "--mu", "1", "--nu", "-1"], "invalid-composition"),
+    (["lr", "--lambda", "2,1", "--mu", "1", "--nu", "3,1"], "length-mismatch"),
+    (["buk", "--k", "0", "--lambda", "1", "--m", "1", "--n", "2"], "length-mismatch"),
+    (["buk", "--k", "2", "--lambda", "0,0", "--m", "1,0", "--n", "1,0"], "invalid-composition"),
+    (["buk", "--k", "2", "--lambda", "1,2", "--m", "1,0", "--n", "2,1"], "invalid-composition"),
+    (["buk", "--k", "2", "--lambda", "1,0;;2,0", "--m", "1,0", "--n", "2,0"], "length-mismatch"),
+    (["verify-paper", "--pretty"], None),
+]
+
+
+def test_malformed_argv_corpus_covers_every_subcommand():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert {argv[0] for argv, _ in MALFORMED_ARGV} == set(sub.choices)
+
+
+@pytest.mark.parametrize("argv, error_code", MALFORMED_ARGV, ids=[" ".join(a) for a, _ in MALFORMED_ARGV])
+def test_malformed_argv_ends_in_typed_error_or_valid_json(capsys, monkeypatch, argv, error_code):
+    monkeypatch.chdir(REPO_ROOT)
+    code, out, err = invoke(capsys, *argv)
+    if error_code is None:
+        assert code == 0
+        assert json.loads(out)["command"] == argv[0]
+    else:
+        assert code == 1
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["command"] == argv[0]
+        assert payload["error"]["code"] == error_code
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         run(["bogus-command"])
@@ -192,10 +246,13 @@ def test_fixture_suite_detects_corruption():
 
 
 def test_console_script_entry_point():
+    # the child process imports the package from the tree under test
+    src = Path(glidekit.__file__).resolve().parent.parent
     proc = subprocess.run(
         [sys.executable, "-m", "glidekit.cli", "shuffle", "--a", "3", "--b", "1,3"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["command"] == "shuffle"

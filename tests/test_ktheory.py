@@ -79,6 +79,8 @@ def test_z_locus_examples():
         z_locus((1, 3), 2, 2)
     with pytest.raises(OutOfRangeError):
         z_locus((1, 3), 1, 3)
+    with pytest.raises(OutOfRangeError):
+        z_locus((), 2, -1)
 
 
 def test_intersection_closure_mirrors_string_poset():

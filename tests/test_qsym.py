@@ -6,6 +6,7 @@ from itertools import combinations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from glidekit.compositions import paddings
 from glidekit.errors import (
     InvalidCompositionError,
     NotQuasisymmetricError,
@@ -30,6 +31,7 @@ from glidekit.qsym import (
     qsym_r_product,
     qsym_r_product_shuffle,
 )
+from glidekit.schur import buk_structure_constant, schur_ring
 
 from conftest import all_compositions
 
@@ -364,6 +366,89 @@ def test_qsym_r_product_stable_in_n():
         assert qsym_r_product(a, b, ring, base) == qsym_r_product(a, b, ring, base + 2)
 
 
+def _reference_m_tensor(ring, labels, n):
+    """The monomial-type sum of a label tuple inside the n-fold tensor power."""
+    return dict.fromkeys(paddings(tuple(labels), n, ring.unit), Fraction(1))
+
+
+def _reference_tensor_multiply(ring, f, g):
+    """Every key pair expanded over all n slots, the full tensor product."""
+    out = {}
+    for k1, c1 in f.items():
+        for k2, c2 in g.items():
+            slots = [ring.product(a, b) for a, b in zip(k1, k2)]
+            for key, c in _slot_product(slots, c1 * c2):
+                v = out.get(key, Fraction(0)) + c
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
+    return out
+
+
+def _reference_r_product(theta, kappa, ring, n):
+    """The tensor engine before pairs were filtered: multiply the two
+    monomial-type sums in full, then read the initial-segment keys back."""
+    prod = _reference_tensor_multiply(
+        ring, _reference_m_tensor(ring, theta, n), _reference_m_tensor(ring, kappa, n)
+    )
+    out = {}
+    for key, c in prod.items():
+        nonunit = [l for l in key if l != ring.unit]
+        length = len(nonunit)
+        if tuple(key[:length]) == tuple(nonunit) and all(
+            l == ring.unit for l in key[length:]
+        ):
+            out[tuple(nonunit)] = c
+    return out
+
+
+# x*x = a, x*y = a and y*y = -a: the product (x, x, y) * (x, y, y) has a key
+# whose running sum reaches zero before it is added to again
+MIXED_SIGN_RING = GradedRingData.from_dict(
+    {
+        "basis": [
+            {"label": "1", "degree": 0},
+            {"label": "x", "degree": 1},
+            {"label": "y", "degree": 1},
+            {"label": "a", "degree": 2},
+        ],
+        "constants": {"x": {"x": {"a": "1"}, "y": {"a": "1"}}, "y": {"y": {"a": "-1"}}},
+    }
+)
+_ENGINE_RINGS = {
+    "cpinf": (cpinf_ring(), st.integers(1, 3)),
+    "schur2": (schur_ring(2), st.sampled_from([(1, 0), (2, 0), (1, 1), (2, 1)])),
+    "schur3": (schur_ring(3), st.sampled_from([(1, 0, 0), (1, 1, 0), (2, 1, 0), (1, 1, 1)])),
+    "mixed": (MIXED_SIGN_RING, st.sampled_from(["x", "y", "a"])),
+}
+
+
+_ENGINE_CASES = st.sampled_from(sorted(_ENGINE_RINGS)).flatmap(
+    lambda name: st.tuples(
+        st.just(name),
+        st.lists(_ENGINE_RINGS[name][1], max_size=3).map(tuple),
+        st.lists(_ENGINE_RINGS[name][1], max_size=2).map(tuple),
+    )
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(case=_ENGINE_CASES, extra=st.integers(0, 1))
+@example(case=("mixed", ("x", "x", "y"), ("x", "y", "y")), extra=0)
+def test_tensor_engine_matches_full_tensor_product(case, extra):
+    name, theta, kappa = case
+    ring = _ENGINE_RINGS[name][0]
+    n = len(theta) + len(kappa) + extra
+    got = qsym_r_product(theta, kappa, ring, n)
+    assert list(got.items()) == list(_reference_r_product(theta, kappa, ring, n).items())
+    if name.startswith("schur"):
+        k = len(ring.unit)
+        assert got == qsym_r_product_shuffle(theta, kappa, ring)
+        for nu, coeff in got.items():
+            assert buk_structure_constant(theta, kappa, nu, k) == coeff
+
+
 def test_qsym_r_product_errors():
     ring = cpinf_ring()
     with pytest.raises(OutOfRangeError):
@@ -410,3 +495,16 @@ def test_graded_ring_validation():
     bad_counit = dict(RING_JSON, counit={"1": "1", "x": "2"})
     with pytest.raises(UnknownLabelError):
         GradedRingData.from_dict(bad_counit)
+    # a second degree-0 label whose square is the unit: the tensor engine
+    # would read (e) * (e) as n times the empty tuple
+    square_root_of_unit = {
+        "basis": [{"label": "1", "degree": 0}, {"label": "e", "degree": 0}],
+        "unit": "1",
+        "constants": {"e": {"e": {"1": "1"}}},
+    }
+    negative_degree = dict(
+        RING_JSON, basis=RING_JSON["basis"] + [{"label": "z", "degree": -1}]
+    )
+    for data in (square_root_of_unit, negative_degree):
+        with pytest.raises(UnknownLabelError):
+            GradedRingData.from_dict(data)
