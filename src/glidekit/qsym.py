@@ -12,7 +12,6 @@ tensor powers, with products read back off initial-segment tensors.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -28,13 +27,16 @@ from .compositions import (
     positive_part,
 )
 from .errors import (
+    GlidekitError,
     InvalidCompositionError,
     LengthMismatchError,
+    MalformedInputError,
     NotQuasisymmetricError,
     OutOfRangeError,
     UnknownLabelError,
 )
 from .glides import glide_m_expansion
+from .jsonio import parse_frac, read_json
 from .poly import SparsePoly
 
 UNBOUNDED = None
@@ -251,24 +253,19 @@ Label = Hashable
 
 @dataclass(frozen=True)
 class GradedRingData:
-    """A graded ring with basis, given by degrees, structure constants, counit.
+    """A graded ring with basis, given by its unit, degrees and structure constants.
 
     ``multiply`` maps a pair of non-unit basis labels to a finitely supported
     label -> Fraction mapping; the unit is handled here.  ``contains`` tests
     label validity, so rings with infinitely many basis labels (one generator
-    per degree, truncated tableau rings) can be given lazily.
+    per degree, the tableau rings) can be given lazily.  The tensor engine
+    takes only labels of positive degree, and checks each one it is given.
     """
 
     unit: Label
     degree: Callable[[Label], int]
     multiply: Callable[[Label, Label], Mapping[Label, Fraction]]
-    counit: Callable[[Label], Fraction]
     contains: Callable[[Label], bool]
-
-    def check_label(self, label: Label) -> Label:
-        if not self.contains(label):
-            raise UnknownLabelError(f"unknown basis label {label!r}")
-        return label
 
     def product(self, a: Label, b: Label) -> dict[Label, Fraction]:
         if a == self.unit:
@@ -283,49 +280,57 @@ class GradedRingData:
 
         Labels are strings.  Every label other than the unit must have
         positive degree, which the tensor engine relies on.  Structure
-        constants are validated against the grading, and the counit must send
-        the unit to 1 and positive-degree labels to 0 (a graded map to the
-        ground ring concentrated in degree zero admits nothing else).
+        constants are validated against the grading.  The optional counit
+        names basis labels only, with 1 on the unit and 0 elsewhere (a graded
+        map to the ground ring concentrated in degree zero admits nothing
+        else).  A broken rule raises ``UnknownLabelError``, data of the wrong
+        shape ``MalformedInputError``.
         """
-        degrees = {entry["label"]: int(entry["degree"]) for entry in data["basis"]}
-        unit = data.get("unit")
-        if unit is None:
-            zero_labels = [l for l, d in degrees.items() if d == 0]
-            if len(zero_labels) != 1:
+        try:
+            degrees = {entry["label"]: int(entry["degree"]) for entry in data["basis"]}
+            unit = data.get("unit")
+            if unit is None:
+                zero_labels = [l for l, d in degrees.items() if d == 0]
+                if len(zero_labels) != 1:
+                    raise UnknownLabelError(
+                        f"expected exactly one degree-0 unit label, found {zero_labels}"
+                    )
+                unit = zero_labels[0]
+            if degrees.get(unit) != 0:
+                raise UnknownLabelError(f"unit label {unit!r} must have degree 0")
+            nonpositive = [l for l, d in degrees.items() if d <= 0 and l != unit]
+            if nonpositive:
                 raise UnknownLabelError(
-                    f"expected exactly one degree-0 unit label, found {zero_labels}"
+                    f"labels other than the unit must have positive degree: {nonpositive}"
                 )
-            unit = zero_labels[0]
-        if degrees.get(unit) != 0:
-            raise UnknownLabelError(f"unit label {unit!r} must have degree 0")
-        nonpositive = [l for l, d in degrees.items() if d <= 0 and l != unit]
-        if nonpositive:
-            raise UnknownLabelError(
-                f"labels other than the unit must have positive degree: {nonpositive}"
-            )
-        constants: dict[tuple[str, str], dict[str, Fraction]] = {}
-        for left, rights in data.get("constants", {}).items():
-            for right, terms in rights.items():
-                expansion = {}
-                for label, coeff in terms.items():
-                    c = Fraction(coeff)
-                    if not c:
-                        continue
-                    if label not in degrees:
-                        raise UnknownLabelError(f"constants mention unknown label {label!r}")
-                    if degrees[label] != degrees[left] + degrees[right]:
-                        raise UnknownLabelError(
-                            f"product {left!r}*{right!r} -> {label!r} violates the grading"
-                        )
-                    expansion[label] = c
-                constants[(left, right)] = expansion
-        counit_table = {l: Fraction(v) for l, v in data.get("counit", {}).items()}
-        counit_table.setdefault(unit, Fraction(1))
-        if counit_table[unit] != 1:
-            raise UnknownLabelError("counit must send the unit label to 1")
-        for l, v in counit_table.items():
-            if degrees.get(l, -1) > 0 and v:
-                raise UnknownLabelError(f"counit must vanish on positive-degree label {l!r}")
+            constants: dict[tuple[str, str], dict[str, Fraction]] = {}
+            for left, rights in data.get("constants", {}).items():
+                for right, terms in rights.items():
+                    if left not in degrees or right not in degrees:
+                        raise UnknownLabelError(f"constants multiply unknown {left!r}*{right!r}")
+                    expansion = {}
+                    for label, coeff in terms.items():
+                        c = parse_frac(coeff)
+                        if not c:
+                            continue
+                        if label not in degrees:
+                            raise UnknownLabelError(f"constants mention unknown label {label!r}")
+                        if degrees[label] != degrees[left] + degrees[right]:
+                            raise UnknownLabelError(
+                                f"product {left!r}*{right!r} -> {label!r} violates the grading"
+                            )
+                        expansion[label] = c
+                    constants[(left, right)] = expansion
+            for label, value in data.get("counit", {}).items():
+                if label not in degrees or parse_frac(value) != int(label == unit):
+                    raise UnknownLabelError(
+                        f"counit must be 1 on the unit and 0 on other basis labels, "
+                        f"not {value!r} on {label!r}"
+                    )
+        except GlidekitError:
+            raise
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise MalformedInputError(f"malformed ring data: {exc!r}") from exc
 
         def multiply(a: str, b: str) -> Mapping[str, Fraction]:
             if (a, b) in constants:
@@ -338,14 +343,12 @@ class GradedRingData:
             unit=unit,
             degree=lambda l: degrees[l],
             multiply=multiply,
-            counit=lambda l: counit_table.get(l, Fraction(0)),
             contains=lambda l: l in degrees,
         )
 
     @classmethod
     def from_json_file(cls, path) -> "GradedRingData":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return cls.from_dict(read_json(path))
 
 
 def cpinf_ring() -> GradedRingData:
@@ -359,8 +362,7 @@ def cpinf_ring() -> GradedRingData:
         unit=0,
         degree=lambda a: a,
         multiply=lambda a, b: {a + b: _ONE},
-        counit=lambda a: Fraction(1) if a == 0 else Fraction(0),
-        contains=lambda a: isinstance(a, int) and a >= 0,
+        contains=lambda a: type(a) is int and a >= 0,
     )
 
 
@@ -370,9 +372,8 @@ LabelTuple = tuple[Label, ...]
 def _validate_label_tuple(labels: Iterable[Label], ring: GradedRingData) -> LabelTuple:
     out = tuple(labels)
     for l in out:
-        ring.check_label(l)
-        if l == ring.unit:
-            raise UnknownLabelError("label tuples must exclude the unit label")
+        if not ring.contains(l) or ring.degree(l) <= 0:
+            raise UnknownLabelError(f"not a basis label of positive degree: {l!r}")
     return out
 
 
@@ -413,8 +414,8 @@ def qsym_r_product(
     out: dict[LabelTuple, Fraction] = {}
     for k1 in paddings(t, n, unit):
         for k2 in paddings(k, n, unit):
-            # every non-unit label has positive degree (``from_dict`` rejects
-            # any other), so two non-unit labels never multiply to the unit:
+            # labels in t and k have positive degree (``_validate_label_tuple``
+            # checks it), so their graded products never hold the unit:
             # a pair's tensors are non-unit exactly on the slots hit from
             # either side, and an initial segment needs those to come first
             hit = [a != unit or b != unit for a, b in zip(k1, k2)]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
@@ -276,18 +276,16 @@ def buk_structure_constant(
     return total
 
 
-def schur_ring(k: int, degree_cap: int = 8) -> GradedRingData:
-    """Graded ring data on nonzero length-k partitions with tableau constants.
+def schur_ring(k: int) -> GradedRingData:
+    """Graded ring data on length-k partitions with tableau constants.
 
-    Products are generated on demand and memoized; anything beyond the degree
-    cap is dropped, which suffices for structure constants of bounded size.
+    Labels are tuples of k ints forming a partition, the zero partition being
+    the unit.  Products are exact, generated on demand and kept in a bounded cache.
     """
 
-    @cache
+    @lru_cache(maxsize=4096)
     def multiply(lam: Partition, mu: Partition) -> dict[Partition, Fraction]:
         total = sum(lam) + sum(mu)
-        if total > degree_cap:
-            return {}
         out = {}
         for nu in _partitions_of(total, k, lam[0] + sum(mu) if lam else sum(mu)):
             c = lr_coefficient(lam, mu, nu)
@@ -295,22 +293,19 @@ def schur_ring(k: int, degree_cap: int = 8) -> GradedRingData:
                 out[nu] = Fraction(c)
         return out
 
-    def contains_label(label: object) -> bool:
-        if label == ():
-            return False
-        try:
-            as_partition(label, k)  # type: ignore[arg-type]
-        except Exception:
-            return False
-        return True
+    def is_label(label: object) -> bool:
+        return (
+            type(label) is tuple
+            and len(label) == k
+            and all(type(x) is int and x >= 0 for x in label)
+            and all(a >= b for a, b in zip(label, label[1:]))
+        )
 
-    zero = (0,) * k
     return GradedRingData(
-        unit=zero,
+        unit=(0,) * k,
         degree=lambda l: sum(l),
         multiply=multiply,
-        counit=lambda l: Fraction(1) if l == zero else Fraction(0),
-        contains=lambda l: l == zero or contains_label(l),
+        contains=is_label,
     )
 
 

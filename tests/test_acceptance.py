@@ -238,7 +238,7 @@ def test_criterion_09_cross_engine_equivalence():
         checked = 0
         while checked < 20:
             k = rng.choice((2, 3))
-            ring = schur_ring(k, degree_cap=10)
+            ring = schur_ring(k)
             partitions = [p for s in range(1, 6) for p in _partitions_of(s, k, s)]
             lam_t = tuple(rng.choice(partitions) for _ in range(rng.randint(1, 2)))
             mu_t = tuple(rng.choice(partitions) for _ in range(rng.randint(1, 2)))

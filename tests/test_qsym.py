@@ -8,7 +8,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from glidekit.compositions import paddings
 from glidekit.errors import (
+    GlidekitError,
+    InputFileError,
     InvalidCompositionError,
+    MalformedInputError,
     NotQuasisymmetricError,
     OutOfRangeError,
     UnknownLabelError,
@@ -457,6 +460,8 @@ def test_qsym_r_product_errors():
         qsym_r_product((0,), (1,), ring, 3)  # unit label inside a tuple
     with pytest.raises(UnknownLabelError):
         qsym_r_product((-2,), (1,), ring, 3)
+    with pytest.raises(UnknownLabelError):
+        qsym_r_product((True,), (1,), ring, 3)  # a bool is not a degree
 
 
 RING_JSON = {
@@ -476,7 +481,6 @@ def test_graded_ring_from_dict(tmp_path):
     assert ring.degree("x2") == 2
     assert ring.product("x", "x") == {"x2": Fraction(1)}
     assert ring.product("x", "x2") == {}
-    assert ring.counit("1") == 1 and ring.counit("x") == 0
     # file-based loading uses the same schema
     path = tmp_path / "ring.json"
     path.write_text(json.dumps(RING_JSON), encoding="utf-8")
@@ -492,9 +496,11 @@ def test_graded_ring_validation():
     }
     with pytest.raises(UnknownLabelError):
         GradedRingData.from_dict(bad_grading)
-    bad_counit = dict(RING_JSON, counit={"1": "1", "x": "2"})
-    with pytest.raises(UnknownLabelError):
-        GradedRingData.from_dict(bad_counit)
+    # the counit names basis labels only, with 1 on the unit and 0 elsewhere
+    for counit in ({"1": "1", "x": "2"}, {"1": "2"}, {"1": "0"}, {"zzz": "5"}, {"zzz": "0"}):
+        with pytest.raises(UnknownLabelError):
+            GradedRingData.from_dict(dict(RING_JSON, counit=counit))
+    assert GradedRingData.from_dict(dict(RING_JSON, counit={"x": "0/3"})).unit == "1"
     # a second degree-0 label whose square is the unit: the tensor engine
     # would read (e) * (e) as n times the empty tuple
     square_root_of_unit = {
@@ -508,3 +514,68 @@ def test_graded_ring_validation():
     for data in (square_root_of_unit, negative_degree):
         with pytest.raises(UnknownLabelError):
             GradedRingData.from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "data, error",
+    [
+        ({}, MalformedInputError),
+        ({"basis": 5}, MalformedInputError),
+        ({"basis": [{"degree": 0}]}, MalformedInputError),
+        ({"basis": [{"label": "1", "degree": "a"}]}, MalformedInputError),
+        (dict(RING_JSON, constants={"q": {"1": {"1": "1"}}}), UnknownLabelError),
+        (dict(RING_JSON, constants={"x": {"x": {"x2": "1/0"}}}), MalformedInputError),
+        (dict(RING_JSON, counit={"1": "abc"}), MalformedInputError),
+        ([RING_JSON], MalformedInputError),
+    ],
+    ids=[
+        "empty",
+        "basis-not-a-list",
+        "entry-without-label",
+        "degree-not-an-integer",
+        "constants-unknown-factor",
+        "coefficient-over-zero",
+        "counit-not-rational",
+        "top-level-list",
+    ],
+)
+def test_graded_ring_data_errors_are_typed(data, error):
+    with pytest.raises(error) as info:
+        GradedRingData.from_dict(data)
+    assert isinstance(info.value, GlidekitError)
+
+
+def test_graded_ring_file_errors_are_typed(tmp_path):
+    with pytest.raises(InputFileError):
+        GradedRingData.from_json_file(tmp_path / "missing.json")
+    path = tmp_path / "ring.json"
+    path.write_text("{not json", encoding="utf-8")
+    with pytest.raises(MalformedInputError):
+        GradedRingData.from_json_file(path)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_engine_rejects_labels_of_degree_at_most_zero(n):
+    # a CP^inf-like ring built by hand whose ``contains`` admits negative
+    # integers, so labels of negative degree
+    negative = GradedRingData(
+        unit=0,
+        degree=lambda a: a,
+        multiply=lambda a, b: {a + b: Fraction(1)},
+        contains=lambda a: isinstance(a, int) and a >= -3,
+    )
+    for theta, kappa in [((1,), (-1,)), ((-1,), (1,)), ((0,), (1,))]:
+        with pytest.raises(UnknownLabelError):
+            qsym_r_product(theta, kappa, negative, n)
+        with pytest.raises(UnknownLabelError):
+            qsym_r_product_shuffle(theta, kappa, negative)
+    # a degree-0 label that is not the unit
+    zero_degree = GradedRingData(
+        unit="1",
+        degree=lambda l: {"1": 0, "e": 0, "x": 1}[l],
+        multiply=lambda a, b: {},
+        contains=lambda l: l in ("1", "e", "x"),
+    )
+    with pytest.raises(UnknownLabelError):
+        qsym_r_product(("e",), ("x",), zero_degree, n)
+    assert qsym_r_product((1,), (2,), negative, n) == {(3,): 1, (1, 2): 1, (2, 1): 1}

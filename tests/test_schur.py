@@ -9,6 +9,7 @@ from glidekit.errors import (
     LengthMismatchError,
     NotGrassmannianError,
     SizeMismatchError,
+    UnknownLabelError,
 )
 from glidekit.poly import SparsePoly
 from glidekit.qsym import qsym_r_product, qsym_r_product_shuffle
@@ -235,7 +236,7 @@ def test_buk_agrees_with_generic_engine():
 def test_buk_agrees_with_generic_engine_random():
     rng = random.Random(2718)
     k = 2
-    ring = schur_ring(k, degree_cap=10)
+    ring = schur_ring(k)
     partitions = [p for s in range(1, 5) for p in _partitions_of(s, k, s)]
     for _ in range(10):
         lam = tuple(rng.choice(partitions) for _ in range(rng.randint(1, 2)))
@@ -252,11 +253,38 @@ def test_buk_agrees_with_generic_engine_random():
 
 
 def test_schur_ring_respects_grading():
-    ring = schur_ring(3, degree_cap=6)
+    ring = schur_ring(3)
     out = ring.product((1, 0, 0), (2, 1, 0))
     assert out
     for nu, coeff in out.items():
         assert sum(nu) == 4
         assert coeff == Fraction(int(coeff))
-    assert ring.counit((0, 0, 0)) == 1
-    assert ring.counit((1, 0, 0)) == 0
+
+
+def test_schur_ring_products_are_exact_in_every_degree():
+    # degree 12: a ring that dropped high-degree products would lose every
+    # key but the unmerged tensor, in both engine routes alike
+    ring = schur_ring(3)
+    lam = ((3, 2, 1),)
+    expansion = qsym_r_product(lam, lam, ring, 2)
+    assert expansion == {
+        ((6, 4, 2),): 1,
+        ((6, 3, 3),): 1,
+        ((5, 5, 2),): 1,
+        ((5, 4, 3),): 2,
+        ((4, 4, 4),): 1,
+        ((3, 2, 1), (3, 2, 1)): 2,
+    }
+    assert expansion == qsym_r_product_shuffle(lam, lam, ring)
+    for nu_tuple, coeff in expansion.items():
+        assert buk_structure_constant(lam, lam, nu_tuple, 3) == coeff
+
+
+@pytest.mark.parametrize(
+    "label", ["21", [2, 1], (2.0, 1), (True, False), (1, 2), (2, -1), (2, 1, 0), (2,)]
+)
+def test_schur_ring_takes_only_partition_tuples(label):
+    ring = schur_ring(2)
+    assert not ring.contains(label)
+    with pytest.raises(UnknownLabelError):
+        qsym_r_product((label,), ((1, 0),), ring, 2)
