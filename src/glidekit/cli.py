@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import cache
+from functools import lru_cache
 from typing import Any
 
 from . import __version__
@@ -114,7 +114,7 @@ def _cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
     }
 
 
-@cache
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every later call.
 

@@ -85,14 +85,20 @@ def _run_factor(size: int, mult: int) -> int:
     return (-1) ** (size - mult) * comb(size - 1, mult - 1)
 
 
+_INFLATIONS_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_INFLATIONS_CACHE_SIZE)
 def _inflations(
     alpha: Composition, max_length: int, max_degree: int
-) -> list[tuple[Composition, int]]:
+) -> tuple[tuple[Composition, int], ...]:
     """The run inflations of alpha up to a length and a size, with coefficients.
 
     Each run of alpha, value v repeated N times, becomes v repeated l >= N
     times; the coefficient is the product of the _run_factor(l, N).  The
-    pairs come in lexicographic order of the run-size vectors.
+    pairs come in lexicographic order of the run-size vectors.  The result
+    is cached and shared by every caller, so it is a tuple that none can
+    change.
     """
     runs = run_encode(alpha)
     out: list[tuple[Composition, int]] = []
@@ -116,7 +122,7 @@ def _inflations(
     length, degree = max_length - len(alpha), max_degree - sum(alpha)
     if length >= 0 and degree >= 0:
         extend(0, (), length, degree, 1)
-    return out
+    return tuple(out)
 
 
 def enumerate_C(alpha: Iterable[int], n: int) -> frozenset[WeakComposition]:

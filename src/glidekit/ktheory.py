@@ -147,7 +147,12 @@ def knutson_class(alpha: Iterable[int], n: int, m: int) -> KRingElement:
     return KRingElement(SparsePoly(n, terms), m)
 
 
-@lru_cache(maxsize=None)
+# one entry per truncation degree m; a few dozen cover every m a
+# desk-scale K-class reaches
+_CHERN_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=_CHERN_CACHE_SIZE)
 def chern_series_coeffs(m: int) -> tuple[Fraction, ...]:
     """Degree-m truncation of 1 - exp(-x): coefficient of x^j is (-1)^(j+1)/j!."""
     return tuple(
@@ -156,7 +161,7 @@ def chern_series_coeffs(m: int) -> tuple[Fraction, ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CHERN_CACHE_SIZE)
 def _chern_power_table(m: int) -> tuple[tuple[Fraction, ...], ...]:
     """Coefficient lists of the truncated series raised to powers 0..m."""
     series = chern_series_coeffs(m)

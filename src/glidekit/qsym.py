@@ -17,6 +17,7 @@ from fractions import Fraction
 from itertools import product
 from math import comb, prod
 from operator import add
+from types import MappingProxyType
 from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .compositions import (
@@ -256,10 +257,11 @@ class GradedRingData:
     """A graded ring with basis, given by its unit, degrees and structure constants.
 
     ``multiply`` maps a pair of non-unit basis labels to a finitely supported
-    label -> Fraction mapping; the unit is handled here.  ``contains`` tests
-    label validity, so rings with infinitely many basis labels (one generator
-    per degree, the tableau rings) can be given lazily.  The tensor engine
-    takes only labels of positive degree, and checks each one it is given.
+    label -> Fraction mapping, which callers only read; the unit is handled
+    here.  ``contains`` tests label validity, so rings with infinitely many
+    basis labels (one generator per degree, the tableau rings) can be given
+    lazily.  The tensor engine takes only labels of positive degree, and
+    checks each one it is given.
     """
 
     unit: Label
@@ -284,10 +286,18 @@ class GradedRingData:
         names basis labels only, with 1 on the unit and 0 elsewhere (a graded
         map to the ground ring concentrated in degree zero admits nothing
         else).  A broken rule raises ``UnknownLabelError``, data of the wrong
-        shape ``MalformedInputError``.
+        shape ``MalformedInputError``: among others a degree that is not a
+        JSON integer, or a label listed twice in the basis.
         """
         try:
-            degrees = {entry["label"]: int(entry["degree"]) for entry in data["basis"]}
+            degrees: dict[str, int] = {}
+            for entry in data["basis"]:
+                label, degree = entry["label"], entry["degree"]
+                if type(degree) is not int:
+                    raise MalformedInputError(f"degree of {label!r} is not an integer: {degree!r}")
+                if label in degrees:
+                    raise MalformedInputError(f"basis label {label!r} is listed twice")
+                degrees[label] = degree
             unit = data.get("unit")
             if unit is None:
                 zero_labels = [l for l, d in degrees.items() if d == 0]
@@ -303,7 +313,7 @@ class GradedRingData:
                 raise UnknownLabelError(
                     f"labels other than the unit must have positive degree: {nonpositive}"
                 )
-            constants: dict[tuple[str, str], dict[str, Fraction]] = {}
+            constants: dict[tuple[str, str], Mapping[str, Fraction]] = {}
             for left, rights in data.get("constants", {}).items():
                 for right, terms in rights.items():
                     if left not in degrees or right not in degrees:
@@ -320,7 +330,8 @@ class GradedRingData:
                                 f"product {left!r}*{right!r} -> {label!r} violates the grading"
                             )
                         expansion[label] = c
-                    constants[(left, right)] = expansion
+                    # every product of this pair returns this one mapping
+                    constants[(left, right)] = MappingProxyType(expansion)
             for label, value in data.get("counit", {}).items():
                 if label not in degrees or parse_frac(value) != int(label == unit):
                     raise UnknownLabelError(

@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .compositions import overlapping_paddings
 from .errors import (
@@ -164,8 +165,16 @@ def lr_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> 
     return _lr(as_partition(l), as_partition(m_), as_partition(n_))
 
 
+_LR_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_LR_CACHE_SIZE)
 def _lr(lam: Partition, mu: Partition, nu: Partition) -> int:
-    """``lr_coefficient`` on partitions already validated to share one length."""
+    """``lr_coefficient`` on partitions already validated to share one length.
+
+    Cached: the tableau rings and ``buk`` ask for the same triples again and
+    again, and each miss enumerates every filling of the skew shape.
+    """
     if not contains(nu, lam) or sum(lam) + sum(mu) != sum(nu):
         return 0
     shape = SkewShape(outer=nu, inner=lam)
@@ -280,18 +289,19 @@ def schur_ring(k: int) -> GradedRingData:
     """Graded ring data on length-k partitions with tableau constants.
 
     Labels are tuples of k ints forming a partition, the zero partition being
-    the unit.  Products are exact, generated on demand and kept in a bounded cache.
+    the unit.  Products are exact, generated on demand and kept in a bounded
+    cache; each is a read-only view, so no caller can change a cached one.
     """
 
     @lru_cache(maxsize=4096)
-    def multiply(lam: Partition, mu: Partition) -> dict[Partition, Fraction]:
+    def multiply(lam: Partition, mu: Partition) -> Mapping[Partition, Fraction]:
         total = sum(lam) + sum(mu)
         out = {}
         for nu in _partitions_of(total, k, lam[0] + sum(mu) if lam else sum(mu)):
             c = lr_coefficient(lam, mu, nu)
             if c:
                 out[nu] = Fraction(c)
-        return out
+        return MappingProxyType(out)
 
     def is_label(label: object) -> bool:
         return (

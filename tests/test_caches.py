@@ -1,0 +1,113 @@
+"""The package's caches: every one is bounded, and none changes a result.
+
+The caches are found the way the benchmark's ``clear_caches`` finds them:
+every module-level object with a ``cache_clear``.
+"""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import glidekit
+from glidekit import glides, schur
+from glidekit.glides import enumerate_C, glide_m_expansion, glide_polynomial
+from glidekit.qsym import GradedRingData, qsym_r_product
+from glidekit.schur import buk_structure_constant, lr_coefficient, schur_ring
+
+
+def _module_caches():
+    modules = [glidekit] + [
+        importlib.import_module(f"glidekit.{info.name}")
+        for info in pkgutil.iter_modules(glidekit.__path__)
+    ]
+    found = {}
+    for module in modules:
+        for name, obj in vars(module).items():
+            if callable(getattr(obj, "cache_clear", None)):
+                found[f"{module.__name__}.{name}"] = obj
+    return found
+
+
+def test_every_cache_is_bounded():
+    caches = _module_caches()
+    assert caches["glidekit.schur._lr"] is schur._lr
+    assert caches["glidekit.glides._inflations"] is glides._inflations
+    assert "glidekit.cli.build_parser" in caches
+    for name, cached in caches.items():
+        maxsize = cached.cache_info().maxsize
+        assert type(maxsize) is int and maxsize > 0, name
+
+
+def _cold_then_warm(cached, call):
+    """The call's result on an empty cache, then again served by the cache."""
+    cached.cache_clear()
+    cold = call()
+    hits = cached.cache_info().hits
+    warm = call()
+    assert cached.cache_info().hits > hits
+    return cold, warm
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # dicts as item lists, so their order is compared too
+        lambda: list(glide_m_expansion((1, 2, 2), 8).items()),
+        lambda: enumerate_C((2, 1, 1), 5),
+        lambda: list(glide_polynomial((1, 3, 1), 5, "closed").terms.items()),
+    ],
+    ids=["glide_m_expansion", "enumerate_C", "closed-glide"],
+)
+def test_inflation_cache_leaves_results_unchanged(call):
+    cold, warm = _cold_then_warm(glides._inflations, call)
+    assert cold == warm
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: lr_coefficient((2, 1, 0), (2, 1, 0), (3, 2, 1)),
+        lambda: lr_coefficient((3, 2, 1), (2, 1, 0), (4, 3, 2)),
+        lambda: buk_structure_constant([(1, 0)], [(1, 0), (1, 1)], [(2, 0), (1, 1)], 2),
+    ],
+    ids=["lr", "lr-larger", "buk"],
+)
+def test_lr_cache_leaves_results_unchanged(call):
+    cold, warm = _cold_then_warm(schur._lr, call)
+    assert cold == warm > 0
+
+
+def test_changing_a_result_leaves_the_next_call_unchanged():
+    first = glide_m_expansion((1, 2), 6)
+    expected = dict(first)
+    first[(9,)] = 5
+    del first[(1, 2)]
+    assert glide_m_expansion((1, 2), 6) == expected
+
+    poly = glide_polynomial((1, 2), 4, "closed")
+    expected = dict(poly.terms)
+    poly.terms.clear()
+    assert glide_polynomial((1, 2), 4, "closed").terms == expected
+
+    # the shared cached value itself cannot be changed
+    assert type(glides._inflations((1, 2), 4, 8)) is tuple
+
+
+def test_ring_products_cannot_be_changed_by_a_caller():
+    tableaux = schur_ring(2)
+    loaded = GradedRingData.from_dict(
+        {
+            "basis": [
+                {"label": "1", "degree": 0},
+                {"label": "x", "degree": 1},
+                {"label": "x2", "degree": 2},
+            ],
+            "constants": {"x": {"x": {"x2": "1"}}},
+        }
+    )
+    for ring, label in [(tableaux, (1, 0)), (loaded, "x")]:
+        before = qsym_r_product((label,), (label,), ring, 2)
+        with pytest.raises(TypeError):
+            ring.multiply(label, label)[label] = 1
+        assert qsym_r_product((label,), (label,), ring, 2) == before

@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glidekit.compositions import paddings, semistandardize, sorting_data
 from glidekit.errors import InvalidCompositionError, NotInCSetError, OutOfRangeError
 from glidekit.glides import (
     GLIDE_METHODS,
+    _inflations,
     check_binomial_identity,
     enumerate_C,
     enumerate_C_tilde,
@@ -135,6 +137,18 @@ def test_glide_methods_agree_small_sweep():
         for n in range(len(alpha), len(alpha) + 3):
             polys = [glide_polynomial(alpha, n, m) for m in GLIDE_METHODS]
             assert polys[0] == polys[1] == polys[2], (alpha, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data(), alpha=st.sampled_from(all_compositions(5)), cold=st.booleans())
+def test_glide_routes_agree_property(data, alpha, cold):
+    n = data.draw(st.integers(len(alpha), 6), label="n")
+    if cold:
+        # the closed route reads the run inflations from a cache; the
+        # routes must agree whatever earlier examples left in it
+        _inflations.cache_clear()
+    polys = [glide_polynomial(alpha, n, m) for m in GLIDE_METHODS]
+    assert polys[0] == polys[1] == polys[2]
 
 
 def test_barred_glide_terms_come_in_ascending_order():

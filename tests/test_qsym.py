@@ -314,6 +314,30 @@ def test_glide_expand_reconstructs_input():
     assert rebuilt.coords == expected
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    coeffs=st.dictionaries(
+        st.sampled_from([a for a in all_compositions(5) if a]),
+        st.fractions(-3, 3, max_denominator=4).filter(bool),
+        max_size=4,
+    ),
+    bound=st.integers(0, 6),
+)
+def test_glide_expand_inverts_glide_element(coeffs, bound):
+    expected = {a: c for a, c in coeffs.items() if sum(a) <= bound}
+    glides = QSymElement({}, bound)
+    for alpha, c in expected.items():
+        glides = glides + glide_element(alpha, bound).scale(c)
+    assert glide_expand(glides, bound) == expected
+    # and the other way round: the same numbers read as monomial coordinates
+    # re-assemble from their glide expansion
+    monomials = QSymElement(expected, bound)
+    rebuilt = QSymElement({}, bound)
+    for alpha, c in glide_expand(monomials, bound).items():
+        rebuilt = rebuilt + glide_element(alpha, bound).scale(c)
+    assert rebuilt.coords == expected
+
+
 def test_glide_structure_constants_examples():
     assert glide_structure_constants((1,), (1,), 2) == {
         (2,): Fraction(1),
@@ -475,6 +499,10 @@ RING_JSON = {
 }
 
 
+def _with_basis_entry(label, degree):
+    return dict(RING_JSON, basis=RING_JSON["basis"] + [{"label": label, "degree": degree}])
+
+
 def test_graded_ring_from_dict(tmp_path):
     ring = GradedRingData.from_dict(RING_JSON)
     assert ring.unit == "1"
@@ -523,6 +551,9 @@ def test_graded_ring_validation():
         ({"basis": 5}, MalformedInputError),
         ({"basis": [{"degree": 0}]}, MalformedInputError),
         ({"basis": [{"label": "1", "degree": "a"}]}, MalformedInputError),
+        (_with_basis_entry("y", 1.5), MalformedInputError),
+        (_with_basis_entry("y", "2"), MalformedInputError),
+        (_with_basis_entry("y", True), MalformedInputError),
         (dict(RING_JSON, constants={"q": {"1": {"1": "1"}}}), UnknownLabelError),
         (dict(RING_JSON, constants={"x": {"x": {"x2": "1/0"}}}), MalformedInputError),
         (dict(RING_JSON, counit={"1": "abc"}), MalformedInputError),
@@ -533,6 +564,9 @@ def test_graded_ring_validation():
         "basis-not-a-list",
         "entry-without-label",
         "degree-not-an-integer",
+        "degree-a-float",
+        "degree-a-numeric-string",
+        "degree-a-bool",
         "constants-unknown-factor",
         "coefficient-over-zero",
         "counit-not-rational",
@@ -543,6 +577,13 @@ def test_graded_ring_data_errors_are_typed(data, error):
     with pytest.raises(error) as info:
         GradedRingData.from_dict(data)
     assert isinstance(info.value, GlidekitError)
+
+
+@pytest.mark.parametrize("second_degree", [1, 2])
+def test_graded_ring_data_rejects_a_repeated_label(second_degree):
+    # one entry per label: an agreeing repeat is refused like a conflicting one
+    with pytest.raises(MalformedInputError, match="'x'"):
+        GradedRingData.from_dict(_with_basis_entry("x", second_degree))
 
 
 def test_graded_ring_file_errors_are_typed(tmp_path):
