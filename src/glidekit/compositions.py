@@ -16,23 +16,33 @@ Composition = tuple[int, ...]
 WeakComposition = tuple[int, ...]
 
 
-def as_composition(parts: Iterable[int]) -> Composition:
-    """Validate and normalize to a composition (every part >= 1)."""
+def _int_parts(parts: Iterable[int], least: int, kind: str) -> tuple[int, ...]:
+    """The parts as a tuple, each a Python int (not a bool) and at least ``least``.
+
+    This is the one rule for what counts as a part.  Nothing is coerced: a
+    float, a string, a bool or a Fraction is refused, so a bad part never
+    passes as a nearby integer.
+    """
     try:
-        alpha = tuple(map(int, parts))
-    except (TypeError, ValueError) as exc:
-        raise InvalidCompositionError(f"composition parts must be integers: {parts!r}") from exc
-    if min(alpha, default=1) < 1:
-        raise InvalidCompositionError(f"composition parts must be >= 1: {alpha}")
-    return alpha
+        out = tuple(parts)
+    except TypeError as exc:
+        raise InvalidCompositionError(f"{kind} parts must be integers: {parts!r}") from exc
+    for p in out:
+        if type(p) is not int:
+            raise InvalidCompositionError(f"{kind} parts must be integers: {parts!r}")
+        if p < least:
+            raise InvalidCompositionError(f"{kind} parts must be >= {least}: {out}")
+    return out
+
+
+def as_composition(parts: Iterable[int]) -> Composition:
+    """Validate a composition (every part an int >= 1)."""
+    return _int_parts(parts, 1, "composition")
 
 
 def as_weak_composition(parts: Iterable[int]) -> WeakComposition:
-    """Validate and normalize to a weak composition (every part >= 0)."""
-    w = tuple(int(p) for p in parts)
-    if any(p < 0 for p in w):
-        raise InvalidCompositionError(f"weak composition parts must be >= 0: {w}")
-    return w
+    """Validate a weak composition (every part an int >= 0)."""
+    return _int_parts(parts, 0, "weak composition")
 
 
 def positive_part(w: Sequence[int]) -> Composition:

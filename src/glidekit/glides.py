@@ -46,6 +46,16 @@ def unbar(s: Sequence[int]) -> WeakComposition:
     return tuple(abs(x) for x in s)
 
 
+def _signed_projection(strings: Iterable[tuple[int, ...]]) -> dict[WeakComposition, int]:
+    """Sum of (-1)^(number of bars) over the strings with each bar-forgetting
+    projection, keyed in first-seen order."""
+    terms: dict[WeakComposition, int] = {}
+    for t in strings:
+        s = unbar(t)
+        terms[s] = terms.get(s, 0) + (-1) ** barred_count(t)
+    return terms
+
+
 def _move_closure(seed: Iterable[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
     """Closure of the seed strings under the barred moves (M.1) and (M.2)."""
     seen = set(seed)
@@ -125,6 +135,16 @@ def _inflations(
     return tuple(out)
 
 
+def _closed_terms(a: Composition, n: int) -> dict[WeakComposition, int]:
+    """Every padding into n slots of every run inflation of a, with the
+    inflation's binomial coefficient: the closed glide's terms."""
+    if n < len(a):
+        raise OutOfRangeError(f"need n >= {len(a)} slots for {a}, got {n}")
+    # no part exceeds max(a), so n * max(a) bounds no inflation of length n
+    gammas = _inflations(a, n, n * max(a, default=0))
+    return {s: c for gamma, c in gammas for s in paddings(gamma, n)}
+
+
 def enumerate_C(alpha: Iterable[int], n: int) -> frozenset[WeakComposition]:
     """Unbarred move closure, by its block characterization.
 
@@ -133,12 +153,9 @@ def enumerate_C(alpha: Iterable[int], n: int) -> frozenset[WeakComposition]:
     multiplicity.  Enumerating run sizes directly is polynomial, versus the
     exponential move closure (kept as enumerate_C_tilde for cross-checks).
     """
-    a = as_composition(alpha)
-    if n < len(a):
-        raise OutOfRangeError(f"need n >= {len(a)} slots for {a}, got {n}")
-    # no part exceeds max(a), so n * max(a) bounds no inflation of length n
-    gammas = _inflations(a, n, n * max(a, default=0))
-    return frozenset(s for gamma, _ in gammas for s in paddings(gamma, n))
+    # from the keys view, not the dict: a set presizes its table for a dict,
+    # which would change the iteration order
+    return frozenset(_closed_terms(as_composition(alpha), n).keys())
 
 
 def mu_closed(sigma: Sequence[int], alpha: Iterable[int]) -> int:
@@ -166,11 +183,7 @@ def mu_prime(sigma: Sequence[int], alpha: Iterable[int], n: int) -> int:
     s = as_weak_composition(sigma)
     if len(s) != n:
         raise OutOfRangeError(f"string {s} does not have length {n}")
-    total = 0
-    for t in enumerate_C_tilde(a, n):
-        if unbar(t) == s:
-            total += (-1) ** barred_count(t)
-    return total
+    return _signed_projection(enumerate_C_tilde(a, n)).get(s, 0)
 
 
 def glide_polynomial(alpha: Iterable[int], n: int, method: str = "closed") -> SparsePoly:
@@ -184,22 +197,15 @@ def glide_polynomial(alpha: Iterable[int], n: int, method: str = "closed") -> Sp
     polynomial of alpha in n variables.
     """
     a = as_composition(alpha)
-    if n < len(a):
-        raise OutOfRangeError(f"need n >= {len(a)} slots for {a}, got {n}")
     if method not in GLIDE_METHODS:
         raise OutOfRangeError(f"unknown method {method!r}, expected one of {GLIDE_METHODS}")
     if method == "poset":
         terms = build_poset(a, n).mobius()
     elif method == "barred":
-        terms = {}
-        for t in enumerate_C_tilde(a, n):
-            s = unbar(t)
-            terms[s] = terms.get(s, 0) + (-1) ** barred_count(t)
         # the closure is a set; sorting fixes the term order
-        terms = dict(sorted(terms.items()))
+        terms = dict(sorted(_signed_projection(enumerate_C_tilde(a, n)).items()))
     else:
-        gammas = _inflations(a, n, n * max(a, default=0))
-        terms = {s: c for gamma, c in gammas for s in paddings(gamma, n)}
+        terms = _closed_terms(a, n)
     # every key is a length-n string built here
     return SparsePoly._from_numerators(n, terms, 1)
 
@@ -212,11 +218,7 @@ def monomial_glide_weak(a: Iterable[int]) -> SparsePoly:
     degenerates to the single monomial y^a.
     """
     start = as_weak_composition(a)
-    terms: dict[WeakComposition, int] = {}
-    for t in _move_closure([start]):
-        s = unbar(t)
-        terms[s] = terms.get(s, 0) + (-1) ** barred_count(t)
-    return SparsePoly(len(start), terms)
+    return SparsePoly(len(start), _signed_projection(_move_closure([start])))
 
 
 def glide_m_expansion(alpha: Iterable[int], degree_bound: int) -> dict[Composition, int]:

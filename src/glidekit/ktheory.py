@@ -13,12 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd
+from math import comb, factorial
 from typing import Iterable, Sequence
 
-from .compositions import Composition, as_composition, closure, paddings
+from .compositions import as_composition, closure, paddings
 from .errors import LengthMismatchError, OutOfRangeError
-from .poly import SparsePoly
+from .poly import SparsePoly, _integer_numerators
 from .qsym import read_m_coords
 
 
@@ -34,6 +34,8 @@ class KRingElement:
     m: int
 
     def __post_init__(self):
+        if self.m < 0:
+            raise OutOfRangeError(f"truncation degree must be >= 0, got {self.m}")
         reduced = {
             e: c for e, c in self.poly.terms.items() if all(x <= self.m for x in e)
         }
@@ -100,28 +102,19 @@ def y_to_line_bundle(element: KRingElement) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class SchubertUnion:
-    """Union of products of projective subspaces dual to a padded cell.
+def z_locus(alpha: Iterable[int], n: int, m: int) -> frozenset[tuple[int, ...]]:
+    """Components of the union of products of projective subspaces dual to a
+    padded cell.
 
     One component per order-preserving placement of alpha into n slots; the
     component records codimension data r_i = m - (padded alpha)_i.
     """
-
-    alpha: Composition
-    n: int
-    m: int
-    components: frozenset[tuple[int, ...]]
-
-
-def z_locus(alpha: Iterable[int], n: int, m: int) -> SchubertUnion:
     a = as_composition(alpha)
     if n < len(a):
         raise OutOfRangeError(f"need n >= {len(a)} slots for {a}, got {n}")
     if m < max(a, default=0):
         raise OutOfRangeError(f"need m >= {max(a, default=0)} for {a}, got {m}")
-    comps = set(paddings(tuple(m - x for x in a), n, m))
-    return SchubertUnion(alpha=a, n=n, m=m, components=frozenset(comps))
+    return frozenset(paddings(tuple(m - x for x in a), n, m))
 
 
 def knutson_class(alpha: Iterable[int], n: int, m: int) -> KRingElement:
@@ -132,8 +125,7 @@ def knutson_class(alpha: Iterable[int], n: int, m: int) -> KRingElement:
     function is pinned by requiring the values above any element to sum to 1
     and is computed top-down here, independently of the string-poset engine.
     """
-    locus = z_locus(alpha, n, m)
-    elements = closure(locus.components, min)
+    elements = closure(z_locus(alpha, n, m), min)
     mu: dict[tuple[int, ...], int] = {}
     for w in sorted(elements, key=lambda e: (-sum(e), e)):
         above = sum(
@@ -180,16 +172,13 @@ def _chern_power_table(m: int) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(powers)
 
 
-def chern_substitute(element: KRingElement, m: int | None = None) -> SparsePoly:
+def chern_substitute(element: KRingElement) -> SparsePoly:
     """Substitute the truncated exponential series for each variable.
 
-    Replaces y_i by x_i - x_i^2/2 + x_i^3/6 - ... (up to degree m) and
-    reduces modulo x_i^(m+1); coefficients stay exact rationals.
+    Replaces y_i by x_i - x_i^2/2 + x_i^3/6 - ... (up to the element's cap m)
+    and reduces modulo x_i^(m+1); coefficients stay exact rationals.
     """
-    if m is None:
-        m = element.m
-    if m != element.m:
-        raise OutOfRangeError(f"substitution degree {m} differs from element cap {element.m}")
+    m = element.m
     # all series coefficients become integers after scaling by m!, so the
     # substitution runs on integers over one common denominator
     scale = factorial(m)
@@ -198,13 +187,8 @@ def chern_substitute(element: KRingElement, m: int | None = None) -> SparsePoly:
         for row in _chern_power_table(m)
     ]
     n = element.nvars
-    lcm_coeff = 1
-    for coeff in element.poly.terms.values():
-        lcm_coeff = lcm_coeff * coeff.denominator // gcd(lcm_coeff, coeff.denominator)
-    current = {
-        exps: coeff.numerator * (lcm_coeff // coeff.denominator)
-        for exps, coeff in element.poly.terms.items()
-    }
+    numerators, lcm_coeff = _integer_numerators(element.poly.terms)
+    current = dict(numerators)
     # one pass per variable: the exponent g in front becomes each d at the
     # back, weighted by the scaled coefficient of x^d in the g-th power, so
     # after n passes every key is back in its own order; equal keys merge

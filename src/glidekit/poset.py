@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .compositions import Composition, WeakComposition, as_composition, closure, paddings
+from .compositions import WeakComposition, as_composition, closure, paddings
 from .errors import OutOfRangeError, LengthMismatchError
 
 
@@ -63,7 +63,8 @@ def _greatest(bits: int) -> int:
 
 
 class GlidePoset:
-    """Closure of the zero-paddings of ``alpha`` under componentwise max.
+    """Length-n strings closed under componentwise max, with the atoms they
+    were closed from (for ``build_poset``, the zero-paddings of alpha).
 
     Elements are stored lexicographically sorted, so iteration order, linear
     extensions, and serialized output are deterministic.  Instances are
@@ -73,12 +74,10 @@ class GlidePoset:
 
     def __init__(
         self,
-        alpha: Composition,
         n: int,
         elements: Iterable[WeakComposition],
         atom_set: frozenset[WeakComposition],
     ):
-        self.alpha = alpha
         self.n = n
         self.elements = tuple(sorted(elements))
         self.atom_set = atom_set
@@ -92,12 +91,6 @@ class GlidePoset:
 
     def __contains__(self, p: object) -> bool:
         return p in self._index
-
-    def index(self, p: Sequence[int]) -> int:
-        try:
-            return self._index[tuple(p)]
-        except KeyError:
-            raise OutOfRangeError(f"{tuple(p)} is not an element of this poset") from None
 
     def _order_sets(self, below: bool) -> list[int]:
         """Bitset of the downset (``below``) or upset of every element, by index.
@@ -227,6 +220,5 @@ class GlidePoset:
 
 def build_poset(alpha: Iterable[int], n: int) -> GlidePoset:
     """Join-closure of the zero-paddings of alpha inside length-n strings."""
-    a = as_composition(alpha)
-    base = atoms(a, n)
-    return GlidePoset(a, n, closure(base, max), base)
+    base = atoms(alpha, n)
+    return GlidePoset(n, closure(base, max), base)

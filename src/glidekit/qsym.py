@@ -199,7 +199,8 @@ def m_multiply(f: QSymElement, g: QSymElement) -> QSymElement:
             c = ca * cb
             for gamma, mult in overlapping_shuffle(a, b).items():
                 out[gamma] = out.get(gamma, _ZERO) + mult * c
-    return QSymElement(_truncate(out, bound), bound)
+    # every pair over the bound was skipped, and the shuffle keeps the size
+    return QSymElement(out, bound)
 
 
 def glide_element(alpha: Iterable[int], degree_bound: int) -> QSymElement:
@@ -286,13 +287,16 @@ class GradedRingData:
         names basis labels only, with 1 on the unit and 0 elsewhere (a graded
         map to the ground ring concentrated in degree zero admits nothing
         else).  A broken rule raises ``UnknownLabelError``, data of the wrong
-        shape ``MalformedInputError``: among others a degree that is not a
-        JSON integer, or a label listed twice in the basis.
+        shape ``MalformedInputError``: among others a label that is not a
+        string, a degree that is not a JSON integer, or a label listed twice
+        in the basis.
         """
         try:
             degrees: dict[str, int] = {}
             for entry in data["basis"]:
                 label, degree = entry["label"], entry["degree"]
+                if type(label) is not str:
+                    raise MalformedInputError(f"basis label is not a string: {label!r}")
                 if type(degree) is not int:
                     raise MalformedInputError(f"degree of {label!r} is not an integer: {degree!r}")
                 if label in degrees:

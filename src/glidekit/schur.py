@@ -14,7 +14,7 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .compositions import overlapping_paddings
+from .compositions import _int_parts, overlapping_paddings
 from .errors import (
     InvalidCompositionError,
     LengthMismatchError,
@@ -29,9 +29,7 @@ Partition = tuple[int, ...]
 
 def as_partition(parts: Iterable[int], k: int | None = None) -> Partition:
     """Validate a weakly decreasing tuple of nonnegative integers."""
-    p = tuple(int(x) for x in parts)
-    if any(x < 0 for x in p):
-        raise InvalidCompositionError(f"partition parts must be >= 0: {p}")
+    p = _int_parts(parts, 0, "partition")
     if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
         raise InvalidCompositionError(f"partition parts must weakly decrease: {p}")
     if k is not None and len(p) != k:
@@ -225,7 +223,7 @@ def is_grassmannian(w: Sequence[int], k: int) -> bool:
 
 def grassmannian_to_partition(w: Sequence[int], k: int) -> Partition:
     """Translate a permutation with lone descent k into a length-k partition."""
-    word = tuple(int(x) for x in w)
+    word = _int_parts(w, 1, "permutation")
     if sorted(word) != list(range(1, len(word) + 1)):
         raise NotGrassmannianError(f"{word} is not a permutation in one-line notation")
     if k > len(word) or not is_grassmannian(word, k):
@@ -304,12 +302,10 @@ def schur_ring(k: int) -> GradedRingData:
         return MappingProxyType(out)
 
     def is_label(label: object) -> bool:
-        return (
-            type(label) is tuple
-            and len(label) == k
-            and all(type(x) is int and x >= 0 for x in label)
-            and all(a >= b for a, b in zip(label, label[1:]))
-        )
+        try:
+            return type(label) is tuple and as_partition(label, k) == label
+        except (InvalidCompositionError, LengthMismatchError):
+            return False
 
     return GradedRingData(
         unit=(0,) * k,

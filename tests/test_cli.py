@@ -125,8 +125,20 @@ def test_domain_error_exit_code(capsys):
         ('{"coords": [{"comp": [1], "coeff": "1/0"}]}', "malformed-input"),
         ('{"terms": [{"comp": [1], "coeff": "1"}]}', "malformed-input"),
         ('{"coords": [{"comp": ["x"], "coeff": "1"}]}', "invalid-composition"),
+        ('{"coords": [{"comp": [1.5], "coeff": "1"}]}', "invalid-composition"),
+        ('{"coords": [{"comp": "12", "coeff": "1"}]}', "invalid-composition"),
+        ('{"coords": [{"comp": [true, 2], "coeff": "1"}]}', "invalid-composition"),
     ],
-    ids=["missing file", "malformed JSON", "1/0 coefficient", "missing coords key", "non-integer part"],
+    ids=[
+        "missing file",
+        "malformed JSON",
+        "1/0 coefficient",
+        "missing coords key",
+        "non-integer part",
+        "float part",
+        "string composition",
+        "bool part",
+    ],
 )
 def test_glide_expand_bad_input_is_typed_error(tmp_path, capsys, content, error_code):
     path = tmp_path / "element.json"

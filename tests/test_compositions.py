@@ -5,6 +5,7 @@ import pytest
 
 from glidekit.compositions import (
     as_composition,
+    as_weak_composition,
     canonical_key,
     overlapping_paddings,
     paddings,
@@ -16,6 +17,13 @@ from glidekit.compositions import (
     standardize,
 )
 from glidekit.errors import InvalidCompositionError, SizeMismatchError
+from glidekit.glides import glide_polynomial
+from glidekit.schur import (
+    as_partition,
+    buk_structure_constant,
+    grassmannian_to_partition,
+    lr_coefficient,
+)
 
 from conftest import all_compositions, all_paddings
 
@@ -179,6 +187,37 @@ def test_as_composition_rejects_nonpositive():
     with pytest.raises(InvalidCompositionError):
         as_composition((-1,))
     assert as_composition(()) == ()
+
+
+# each call is valid once ``x`` is read as the integer 1, so only refusing
+# the part itself can raise
+_TAKES_A_PART = {
+    "as_composition": lambda x: as_composition((x, 2)),
+    "as_weak_composition": lambda x: as_weak_composition((0, x)),
+    "as_partition": lambda x: as_partition((2, x)),
+    "lr_coefficient": lambda x: lr_coefficient((x,), (1,), (2,)),
+    "buk_structure_constant": lambda x: buk_structure_constant(((x,),), ((1,),), ((2,),), 1),
+    "glide_polynomial": lambda x: glide_polynomial((x, 2), 2),
+    "grassmannian_to_partition": lambda x: grassmannian_to_partition((x, 2), 1),
+}
+
+
+@pytest.mark.parametrize("part", [1.5, True, "1"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize("name", sorted(_TAKES_A_PART))
+def test_a_part_must_be_an_int(name, part):
+    with pytest.raises(InvalidCompositionError):
+        _TAKES_A_PART[name](part)
+
+
+def test_parts_are_never_coerced():
+    # int("a") would raise a bare ValueError, and (1.0, 2.0) would pass as
+    # the permutation (1, 2)
+    with pytest.raises(InvalidCompositionError):
+        as_weak_composition(["a"])
+    with pytest.raises(InvalidCompositionError):
+        grassmannian_to_partition((1.0, 2.0), 1)
+    with pytest.raises(InvalidCompositionError):
+        as_composition("12")
 
 
 def test_canonical_order_is_size_then_length_then_lex():

@@ -70,11 +70,11 @@ def test_line_bundle_roundtrip_random():
 
 
 def test_z_locus_examples():
-    assert z_locus((1, 3), 2, 3).components == {(2, 0)}
-    assert z_locus((1,), 2, 1).components == {(0, 1), (1, 0)}
-    assert z_locus((), 3, 2).components == {(2, 2, 2)}
+    assert z_locus((1, 3), 2, 3) == {(2, 0)}
+    assert z_locus((1,), 2, 1) == {(0, 1), (1, 0)}
+    assert z_locus((), 3, 2) == {(2, 2, 2)}
     z = z_locus((2, 1), 4, 3)
-    assert len(z.components) == 6
+    assert len(z) == 6
     with pytest.raises(OutOfRangeError):
         z_locus((1, 3), 2, 2)
     with pytest.raises(OutOfRangeError):
@@ -91,7 +91,7 @@ def test_intersection_closure_mirrors_string_poset():
         for n in range(len(alpha), 7):
             strings = build_poset(alpha, n).elements
             for m in range(lo_m, 6):
-                closed = closure(z_locus(alpha, n, m).components, min)
+                closed = closure(z_locus(alpha, n, m), min)
                 assert sorted(closed) == sorted(tuple(m - x for x in e) for e in strings)
 
 
@@ -132,6 +132,13 @@ def test_kring_element_reduces_eagerly():
     assert (y * y * y).poly.is_zero()
     with pytest.raises(LengthMismatchError):
         y * KRingElement(SparsePoly(1, {(1,): 1}), 3)
+
+
+def test_kring_element_rejects_a_negative_truncation_degree():
+    # a negative cap would keep no monomial, and factorial(-1) has no value
+    for poly in (SparsePoly.one(1), SparsePoly.zero(2)):
+        with pytest.raises(OutOfRangeError):
+            KRingElement(poly, -1)
 
 
 def test_chern_series_coefficients_exact():

@@ -162,7 +162,7 @@ def test_is_lattice_with_bottom():
     assert build_poset((1, 3), 4).is_lattice_with_bottom()
     assert build_poset((2,), 1).is_lattice_with_bottom()
     assert build_poset((2, 1, 2), 5).is_lattice_with_bottom()
-    not_closed = GlidePoset((1,), 2, [(0, 1), (1, 0), (1, 2), (2, 1)], atoms((1,), 2))
+    not_closed = GlidePoset(2, [(0, 1), (1, 0), (1, 2), (2, 1)], atoms((1,), 2))
     assert not not_closed.is_lattice_with_bottom()
 
 

@@ -554,6 +554,8 @@ def test_graded_ring_validation():
         (_with_basis_entry("y", 1.5), MalformedInputError),
         (_with_basis_entry("y", "2"), MalformedInputError),
         (_with_basis_entry("y", True), MalformedInputError),
+        (_with_basis_entry(2, 1), MalformedInputError),
+        (_with_basis_entry(None, 2), MalformedInputError),
         (dict(RING_JSON, constants={"q": {"1": {"1": "1"}}}), UnknownLabelError),
         (dict(RING_JSON, constants={"x": {"x": {"x2": "1/0"}}}), MalformedInputError),
         (dict(RING_JSON, counit={"1": "abc"}), MalformedInputError),
@@ -567,6 +569,8 @@ def test_graded_ring_validation():
         "degree-a-float",
         "degree-a-numeric-string",
         "degree-a-bool",
+        "label-an-integer",
+        "label-null",
         "constants-unknown-factor",
         "coefficient-over-zero",
         "counit-not-rational",
