@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import InvalidCompositionError, SizeMismatchError
+from .errors import InvalidCompositionError, OutOfRangeError, SizeMismatchError
 
 Composition = tuple[int, ...]
 WeakComposition = tuple[int, ...]
@@ -33,6 +33,15 @@ def _int_parts(parts: Iterable[int], least: int, kind: str) -> tuple[int, ...]:
         if p < least:
             raise InvalidCompositionError(f"{kind} parts must be >= {least}: {out}")
     return out
+
+
+def _size(value: int, least: int, name: str) -> int:
+    """The one rule for a size (a count of slots, variables or partition parts,
+    a truncation degree, a degree bound): a Python int, not a bool, at least
+    ``least``.  Returns it; anything else is out of range."""
+    if type(value) is not int or value < least:
+        raise OutOfRangeError(f"{name} must be an int >= {least}, got {value!r}")
+    return value
 
 
 def as_composition(parts: Iterable[int]) -> Composition:

@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 from .compositions import (
     Composition,
     WeakComposition,
+    _size,
     as_composition,
     as_weak_composition,
     paddings,
@@ -75,7 +76,9 @@ def _move_closure(seed: Iterable[tuple[int, ...]]) -> frozenset[tuple[int, ...]]
 
 def enumerate_C_tilde(alpha: Iterable[int], n: int) -> frozenset[tuple[int, ...]]:
     """Barred strings reachable from the zero-paddings of alpha by M.1/M.2."""
-    return _c_tilde(as_composition(alpha), n)
+    a = as_composition(alpha)
+    # checked before the cache, which would serve n=2.0 from its n=2 entry
+    return _c_tilde(a, _size(n, len(a), "n"))
 
 
 @lru_cache(maxsize=1024)
@@ -138,8 +141,7 @@ def _inflations(
 def _closed_terms(a: Composition, n: int) -> dict[WeakComposition, int]:
     """Every padding into n slots of every run inflation of a, with the
     inflation's binomial coefficient: the closed glide's terms."""
-    if n < len(a):
-        raise OutOfRangeError(f"need n >= {len(a)} slots for {a}, got {n}")
+    _size(n, len(a), "n")
     # no part exceeds max(a), so n * max(a) bounds no inflation of length n
     gammas = _inflations(a, n, n * max(a, default=0))
     return {s: c for gamma, c in gammas for s in paddings(gamma, n)}
@@ -181,7 +183,7 @@ def mu_prime(sigma: Sequence[int], alpha: Iterable[int], n: int) -> int:
     """Signed count of barred preimages of sigma; zero off the move closure."""
     a = as_composition(alpha)
     s = as_weak_composition(sigma)
-    if len(s) != n:
+    if len(s) != _size(n, 0, "n"):
         raise OutOfRangeError(f"string {s} does not have length {n}")
     return _signed_projection(enumerate_C_tilde(a, n)).get(s, 0)
 
@@ -235,7 +237,6 @@ def glide_m_expansion(alpha: Iterable[int], degree_bound: int) -> dict[Compositi
 
 def check_binomial_identity(N: int, l: int) -> bool:
     """Alternating binomial sum telescoping to 1; a self-test of exact arithmetic."""
-    if not 1 <= N <= l:
-        raise OutOfRangeError(f"need 1 <= N <= l, got N={N}, l={l}")
+    _size(l, _size(N, 1, "N"), "l")
     total = sum(_run_factor(j, N) * comb(l, j) for j in range(N, l + 1))
     return total == 1

@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Iterable, Sequence
 
-from .compositions import as_composition, closure, paddings
+from .compositions import _size, as_composition, closure, paddings
 from .errors import LengthMismatchError, OutOfRangeError
 from .poly import SparsePoly, _integer_numerators
 from .qsym import read_m_coords
@@ -34,8 +34,7 @@ class KRingElement:
     m: int
 
     def __post_init__(self):
-        if self.m < 0:
-            raise OutOfRangeError(f"truncation degree must be >= 0, got {self.m}")
+        _size(self.m, 0, "truncation degree m")
         reduced = {
             e: c for e, c in self.poly.terms.items() if all(x <= self.m for x in e)
         }
@@ -56,7 +55,7 @@ class KRingElement:
 
     def restrict(self, n: int, m: int) -> "KRingElement":
         """Map to fewer variables (killing the tail) and a lower cap."""
-        if m > self.m:
+        if _size(m, 0, "m") > self.m:
             raise OutOfRangeError(f"cannot raise truncation degree {self.m} to {m}")
         return KRingElement(self.poly.restrict(n), m)
 
@@ -67,8 +66,7 @@ class KRingElement:
 
 def projective_structure_class(r: int, m: int) -> KRingElement:
     """Class of an r-dimensional linear subspace in one variable: y^(m-r)."""
-    if not 0 <= r <= m:
-        raise OutOfRangeError(f"need 0 <= r <= m, got r={r}, m={m}")
+    _size(m, _size(r, 0, "r"), "m")
     return KRingElement(SparsePoly.monomial((m - r,)), m)
 
 
@@ -78,7 +76,7 @@ def line_bundle_to_y(coeffs: Sequence[Fraction | int], m: int) -> KRingElement:
     ``coeffs[i]`` is the coefficient of the class twisted by -i; that class
     equals (1 - y)^i.
     """
-    if len(coeffs) != m + 1:
+    if len(coeffs) != _size(m, 0, "m") + 1:
         raise OutOfRangeError(f"expected {m + 1} coefficients, got {len(coeffs)}")
     out = [Fraction(0)] * (m + 1)
     for i, c in enumerate(coeffs):
@@ -110,11 +108,8 @@ def z_locus(alpha: Iterable[int], n: int, m: int) -> frozenset[tuple[int, ...]]:
     component records codimension data r_i = m - (padded alpha)_i.
     """
     a = as_composition(alpha)
-    if n < len(a):
-        raise OutOfRangeError(f"need n >= {len(a)} slots for {a}, got {n}")
-    if m < max(a, default=0):
-        raise OutOfRangeError(f"need m >= {max(a, default=0)} for {a}, got {m}")
-    return frozenset(paddings(tuple(m - x for x in a), n, m))
+    _size(m, max(a, default=0), "m")
+    return frozenset(paddings(tuple(m - x for x in a), _size(n, len(a), "n"), m))
 
 
 def knutson_class(alpha: Iterable[int], n: int, m: int) -> KRingElement:

@@ -17,6 +17,7 @@ from math import lcm
 from operator import add
 from typing import Iterable, Mapping
 
+from .compositions import _size
 from .errors import LengthMismatchError
 
 ExponentVector = tuple[int, ...]
@@ -36,7 +37,7 @@ class SparsePoly:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[ExponentVector, Fraction | int] | None = None):
-        self.nvars = nvars
+        self.nvars = _size(nvars, 0, "nvars")
         clean: dict[ExponentVector, Fraction] = {}
         if terms:
             for exps, coeff in terms.items():
@@ -87,7 +88,7 @@ class SparsePoly:
 
     @classmethod
     def one(cls, nvars: int) -> "SparsePoly":
-        return cls(nvars, {(0,) * nvars: Fraction(1)})
+        return cls(nvars, {(0,) * _size(nvars, 0, "nvars"): Fraction(1)})
 
     @classmethod
     def monomial(cls, exps: Iterable[int], coeff: Fraction | int = 1) -> "SparsePoly":
@@ -154,7 +155,7 @@ class SparsePoly:
 
     def restrict(self, nvars: int) -> "SparsePoly":
         """Set the variables beyond index ``nvars`` to zero."""
-        if nvars > self.nvars:
+        if _size(nvars, 0, "nvars") > self.nvars:
             raise LengthMismatchError(f"cannot restrict {self.nvars} variables to {nvars}")
         out = {
             e[:nvars]: c for e, c in self.terms.items() if all(x == 0 for x in e[nvars:])

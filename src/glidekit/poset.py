@@ -19,7 +19,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .compositions import WeakComposition, as_composition, closure, paddings
+from .compositions import WeakComposition, _size, as_composition, closure, paddings
 from .errors import OutOfRangeError, LengthMismatchError
 
 
@@ -47,10 +47,7 @@ def leq(p: Sequence[int], q: Sequence[int]) -> bool:
 def atoms(alpha: Iterable[int], n: int) -> frozenset[WeakComposition]:
     """All length-n strings obtained from alpha by inserting zeros."""
     a = as_composition(alpha)
-    k = len(a)
-    if n < k:
-        raise OutOfRangeError(f"need n >= {k} slots for {a}, got {n}")
-    return frozenset(paddings(a, n))
+    return frozenset(paddings(a, _size(n, len(a), "n")))
 
 
 def _greatest(bits: int) -> int:
@@ -78,11 +75,10 @@ class GlidePoset:
         elements: Iterable[WeakComposition],
         atom_set: frozenset[WeakComposition],
     ):
-        self.n = n
+        self.n = _size(n, 0, "n")
         self.elements = tuple(sorted(elements))
         self.atom_set = atom_set
         self._index = {p: i for i, p in enumerate(self.elements)}
-        self._mobius: dict[WeakComposition, int] | None = None
         self._down: list[int] | None = None
         self._up: list[int] | None = None
 
@@ -137,24 +133,22 @@ class GlidePoset:
         Computed bottom-up along the linear extension by increasing entry sum,
         summing only over the elements below p with a nonzero value.
         """
-        if self._mobius is None:
-            down = self._downsets()
-            values = [0] * len(self.elements)
-            nonzero = 0
-            mu: dict[WeakComposition, int] = {}
-            for p in sorted(self.elements, key=lambda e: (sum(e), e)):
-                k = self._index[p]
-                below = 0
-                bits = down[k] & nonzero
-                while bits:
-                    low = bits & -bits
-                    below += values[low.bit_length() - 1]
-                    bits ^= low
-                mu[p] = values[k] = 1 - below
-                if values[k]:
-                    nonzero |= 1 << k
-            self._mobius = mu
-        return dict(self._mobius)
+        down = self._downsets()
+        values = [0] * len(self.elements)
+        nonzero = 0
+        mu: dict[WeakComposition, int] = {}
+        for p in sorted(self.elements, key=lambda e: (sum(e), e)):
+            k = self._index[p]
+            below = 0
+            bits = down[k] & nonzero
+            while bits:
+                low = bits & -bits
+                below += values[low.bit_length() - 1]
+                bits ^= low
+            mu[p] = values[k] = 1 - below
+            if values[k]:
+                nonzero |= 1 << k
+        return mu
 
     def mobius_crosscut(self, sigma: Sequence[int]) -> int:
         """Independent Mobius oracle via subsets of atoms joining to sigma.

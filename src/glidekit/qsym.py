@@ -22,6 +22,7 @@ from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequenc
 
 from .compositions import (
     Composition,
+    _size,
     as_composition,
     overlapping_paddings,
     paddings,
@@ -59,8 +60,8 @@ class QSymElement:
     degree_bound: int | None = UNBOUNDED
 
     def __post_init__(self):
-        if self.degree_bound is not None and self.degree_bound < 0:
-            raise OutOfRangeError(f"degree bound must be >= 0, got {self.degree_bound}")
+        if self.degree_bound is not None:
+            _size(self.degree_bound, 0, "degree bound")
         clean = {}
         for alpha, c in self.coords.items():
             a = as_composition(alpha)
@@ -121,7 +122,8 @@ def m_to_polynomial(alpha: Iterable[int], n: int) -> SparsePoly:
     The sum over strictly increasing placements; zero when alpha is longer
     than the variable count.
     """
-    return SparsePoly._trusted(n, dict.fromkeys(paddings(as_composition(alpha), n), _ONE))
+    a = as_composition(alpha)
+    return SparsePoly._trusted(_size(n, 0, "n"), dict.fromkeys(paddings(a, n), _ONE))
 
 
 def read_m_coords(
@@ -134,7 +136,7 @@ def read_m_coords(
     passes when it holds exactly the C(n, len(gamma)) placements of its
     composition gamma, all with one coefficient.
     """
-    if f.nvars != n:
+    if f.nvars != _size(n, 0, "n"):
         raise LengthMismatchError(f"polynomial has {f.nvars} variables, expected {n}")
     coords: dict[Composition, Fraction] = {}
     placements: dict[Composition, int] = {}
@@ -205,9 +207,9 @@ def m_multiply(f: QSymElement, g: QSymElement) -> QSymElement:
 
 def glide_element(alpha: Iterable[int], degree_bound: int) -> QSymElement:
     """The glide of alpha as truncated monomial-basis coordinates."""
-    a = as_composition(alpha)
+    _size(degree_bound, 0, "degree bound")
     return QSymElement(
-        {g: Fraction(c) for g, c in glide_m_expansion(a, degree_bound).items()},
+        {g: Fraction(c) for g, c in glide_m_expansion(alpha, degree_bound).items()},
         degree_bound,
     )
 
@@ -219,12 +221,17 @@ def glide_expand(f: QSymElement, degree_bound: int) -> dict[Composition, Fractio
     degree terms, so repeatedly peeling the lowest homogeneous layer
     terminates once the residual passes the bound.
 
-    The input must carry the intended coordinates faithfully up to the bound.
-    Coordinates read off an n-variable polynomial are faithful up to degree n
-    (a composition of larger degree can be longer than n and hence invisible
-    in n variables); beyond that window the expansion describes the
-    truncation, not the power series it came from.
+    The bound may not exceed the element's own bound, above which its
+    coordinates were dropped, not zeroed.  The input must carry the intended
+    coordinates faithfully up to the bound.  Coordinates read off an
+    n-variable polynomial are faithful up to degree n (a composition of
+    larger degree can be longer than n and hence invisible in n variables);
+    beyond that window the expansion describes the truncation, not the power
+    series it came from.
     """
+    _size(degree_bound, 0, "degree bound")
+    if f.degree_bound is not None:
+        _size(f.degree_bound, degree_bound, "the element's degree bound")
     coords: dict[Composition, Fraction] = {}
     residual = {a: c for a, c in f.coords.items() if sum(a) <= degree_bound}
     while residual:
@@ -421,10 +428,7 @@ def qsym_r_product(
     """
     t = _validate_label_tuple(theta, ring)
     k = _validate_label_tuple(kappa, ring)
-    if len(t) + len(k) > n:
-        raise OutOfRangeError(
-            f"need n >= {len(t) + len(k)} tensor factors, got {n}"
-        )
+    _size(n, len(t) + len(k), "n")
     unit = ring.unit
     out: dict[LabelTuple, Fraction] = {}
     for k1 in paddings(t, n, unit):

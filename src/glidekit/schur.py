@@ -14,7 +14,7 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .compositions import _int_parts, overlapping_paddings
+from .compositions import _int_parts, _size, overlapping_paddings
 from .errors import (
     InvalidCompositionError,
     LengthMismatchError,
@@ -32,7 +32,7 @@ def as_partition(parts: Iterable[int], k: int | None = None) -> Partition:
     p = _int_parts(parts, 0, "partition")
     if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
         raise InvalidCompositionError(f"partition parts must weakly decrease: {p}")
-    if k is not None and len(p) != k:
+    if k is not None and len(p) != _size(k, 0, "k"):
         raise LengthMismatchError(f"partition {p} does not have length {k}")
     return p
 
@@ -226,7 +226,7 @@ def grassmannian_to_partition(w: Sequence[int], k: int) -> Partition:
     word = _int_parts(w, 1, "permutation")
     if sorted(word) != list(range(1, len(word) + 1)):
         raise NotGrassmannianError(f"{word} is not a permutation in one-line notation")
-    if k > len(word) or not is_grassmannian(word, k):
+    if _size(k, 0, "k") > len(word) or not is_grassmannian(word, k):
         raise NotGrassmannianError(f"{word} has descents away from position {k}")
     return tuple(word[k - j - 1] - (k - j) for j in range(k))
 
@@ -235,8 +235,7 @@ def partition_to_grassmannian(lam: Iterable[int], k: int, n: int | None = None) 
     """Inverse translation; the result lives in the symmetric group on n letters."""
     l = as_partition(lam, k)
     least = k + (l[0] if l else 0)
-    if n is None:
-        n = least
+    n = least if n is None else _size(n, 0, "n")
     if n < least:
         raise NotGrassmannianError(f"need n >= {least} letters for {l}")
     head = tuple(l[k - i] + i for i in range(1, k + 1))
@@ -267,6 +266,7 @@ def buk_structure_constant(
     contributes a ballot tableau count, with a factor missing from a slot
     read as the zero partition.
     """
+    _size(k, 0, "k")
     lams = as_partition_tuple(lam_tuple, k)
     mus = as_partition_tuple(mu_tuple, k)
     nus = as_partition_tuple(nu_tuple, k)
@@ -290,6 +290,7 @@ def schur_ring(k: int) -> GradedRingData:
     the unit.  Products are exact, generated on demand and kept in a bounded
     cache; each is a read-only view, so no caller can change a cached one.
     """
+    _size(k, 0, "k")
 
     @lru_cache(maxsize=4096)
     def multiply(lam: Partition, mu: Partition) -> Mapping[Partition, Fraction]:

@@ -188,6 +188,7 @@ MALFORMED_ARGV = [
     (["lr", "--lambda", "1", "--mu", "1", "--nu", "-1"], "invalid-composition"),
     (["lr", "--lambda", "2,1", "--mu", "1", "--nu", "3,1"], "length-mismatch"),
     (["buk", "--k", "0", "--lambda", "1", "--m", "1", "--n", "2"], "length-mismatch"),
+    (["buk", "--k", "-1", "--lambda", "", "--m", "", "--n", ""], "out-of-range"),
     (["buk", "--k", "2", "--lambda", "0,0", "--m", "1,0", "--n", "1,0"], "invalid-composition"),
     (["buk", "--k", "2", "--lambda", "1,2", "--m", "1,0", "--n", "2,1"], "invalid-composition"),
     (["buk", "--k", "2", "--lambda", "1,0;;2,0", "--m", "1,0", "--n", "2,0"], "length-mismatch"),

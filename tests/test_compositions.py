@@ -1,8 +1,10 @@
+import inspect
 from itertools import combinations, product
 from math import comb
 
 import pytest
 
+import glidekit as gk
 from glidekit.compositions import (
     as_composition,
     as_weak_composition,
@@ -16,8 +18,9 @@ from glidekit.compositions import (
     sorting_data,
     standardize,
 )
-from glidekit.errors import InvalidCompositionError, SizeMismatchError
+from glidekit.errors import InvalidCompositionError, OutOfRangeError, SizeMismatchError
 from glidekit.glides import glide_polynomial
+from glidekit.qsym import glide_element
 from glidekit.schur import (
     as_partition,
     buk_structure_constant,
@@ -218,6 +221,94 @@ def test_parts_are_never_coerced():
         grassmannian_to_partition((1.0, 2.0), 1)
     with pytest.raises(InvalidCompositionError):
         as_composition("12")
+
+
+_SIZE_NAMES = {"n", "m", "k", "nvars", "degree_bound", "N", "l", "r"}
+
+
+def _size_parameters() -> set[tuple[str, str]]:
+    """(callable, parameter) for every size argument of the public API: the
+    callables in ``glidekit.__all__``, the public methods of its classes, and
+    two helpers outside it that take a size."""
+    found = {"glide_element": glide_element, "as_partition": as_partition}
+    for name in gk.__all__:
+        obj = getattr(gk, name)
+        if callable(obj):
+            found[name] = obj
+        if inspect.isclass(obj):
+            for attr in vars(obj):
+                if not attr.startswith("_") and inspect.isroutine(getattr(obj, attr)):
+                    found[f"{name}.{attr}"] = getattr(obj, attr)
+    return {
+        (name, p)
+        for name, f in found.items()
+        for p in inspect.signature(f).parameters
+        if p in _SIZE_NAMES
+    }
+
+
+_K = gk.KRingElement(gk.SparsePoly.one(2), 2)
+
+# each call is valid with the size 1, and the int beside it is below the
+# least value that argument takes
+_TAKES_A_SIZE = {
+    ("GlidePoset", "n"): (lambda x: gk.GlidePoset(x, (), frozenset()), -1),
+    ("KRingElement", "m"): (lambda x: gk.KRingElement(gk.SparsePoly.one(1), x), -1),
+    ("KRingElement.restrict", "m"): (lambda x: _K.restrict(1, x), -1),
+    ("KRingElement.restrict", "n"): (lambda x: _K.restrict(x, 1), -1),
+    ("QSymElement", "degree_bound"): (lambda x: gk.QSymElement({}, x), -1),
+    ("QSymElement.monomial", "degree_bound"): (lambda x: gk.QSymElement.monomial((1,), x), -1),
+    ("SparsePoly", "nvars"): (lambda x: gk.SparsePoly(x), -1),
+    ("SparsePoly.one", "nvars"): (lambda x: gk.SparsePoly.one(x), -1),
+    ("SparsePoly.restrict", "nvars"): (lambda x: gk.SparsePoly.one(2).restrict(x), -1),
+    ("SparsePoly.zero", "nvars"): (lambda x: gk.SparsePoly.zero(x), -1),
+    ("as_partition", "k"): (lambda x: as_partition((1,), x), -1),
+    ("atoms", "n"): (lambda x: gk.atoms((1,), x), 0),
+    ("build_poset", "n"): (lambda x: gk.build_poset((1,), x), 0),
+    ("buk_structure_constant", "k"): (lambda x: gk.buk_structure_constant((), (), (), x), -1),
+    ("check_binomial_identity", "N"): (lambda x: gk.check_binomial_identity(x, 1), 0),
+    ("check_binomial_identity", "l"): (lambda x: gk.check_binomial_identity(1, x), 0),
+    ("enumerate_C", "n"): (lambda x: gk.enumerate_C((1,), x), 0),
+    ("enumerate_C_tilde", "n"): (lambda x: gk.enumerate_C_tilde((1,), x), 0),
+    ("glide_element", "degree_bound"): (lambda x: glide_element((1,), x), -1),
+    ("glide_expand", "degree_bound"): (
+        lambda x: gk.glide_expand(gk.QSymElement.monomial((1,)), x),
+        -1,
+    ),
+    ("glide_polynomial", "n"): (lambda x: gk.glide_polynomial((1,), x), 0),
+    ("glide_structure_constants", "degree_bound"): (
+        lambda x: gk.glide_structure_constants((1,), (1,), x),
+        -1,
+    ),
+    ("grassmannian_to_partition", "k"): (lambda x: gk.grassmannian_to_partition((1, 2), x), -1),
+    ("is_quasisymmetric", "n"): (lambda x: gk.is_quasisymmetric(gk.SparsePoly.one(1), x), -1),
+    ("knutson_class", "m"): (lambda x: gk.knutson_class((1,), 1, x), 0),
+    ("knutson_class", "n"): (lambda x: gk.knutson_class((1,), x, 1), 0),
+    ("line_bundle_to_y", "m"): (lambda x: gk.line_bundle_to_y((1, 0), x), -1),
+    ("m_to_polynomial", "n"): (lambda x: gk.m_to_polynomial((1,), x), -1),
+    ("mu_prime", "n"): (lambda x: gk.mu_prime((1,), (1,), x), -1),
+    ("partition_to_grassmannian", "k"): (lambda x: gk.partition_to_grassmannian((0,), x), -1),
+    ("partition_to_grassmannian", "n"): (lambda x: gk.partition_to_grassmannian((), 0, x), -1),
+    ("polynomial_to_m", "n"): (lambda x: gk.polynomial_to_m(gk.SparsePoly.one(1), x), -1),
+    ("projective_structure_class", "m"): (lambda x: gk.projective_structure_class(1, x), 0),
+    ("projective_structure_class", "r"): (lambda x: gk.projective_structure_class(x, 1), -1),
+    ("qsym_r_product", "n"): (lambda x: gk.qsym_r_product((1,), (), gk.cpinf_ring(), x), 0),
+    ("schur_polynomial", "k"): (lambda x: gk.schur_polynomial((1,), x), -1),
+    ("schur_ring", "k"): (lambda x: gk.schur_ring(x), -1),
+    ("z_locus", "m"): (lambda x: gk.z_locus((1,), 1, x), 0),
+    ("z_locus", "n"): (lambda x: gk.z_locus((1,), x, 1), 0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_TAKES_A_SIZE), ids=".".join)
+def test_a_size_must_be_an_int_at_least_its_least_value(entry):
+    # a new size argument fails every case until it has a row in the table
+    assert set(_TAKES_A_SIZE) == _size_parameters()
+    call, below = _TAKES_A_SIZE[entry]
+    call(1)
+    for bad in (1.5, True, "2", below):
+        with pytest.raises(OutOfRangeError):
+            call(bad)
 
 
 def test_canonical_order_is_size_then_length_then_lex():

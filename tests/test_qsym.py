@@ -314,6 +314,17 @@ def test_glide_expand_reconstructs_input():
     assert rebuilt.coords == expected
 
 
+def test_glide_expand_refuses_a_bound_above_the_elements_own():
+    # G_(1) cut at degree 1 holds only M_(1); its coordinates on (1,1) and
+    # (1,1,1) were dropped, and reading them as 0 would return
+    # {(1,): 1, (1, 1): 1, (1, 1, 1): 1} instead of G_(1)
+    cut = glide_element((1,), 1)
+    assert glide_expand(cut, 1) == {(1,): Fraction(1)}
+    with pytest.raises(OutOfRangeError):
+        glide_expand(cut, 3)
+    assert glide_expand(glide_element((1,), 3), 3) == {(1,): Fraction(1)}
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     coeffs=st.dictionaries(
