@@ -7,10 +7,11 @@ empty composition ``()`` is a first-class value (it indexes the unit class).
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import InvalidCompositionError, OutOfRangeError, SizeMismatchError
+from .errors import InvalidCompositionError, MalformedInputError, OutOfRangeError, SizeMismatchError
 
 Composition = tuple[int, ...]
 WeakComposition = tuple[int, ...]
@@ -42,6 +43,17 @@ def _size(value: int, least: int, name: str) -> int:
     if type(value) is not int or value < least:
         raise OutOfRangeError(f"{name} must be an int >= {least}, got {value!r}")
     return value
+
+
+def _exact(value: Fraction | int, name: str) -> Fraction:
+    """The one rule for a coefficient: a Python int (not a bool) or a
+    Fraction, returned as a Fraction.  Anything else, a float included, is
+    malformed input, so no coefficient passes as a nearby rational."""
+    if type(value) is Fraction:
+        return value
+    if type(value) is not int:
+        raise MalformedInputError(f"{name} must be an int or a Fraction, got {value!r}")
+    return Fraction(value)
 
 
 def as_composition(parts: Iterable[int]) -> Composition:

@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence
 
-from .compositions import canonical_key
+from .compositions import _exact, canonical_key
 from .errors import InputFileError, InvalidCompositionError, MalformedInputError
 from .poly import SparsePoly
 
@@ -21,6 +21,9 @@ def frac_str(value: Fraction | int) -> str:
 
 
 def parse_frac(text: str | int) -> Fraction:
+    """A rational from "p/q" text, or from a JSON number by the coefficient rule."""
+    if type(text) is not str:
+        return _exact(text, "coefficient")
     try:
         return Fraction(text)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -77,9 +80,15 @@ def comp_map_to_json(coords: Mapping[tuple[int, ...], Fraction | int]) -> list[d
 
 
 def comp_map_from_json(items: Iterable[Mapping[str, Any]]) -> dict[tuple[int, ...], Fraction]:
+    out: dict[tuple[int, ...], Fraction] = {}
     try:
-        return {tuple(entry["comp"]): parse_frac(entry["coeff"]) for entry in items}
+        for entry in items:
+            comp = tuple(entry["comp"])
+            if comp in out:
+                raise MalformedInputError(f"composition {list(comp)} is listed twice")
+            out[comp] = parse_frac(entry["coeff"])
     except (KeyError, TypeError) as exc:
         raise MalformedInputError(
             "coordinates must be a list of {\"comp\": [...], \"coeff\": \"p/q\"} objects"
         ) from exc
+    return out

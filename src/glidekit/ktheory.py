@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import comb, factorial
 from typing import Iterable, Sequence
 
-from .compositions import _size, as_composition, closure, paddings
+from .compositions import _exact, _size, as_composition, closure, paddings
 from .errors import LengthMismatchError, OutOfRangeError
 from .poly import SparsePoly, _integer_numerators
 from .qsym import read_m_coords
@@ -80,9 +80,7 @@ def line_bundle_to_y(coeffs: Sequence[Fraction | int], m: int) -> KRingElement:
         raise OutOfRangeError(f"expected {m + 1} coefficients, got {len(coeffs)}")
     out = [Fraction(0)] * (m + 1)
     for i, c in enumerate(coeffs):
-        cf = Fraction(c)
-        if not cf:
-            continue
+        cf = _exact(c, "coefficient")
         for j in range(i + 1):
             out[j] += cf * (-1) ** j * comb(i, j)
     return KRingElement(SparsePoly(1, {(j,): c for j, c in enumerate(out) if c}), m)

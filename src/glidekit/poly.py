@@ -17,7 +17,7 @@ from math import lcm
 from operator import add
 from typing import Iterable, Mapping
 
-from .compositions import _size
+from .compositions import _exact, _int_parts, _size
 from .errors import LengthMismatchError
 
 ExponentVector = tuple[int, ...]
@@ -39,15 +39,17 @@ class SparsePoly:
     def __init__(self, nvars: int, terms: Mapping[ExponentVector, Fraction | int] | None = None):
         self.nvars = _size(nvars, 0, "nvars")
         clean: dict[ExponentVector, Fraction] = {}
-        if terms:
-            for exps, coeff in terms.items():
-                if len(exps) != nvars:
-                    raise LengthMismatchError(
-                        f"exponent vector {exps} does not have {nvars} entries"
-                    )
-                c = coeff if type(coeff) is Fraction else Fraction(coeff)
-                if c:
-                    clean[tuple(exps)] = c
+        # one Fraction per distinct int coefficient, as in ``_from_numerators``
+        shared: dict[int, Fraction] = {}
+        for exps, coeff in (terms or {}).items():
+            e = _int_parts(exps, 0, "exponent vector")
+            if len(e) != nvars:
+                raise LengthMismatchError(f"exponent vector {e} does not have {nvars} entries")
+            c = shared.get(coeff) if type(coeff) is int else _exact(coeff, "coefficient")
+            if c is None:
+                c = shared[coeff] = _exact(coeff, "coefficient")
+            if c:
+                clean[e] = c
         self.terms = clean
 
     @classmethod
@@ -55,7 +57,8 @@ class SparsePoly:
         """Wrap terms built inside the package without checking them again.
 
         The caller guarantees what ``__init__`` enforces: every key is a
-        tuple of ``nvars`` ints and every value a nonzero ``Fraction``.
+        tuple of ``nvars`` nonnegative ints and every value a nonzero
+        ``Fraction`` (``__init__`` also takes int coefficients).
         """
         self = object.__new__(cls)
         self.nvars = nvars
@@ -93,7 +96,7 @@ class SparsePoly:
     @classmethod
     def monomial(cls, exps: Iterable[int], coeff: Fraction | int = 1) -> "SparsePoly":
         e = tuple(exps)
-        return cls(len(e), {e: Fraction(coeff)})
+        return cls(len(e), {e: coeff})
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -148,7 +151,7 @@ class SparsePoly:
         return SparsePoly._from_numerators(self.nvars, out, d1 * d2)
 
     def scale(self, factor: Fraction | int) -> "SparsePoly":
-        f = Fraction(factor)
+        f = _exact(factor, "factor")
         numerators, d = _integer_numerators(self.terms)
         scaled = {e: a * f.numerator for e, a in numerators}
         return SparsePoly._from_numerators(self.nvars, scaled, d * f.denominator)

@@ -10,13 +10,15 @@ the traditional bottom-augmented Mobius function.
 
 Order queries run on bitsets over the element indices: bit k of a downset
 is set when element k lies below.  Per-coordinate tables give every
-downset and upset as an AND of n integers, so the Mobius recurrence, the
-cover relations and meets cost bit operations instead of loops over pairs.
+downset as an AND of n integers, so the Mobius recurrence, the cover
+relations and meets cost bit operations instead of loops over pairs.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from functools import reduce
+from itertools import accumulate, combinations
+from operator import and_, getitem, or_
 from typing import Iterable, Sequence
 
 from .compositions import WeakComposition, _size, as_composition, closure, paddings
@@ -80,7 +82,6 @@ class GlidePoset:
         self.atom_set = atom_set
         self._index = {p: i for i, p in enumerate(self.elements)}
         self._down: list[int] | None = None
-        self._up: list[int] | None = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -88,44 +89,24 @@ class GlidePoset:
     def __contains__(self, p: object) -> bool:
         return p in self._index
 
-    def _order_sets(self, below: bool) -> list[int]:
-        """Bitset of the downset (``below``) or upset of every element, by index.
+    def _downsets(self) -> list[int]:
+        """Bitset of the downset of every element, by index.
 
-        ``table[i][v]`` holds the elements whose coordinate i is at most v
-        (for downsets) or at least v (for upsets); a downset is the AND of
-        ``table[i][p_i]`` over the coordinates.
+        ``tables[i][v]`` holds the elements whose coordinate i is at most v;
+        a downset is the AND of ``tables[i][p_i]`` over the coordinates.
         """
+        if self._down is not None:
+            return self._down
         top = max((x for e in self.elements for x in e), default=0)
         tables = []
         for i in range(self.n):
             exact = [0] * (top + 1)
             for k, e in enumerate(self.elements):
                 exact[e[i]] |= 1 << k
-            table, acc = [], 0
-            for bits in exact if below else reversed(exact):
-                acc |= bits
-                table.append(acc)
-            if not below:
-                table.reverse()
-            tables.append(table)
+            tables.append(list(accumulate(exact, or_)))
         full = (1 << len(self.elements)) - 1
-        out = []
-        for e in self.elements:
-            bits = full
-            for table, v in zip(tables, e):
-                bits &= table[v]
-            out.append(bits)
-        return out
-
-    def _downsets(self) -> list[int]:
-        if self._down is None:
-            self._down = self._order_sets(below=True)
+        self._down = [reduce(and_, map(getitem, tables, e), full) for e in self.elements]
         return self._down
-
-    def _upsets(self) -> list[int]:
-        if self._up is None:
-            self._up = self._order_sets(below=False)
-        return self._up
 
     def mobius(self) -> dict[WeakComposition, int]:
         """Unique table with sum over {q <= p} of mu(q) equal to 1, for all p.
@@ -184,19 +165,21 @@ class GlidePoset:
     def covers(self) -> list[tuple[int, int]]:
         """Cover relations as index pairs (i, j) with element i covered by j.
 
-        Element i is covered by j when it is maximal in the strict downset
-        of j, that is, when no other element of that downset lies above it.
+        Element i is covered by j when it lies in the strict downset of j but
+        in the strict downset of no member of it.
         """
-        down, up = self._downsets(), self._upsets()
+        strict_down = [d ^ (1 << k) for k, d in enumerate(self._downsets())]
         out = []
-        for j, d in enumerate(down):
-            strict = d ^ (1 << j)
-            bits = strict
+        for j, strict in enumerate(strict_down):
+            below, bits = 0, strict
             while bits:
                 low = bits & -bits
-                i = low.bit_length() - 1
-                if up[i] & strict == low:
-                    out.append((i, j))
+                below |= strict_down[low.bit_length() - 1]
+                bits ^= low
+            bits = strict & ~below
+            while bits:
+                low = bits & -bits
+                out.append((low.bit_length() - 1, j))
                 bits ^= low
         return sorted(out)
 

@@ -22,6 +22,7 @@ from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequenc
 
 from .compositions import (
     Composition,
+    _exact,
     _size,
     as_composition,
     overlapping_paddings,
@@ -30,7 +31,6 @@ from .compositions import (
 )
 from .errors import (
     GlidekitError,
-    InvalidCompositionError,
     LengthMismatchError,
     MalformedInputError,
     NotQuasisymmetricError,
@@ -65,11 +65,9 @@ class QSymElement:
         clean = {}
         for alpha, c in self.coords.items():
             a = as_composition(alpha)
-            cf = c if type(c) is Fraction else Fraction(c)
+            cf = _exact(c, "coefficient")
             if self.degree_bound is not None and sum(a) > self.degree_bound:
-                raise OutOfRangeError(
-                    f"coordinate {a} exceeds degree bound {self.degree_bound}"
-                )
+                raise OutOfRangeError(f"coordinate {a} exceeds degree bound {self.degree_bound}")
             if cf:
                 clean[a] = cf
         object.__setattr__(self, "coords", clean)
@@ -79,7 +77,8 @@ class QSymElement:
         """Wrap coordinates built inside the package without checking them again.
 
         The caller guarantees what ``__post_init__`` enforces: every key is a
-        composition within the bound and every value a nonzero ``Fraction``.
+        composition within the bound and every value a nonzero ``Fraction``
+        (``__post_init__`` also takes int coefficients).
         """
         self = object.__new__(cls)
         object.__setattr__(self, "coords", coords)
@@ -98,7 +97,7 @@ class QSymElement:
         return QSymElement(_truncate(out, bound), bound)
 
     def scale(self, factor: Fraction | int) -> "QSymElement":
-        f = Fraction(factor)
+        f = _exact(factor, "factor")
         return QSymElement({a: c * f for a, c in self.coords.items()}, self.degree_bound)
 
 
@@ -165,12 +164,7 @@ def polynomial_to_m(f: SparsePoly, n: int) -> QSymElement:
             f"the {comb(n, len(failed))} placements of {failed} "
             f"do not all carry one coefficient"
         )
-    # the keys are the positive parts of f's exponent vectors, so only a
-    # negative exponent keeps one from being a composition; the values are
-    # coefficients of f, hence nonzero Fractions
-    bad = next((gamma for gamma in coords if min(gamma, default=1) < 1), None)
-    if bad is not None:
-        raise InvalidCompositionError(f"composition parts must be >= 1: {bad}")
+    # keys are positive parts of nonnegative exponent vectors: compositions
     return QSymElement._trusted(coords, UNBOUNDED)
 
 
@@ -208,10 +202,7 @@ def m_multiply(f: QSymElement, g: QSymElement) -> QSymElement:
 def glide_element(alpha: Iterable[int], degree_bound: int) -> QSymElement:
     """The glide of alpha as truncated monomial-basis coordinates."""
     _size(degree_bound, 0, "degree bound")
-    return QSymElement(
-        {g: Fraction(c) for g, c in glide_m_expansion(alpha, degree_bound).items()},
-        degree_bound,
-    )
+    return QSymElement(glide_m_expansion(alpha, degree_bound), degree_bound)
 
 
 def glide_expand(f: QSymElement, degree_bound: int) -> dict[Composition, Fraction]:
@@ -265,11 +256,11 @@ class GradedRingData:
     """A graded ring with basis, given by its unit, degrees and structure constants.
 
     ``multiply`` maps a pair of non-unit basis labels to a finitely supported
-    label -> Fraction mapping, which callers only read; the unit is handled
-    here.  ``contains`` tests label validity, so rings with infinitely many
-    basis labels (one generator per degree, the tableau rings) can be given
-    lazily.  The tensor engine takes only labels of positive degree, and
-    checks each one it is given.
+    label -> int or Fraction mapping, which callers only read; ``product``
+    checks each coefficient and handles the unit.  ``contains`` tests label
+    validity, so rings with infinitely many basis labels (one generator per
+    degree, the tableau rings) can be given lazily.  The tensor engine takes
+    only labels of positive degree, and checks each one it is given.
     """
 
     unit: Label
@@ -282,7 +273,8 @@ class GradedRingData:
             return {b: _ONE}
         if b == self.unit:
             return {a: _ONE}
-        return {l: Fraction(c) for l, c in self.multiply(a, b).items() if c}
+        terms = self.multiply(a, b).items()
+        return {l: q for l, c in terms if (q := _exact(c, "structure constant"))}
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "GradedRingData":

@@ -14,7 +14,7 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .compositions import _int_parts, _size, overlapping_paddings
+from .compositions import _exact, _int_parts, _size, overlapping_paddings
 from .errors import (
     InvalidCompositionError,
     LengthMismatchError,
@@ -299,7 +299,7 @@ def schur_ring(k: int) -> GradedRingData:
         for nu in _partitions_of(total, k, lam[0] + sum(mu) if lam else sum(mu)):
             c = lr_coefficient(lam, mu, nu)
             if c:
-                out[nu] = Fraction(c)
+                out[nu] = _exact(c, "coefficient")
         return MappingProxyType(out)
 
     def is_label(label: object) -> bool:

@@ -128,6 +128,9 @@ def test_domain_error_exit_code(capsys):
         ('{"coords": [{"comp": [1.5], "coeff": "1"}]}', "invalid-composition"),
         ('{"coords": [{"comp": "12", "coeff": "1"}]}', "invalid-composition"),
         ('{"coords": [{"comp": [true, 2], "coeff": "1"}]}', "invalid-composition"),
+        ('{"coords": [{"comp": [1], "coeff": 0.1}]}', "malformed-input"),
+        ('{"coords": [{"comp": [1], "coeff": true}]}', "malformed-input"),
+        ('[{"comp": [1], "coeff": "1"}, {"comp": [1], "coeff": "5"}]', "malformed-input"),
     ],
     ids=[
         "missing file",
@@ -138,6 +141,9 @@ def test_domain_error_exit_code(capsys):
         "float part",
         "string composition",
         "bool part",
+        "float coefficient",
+        "bool coefficient",
+        "composition listed twice",
     ],
 )
 def test_glide_expand_bad_input_is_typed_error(tmp_path, capsys, content, error_code):
@@ -148,6 +154,14 @@ def test_glide_expand_bad_input_is_typed_error(tmp_path, capsys, content, error_
     assert code == 1
     assert out == ""
     assert json.loads(err)["error"]["code"] == error_code
+
+
+def test_glide_expand_names_a_composition_listed_twice(tmp_path, capsys):
+    path = tmp_path / "element.json"
+    path.write_text('[{"comp": [1, 2], "coeff": "1"}, {"comp": [1, 2], "coeff": "1"}]')
+    code, out, err = invoke(capsys, "glide-expand", "--input", str(path), "--degree", "4")
+    assert (code, out) == (1, "")
+    assert "[1, 2]" in json.loads(err)["error"]["message"]
 
 
 @pytest.mark.parametrize("command", ["glide-struct", "glide-expand"])

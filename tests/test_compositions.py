@@ -1,4 +1,5 @@
 import inspect
+from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
@@ -18,7 +19,12 @@ from glidekit.compositions import (
     sorting_data,
     standardize,
 )
-from glidekit.errors import InvalidCompositionError, OutOfRangeError, SizeMismatchError
+from glidekit.errors import (
+    InvalidCompositionError,
+    MalformedInputError,
+    OutOfRangeError,
+    SizeMismatchError,
+)
 from glidekit.glides import glide_polynomial
 from glidekit.qsym import glide_element
 from glidekit.schur import (
@@ -224,12 +230,13 @@ def test_parts_are_never_coerced():
 
 
 _SIZE_NAMES = {"n", "m", "k", "nvars", "degree_bound", "N", "l", "r"}
+_COEFFICIENT_NAMES = {"terms", "coords", "coeff", "coeffs", "factor", "multiply"}
 
 
-def _size_parameters() -> set[tuple[str, str]]:
-    """(callable, parameter) for every size argument of the public API: the
-    callables in ``glidekit.__all__``, the public methods of its classes, and
-    two helpers outside it that take a size."""
+def _public_parameters(names: set[str]) -> set[tuple[str, str]]:
+    """(callable, parameter) for every argument named in ``names`` of the
+    public API: the callables in ``glidekit.__all__``, the public methods of
+    its classes, and two helpers outside it that take a size."""
     found = {"glide_element": glide_element, "as_partition": as_partition}
     for name in gk.__all__:
         obj = getattr(gk, name)
@@ -243,7 +250,7 @@ def _size_parameters() -> set[tuple[str, str]]:
         (name, p)
         for name, f in found.items()
         for p in inspect.signature(f).parameters
-        if p in _SIZE_NAMES
+        if p in names
     }
 
 
@@ -303,12 +310,45 @@ _TAKES_A_SIZE = {
 @pytest.mark.parametrize("entry", sorted(_TAKES_A_SIZE), ids=".".join)
 def test_a_size_must_be_an_int_at_least_its_least_value(entry):
     # a new size argument fails every case until it has a row in the table
-    assert set(_TAKES_A_SIZE) == _size_parameters()
+    assert set(_TAKES_A_SIZE) == _public_parameters(_SIZE_NAMES)
     call, below = _TAKES_A_SIZE[entry]
     call(1)
     for bad in (1.5, True, "2", below):
         with pytest.raises(OutOfRangeError):
             call(bad)
+
+
+# each call is valid with the coefficient 1; a coefficient reaches the
+# library as an int or a Fraction, or through a ring's ``multiply``
+_TAKES_A_COEFFICIENT = {
+    ("GradedRingData", "multiply"): lambda x: gk.GradedRingData(
+        0, lambda a: a, lambda a, b: {a + b: x}, lambda a: True
+    ).product(1, 1),
+    ("QSymElement", "coords"): lambda x: gk.QSymElement({(1,): x}),
+    ("QSymElement.scale", "factor"): lambda x: gk.QSymElement.monomial((1,)).scale(x),
+    ("SparsePoly", "terms"): lambda x: gk.SparsePoly(1, {(1,): x}),
+    ("SparsePoly.monomial", "coeff"): lambda x: gk.SparsePoly.monomial((1,), x),
+    ("SparsePoly.scale", "factor"): lambda x: gk.SparsePoly.one(1).scale(x),
+    ("line_bundle_to_y", "coeffs"): lambda x: gk.line_bundle_to_y((x,), 0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_TAKES_A_COEFFICIENT), ids=".".join)
+def test_a_coefficient_must_be_an_int_or_a_fraction(entry):
+    # a new coefficient argument fails every case until it has a row
+    assert set(_TAKES_A_COEFFICIENT) == _public_parameters(_COEFFICIENT_NAMES)
+    call = _TAKES_A_COEFFICIENT[entry]
+    call(1)
+    call(Fraction(1, 2))
+    for bad in (0.1, True, "1"):
+        with pytest.raises(MalformedInputError):
+            call(bad)
+
+
+@pytest.mark.parametrize("exps", [(1.5,), (-1,), (True,)], ids=["float", "negative", "bool"])
+def test_an_exponent_vector_holds_nonnegative_ints(exps):
+    with pytest.raises(InvalidCompositionError):
+        gk.SparsePoly(1, {exps: 1})
 
 
 def test_canonical_order_is_size_then_length_then_lex():

@@ -54,7 +54,8 @@ def test_polynomial_to_m_examples():
     assert polynomial_to_m(f, 3).coords == {(1, 3): Fraction(1)}
     with pytest.raises(NotQuasisymmetricError):
         polynomial_to_m(SparsePoly(2, {(1, 0): 1}), 2)
-    # every placement present, but a negative exponent is no composition part
+    # every placement present, but a negative exponent is refused by the
+    # SparsePoly constructor before polynomial_to_m sees it
     with pytest.raises(InvalidCompositionError):
         polynomial_to_m(SparsePoly(2, {(-1, 0): 1, (0, -1): 1}), 2)
 
@@ -570,6 +571,8 @@ def test_graded_ring_validation():
         (dict(RING_JSON, constants={"q": {"1": {"1": "1"}}}), UnknownLabelError),
         (dict(RING_JSON, constants={"x": {"x": {"x2": "1/0"}}}), MalformedInputError),
         (dict(RING_JSON, counit={"1": "abc"}), MalformedInputError),
+        (dict(RING_JSON, constants={"x": {"x": {"x2": 0.1}}}), MalformedInputError),
+        (dict(RING_JSON, counit={"1": True}), MalformedInputError),
         ([RING_JSON], MalformedInputError),
     ],
     ids=[
@@ -585,6 +588,8 @@ def test_graded_ring_validation():
         "constants-unknown-factor",
         "coefficient-over-zero",
         "counit-not-rational",
+        "coefficient-a-float",
+        "counit-a-bool",
         "top-level-list",
     ],
 )

@@ -1,5 +1,6 @@
-"""Source guards: no unused import, and no private module-level function or
-class that nothing in the package references.
+"""Source guards: no unused import, no private module-level function or
+class that nothing in the package references, and no coefficient coerced
+with ``Fraction(x)`` outside the one coefficient rule.
 
 The checks read the package with the stdlib ``ast`` module only.
 ``__init__.py`` is left out: its imports are the package's re-exports.
@@ -78,3 +79,38 @@ def test_no_unreferenced_private_definition():
         and node.name not in referenced
     ]
     assert not unreferenced, f"private definitions nothing references: {unreferenced}"
+
+
+# the coefficient rule (``compositions._exact``), the JSON text parser and
+# the serializer are the only places that may turn a value into a Fraction
+_MAY_COERCE = {"_exact", "parse_frac", "frac_str"}
+
+
+def _coercions(node: ast.AST, function: str | None = None):
+    """(function, line) of every one-argument ``Fraction(x)`` call whose
+    argument is not a literal, with the innermost enclosing function."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "Fraction"
+        and len(node.args) == 1
+        and not node.keywords
+    ):
+        try:
+            ast.literal_eval(node.args[0])
+        except ValueError:
+            yield function, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _coercions(child, function)
+
+
+def test_no_coefficient_coerced_outside_the_coefficient_rule():
+    found = [
+        f"{path.name}:{line} in {function}"
+        for path in MODULES
+        for function, line in _coercions(_tree(path))
+        if function not in _MAY_COERCE
+    ]
+    assert not found, f"Fraction(x) outside the coefficient rule: {found}"
