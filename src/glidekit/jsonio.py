@@ -21,9 +21,20 @@ def frac_str(value: Fraction | int) -> str:
 
 
 def parse_frac(text: str | int) -> Fraction:
-    """A rational from "p/q" text, or from a JSON number by the coefficient rule."""
+    """A rational from "p/q" text, or from a JSON number by the coefficient rule.
+
+    A JSON value that is neither a string nor an integer (a float, a bool,
+    null, an array or an object) is malformed input; the message names the
+    two forms a JSON file can use.
+    """
     if type(text) is not str:
-        return _exact(text, "coefficient")
+        try:
+            return _exact(text, "coefficient")
+        except MalformedInputError:
+            shown = json.dumps(text, default=repr)
+            raise MalformedInputError(
+                f'a coefficient must be a JSON integer or a "p/q" string, got {shown}'
+            ) from None
     try:
         return Fraction(text)
     except (TypeError, ValueError, ZeroDivisionError) as exc:

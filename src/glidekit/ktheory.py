@@ -12,12 +12,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import accumulate
 from math import comb, factorial
+from operator import and_, getitem, or_
 from typing import Iterable, Sequence
 
 from .compositions import _exact, _size, as_composition, closure, paddings
-from .errors import LengthMismatchError, OutOfRangeError
+from .errors import LengthMismatchError, MalformedInputError, OutOfRangeError
 from .poly import SparsePoly, _integer_numerators
 from .qsym import read_m_coords
 
@@ -34,6 +36,8 @@ class KRingElement:
     m: int
 
     def __post_init__(self):
+        if not isinstance(self.poly, SparsePoly):
+            raise MalformedInputError(f"expected a SparsePoly, got {type(self.poly).__name__}")
         _size(self.m, 0, "truncation degree m")
         reduced = {
             e: c for e, c in self.poly.terms.items() if all(x <= self.m for x in e)
@@ -117,17 +121,34 @@ def knutson_class(alpha: Iterable[int], n: int, m: int) -> KRingElement:
     inclusion (componentwise comparison of dimension tuples); its Mobius
     function is pinned by requiring the values above any element to sum to 1
     and is computed top-down here, independently of the string-poset engine.
+
+    The recurrence runs on upset bitsets over the elements in the order
+    (-sum, lex), which puts everything above an element before it.
+    ``at_least[i][v]`` holds the elements whose coordinate i is at least v,
+    so the AND of ``at_least[i][w_i]`` over the coordinates is the upset of
+    w; masked by the elements already done with a nonzero value it is the
+    strict upset minus its zeros, and mu(w) is 1 minus the sum over it.
     """
-    elements = closure(z_locus(alpha, n, m), min)
-    mu: dict[tuple[int, ...], int] = {}
-    for w in sorted(elements, key=lambda e: (-sum(e), e)):
-        above = sum(
-            mu[v] for v in elements if v != w and all(a >= b for a, b in zip(v, w))
-        )
-        mu[w] = 1 - above
+    order = sorted(closure(z_locus(alpha, n, m), min), key=lambda e: (-sum(e), e))
+    at_least = []
+    for i in range(n):
+        exact = [0] * (m + 1)
+        for k, e in enumerate(order):
+            exact[e[i]] |= 1 << k
+        at_least.append(list(accumulate(reversed(exact), or_))[::-1])
+    values = [0] * len(order)
+    nonzero = 0
     terms: dict[tuple[int, ...], int] = {}
-    for w, c in mu.items():
+    for k, w in enumerate(order):
+        above = 0
+        bits = reduce(and_, map(getitem, at_least, w), nonzero)
+        while bits:
+            low = bits & -bits
+            above += values[low.bit_length() - 1]
+            bits ^= low
+        values[k] = c = 1 - above
         if c:
+            nonzero |= 1 << k
             terms[tuple(m - r for r in w)] = c
     return KRingElement(SparsePoly(n, terms), m)
 
@@ -171,6 +192,8 @@ def chern_substitute(element: KRingElement) -> SparsePoly:
     Replaces y_i by x_i - x_i^2/2 + x_i^3/6 - ... (up to the element's cap m)
     and reduces modulo x_i^(m+1); coefficients stay exact rationals.
     """
+    if not isinstance(element, KRingElement):
+        raise MalformedInputError(f"expected a KRingElement, got {type(element).__name__}")
     m = element.m
     # all series coefficients become integers after scaling by m!, so the
     # substitution runs on integers over one common denominator

@@ -12,8 +12,10 @@ tensor powers, with products read back off initial-segment tensors.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from math import comb, prod
 from operator import add
@@ -27,7 +29,6 @@ from .compositions import (
     as_composition,
     overlapping_paddings,
     paddings,
-    positive_part,
 )
 from .errors import (
     GlidekitError,
@@ -128,25 +129,34 @@ def m_to_polynomial(alpha: Iterable[int], n: int) -> SparsePoly:
 def read_m_coords(
     f: SparsePoly, n: int
 ) -> tuple[dict[Composition, Fraction], Composition | None]:
-    """Group the terms of f by positive part, in first-seen order, in one pass.
+    """Group the terms of f by positive part, in first-seen order.
 
     Returns the groups as monomial-basis coordinates together with the first
     composition whose group fails, or None when f is quasisymmetric.  A group
     passes when it holds exactly the C(n, len(gamma)) placements of its
     composition gamma, all with one coefficient.
+
+    The positive parts are built at C level, one per term.  One pass in term
+    order checks each coefficient against the first of its group, and stops
+    at the first that differs; then a ``Counter`` of the positive parts is
+    compared, group by group in first-seen order, with C(n, k) for the
+    group's length k.
     """
+    if not isinstance(f, SparsePoly):
+        raise MalformedInputError(f"expected a SparsePoly, got {type(f).__name__}")
     if f.nvars != _size(n, 0, "n"):
         raise LengthMismatchError(f"polynomial has {f.nvars} variables, expected {n}")
+    # each exponent vector's positive_part, without a Python call per term
+    gammas = list(map(tuple, map(partial(filter, None), f.terms)))
     coords: dict[Composition, Fraction] = {}
-    placements: dict[Composition, int] = {}
-    for exps, c in f.terms.items():
-        gamma = positive_part(exps)
-        first = coords.setdefault(gamma, c)
+    setdefault = coords.setdefault
+    for gamma, c in zip(gammas, f.terms.values()):
+        first = setdefault(gamma, c)
         if first is not c and first != c:
             return coords, gamma
-        placements[gamma] = placements.get(gamma, 0) + 1
-    for gamma, count in placements.items():
-        if count != comb(n, len(gamma)):
+    placements = [comb(n, k) for k in range(n + 1)]
+    for gamma, count in Counter(gammas).items():
+        if count != placements[len(gamma)]:
             return coords, gamma
     return coords, None
 
@@ -220,6 +230,8 @@ def glide_expand(f: QSymElement, degree_bound: int) -> dict[Composition, Fractio
     beyond that window the expansion describes the truncation, not the power
     series it came from.
     """
+    if not isinstance(f, QSymElement):
+        raise MalformedInputError(f"expected a QSymElement, got {type(f).__name__}")
     _size(degree_bound, 0, "degree bound")
     if f.degree_bound is not None:
         _size(f.degree_bound, degree_bound, "the element's degree bound")

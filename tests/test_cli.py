@@ -164,6 +164,19 @@ def test_glide_expand_names_a_composition_listed_twice(tmp_path, capsys):
     assert "[1, 2]" in json.loads(err)["error"]["message"]
 
 
+@pytest.mark.parametrize("coeff, shown", [("0.1", "0.1"), ("true", "true"), ("null", "null")])
+def test_glide_expand_names_the_json_coefficient_forms(tmp_path, capsys, coeff, shown):
+    path = tmp_path / "element.json"
+    path.write_text('{"coords": [{"comp": [1], "coeff": %s}]}' % coeff, encoding="utf-8")
+    code, out, err = invoke(capsys, "glide-expand", "--input", str(path), "--degree", "4")
+    assert (code, out) == (1, "")
+    error = json.loads(err)["error"]
+    assert error["code"] == "malformed-input"
+    assert error["message"] == (
+        f'a coefficient must be a JSON integer or a "p/q" string, got {shown}'
+    )
+
+
 @pytest.mark.parametrize("command", ["glide-struct", "glide-expand"])
 def test_negative_degree_bound_is_out_of_range(tmp_path, capsys, command):
     if command == "glide-struct":

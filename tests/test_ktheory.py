@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from glidekit.compositions import closure
-from glidekit.errors import LengthMismatchError, OutOfRangeError
+from glidekit.errors import LengthMismatchError, MalformedInputError, OutOfRangeError
 from glidekit.glides import glide_polynomial
 from glidekit.ktheory import (
     KRingElement,
@@ -21,7 +21,7 @@ from glidekit.ktheory import (
 )
 from glidekit.poly import SparsePoly
 from glidekit.poset import build_poset
-from glidekit.qsym import m_to_polynomial, polynomial_to_m
+from glidekit.qsym import QSymElement, glide_expand, m_to_polynomial, polynomial_to_m
 
 from conftest import all_compositions
 
@@ -104,6 +104,58 @@ def test_knutson_class_examples():
     assert knutson_class((), 2, 2).poly == SparsePoly.one(2)
 
 
+def _pairwise_knutson_class(alpha, n, m):
+    """The all-pairs top-down recurrence: mu(w) is 1 minus the sum of mu over
+    every element strictly above w, found by comparing w with each element."""
+    elements = closure(z_locus(alpha, n, m), min)
+    mu = {}
+    for w in sorted(elements, key=lambda e: (-sum(e), e)):
+        above = sum(
+            mu[v] for v in elements if v != w and all(a >= b for a, b in zip(v, w))
+        )
+        mu[w] = 1 - above
+    terms = {}
+    for w, c in mu.items():
+        if c:
+            terms[tuple(m - r for r in w)] = c
+    return KRingElement(SparsePoly(n, terms), m)
+
+
+def _assert_same_class(alpha, n, m):
+    got = knutson_class(alpha, n, m)
+    expected = _pairwise_knutson_class(alpha, n, m)
+    assert got == expected
+    # same terms in the same order, so anything that iterates them agrees
+    assert list(got.poly.terms.items()) == list(expected.poly.terms.items())
+
+
+@pytest.mark.parametrize("alpha", [(1, 2, 1), (1, 3, 1)])
+def test_upset_bitsets_match_pairwise_recurrence_on_heavy_tail(alpha):
+    _assert_same_class(alpha, 6, 5)
+
+
+@st.composite
+def _criterion_06_instances(draw):
+    """(alpha, n, m) with |alpha| <= 5, len(alpha) <= n <= 6 and
+    max(alpha) <= m <= 5, m = 0 allowed for the empty composition."""
+    alpha = draw(st.sampled_from(all_compositions(5)))
+    n = draw(st.integers(len(alpha), 6))
+    m = draw(st.integers(max(alpha, default=0), 5))
+    return alpha, n, m
+
+
+@settings(max_examples=120, deadline=None)
+@given(_criterion_06_instances())
+@example(((), 0, 0))
+@example(((), 4, 0))
+@example(((), 3, 1))
+@example(((2, 1, 2), 5, 2))
+@example(((1, 1, 1, 1, 1), 6, 1))
+@example(((5,), 6, 5))
+def test_upset_bitsets_match_pairwise_recurrence(instance):
+    _assert_same_class(*instance)
+
+
 def test_main_identity_small_sweep():
     for alpha in all_compositions(4):
         lo_m = max(alpha) if alpha else 1
@@ -132,6 +184,35 @@ def test_kring_element_reduces_eagerly():
     assert (y * y * y).poly.is_zero()
     with pytest.raises(LengthMismatchError):
         y * KRingElement(SparsePoly(1, {(1,): 1}), 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: KRingElement({(1,): 1}, 2),
+        lambda: chern_substitute({(1,): 1}),
+        lambda: is_quasisymmetric({(1,): 1}, 1),
+        lambda: polynomial_to_m({(1,): 1}, 1),
+        lambda: glide_expand({(1,): 1}, 2),
+        lambda: chern_substitute(SparsePoly(1, {(1,): 1})),
+        lambda: glide_expand(SparsePoly(1, {(1,): 1}), 2),
+        lambda: polynomial_to_m(QSymElement({(1,): 1}), 1),
+    ],
+    ids=[
+        "dict as KRingElement poly",
+        "dict to chern_substitute",
+        "dict to is_quasisymmetric",
+        "dict to polynomial_to_m",
+        "dict to glide_expand",
+        "SparsePoly to chern_substitute",
+        "SparsePoly to glide_expand",
+        "QSymElement to polynomial_to_m",
+    ],
+)
+def test_wrong_container_is_malformed_input(call):
+    with pytest.raises(MalformedInputError) as exc:
+        call()
+    assert exc.value.code == "malformed-input"
 
 
 def test_kring_element_rejects_a_negative_truncation_degree():

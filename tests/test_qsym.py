@@ -2,6 +2,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,7 +18,7 @@ from glidekit.errors import (
     UnknownLabelError,
 )
 from glidekit.glides import glide_polynomial
-from glidekit.ktheory import is_quasisymmetric
+from glidekit.ktheory import chern_substitute, is_quasisymmetric, knutson_class
 from glidekit.poly import SparsePoly
 from glidekit.qsym import (
     GradedRingData,
@@ -33,6 +34,7 @@ from glidekit.qsym import (
     polynomial_to_m,
     qsym_r_product,
     qsym_r_product_shuffle,
+    read_m_coords,
 )
 from glidekit.schur import buk_structure_constant, schur_ring
 
@@ -149,6 +151,68 @@ def test_single_pass_reader_matches_placement_reference(data, n):
     added = dict(f.terms)
     added[tuple(stray)] = added.get(tuple(stray), 0) + data.draw(_COEFFS)
     _assert_both_reject(SparsePoly(n, added), n)
+
+
+def _term_loop_m_coords(f, n):
+    """The term-by-term reader that the counting pass replaced: coefficients
+    and placement counts are checked in one loop, then the counts in
+    first-seen order."""
+    coords = {}
+    placements = {}
+    for exps, c in f.terms.items():
+        gamma = tuple(p for p in exps if p)
+        first = coords.setdefault(gamma, c)
+        if first is not c and first != c:
+            return coords, gamma
+        placements[gamma] = placements.get(gamma, 0) + 1
+    for gamma, count in placements.items():
+        if count != comb(n, len(gamma)):
+            return coords, gamma
+    return coords, None
+
+
+@st.composite
+def _quasisymmetric_polys(draw):
+    """A sum of scaled monomial quasisymmetric polynomials, or the Chern
+    image of a small K-class, with its variable count."""
+    if draw(st.booleans()):
+        alpha = draw(st.sampled_from(all_compositions(4)))
+        n = draw(st.integers(len(alpha), 4))
+        m = draw(st.integers(max(alpha, default=0), 4))
+        return chern_substitute(knutson_class(alpha, n, m)), n
+    n = draw(st.integers(0, 4))
+    gammas = st.lists(st.integers(1, 3), max_size=n).map(tuple)
+    f = SparsePoly.zero(n)
+    for gamma, c in draw(st.dictionaries(gammas, _COEFFS, max_size=5)).items():
+        f = f + m_to_polynomial(gamma, n).scale(c)
+    return f, n
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), start=_quasisymmetric_polys())
+def test_counting_reader_matches_term_loop(data, start):
+    f, n = start
+    terms = dict(f.terms)
+    for _ in range(data.draw(st.integers(0, 3))):
+        if not terms:
+            break
+        target = data.draw(st.sampled_from(sorted(terms)))
+        kind = data.draw(st.sampled_from(["drop", "change", "copy"]))
+        if kind == "drop":
+            del terms[target]
+        elif kind == "change":
+            terms[target] += data.draw(_COEFFS)  # a sum of 0 drops the placement
+        else:
+            # an equal Fraction that is a different object
+            c = terms[target]
+            terms[target] = Fraction(c.numerator * 2, c.denominator * 2)
+            assert terms[target] is not c
+    g = SparsePoly(n, terms)
+    got = read_m_coords(g, n)
+    expected = _term_loop_m_coords(g, n)
+    assert got[1] == expected[1]
+    assert list(got[0].items()) == list(expected[0].items())
+    assert all(a is b for a, b in zip(got[0].values(), expected[0].values()))
 
 
 def test_single_pass_reader_compares_values_not_objects():

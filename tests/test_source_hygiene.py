@@ -1,6 +1,7 @@
 """Source guards: no unused import, no private module-level function or
-class that nothing in the package references, and no coefficient coerced
-with ``Fraction(x)`` outside the one coefficient rule.
+class that nothing in the package references, no coefficient coerced
+with ``Fraction(x)`` outside the one coefficient rule, and no link between
+the two Mobius oracles (the string poset's and the K-side's).
 
 The checks read the package with the stdlib ``ast`` module only.
 ``__init__.py`` is left out: its imports are the package's re-exports.
@@ -114,3 +115,30 @@ def test_no_coefficient_coerced_outside_the_coefficient_rule():
         if function not in _MAY_COERCE
     ]
     assert not found, f"Fraction(x) outside the coefficient rule: {found}"
+
+
+def _names_and_modules(tree: ast.AST) -> set[str]:
+    """Every name ``_used_names`` finds, every imported name and alias, and
+    each dotted part of an imported module's path."""
+    found = _used_names(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            found |= set(node.module.split("."))
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                found |= set(alias.name.split(".")) | {alias.asname}
+    return found
+
+
+# the K-side Mobius and the string-poset Mobius both run on bitsets, and
+# each checks the other only while neither reaches into the other's module
+_KEPT_APART = {
+    "ktheory.py": {"poset", "GlidePoset", "build_poset"},
+    "poset.py": {"ktheory"},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_KEPT_APART))
+def test_mobius_oracles_stay_independent(name):
+    named = _names_and_modules(_tree(PACKAGE / name)) & _KEPT_APART[name]
+    assert not named, f"{name} reaches the other Mobius oracle through {sorted(named)}"
