@@ -8,7 +8,7 @@ empty composition ``()`` is a first-class value (it indexes the unit class).
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import InvalidCompositionError, MalformedInputError, OutOfRangeError, SizeMismatchError
@@ -123,25 +123,48 @@ def canonical_key(alpha: Sequence[int]) -> tuple[int, int, tuple[int, ...]]:
 def closure(
     generators: Iterable[WeakComposition], pick: Callable[[int, int], int]
 ) -> set[WeakComposition]:
-    """Close equal-length tuples under the componentwise ``pick`` (``max`` or ``min``).
+    """Close equal-length tuples under the componentwise ``pick``.
+
+    Precondition: the generators are tuples of one length whose entries are
+    nonnegative ints, and ``pick`` is ``max`` or ``min``.  Both callers,
+    ``poset.build_poset`` and ``ktheory.knutson_class``, meet it by
+    construction.
 
     Every element of the closure is ``pick`` applied to some set of
     generators, so each newly found element only needs combining with the
     generators, never with everything found so far.
+
+    Each tuple is packed into one int, coordinate 0 in the highest field.
+    A field holds s value bits, s the bit length of the largest entry, and
+    one guard bit above them.  ``((p | guards) - g) & guards`` keeps the
+    guard of each field where p_i >= g_i (no borrow crosses a field, since
+    every entry is below 2**s); subtracting that shifted down by s turns
+    each kept guard into s ones, a mask of the fields where p holds the
+    maximum, and ``g ^ ((p ^ g) & mask)`` is the componentwise max.  The
+    min-closure is the max-closure of the complements 2**s - 1 - v, so both
+    run the same join.  Only the end result is unpacked into tuples.
     """
     gens = tuple(generators)
-    elements = set(gens)
+    s = max(chain.from_iterable(gens), default=0).bit_length()
+    ones = (1 << s) - 1
+    shifts = range((s + 1) * (len(gens[0]) - 1), -1, -(s + 1)) if gens else ()
+    guards = sum(1 << (k + s) for k in shifts)
+    flip = sum(ones << k for k in shifts) if pick is min else 0
+    packed = tuple(sum(v << k for v, k in zip(g, shifts)) ^ flip for g in gens)
+    elements = set(packed)
     frontier = list(elements)
     while frontier:
         fresh = []
         for p in frontier:
-            for g in gens:
-                x = tuple(map(pick, p, g))
+            high = p | guards
+            for g in packed:
+                t = (high - g) & guards
+                x = g ^ ((p ^ g) & (t - (t >> s)))
                 if x not in elements:
                     elements.add(x)
                     fresh.append(x)
         frontier = fresh
-    return elements
+    return {tuple((x ^ flip) >> k & ones for k in shifts) for x in elements}
 
 
 def run_encode(alpha: Sequence[int]) -> tuple[tuple[int, int], ...]:

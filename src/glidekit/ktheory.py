@@ -45,6 +45,18 @@ class KRingElement:
         # a subset of a polynomial's terms needs no second check
         object.__setattr__(self, "poly", SparsePoly._trusted(self.poly.nvars, reduced))
 
+    @classmethod
+    def _trusted(cls, poly: SparsePoly, m: int) -> "KRingElement":
+        """Wrap a polynomial built inside the package without checking it again.
+
+        The caller guarantees what ``__post_init__`` enforces: ``m`` is an int
+        >= 0 and no exponent of ``poly`` is above it.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "m", m)
+        return self
+
     @property
     def nvars(self) -> int:
         return self.poly.nvars
@@ -150,7 +162,8 @@ def knutson_class(alpha: Iterable[int], n: int, m: int) -> KRingElement:
         if c:
             nonzero |= 1 << k
             terms[tuple(m - r for r in w)] = c
-    return KRingElement(SparsePoly(n, terms), m)
+    # every exponent is m - r with 0 <= r <= m, so the cap holds by construction
+    return KRingElement._trusted(SparsePoly._from_numerators(n, terms, 1), m)
 
 
 # one entry per truncation degree m; a few dozen cover every m a

@@ -25,3 +25,18 @@ def pad_composition(alpha, positions, n):
 
 def all_paddings(alpha, n):
     return [pad_composition(alpha, pos, n) for pos in combinations(range(n), len(alpha))]
+
+
+def pairwise_closure(generators, pick):
+    """Tuple reference for ``compositions.closure``: combine every pair of
+    elements under the componentwise ``pick`` (``max`` or ``min``) until
+    nothing new appears.  Each round pairs the elements new in the last one
+    with all of them, so every pair is combined once.  It packs nothing and
+    pairs elements with elements, not with generators, so it shares no step
+    with the code it checks."""
+    elements = set(generators)
+    fresh = set(elements)
+    while fresh:
+        fresh = {tuple(map(pick, p, q)) for p in fresh for q in elements} - elements
+        elements |= fresh
+    return elements

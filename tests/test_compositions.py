@@ -4,12 +4,14 @@ from itertools import combinations, product
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import glidekit as gk
 from glidekit.compositions import (
     as_composition,
     as_weak_composition,
     canonical_key,
+    closure,
     overlapping_paddings,
     paddings,
     positive_part,
@@ -34,7 +36,7 @@ from glidekit.schur import (
     lr_coefficient,
 )
 
-from conftest import all_compositions, all_paddings
+from conftest import all_compositions, all_paddings, pairwise_closure
 
 
 def test_positive_part_examples():
@@ -105,6 +107,40 @@ def test_overlapping_paddings_match_filtered_pairs():
         (("a", "e", "b"), ("e", "c", "e")),
         (("e", "a", "b"), ("c", "e", "e")),
     ]
+
+
+@st.composite
+def _generators_in_two_orders(draw):
+    """Up to six tuples of one length n <= 9 with entries 0..9, so the packed
+    fields are 0 to 4 value bits wide, and the same tuples reordered."""
+    n = draw(st.integers(0, 9))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 9)] * n), max_size=6))
+    return gens, draw(st.permutations(gens))
+
+
+def _both_orders(gens):
+    return gens, gens[::-1]
+
+
+@pytest.mark.parametrize("pick", [max, min], ids=["max", "min"])
+@settings(max_examples=150, deadline=None)
+@given(_generators_in_two_orders())
+@example(_both_orders([]))
+@example(_both_orders([()]))
+@example(_both_orders([(0, 0, 0)]))
+@example(_both_orders([(0, 0), (0, 0)]))
+@example(_both_orders([(5, 0, 9, 1)]))
+@example(_both_orders([(1, 0), (0, 1)]))
+# entries 2**s - 1 and 2**s for s = 1, 2, 3, next to 0 and the top entry
+@example(_both_orders([(1, 2, 0), (2, 1, 2), (0, 2, 1)]))
+@example(_both_orders([(3, 4, 0, 4), (4, 3, 4, 0), (0, 4, 3, 3)]))
+@example(_both_orders([(7, 8, 0, 9, 8), (8, 7, 9, 0, 7), (9, 9, 7, 8, 0), (0, 8, 8, 7, 9)]))
+@example(_both_orders([tuple(range(9)), tuple(range(8, -1, -1)), (9,) * 9, (0,) * 9]))
+def test_closure_matches_pairwise_fixed_point(pick, instance):
+    gens, reordered = instance
+    closed = closure(gens, pick)
+    assert closed == pairwise_closure(gens, pick)
+    assert closure(reordered, pick) == closed
 
 
 def test_positive_part_inverts_zero_insertion():

@@ -1,0 +1,203 @@
+"""Alternating parent/change benchmark pairs, written as one BENCH_<pr>.json.
+
+    python3 tools/bench_pairs.py --pr 14 --first-seed 101 \\
+        --claim glide_sweep:wall_s --trace glide_sweep:111 --trace kclass_sweep:111 \\
+        --note "what the change does" --seeds-note "why these seeds"
+
+Both sides are exported with ``git archive`` into a temporary directory:
+the parent is a commit (``--parent``, default HEAD) and the change is a
+commit given with ``--change`` or, by default, the staged index (``git
+write-tree``), so stage the change with ``git add -A`` first.  For every
+workload in the change's BENCHMARK.json and each of ten seeds from
+``--first-seed`` on, each side runs
+``perfbench/run.py --workload W --seed S --trace 0`` once in its own
+checkout; the side that runs first alternates from pair to pair, the
+parent first in the first pair.  Each ``--trace W:S`` adds one ``--trace 1``
+run per side and keeps every per-layer metric of both.  The end-to-end metrics, their units and which way is better come
+from BENCHMARK.json.
+
+A claim is met when the change is better in at least nine tenths of the
+pairs (ties count for neither) and the medians differ, in the better
+direction, by more than the parent's interquartile range.  Quartiles are
+``statistics.quantiles(n=4, method='inclusive')``.  Stdlib only; the export
+uses tarfile's ``data`` filter, so it needs Python 3.10.12 or 3.11.4 on.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SIDES = ("parent", "change")
+PAIRS = 10
+
+
+def git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, check=True).stdout
+
+
+def export(treeish: str, dest: Path) -> None:
+    """Write the committed files of ``treeish`` into ``dest``."""
+    archive = git("archive", "--format=tar", treeish)
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+    """One benchmark process; its last stdout line is the JSON result."""
+    argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
+    done = subprocess.run(
+        argv + ["--trace", str(trace)], cwd=checkout, capture_output=True, text=True
+    )
+    if done.returncode:
+        raise SystemExit(f"{checkout.name} {workload} seed {seed} failed:\n{done.stderr}")
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def quartiles(values: list[float]) -> list[float]:
+    return [round(q, 6) for q in statistics.quantiles(values, n=4, method="inclusive")[::2]]
+
+
+def summarize(unit: str, better: str, parent: list[float], change: list[float]) -> dict:
+    wins = sum((c < p) if better == "lower" else (c > p) for p, c in zip(parent, change))
+    p_med, c_med = statistics.median(parent), statistics.median(change)
+    return {
+        "unit": unit,
+        "parent": [round(v, 6) for v in parent],
+        "change": [round(v, 6) for v in change],
+        "parent_median": round(p_med, 6),
+        "parent_quartiles": quartiles(parent),
+        "change_median": round(c_med, 6),
+        "change_quartiles": quartiles(change),
+        f"change_{better}_in_pairs": wins,
+        "relative_change": round((c_med - p_med) / p_med, 4) if p_med else None,
+    }
+
+
+def judge(row: dict, better: str) -> str:
+    pairs = len(row["parent"])
+    wins = row[f"change_{better}_in_pairs"]
+    low, high = row["parent_quartiles"]
+    gain = row["parent_median"] - row["change_median"]
+    if better == "higher":
+        gain = -gain
+    met = wins * 10 >= pairs * 9 and gain > high - low
+    return (
+        f"{'met' if met else 'not met'}: the change is {better} in {wins} of {pairs} pairs; "
+        f"the medians differ by {gain:.3f} {row['unit']} in its favour, against the "
+        f"parent's interquartile range of {high - low:.3f} {row['unit']}"
+    )
+
+
+def pairs(checkouts: dict, workload: str, seeds: list[int], metrics: list[dict]) -> dict:
+    results = {side: [] for side in SIDES}
+    first = []
+    for i, seed in enumerate(seeds):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        first.append(order[0])
+        for side in order:
+            results[side].append(run(checkouts[side], workload, seed, 0))
+            value = results[side][-1]["metrics"]["wall_s"]["value"]
+            print(f"{workload} seed {seed} {side}: wall_s {value:.4f}", file=sys.stderr)
+    return {
+        "seeds": seeds,
+        "failed_ops": ", ".join(f"{s} {sum(r['failed'] for r in results[s])}" for s in SIDES),
+        "attempted_ops": ", ".join(f"{s} {sum(r['attempted'] for r in results[s])}" for s in SIDES),
+        "metrics": {
+            m["name"]: summarize(
+                m["unit"],
+                m["better"],
+                *([r["metrics"][m["name"]]["value"] for r in results[s]] for s in SIDES),
+            )
+            for m in metrics
+        },
+        "first_in_pair": first,
+    }
+
+
+def traced(checkouts: dict, workload: str, seed: int) -> dict:
+    values = {side: run(checkouts[side], workload, seed, 1)["metrics"] for side in SIDES}
+    return {
+        "command": f"python3 perfbench/run.py --workload {workload} --seed {seed} --trace 1, "
+        "one run per side, parent first; busy_s are scaled self times",
+        "metrics": {
+            name: {side: round(values[side][name]["value"], 6) for side in SIDES}
+            for name in values["parent"]
+        },
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--pr", required=True, help="names the output BENCH_<pr>.json")
+    parser.add_argument("--first-seed", type=int, required=True)
+    parser.add_argument("--parent", default="HEAD")
+    parser.add_argument("--change", help="a commit; default: the staged index")
+    parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
+    parser.add_argument("--trace", action="append", default=[], help="WORKLOAD:SEED")
+    parser.add_argument("--note", required=True, help="what the change does")
+    parser.add_argument("--seeds-note", required=True)
+    args = parser.parse_args(argv)
+
+    revisions = {
+        "parent": git("rev-parse", "--verify", f"{args.parent}^{{commit}}").decode().strip(),
+        "change": (
+            git("rev-parse", "--verify", f"{args.change}^{{commit}}")
+            if args.change
+            else git("write-tree")
+        ).decode().strip(),
+    }
+    seeds = list(range(args.first_seed, args.first_seed + PAIRS))
+    with tempfile.TemporaryDirectory() as tmp:
+        checkouts = {side: Path(tmp) / side for side in SIDES}
+        for side in SIDES:
+            export(revisions[side], checkouts[side])
+        bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+        metrics = bench["end_to_end"]
+        out = {
+            "change": args.note,
+            "revisions": revisions,
+            "claim": None,
+            "method": f"{PAIRS} alternating parent/change pairs per workload; each run is "
+            "`python3 perfbench/run.py --workload W --seed S --trace 0` "
+            f"(run_seconds {bench['run_seconds']}) in its own checkout of the committed files, "
+            "made by tools/bench_pairs.py; `first_in_pair` names the side that ran first in "
+            "the pair; quartiles are statistics.quantiles(n=4, method='inclusive')",
+            "machine": f"{os.cpu_count()}-CPU {platform.machine()} {platform.system()}, "
+            f"Python {platform.python_version()}, times scaled to the calibration slice of "
+            "perfbench/speed.py",
+            "seeds_note": args.seeds_note,
+            "workloads": {
+                w["name"]: pairs(checkouts, w["name"], seeds, metrics) for w in bench["workloads"]
+            },
+        }
+        for spec in args.trace:
+            workload, seed = spec.split(":")
+            out[f"trace_{workload}_seed_{seed}"] = traced(checkouts, workload, int(seed))
+    if args.claim:
+        workload, metric = args.claim.split(":")
+        better = next(m["better"] for m in metrics if m["name"] == metric)
+        out["claim"] = {
+            "workload": workload,
+            "metric": metric,
+            "better": better,
+            "result": judge(out["workloads"][workload]["metrics"][metric], better),
+        }
+    path = ROOT / f"BENCH_{args.pr}.json"
+    path.write_text(json.dumps(out, indent=1) + "\n")
+    print(f"wrote {path.name}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
