@@ -12,6 +12,13 @@ Order queries run on bitsets over the element indices: bit k of a downset
 is set when element k lies below.  Per-coordinate tables give every
 downset as an AND of n integers, so the Mobius recurrence, the cover
 relations and meets cost bit operations instead of loops over pairs.
+The elements are stored in lex order, which extends the componentwise
+order, so everything below an element has a smaller index.  The Mobius
+values found so far are kept as bit-planes, one bitset per binary digit
+of |mu| and sign, and the sum over a downset is a popcount per plane.
+The covers of an element are found greatest index first, each time
+dropping the cover's whole downset from the candidates, one AND-NOT per
+cover pair.
 """
 
 from __future__ import annotations
@@ -21,7 +28,14 @@ from itertools import accumulate, combinations
 from operator import and_, getitem, or_
 from typing import Iterable, Sequence
 
-from .compositions import WeakComposition, _size, as_composition, closure, paddings
+from .compositions import (
+    WeakComposition,
+    _size,
+    as_composition,
+    as_weak_composition,
+    closure,
+    paddings,
+)
 from .errors import OutOfRangeError, LengthMismatchError
 
 
@@ -52,6 +66,14 @@ def atoms(alpha: Iterable[int], n: int) -> frozenset[WeakComposition]:
     return frozenset(paddings(a, _size(n, len(a), "n")))
 
 
+def _string(e: Iterable[int], n: int) -> WeakComposition:
+    """A poset element or atom: a weak composition of length n."""
+    s = as_weak_composition(e)
+    if len(s) != n:
+        raise LengthMismatchError(f"string {s} does not have {n} entries")
+    return s
+
+
 def _greatest(bits: int) -> int:
     """Index of the lexicographically largest element of a nonempty bitset.
 
@@ -65,10 +87,11 @@ class GlidePoset:
     """Length-n strings closed under componentwise max, with the atoms they
     were closed from (for ``build_poset``, the zero-paddings of alpha).
 
-    Elements are stored lexicographically sorted, so iteration order, linear
-    extensions, and serialized output are deterministic.  Instances are
-    immutable after construction; the order tables are built on the first
-    order query.
+    Every element and atom must be a weak composition of length n; repeated
+    elements count once.  Elements are stored lexicographically sorted, so
+    iteration order, linear extensions, and serialized output are
+    deterministic.  Instances are immutable after construction; the order
+    tables are built on the first order query.
     """
 
     def __init__(
@@ -77,7 +100,27 @@ class GlidePoset:
         elements: Iterable[WeakComposition],
         atom_set: frozenset[WeakComposition],
     ):
-        self.n = _size(n, 0, "n")
+        n = _size(n, 0, "n")
+        strings = {_string(e, n) for e in elements}
+        self._fill(n, strings, frozenset(_string(a, n) for a in atom_set))
+
+    @classmethod
+    def _trusted(
+        cls, n: int, elements: set[WeakComposition], atom_set: frozenset[WeakComposition]
+    ) -> "GlidePoset":
+        """Wrap strings built inside the package without checking them again.
+
+        The caller guarantees what ``__init__`` enforces: ``n`` is an int
+        >= 0 and every element and atom is a tuple of n nonnegative ints.
+        """
+        self = object.__new__(cls)
+        self._fill(n, elements, atom_set)
+        return self
+
+    def _fill(
+        self, n: int, elements: set[WeakComposition], atom_set: frozenset[WeakComposition]
+    ) -> None:
+        self.n = n
         self.elements = tuple(sorted(elements))
         self.atom_set = atom_set
         self._index = {p: i for i, p in enumerate(self.elements)}
@@ -111,25 +154,38 @@ class GlidePoset:
     def mobius(self) -> dict[WeakComposition, int]:
         """Unique table with sum over {q <= p} of mu(q) equal to 1, for all p.
 
-        Computed bottom-up along the linear extension by increasing entry sum,
-        summing only over the elements below p with a nonzero value.
+        Computed along the stored lex order, which extends the componentwise
+        order.  ``planes[b]`` holds two bitsets of the elements done so far
+        whose |mu| has bit b set, those with mu > 0 and those with mu < 0,
+        so the sum over the downset d of p is the sum over b of 2**b *
+        (popcount(d & plus) - popcount(d & minus)).  The planes grow with
+        the largest |mu|, so the sum is exact.  Keys come by increasing
+        entry sum, then lexicographically.
         """
-        down = self._downsets()
-        values = [0] * len(self.elements)
-        nonzero = 0
-        mu: dict[WeakComposition, int] = {}
-        for p in sorted(self.elements, key=lambda e: (sum(e), e)):
-            k = self._index[p]
+        planes: list[list[int]] = []
+        values = []
+        bit = 1
+        for d in self._downsets():
             below = 0
-            bits = down[k] & nonzero
-            while bits:
-                low = bits & -bits
-                below += values[low.bit_length() - 1]
-                bits ^= low
-            mu[p] = values[k] = 1 - below
-            if values[k]:
-                nonzero |= 1 << k
-        return mu
+            b = 0
+            for plus, minus in planes:
+                below += ((d & plus).bit_count() - (d & minus).bit_count()) << b
+                b += 1
+            value = 1 - below
+            values.append(value)
+            if value:
+                negative = value < 0  # indexes minus in [plus, minus]
+                size, b = abs(value), 0
+                while size:
+                    if b == len(planes):
+                        planes.append([0, 0])
+                    if size & 1:
+                        planes[b][negative] |= bit
+                    size >>= 1
+                    b += 1
+            bit <<= 1
+        # a stable sort by entry sum keeps the stored lex order within a sum
+        return dict(sorted(zip(self.elements, values), key=lambda item: sum(item[0])))
 
     def mobius_crosscut(self, sigma: Sequence[int]) -> int:
         """Independent Mobius oracle via subsets of atoms joining to sigma.
@@ -165,22 +221,19 @@ class GlidePoset:
     def covers(self) -> list[tuple[int, int]]:
         """Cover relations as index pairs (i, j) with element i covered by j.
 
-        Element i is covered by j when it lies in the strict downset of j but
-        in the strict downset of no member of it.
+        The covers of j are the maximal elements of its strict downset.  The
+        greatest index left among the candidates is maximal, since anything
+        above it has a larger index; it is a cover, and it and its whole
+        downset leave the candidates, until none is left.
         """
-        strict_down = [d ^ (1 << k) for k, d in enumerate(self._downsets())]
+        down = self._downsets()
         out = []
-        for j, strict in enumerate(strict_down):
-            below, bits = 0, strict
-            while bits:
-                low = bits & -bits
-                below |= strict_down[low.bit_length() - 1]
-                bits ^= low
-            bits = strict & ~below
-            while bits:
-                low = bits & -bits
-                out.append((low.bit_length() - 1, j))
-                bits ^= low
+        for j, d in enumerate(down):
+            candidates = d ^ (1 << j)
+            while candidates:
+                i = candidates.bit_length() - 1
+                out.append((i, j))
+                candidates &= ~down[i]
         return sorted(out)
 
     def is_lattice_with_bottom(self) -> bool:
@@ -198,4 +251,5 @@ class GlidePoset:
 def build_poset(alpha: Iterable[int], n: int) -> GlidePoset:
     """Join-closure of the zero-paddings of alpha inside length-n strings."""
     base = atoms(alpha, n)
-    return GlidePoset(n, closure(base, max), base)
+    # atoms checked n and alpha, and the closure of its strings is made of them
+    return GlidePoset._trusted(n, closure(base, max), base)

@@ -1,9 +1,10 @@
+from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from glidekit.errors import LengthMismatchError, OutOfRangeError
+from glidekit.errors import InvalidCompositionError, LengthMismatchError, OutOfRangeError
 from glidekit.glides import enumerate_C
 from glidekit.poset import BOTTOM, GlidePoset, atoms, build_poset, join, leq
 
@@ -166,6 +167,34 @@ def test_is_lattice_with_bottom():
     assert not not_closed.is_lattice_with_bottom()
 
 
+@pytest.mark.parametrize(
+    "elements, atom_set, error",
+    [
+        # before the check these two gave the cover cycle [(0, 1), (1, 0)]
+        ([(0, -1), (0, 0)], (), InvalidCompositionError),
+        ([(0, 0, 1), (0, 0, 0)], (), LengthMismatchError),
+        ([(0,), (0, 0)], (), LengthMismatchError),
+        ([(0, 1.0)], (), InvalidCompositionError),
+        ([(0, True)], (), InvalidCompositionError),
+        ([(0, Fraction(1))], (), InvalidCompositionError),
+        ([5], (), InvalidCompositionError),
+        ([(0, 1)], [(1,)], LengthMismatchError),
+        ([(0, 1)], [(-1, 1)], InvalidCompositionError),
+        ([(0, 1)], [(0.0, 1)], InvalidCompositionError),
+    ],
+)
+def test_glide_poset_refuses_strings_it_cannot_order(elements, atom_set, error):
+    with pytest.raises(error):
+        GlidePoset(2, elements, frozenset(atom_set))
+
+
+def test_glide_poset_counts_a_repeated_element_once():
+    p = GlidePoset(2, [(0, 1), (1, 1), (0, 1)], frozenset({(0, 1)}))
+    assert p.elements == ((0, 1), (1, 1))
+    assert p.covers() == [(0, 1)]
+    assert p.mobius() == {(0, 1): 1, (1, 1): 0}
+
+
 def test_element_order_deterministic():
     a = build_poset((1, 2), 4)
     b = build_poset((1, 2), 4)
@@ -232,13 +261,73 @@ def test_order_queries_property(alpha, extra):
             assert p.mobius_crosscut(sigma) == mu[sigma], (alpha, n, sigma)
 
 
-@pytest.mark.parametrize("alpha", [(3, 1, 2), (2, 1, 3)])
-def test_heavy_tail_instances(alpha):
-    # the largest posets of the |alpha| <= 6, n <= 7 sweep
-    p = build_poset(alpha, 7)
+# (elements, covers, nonzero mu) of the largest posets of the |alpha| <= 6,
+# n <= 7 sweep, and of (3,1,2) at n = 8
+_HEAVY_TAIL = {
+    ((3, 1, 2), 7): (787, 2788, 351),
+    ((2, 1, 3), 7): (787, 2788, 351),
+    ((3, 1, 2), 8): (3204, 13828, 1023),
+}
+
+
+@pytest.mark.parametrize("alpha, n", list(_HEAVY_TAIL), ids=["alpha0", "alpha1", "alpha0-n8"])
+def test_heavy_tail_instances(alpha, n):
+    elements, covers, nonzero_mu = _HEAVY_TAIL[alpha, n]
+    p = build_poset(alpha, n)
     mu = p.mobius()
-    assert len(p) == 787
-    assert len(p.covers()) == 2788
+    assert len(p) == elements
+    assert len(p.covers()) == covers
     nonzero = {s for s, v in mu.items() if v}
-    assert len(nonzero) == 351
-    assert nonzero == enumerate_C(alpha, 7)
+    assert len(nonzero) == nonzero_mu
+    assert nonzero == enumerate_C(alpha, n)
+
+
+# Hand-built posets: any set of equal-length tuples, not only closed string
+# posets.  A layered fan (an antichain of k elements, an antichain of m above
+# all of it, and one element on top) gives mu = 1 - k in the middle and
+# (k - 1)(m - 1) on top, so |mu| spans several binary digits of both signs.
+
+
+def _fan(n, k, m, lift):
+    """The layered fan in the first two coordinates, the rest set to lift."""
+    rest = (lift,) * (n - 2)
+    low = {(i, k - 1 - i) + rest for i in range(k)}
+    middle = {(k + j, k + m - 1 - j) + rest for j in range(m)}
+    return low | middle | {(k + m, k + m) + rest}
+
+
+@st.composite
+def hand_built_posets(draw):
+    n = draw(st.integers(1, 4))
+    entries = st.integers(0, 12)
+    elements = set(draw(st.lists(st.tuples(*[entries] * n), max_size=20)))
+    if n >= 2 and draw(st.booleans()):
+        elements |= _fan(n, draw(st.integers(1, 40)), draw(st.integers(0, 4)), draw(entries))
+    return GlidePoset(n, elements, frozenset())
+
+
+def _check_kernels(p):
+    mu = p.mobius()
+    assert list(mu) == sorted(p.elements, key=lambda e: (sum(e), e))
+    assert mu == {x: -v for x, v in _traditional_mobius(p).items()}
+    for top in p.elements:
+        assert sum(mu[q] for q in p.elements if leq(q, top)) == 1, top
+    assert p.covers() == _naive_covers(p)
+    return mu
+
+
+def test_fan_reaches_several_bit_planes_of_both_signs():
+    # k = 38 antichain elements give mu = -37 (binary 100101) in the middle,
+    # and m = 3 middle elements give 37 * 2 = 74 on top
+    mu = _check_kernels(GlidePoset(3, _fan(3, 38, 3, 1), frozenset()))
+    assert min(mu.values()) == -37
+    assert max(mu.values()) == 74
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=hand_built_posets())
+@example(p=GlidePoset(2, _fan(2, 33, 2, 0), frozenset()))
+@example(p=GlidePoset(0, [()], frozenset()))
+@example(p=GlidePoset(1, [], frozenset()))
+def test_kernels_match_references_on_hand_built_posets(p):
+    _check_kernels(p)
