@@ -34,7 +34,9 @@ def _integer_numerators(
 
 
 class SparsePoly:
-    __slots__ = ("nvars", "terms")
+    # ``_m_read`` is left unset here: only ``qsym.read_m_coords`` fills it,
+    # with its result for this polynomial, which cannot change
+    __slots__ = ("nvars", "terms", "_m_read")
 
     def __init__(self, nvars: int, terms: Mapping[ExponentVector, Fraction | int] | None = None):
         self.nvars = _size(nvars, 0, "nvars")

@@ -237,15 +237,35 @@ class GlidePoset:
         return sorted(out)
 
     def is_lattice_with_bottom(self) -> bool:
-        """Check every pair has a join in the poset and a meet once BOTTOM is adjoined."""
-        down = self._downsets()
-        for (i, p), (j, q) in combinations(enumerate(self.elements), 2):
-            if join(p, q) not in self._index:
-                return False
-            common = down[i] & down[j]
-            if common and common & ~down[_greatest(common)]:
-                return False
-        return True
+        """Whether every pair has a join in the poset and, once BOTTOM is
+        adjoined, a meet.
+
+        Joins are tested against the join-irreducibles only: J holds the
+        elements that are not the componentwise max of their lower covers,
+        so every minimal element is in J.  The poset is join-closed exactly
+        when join(x, j) is in it for every element x and every j in J.
+        Going up the stored order, each element outside J is the join of its
+        lower covers, each of which is by induction a join of members of J
+        below it; so any p is a join of members j_1, ..., j_s of J, and
+        join(x, p) is reached from x by joining one j_i at a time, each step
+        staying in the poset.
+
+        Meets need no test: in a finite join-closed set, the common lower
+        bounds of p and q, if there are any, have their join among them, and
+        that join is the meet; if there are none, the meet is BOTTOM.
+        """
+        lower: list[list[WeakComposition]] = [[] for _ in self.elements]
+        for i, j in self.covers():
+            lower[j].append(self.elements[i])
+        irreducible = [
+            p
+            for p, below in zip(self.elements, lower)
+            if not below or tuple(max(column) for column in zip(*below)) != p
+        ]
+        index = self._index
+        return all(
+            tuple(map(max, x, j)) in index for j in irreducible for x in self.elements
+        )
 
 
 def build_poset(alpha: Iterable[int], n: int) -> GlidePoset:

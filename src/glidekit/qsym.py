@@ -141,11 +141,29 @@ def read_m_coords(
     at the first that differs; then a ``Counter`` of the positive parts is
     compared, group by group in first-seen order, with C(n, k) for the
     group's length k.
+
+    A polynomial is immutable and ``n`` must equal its variable count, so
+    the result is kept on it (the ``_m_read`` slot) and a second read costs
+    one copy of the coordinates.  Each call returns a fresh dict, so no
+    caller can change what is kept.  Nothing else writes the slot: a
+    builder that filled it would make the quasisymmetry check true by
+    construction.
     """
     if not isinstance(f, SparsePoly):
         raise MalformedInputError(f"expected a SparsePoly, got {type(f).__name__}")
     if f.nvars != _size(n, 0, "n"):
         raise LengthMismatchError(f"polynomial has {f.nvars} variables, expected {n}")
+    kept = getattr(f, "_m_read", None)
+    if kept is None:
+        kept = f._m_read = _group_by_positive_part(f, n)
+    coords, failed = kept
+    return dict(coords), failed
+
+
+def _group_by_positive_part(
+    f: SparsePoly, n: int
+) -> tuple[dict[Composition, Fraction], Composition | None]:
+    """The pass behind ``read_m_coords``, run once per polynomial."""
     # each exponent vector's positive_part, without a Python call per term
     gammas = list(map(tuple, map(partial(filter, None), f.terms)))
     coords: dict[Composition, Fraction] = {}

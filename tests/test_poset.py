@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -238,6 +239,53 @@ def _check_against_references(alpha, n):
     return p
 
 
+def _pairwise_is_lattice_with_bottom(p):
+    """The pairwise check the join-irreducible test replaced: every pair of
+    distinct elements has its join in the poset, and its common lower
+    bounds, if any, have a greatest one."""
+    for x, y in combinations(p.elements, 2):
+        if join(x, y) not in p:
+            return False
+        common = [z for z in p.elements if leq(z, x) and leq(z, y)]
+        if common and not any(all(leq(z, w) for z in common) for w in common):
+            return False
+    return True
+
+
+def test_lattice_check_matches_pairwise_reference_on_glide_rows():
+    # the string posets of |alpha| <= 6, n <= 7 with at most 40 elements
+    checked = 0
+    for alpha in all_compositions(6):
+        for n in range(len(alpha), 8):
+            p = build_poset(alpha, n)
+            if len(p) <= 40:
+                assert p.is_lattice_with_bottom() is _pairwise_is_lattice_with_bottom(p) is True
+                checked += 1
+    assert checked == 202
+
+
+@st.composite
+def small_string_sets(draw):
+    """Any set of equal-length strings with entries at most 2, closed under
+    join or (mostly) not."""
+    n = draw(st.integers(0, 4))
+    elements = set(draw(st.lists(st.tuples(*[st.integers(0, 2)] * n), max_size=12)))
+    if draw(st.booleans()):
+        elements = pairwise_closure(elements, max)
+    return GlidePoset(n, elements, frozenset())
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=small_string_sets())
+@example(p=GlidePoset(2, [(0, 1), (1, 0), (1, 2), (2, 1)], frozenset()))
+@example(p=GlidePoset(2, [(0, 1), (1, 0)], frozenset()))
+@example(p=GlidePoset(0, [()], frozenset()))
+@example(p=GlidePoset(1, [], frozenset()))
+def test_lattice_check_matches_pairwise_reference_on_hand_built_sets(p):
+    assert p.is_lattice_with_bottom() is _pairwise_is_lattice_with_bottom(p)
+    assert p.is_lattice_with_bottom() is (pairwise_closure(p.elements, max) == set(p.elements))
+
+
 def test_order_queries_match_naive_references():
     for alpha in all_compositions(4):
         for n in range(len(alpha), 7):
@@ -280,6 +328,7 @@ def test_heavy_tail_instances(alpha, n):
     nonzero = {s for s, v in mu.items() if v}
     assert len(nonzero) == nonzero_mu
     assert nonzero == enumerate_C(alpha, n)
+    assert p.is_lattice_with_bottom()
 
 
 # Hand-built posets: any set of equal-length tuples, not only closed string

@@ -12,6 +12,7 @@ from glidekit.errors import (
     GlidekitError,
     InputFileError,
     InvalidCompositionError,
+    LengthMismatchError,
     MalformedInputError,
     NotQuasisymmetricError,
     OutOfRangeError,
@@ -704,3 +705,96 @@ def test_engine_rejects_labels_of_degree_at_most_zero(n):
     with pytest.raises(UnknownLabelError):
         qsym_r_product(("e",), ("x",), zero_degree, n)
     assert qsym_r_product((1,), (2,), negative, n) == {(3,): 1, (1, 2): 1, (2, 1): 1}
+
+
+# ``read_m_coords`` keeps its result on the polynomial (the ``_m_read``
+# slot), so ``is_quasisymmetric`` followed by ``polynomial_to_m`` reads once.
+# The kept result must read exactly as a fresh read would.
+
+
+def _fresh(f):
+    """An equal polynomial that has never been read."""
+    return SparsePoly(f.nvars, dict(f.terms))
+
+
+def test_second_read_of_a_chern_image_matches_a_fresh_read():
+    for alpha, n, m in [((1, 2, 1), 4, 3), ((2, 1), 3, 2), ((), 2, 1)]:
+        f = chern_substitute(knutson_class(alpha, n, m))
+        assert is_quasisymmetric(f, n)
+        kept = polynomial_to_m(f, n).coords
+        fresh = polynomial_to_m(_fresh(f), n).coords
+        assert list(kept.items()) == list(fresh.items())
+        assert list(read_m_coords(f, n)[0].items()) == list(fresh.items())
+
+
+def test_changing_a_read_leaves_the_next_read_unchanged():
+    f = chern_substitute(knutson_class((1, 2), 3, 2))
+    coords, failed = read_m_coords(f, 3)
+    expected = list(coords.items())
+    coords.clear()
+    coords[(9,)] = Fraction(5)
+    assert failed is None
+    element = polynomial_to_m(f, 3)
+    assert list(element.coords.items()) == expected
+    element.coords[(7,)] = Fraction(1)
+    del element.coords[expected[0][0]]
+    assert list(read_m_coords(f, 3)[0].items()) == expected
+    assert list(polynomial_to_m(f, 3).coords.items()) == expected
+
+
+def test_kept_failure_raises_as_a_fresh_read_does():
+    f = chern_substitute(knutson_class((1, 2), 3, 2))
+    terms = dict(f.terms)
+    terms[(0, 1, 2)] += 1
+    g = SparsePoly(3, terms)
+    coords, failed = read_m_coords(_fresh(g), 3)
+    assert failed == (1, 2)
+    assert not is_quasisymmetric(g, 3)
+    assert read_m_coords(g, 3) == (coords, failed)
+    with pytest.raises(NotQuasisymmetricError) as kept:
+        polynomial_to_m(g, 3)
+    with pytest.raises(NotQuasisymmetricError) as fresh:
+        polynomial_to_m(_fresh(g), 3)
+    message = "the 3 placements of (1, 2) do not all carry one coefficient"
+    assert str(kept.value) == str(fresh.value) == message
+    assert not is_quasisymmetric(g, 3)
+
+
+def test_kept_read_still_checks_the_variable_count():
+    f = chern_substitute(knutson_class((1, 1), 3, 1))
+    assert is_quasisymmetric(f, 3)
+    polynomial_to_m(f, 3)
+    for read in (read_m_coords, is_quasisymmetric, polynomial_to_m):
+        for n in (2, 4):
+            with pytest.raises(LengthMismatchError) as exc:
+                read(f, n)
+            assert exc.value.code == "length-mismatch"
+        with pytest.raises(OutOfRangeError):
+            read(f, 3.0)
+    assert list(polynomial_to_m(f, 3).coords.items()) == list(
+        polynomial_to_m(_fresh(f), 3).coords.items()
+    )
+
+
+def test_polynomials_start_unread():
+    p = SparsePoly(2, {(1, 0): 1, (0, 1): 1})
+    built = [
+        p,
+        SparsePoly._trusted(2, {(1, 1): Fraction(1)}),
+        SparsePoly._from_numerators(2, {(1, 1): 2, (2, 0): 0}, 3),
+        p + p,
+        p * p,
+        -p,
+        p.scale(3),
+        p.restrict(1),
+        SparsePoly.one(2),
+        m_to_polynomial((1,), 2),
+        knutson_class((1, 2), 3, 2).poly,
+        chern_substitute(knutson_class((1, 2), 3, 2)),
+        glide_polynomial((1, 2), 3),
+    ]
+    for f in built:
+        assert not hasattr(f, "_m_read"), f
+    read_m_coords(p, 2)
+    assert p._m_read == ({(1,): Fraction(1)}, None)
+    assert not hasattr(p + p, "_m_read")

@@ -1,7 +1,8 @@
 """Source guards: no unused import, no private module-level function or
 class that nothing in the package references, no coefficient coerced
-with ``Fraction(x)`` outside the one coefficient rule, and no link between
-the two Mobius oracles (the string poset's and the K-side's).
+with ``Fraction(x)`` outside the one coefficient rule, no link between
+the two Mobius oracles (the string poset's and the K-side's), and no use of
+``SparsePoly``'s monomial-read memo outside the reader that fills it.
 
 The checks read the package with the stdlib ``ast`` module only.
 ``__init__.py`` is left out: its imports are the package's re-exports.
@@ -142,3 +143,41 @@ _KEPT_APART = {
 def test_mobius_oracles_stay_independent(name):
     named = _names_and_modules(_tree(PACKAGE / name)) & _KEPT_APART[name]
     assert not named, f"{name} reaches the other Mobius oracle through {sorted(named)}"
+
+
+# ``SparsePoly._m_read`` keeps ``qsym.read_m_coords``'s result.  A builder
+# that filled it (``chern_substitute``, ``knutson_class``) would make the
+# quasisymmetry check of criterion 07 true by construction, so only the
+# reader may name the slot (``poly.py`` only declares it).
+_MEMO = "_m_read"
+
+
+def _memo_uses(node: ast.AST, function: str | None = None):
+    """(function, line) of every attribute or string constant naming the
+    memo slot, with the innermost enclosing function.  A ``__slots__``
+    assignment declares the slot and neither reads nor writes it."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        function = node.name
+    if isinstance(node, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
+    ):
+        return
+    if (isinstance(node, ast.Attribute) and node.attr == _MEMO) or (
+        isinstance(node, ast.Constant) and node.value == _MEMO
+    ):
+        yield function, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _memo_uses(child, function)
+
+
+def test_only_the_monomial_reader_uses_its_memo():
+    allowed, found = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for function, line in _memo_uses(_tree(path)):
+            if (path.name, function) == ("qsym.py", "read_m_coords"):
+                allowed.append(line)
+            else:
+                found.append(f"{path.name}:{line} in {function or 'module'}")
+    assert not found, f"the monomial-read memo is used outside read_m_coords: {found}"
+    # the guard sees the reader's own uses, so it is not matching nothing
+    assert allowed
