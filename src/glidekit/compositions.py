@@ -11,7 +11,10 @@ from fractions import Fraction
 from itertools import chain, combinations
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import InvalidCompositionError, MalformedInputError, OutOfRangeError, SizeMismatchError
+from .errors import (
+    InvalidCompositionError, LengthMismatchError, MalformedInputError, OutOfRangeError,
+    SizeMismatchError,
+)
 
 Composition = tuple[int, ...]
 WeakComposition = tuple[int, ...]
@@ -34,6 +37,15 @@ def _int_parts(parts: Iterable[int], least: int, kind: str) -> tuple[int, ...]:
         if p < least:
             raise InvalidCompositionError(f"{kind} parts must be >= {least}: {out}")
     return out
+
+
+def _string(parts: Iterable[int], n: int, kind: str) -> WeakComposition:
+    """The one rule for a string: the parts, each an int >= 0 by the part
+    rule, exactly n of them.  Any other length is a length mismatch."""
+    s = _int_parts(parts, 0, kind)
+    if len(s) != n:
+        raise LengthMismatchError(f"{kind} {s} does not have {n} entries")
+    return s
 
 
 def _size(value: int, least: int, name: str) -> int:
@@ -68,7 +80,7 @@ def as_weak_composition(parts: Iterable[int]) -> WeakComposition:
 
 def positive_part(w: Sequence[int]) -> Composition:
     """Delete all zero entries, preserving the order of the rest."""
-    return tuple(filter(None, w))
+    return tuple(filter(None, as_weak_composition(w)))
 
 
 def paddings(parts: Sequence, n: int, blank=0) -> Iterator[tuple]:
@@ -208,11 +220,11 @@ def sorting_data(alpha: Sequence[int]) -> SortingData:
     return SortingData(omega=omega, beta=tuple(inverse))
 
 
-def _replace_nonzero(tau: Sequence[int], values: Sequence[int]) -> WeakComposition:
+def _replace_nonzero(tau: WeakComposition, values: Sequence[int]) -> WeakComposition:
     nonzero = [i for i, p in enumerate(tau) if p != 0]
     if len(nonzero) != len(values):
         raise SizeMismatchError(
-            f"expected {len(values)} nonzero entries, found {len(nonzero)} in {tuple(tau)}"
+            f"expected {len(values)} nonzero entries, found {len(nonzero)} in {tau}"
         )
     out = list(tau)
     for i, v in zip(nonzero, values):
@@ -222,9 +234,9 @@ def _replace_nonzero(tau: Sequence[int], values: Sequence[int]) -> WeakCompositi
 
 def standardize(tau: Sequence[int], data: SortingData) -> WeakComposition:
     """Rewrite the i-th nonzero entry of ``tau`` as beta_i."""
-    return _replace_nonzero(tau, data.beta)
+    return _replace_nonzero(as_weak_composition(tau), data.beta)
 
 
 def semistandardize(tau: Sequence[int], alpha: Sequence[int]) -> WeakComposition:
     """Rewrite the i-th nonzero entry of ``tau`` as alpha_i."""
-    return _replace_nonzero(tau, tuple(alpha))
+    return _replace_nonzero(as_weak_composition(tau), tuple(alpha))

@@ -25,6 +25,7 @@ from .compositions import (
     Composition,
     WeakComposition,
     _size,
+    _string,
     as_composition,
     as_weak_composition,
     paddings,
@@ -182,9 +183,7 @@ def mu_closed(sigma: Sequence[int], alpha: Iterable[int]) -> int:
 def mu_prime(sigma: Sequence[int], alpha: Iterable[int], n: int) -> int:
     """Signed count of barred preimages of sigma; zero off the move closure."""
     a = as_composition(alpha)
-    s = as_weak_composition(sigma)
-    if len(s) != _size(n, 0, "n"):
-        raise OutOfRangeError(f"string {s} does not have length {n}")
+    s = _string(sigma, _size(n, 0, "n"), "string")
     return _signed_projection(enumerate_C_tilde(a, n)).get(s, 0)
 
 

@@ -86,6 +86,16 @@ def projective_structure_class(r: int, m: int) -> KRingElement:
     return KRingElement(SparsePoly.monomial((m - r,)), m)
 
 
+def _twist(coeffs: Sequence[Fraction]) -> list[Fraction]:
+    """Apply the matrix (-1)^j C(i, j), from index i to index j: the
+    expansion of (1 - y)^i over powers of y, and its own inverse."""
+    out = [Fraction(0)] * len(coeffs)
+    for i, c in enumerate(coeffs):
+        for j in range(i + 1):
+            out[j] += c * (-1) ** j * comb(i, j)
+    return out
+
+
 def line_bundle_to_y(coeffs: Sequence[Fraction | int], m: int) -> KRingElement:
     """Change of basis from twisting-sheaf classes to powers of y.
 
@@ -94,11 +104,7 @@ def line_bundle_to_y(coeffs: Sequence[Fraction | int], m: int) -> KRingElement:
     """
     if len(coeffs) != _size(m, 0, "m") + 1:
         raise OutOfRangeError(f"expected {m + 1} coefficients, got {len(coeffs)}")
-    out = [Fraction(0)] * (m + 1)
-    for i, c in enumerate(coeffs):
-        cf = _exact(c, "coefficient")
-        for j in range(i + 1):
-            out[j] += cf * (-1) ** j * comb(i, j)
+    out = _twist([_exact(c, "coefficient") for c in coeffs])
     return KRingElement(SparsePoly(1, {(j,): c for j, c in enumerate(out) if c}), m)
 
 
@@ -106,12 +112,7 @@ def y_to_line_bundle(element: KRingElement) -> tuple[Fraction, ...]:
     """Inverse change of basis: expand powers of y over twisting-sheaf classes."""
     if element.nvars != 1:
         raise LengthMismatchError("line bundle expansion needs a one-variable element")
-    m = element.m
-    out = [Fraction(0)] * (m + 1)
-    for (j,), c in element.poly.terms.items():
-        for i in range(j + 1):
-            out[i] += c * (-1) ** i * comb(j, i)
-    return tuple(out)
+    return tuple(_twist([element.poly.coefficient((j,)) for j in range(element.m + 1)]))
 
 
 def z_locus(alpha: Iterable[int], n: int, m: int) -> frozenset[tuple[int, ...]]:
@@ -166,12 +167,6 @@ def knutson_class(alpha: Iterable[int], n: int, m: int) -> KRingElement:
     return KRingElement._trusted(SparsePoly._from_numerators(n, terms, 1), m)
 
 
-# one entry per truncation degree m; a few dozen cover every m a
-# desk-scale K-class reaches
-_CHERN_CACHE_SIZE = 32
-
-
-@lru_cache(maxsize=_CHERN_CACHE_SIZE)
 def chern_series_coeffs(m: int) -> tuple[Fraction, ...]:
     """Degree-m truncation of 1 - exp(-x): coefficient of x^j is (-1)^(j+1)/j!."""
     return tuple(
@@ -180,23 +175,26 @@ def chern_series_coeffs(m: int) -> tuple[Fraction, ...]:
     )
 
 
-@lru_cache(maxsize=_CHERN_CACHE_SIZE)
-def _chern_power_table(m: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Coefficient lists of the truncated series raised to powers 0..m."""
-    series = chern_series_coeffs(m)
-    powers = [(Fraction(1),) + (Fraction(0),) * m]
-    current = powers[0]
-    for _ in range(m):
-        nxt = [Fraction(0)] * (m + 1)
-        for i, a in enumerate(current):
-            if not a:
-                continue
-            for j, b in enumerate(series):
-                if b and i + j <= m:
-                    nxt[i + j] += a * b
-        current = tuple(nxt)
-        powers.append(current)
-    return tuple(powers)
+# one entry per truncation degree m; a few dozen cover every m a
+# desk-scale K-class reaches
+@lru_cache(maxsize=32)
+def _chern_rows(m: int) -> tuple[tuple[tuple[tuple[int], int], ...], ...]:
+    """Row g holds ((d,), m! * [x^d] (1 - exp(-x))^g) for each nonzero
+    term, d <= m, for g = 0..m.  The m!-scaled series has integer terms
+    m!/j!; a scaled power times it is the next power scaled by (m!)^2."""
+    scale = factorial(m)
+    series = [0] + [(-1) ** (j + 1) * (scale // factorial(j)) for j in range(1, m + 1)]
+    power = [scale] + [0] * m
+    rows = []
+    for _ in range(m + 1):
+        rows.append(tuple(((d,), c) for d, c in enumerate(power) if c))
+        nxt = [0] * (m + 1)
+        for i, a in enumerate(power):
+            if a:
+                for j in range(1, m + 1 - i):
+                    nxt[i + j] += a * series[j]
+        power = [c // scale for c in nxt]
+    return tuple(rows)
 
 
 def chern_substitute(element: KRingElement) -> SparsePoly:
@@ -208,13 +206,8 @@ def chern_substitute(element: KRingElement) -> SparsePoly:
     if not isinstance(element, KRingElement):
         raise MalformedInputError(f"expected a KRingElement, got {type(element).__name__}")
     m = element.m
-    # all series coefficients become integers after scaling by m!, so the
-    # substitution runs on integers over one common denominator
-    scale = factorial(m)
-    table = [
-        [((d,), int(c * scale)) for d, c in enumerate(row) if c]
-        for row in _chern_power_table(m)
-    ]
+    # the rows are scaled by m!: the substitution runs on integers
+    table = _chern_rows(m)
     n = element.nvars
     numerators, lcm_coeff = _integer_numerators(element.poly.terms)
     current = dict(numerators)
@@ -230,7 +223,7 @@ def chern_substitute(element: KRingElement) -> SparsePoly:
                 k = rest + d
                 nxt[k] = nxt.get(k, 0) + c * a
         current = nxt
-    return SparsePoly._from_numerators(n, current, scale**n * lcm_coeff)
+    return SparsePoly._from_numerators(n, current, factorial(m) ** n * lcm_coeff)
 
 
 def is_quasisymmetric(f: SparsePoly, n: int) -> bool:

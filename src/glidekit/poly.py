@@ -17,7 +17,7 @@ from math import lcm
 from operator import add
 from typing import Iterable, Mapping
 
-from .compositions import _exact, _int_parts, _size
+from .compositions import _exact, _size, _string
 from .errors import LengthMismatchError
 
 ExponentVector = tuple[int, ...]
@@ -44,9 +44,7 @@ class SparsePoly:
         # one Fraction per distinct int coefficient, as in ``_from_numerators``
         shared: dict[int, Fraction] = {}
         for exps, coeff in (terms or {}).items():
-            e = _int_parts(exps, 0, "exponent vector")
-            if len(e) != nvars:
-                raise LengthMismatchError(f"exponent vector {e} does not have {nvars} entries")
+            e = _string(exps, nvars, "exponent vector")
             c = shared.get(coeff) if type(coeff) is int else _exact(coeff, "coefficient")
             if c is None:
                 c = shared[coeff] = _exact(coeff, "coefficient")
@@ -104,7 +102,7 @@ class SparsePoly:
         return not self.terms
 
     def coefficient(self, exps: Iterable[int]) -> Fraction:
-        return self.terms.get(tuple(exps), _ZERO)
+        return self.terms.get(_string(exps, self.nvars, "exponent vector"), _ZERO)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SparsePoly):

@@ -25,18 +25,19 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import accumulate, combinations
-from operator import and_, getitem, or_
+from operator import and_, getitem, le, or_
 from typing import Iterable, Sequence
 
 from .compositions import (
     WeakComposition,
     _size,
+    _string,
     as_composition,
     as_weak_composition,
     closure,
     paddings,
 )
-from .errors import OutOfRangeError, LengthMismatchError
+from .errors import OutOfRangeError
 
 
 class _Bottom:
@@ -50,28 +51,21 @@ BOTTOM = _Bottom()
 
 
 def join(p: Sequence[int], q: Sequence[int]) -> WeakComposition:
-    """Componentwise maximum."""
-    if len(p) != len(q):
-        raise LengthMismatchError(f"join of strings of lengths {len(p)} and {len(q)}")
-    return tuple(max(a, b) for a, b in zip(p, q))
+    """Componentwise maximum of two strings of one length."""
+    a = as_weak_composition(p)
+    return tuple(map(max, a, _string(q, len(a), "string")))
 
 
 def leq(p: Sequence[int], q: Sequence[int]) -> bool:
-    return all(a <= b for a, b in zip(p, q))
+    """Whether p is at most q in every coordinate, for strings of one length."""
+    a = as_weak_composition(p)
+    return all(map(le, a, _string(q, len(a), "string")))
 
 
 def atoms(alpha: Iterable[int], n: int) -> frozenset[WeakComposition]:
     """All length-n strings obtained from alpha by inserting zeros."""
     a = as_composition(alpha)
     return frozenset(paddings(a, _size(n, len(a), "n")))
-
-
-def _string(e: Iterable[int], n: int) -> WeakComposition:
-    """A poset element or atom: a weak composition of length n."""
-    s = as_weak_composition(e)
-    if len(s) != n:
-        raise LengthMismatchError(f"string {s} does not have {n} entries")
-    return s
 
 
 def _greatest(bits: int) -> int:
@@ -101,8 +95,8 @@ class GlidePoset:
         atom_set: frozenset[WeakComposition],
     ):
         n = _size(n, 0, "n")
-        strings = {_string(e, n) for e in elements}
-        self._fill(n, strings, frozenset(_string(a, n) for a in atom_set))
+        strings = {_string(e, n, "poset element") for e in elements}
+        self._fill(n, strings, frozenset(_string(a, n, "atom") for a in atom_set))
 
     @classmethod
     def _trusted(
@@ -131,6 +125,13 @@ class GlidePoset:
 
     def __contains__(self, p: object) -> bool:
         return p in self._index
+
+    def _element(self, p: Sequence[int]) -> WeakComposition:
+        """A string of length n that is an element of this poset."""
+        s = _string(p, self.n, "string")
+        if s not in self._index:
+            raise OutOfRangeError(f"{s} is not an element of this poset")
+        return s
 
     def _downsets(self) -> list[int]:
         """Bitset of the downset of every element, by index.
@@ -193,28 +194,24 @@ class GlidePoset:
         Exponential in the number of atoms below sigma; intended for
         cross-validation at small sizes (at most ~20 atoms).
         """
-        s = tuple(sigma)
-        if s not in self._index:
-            raise OutOfRangeError(f"{s} is not an element of this poset")
-        below = [a for a in sorted(self.atom_set) if leq(a, s)]
+        s = self._element(sigma)
+        # the atoms and s are checked strings: join and compare them unchecked
+        below = [a for a in sorted(self.atom_set) if all(map(le, a, s))]
         total = 0
         for r in range(1, len(below) + 1):
             for subset in combinations(below, r):
                 acc = subset[0]
                 for a in subset[1:]:
-                    acc = join(acc, a)
+                    acc = tuple(map(max, acc, a))
                 if acc == s:
                     total += (-1) ** r
         return -total
 
     def meet(self, p: Sequence[int], q: Sequence[int]):
         """Greatest common lower bound within the poset, or BOTTOM if none."""
-        pt, qt = tuple(p), tuple(q)
-        for x in (pt, qt):
-            if x not in self._index:
-                raise OutOfRangeError(f"{x} is not an element of this poset")
+        i, j = self._index[self._element(p)], self._index[self._element(q)]
         down = self._downsets()
-        common = down[self._index[pt]] & down[self._index[qt]]
+        common = down[i] & down[j]
         # the join of all common lower bounds is itself one, by closure
         return self.elements[_greatest(common)] if common else BOTTOM
 

@@ -434,6 +434,18 @@ def _slot_product(
         yield tuple(l for l, _ in choice), prod((c for _, c in choice), start=scale)
 
 
+def _add_slot_product(
+    out: dict[LabelTuple, Fraction], slots: Sequence[Mapping[Label, Fraction]]
+) -> None:
+    """Add ``_slot_product(slots, 1)`` into ``out``, deleting a key whose sum is 0."""
+    for key, c in _slot_product(slots, _ONE):
+        v = out.get(key, _ZERO) + c
+        if v:
+            out[key] = v
+        else:
+            del out[key]
+
+
 def qsym_r_product(
     theta: Iterable[Label],
     kappa: Iterable[Label],
@@ -463,13 +475,7 @@ def qsym_r_product(
             length = hit.count(True)
             if any(hit[length:]):
                 continue
-            slots = [ring.product(a, b) for a, b in zip(k1[:length], k2[:length])]
-            for key, c in _slot_product(slots, _ONE):
-                v = out.get(key, _ZERO) + c
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
+            _add_slot_product(out, [ring.product(a, b) for a, b in zip(k1[:length], k2[:length])])
     return out
 
 
@@ -485,11 +491,5 @@ def qsym_r_product_shuffle(
     out: dict[LabelTuple, Fraction] = {}
     for length in range(max(len(t), len(k)), len(t) + len(k) + 1):
         for l, r in overlapping_paddings(t, k, length, ring.unit):
-            slots = [ring.product(x, y) for x, y in zip(l, r)]
-            for key, c in _slot_product(slots, _ONE):
-                v = out.get(key, _ZERO) + c
-                if v:
-                    out[key] = v
-                else:
-                    del out[key]
+            _add_slot_product(out, [ring.product(x, y) for x, y in zip(l, r)])
     return out

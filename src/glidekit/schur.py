@@ -14,7 +14,7 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .compositions import _exact, _int_parts, _size, overlapping_paddings
+from .compositions import _exact, _int_parts, _size, _string, overlapping_paddings
 from .errors import (
     InvalidCompositionError,
     LengthMismatchError,
@@ -28,12 +28,14 @@ Partition = tuple[int, ...]
 
 
 def as_partition(parts: Iterable[int], k: int | None = None) -> Partition:
-    """Validate a weakly decreasing tuple of nonnegative integers."""
-    p = _int_parts(parts, 0, "partition")
+    """Validate a weakly decreasing tuple of nonnegative integers, of length
+    k when k is given."""
+    if k is None:
+        p = _int_parts(parts, 0, "partition")
+    else:
+        p = _string(parts, _size(k, 0, "k"), "partition")
     if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
         raise InvalidCompositionError(f"partition parts must weakly decrease: {p}")
-    if k is not None and len(p) != _size(k, 0, "k"):
-        raise LengthMismatchError(f"partition {p} does not have length {k}")
     return p
 
 
@@ -47,10 +49,9 @@ class SkewShape:
     inner: Partition
 
     def __post_init__(self):
-        if len(self.outer) != len(self.inner):
-            raise LengthMismatchError(
-                f"outer {self.outer} and inner {self.inner} have different lengths"
-            )
+        outer = as_partition(self.outer)
+        object.__setattr__(self, "outer", outer)
+        object.__setattr__(self, "inner", as_partition(self.inner, len(outer)))
         if not contains(self.outer, self.inner):
             raise InvalidCompositionError(
                 f"inner shape {self.inner} is not contained in outer {self.outer}"
@@ -157,10 +158,8 @@ def ssyt_enumerate(shape: SkewShape, weight: Sequence[int]) -> list[Tableau]:
 
 def lr_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> int:
     """Number of ballot semistandard fillings of nu/lam with content mu."""
-    l, m_, n_ = tuple(lam), tuple(mu), tuple(nu)
-    if not (len(l) == len(m_) == len(n_)):
-        raise LengthMismatchError(f"partitions {l}, {m_}, {n_} must share one length")
-    return _lr(as_partition(l), as_partition(m_), as_partition(n_))
+    l = as_partition(lam)
+    return _lr(l, as_partition(mu, len(l)), as_partition(nu, len(l)))
 
 
 _LR_CACHE_SIZE = 4096

@@ -23,11 +23,13 @@ from glidekit.compositions import (
 )
 from glidekit.errors import (
     InvalidCompositionError,
+    LengthMismatchError,
     MalformedInputError,
     OutOfRangeError,
     SizeMismatchError,
 )
 from glidekit.glides import glide_polynomial
+from glidekit.poset import leq
 from glidekit.qsym import glide_element
 from glidekit.schur import (
     as_partition,
@@ -352,6 +354,58 @@ def test_a_size_must_be_an_int_at_least_its_least_value(entry):
     for bad in (1.5, True, "2", below):
         with pytest.raises(OutOfRangeError):
             call(bad)
+
+
+_STRING_NAMES = {"p", "q", "sigma", "tau", "exps", "w", "outer", "inner"}
+
+_P = gk.build_poset((1,), 2)
+
+# (call, a string the call takes, whether the call fixes its length).  Each
+# string starts with 1, so 1.0 or True in its place would pass were they
+# read as that int.  ``leq`` is a helper outside ``glidekit.__all__``.
+_TAKES_A_STRING = {
+    ("GlidePoset.meet", "p"): (lambda s: _P.meet(s, (1, 0)), (1, 0), True),
+    ("GlidePoset.meet", "q"): (lambda s: _P.meet((1, 0), s), (1, 0), True),
+    ("GlidePoset.mobius_crosscut", "sigma"): (_P.mobius_crosscut, (1, 0), True),
+    ("SkewShape", "inner"): (lambda s: gk.SkewShape((1, 1), s), (1, 0), True),
+    ("SkewShape", "outer"): (lambda s: gk.SkewShape(s, (0, 0)), (1, 0), True),
+    ("SparsePoly.coefficient", "exps"): (
+        lambda s: gk.SparsePoly(2, {(1, 0): 1}).coefficient(s),
+        (1, 0),
+        True,
+    ),
+    ("SparsePoly.monomial", "exps"): (gk.SparsePoly.monomial, (1, 0), False),
+    ("grassmannian_to_partition", "w"): (
+        lambda s: gk.grassmannian_to_partition(s, 1),
+        (1, 2),
+        False,
+    ),
+    ("join", "p"): (lambda s: gk.join(s, (0, 1)), (1, 0), True),
+    ("join", "q"): (lambda s: gk.join((0, 1), s), (1, 0), True),
+    ("leq", "p"): (lambda s: leq(s, (1, 1)), (1, 0), True),
+    ("leq", "q"): (lambda s: leq((0, 0), s), (1, 0), True),
+    ("mu_closed", "sigma"): (lambda s: gk.mu_closed(s, (1,)), (1, 0), False),
+    ("mu_prime", "sigma"): (lambda s: gk.mu_prime(s, (1,), 2), (1, 0), True),
+    ("positive_part", "w"): (positive_part, (1, 0), False),
+    ("semistandardize", "tau"): (lambda s: semistandardize(s, (1,)), (1, 0), False),
+    ("standardize", "tau"): (lambda s: standardize(s, sorting_data((1,))), (1, 0), False),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_TAKES_A_STRING), ids=".".join)
+def test_a_string_holds_nonnegative_ints_and_has_its_length(entry):
+    # a new string argument fails every case until it has a row in the table
+    helpers = {("leq", "p"), ("leq", "q")}
+    assert set(_TAKES_A_STRING) == _public_parameters(_STRING_NAMES) | helpers
+    call, s, fixed = _TAKES_A_STRING[entry]
+    call(s)
+    for bad in (-1, 1.0, True):
+        with pytest.raises(InvalidCompositionError):
+            call((bad,) + s[1:])
+    if fixed:
+        for wrong in (s + (0,), s[:-1]):
+            with pytest.raises(LengthMismatchError):
+                call(wrong)
 
 
 # each call is valid with the coefficient 1; a coefficient reaches the

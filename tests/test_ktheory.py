@@ -10,6 +10,7 @@ from glidekit.errors import LengthMismatchError, MalformedInputError, OutOfRange
 from glidekit.glides import glide_polynomial
 from glidekit.ktheory import (
     KRingElement,
+    _chern_rows,
     chern_series_coeffs,
     chern_substitute,
     is_quasisymmetric,
@@ -232,6 +233,22 @@ def test_chern_series_coefficients_exact():
         assert coeffs[0] == 0
         for j in range(1, m + 1):
             assert coeffs[j] == Fraction((-1) ** (j + 1), factorial(j))
+
+
+def test_integer_chern_rows_are_the_scaled_fraction_powers():
+    # the defining series raised to each power by Fraction convolution,
+    # scaled by m!, then every nonzero entry as an int
+    for m in range(13):
+        series = chern_series_coeffs(m)
+        power = [Fraction(1)] + [Fraction(0)] * m
+        rows = _chern_rows(m)
+        assert len(rows) == m + 1
+        for row in rows:
+            scaled = [c * factorial(m) for c in power]
+            assert all(c.denominator == 1 for c in scaled)
+            assert row == tuple(((d,), int(c)) for d, c in enumerate(scaled) if c)
+            assert all(type(c) is int for _, c in row)
+            power = [sum(power[i] * series[d - i] for i in range(d + 1)) for d in range(m + 1)]
 
 
 def test_chern_substitute_examples():
