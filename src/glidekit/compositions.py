@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, combinations
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import (
     InvalidCompositionError, LengthMismatchError, MalformedInputError, OutOfRangeError,
@@ -18,6 +18,7 @@ from .errors import (
 
 Composition = tuple[int, ...]
 WeakComposition = tuple[int, ...]
+T = TypeVar("T")
 
 
 def _int_parts(parts: Iterable[int], least: int, kind: str) -> tuple[int, ...]:
@@ -66,6 +67,16 @@ def _exact(value: Fraction | int, name: str) -> Fraction:
     if type(value) is not int:
         raise MalformedInputError(f"{name} must be an int or a Fraction, got {value!r}")
     return Fraction(value)
+
+
+def _instance(value: object, cls: type[T], name: str) -> T:
+    """The one rule for a library object (a polynomial, a K-class, a
+    monomial-basis element, a ring, a shape, a tableau, sorting data): an
+    instance of ``cls``, returned as it is.  Anything else is malformed
+    input, so a wrong container never fails deep inside."""
+    if isinstance(value, cls):
+        return value
+    raise MalformedInputError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
 
 
 def as_composition(parts: Iterable[int]) -> Composition:
@@ -182,7 +193,7 @@ def closure(
 def run_encode(alpha: Sequence[int]) -> tuple[tuple[int, int], ...]:
     """Group equal adjacent parts into (value, multiplicity) runs."""
     runs: list[tuple[int, int]] = []
-    for p in alpha:
+    for p in as_composition(alpha):
         if runs and runs[-1][0] == p:
             runs[-1] = (p, runs[-1][1] + 1)
         else:
@@ -212,8 +223,9 @@ class SortingData(NamedTuple):
 
 
 def sorting_data(alpha: Sequence[int]) -> SortingData:
-    n = len(alpha)
-    omega = tuple(sorted(range(1, n + 1), key=lambda i: (alpha[i - 1], i)))
+    a = as_composition(alpha)
+    n = len(a)
+    omega = tuple(sorted(range(1, n + 1), key=lambda i: (a[i - 1], i)))
     inverse = [0] * n
     for i, w in enumerate(omega, start=1):
         inverse[w - 1] = i
@@ -234,9 +246,9 @@ def _replace_nonzero(tau: WeakComposition, values: Sequence[int]) -> WeakComposi
 
 def standardize(tau: Sequence[int], data: SortingData) -> WeakComposition:
     """Rewrite the i-th nonzero entry of ``tau`` as beta_i."""
-    return _replace_nonzero(as_weak_composition(tau), data.beta)
+    return _replace_nonzero(as_weak_composition(tau), _instance(data, SortingData, "data").beta)
 
 
 def semistandardize(tau: Sequence[int], alpha: Sequence[int]) -> WeakComposition:
     """Rewrite the i-th nonzero entry of ``tau`` as alpha_i."""
-    return _replace_nonzero(as_weak_composition(tau), tuple(alpha))
+    return _replace_nonzero(as_weak_composition(tau), as_composition(alpha))

@@ -18,8 +18,8 @@ from math import comb, factorial
 from operator import and_, getitem, or_
 from typing import Iterable, Sequence
 
-from .compositions import _exact, _size, as_composition, closure, paddings
-from .errors import LengthMismatchError, MalformedInputError, OutOfRangeError
+from .compositions import _exact, _instance, _size, as_composition, closure, paddings
+from .errors import LengthMismatchError, OutOfRangeError
 from .poly import SparsePoly, _integer_numerators
 from .qsym import read_m_coords
 
@@ -36,14 +36,11 @@ class KRingElement:
     m: int
 
     def __post_init__(self):
-        if not isinstance(self.poly, SparsePoly):
-            raise MalformedInputError(f"expected a SparsePoly, got {type(self.poly).__name__}")
+        poly = _instance(self.poly, SparsePoly, "poly")
         _size(self.m, 0, "truncation degree m")
-        reduced = {
-            e: c for e, c in self.poly.terms.items() if all(x <= self.m for x in e)
-        }
+        reduced = {e: c for e, c in poly.terms.items() if all(x <= self.m for x in e)}
         # a subset of a polynomial's terms needs no second check
-        object.__setattr__(self, "poly", SparsePoly._trusted(self.poly.nvars, reduced))
+        object.__setattr__(self, "poly", SparsePoly._trusted(poly.nvars, reduced))
 
     @classmethod
     def _trusted(cls, poly: SparsePoly, m: int) -> "KRingElement":
@@ -76,7 +73,7 @@ class KRingElement:
         return KRingElement(self.poly.restrict(n), m)
 
     def _check(self, other: "KRingElement") -> None:
-        if self.m != other.m:
+        if self.m != _instance(other, KRingElement, "other").m:
             raise LengthMismatchError(f"truncation degrees differ: {self.m} vs {other.m}")
 
 
@@ -110,7 +107,7 @@ def line_bundle_to_y(coeffs: Sequence[Fraction | int], m: int) -> KRingElement:
 
 def y_to_line_bundle(element: KRingElement) -> tuple[Fraction, ...]:
     """Inverse change of basis: expand powers of y over twisting-sheaf classes."""
-    if element.nvars != 1:
+    if _instance(element, KRingElement, "element").nvars != 1:
         raise LengthMismatchError("line bundle expansion needs a one-variable element")
     return tuple(_twist([element.poly.coefficient((j,)) for j in range(element.m + 1)]))
 
@@ -203,9 +200,7 @@ def chern_substitute(element: KRingElement) -> SparsePoly:
     Replaces y_i by x_i - x_i^2/2 + x_i^3/6 - ... (up to the element's cap m)
     and reduces modulo x_i^(m+1); coefficients stay exact rationals.
     """
-    if not isinstance(element, KRingElement):
-        raise MalformedInputError(f"expected a KRingElement, got {type(element).__name__}")
-    m = element.m
+    m = _instance(element, KRingElement, "element").m
     # the rows are scaled by m!: the substitution runs on integers
     table = _chern_rows(m)
     n = element.nvars

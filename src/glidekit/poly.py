@@ -17,7 +17,7 @@ from math import lcm
 from operator import add
 from typing import Iterable, Mapping
 
-from .compositions import _exact, _size, _string
+from .compositions import _exact, _instance, _int_parts, _size, _string
 from .errors import LengthMismatchError
 
 ExponentVector = tuple[int, ...]
@@ -95,7 +95,7 @@ class SparsePoly:
 
     @classmethod
     def monomial(cls, exps: Iterable[int], coeff: Fraction | int = 1) -> "SparsePoly":
-        e = tuple(exps)
+        e = _int_parts(exps, 0, "exponent vector")
         return cls(len(e), {e: coeff})
 
     def is_zero(self) -> bool:
@@ -131,7 +131,7 @@ class SparsePoly:
         return SparsePoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "SparsePoly") -> "SparsePoly":
-        return self + (-other)
+        return self + (-_instance(other, SparsePoly, "other"))
 
     def __mul__(self, other: "SparsePoly") -> "SparsePoly":
         self._check_compatible(other)
@@ -170,7 +170,7 @@ class SparsePoly:
         return sorted(self.terms.items(), key=lambda item: (sum(item[0]), item[0]))
 
     def _check_compatible(self, other: "SparsePoly") -> None:
-        if self.nvars != other.nvars:
+        if self.nvars != _instance(other, SparsePoly, "other").nvars:
             raise LengthMismatchError(
                 f"variable count mismatch: {self.nvars} vs {other.nvars}"
             )

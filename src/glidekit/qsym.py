@@ -25,6 +25,7 @@ from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequenc
 from .compositions import (
     Composition,
     _exact,
+    _instance,
     _size,
     as_composition,
     overlapping_paddings,
@@ -91,6 +92,7 @@ class QSymElement:
         return cls({as_composition(alpha): Fraction(1)}, degree_bound)
 
     def __add__(self, other: "QSymElement") -> "QSymElement":
+        _instance(other, QSymElement, "other")
         bound = _combined_bound(self.degree_bound, other.degree_bound)
         out = dict(self.coords)
         for a, c in other.coords.items():
@@ -149,9 +151,7 @@ def read_m_coords(
     builder that filled it would make the quasisymmetry check true by
     construction.
     """
-    if not isinstance(f, SparsePoly):
-        raise MalformedInputError(f"expected a SparsePoly, got {type(f).__name__}")
-    if f.nvars != _size(n, 0, "n"):
+    if _instance(f, SparsePoly, "f").nvars != _size(n, 0, "n"):
         raise LengthMismatchError(f"polynomial has {f.nvars} variables, expected {n}")
     kept = getattr(f, "_m_read", None)
     if kept is None:
@@ -214,6 +214,8 @@ def overlapping_shuffle(alpha: Iterable[int], beta: Iterable[int]) -> dict[Compo
 
 def m_multiply(f: QSymElement, g: QSymElement) -> QSymElement:
     """Bilinear extension of the overlapping shuffle to monomial coordinates."""
+    _instance(f, QSymElement, "f")
+    _instance(g, QSymElement, "g")
     bound = _combined_bound(f.degree_bound, g.degree_bound)
     out: dict[Composition, Fraction] = {}
     for a, ca in f.coords.items():
@@ -248,8 +250,7 @@ def glide_expand(f: QSymElement, degree_bound: int) -> dict[Composition, Fractio
     beyond that window the expansion describes the truncation, not the power
     series it came from.
     """
-    if not isinstance(f, QSymElement):
-        raise MalformedInputError(f"expected a QSymElement, got {type(f).__name__}")
+    _instance(f, QSymElement, "f")
     _size(degree_bound, 0, "degree bound")
     if f.degree_bound is not None:
         _size(f.degree_bound, degree_bound, "the element's degree bound")
@@ -414,6 +415,7 @@ LabelTuple = tuple[Label, ...]
 
 
 def _validate_label_tuple(labels: Iterable[Label], ring: GradedRingData) -> LabelTuple:
+    _instance(ring, GradedRingData, "ring")
     out = tuple(labels)
     for l in out:
         if not ring.contains(l) or ring.degree(l) <= 0:

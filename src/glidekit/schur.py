@@ -14,7 +14,7 @@ from itertools import combinations
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .compositions import _exact, _int_parts, _size, _string, overlapping_paddings
+from .compositions import _exact, _instance, _int_parts, _size, _string, overlapping_paddings
 from .errors import (
     InvalidCompositionError,
     LengthMismatchError,
@@ -69,7 +69,8 @@ class Tableau:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        expected = tuple(o - i for o, i in zip(self.shape.outer, self.shape.inner))
+        shape = _instance(self.shape, SkewShape, "shape")
+        expected = tuple(o - i for o, i in zip(shape.outer, shape.inner))
         if tuple(len(r) for r in self.rows) != expected:
             raise SizeMismatchError(f"row lengths {self.rows} do not fill {self.shape}")
 
@@ -77,7 +78,7 @@ class Tableau:
 def reading_word(t: Tableau) -> tuple[int, ...]:
     """Rows right-to-left, top-to-bottom."""
     word: list[int] = []
-    for row in t.rows:
+    for row in _instance(t, Tableau, "t").rows:
         word.extend(reversed(row))
     return tuple(word)
 
@@ -85,7 +86,7 @@ def reading_word(t: Tableau) -> tuple[int, ...]:
 def content(t: Tableau) -> tuple[int, ...]:
     """Value multiplicities (c_1, c_2, ...) up to the largest entry."""
     counts: dict[int, int] = {}
-    for row in t.rows:
+    for row in _instance(t, Tableau, "t").rows:
         for v in row:
             counts[v] = counts.get(v, 0) + 1
     top = max(counts) if counts else 0
@@ -109,16 +110,15 @@ def ssyt_enumerate(shape: SkewShape, weight: Sequence[int]) -> list[Tableau]:
     cell by cell with a per-value budget; results are sorted by reading word,
     so the order is deterministic.
     """
-    if shape.cell_count() != sum(weight):
-        raise SizeMismatchError(
-            f"content {tuple(weight)} does not fill {shape.cell_count()} cells"
-        )
+    _instance(shape, SkewShape, "shape")
+    budget = list(_int_parts(weight, 0, "content"))
+    if shape.cell_count() != sum(budget):
+        raise SizeMismatchError(f"content {tuple(budget)} does not fill {shape.cell_count()} cells")
     outer, inner = shape.outer, shape.inner
     nrows = len(outer)
     cells = [
         (r, c) for r in range(nrows) for c in range(inner[r], outer[r])
     ]
-    budget = list(weight)
     nvalues = len(budget)
     filling: dict[tuple[int, int], int] = {}
     out: list[Tableau] = []

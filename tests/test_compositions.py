@@ -30,12 +30,14 @@ from glidekit.errors import (
 )
 from glidekit.glides import glide_polynomial
 from glidekit.poset import leq
-from glidekit.qsym import glide_element
+from glidekit.qsym import glide_element, qsym_r_product_shuffle
 from glidekit.schur import (
     as_partition,
     buk_structure_constant,
+    content,
     grassmannian_to_partition,
     lr_coefficient,
+    reading_word,
 )
 
 from conftest import all_compositions, all_paddings, pairwise_closure
@@ -432,6 +434,131 @@ def test_a_coefficient_must_be_an_int_or_a_fraction(entry):
     call(Fraction(1, 2))
     for bad in (0.1, True, "1"):
         with pytest.raises(MalformedInputError):
+            call(bad)
+
+
+_OBJECT_NAMES = {"element", "f", "g", "poly", "ring", "shape", "t", "data"}
+
+_ONE = gk.SparsePoly.one(2)
+_Q = gk.QSymElement.monomial((1,))
+_SHAPE = gk.SkewShape((1,), (0,))
+_T = gk.Tableau(_SHAPE, ((1,),))
+_LINE = gk.KRingElement(gk.SparsePoly.one(1), 1)
+
+# (call, the object the call takes, an object of another library class).
+# The operators, ``reading_word``, ``content`` and the shuffle route of the
+# tensor product are helpers outside the parameter search.
+_TAKES_AN_OBJECT = {
+    ("GradedRingData.from_dict", "data"): (
+        gk.GradedRingData.from_dict,
+        {"basis": [{"label": "1", "degree": 0}]},
+        _Q,
+    ),
+    ("KRingElement", "poly"): (lambda x: gk.KRingElement(x, 1), _ONE, _Q),
+    ("KRingElement.__add__", "other"): (lambda x: _K + x, _K, _ONE),
+    ("KRingElement.__mul__", "other"): (lambda x: _K * x, _K, _ONE),
+    ("QSymElement.__add__", "other"): (lambda x: _Q + x, _Q, _K),
+    ("SparsePoly.__add__", "other"): (lambda x: _ONE + x, _ONE, _K),
+    ("SparsePoly.__mul__", "other"): (lambda x: _ONE * x, _ONE, _K),
+    ("SparsePoly.__sub__", "other"): (lambda x: _ONE - x, _ONE, _K),
+    ("Tableau", "shape"): (lambda x: gk.Tableau(x, ((1,),)), _SHAPE, _T),
+    ("chern_substitute", "element"): (gk.chern_substitute, _K, _ONE),
+    ("content", "t"): (content, _T, _SHAPE),
+    ("glide_expand", "f"): (lambda x: gk.glide_expand(x, 1), _Q, _ONE),
+    ("is_ballot", "t"): (gk.is_ballot, _T, _SHAPE),
+    ("is_quasisymmetric", "f"): (lambda x: gk.is_quasisymmetric(x, 2), _ONE, _K),
+    ("m_multiply", "f"): (lambda x: gk.m_multiply(x, _Q), _Q, _ONE),
+    ("m_multiply", "g"): (lambda x: gk.m_multiply(_Q, x), _Q, _ONE),
+    ("polynomial_to_m", "f"): (lambda x: gk.polynomial_to_m(x, 2), _ONE, _K),
+    ("qsym_r_product", "ring"): (
+        lambda x: gk.qsym_r_product((1,), (1,), x, 2),
+        gk.cpinf_ring(),
+        _Q,
+    ),
+    ("qsym_r_product_shuffle", "ring"): (
+        lambda x: qsym_r_product_shuffle((1,), (1,), x),
+        gk.cpinf_ring(),
+        _Q,
+    ),
+    ("reading_word", "t"): (reading_word, _T, _SHAPE),
+    ("ssyt_enumerate", "shape"): (lambda x: gk.ssyt_enumerate(x, (1,)), _SHAPE, _T),
+    ("standardize", "data"): (lambda x: standardize((1, 0), x), sorting_data((1,)), _Q),
+    ("y_to_line_bundle", "element"): (gk.y_to_line_bundle, _LINE, gk.SparsePoly.one(1)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_TAKES_AN_OBJECT), ids=".".join)
+def test_a_library_object_must_be_of_its_class(entry):
+    # a new object argument fails every case until it has a row
+    helpers = {
+        e for e in _TAKES_AN_OBJECT
+        if e[1] == "other" or e[0] in {"reading_word", "content", "qsym_r_product_shuffle"}
+    }
+    assert set(_TAKES_AN_OBJECT) == _public_parameters(_OBJECT_NAMES) | helpers
+    call, own, other = _TAKES_AN_OBJECT[entry]
+    call(own)
+    for bad in ({}, 5, other):
+        with pytest.raises(MalformedInputError):
+            call(bad)
+
+
+def test_a_wrong_object_is_named_with_its_parameter_and_class():
+    with pytest.raises(MalformedInputError, match="^element must be a KRingElement, got int$"):
+        gk.y_to_line_bundle(5)
+    with pytest.raises(MalformedInputError, match="^other must be a SparsePoly, got dict$"):
+        _ONE - {}
+
+
+_PART_NAMES = {"alpha", "beta", "lam", "mu", "nu", "weight"}
+
+# (call, the least part it takes).  Each call is valid with the part 1, so
+# only refusing the part itself can raise.
+_TAKES_PARTS = {
+    ("QSymElement.monomial", "alpha"): (lambda x: gk.QSymElement.monomial((x, 2)), 1),
+    ("atoms", "alpha"): (lambda x: gk.atoms((x, 2), 2), 1),
+    ("build_poset", "alpha"): (lambda x: gk.build_poset((x, 2), 2), 1),
+    ("enumerate_C", "alpha"): (lambda x: gk.enumerate_C((x, 2), 2), 1),
+    ("enumerate_C_tilde", "alpha"): (lambda x: gk.enumerate_C_tilde((x, 2), 2), 1),
+    ("glide_element", "alpha"): (lambda x: glide_element((x, 2), 3), 1),
+    ("glide_polynomial", "alpha"): (lambda x: gk.glide_polynomial((x, 2), 2), 1),
+    ("glide_structure_constants", "alpha"): (
+        lambda x: gk.glide_structure_constants((x,), (1,), 2),
+        1,
+    ),
+    ("glide_structure_constants", "beta"): (
+        lambda x: gk.glide_structure_constants((1,), (x,), 2),
+        1,
+    ),
+    ("knutson_class", "alpha"): (lambda x: gk.knutson_class((x, 2), 2, 2), 1),
+    ("lr_coefficient", "lam"): (lambda x: lr_coefficient((x, 0), (1, 0), (2, 0)), 0),
+    ("lr_coefficient", "mu"): (lambda x: lr_coefficient((1, 0), (x, 0), (2, 0)), 0),
+    ("lr_coefficient", "nu"): (lambda x: lr_coefficient((1, 0), (1, 0), (2, x)), 0),
+    ("m_to_polynomial", "alpha"): (lambda x: gk.m_to_polynomial((x, 2), 2), 1),
+    ("mu_closed", "alpha"): (lambda x: gk.mu_closed((1, 2), (x, 2)), 1),
+    ("mu_prime", "alpha"): (lambda x: gk.mu_prime((1, 2), (x, 2), 2), 1),
+    ("overlapping_shuffle", "alpha"): (lambda x: gk.overlapping_shuffle((x,), (2,)), 1),
+    ("overlapping_shuffle", "beta"): (lambda x: gk.overlapping_shuffle((2,), (x,)), 1),
+    ("partition_to_grassmannian", "lam"): (lambda x: gk.partition_to_grassmannian((x,), 1), 0),
+    ("run_encode", "alpha"): (lambda x: run_encode((x, 2)), 1),
+    ("schur_polynomial", "lam"): (lambda x: gk.schur_polynomial((x,), 1), 0),
+    ("semistandardize", "alpha"): (lambda x: semistandardize((1, 0), (x,)), 1),
+    ("sorting_data", "alpha"): (lambda x: sorting_data((x, 2)), 1),
+    ("ssyt_enumerate", "weight"): (
+        lambda x: gk.ssyt_enumerate(gk.SkewShape((2,), (0,)), (x, 1)),
+        0,
+    ),
+    ("z_locus", "alpha"): (lambda x: gk.z_locus((x, 2), 2, 2), 1),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_TAKES_PARTS), ids=".".join)
+def test_parts_are_ints_at_least_their_least_value(entry):
+    # a new argument of parts fails every case until it has a row
+    assert set(_TAKES_PARTS) == _public_parameters(_PART_NAMES)
+    call, least = _TAKES_PARTS[entry]
+    call(1)
+    for bad in (1.5, True, least - 1):
+        with pytest.raises(InvalidCompositionError):
             call(bad)
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from glidekit.errors import LengthMismatchError
+from glidekit.errors import InvalidCompositionError, LengthMismatchError
 from glidekit.poly import SparsePoly
 
 
@@ -118,3 +118,9 @@ def test_public_constructor_keeps_its_checks():
     assert_terms(f, {(1, 1): Fraction(3), (2, 0): Fraction(1, 2)})
     with pytest.raises(LengthMismatchError):
         SparsePoly(2, {(1, 0): 1}) * SparsePoly(3, {(1, 0, 0): 1})
+
+
+def test_monomial_reads_its_exponents_by_the_part_rule():
+    # this was a bare TypeError from tuple(5)
+    with pytest.raises(InvalidCompositionError):
+        SparsePoly.monomial(5)

@@ -288,3 +288,9 @@ def test_schur_ring_takes_only_partition_tuples(label):
     assert not ring.contains(label)
     with pytest.raises(UnknownLabelError):
         qsym_r_product((label,), ((1, 0),), ring, 2)
+
+
+def test_a_negative_content_fills_no_tableau():
+    # (3, -1) sums to the two cells, and once gave three tableaux
+    with pytest.raises(InvalidCompositionError):
+        ssyt_enumerate(SkewShape((2,), (0,)), (3, -1))

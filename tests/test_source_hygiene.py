@@ -1,8 +1,9 @@
 """Source guards: no unused import, no private module-level function or
 class that nothing in the package references, no coefficient coerced
 with ``Fraction(x)`` outside the one coefficient rule, no link between
-the two Mobius oracles (the string poset's and the K-side's), and no use of
-``SparsePoly``'s monomial-read memo outside the reader that fills it.
+the two Mobius oracles (the string poset's and the K-side's), no use of
+``SparsePoly``'s monomial-read memo outside the reader that fills it, and
+no ``isinstance`` test of a library class outside the one object rule.
 
 The checks read the package with the stdlib ``ast`` module only.
 ``__init__.py`` is left out: its imports are the package's re-exports.
@@ -180,4 +181,43 @@ def test_only_the_monomial_reader_uses_its_memo():
                 found.append(f"{path.name}:{line} in {function or 'module'}")
     assert not found, f"the monomial-read memo is used outside read_m_coords: {found}"
     # the guard sees the reader's own uses, so it is not matching nothing
+    assert allowed
+
+
+# every library-object argument goes through ``compositions._instance``,
+# which takes the class as an argument.  ``SparsePoly.__eq__`` keeps its own
+# test: it answers NotImplemented, where the rule raises.
+_LIBRARY_CLASSES = {
+    "SparsePoly", "KRingElement", "QSymElement", "GradedRingData",
+    "SkewShape", "Tableau", "SortingData", "GlidePoset",
+}
+
+
+def _class_tests(node: ast.AST, scope: str = ""):
+    """(scope, line) of every ``isinstance`` call whose class argument names
+    a library class, with the dotted class and function names around it."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = f"{scope}.{node.name}" if scope else node.name
+    if (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+        and _used_names(node.args[1]) & _LIBRARY_CLASSES
+    ):
+        yield scope, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _class_tests(child, scope)
+
+
+def test_library_objects_are_checked_by_one_rule():
+    allowed, found = [], []
+    for path in MODULES:
+        for scope, line in _class_tests(_tree(path)):
+            if (path.name, scope) == ("poly.py", "SparsePoly.__eq__"):
+                allowed.append(line)
+            else:
+                found.append(f"{path.name}:{line} in {scope or 'module'}")
+    assert not found, f"a library class tested outside compositions._instance: {found}"
+    # the guard sees the one exception, so it is not matching nothing
     assert allowed
