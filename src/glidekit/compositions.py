@@ -145,17 +145,17 @@ def canonical_key(alpha: Sequence[int]) -> tuple[int, int, tuple[int, ...]]:
 
 def closure(
     generators: Iterable[WeakComposition], pick: Callable[[int, int], int]
-) -> set[WeakComposition]:
-    """Close equal-length tuples under the componentwise ``pick``.
+) -> Iterator[WeakComposition]:
+    """Close equal-length tuples under the componentwise ``pick``, lazily.
 
     Precondition: the generators are tuples of one length whose entries are
-    nonnegative ints, and ``pick`` is ``max`` or ``min``.  Both callers,
-    ``poset.build_poset`` and ``ktheory.knutson_class``, meet it by
-    construction.
+    nonnegative ints, and ``pick`` is ``max`` or ``min``.  Every caller meets
+    it by construction.
 
-    Every element of the closure is ``pick`` applied to some set of
-    generators, so each newly found element only needs combining with the
-    generators, never with everything found so far.
+    Yields each element once, the distinct generators first in their given
+    order, so a caller that stops early never builds the rest.  Every
+    element is ``pick`` of some set of generators, so each one only needs
+    combining with the generators, never with everything found so far.
 
     Each tuple is packed into one int, coordinate 0 in the highest field.
     A field holds s value bits, s the bit length of the largest entry, and
@@ -165,7 +165,7 @@ def closure(
     each kept guard into s ones, a mask of the fields where p holds the
     maximum, and ``g ^ ((p ^ g) & mask)`` is the componentwise max.  The
     min-closure is the max-closure of the complements 2**s - 1 - v, so both
-    run the same join.  Only the end result is unpacked into tuples.
+    run the same join.  Each element is unpacked into a tuple when yielded.
     """
     gens = tuple(generators)
     s = max(chain.from_iterable(gens), default=0).bit_length()
@@ -173,12 +173,13 @@ def closure(
     shifts = range((s + 1) * (len(gens[0]) - 1), -1, -(s + 1)) if gens else ()
     guards = sum(1 << (k + s) for k in shifts)
     flip = sum(ones << k for k in shifts) if pick is min else 0
-    packed = tuple(sum(v << k for v, k in zip(g, shifts)) ^ flip for g in gens)
+    packed = tuple(dict.fromkeys(sum(v << k for v, k in zip(g, shifts)) ^ flip for g in gens))
     elements = set(packed)
-    frontier = list(elements)
+    frontier = packed
     while frontier:
         fresh = []
         for p in frontier:
+            yield tuple((p ^ flip) >> k & ones for k in shifts)
             high = p | guards
             for g in packed:
                 t = (high - g) & guards
@@ -187,7 +188,6 @@ def closure(
                     elements.add(x)
                     fresh.append(x)
         frontier = fresh
-    return {tuple((x ^ flip) >> k & ones for k in shifts) for x in elements}
 
 
 def run_encode(alpha: Sequence[int]) -> tuple[tuple[int, int], ...]:
@@ -202,10 +202,20 @@ def run_encode(alpha: Sequence[int]) -> tuple[tuple[int, int], ...]:
 
 
 def run_decode(runs: Iterable[tuple[int, int]]) -> Composition:
-    """Expand (value, multiplicity) runs back into a composition."""
+    """Expand (value, multiplicity) runs back into a composition.
+
+    Each run is a pair: its value a part by the composition rule, its
+    multiplicity a size at least 1.
+    """
+    try:
+        pairs = [tuple(run) for run in runs]
+    except TypeError as exc:
+        raise MalformedInputError(f"runs must be (value, multiplicity) pairs: {runs!r}") from exc
     out: list[int] = []
-    for value, mult in runs:
-        out.extend([value] * mult)
+    for run in pairs:
+        if len(run) != 2:
+            raise MalformedInputError(f"a run must be a (value, multiplicity) pair: {run!r}")
+        out.extend(as_composition(run[:1]) * _size(run[1], 1, "multiplicity"))
     return tuple(out)
 
 

@@ -237,15 +237,14 @@ class GlidePoset:
         """Whether every pair has a join in the poset and, once BOTTOM is
         adjoined, a meet.
 
-        Joins are tested against the join-irreducibles only: J holds the
-        elements that are not the componentwise max of their lower covers,
-        so every minimal element is in J.  The poset is join-closed exactly
-        when join(x, j) is in it for every element x and every j in J.
-        Going up the stored order, each element outside J is the join of its
-        lower covers, each of which is by induction a join of members of J
-        below it; so any p is a join of members j_1, ..., j_s of J, and
-        join(x, p) is reached from x by joining one j_i at a time, each step
-        staying in the poset.
+        Joins are tested through the join-irreducibles: J holds the elements
+        that are not the componentwise max of their lower covers, so every
+        minimal element is in J.  Going up the stored order, each element
+        outside J is the join of its lower covers, each of which is by
+        induction a join of members of J below it; so the poset lies inside
+        the join-closure of J, and it is join-closed exactly when that
+        closure lies inside it.  The closure is drawn lazily and stops at the
+        first string outside the poset, after at most |P| + 1 strings.
 
         Meets need no test: in a finite join-closed set, the common lower
         bounds of p and q, if there are any, have their join among them, and
@@ -259,10 +258,7 @@ class GlidePoset:
             for p, below in zip(self.elements, lower)
             if not below or tuple(max(column) for column in zip(*below)) != p
         ]
-        index = self._index
-        return all(
-            tuple(map(max, x, j)) in index for j in irreducible for x in self.elements
-        )
+        return all(s in self._index for s in closure(irreducible, max))
 
 
 def build_poset(alpha: Iterable[int], n: int) -> GlidePoset:

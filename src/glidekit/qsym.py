@@ -20,7 +20,7 @@ from itertools import product
 from math import comb, prod
 from operator import add
 from types import MappingProxyType
-from typing import Any, Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from .compositions import (
     Composition,
@@ -290,14 +290,23 @@ class GradedRingData:
     label -> int or Fraction mapping, which callers only read; ``product``
     checks each coefficient and handles the unit.  ``contains`` tests label
     validity, so rings with infinitely many basis labels (one generator per
-    degree, the tableau rings) can be given lazily.  The tensor engine takes
-    only labels of positive degree, and checks each one it is given.
+    degree, the tableau rings) can be given lazily.  ``degree``, ``multiply``
+    and ``contains`` must be callable, which the ring checks when it is
+    built.  The tensor engine takes only labels of positive degree, and
+    checks each one it is given.
     """
 
     unit: Label
     degree: Callable[[Label], int]
     multiply: Callable[[Label, Label], Mapping[Label, Fraction]]
     contains: Callable[[Label], bool]
+
+    def __post_init__(self):
+        for name in ("degree", "multiply", "contains"):
+            value = getattr(self, name)
+            if not callable(value):
+                kind = type(value).__name__
+                raise MalformedInputError(f"ring {name} must be callable, got {kind}")
 
     def product(self, a: Label, b: Label) -> dict[Label, Fraction]:
         if a == self.unit:
@@ -423,25 +432,19 @@ def _validate_label_tuple(labels: Iterable[Label], ring: GradedRingData) -> Labe
     return out
 
 
-def _slot_product(
-    slots: Sequence[Mapping[Label, Fraction]], scale: Fraction
-) -> Iterator[tuple[LabelTuple, Fraction]]:
-    """Expand a product of one sparse sum per slot into label tuples.
-
-    Each choice of one item per slot gives the tuple of the chosen labels,
-    weighted by ``scale`` times the chosen coefficients; the choices come
-    with the first slot outermost, and an empty slot gives none.
-    """
-    for choice in product(*[slot.items() for slot in slots]):
-        yield tuple(l for l, _ in choice), prod((c for _, c in choice), start=scale)
-
-
 def _add_slot_product(
     out: dict[LabelTuple, Fraction], slots: Sequence[Mapping[Label, Fraction]]
 ) -> None:
-    """Add ``_slot_product(slots, 1)`` into ``out``, deleting a key whose sum is 0."""
-    for key, c in _slot_product(slots, _ONE):
-        v = out.get(key, _ZERO) + c
+    """Add a product of one sparse sum per slot into ``out``, deleting a key
+    whose sum is 0.
+
+    Each choice of one item per slot gives the tuple of the chosen labels,
+    weighted by the product of the chosen coefficients; the choices come
+    with the first slot outermost, and an empty slot gives none.
+    """
+    for choice in product(*[slot.items() for slot in slots]):
+        key = tuple(l for l, _ in choice)
+        v = out.get(key, _ZERO) + prod((c for _, c in choice), start=_ONE)
         if v:
             out[key] = v
         else:

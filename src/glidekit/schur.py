@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from operator import ge, gt
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -63,16 +64,27 @@ class SkewShape:
 
 @dataclass(frozen=True)
 class Tableau:
-    """Filling of a skew shape; row i holds values for columns inner_i..outer_i-1."""
+    """Semistandard filling of a skew shape; row i holds values for columns
+    inner_i..outer_i-1.  Entries are ints >= 1 by the part rule, rows weakly
+    increase and columns strictly increase; anything else is refused."""
 
     shape: SkewShape
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
         shape = _instance(self.shape, SkewShape, "shape")
+        rows = tuple(_int_parts(r, 1, "tableau row") for r in self.rows)
         expected = tuple(o - i for o, i in zip(shape.outer, shape.inner))
-        if tuple(len(r) for r in self.rows) != expected:
+        if tuple(map(len, rows)) != expected:
             raise SizeMismatchError(f"row lengths {self.rows} do not fill {self.shape}")
+        for row in rows:
+            if any(map(gt, row, row[1:])):
+                raise InvalidCompositionError(f"tableau row {row} must weakly increase")
+        for above, row, start, lo in zip(rows, rows[1:], shape.inner, shape.inner[1:]):
+            # the row above starts at column start >= lo: line the shared columns up
+            if any(map(ge, above, row[start - lo:])):
+                raise InvalidCompositionError(f"tableau columns must strictly increase: {rows}")
+        object.__setattr__(self, "rows", rows)
 
 
 def reading_word(t: Tableau) -> tuple[int, ...]:

@@ -133,6 +133,7 @@ def _both_orders(gens):
 @example(_both_orders([()]))
 @example(_both_orders([(0, 0, 0)]))
 @example(_both_orders([(0, 0), (0, 0)]))
+@example(_both_orders([(2, 0), (0, 1), (2, 0), (1, 1), (0, 1)]))
 @example(_both_orders([(5, 0, 9, 1)]))
 @example(_both_orders([(1, 0), (0, 1)]))
 # entries 2**s - 1 and 2**s for s = 1, 2, 3, next to 0 and the top entry
@@ -142,9 +143,13 @@ def _both_orders(gens):
 @example(_both_orders([tuple(range(9)), tuple(range(8, -1, -1)), (9,) * 9, (0,) * 9]))
 def test_closure_matches_pairwise_fixed_point(pick, instance):
     gens, reordered = instance
-    closed = closure(gens, pick)
+    closed = set(closure(gens, pick))
     assert closed == pairwise_closure(gens, pick)
-    assert closure(reordered, pick) == closed
+    assert set(closure(reordered, pick)) == closed
+    # lazily: each element once, the distinct generators first in their order
+    drawn = list(closure(gens, pick))
+    assert len(drawn) == len(closed)
+    assert drawn[: len(set(gens))] == list(dict.fromkeys(gens))
 
 
 def test_positive_part_inverts_zero_insertion():
@@ -165,6 +170,26 @@ def test_positive_part_inverts_zero_insertion():
 )
 def test_run_encode_examples(alpha, runs):
     assert run_encode(alpha) == runs
+
+
+@pytest.mark.parametrize(
+    "runs,error",
+    [
+        (5, MalformedInputError),
+        ((5,), MalformedInputError),
+        (((2, 1, 1),), MalformedInputError),
+        (((1.5, 2),), InvalidCompositionError),
+        (((0, 2),), InvalidCompositionError),
+        (((2, 0),), OutOfRangeError),
+        (((2, -1),), OutOfRangeError),
+        (((2, 1.0),), OutOfRangeError),
+    ],
+    ids=["not-iterable", "run-not-a-pair", "run-of-three", "float-value", "zero-value",
+         "zero-multiplicity", "negative-multiplicity", "float-multiplicity"],
+)
+def test_run_decode_reads_value_and_multiplicity_pairs(runs, error):
+    with pytest.raises(error):
+        run_decode(runs)
 
 
 def test_run_encode_roundtrip():

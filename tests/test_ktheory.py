@@ -95,7 +95,7 @@ def test_intersection_closure_mirrors_string_poset():
             strings = build_poset(alpha, n).elements
             for m in range(lo_m, 6):
                 components = z_locus(alpha, n, m)
-                closed = closure(components, min)
+                closed = set(closure(components, min))
                 assert closed == pairwise_closure(components, min), (alpha, n, m)
                 assert sorted(closed) == sorted(tuple(m - x for x in e) for e in strings)
 

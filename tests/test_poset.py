@@ -5,6 +5,8 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from glidekit import poset
+from glidekit.compositions import closure
 from glidekit.errors import InvalidCompositionError, LengthMismatchError, OutOfRangeError
 from glidekit.glides import enumerate_C
 from glidekit.poset import BOTTOM, GlidePoset, atoms, build_poset, join, leq
@@ -284,6 +286,25 @@ def small_string_sets(draw):
 def test_lattice_check_matches_pairwise_reference_on_hand_built_sets(p):
     assert p.is_lattice_with_bottom() is _pairwise_is_lattice_with_bottom(p)
     assert p.is_lattice_with_bottom() is (pairwise_closure(p.elements, max) == set(p.elements))
+
+
+def test_lattice_check_stops_at_the_first_string_outside_the_poset(monkeypatch):
+    # the axis strings v * e_i for v <= 3 at n = 10: their join-closure holds
+    # every nonzero string with entries at most 3, 4**10 - 1 of them
+    n = 10
+    p = GlidePoset(
+        n, [tuple(v * (k == i) for k in range(n)) for i in range(n) for v in (1, 2, 3)], frozenset()
+    )
+    drawn = []
+
+    def counted(generators, pick):
+        for s in closure(generators, pick):
+            drawn.append(s)
+            yield s
+
+    monkeypatch.setattr(poset, "closure", counted)
+    assert p.is_lattice_with_bottom() is _pairwise_is_lattice_with_bottom(p) is False
+    assert 0 < len(drawn) <= len(p) + 1
 
 
 def test_order_queries_match_naive_references():

@@ -24,7 +24,7 @@ from glidekit.poly import SparsePoly
 from glidekit.qsym import (
     GradedRingData,
     QSymElement,
-    _slot_product,
+    _add_slot_product,
     cpinf_ring,
     glide_element,
     glide_expand,
@@ -251,14 +251,30 @@ def _reference_slot_expansion(slots, scale):
         st.dictionaries(st.sampled_from(["e", "a", "b", 2, (1, 0)]), _COEFFS, max_size=3),
         max_size=4,
     ),
-    scale=_COEFFS,
+    held=st.lists(st.one_of(st.none(), _COEFFS), max_size=8),
 )
-@example(slots=[{"a": Fraction(1, 2)}, {}, {"b": Fraction(1, 2)}], scale=Fraction(3))
-@example(slots=[], scale=Fraction(3))
-@example(slots=[{"a": Fraction(1, 2), "b": Fraction(2)}, {"c": Fraction(1, 2)}], scale=Fraction(1))
-def test_slot_product_matches_prefix_expansion(slots, scale):
-    expected = _reference_slot_expansion(slots, scale)
-    assert list(_slot_product(slots, scale)) == list(expected.items())
+@example(slots=[{"a": Fraction(1, 2)}, {}, {"b": Fraction(1, 2)}], held=[])
+@example(slots=[], held=[None])
+@example(
+    slots=[{"a": Fraction(1, 2), "b": Fraction(2)}, {"c": Fraction(1, 2)}],
+    held=[None, Fraction(3)],
+)
+def test_slot_product_matches_prefix_expansion(slots, held):
+    expected = _reference_slot_expansion(slots, Fraction(1))
+    out = {}
+    _add_slot_product(out, slots)
+    assert list(out.items()) == list(expected.items())
+    # into a dict that already holds keys: a held coefficient of None cancels
+    # its expansion key, which must leave the dict
+    start = {("held",): Fraction(5)}
+    for (key, c), h in zip(expected.items(), held):
+        start[key] = -c if h is None else h
+    merged = dict(start)
+    for key, c in expected.items():
+        merged[key] = merged.get(key, Fraction(0)) + c
+    out = dict(start)
+    _add_slot_product(out, slots)
+    assert list(out.items()) == [(key, c) for key, c in merged.items() if c]
 
 
 def test_overlapping_shuffle_examples():
@@ -481,7 +497,7 @@ def _reference_tensor_multiply(ring, f, g):
     for k1, c1 in f.items():
         for k2, c2 in g.items():
             slots = [ring.product(a, b) for a, b in zip(k1, k2)]
-            for key, c in _slot_product(slots, c1 * c2):
+            for key, c in _reference_slot_expansion(slots, c1 * c2).items():
                 v = out.get(key, Fraction(0)) + c
                 if v:
                     out[key] = v
@@ -678,6 +694,16 @@ def test_graded_ring_file_errors_are_typed(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(MalformedInputError):
         GradedRingData.from_json_file(path)
+
+
+def test_ring_fields_must_be_callable():
+    fields = dict(unit=0, degree=lambda a: a, multiply=lambda a, b: {a + b: 1}, contains=bool)
+    GradedRingData(**fields)
+    for field in ("degree", "multiply", "contains"):
+        with pytest.raises(MalformedInputError, match=f"^ring {field} must be callable, got int$"):
+            GradedRingData(**{**fields, field: 5})
+    with pytest.raises(MalformedInputError):
+        qsym_r_product((1,), (1,), GradedRingData(0, 5, 5, 5), 2)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

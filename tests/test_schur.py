@@ -86,12 +86,66 @@ def test_ssyt_enumerate_examples():
 def test_ssyt_are_semistandard():
     shape = SkewShape(outer=(4, 3, 1), inner=(2, 1, 0))
     for t in ssyt_enumerate(shape, (2, 2, 1)):
-        for r, row in enumerate(t.rows):
-            assert all(row[i] <= row[i + 1] for i in range(len(row) - 1))
-            for c, v in enumerate(row, start=shape.inner[r]):
-                if r > 0 and shape.inner[r - 1] <= c < shape.outer[r - 1]:
-                    above = t.rows[r - 1][c - shape.inner[r - 1]]
-                    assert v > above
+        assert _is_semistandard(shape, t.rows)
+
+
+@pytest.mark.parametrize(
+    "outer,inner,rows",
+    [
+        ((1,), (0,), (("a",),)),
+        ((1,), (0,), ((0,),)),
+        ((1,), (0,), ((1.0,),)),
+        ((1,), (0,), ((True,),)),
+        ((2,), (0,), ((2, 1),)),
+        ((1, 1), (0, 0), ((1,), (1,))),
+        ((1, 1), (0, 0), ((2,), (1,))),
+        ((3, 2), (1, 0), ((2, 2), (1, 2))),
+    ],
+    ids=["string", "zero", "float", "bool", "row-decreases", "column-repeats",
+         "column-decreases", "skew-column-repeats"],
+)
+def test_tableau_is_a_semistandard_filling(outer, inner, rows):
+    with pytest.raises(InvalidCompositionError):
+        Tableau(SkewShape(outer, inner), rows)
+
+
+def _is_semistandard(shape, rows):
+    """Rows weakly increase and each column strictly increases, read cell by
+    cell from the row above."""
+    for r, row in enumerate(rows):
+        if any(row[i] > row[i + 1] for i in range(len(row) - 1)):
+            return False
+        for c, v in enumerate(row, start=shape.inner[r]):
+            if r > 0 and shape.inner[r - 1] <= c < shape.outer[r - 1]:
+                if v <= rows[r - 1][c - shape.inner[r - 1]]:
+                    return False
+    return True
+
+
+def test_tableau_takes_exactly_the_semistandard_fillings():
+    # every filling with entries 1..3 of a few small skew shapes
+    shapes = [((2, 2), (0, 0)), ((3, 2), (1, 0)), ((2, 2, 1), (1, 0, 0)), ((3, 1), (1, 1))]
+    for outer, inner in shapes:
+        shape = SkewShape(outer, inner)
+        lengths = [o - i for o, i in zip(outer, inner)]
+        accepted = []
+        for values in product(range(1, 4), repeat=sum(lengths)):
+            it = iter(values)
+            rows = tuple(tuple(next(it) for _ in range(k)) for k in lengths)
+            try:
+                accepted.append(Tableau(shape, rows))
+            except InvalidCompositionError:
+                assert not _is_semistandard(shape, rows), rows
+            else:
+                assert _is_semistandard(shape, rows), rows
+        # and ssyt_enumerate builds exactly those of each content
+        for weight in product(range(5), repeat=3):
+            if sum(weight) == shape.cell_count():
+                expected = [
+                    t.rows for t in accepted
+                    if tuple(sum(row.count(v) for row in t.rows) for v in (1, 2, 3)) == weight
+                ]
+                assert sorted(t.rows for t in ssyt_enumerate(shape, weight)) == sorted(expected)
 
 
 def test_lr_coefficient_examples():
