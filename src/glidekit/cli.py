@@ -19,6 +19,7 @@ from .glides import GLIDE_METHODS, glide_polynomial
 from .jsonio import (
     comp_map_from_json,
     comp_map_to_json,
+    decimal_int,
     parse_composition,
     parse_partition_tuple,
     poly_to_json,
@@ -143,14 +144,14 @@ def build_parser() -> argparse.ArgumentParser:
         "poset", parents=[common], help="string poset of a composition's zero-paddings"
     )
     p.add_argument("--alpha", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=decimal_int, required=True)
     p.add_argument("--hasse", action="store_true", help="include cover relations")
     p.add_argument("--mobius", action="store_true", help="include the Mobius table")
     p.set_defaults(func=_cmd_poset)
 
     p = sub.add_parser("glide", parents=[common], help="glide polynomial of a composition")
     p.add_argument("--alpha", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=decimal_int, required=True)
     p.add_argument("--method", choices=GLIDE_METHODS, default="closed")
     p.set_defaults(func=_cmd_glide)
 
@@ -166,19 +167,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("glide-expand", parents=[common], help="expand monomial coordinates over the glide basis")
     p.add_argument("--input", required=True, help="JSON file with monomial coordinates")
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=decimal_int, required=True)
     p.set_defaults(func=_cmd_glide_expand)
 
     p = sub.add_parser("glide-struct", parents=[common], help="glide-basis structure constants of two glides")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--degree", type=decimal_int, required=True)
     p.set_defaults(func=_cmd_glide_struct)
 
     p = sub.add_parser("kclass", parents=[common], help="structure-sheaf class of the dual Schubert union")
     p.add_argument("--alpha", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--n", type=decimal_int, required=True)
+    p.add_argument("--m", type=decimal_int, required=True)
     p.add_argument("--chern", action="store_true", help="include the Chern character image")
     p.set_defaults(func=_cmd_kclass)
 
@@ -189,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_lr)
 
     p = sub.add_parser("buk", parents=[common], help="structure constant for tuples of length-k partitions")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=decimal_int, required=True)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--m", dest="mu", required=True)
     p.add_argument("--n", dest="nu", required=True)

@@ -79,6 +79,20 @@ def _instance(value: object, cls: type[T], name: str) -> T:
     raise MalformedInputError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
 
 
+def _container(value: Iterable[T], name: str, items: bool = False) -> Iterator[T]:
+    """The one rule for a container argument (elements, atoms, rows, runs,
+    labels, partitions, coefficients; with ``items``, a mapping of terms):
+    an iterator over ``value``, or over ``value.items()`` with ``items``.
+    Only the read a caller makes anyway is guarded, so a valid call pays no
+    extra pass; anything that cannot be read so is malformed input, not a
+    bare TypeError or AttributeError."""
+    try:
+        return iter(value.items() if items else value)
+    except (AttributeError, TypeError):
+        kind = "mapping" if items else "container"
+        raise MalformedInputError(f"{name} must be a {kind}, got {type(value).__name__}") from None
+
+
 def as_composition(parts: Iterable[int]) -> Composition:
     """Validate a composition (every part an int >= 1)."""
     return _int_parts(parts, 1, "composition")
@@ -207,10 +221,7 @@ def run_decode(runs: Iterable[tuple[int, int]]) -> Composition:
     Each run is a pair: its value a part by the composition rule, its
     multiplicity a size at least 1.
     """
-    try:
-        pairs = [tuple(run) for run in runs]
-    except TypeError as exc:
-        raise MalformedInputError(f"runs must be (value, multiplicity) pairs: {runs!r}") from exc
+    pairs = [tuple(_container(run, "run")) for run in _container(runs, "runs")]
     out: list[int] = []
     for run in pairs:
         if len(run) != 2:

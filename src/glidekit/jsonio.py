@@ -8,6 +8,7 @@ empty composition as [].
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -41,8 +42,14 @@ def parse_frac(text: str | int) -> Fraction:
         raise MalformedInputError(f"cannot parse a rational from {text!r}") from exc
 
 
-def read_json(path: str) -> Any:
-    """Parse a JSON input file, with typed errors for unreadable or invalid files."""
+def read_json(path: str | os.PathLike) -> Any:
+    """Parse a JSON input file, with typed errors for unreadable or invalid files.
+
+    The path must be a ``str`` or an ``os.PathLike``: ``open`` would read an
+    int as a file descriptor, and close it.
+    """
+    if not isinstance(path, (str, os.PathLike)):
+        raise MalformedInputError(f"path must be a str or os.PathLike, got {type(path).__name__}")
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
@@ -52,13 +59,26 @@ def read_json(path: str) -> Any:
         raise MalformedInputError(f"{path} is not valid JSON: {exc}") from exc
 
 
+def decimal_int(text: str) -> int:
+    """An int from ASCII decimal text: an optional '-' and the digits 0-9,
+    with the surrounding whitespace ``int()`` allows.  ``int()`` alone also
+    takes '+', underscores ('1_0') and non-ASCII digits; a ValueError here
+    is argparse's usage error for an integer flag."""
+    digits = text.strip()
+    body = digits[1:] if digits.startswith("-") else digits
+    if not (body.isascii() and body.isdigit()):
+        raise ValueError(f"not an ASCII decimal integer: {text!r}")
+    return int(digits)
+
+
 def parse_composition(text: str) -> tuple[int, ...]:
-    """Comma-separated parts; the empty string is the empty composition."""
+    """Comma-separated parts, each by ``decimal_int``; the empty string is
+    the empty composition."""
     text = text.strip()
     if not text:
         return ()
     try:
-        return tuple(int(p) for p in text.split(","))
+        return tuple(decimal_int(p) for p in text.split(","))
     except ValueError as exc:
         raise InvalidCompositionError(f"cannot parse composition from {text!r}") from exc
 

@@ -18,7 +18,7 @@ from math import comb, factorial
 from operator import and_, getitem, or_
 from typing import Iterable, Sequence
 
-from .compositions import _exact, _instance, _size, as_composition, closure, paddings
+from .compositions import _container, _exact, _instance, _size, as_composition, closure, paddings
 from .errors import LengthMismatchError, OutOfRangeError
 from .poly import SparsePoly, _integer_numerators
 from .qsym import read_m_coords
@@ -99,9 +99,10 @@ def line_bundle_to_y(coeffs: Sequence[Fraction | int], m: int) -> KRingElement:
     ``coeffs[i]`` is the coefficient of the class twisted by -i; that class
     equals (1 - y)^i.
     """
-    if len(coeffs) != _size(m, 0, "m") + 1:
-        raise OutOfRangeError(f"expected {m + 1} coefficients, got {len(coeffs)}")
-    out = _twist([_exact(c, "coefficient") for c in coeffs])
+    exact = [_exact(c, "coefficient") for c in _container(coeffs, "coeffs")]
+    if len(exact) != _size(m, 0, "m") + 1:
+        raise OutOfRangeError(f"expected {m + 1} coefficients, got {len(exact)}")
+    out = _twist(exact)
     return KRingElement(SparsePoly(1, {(j,): c for j, c in enumerate(out) if c}), m)
 
 

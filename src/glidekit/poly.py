@@ -17,7 +17,7 @@ from math import lcm
 from operator import add
 from typing import Iterable, Mapping
 
-from .compositions import _exact, _instance, _int_parts, _size, _string
+from .compositions import _container, _exact, _instance, _int_parts, _size, _string
 from .errors import LengthMismatchError
 
 ExponentVector = tuple[int, ...]
@@ -43,7 +43,7 @@ class SparsePoly:
         clean: dict[ExponentVector, Fraction] = {}
         # one Fraction per distinct int coefficient, as in ``_from_numerators``
         shared: dict[int, Fraction] = {}
-        for exps, coeff in (terms or {}).items():
+        for exps, coeff in _container({} if terms is None else terms, "terms", items=True):
             e = _string(exps, nvars, "exponent vector")
             c = shared.get(coeff) if type(coeff) is int else _exact(coeff, "coefficient")
             if c is None:

@@ -30,6 +30,7 @@ from typing import Iterable, Sequence
 
 from .compositions import (
     WeakComposition,
+    _container,
     _size,
     _string,
     as_composition,
@@ -95,8 +96,9 @@ class GlidePoset:
         atom_set: frozenset[WeakComposition],
     ):
         n = _size(n, 0, "n")
-        strings = {_string(e, n, "poset element") for e in elements}
-        self._fill(n, strings, frozenset(_string(a, n, "atom") for a in atom_set))
+        strings = {_string(e, n, "poset element") for e in _container(elements, "elements")}
+        atom_strings = frozenset(_string(a, n, "atom") for a in _container(atom_set, "atom_set"))
+        self._fill(n, strings, atom_strings)
 
     @classmethod
     def _trusted(

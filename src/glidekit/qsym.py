@@ -24,6 +24,7 @@ from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
 
 from .compositions import (
     Composition,
+    _container,
     _exact,
     _instance,
     _size,
@@ -65,7 +66,7 @@ class QSymElement:
         if self.degree_bound is not None:
             _size(self.degree_bound, 0, "degree bound")
         clean = {}
-        for alpha, c in self.coords.items():
+        for alpha, c in _container(self.coords, "coords", items=True):
             a = as_composition(alpha)
             cf = _exact(c, "coefficient")
             if self.degree_bound is not None and sum(a) > self.degree_bound:
@@ -313,7 +314,10 @@ class GradedRingData:
             return {b: _ONE}
         if b == self.unit:
             return {a: _ONE}
-        terms = self.multiply(a, b).items()
+        try:
+            terms = self.multiply(a, b).items()
+        except (AttributeError, TypeError) as exc:
+            raise MalformedInputError(f"the ring cannot multiply {a!r} by {b!r}: {exc}") from exc
         return {l: q for l, c in terms if (q := _exact(c, "structure constant"))}
 
     @classmethod
@@ -397,7 +401,7 @@ class GradedRingData:
             unit=unit,
             degree=lambda l: degrees[l],
             multiply=multiply,
-            contains=lambda l: l in degrees,
+            contains=lambda l: type(l) is str and l in degrees,
         )
 
     @classmethod
@@ -425,7 +429,7 @@ LabelTuple = tuple[Label, ...]
 
 def _validate_label_tuple(labels: Iterable[Label], ring: GradedRingData) -> LabelTuple:
     _instance(ring, GradedRingData, "ring")
-    out = tuple(labels)
+    out = tuple(_container(labels, "labels"))
     for l in out:
         if not ring.contains(l) or ring.degree(l) <= 0:
             raise UnknownLabelError(f"not a basis label of positive degree: {l!r}")

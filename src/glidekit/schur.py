@@ -15,7 +15,9 @@ from operator import ge, gt
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .compositions import _exact, _instance, _int_parts, _size, _string, overlapping_paddings
+from .compositions import (
+    _container, _exact, _instance, _int_parts, _size, _string, overlapping_paddings,
+)
 from .errors import (
     InvalidCompositionError,
     LengthMismatchError,
@@ -73,7 +75,7 @@ class Tableau:
 
     def __post_init__(self):
         shape = _instance(self.shape, SkewShape, "shape")
-        rows = tuple(_int_parts(r, 1, "tableau row") for r in self.rows)
+        rows = tuple(_int_parts(r, 1, "tableau row") for r in _container(self.rows, "rows"))
         expected = tuple(o - i for o, i in zip(shape.outer, shape.inner))
         if tuple(map(len, rows)) != expected:
             raise SizeMismatchError(f"row lengths {self.rows} do not fill {self.shape}")
@@ -135,16 +137,6 @@ def ssyt_enumerate(shape: SkewShape, weight: Sequence[int]) -> list[Tableau]:
     filling: dict[tuple[int, int], int] = {}
     out: list[Tableau] = []
 
-    def admissible(r: int, c: int, v: int) -> bool:
-        left = filling.get((r, c - 1))
-        if left is not None and v < left:
-            return False
-        if r > 0 and inner[r - 1] <= c < outer[r - 1]:
-            above = filling.get((r - 1, c))
-            if above is None or v <= above:
-                return False
-        return True
-
     def backtrack(i: int) -> None:
         if i == len(cells):
             rows = tuple(
@@ -154,8 +146,11 @@ def ssyt_enumerate(shape: SkewShape, weight: Sequence[int]) -> list[Tableau]:
             out.append(Tableau(shape=shape, rows=rows))
             return
         r, c = cells[i]
-        for v in range(1, nvalues + 1):
-            if budget[v - 1] == 0 or not admissible(r, c, v):
+        # cells fill row by row, so a cell to the left or above that lies in
+        # the shape is already filled; one outside it bounds nothing
+        least = max(filling.get((r, c - 1), 1), filling.get((r - 1, c), 0) + 1)
+        for v in range(least, nvalues + 1):
+            if budget[v - 1] == 0:
                 continue
             filling[(r, c)] = v
             budget[v - 1] -= 1
@@ -191,29 +186,14 @@ def _lr(lam: Partition, mu: Partition, nu: Partition) -> int:
 
 
 def schur_polynomial(lam: Iterable[int], k: int) -> SparsePoly:
-    """Generating polynomial of semistandard fillings with entries at most k."""
-    l = as_partition(lam, k)
-    outer, inner = l, (0,) * k
-    cells = [(r, c) for r in range(k) for c in range(outer[r])]
-    terms: dict[tuple[int, ...], int] = {}
-    filling: dict[tuple[int, int], int] = {}
+    """Generating polynomial of semistandard fillings with entries at most k.
 
-    def backtrack(i: int, weight: list[int]) -> None:
-        if i == len(cells):
-            w = tuple(weight)
-            terms[w] = terms.get(w, 0) + 1
-            return
-        r, c = cells[i]
-        lo = filling.get((r, c - 1), 1)
-        above = filling.get((r - 1, c), 0)
-        for v in range(max(lo, above + 1), k + 1):
-            filling[(r, c)] = v
-            weight[v - 1] += 1
-            backtrack(i + 1, weight)
-            weight[v - 1] -= 1
-            del filling[(r, c)]
-
-    backtrack(0, [0] * k)
+    The coefficient of y^w is the Kostka number: the count of the fillings
+    with content w, read off ``ssyt_enumerate`` for each weak composition w.
+    """
+    l = as_partition(lam, _size(k, 0, "k"))
+    shape = SkewShape(l, (0,) * k)
+    terms = {w: len(ssyt_enumerate(shape, w)) for w in _weak_compositions(sum(l), k)}
     return SparsePoly(k, terms)
 
 
@@ -244,7 +224,7 @@ def grassmannian_to_partition(w: Sequence[int], k: int) -> Partition:
 
 def partition_to_grassmannian(lam: Iterable[int], k: int, n: int | None = None) -> tuple[int, ...]:
     """Inverse translation; the result lives in the symmetric group on n letters."""
-    l = as_partition(lam, k)
+    l = as_partition(lam, _size(k, 0, "k"))
     least = k + (l[0] if l else 0)
     n = least if n is None else _size(n, 0, "n")
     if n < least:
@@ -258,7 +238,7 @@ PartitionTuple = tuple[Partition, ...]
 
 
 def as_partition_tuple(partitions: Iterable[Iterable[int]], k: int) -> PartitionTuple:
-    out = tuple(as_partition(p, k) for p in partitions)
+    out = tuple(as_partition(p, k) for p in _container(partitions, "partition tuple"))
     if any(sum(p) == 0 for p in out):
         raise InvalidCompositionError("partition tuples must not contain the zero partition")
     return out
@@ -342,3 +322,14 @@ def _partitions_of(total: int, k: int, bound: int) -> Iterator[Partition]:
                 yield (first,) + rest
 
     yield from rec(total, k, bound)
+
+
+def _weak_compositions(total: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Length-k tuples of nonnegative ints that sum to ``total``."""
+    if k == 0:
+        if total == 0:
+            yield ()
+        return
+    for first in range(total + 1):
+        for rest in _weak_compositions(total - first, k - 1):
+            yield (first,) + rest

@@ -1,4 +1,9 @@
+import inspect
 from itertools import combinations
+
+import glidekit as gk
+from glidekit.qsym import glide_element
+from glidekit.schur import as_partition
 
 
 def compositions_of(total):
@@ -40,3 +45,19 @@ def pairwise_closure(generators, pick):
         fresh = {tuple(map(pick, p, q)) for p in fresh for q in elements} - elements
         elements |= fresh
     return elements
+
+
+def public_callables():
+    """name -> callable for the public API: the callables in
+    ``glidekit.__all__``, the public methods of its classes (as
+    ``Class.method``), and two helpers outside it that take a size."""
+    found = {"glide_element": glide_element, "as_partition": as_partition}
+    for name in gk.__all__:
+        obj = getattr(gk, name)
+        if callable(obj):
+            found[name] = obj
+        if inspect.isclass(obj):
+            for attr in vars(obj):
+                if not attr.startswith("_") and inspect.isroutine(getattr(obj, attr)):
+                    found[f"{name}.{attr}"] = getattr(obj, attr)
+    return found

@@ -220,6 +220,22 @@ MALFORMED_ARGV = [
     (["buk", "--k", "2", "--lambda", "1,2", "--m", "1,0", "--n", "2,1"], "invalid-composition"),
     (["buk", "--k", "2", "--lambda", "1,0;;2,0", "--m", "1,0", "--n", "2,0"], "length-mismatch"),
     (["verify-paper", "--pretty"], None),
+    # a part is ASCII decimal text: int() alone would read these as 10, 1 and 1
+    (["glide", "--alpha", "1_0", "--n", "2"], "invalid-composition"),
+    (["glide", "--alpha", "\u0661", "--n", "2"], "invalid-composition"),
+    (["glide", "--alpha", "+1", "--n", "2"], "invalid-composition"),
+    (["glide", "--alpha", " 1 , 2 ", "--n", " 3 "], None),
+]
+
+# integer flags whose text int() reads but that are not ASCII decimal: each
+# is argparse's usage error
+NON_DECIMAL_FLAGS = [
+    ["glide", "--alpha", "1", "--n", "0_2"],
+    ["glide", "--alpha", "1", "--n", "\u0661"],
+    ["poset", "--alpha", "1", "--n", "+2"],
+    ["kclass", "--alpha", "1", "--n", "1", "--m", "1_0"],
+    ["buk", "--k", "\u0661", "--lambda", "1", "--m", "1", "--n", "2"],
+    ["glide-struct", "--a", "1", "--b", "1", "--degree", "\u0662"],
 ]
 
 
@@ -241,6 +257,14 @@ def test_malformed_argv_ends_in_typed_error_or_valid_json(capsys, monkeypatch, a
         payload = json.loads(err)
         assert payload["command"] == argv[0]
         assert payload["error"]["code"] == error_code
+
+
+@pytest.mark.parametrize("argv", NON_DECIMAL_FLAGS, ids=" ".join)
+def test_integer_flags_take_only_ascii_decimal_text(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_usage_error_exit_code():

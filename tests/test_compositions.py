@@ -40,7 +40,7 @@ from glidekit.schur import (
     reading_word,
 )
 
-from conftest import all_compositions, all_paddings, pairwise_closure
+from conftest import all_compositions, all_paddings, pairwise_closure, public_callables
 
 
 def test_positive_part_examples():
@@ -300,20 +300,10 @@ _COEFFICIENT_NAMES = {"terms", "coords", "coeff", "coeffs", "factor", "multiply"
 
 def _public_parameters(names: set[str]) -> set[tuple[str, str]]:
     """(callable, parameter) for every argument named in ``names`` of the
-    public API: the callables in ``glidekit.__all__``, the public methods of
-    its classes, and two helpers outside it that take a size."""
-    found = {"glide_element": glide_element, "as_partition": as_partition}
-    for name in gk.__all__:
-        obj = getattr(gk, name)
-        if callable(obj):
-            found[name] = obj
-        if inspect.isclass(obj):
-            for attr in vars(obj):
-                if not attr.startswith("_") and inspect.isroutine(getattr(obj, attr)):
-                    found[f"{name}.{attr}"] = getattr(obj, attr)
+    callables ``public_callables`` finds."""
     return {
         (name, p)
-        for name, f in found.items()
+        for name, f in public_callables().items()
         for p in inspect.signature(f).parameters
         if p in names
     }

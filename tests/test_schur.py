@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
 from itertools import combinations, permutations, product
+from math import factorial, prod
 
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from glidekit.errors import (
     InvalidCompositionError,
@@ -122,12 +124,27 @@ def _is_semistandard(shape, rows):
     return True
 
 
+def _skew_shapes_inside(outer, most_cells):
+    """Every skew shape nu/lam with lam inside nu inside ``outer``, both as
+    partitions of len(outer) parts, with at most ``most_cells`` cells."""
+    def inside(bound):
+        return [p for p in product(*(range(b + 1) for b in bound))
+                if all(p[i] >= p[i + 1] for i in range(len(p) - 1))]
+    return [
+        SkewShape(nu, lam)
+        for nu in inside(outer)
+        for lam in inside(nu)
+        if sum(nu) - sum(lam) <= most_cells
+    ]
+
+
 def test_tableau_takes_exactly_the_semistandard_fillings():
-    # every filling with entries 1..3 of a few small skew shapes
-    shapes = [((2, 2), (0, 0)), ((3, 2), (1, 0)), ((2, 2, 1), (1, 0, 0)), ((3, 1), (1, 1))]
-    for outer, inner in shapes:
-        shape = SkewShape(outer, inner)
-        lengths = [o - i for o, i in zip(outer, inner)]
+    # every filling with entries 1..3 of every skew shape inside (3, 2, 1)
+    # with at most 5 cells
+    shapes = _skew_shapes_inside((3, 2, 1), 5)
+    assert len(shapes) > 50
+    for shape in shapes:
+        lengths = [o - i for o, i in zip(shape.outer, shape.inner)]
         accepted = []
         for values in product(range(1, 4), repeat=sum(lengths)):
             it = iter(values)
@@ -139,8 +156,9 @@ def test_tableau_takes_exactly_the_semistandard_fillings():
             else:
                 assert _is_semistandard(shape, rows), rows
         # and ssyt_enumerate builds exactly those of each content
-        for weight in product(range(5), repeat=3):
-            if sum(weight) == shape.cell_count():
+        cells = shape.cell_count()
+        for weight in product(range(cells + 1), repeat=3):
+            if sum(weight) == cells:
                 expected = [
                     t.rows for t in accepted
                     if tuple(sum(row.count(v) for row in t.rows) for v in (1, 2, 3)) == weight
@@ -166,6 +184,50 @@ def test_schur_polynomial_examples():
     assert schur_polynomial((1, 0), 2) == SparsePoly(2, {(1, 0): 1, (0, 1): 1})
     assert schur_polynomial((2, 1), 2) == SparsePoly(2, {(2, 1): 1, (1, 2): 1})
     assert schur_polynomial((0, 0, 0), 3) == SparsePoly.one(3)
+
+
+def _hook_product(lam):
+    """Product of the hook lengths of the cells of a partition."""
+    columns = [sum(1 for part in lam if part > j) for j in range(lam[0] if lam else 0)]
+    return prod(lam[i] - j + columns[j] - i - 1 for i in range(len(lam)) for j in range(lam[i]))
+
+
+def test_schur_polynomial_counts_tableaux_by_the_hook_formulas():
+    # the coefficient of y_1...y_n counts the standard fillings of lam (hook
+    # length formula), and the coefficients sum to the number of fillings
+    # with entries at most n (hook content formula)
+    for total in range(7):
+        for lam in _partitions_of(total, min(3, total), total):
+            padded = lam + (0,) * (total - len(lam))
+            f = schur_polynomial(padded, total)
+            hooks = _hook_product(lam)
+            assert f.coefficient((1,) * total) == factorial(total) // hooks, lam
+            contents = prod(total + j - i for i in range(len(lam)) for j in range(lam[i]))
+            assert sum(f.terms.values()) == contents // hooks, lam
+
+
+@st.composite
+def _partitions_and_a_swap(draw):
+    k = draw(st.integers(2, 4))
+    parts = sorted(draw(st.lists(st.integers(0, 3), min_size=k, max_size=k)), reverse=True)
+    assume(sum(parts) <= 6)
+    return tuple(parts), k, draw(st.integers(0, k - 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_partitions_and_a_swap())
+@example(((2, 1, 0), 3, 1))
+@example(((1, 1, 0), 3, 0))
+def test_schur_polynomial_is_symmetric_under_adjacent_swaps(instance):
+    lam, k, i = instance
+    f = schur_polynomial(lam, k)
+
+    def swap(e):
+        e = list(e)
+        e[i], e[i + 1] = e[i + 1], e[i]
+        return tuple(e)
+
+    assert SparsePoly(k, {swap(e): c for e, c in f.terms.items()}) == f
 
 
 def test_schur_product_oracle():
