@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from itertools import accumulate
+from itertools import accumulate, chain, compress, product, repeat
 from math import comb, factorial
-from operator import and_, getitem, or_
+from operator import add, and_, getitem, mul, or_
 from typing import Iterable, Sequence
 
 from .compositions import _container, _exact, _instance, _size, as_composition, closure, paddings
@@ -169,30 +169,26 @@ def chern_series_coeffs(m: int) -> tuple[Fraction, ...]:
     """Degree-m truncation of 1 - exp(-x): coefficient of x^j is (-1)^(j+1)/j!."""
     return tuple(
         Fraction(0) if j == 0 else Fraction((-1) ** (j + 1), factorial(j))
-        for j in range(m + 1)
+        for j in range(_size(m, 0, "m") + 1)
     )
 
 
 # one entry per truncation degree m; a few dozen cover every m a
 # desk-scale K-class reaches
 @lru_cache(maxsize=32)
-def _chern_rows(m: int) -> tuple[tuple[tuple[tuple[int], int], ...], ...]:
-    """Row g holds ((d,), m! * [x^d] (1 - exp(-x))^g) for each nonzero
-    term, d <= m, for g = 0..m.  The m!-scaled series has integer terms
-    m!/j!; a scaled power times it is the next power scaled by (m!)^2."""
-    scale = factorial(m)
-    series = [0] + [(-1) ** (j + 1) * (scale // factorial(j)) for j in range(1, m + 1)]
-    power = [scale] + [0] * m
-    rows = []
-    for _ in range(m + 1):
-        rows.append(tuple(((d,), c) for d, c in enumerate(power) if c))
-        nxt = [0] * (m + 1)
-        for i, a in enumerate(power):
-            if a:
-                for j in range(1, m + 1 - i):
-                    nxt[i + j] += a * series[j]
-        power = [c // scale for c in nxt]
-    return tuple(rows)
+def _chern_rows(m: int) -> tuple[tuple[int, ...], ...]:
+    """Row g holds m! * [x^d] phi^g for d = 0..m, for g = 0..m, where
+    phi = 1 - exp(-x); it is zero below d = g.  Since phi' = 1 - phi,
+    (phi^g)' = g * (phi^(g-1) - phi^g), so each entry follows from two
+    already known: (d + 1) * [x^(d+1)] phi^g = g * ([x^d] phi^(g-1) - [x^d] phi^g).
+    Scaled by m! every entry is an int, so the division by d + 1 is exact."""
+    rows = [[factorial(m)] + [0] * m]
+    for g in range(1, m + 1):
+        prev, row = rows[-1], [0] * (m + 1)
+        for d in range(g - 1, m):
+            row[d + 1] = g * (prev[d] - row[d]) // (d + 1)
+        rows.append(row)
+    return tuple(map(tuple, rows))
 
 
 def chern_substitute(element: KRingElement) -> SparsePoly:
@@ -200,26 +196,67 @@ def chern_substitute(element: KRingElement) -> SparsePoly:
 
     Replaces y_i by x_i - x_i^2/2 + x_i^3/6 - ... (up to the element's cap m)
     and reduces modulo x_i^(m+1); coefficients stay exact rationals.
+
+    The image is computed on a dense box of integer numerators over one
+    denominator.  Entry e sits at the index whose digits are the positions
+    of e_1, ..., e_n in V = {0} | [p, m], p the least positive exponent of
+    the element: row g of the table is zero below d = g, and only row 0
+    reaches d = 0, so no image exponent falls outside V.  The terms are
+    scattered into the box with the first variable already substituted;
+    each of n - 1 passes then substitutes the leading axis, writing output
+    column d with ``out[d::|V|] = ...``, which moves that axis to the back,
+    so n moves restore the order.  An axis not yet substituted holds only
+    the exponents E of the element, so it has |E| digits until its pass.
+    The terms come in lexicographic order, and the box is kept on the image
+    for ``qsym.read_m_coords``.
     """
     m = _instance(element, KRingElement, "element").m
-    # the rows are scaled by m!: the substitution runs on integers
-    table = _chern_rows(m)
     n = element.nvars
     numerators, lcm_coeff = _integer_numerators(element.poly.terms)
-    current = dict(numerators)
-    # one pass per variable: the exponent g in front becomes each d at the
-    # back, weighted by the scaled coefficient of x^d in the g-th power, so
-    # after n passes every key is back in its own order; equal keys merge
-    # after each pass
-    for _ in range(n):
-        nxt: dict[tuple[int, ...], int] = {}
-        for key, c in current.items():
-            rest = key[1:]
-            for d, a in table[key[0]]:
-                k = rest + d
-                nxt[k] = nxt.get(k, 0) + c * a
-        current = nxt
-    return SparsePoly._from_numerators(n, current, factorial(m) ** n * lcm_coeff)
+    # E, every exponent of the element
+    present = sorted(set(chain.from_iterable(element.poly.terms))) or [0]
+    values = (0, *range(min(filter(None, present), default=m + 1), m + 1))
+    width, b = len(present), len(values)
+    # the rows are scaled by m!: the substitution runs on integers.  Row g's
+    # nonzero entries at V, as (digit of d in V, entry), for g in E
+    rows = _chern_rows(m)
+    images = [
+        [(d, a) for d, a in enumerate(map(rows[g].__getitem__, values)) if a] for g in present
+    ]
+    digit = dict(zip(present, range(width)))
+    if n:
+        box = [0] * (width ** (n - 1) * b)
+        for e, c in numerators:
+            i = 0
+            for x in e[1:]:
+                i = i * width + digit[x]
+            i *= b
+            for d, a in images[digit[e[0]]]:
+                box[i + d] += c * a
+    else:
+        box = [numerators[0][1] if numerators else 0]
+    for _ in range(n - 1):
+        # output column d sums the scaled blocks g; zero blocks are skipped
+        stride = len(box) // width
+        columns = [None] * b
+        for g, targets in enumerate(images):
+            block = box[g * stride : (g + 1) * stride]
+            if any(block):
+                for d, a in targets:
+                    scaled = map(mul, block, repeat(a))
+                    column = columns[d]
+                    columns[d] = scaled if column is None else map(add, column, scaled)
+        box = [0] * (stride * b)
+        for d, column in enumerate(columns):
+            if column is not None:
+                box[d::b] = column
+    denominator = factorial(m) ** n * lcm_coeff
+    # one Fraction per distinct numerator
+    shared = {c: Fraction(c, denominator) for c in set(box) if c}
+    keys = compress(product(values, repeat=n), box)
+    image = SparsePoly._trusted(n, dict(zip(keys, map(shared.__getitem__, filter(None, box)))))
+    image._box = (box, values, shared)
+    return image
 
 
 def is_quasisymmetric(f: SparsePoly, n: int) -> bool:

@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import chain, compress, product
 from math import comb, prod
 from operator import add
 from types import MappingProxyType
@@ -132,18 +132,17 @@ def m_to_polynomial(alpha: Iterable[int], n: int) -> SparsePoly:
 def read_m_coords(
     f: SparsePoly, n: int
 ) -> tuple[dict[Composition, Fraction], Composition | None]:
-    """Group the terms of f by positive part, in first-seen order.
+    """Read f's monomial-basis coordinates and check that f is quasisymmetric.
 
-    Returns the groups as monomial-basis coordinates together with the first
-    composition whose group fails, or None when f is quasisymmetric.  A group
-    passes when it holds exactly the C(n, len(gamma)) placements of its
-    composition gamma, all with one coefficient.
+    Returns the coordinates together with the first composition whose
+    placements fail, or None when f is quasisymmetric.  When f's terms are
+    in lexicographic order, as a Chern image's are, the coordinates come by
+    length, then in lexicographic order.
 
-    The positive parts are built at C level, one per term.  One pass in term
-    order checks each coefficient against the first of its group, and stops
-    at the first that differs; then a ``Counter`` of the positive parts is
-    compared, group by group in first-seen order, with C(n, k) for the
-    group's length k.
+    Two readers share nothing.  A Chern image carries the dense box it was
+    computed on, and ``_read_box`` checks and reads it.  Every other
+    polynomial, and a box that fails the check, goes to
+    ``_group_by_positive_part``, which also names the failing composition.
 
     A polynomial is immutable and ``n`` must equal its variable count, so
     the result is kept on it (the ``_m_read`` slot) and a second read costs
@@ -156,15 +155,71 @@ def read_m_coords(
         raise LengthMismatchError(f"polynomial has {f.nvars} variables, expected {n}")
     kept = getattr(f, "_m_read", None)
     if kept is None:
-        kept = f._m_read = _group_by_positive_part(f, n)
+        kept = f._m_read = _read_box(f, n) or _group_by_positive_part(f, n)
     coords, failed = kept
     return dict(coords), failed
+
+
+def _read_box(f: SparsePoly, n: int) -> tuple[dict[Composition, Fraction], None] | None:
+    """The box reader: None when f carries no box or is not quasisymmetric.
+
+    The box holds f's integer numerators at the exponent vectors whose
+    entries lie in ``values``, the base-|V| digits of an index being the
+    positions of e_1, ..., e_n in ``values``; ``shared`` maps each nonzero
+    numerator to its Fraction.  Moving a 0 past a part keeps the positive
+    part, and such moves join any two placements of a composition, so f is
+    quasisymmetric exactly when A[..., 0, v, ...] = A[..., v, 0, ...] on
+    each adjacent pair of axes.  For the pair (i, i + 1) the two sides are
+    blocks of |V|^(n - i - 2) entries after each of the |V|^i prefixes,
+    compared block by block, or as strided slices when the prefixes are
+    the more numerous.
+
+    The coordinates are then read at the placements (0, ..., 0, gamma),
+    the indices whose digits are some 0s followed by no 0; in index order
+    they come by length, then in lexicographic order.
+    """
+    boxed = getattr(f, "_box", None)
+    if boxed is None:
+        return None
+    box, values, shared = boxed
+    b = len(values)
+    for i in range(n - 1):
+        outer = b ** (n - i)
+        inner = outer // b // b
+        for v in range(1, b):
+            # the blocks (0, v) and (v, 0) start here after a prefix
+            left, right = v * inner, v * b * inner
+            if b**i <= inner:
+                for p in range(0, len(box), outer):
+                    if box[p + left : p + left + inner] != box[p + right : p + right + inner]:
+                        return None
+            else:
+                for t in range(inner):
+                    if box[left + t :: outer] != box[right + t :: outer]:
+                        return None
+    # over k digits, tails[i] is 1 when i's digits are 0s then no 0, and
+    # full[i] when no digit of i is 0
+    tails = full = [1]
+    for _ in range(n):
+        tails, full = tails + full * (b - 1), [0] * len(full) + full * (b - 1)
+    entries = list(compress(box, tails))
+    gammas = chain.from_iterable(product(values[1:], repeat=k) for k in range(n + 1))
+    return dict(compress(zip(gammas, map(shared.get, entries)), entries)), None
 
 
 def _group_by_positive_part(
     f: SparsePoly, n: int
 ) -> tuple[dict[Composition, Fraction], Composition | None]:
-    """The pass behind ``read_m_coords``, run once per polynomial."""
+    """The grouping reader: group the terms by positive part, in first-seen
+    order.  A group passes when it holds exactly the C(n, len(gamma))
+    placements of its composition gamma, all with one coefficient.
+
+    The positive parts are built at C level, one per term.  One pass in term
+    order checks each coefficient against the first of its group, and stops
+    at the first that differs; then a ``Counter`` of the positive parts is
+    compared, group by group in first-seen order, with C(n, k) for the
+    group's length k.
+    """
     # each exponent vector's positive_part, without a Python call per term
     gammas = list(map(tuple, map(partial(filter, None), f.terms)))
     coords: dict[Composition, Fraction] = {}

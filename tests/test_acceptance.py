@@ -5,6 +5,7 @@ see the per-criterion lines.
 """
 
 import random
+import re
 from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial
@@ -23,9 +24,18 @@ from glidekit.ktheory import (
     is_quasisymmetric,
     knutson_class,
 )
+from glidekit.errors import NotQuasisymmetricError
 from glidekit.poly import SparsePoly
 from glidekit.poset import BOTTOM, build_poset, join
-from glidekit.qsym import QSymElement, m_multiply, m_to_polynomial, qsym_r_product
+from glidekit.qsym import (
+    QSymElement,
+    _group_by_positive_part,
+    _read_box,
+    m_multiply,
+    m_to_polynomial,
+    polynomial_to_m,
+    qsym_r_product,
+)
 from glidekit.schur import (
     _partitions_of,
     buk_structure_constant,
@@ -205,6 +215,32 @@ def test_criterion_07_chern_substitution(kclass_sweep):
                 assert coeffs[j] == Fraction((-1) ** (j + 1), factorial(j))
         for alpha, n, m, kclass, _ in kclass_sweep:
             assert is_quasisymmetric(chern_substitute(kclass), n), (alpha, n, m)
+
+
+def test_chern_image_readers_check_each_other(kclass_sweep):
+    # criterion 07 reads each image with the box reader; the grouping
+    # reader, on a box-less copy, must give the same coordinates in the same
+    # order, and both must see a break of quasisymmetry.  The copies are
+    # built with ``_trusted``: the terms were checked when the image was
+    # built, and checking them again adds about a third to the test's time
+    for alpha, n, m, kclass, _ in kclass_sweep:
+        chern = chern_substitute(kclass)
+        coords, failed = _group_by_positive_part(SparsePoly._trusted(n, chern.terms), n)
+        assert failed is None, (alpha, n, m)
+        assert list(_read_box(chern, n)[0].items()) == list(coords.items()), (alpha, n, m)
+        if n < 2:
+            continue
+        # y_1 alone is not quasisymmetric, and the Chern map carries that
+        # to the image: x_1 gains a coefficient that x_2 does not
+        terms = dict(kclass.poly.terms)
+        y_1 = (1,) + (0,) * (n - 1)
+        terms[y_1] = terms.get(y_1, 0) + 1
+        broken = chern_substitute(KRingElement(SparsePoly(n, terms), m))
+        assert _read_box(broken, n) is None, (alpha, n, m)
+        failed = _group_by_positive_part(SparsePoly._trusted(n, broken.terms), n)[1]
+        assert failed is not None, (alpha, n, m)
+        with pytest.raises(NotQuasisymmetricError, match=re.escape(f"of {failed} do")):
+            polynomial_to_m(broken, n)
 
 
 def test_criterion_08_tableau_fixtures():

@@ -22,7 +22,14 @@ from glidekit.ktheory import (
 )
 from glidekit.poly import SparsePoly
 from glidekit.poset import build_poset
-from glidekit.qsym import QSymElement, glide_expand, m_to_polynomial, polynomial_to_m
+from glidekit.qsym import (
+    QSymElement,
+    _group_by_positive_part,
+    _read_box,
+    glide_expand,
+    m_to_polynomial,
+    polynomial_to_m,
+)
 
 from conftest import all_compositions, pairwise_closure
 
@@ -235,9 +242,16 @@ def test_chern_series_coefficients_exact():
             assert coeffs[j] == Fraction((-1) ** (j + 1), factorial(j))
 
 
+def test_chern_series_coeffs_takes_only_a_size():
+    for m in (-1, True, 2.0):
+        with pytest.raises(OutOfRangeError):
+            chern_series_coeffs(m)
+    assert chern_series_coeffs(0) == (Fraction(0),)
+
+
 def test_integer_chern_rows_are_the_scaled_fraction_powers():
     # the defining series raised to each power by Fraction convolution,
-    # scaled by m!, then every nonzero entry as an int
+    # scaled by m!, then every entry, zeros included, as an int
     for m in range(13):
         series = chern_series_coeffs(m)
         power = [Fraction(1)] + [Fraction(0)] * m
@@ -246,8 +260,8 @@ def test_integer_chern_rows_are_the_scaled_fraction_powers():
         for row in rows:
             scaled = [c * factorial(m) for c in power]
             assert all(c.denominator == 1 for c in scaled)
-            assert row == tuple(((d,), int(c)) for d, c in enumerate(scaled) if c)
-            assert all(type(c) is int for _, c in row)
+            assert row == tuple(map(int, scaled))
+            assert all(type(c) is int for c in row)
             power = [sum(power[i] * series[d - i] for i in range(d + 1)) for d in range(m + 1)]
 
 
@@ -336,6 +350,60 @@ def _kring_elements(draw):
 def test_chern_substitute_matches_plain_composition(element):
     expected = _compose_chern(element.poly.terms, element.nvars, element.m)
     assert chern_substitute(element) == SparsePoly(element.nvars, expected)
+
+
+def _expand_chern(element):
+    """Oracle sharing neither the box nor ``_chern_rows``: each term c*y^e
+    becomes c * prod_i phi(x_i)^(e_i) by ``SparsePoly`` products, phi read
+    off ``chern_series_coeffs``, and ``KRingElement`` reduces mod x^(m+1)."""
+    n, m = element.nvars, element.m
+    coeffs = chern_series_coeffs(m)
+    phis = []
+    for i in range(n):
+        series = {(0,) * i + (j,) + (0,) * (n - 1 - i): c for j, c in enumerate(coeffs)}
+        phis.append(KRingElement(SparsePoly(n, series), m))
+    total = KRingElement(SparsePoly.zero(n), m)
+    for exps, c in element.poly.terms.items():
+        term = KRingElement(SparsePoly.one(n).scale(c), m)
+        for phi, e in zip(phis, exps):
+            for _ in range(e):
+                term = term * phi
+        total = total + term
+    return total.poly
+
+
+@st.composite
+def _sparse_kring_elements(draw):
+    """Random elements, most of them not quasisymmetric, whose positive
+    exponents start at ``low``, so that V may be smaller than [0, m]."""
+    n = draw(st.integers(0, 4))
+    m = draw(st.integers(0, 4))
+    low = draw(st.integers(1, max(m, 1)))
+    part = st.sampled_from((0, *range(low, m + 1)))
+    coeff = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 7]))
+    terms = draw(st.dictionaries(st.tuples(*[part] * n), coeff, max_size=5))
+    return KRingElement(SparsePoly(n, terms), m)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_sparse_kring_elements())
+@example(KRingElement(SparsePoly(3, {(0, 3, 4): 2, (4, 0, 0): Fraction(-1, 3)}), 4))
+@example(KRingElement(SparsePoly(2, {(2, 0): 1, (0, 2): 1, (2, 2): 5}), 4))
+@example(KRingElement(SparsePoly(1, {(0,): 3}), 2))
+@example(KRingElement(SparsePoly(3, {(0, 0, 1): 1}), 2))
+@example(KRingElement(SparsePoly(4, {(0, 0, 2, 0): 1, (0, 2, 0, 0): 1}), 3))
+def test_chern_substitute_matches_series_products(element):
+    n = element.nvars
+    image = chern_substitute(element)
+    assert image == _expand_chern(element)
+    # the terms come in lexicographic order
+    assert list(image.terms) == sorted(image.terms)
+    # the box reader and the grouping reader agree, whichever pair of
+    # axes breaks quasisymmetry
+    coords, failed = _group_by_positive_part(SparsePoly(n, image.terms), n)
+    boxed = _read_box(image, n)
+    assert (boxed is None) == (failed is not None)
+    assert boxed is None or list(boxed[0].items()) == list(coords.items())
 
 
 @pytest.mark.parametrize(

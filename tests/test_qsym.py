@@ -824,3 +824,33 @@ def test_polynomials_start_unread():
     read_m_coords(p, 2)
     assert p._m_read == ({(1,): Fraction(1)}, None)
     assert not hasattr(p + p, "_m_read")
+
+
+def test_polynomials_start_unboxed():
+    # only ``chern_substitute`` keeps a box on what it builds; a polynomial
+    # made from a Chern image by any constructor or operation has none
+    p = SparsePoly(2, {(1, 0): 1, (0, 1): 1})
+    chern = chern_substitute(knutson_class((1, 2), 3, 2))
+    built = [
+        p,
+        SparsePoly._trusted(2, {(1, 1): Fraction(1)}),
+        SparsePoly._from_numerators(2, {(1, 1): 2, (2, 0): 0}, 3),
+        SparsePoly.zero(2),
+        SparsePoly.one(2),
+        SparsePoly.monomial((1, 2)),
+        SparsePoly(3, chern.terms),
+        SparsePoly._trusted(3, chern.terms),
+        chern + chern,
+        chern * chern,
+        -chern,
+        chern - chern,
+        chern.scale(3),
+        chern.restrict(2),
+        m_to_polynomial((1,), 2),
+        knutson_class((1, 2), 3, 2).poly,
+        glide_polynomial((1, 2), 3),
+    ]
+    for f in built:
+        assert not hasattr(f, "_box"), f
+    assert hasattr(chern, "_box")
+    assert read_m_coords(SparsePoly(3, chern.terms), 3) == read_m_coords(chern, 3)

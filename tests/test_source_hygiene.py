@@ -149,39 +149,52 @@ def test_mobius_oracles_stay_independent(name):
 # ``SparsePoly._m_read`` keeps ``qsym.read_m_coords``'s result.  A builder
 # that filled it (``chern_substitute``, ``knutson_class``) would make the
 # quasisymmetry check of criterion 07 true by construction, so only the
-# reader may name the slot (``poly.py`` only declares it).
-_MEMO = "_m_read"
+# reader may name the slot (``poly.py`` only declares it).  ``_box`` holds
+# the dense box a Chern image was computed on: only ``chern_substitute`` may
+# write it, and only the reader (``read_m_coords`` or its ``_read_box``) may
+# read it, so the box reader reads the computed image and nothing else.
+_SLOT_USES = {
+    "_m_read": {("qsym.py", "read_m_coords"): {"read", "write"}},
+    "_box": {
+        ("ktheory.py", "chern_substitute"): {"write"},
+        ("qsym.py", "read_m_coords"): {"read"},
+        ("qsym.py", "_read_box"): {"read"},
+    },
+}
 
 
-def _memo_uses(node: ast.AST, function: str | None = None):
-    """(function, line) of every attribute or string constant naming the
-    memo slot, with the innermost enclosing function.  A ``__slots__``
-    assignment declares the slot and neither reads nor writes it."""
+def _slot_uses(node: ast.AST, slot: str, function: str | None = None):
+    """(function, line, kind) of every attribute or string constant naming
+    the slot, with the innermost enclosing function; kind is "write" for an
+    attribute assignment and "read" otherwise.  A ``__slots__`` assignment
+    declares the slot and neither reads nor writes it."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
         function = node.name
     if isinstance(node, ast.Assign) and any(
         isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
     ):
         return
-    if (isinstance(node, ast.Attribute) and node.attr == _MEMO) or (
-        isinstance(node, ast.Constant) and node.value == _MEMO
-    ):
-        yield function, node.lineno
+    if isinstance(node, ast.Attribute) and node.attr == slot:
+        yield function, node.lineno, "write" if isinstance(node.ctx, ast.Store) else "read"
+    if isinstance(node, ast.Constant) and node.value == slot:
+        yield function, node.lineno, "read"
     for child in ast.iter_child_nodes(node):
-        yield from _memo_uses(child, function)
+        yield from _slot_uses(child, slot, function)
 
 
 def test_only_the_monomial_reader_uses_its_memo():
-    allowed, found = [], []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for function, line in _memo_uses(_tree(path)):
-            if (path.name, function) == ("qsym.py", "read_m_coords"):
-                allowed.append(line)
-            else:
-                found.append(f"{path.name}:{line} in {function or 'module'}")
-    assert not found, f"the monomial-read memo is used outside read_m_coords: {found}"
-    # the guard sees the reader's own uses, so it is not matching nothing
-    assert allowed
+    for slot, allowed_uses in _SLOT_USES.items():
+        seen, found = set(), []
+        for path in sorted(PACKAGE.glob("*.py")):
+            for function, line, kind in _slot_uses(_tree(path), slot):
+                if kind in allowed_uses.get((path.name, function), ()):
+                    seen.add((path.name, function, kind))
+                else:
+                    found.append(f"{path.name}:{line} {kind} in {function or 'module'}")
+        assert not found, f"{slot} is used outside its reader and writer: {found}"
+        # the guard sees the slot both read and written, so it is not
+        # matching nothing
+        assert {kind for *_, kind in seen} == {"read", "write"}, slot
 
 
 # every library-object argument goes through ``compositions._instance``,
