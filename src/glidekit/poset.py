@@ -251,6 +251,10 @@ class GlidePoset:
         Meets need no test: in a finite join-closed set, the common lower
         bounds of p and q, if there are any, have their join among them, and
         that join is the meet; if there are none, the meet is BOTTOM.
+
+        On a ``build_poset`` poset J is the atom set, so the check re-runs
+        the closure that built the poset and answers True by construction.
+        It tells something only about a poset built from given elements.
         """
         lower: list[list[WeakComposition]] = [[] for _ in self.elements]
         for i, j in self.covers():

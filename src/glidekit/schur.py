@@ -7,10 +7,11 @@ all-zeros partition playing the role of the empty shape.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from operator import ge, gt
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -117,50 +118,62 @@ def is_ballot(t: Tableau) -> bool:
     return True
 
 
+def _fillings(shape: SkewShape, weight: Sequence[int], ballot: bool) -> Iterator[tuple[int, ...]]:
+    """Reading words, in lexicographic order, of the semistandard fillings of
+    the shape with at most weight[v - 1] entries v.
+
+    Cells fill in reading order, so a cell's right neighbour and the cell
+    above are filled first: the first gives its largest value, the second
+    one less than its least.  With ``ballot`` a value v > 1 goes in only
+    while v - 1 has been placed more often than v.
+    """
+    outer, inner = shape.outer, shape.inner
+    # (right, above) of each cell: word positions, or None outside the shape
+    neighbours: list[tuple[int | None, int | None]] = []
+    start = 0
+    for r in range(len(outer)):
+        above_start, start = start, len(neighbours)
+        for c in range(outer[r] - 1, inner[r] - 1, -1):
+            right = len(neighbours) - 1 if c + 1 < outer[r] else None
+            above = above_start + outer[r - 1] - 1 - c if r and c >= inner[r - 1] else None
+            neighbours.append((right, above))
+    cap = (0, *weight)
+    placed = [0] * len(cap)
+    word = [0] * len(neighbours)
+
+    def walk(i: int) -> Iterator[tuple[int, ...]]:
+        if i == len(word):
+            yield tuple(word)
+            return
+        right, above = neighbours[i]
+        least = 1 if above is None else word[above] + 1
+        most = len(weight) if right is None else word[right]
+        for v in range(least, most + 1):
+            if placed[v] == cap[v] or ballot and v > 1 and placed[v - 1] <= placed[v]:
+                continue
+            word[i] = v
+            placed[v] += 1
+            yield from walk(i + 1)
+            placed[v] -= 1
+
+    return walk(0)
+
+
 def ssyt_enumerate(shape: SkewShape, weight: Sequence[int]) -> list[Tableau]:
     """All semistandard fillings of the shape with the given content.
 
-    Rows weakly increase, columns strictly increase.  Enumeration backtracks
-    cell by cell with a per-value budget; results are sorted by reading word,
-    so the order is deterministic.
+    Rows weakly increase, columns strictly increase.  The fillings come in
+    lexicographic order of their reading words.
     """
     _instance(shape, SkewShape, "shape")
-    budget = list(_int_parts(weight, 0, "content"))
-    if shape.cell_count() != sum(budget):
-        raise SizeMismatchError(f"content {tuple(budget)} does not fill {shape.cell_count()} cells")
-    outer, inner = shape.outer, shape.inner
-    nrows = len(outer)
-    cells = [
-        (r, c) for r in range(nrows) for c in range(inner[r], outer[r])
+    weight = _int_parts(weight, 0, "content")
+    if shape.cell_count() != sum(weight):
+        raise SizeMismatchError(f"content {weight} does not fill {shape.cell_count()} cells")
+    ends = list(accumulate(o - i for o, i in zip(shape.outer, shape.inner)))
+    return [
+        Tableau(shape, tuple(word[s:e][::-1] for s, e in zip([0, *ends], ends)))
+        for word in _fillings(shape, weight, ballot=False)
     ]
-    nvalues = len(budget)
-    filling: dict[tuple[int, int], int] = {}
-    out: list[Tableau] = []
-
-    def backtrack(i: int) -> None:
-        if i == len(cells):
-            rows = tuple(
-                tuple(filling[(r, c)] for c in range(inner[r], outer[r]))
-                for r in range(nrows)
-            )
-            out.append(Tableau(shape=shape, rows=rows))
-            return
-        r, c = cells[i]
-        # cells fill row by row, so a cell to the left or above that lies in
-        # the shape is already filled; one outside it bounds nothing
-        least = max(filling.get((r, c - 1), 1), filling.get((r - 1, c), 0) + 1)
-        for v in range(least, nvalues + 1):
-            if budget[v - 1] == 0:
-                continue
-            filling[(r, c)] = v
-            budget[v - 1] -= 1
-            backtrack(i + 1)
-            budget[v - 1] += 1
-            del filling[(r, c)]
-
-    backtrack(0)
-    out.sort(key=reading_word)
-    return out
 
 
 def lr_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> int:
@@ -177,24 +190,22 @@ def _lr(lam: Partition, mu: Partition, nu: Partition) -> int:
     """``lr_coefficient`` on partitions already validated to share one length.
 
     Cached: the tableau rings and ``buk`` ask for the same triples again and
-    again, and each miss enumerates every filling of the skew shape.
+    again, and each miss walks only the ballot fillings of the skew shape.
     """
     if not contains(nu, lam) or sum(lam) + sum(mu) != sum(nu):
         return 0
-    shape = SkewShape(outer=nu, inner=lam)
-    return sum(1 for t in ssyt_enumerate(shape, mu) if is_ballot(t))
+    return sum(1 for _ in _fillings(SkewShape(outer=nu, inner=lam), mu, ballot=True))
 
 
 def schur_polynomial(lam: Iterable[int], k: int) -> SparsePoly:
     """Generating polynomial of semistandard fillings with entries at most k.
 
     The coefficient of y^w is the Kostka number: the count of the fillings
-    with content w, read off ``ssyt_enumerate`` for each weak composition w.
+    with content w, all counted in one walk that allows |lam| of each value.
     """
     l = as_partition(lam, _size(k, 0, "k"))
-    shape = SkewShape(l, (0,) * k)
-    terms = {w: len(ssyt_enumerate(shape, w)) for w in _weak_compositions(sum(l), k)}
-    return SparsePoly(k, terms)
+    words = _fillings(SkewShape(l, (0,) * k), (sum(l),) * k, ballot=False)
+    return SparsePoly(k, Counter(tuple(map(w.count, range(1, k + 1))) for w in words))
 
 
 def coxeter_length(w: Sequence[int]) -> int:
@@ -322,14 +333,3 @@ def _partitions_of(total: int, k: int, bound: int) -> Iterator[Partition]:
                 yield (first,) + rest
 
     yield from rec(total, k, bound)
-
-
-def _weak_compositions(total: int, k: int) -> Iterator[tuple[int, ...]]:
-    """Length-k tuples of nonnegative ints that sum to ``total``."""
-    if k == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _weak_compositions(total - first, k - 1):
-            yield (first,) + rest

@@ -155,15 +155,58 @@ def test_tableau_takes_exactly_the_semistandard_fillings():
                 assert not _is_semistandard(shape, rows), rows
             else:
                 assert _is_semistandard(shape, rows), rows
-        # and ssyt_enumerate builds exactly those of each content
+        # and ssyt_enumerate lists exactly those of each content, in the
+        # order of their reading words
         cells = shape.cell_count()
         for weight in product(range(cells + 1), repeat=3):
             if sum(weight) == cells:
-                expected = [
-                    t.rows for t in accepted
-                    if tuple(sum(row.count(v) for row in t.rows) for v in (1, 2, 3)) == weight
-                ]
-                assert sorted(t.rows for t in ssyt_enumerate(shape, weight)) == sorted(expected)
+                expected = sorted(
+                    (t for t in accepted if content(t) + (0,) * (3 - len(content(t))) == weight),
+                    key=reading_word,
+                )
+                assert ssyt_enumerate(shape, weight) == expected
+
+
+def _ballot_by_filter(lam, mu, nu):
+    return sum(map(is_ballot, ssyt_enumerate(SkewShape(nu, lam), mu)))
+
+
+def test_ballot_prune_equals_the_ballot_filter():
+    # lr_coefficient prunes a reading word as soon as it stops being ballot;
+    # filtering the full list of fillings with is_ballot must agree, for
+    # every triple with 3 parts and |nu| <= 10 whose sizes add up
+    partitions = [p for s in range(11) for p in _partitions_of(s, 3, s)]
+    checked = 0
+    for nu in partitions:
+        for lam in partitions:
+            if sum(lam) > sum(nu) or any(l > n for l, n in zip(lam, nu)):
+                continue
+            rest = sum(nu) - sum(lam)
+            for mu in _partitions_of(rest, 3, rest):
+                assert lr_coefficient(lam, mu, nu) == _ballot_by_filter(lam, mu, nu), (lam, mu, nu)
+                checked += 1
+    assert checked == 4825
+
+
+@st.composite
+def _skew_shapes_and_contents(draw):
+    rows = draw(st.integers(1, 4))
+    nu = sorted(draw(st.lists(st.integers(0, 5), min_size=rows, max_size=rows)), reverse=True)
+    low = sorted(draw(st.lists(st.integers(0, 5), min_size=rows, max_size=rows)), reverse=True)
+    lam = tuple(map(min, nu, low))
+    cells = sum(nu) - sum(lam)
+    assume(cells <= 8)
+    mu = draw(st.sampled_from(list(_partitions_of(cells, rows, cells))))
+    return lam, mu, tuple(nu)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_skew_shapes_and_contents())
+@example(((2, 1, 0, 0), (2, 1, 1, 1), (3, 2, 2, 1)))
+@example(((0, 0, 0, 0), (3, 2, 2, 1), (3, 2, 2, 1)))
+def test_ballot_prune_equals_the_ballot_filter_on_random_shapes(instance):
+    lam, mu, nu = instance
+    assert lr_coefficient(lam, mu, nu) == _ballot_by_filter(lam, mu, nu)
 
 
 def test_lr_coefficient_examples():
@@ -184,6 +227,21 @@ def test_schur_polynomial_examples():
     assert schur_polynomial((1, 0), 2) == SparsePoly(2, {(1, 0): 1, (0, 1): 1})
     assert schur_polynomial((2, 1), 2) == SparsePoly(2, {(2, 1): 1, (1, 2): 1})
     assert schur_polynomial((0, 0, 0), 3) == SparsePoly.one(3)
+
+
+def test_schur_polynomial_coefficients_are_ssyt_counts():
+    # every coefficient the one walk counts, zeros included, is the length
+    # of ssyt_enumerate's list for that content: k <= 4 and |lam| <= 6
+    checked = 0
+    for k in range(5):
+        for lam in (p for s in range(7) for p in _partitions_of(s, k, s)):
+            f = schur_polynomial(lam, k)
+            shape = SkewShape(lam, (0,) * k)
+            for w in product(range(sum(lam) + 1), repeat=k):
+                if sum(w) == sum(lam):
+                    assert f.coefficient(w) == len(ssyt_enumerate(shape, w)), (lam, w)
+                    checked += 1
+    assert checked == 1845
 
 
 def _hook_product(lam):

@@ -2,8 +2,10 @@
 class that nothing in the package references, no coefficient coerced
 with ``Fraction(x)`` outside the one coefficient rule, no link between
 the two Mobius oracles (the string poset's and the K-side's), no use of
-``SparsePoly``'s monomial-read memo outside the reader that fills it, and
-no ``isinstance`` test of a library class outside the one object rule.
+``SparsePoly``'s monomial-read memo outside the reader that fills it, no
+``isinstance`` test of a library class outside the one object rule, no
+count read off ``ssyt_enumerate``'s list of tableaux, and no use of the
+tableau walker outside ``schur.py``.
 
 The checks read the package with the stdlib ``ast`` module only.
 ``__init__.py`` is left out: its imports are the package's re-exports.
@@ -234,3 +236,33 @@ def test_library_objects_are_checked_by_one_rule():
     assert not found, f"a library class tested outside compositions._instance: {found}"
     # the guard sees the one exception, so it is not matching nothing
     assert allowed
+
+
+# ``schur._fillings`` walks the fillings once and the counts (``_lr``,
+# ``schur_polynomial``) read its words; only the paper check lists the
+# ``Tableau`` objects, and it filters them with ``is_ballot`` by itself, so
+# it checks the walker's ballot prune from outside
+def _calls(tree: ast.AST, name: str) -> list[int]:
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (getattr(node.func, "id", None) == name or getattr(node.func, "attr", None) == name)
+    ]
+
+
+def test_only_the_paper_check_lists_tableaux():
+    callers = {p.name for p in PACKAGE.glob("*.py") if _calls(_tree(p), "ssyt_enumerate")}
+    # the guard sees the one caller, so it is not matching nothing
+    assert callers == {"verify.py"}, f"ssyt_enumerate called outside verify.py: {callers}"
+
+
+def test_only_schur_names_its_walker():
+    root = PACKAGE.parent.parent
+    named = {
+        str(p.relative_to(root))
+        for folder in ("src", "tests", "tools", "perfbench")
+        for p in (root / folder).rglob("*.py")
+        if "_fillings" in _names_and_modules(_tree(p))
+    }
+    assert named == {"src/glidekit/schur.py"}, f"_fillings named outside schur.py: {named}"
