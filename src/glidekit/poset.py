@@ -69,58 +69,57 @@ def atoms(alpha: Iterable[int], n: int) -> frozenset[WeakComposition]:
     return frozenset(paddings(a, _size(n, len(a), "n")))
 
 
-def _greatest(bits: int) -> int:
-    """Index of the lexicographically largest element of a nonempty bitset.
-
-    If the set has a greatest element, this is it: that element dominates
-    every other one componentwise, so it is also the largest in lex order.
-    """
-    return bits.bit_length() - 1
-
-
 class GlidePoset:
-    """Length-n strings closed under componentwise max, with the atoms they
-    were closed from (for ``build_poset``, the zero-paddings of alpha).
+    """Length-n strings ordered componentwise (for ``build_poset``, the
+    closure of the zero-paddings of alpha under componentwise max).
 
-    Every element and atom must be a weak composition of length n; repeated
-    elements count once.  Elements are stored lexicographically sorted, so
-    iteration order, linear extensions, and serialized output are
-    deterministic.  Instances are immutable after construction; the order
-    tables are built on the first order query.
+    The class takes its elements only and works out its atoms, the minimal
+    elements, when ``atom_set`` is first read.  Every element must be a weak
+    composition of length n; repeated elements count once.  Elements are
+    stored lexicographically sorted, so iteration order, linear extensions,
+    and serialized output are deterministic.  Instances are immutable after
+    construction; the order tables are built on the first order query.
     """
 
-    def __init__(
-        self,
-        n: int,
-        elements: Iterable[WeakComposition],
-        atom_set: frozenset[WeakComposition],
-    ):
+    def __init__(self, n: int, elements: Iterable[WeakComposition]):
         n = _size(n, 0, "n")
-        strings = {_string(e, n, "poset element") for e in _container(elements, "elements")}
-        atom_strings = frozenset(_string(a, n, "atom") for a in _container(atom_set, "atom_set"))
-        self._fill(n, strings, atom_strings)
+        self._fill(n, {_string(e, n, "poset element") for e in _container(elements, "elements")})
 
     @classmethod
-    def _trusted(
-        cls, n: int, elements: set[WeakComposition], atom_set: frozenset[WeakComposition]
-    ) -> "GlidePoset":
+    def _trusted(cls, n: int, elements: set[WeakComposition]) -> "GlidePoset":
         """Wrap strings built inside the package without checking them again.
 
         The caller guarantees what ``__init__`` enforces: ``n`` is an int
-        >= 0 and every element and atom is a tuple of n nonnegative ints.
+        >= 0 and every element is a tuple of n nonnegative ints.
         """
         self = object.__new__(cls)
-        self._fill(n, elements, atom_set)
+        self._fill(n, elements)
         return self
 
-    def _fill(
-        self, n: int, elements: set[WeakComposition], atom_set: frozenset[WeakComposition]
-    ) -> None:
+    def _fill(self, n: int, elements: set[WeakComposition]) -> None:
         self.n = n
         self.elements = tuple(sorted(elements))
-        self.atom_set = atom_set
         self._index = {p: i for i, p in enumerate(self.elements)}
         self._down: list[int] | None = None
+        self._atoms: frozenset[WeakComposition] | None = None
+
+    @property
+    def atom_set(self) -> frozenset[WeakComposition]:
+        """The minimal elements, found with the componentwise order alone.
+
+        The elements are scanned by increasing entry sum.  Anything strictly
+        below an element has a smaller sum, and so has a minimal element
+        below it that the scan has already kept; an element is kept when no
+        kept one lies below it.  The bitset downsets are never read, so
+        ``mobius_crosscut`` shares no order query with ``mobius``.
+        """
+        if self._atoms is None:
+            minimal: list[WeakComposition] = []
+            for e in sorted(self.elements, key=sum):
+                if not any(all(map(le, a, e)) for a in minimal):
+                    minimal.append(e)
+            self._atoms = frozenset(minimal)
+        return self._atoms
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -193,8 +192,11 @@ class GlidePoset:
     def mobius_crosscut(self, sigma: Sequence[int]) -> int:
         """Independent Mobius oracle via subsets of atoms joining to sigma.
 
-        Exponential in the number of atoms below sigma; intended for
-        cross-validation at small sizes (at most ~20 atoms).
+        By the crosscut theorem it equals ``mobius()[sigma]`` on a
+        join-closed set, that is, when ``is_lattice_with_bottom()`` holds;
+        elsewhere it may differ.  Exponential in the number of atoms below
+        sigma; intended for cross-validation at small sizes (at most ~20
+        atoms).
         """
         s = self._element(sigma)
         # the atoms and s are checked strings: join and compare them unchecked
@@ -210,12 +212,24 @@ class GlidePoset:
         return -total
 
     def meet(self, p: Sequence[int], q: Sequence[int]):
-        """Greatest common lower bound within the poset, or BOTTOM if none."""
-        i, j = self._index[self._element(p)], self._index[self._element(q)]
+        """Greatest common lower bound within the poset, or BOTTOM if none.
+
+        The candidate is the common lower bound of greatest index, which no
+        common lower bound lies above.  It is the meet when every common
+        lower bound lies below it; otherwise p and q have two incomparable
+        maximal common lower bounds and no meet, which is out of range.  A
+        join-closed set always passes: the join of the common lower bounds
+        is one of them.
+        """
+        a, b = self._element(p), self._element(q)
         down = self._downsets()
-        common = down[i] & down[j]
-        # the join of all common lower bounds is itself one, by closure
-        return self.elements[_greatest(common)] if common else BOTTOM
+        common = down[self._index[a]] & down[self._index[b]]
+        if not common:
+            return BOTTOM
+        g = common.bit_length() - 1
+        if common & ~down[g]:
+            raise OutOfRangeError(f"{a} and {b} have no meet in this poset")
+        return self.elements[g]
 
     def covers(self) -> list[tuple[int, int]]:
         """Cover relations as index pairs (i, j) with element i covered by j.
@@ -269,6 +283,5 @@ class GlidePoset:
 
 def build_poset(alpha: Iterable[int], n: int) -> GlidePoset:
     """Join-closure of the zero-paddings of alpha inside length-n strings."""
-    base = atoms(alpha, n)
     # atoms checked n and alpha, and the closure of its strings is made of them
-    return GlidePoset._trusted(n, closure(base, max), base)
+    return GlidePoset._trusted(n, closure(atoms(alpha, n), max))

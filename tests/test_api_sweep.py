@@ -39,7 +39,7 @@ def valid_calls(tmp_path_factory):
     ring_file = tmp_path_factory.mktemp("ring") / "ring.json"
     ring_file.write_text(json.dumps(_RING_JSON), encoding="utf-8")
     return {
-        "GlidePoset": (gk.GlidePoset, (2, [(1, 0), (0, 1)], frozenset({(1, 0)}))),
+        "GlidePoset": (gk.GlidePoset, (2, [(1, 0), (0, 1)])),
         "GlidePoset.covers": (_P.covers, ()),
         "GlidePoset.is_lattice_with_bottom": (_P.is_lattice_with_bottom, ()),
         "GlidePoset.meet": (_P.meet, ((1, 0), (0, 1))),
@@ -152,8 +152,7 @@ def test_junk_arguments_end_in_a_return_or_a_typed_error(valid_calls, name):
 # each once ended in a bare TypeError or AttributeError
 _NOT_CONTAINERS = {
     "Tableau.rows": lambda: gk.Tableau(gk.SkewShape((1,), (0,)), 5),
-    "GlidePoset.elements": lambda: gk.GlidePoset(2, 5, frozenset()),
-    "GlidePoset.atom_set": lambda: gk.GlidePoset(2, (), 5),
+    "GlidePoset.elements": lambda: gk.GlidePoset(2, 5),
     "SparsePoly.terms": lambda: gk.SparsePoly(2, 5),
     "QSymElement.coords": lambda: gk.QSymElement(5),
     "buk_structure_constant.lam_tuple": lambda: gk.buk_structure_constant(

@@ -314,7 +314,7 @@ _K = gk.KRingElement(gk.SparsePoly.one(2), 2)
 # each call is valid with the size 1, and the int beside it is below the
 # least value that argument takes
 _TAKES_A_SIZE = {
-    ("GlidePoset", "n"): (lambda x: gk.GlidePoset(x, (), frozenset()), -1),
+    ("GlidePoset", "n"): (lambda x: gk.GlidePoset(x, ()), -1),
     ("KRingElement", "m"): (lambda x: gk.KRingElement(gk.SparsePoly.one(1), x), -1),
     ("KRingElement.restrict", "m"): (lambda x: _K.restrict(1, x), -1),
     ("KRingElement.restrict", "n"): (lambda x: _K.restrict(x, 1), -1),

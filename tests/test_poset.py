@@ -3,7 +3,7 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from glidekit import poset
 from glidekit.compositions import closure
@@ -69,6 +69,11 @@ def test_meet_examples():
     assert p.meet((1, 1, 1, 3), (1, 1, 1, 3)) == (1, 1, 1, 3)
     with pytest.raises(OutOfRangeError):
         p.meet((1, 1, 1, 1), (1, 0, 0, 3))
+    # not join-closed: (0, 1) and (1, 0) are incomparable common lower bounds
+    q = GlidePoset(2, [(0, 1), (1, 0), (2, 1), (1, 2)])
+    assert q.meet((2, 1), (1, 0)) == (1, 0)
+    with pytest.raises(OutOfRangeError, match=r"\(2, 1\) and \(1, 2\) have no meet"):
+        q.meet((2, 1), (1, 2))
 
 
 def test_closure_under_join():
@@ -80,16 +85,21 @@ def test_closure_under_join():
                 assert join(a, b) in elements
 
 
+def _naive_minimal(p):
+    """The elements with no other element below them, by leq alone."""
+    return {e for e in p.elements if not any(q != e and leq(q, e) for q in p.elements)}
+
+
 def test_minimal_elements_are_the_atoms():
     for alpha in [(1, 3), (2, 2), (1, 2, 1)]:
-        n = len(alpha) + 2
-        p = build_poset(alpha, n)
-        minimal = {
-            e
-            for e in p.elements
-            if not any(q != e and leq(q, e) for q in p.elements)
-        }
-        assert minimal == set(p.atom_set)
+        p = build_poset(alpha, len(alpha) + 2)
+        assert _naive_minimal(p) == set(p.atom_set)
+
+
+def test_atom_set_of_build_poset_is_the_paddings():
+    for alpha in all_compositions(5):
+        for n in range(len(alpha), len(alpha) + 3):
+            assert build_poset(alpha, n).atom_set == atoms(alpha, n), (alpha, n)
 
 
 def test_mobius_paper_values():
@@ -166,33 +176,35 @@ def test_is_lattice_with_bottom():
     assert build_poset((1, 3), 4).is_lattice_with_bottom()
     assert build_poset((2,), 1).is_lattice_with_bottom()
     assert build_poset((2, 1, 2), 5).is_lattice_with_bottom()
-    not_closed = GlidePoset(2, [(0, 1), (1, 0), (1, 2), (2, 1)], atoms((1,), 2))
+    not_closed = GlidePoset(2, [(0, 1), (1, 0), (1, 2), (2, 1)])
     assert not not_closed.is_lattice_with_bottom()
 
 
+_UNORDERABLE = [
+    # before the check these two gave the cover cycle [(0, 1), (1, 0)]
+    ([(0, -1), (0, 0)], InvalidCompositionError),
+    ([(0, 0, 1), (0, 0, 0)], LengthMismatchError),
+    ([(0,), (0, 0)], LengthMismatchError),
+    ([(0, 1.0)], InvalidCompositionError),
+    ([(0, True)], InvalidCompositionError),
+    ([(0, Fraction(1))], InvalidCompositionError),
+    ([5], InvalidCompositionError),
+]
+
+
 @pytest.mark.parametrize(
-    "elements, atom_set, error",
-    [
-        # before the check these two gave the cover cycle [(0, 1), (1, 0)]
-        ([(0, -1), (0, 0)], (), InvalidCompositionError),
-        ([(0, 0, 1), (0, 0, 0)], (), LengthMismatchError),
-        ([(0,), (0, 0)], (), LengthMismatchError),
-        ([(0, 1.0)], (), InvalidCompositionError),
-        ([(0, True)], (), InvalidCompositionError),
-        ([(0, Fraction(1))], (), InvalidCompositionError),
-        ([5], (), InvalidCompositionError),
-        ([(0, 1)], [(1,)], LengthMismatchError),
-        ([(0, 1)], [(-1, 1)], InvalidCompositionError),
-        ([(0, 1)], [(0.0, 1)], InvalidCompositionError),
-    ],
+    "elements, error",
+    _UNORDERABLE,
+    # the ids of the rows' earlier three-column form, which recorded test lists name
+    ids=[f"elements{i}-atom_set{i}-{error.__name__}" for i, (_, error) in enumerate(_UNORDERABLE)],
 )
-def test_glide_poset_refuses_strings_it_cannot_order(elements, atom_set, error):
+def test_glide_poset_refuses_strings_it_cannot_order(elements, error):
     with pytest.raises(error):
-        GlidePoset(2, elements, frozenset(atom_set))
+        GlidePoset(2, elements)
 
 
 def test_glide_poset_counts_a_repeated_element_once():
-    p = GlidePoset(2, [(0, 1), (1, 1), (0, 1)], frozenset({(0, 1)}))
+    p = GlidePoset(2, [(0, 1), (1, 1), (0, 1)])
     assert p.elements == ((0, 1), (1, 1))
     assert p.covers() == [(0, 1)]
     assert p.mobius() == {(0, 1): 1, (1, 1): 0}
@@ -222,22 +234,33 @@ def _naive_covers(p):
 
 
 def _naive_meets(p):
-    """Meet of every pair as the join of all its common lower bounds."""
-    lower = [{x for x in p.elements if leq(x, y)} for y in p.elements]
+    """Meet of every pair by leq alone: the common lower bound that all the
+    others lie below, BOTTOM when there is no common lower bound, and None
+    when the common lower bounds have no greatest one."""
+    lower = {y: {x for x in p.elements if leq(x, y)} for y in p.elements}
     out = {}
-    for i, x in enumerate(p.elements):
-        for j, y in enumerate(p.elements):
-            common = lower[i] & lower[j]
-            out[x, y] = tuple(max(column) for column in zip(*common)) if common else BOTTOM
+    for x in p.elements:
+        for y in p.elements:
+            common = lower[x] & lower[y]
+            greatest = [w for w in common if common <= lower[w]]
+            out[x, y] = greatest[0] if greatest else None if common else BOTTOM
     return out
+
+
+def _check_meets(p):
+    for (x, y), m in _naive_meets(p).items():
+        if m is None:
+            with pytest.raises(OutOfRangeError, match="have no meet"):
+                p.meet(x, y)
+        else:
+            assert p.meet(x, y) == m, (x, y)
 
 
 def _check_against_references(alpha, n):
     p = build_poset(alpha, n)
     assert set(p.elements) == pairwise_closure(atoms(alpha, n), max), (alpha, n)
     assert p.covers() == _naive_covers(p), (alpha, n)
-    for (x, y), m in _naive_meets(p).items():
-        assert p.meet(x, y) == m, (alpha, n, x, y)
+    _check_meets(p)
     return p
 
 
@@ -274,27 +297,36 @@ def small_string_sets(draw):
     elements = set(draw(st.lists(st.tuples(*[st.integers(0, 2)] * n), max_size=12)))
     if draw(st.booleans()):
         elements = pairwise_closure(elements, max)
-    return GlidePoset(n, elements, frozenset())
+    return GlidePoset(n, elements)
 
 
 @settings(max_examples=300, deadline=None)
 @given(p=small_string_sets())
-@example(p=GlidePoset(2, [(0, 1), (1, 0), (1, 2), (2, 1)], frozenset()))
-@example(p=GlidePoset(2, [(0, 1), (1, 0)], frozenset()))
-@example(p=GlidePoset(0, [()], frozenset()))
-@example(p=GlidePoset(1, [], frozenset()))
+@example(p=GlidePoset(2, [(0, 1), (1, 0), (1, 2), (2, 1)]))
+@example(p=GlidePoset(2, [(0, 1), (1, 0)]))
+@example(p=GlidePoset(0, [()]))
+@example(p=GlidePoset(1, []))
 def test_lattice_check_matches_pairwise_reference_on_hand_built_sets(p):
     assert p.is_lattice_with_bottom() is _pairwise_is_lattice_with_bottom(p)
     assert p.is_lattice_with_bottom() is (pairwise_closure(p.elements, max) == set(p.elements))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=small_string_sets())
+@example(p=GlidePoset(2, [(0, 1), (1, 0), (1, 1), (2, 1), (1, 2), (2, 2)]))
+def test_crosscut_matches_mobius_on_join_closed_hand_built_sets(p):
+    assume(pairwise_closure(p.elements, max) == set(p.elements))
+    mu = p.mobius()
+    for sigma in p.elements:
+        if sum(1 for a in p.atom_set if leq(a, sigma)) <= 12:
+            assert p.mobius_crosscut(sigma) == mu[sigma], sigma
 
 
 def test_lattice_check_stops_at_the_first_string_outside_the_poset(monkeypatch):
     # the axis strings v * e_i for v <= 3 at n = 10: their join-closure holds
     # every nonzero string with entries at most 3, 4**10 - 1 of them
     n = 10
-    p = GlidePoset(
-        n, [tuple(v * (k == i) for k in range(n)) for i in range(n) for v in (1, 2, 3)], frozenset()
-    )
+    p = GlidePoset(n, [tuple(v * (k == i) for k in range(n)) for i in range(n) for v in (1, 2, 3)])
     drawn = []
 
     def counted(generators, pick):
@@ -373,7 +405,7 @@ def hand_built_posets(draw):
     elements = set(draw(st.lists(st.tuples(*[entries] * n), max_size=20)))
     if n >= 2 and draw(st.booleans()):
         elements |= _fan(n, draw(st.integers(1, 40)), draw(st.integers(0, 4)), draw(entries))
-    return GlidePoset(n, elements, frozenset())
+    return GlidePoset(n, elements)
 
 
 def _check_kernels(p):
@@ -389,15 +421,28 @@ def _check_kernels(p):
 def test_fan_reaches_several_bit_planes_of_both_signs():
     # k = 38 antichain elements give mu = -37 (binary 100101) in the middle,
     # and m = 3 middle elements give 37 * 2 = 74 on top
-    mu = _check_kernels(GlidePoset(3, _fan(3, 38, 3, 1), frozenset()))
+    mu = _check_kernels(GlidePoset(3, _fan(3, 38, 3, 1)))
     assert min(mu.values()) == -37
     assert max(mu.values()) == 74
 
 
 @settings(max_examples=100, deadline=None)
 @given(p=hand_built_posets())
-@example(p=GlidePoset(2, _fan(2, 33, 2, 0), frozenset()))
-@example(p=GlidePoset(0, [()], frozenset()))
-@example(p=GlidePoset(1, [], frozenset()))
+@example(p=GlidePoset(2, _fan(2, 33, 2, 0)))
+@example(p=GlidePoset(0, [()]))
+@example(p=GlidePoset(1, []))
 def test_kernels_match_references_on_hand_built_posets(p):
     _check_kernels(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.one_of(small_string_sets(), hand_built_posets()))
+@example(p=GlidePoset(2, _fan(2, 33, 2, 0)))
+def test_atom_set_is_the_minimal_elements(p):
+    assert p.atom_set == _naive_minimal(p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.one_of(small_string_sets(), hand_built_posets()))
+def test_meet_matches_the_greatest_common_lower_bound(p):
+    _check_meets(p)

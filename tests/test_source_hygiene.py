@@ -1,7 +1,8 @@
 """Source guards: no unused import, no private module-level function or
 class that nothing in the package references, no coefficient coerced
 with ``Fraction(x)`` outside the one coefficient rule, no link between
-the two Mobius oracles (the string poset's and the K-side's), no use of
+the two Mobius oracles (the string poset's and the K-side's) or between
+the crosscut Mobius and the string poset's bitset core, no use of
 ``SparsePoly``'s monomial-read memo outside the reader that fills it, no
 ``isinstance`` test of a library class outside the one object rule, no
 count read off ``ssyt_enumerate``'s list of tableaux, and no use of the
@@ -146,6 +147,26 @@ _KEPT_APART = {
 def test_mobius_oracles_stay_independent(name):
     named = _names_and_modules(_tree(PACKAGE / name)) & _KEPT_APART[name]
     assert not named, f"{name} reaches the other Mobius oracle through {sorted(named)}"
+
+
+# the crosscut Mobius checks ``GlidePoset.mobius`` only while it and the
+# atoms it sums over are found without the bitset downsets, the Mobius
+# recurrence or the covers that ``mobius`` shares its tables with
+_CROSSCUT = ("mobius_crosscut", "atom_set")
+_MOBIUS_CORE = {"_downsets", "_down", "mobius", "covers"}
+
+
+def test_crosscut_oracle_shares_no_core_with_mobius():
+    bodies = {
+        node.name: node
+        for node in ast.walk(_tree(PACKAGE / "poset.py"))
+        if isinstance(node, ast.FunctionDef) and node.name in _CROSSCUT
+    }
+    # both are found, so the guard is not matching nothing
+    assert sorted(bodies) == sorted(_CROSSCUT)
+    for name, node in bodies.items():
+        named = _used_names(node) & _MOBIUS_CORE
+        assert not named, f"{name} reaches the Mobius core through {sorted(named)}"
 
 
 # ``SparsePoly._m_read`` keeps ``qsym.read_m_coords``'s result.  A builder
