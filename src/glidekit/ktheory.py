@@ -202,11 +202,11 @@ def chern_substitute(element: KRingElement) -> SparsePoly:
     of e_1, ..., e_n in V = {0} | [p, m], p the least positive exponent of
     the element: row g of the table is zero below d = g, and only row 0
     reaches d = 0, so no image exponent falls outside V.  The terms are
-    scattered into the box with the first variable already substituted;
-    each of n - 1 passes then substitutes the leading axis, writing output
-    column d with ``out[d::|V|] = ...``, which moves that axis to the back,
-    so n moves restore the order.  An axis not yet substituted holds only
-    the exponents E of the element, so it has |E| digits until its pass.
+    scattered into the box as they are, with digits over the exponents E of
+    the element; each of n equal passes then substitutes the leading axis,
+    writing output column d with ``out[d::|V|] = ...``, which moves that
+    axis to the back, so n moves restore the order.  An axis not yet
+    substituted keeps its |E| digits until its pass.
     The terms come in lexicographic order, and the box is kept on the image
     for ``qsym.read_m_coords``.
     """
@@ -224,18 +224,13 @@ def chern_substitute(element: KRingElement) -> SparsePoly:
         [(d, a) for d, a in enumerate(map(rows[g].__getitem__, values)) if a] for g in present
     ]
     digit = dict(zip(present, range(width)))
-    if n:
-        box = [0] * (width ** (n - 1) * b)
-        for e, c in numerators:
-            i = 0
-            for x in e[1:]:
-                i = i * width + digit[x]
-            i *= b
-            for d, a in images[digit[e[0]]]:
-                box[i + d] += c * a
-    else:
-        box = [numerators[0][1] if numerators else 0]
-    for _ in range(n - 1):
+    box = [0] * width**n
+    for e, c in numerators:
+        i = 0
+        for x in e:
+            i = i * width + digit[x]
+        box[i] = c
+    for _ in range(n):
         # output column d sums the scaled blocks g; zero blocks are skipped
         stride = len(box) // width
         columns = [None] * b

@@ -381,7 +381,10 @@ class GradedRingData:
 
         Labels are strings.  Every label other than the unit must have
         positive degree, which the tensor engine relies on.  Structure
-        constants are validated against the grading.  The optional counit
+        constants are validated against the grading; every label they name,
+        a zero coefficient's too, must be in the basis, and an entry with the
+        unit as a factor must give the other factor with coefficient 1, since
+        ``product`` answers such a product itself.  The optional counit
         names basis labels only, with 1 on the unit and 0 elsewhere (a graded
         map to the ground ring concentrated in degree zero admits nothing
         else).  A broken rule raises ``UnknownLabelError``, data of the wrong
@@ -422,16 +425,22 @@ class GradedRingData:
                         raise UnknownLabelError(f"constants multiply unknown {left!r}*{right!r}")
                     expansion = {}
                     for label, coeff in terms.items():
+                        if label not in degrees:
+                            raise UnknownLabelError(f"constants mention unknown label {label!r}")
                         c = parse_frac(coeff)
                         if not c:
                             continue
-                        if label not in degrees:
-                            raise UnknownLabelError(f"constants mention unknown label {label!r}")
                         if degrees[label] != degrees[left] + degrees[right]:
                             raise UnknownLabelError(
                                 f"product {left!r}*{right!r} -> {label!r} violates the grading"
                             )
                         expansion[label] = c
+                    # ``product`` answers a unit factor itself, never from here
+                    if unit in (left, right) and expansion != {right if left == unit else left: 1}:
+                        raise UnknownLabelError(
+                            f"constants for {left!r}*{right!r} must give the other factor "
+                            "with coefficient 1, as the unit does"
+                        )
                     # every product of this pair returns this one mapping
                     constants[(left, right)] = MappingProxyType(expansion)
             for label, value in data.get("counit", {}).items():

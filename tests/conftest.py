@@ -1,5 +1,5 @@
 import inspect
-from itertools import combinations
+from itertools import combinations, product
 
 import glidekit as gk
 from glidekit.qsym import glide_element
@@ -45,6 +45,15 @@ def pairwise_closure(generators, pick):
         fresh = {tuple(map(pick, p, q)) for p in fresh for q in elements} - elements
         elements |= fresh
     return elements
+
+
+def assert_box_is_image(image, n):
+    """The dense box a Chern image keeps holds the image's terms, in order:
+    the box reader of criterion 07 reads the box, not the terms."""
+    box, values, shared = image._box
+    assert len(box) == len(values) ** n
+    kept = {e: shared[c] for e, c in zip(product(values, repeat=n), box) if c}
+    assert list(kept.items()) == list(image.terms.items())
 
 
 def public_callables():

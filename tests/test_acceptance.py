@@ -44,7 +44,7 @@ from glidekit.schur import (
     schur_ring,
 )
 
-from conftest import all_compositions
+from conftest import all_compositions, assert_box_is_image
 
 
 @contextmanager
@@ -215,6 +215,11 @@ def test_criterion_07_chern_substitution(kclass_sweep):
                 assert coeffs[j] == Fraction((-1) ** (j + 1), factorial(j))
         for alpha, n, m, kclass, _ in kclass_sweep:
             assert is_quasisymmetric(chern_substitute(kclass), n), (alpha, n, m)
+
+
+def test_chern_image_box_is_its_terms(kclass_sweep):
+    for alpha, n, m, kclass, _ in kclass_sweep:
+        assert_box_is_image(chern_substitute(kclass), n)
 
 
 def test_chern_image_readers_check_each_other(kclass_sweep):

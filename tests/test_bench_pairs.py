@@ -1,4 +1,4 @@
-"""The claim rule of tools/bench_pairs.py, on made-up pair results."""
+"""The claim and verdict rules of tools/bench_pairs.py, on made-up pair results."""
 
 import importlib.util
 from pathlib import Path
@@ -42,3 +42,24 @@ def test_higher_is_better_reads_the_other_way():
     assert row["change_higher_in_pairs"] == 10
     assert bench_pairs.judge(row, "higher").startswith("met:")
     assert bench_pairs.judge(_row([0.5] * 10, better="higher"), "higher").startswith("not met:")
+
+
+def test_verdict_worse_beyond_bound():
+    # median 1.10 against 1.005: worse by 9.5%, beyond a 5% bound
+    assert bench_pairs.verdict(_row([1.10] * 10), "lower", 0.05) == "worse beyond bound"
+    # the same medians read the other way when higher is better
+    row = _row([0.90] * 10, better="higher")
+    assert bench_pairs.verdict(row, "higher", 0.05) == "worse beyond bound"
+
+
+def test_verdict_unresolved_when_the_parent_spread_exceeds_the_bound():
+    # parent interquartile range 0.035 against 1% of 1.005; the change is no
+    # worse in the median, but some change runs lose to some parent runs
+    assert bench_pairs.verdict(_row(list(PARENT)), "lower", 0.01) == "unresolved"
+    # beating every parent run resolves it
+    assert bench_pairs.verdict(_row([0.9] * 10), "lower", 0.01) == "within bound"
+
+
+def test_verdict_within_bound():
+    assert bench_pairs.verdict(_row(list(PARENT)), "lower", 0.25) == "within bound"
+    assert bench_pairs.verdict(_row([1.02] * 10), "lower", 0.05) == "within bound"

@@ -31,7 +31,7 @@ from glidekit.qsym import (
     polynomial_to_m,
 )
 
-from conftest import all_compositions, pairwise_closure
+from conftest import all_compositions, assert_box_is_image, pairwise_closure
 
 
 def test_projective_structure_class():
@@ -278,6 +278,17 @@ def test_chern_substitute_examples():
     )
 
 
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_chern_substitute_without_variables(m):
+    # with n = 0 no pass runs: the scattered one-entry box is the image
+    constant = chern_substitute(KRingElement(SparsePoly(0, {(): Fraction(-2, 3)}), m))
+    assert constant.terms == {(): Fraction(-2, 3)}
+    assert constant._box == ([-2], (0,), {-2: Fraction(-2, 3)})
+    zero = chern_substitute(KRingElement(SparsePoly.zero(0), m))
+    assert zero.terms == {}
+    assert zero._box == ([0], (0,), {})
+
+
 def test_chern_substitute_matches_naive_expansion():
     # oracle: plain polynomial composition with Fraction arithmetic
     rng = random.Random(3)
@@ -398,6 +409,7 @@ def test_chern_substitute_matches_series_products(element):
     assert image == _expand_chern(element)
     # the terms come in lexicographic order
     assert list(image.terms) == sorted(image.terms)
+    assert_box_is_image(image, n)
     # the box reader and the grouping reader agree, whichever pair of
     # axes breaks quasisymmetry
     coords, failed = _group_by_positive_part(SparsePoly(n, image.terms), n)

@@ -655,6 +655,8 @@ def test_graded_ring_validation():
         (dict(RING_JSON, constants={"x": {"x": {"x2": 0.1}}}), MalformedInputError),
         (dict(RING_JSON, counit={"1": True}), MalformedInputError),
         ([RING_JSON], MalformedInputError),
+        (dict(RING_JSON, constants={"x": {"x": {"zzz": "0", "x2": "1"}}}), UnknownLabelError),
+        (dict(RING_JSON, constants={"1": {"x": {"x": "2"}}}), UnknownLabelError),
     ],
     ids=[
         "empty",
@@ -672,6 +674,8 @@ def test_graded_ring_validation():
         "coefficient-a-float",
         "counit-a-bool",
         "top-level-list",
+        "constants-unknown-label-with-zero",
+        "constants-unit-product-not-the-other-factor",
     ],
 )
 def test_graded_ring_data_errors_are_typed(data, error):

@@ -18,9 +18,15 @@ from BENCHMARK.json.
 
 A claim is met when the change is better in at least nine tenths of the
 pairs (ties count for neither) and the medians differ, in the better
-direction, by more than the parent's interquartile range.  Quartiles are
-``statistics.quantiles(n=4, method='inclusive')``.  Stdlib only; the export
-uses tarfile's ``data`` filter, so it needs Python 3.10.12 or 3.11.4 on.
+direction, by more than the parent's interquartile range.  Every
+end-to-end metric also gets a ``verdict`` against its ``bound`` in
+BENCHMARK.json, a fraction of the parent median: ``worse beyond bound``
+when the change median is worse than the parent median by more than that;
+else ``unresolved`` when the parent's interquartile range exceeds it and not
+every change run beats every parent run; else ``within bound``.  Quartiles
+are ``statistics.quantiles(n=4, method='inclusive')``.  Stdlib only; the
+export uses tarfile's ``data`` filter, so it needs Python 3.10.12 or 3.11.4
+on.
 """
 
 from __future__ import annotations
@@ -99,6 +105,19 @@ def judge(row: dict, better: str) -> str:
     )
 
 
+def verdict(row: dict, better: str, bound: float) -> str:
+    """Whether the change stays within ``bound``, a fraction of the parent median."""
+    sign = 1 if better == "lower" else -1
+    allowed = bound * abs(row["parent_median"])
+    if sign * (row["change_median"] - row["parent_median"]) > allowed:
+        return "worse beyond bound"
+    low, high = row["parent_quartiles"]
+    beats_all = all(sign * (c - p) < 0 for c in row["change"] for p in row["parent"])
+    if high - low > allowed and not beats_all:
+        return "unresolved"
+    return "within bound"
+
+
 def pairs(checkouts: dict, workload: str, seeds: list[int], metrics: list[dict]) -> dict:
     results = {side: [] for side in SIDES}
     first = []
@@ -113,16 +132,17 @@ def pairs(checkouts: dict, workload: str, seeds: list[int], metrics: list[dict])
         "seeds": seeds,
         "failed_ops": ", ".join(f"{s} {sum(r['failed'] for r in results[s])}" for s in SIDES),
         "attempted_ops": ", ".join(f"{s} {sum(r['attempted'] for r in results[s])}" for s in SIDES),
-        "metrics": {
-            m["name"]: summarize(
-                m["unit"],
-                m["better"],
-                *([r["metrics"][m["name"]]["value"] for r in results[s]] for s in SIDES),
-            )
-            for m in metrics
-        },
+        "metrics": {m["name"]: judged(m, results) for m in metrics},
         "first_in_pair": first,
     }
+
+
+def judged(metric: dict, results: dict) -> dict:
+    """One metric's summary over the pairs, with its verdict."""
+    values = ([r["metrics"][metric["name"]]["value"] for r in results[s]] for s in SIDES)
+    row = summarize(metric["unit"], metric["better"], *values)
+    row["verdict"] = verdict(row, metric["better"], metric["bound"])
+    return row
 
 
 def traced(checkouts: dict, workload: str, seed: int) -> dict:
