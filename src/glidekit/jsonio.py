@@ -24,9 +24,12 @@ def frac_str(value: Fraction | int) -> str:
 def parse_frac(text: str | int) -> Fraction:
     """A rational from "p/q" text, or from a JSON number by the coefficient rule.
 
-    A JSON value that is neither a string nor an integer (a float, a bool,
-    null, an array or an object) is malformed input; the message names the
-    two forms a JSON file can use.
+    In text, p and the optional q are each read by ``decimal_int``, and q
+    must be at least 1, so "0.1", "1e3", "1_0", "+3" and non-ASCII digits
+    are malformed input, as they are for an integer flag.  A JSON value that
+    is neither a string nor an integer (a float, a bool, null, an array or
+    an object) is malformed input; the message names the two forms a JSON
+    file can use.
     """
     if type(text) is not str:
         try:
@@ -36,10 +39,14 @@ def parse_frac(text: str | int) -> Fraction:
             raise MalformedInputError(
                 f'a coefficient must be a JSON integer or a "p/q" string, got {shown}'
             ) from None
+    p, slash, q = text.partition("/")
     try:
-        return Fraction(text)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        numerator, denominator = decimal_int(p), decimal_int(q) if slash else 1
+    except ValueError as exc:
         raise MalformedInputError(f"cannot parse a rational from {text!r}") from exc
+    if denominator < 1:
+        raise MalformedInputError(f"cannot parse a rational from {text!r}: q must be at least 1")
+    return Fraction(numerator, denominator)
 
 
 def read_json(path: str | os.PathLike) -> Any:
@@ -63,7 +70,8 @@ def decimal_int(text: str) -> int:
     """An int from ASCII decimal text: an optional '-' and the digits 0-9,
     with the surrounding whitespace ``int()`` allows.  ``int()`` alone also
     takes '+', underscores ('1_0') and non-ASCII digits; a ValueError here
-    is argparse's usage error for an integer flag."""
+    is argparse's usage error for an integer flag, and ``parse_frac`` reads
+    p and q with it."""
     digits = text.strip()
     body = digits[1:] if digits.startswith("-") else digits
     if not (body.isascii() and body.isdigit()):

@@ -207,8 +207,9 @@ def chern_substitute(element: KRingElement) -> SparsePoly:
     writing output column d with ``out[d::|V|] = ...``, which moves that
     axis to the back, so n moves restore the order.  An axis not yet
     substituted keeps its |E| digits until its pass.
-    The terms come in lexicographic order, and the box is kept on the image
-    for ``qsym.read_m_coords``.
+    The terms are the nonzero entries over the common denominator, in index
+    order, which is lexicographic order.  The image keeps ``(box, V)`` for
+    ``qsym.read_m_coords``, which reads the coefficients off the terms.
     """
     m = _instance(element, KRingElement, "element").m
     n = element.nvars
@@ -250,7 +251,7 @@ def chern_substitute(element: KRingElement) -> SparsePoly:
     shared = {c: Fraction(c, denominator) for c in set(box) if c}
     keys = compress(product(values, repeat=n), box)
     image = SparsePoly._trusted(n, dict(zip(keys, map(shared.__getitem__, filter(None, box)))))
-    image._box = (box, values, shared)
+    image._box = (box, values)
     return image
 
 

@@ -165,8 +165,8 @@ def _read_box(f: SparsePoly, n: int) -> tuple[dict[Composition, Fraction], None]
 
     The box holds f's integer numerators at the exponent vectors whose
     entries lie in ``values``, the base-|V| digits of an index being the
-    positions of e_1, ..., e_n in ``values``; ``shared`` maps each nonzero
-    numerator to its Fraction.  Moving a 0 past a part keeps the positive
+    positions of e_1, ..., e_n in ``values``; f's terms are its nonzero
+    entries, in index order.  Moving a 0 past a part keeps the positive
     part, and such moves join any two placements of a composition, so f is
     quasisymmetric exactly when A[..., 0, v, ...] = A[..., v, 0, ...] on
     each adjacent pair of axes.  For the pair (i, i + 1) the two sides are
@@ -176,12 +176,14 @@ def _read_box(f: SparsePoly, n: int) -> tuple[dict[Composition, Fraction], None]
 
     The coordinates are then read at the placements (0, ..., 0, gamma),
     the indices whose digits are some 0s followed by no 0; in index order
-    they come by length, then in lexicographic order.
+    they come by length, then in lexicographic order.  Each coefficient is
+    f's own: the mask picks the placements' terms out of ``f.terms``, and
+    the box only says which placements are nonzero.
     """
     boxed = getattr(f, "_box", None)
     if boxed is None:
         return None
-    box, values, shared = boxed
+    box, values = boxed
     b = len(values)
     for i in range(n - 1):
         outer = b ** (n - i)
@@ -202,9 +204,12 @@ def _read_box(f: SparsePoly, n: int) -> tuple[dict[Composition, Fraction], None]
     tails = full = [1]
     for _ in range(n):
         tails, full = tails + full * (b - 1), [0] * len(full) + full * (b - 1)
-    entries = list(compress(box, tails))
+    # the terms are the nonzero entries: the mask read at those picks the
+    # placements' coefficients, and the entries at the placements pick
+    # their compositions
+    coeffs = compress(f.terms.values(), compress(tails, box))
     gammas = chain.from_iterable(product(values[1:], repeat=k) for k in range(n + 1))
-    return dict(compress(zip(gammas, map(shared.get, entries)), entries)), None
+    return dict(zip(compress(gammas, compress(box, tails)), coeffs)), None
 
 
 def _group_by_positive_part(

@@ -1,5 +1,6 @@
 import inspect
-from itertools import combinations, product
+from itertools import combinations, compress, product, repeat
+from operator import attrgetter, mul
 
 import glidekit as gk
 from glidekit.qsym import glide_element
@@ -48,12 +49,25 @@ def pairwise_closure(generators, pick):
 
 
 def assert_box_is_image(image, n):
-    """The dense box a Chern image keeps holds the image's terms, in order:
-    the box reader of criterion 07 reads the box, not the terms."""
-    box, values, shared = image._box
+    """The dense box a Chern image keeps lines up with the image's terms:
+    its nonzero entries sit at the terms' exponent vectors, in term order,
+    and are the terms' coefficients over one common denominator.  The box
+    reader of criterion 07 checks the box and reads the coefficients off
+    the terms, so the two must describe one polynomial."""
+    box, values = image._box
     assert len(box) == len(values) ** n
-    kept = {e: shared[c] for e, c in zip(product(values, repeat=n), box) if c}
-    assert list(kept.items()) == list(image.terms.items())
+    assert list(compress(product(values, repeat=n), box)) == list(image.terms)
+    numerators = list(filter(None, box))
+    if not numerators:
+        return
+    coeffs = image.terms.values()
+    ratio = numerators[0] / next(iter(coeffs))
+    assert ratio.denominator == 1 and ratio > 0
+    # c / common == p / q for every numerator c and term coefficient p / q,
+    # cross-multiplied so that only ints are compared
+    common = ratio.numerator
+    scaled = map(mul, numerators, map(attrgetter("denominator"), coeffs))
+    assert list(scaled) == list(map(mul, map(attrgetter("numerator"), coeffs), repeat(common)))
 
 
 def public_callables():

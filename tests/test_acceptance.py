@@ -115,6 +115,18 @@ def kclass_sweep():
     return instances
 
 
+@pytest.fixture(scope="module")
+def chern_sweep(kclass_sweep):
+    """(alpha, n, m, kclass, Chern image) for every row of ``kclass_sweep``,
+    each image computed once for the tests that read it.  Criterion 07's
+    check keeps its result on each image (the ``_m_read`` slot), which the
+    other readers here neither read nor write."""
+    return [
+        (alpha, n, m, kclass, chern_substitute(kclass))
+        for alpha, n, m, kclass, _ in kclass_sweep
+    ]
+
+
 def test_criterion_01_poset_fixtures():
     with criterion(1, "poset on (1,3), n=4: 18 elements, covers, meets and joins"):
         p = build_poset((1, 3), 4)
@@ -207,29 +219,28 @@ def test_criterion_06_ktheory_main_identity(kclass_sweep):
         )
 
 
-def test_criterion_07_chern_substitution(kclass_sweep):
+def test_criterion_07_chern_substitution(chern_sweep):
     with criterion(7, "Chern images quasisymmetric; series coefficients exact"):
         for m in range(1, 6):
             coeffs = chern_series_coeffs(m)
             for j in range(1, m + 1):
                 assert coeffs[j] == Fraction((-1) ** (j + 1), factorial(j))
-        for alpha, n, m, kclass, _ in kclass_sweep:
-            assert is_quasisymmetric(chern_substitute(kclass), n), (alpha, n, m)
+        for alpha, n, m, _, chern in chern_sweep:
+            assert is_quasisymmetric(chern, n), (alpha, n, m)
 
 
-def test_chern_image_box_is_its_terms(kclass_sweep):
-    for alpha, n, m, kclass, _ in kclass_sweep:
-        assert_box_is_image(chern_substitute(kclass), n)
+def test_chern_image_box_is_its_terms(chern_sweep):
+    for alpha, n, m, _, chern in chern_sweep:
+        assert_box_is_image(chern, n)
 
 
-def test_chern_image_readers_check_each_other(kclass_sweep):
+def test_chern_image_readers_check_each_other(chern_sweep):
     # criterion 07 reads each image with the box reader; the grouping
     # reader, on a box-less copy, must give the same coordinates in the same
     # order, and both must see a break of quasisymmetry.  The copies are
     # built with ``_trusted``: the terms were checked when the image was
     # built, and checking them again adds about a third to the test's time
-    for alpha, n, m, kclass, _ in kclass_sweep:
-        chern = chern_substitute(kclass)
+    for alpha, n, m, kclass, chern in chern_sweep:
         coords, failed = _group_by_positive_part(SparsePoly._trusted(n, chern.terms), n)
         assert failed is None, (alpha, n, m)
         assert list(_read_box(chern, n)[0].items()) == list(coords.items()), (alpha, n, m)

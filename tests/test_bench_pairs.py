@@ -1,7 +1,13 @@
-"""The claim and verdict rules of tools/bench_pairs.py, on made-up pair results."""
+"""The claim and verdict rules of tools/bench_pairs.py, on made-up pair
+results, and its checks that the staged index it measures is the tree it
+records, in a throwaway repository."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
@@ -63,3 +69,95 @@ def test_verdict_unresolved_when_the_parent_spread_exceeds_the_bound():
 def test_verdict_within_bound():
     assert bench_pairs.verdict(_row(list(PARENT)), "lower", 0.25) == "within bound"
     assert bench_pairs.verdict(_row([1.02] * 10), "lower", 0.05) == "within bound"
+
+
+BENCH = {
+    "run_seconds": 1,
+    "workloads": [{"name": "w"}],
+    "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}],
+}
+ARGV = ["--pr", "7", "--first-seed", "1", "--note", "n", "--seeds-note", "s"]
+
+
+def _git(root, *args):
+    identity = ["-c", "user.name=bench", "-c", "user.email=bench@example.invalid"]
+    return subprocess.run(
+        ["git", *identity, *args], cwd=root, check=True, capture_output=True
+    ).stdout.decode().strip()
+
+
+@pytest.fixture
+def repo(tmp_path, monkeypatch):
+    """A throwaway repository with one commit holding a one-workload
+    BENCHMARK.json, as the tool's root; each benchmark run is made up and
+    recorded in ``repo.runs``."""
+    _git(tmp_path, "init", "-q")
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(BENCH))
+    _git(tmp_path, "add", "-A")
+    _git(tmp_path, "commit", "-q", "-m", "start")
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    runs = []
+
+    def run(checkout, workload, seed, trace):
+        runs.append((checkout.name, seed))
+        return {"metrics": {"wall_s": {"value": 1.0}}, "failed": 0, "attempted": 1}
+
+    monkeypatch.setattr(bench_pairs, "run", run)
+    return tmp_path, runs
+
+
+@pytest.mark.parametrize("left_out", ["tracked", "untracked"])
+def test_index_side_refuses_files_it_would_leave_out(repo, left_out):
+    root, runs = repo
+    (root / "a.txt").write_text("staged\n")
+    _git(root, "add", "a.txt")
+    if left_out == "tracked":
+        (root / "a.txt").write_text("changed after staging\n")
+        named = "a.txt"
+    else:
+        (root / "b.txt").write_text("never staged\n")
+        named = "b.txt"
+    with pytest.raises(SystemExit, match=f"not staged: {named};"):
+        bench_pairs.main(ARGV)
+    assert runs == []
+    assert not (root / "BENCH_7.json").exists()
+
+
+def test_index_side_writes_the_tree_it_measured(repo):
+    root, runs = repo
+    (root / "a.txt").write_text("staged\n")
+    _git(root, "add", "a.txt")
+    # its own earlier output, not staged, does not stop it
+    (root / "BENCH_7.json").write_text("{}\n")
+    assert bench_pairs.main(ARGV) == 0
+    assert len(runs) == 2 * bench_pairs.PAIRS
+    written = json.loads((root / "BENCH_7.json").read_text())
+    assert written["revisions"]["change"] == _git(root, "write-tree")
+    assert written["revisions"]["parent"] == _git(root, "rev-parse", "HEAD")
+
+
+def test_index_side_writes_nothing_when_the_index_changes_during_the_runs(repo, monkeypatch):
+    root, runs = repo
+    measured = _git(root, "write-tree")
+    run = bench_pairs.run
+
+    def run_then_stage(checkout, workload, seed, trace):
+        if not runs:
+            (root / "late.txt").write_text("staged after the runs began\n")
+            _git(root, "add", "late.txt")
+        return run(checkout, workload, seed, trace)
+
+    monkeypatch.setattr(bench_pairs, "run", run_then_stage)
+    with pytest.raises(SystemExit, match=f"tree {measured} was measured") as info:
+        bench_pairs.main(ARGV)
+    assert info.value.code != 0
+    assert len(runs) == 2 * bench_pairs.PAIRS
+    assert not (root / "BENCH_7.json").exists()
+
+
+def test_a_committed_change_side_needs_no_clean_tree(repo):
+    root, runs = repo
+    (root / "b.txt").write_text("never staged\n")
+    assert bench_pairs.main([*ARGV, "--change", "HEAD"]) == 0
+    written = json.loads((root / "BENCH_7.json").read_text())
+    assert written["revisions"]["change"] == _git(root, "rev-parse", "HEAD")

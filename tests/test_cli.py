@@ -123,6 +123,7 @@ def test_domain_error_exit_code(capsys):
         (None, "input-unreadable"),
         ('{"coords": [{"comp": [1], "coeff": "1"},\n', "malformed-input"),
         ('{"coords": [{"comp": [1], "coeff": "1/0"}]}', "malformed-input"),
+        ('{"coords": [{"comp": [1]}]}', "malformed-input"),
         ('{"terms": [{"comp": [1], "coeff": "1"}]}', "malformed-input"),
         ('{"coords": [{"comp": ["x"], "coeff": "1"}]}', "invalid-composition"),
         ('{"coords": [{"comp": [1.5], "coeff": "1"}]}', "invalid-composition"),
@@ -131,11 +132,17 @@ def test_domain_error_exit_code(capsys):
         ('{"coords": [{"comp": [1], "coeff": 0.1}]}', "malformed-input"),
         ('{"coords": [{"comp": [1], "coeff": true}]}', "malformed-input"),
         ('[{"comp": [1], "coeff": "1"}, {"comp": [1], "coeff": "5"}]', "malformed-input"),
+        ('{"coords": [{"comp": [1], "coeff": "0.1"}]}', "malformed-input"),
+        ('{"coords": [{"comp": [1], "coeff": "1e3"}]}', "malformed-input"),
+        ('{"coords": [{"comp": [1], "coeff": "1_0"}]}', "malformed-input"),
+        ('{"coords": [{"comp": [1], "coeff": "\u0661"}]}', "malformed-input"),
+        ('{"coords": [{"comp": [1], "coeff": "+3"}]}', "malformed-input"),
     ],
     ids=[
         "missing file",
         "malformed JSON",
         "1/0 coefficient",
+        "entry without coeff",
         "missing coords key",
         "non-integer part",
         "float part",
@@ -144,6 +151,11 @@ def test_domain_error_exit_code(capsys):
         "float coefficient",
         "bool coefficient",
         "composition listed twice",
+        "decimal-point string coefficient",
+        "exponent string coefficient",
+        "underscore string coefficient",
+        "non-ASCII digit string coefficient",
+        "plus-sign string coefficient",
     ],
 )
 def test_glide_expand_bad_input_is_typed_error(tmp_path, capsys, content, error_code):

@@ -117,6 +117,13 @@ def test_mu_closed_values():
         mu_closed((3, 1, 0), (1, 3))
 
 
+def test_mu_closed_refuses_a_block_shorter_than_its_run():
+    # the run values match, but (0, 1) holds the value 1 once where (1, 1)
+    # holds it twice
+    with pytest.raises(NotInCSetError, match="too few entries"):
+        mu_closed((0, 1), (1, 1))
+
+
 def test_glide_polynomial_unit_and_single_part():
     for n in range(4):
         assert glide_polynomial((), n) == SparsePoly.one(n)

@@ -77,6 +77,11 @@ def test_line_bundle_roundtrip_random():
         line_bundle_to_y((1, 0), 2)
 
 
+def test_line_bundle_expansion_needs_one_variable():
+    with pytest.raises(LengthMismatchError):
+        y_to_line_bundle(KRingElement(SparsePoly.one(2), 2))
+
+
 def test_z_locus_examples():
     assert z_locus((1, 3), 2, 3) == {(2, 0)}
     assert z_locus((1,), 2, 1) == {(0, 1), (1, 0)}
@@ -283,10 +288,10 @@ def test_chern_substitute_without_variables(m):
     # with n = 0 no pass runs: the scattered one-entry box is the image
     constant = chern_substitute(KRingElement(SparsePoly(0, {(): Fraction(-2, 3)}), m))
     assert constant.terms == {(): Fraction(-2, 3)}
-    assert constant._box == ([-2], (0,), {-2: Fraction(-2, 3)})
+    assert constant._box == ([-2], (0,))
     zero = chern_substitute(KRingElement(SparsePoly.zero(0), m))
     assert zero.terms == {}
-    assert zero._box == ([0], (0,), {})
+    assert zero._box == ([0], (0,))
 
 
 def test_chern_substitute_matches_naive_expansion():

@@ -111,6 +111,15 @@ def test_zero_polynomial_and_no_variables():
     assert (SparsePoly.zero(0) * c).is_zero()
 
 
+def test_equality_and_hash_ignore_the_term_order():
+    # a non-polynomial is never equal: __eq__ answers NotImplemented
+    assert (SparsePoly(1) == 5) is False
+    f = SparsePoly(2, {(1, 0): 1, (0, 1): Fraction(2, 3)})
+    g = SparsePoly(2, {(0, 1): Fraction(2, 3), (1, 0): 1})
+    assert list(f.terms) != list(g.terms)
+    assert f == g and hash(f) == hash(g)
+
+
 def test_public_constructor_keeps_its_checks():
     with pytest.raises(LengthMismatchError):
         SparsePoly(2, {(1, 0, 0): 1})

@@ -361,6 +361,14 @@ def test_degree_bound_truncation():
         QSymElement({}, degree_bound=-1)
 
 
+def test_m_multiply_keeps_the_one_bound_given():
+    bounded, unbounded = QSymElement.monomial((1,), 2), QSymElement.monomial((1,))
+    for f, g in ((bounded, unbounded), (unbounded, bounded)):
+        h = m_multiply(f, g)
+        assert h.degree_bound == 2
+        assert h.coords == {(1, 1): 2, (2,): 1}
+
+
 def test_glide_expand_examples():
     # triangularity: a glide expands to itself; the degree bound stays at or
     # below the variable count, where the truncation is coordinate-faithful
@@ -657,6 +665,11 @@ def test_graded_ring_validation():
         ([RING_JSON], MalformedInputError),
         (dict(RING_JSON, constants={"x": {"x": {"zzz": "0", "x2": "1"}}}), UnknownLabelError),
         (dict(RING_JSON, constants={"1": {"x": {"x": "2"}}}), UnknownLabelError),
+        (dict(RING_JSON, constants={"x": {"x": {"x2": "0.1"}}}), MalformedInputError),
+        (dict(RING_JSON, constants={"x": {"x": {"x2": "1e3"}}}), MalformedInputError),
+        (dict(RING_JSON, constants={"x": {"x": {"x2": "1_0"}}}), MalformedInputError),
+        (dict(RING_JSON, constants={"x": {"x": {"x2": "\u0661"}}}), MalformedInputError),
+        (dict(RING_JSON, constants={"x": {"x": {"x2": "+3"}}}), MalformedInputError),
     ],
     ids=[
         "empty",
@@ -676,12 +689,39 @@ def test_graded_ring_validation():
         "top-level-list",
         "constants-unknown-label-with-zero",
         "constants-unit-product-not-the-other-factor",
+        "coefficient-a-decimal-point-string",
+        "coefficient-an-exponent-string",
+        "coefficient-an-underscore-string",
+        "coefficient-a-non-ascii-digit-string",
+        "coefficient-a-plus-sign-string",
     ],
 )
 def test_graded_ring_data_errors_are_typed(data, error):
     with pytest.raises(error) as info:
         GradedRingData.from_dict(data)
     assert isinstance(info.value, GlidekitError)
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"basis": [{"label": "x", "degree": 1}]}, "exactly one degree-0"),
+        (
+            {"basis": [{"label": "1", "degree": 0}, {"label": "e", "degree": 0}]},
+            "exactly one degree-0",
+        ),
+        (dict(RING_JSON, unit="x"), "must have degree 0"),
+    ],
+    ids=["no-unit-no-degree-0-label", "no-unit-two-degree-0-labels", "unit-of-degree-1"],
+)
+def test_graded_ring_data_needs_one_degree_0_unit(data, message):
+    with pytest.raises(UnknownLabelError, match=message):
+        GradedRingData.from_dict(data)
+
+
+def test_graded_ring_data_drops_a_zero_constant():
+    ring = GradedRingData.from_dict(dict(RING_JSON, constants={"x": {"x": {"x2": "0"}}}))
+    assert ring.product("x", "x") == {}
 
 
 @pytest.mark.parametrize("second_degree", [1, 2])

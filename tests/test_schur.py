@@ -328,6 +328,12 @@ def test_grassmannian_dictionary():
         grassmannian_to_partition((1, 1, 2), 1)
 
 
+def test_partition_needs_enough_letters():
+    # (2, 1) with k = 2 needs k + 2 = 4 letters
+    with pytest.raises(NotGrassmannianError, match="n >= 4"):
+        partition_to_grassmannian((2, 1), 2, 3)
+
+
 def test_grassmannian_roundtrip_exhaustive_s7():
     count = 0
     for w in permutations(range(1, 8)):

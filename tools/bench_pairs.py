@@ -7,7 +7,11 @@
 Both sides are exported with ``git archive`` into a temporary directory:
 the parent is a commit (``--parent``, default HEAD) and the change is a
 commit given with ``--change`` or, by default, the staged index (``git
-write-tree``), so stage the change with ``git add -A`` first.  For every
+write-tree``), so stage the change with ``git add -A`` first.  With the
+index as the change, the tool refuses to start while a tracked file has
+unstaged changes or an untracked file exists (its own BENCH_<pr>.json
+aside), and after the runs it writes nothing and exits non-zero unless
+``git write-tree`` still names the tree it measured.  For every
 workload in the change's BENCHMARK.json and each of ten seeds from
 ``--first-seed`` on, each side runs
 ``perfbench/run.py --workload W --seed S --trace 0`` once in its own
@@ -50,6 +54,14 @@ PAIRS = 10
 
 def git(*args: str) -> bytes:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, check=True).stdout
+
+
+def unstaged(output: str) -> list[str]:
+    """Tracked files with unstaged changes and untracked files, but
+    ``output``: what a tree written from the index would leave out."""
+    changed = git("diff", "--name-only", "-z").split(b"\0")
+    untracked = git("ls-files", "--others", "--exclude-standard", "-z").split(b"\0")
+    return sorted({p.decode() for p in changed + untracked if p} - {output})
 
 
 def export(treeish: str, dest: Path) -> None:
@@ -169,6 +181,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds-note", required=True)
     args = parser.parse_args(argv)
 
+    output = f"BENCH_{args.pr}.json"
+    left_out = [] if args.change else unstaged(output)
+    if left_out:
+        raise SystemExit(
+            "the change is the staged index, but these files are not staged: "
+            f"{', '.join(left_out)}; stage them with git add -A or pass --change"
+        )
     revisions = {
         "parent": git("rev-parse", "--verify", f"{args.parent}^{{commit}}").decode().strip(),
         "change": (
@@ -204,6 +223,12 @@ def main(argv=None) -> int:
         for spec in args.trace:
             workload, seed = spec.split(":")
             out[f"trace_{workload}_seed_{seed}"] = traced(checkouts, workload, int(seed))
+    tree = revisions["change"] if args.change else git("write-tree").decode().strip()
+    if tree != revisions["change"]:
+        raise SystemExit(
+            f"the index changed during the runs: it is tree {tree}, but tree "
+            f"{revisions['change']} was measured; {output} is not written"
+        )
     if args.claim:
         workload, metric = args.claim.split(":")
         better = next(m["better"] for m in metrics if m["name"] == metric)
@@ -213,7 +238,7 @@ def main(argv=None) -> int:
             "better": better,
             "result": judge(out["workloads"][workload]["metrics"][metric], better),
         }
-    path = ROOT / f"BENCH_{args.pr}.json"
+    path = ROOT / output
     path.write_text(json.dumps(out, indent=1) + "\n")
     print(f"wrote {path.name}", file=sys.stderr)
     return 0
