@@ -10,6 +10,7 @@ the truncated exponential series for each variable.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -139,14 +140,17 @@ def knutson_class(alpha: Iterable[int], n: int, m: int) -> KRingElement:
     so the AND of ``at_least[i][w_i]`` over the coordinates is the upset of
     w; masked by the elements already done with a nonzero value it is the
     strict upset minus its zeros, and mu(w) is 1 minus the sum over it.
+    Each table is keyed by the values coordinate i takes, not by 0..m, so
+    it has at most one entry per element however large m is.
     """
     order = sorted(closure(z_locus(alpha, n, m), min), key=lambda e: (-sum(e), e))
     at_least = []
     for i in range(n):
-        exact = [0] * (m + 1)
+        exact: defaultdict[int, int] = defaultdict(int)
         for k, e in enumerate(order):
             exact[e[i]] |= 1 << k
-        at_least.append(list(accumulate(reversed(exact), or_))[::-1])
+        present = sorted(exact, reverse=True)
+        at_least.append(dict(zip(present, accumulate(map(exact.__getitem__, present), or_))))
     values = [0] * len(order)
     nonzero = 0
     terms: dict[tuple[int, ...], int] = {}

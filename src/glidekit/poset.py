@@ -23,6 +23,7 @@ cover pair.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from functools import reduce
 from itertools import accumulate, combinations
 from operator import and_, getitem, le, or_
@@ -139,16 +140,18 @@ class GlidePoset:
 
         ``tables[i][v]`` holds the elements whose coordinate i is at most v;
         a downset is the AND of ``tables[i][p_i]`` over the coordinates.
+        Each table is keyed by the values coordinate i takes, so it has at
+        most one entry per element however large a part is.
         """
         if self._down is not None:
             return self._down
-        top = max((x for e in self.elements for x in e), default=0)
         tables = []
         for i in range(self.n):
-            exact = [0] * (top + 1)
+            exact: defaultdict[int, int] = defaultdict(int)
             for k, e in enumerate(self.elements):
                 exact[e[i]] |= 1 << k
-            tables.append(list(accumulate(exact, or_)))
+            present = sorted(exact)
+            tables.append(dict(zip(present, accumulate(map(exact.__getitem__, present), or_))))
         full = (1 << len(self.elements)) - 1
         self._down = [reduce(and_, map(getitem, tables, e), full) for e in self.elements]
         return self._down

@@ -21,6 +21,11 @@ def all_compositions(max_size):
     return [a for s in range(max_size + 1) for a in compositions_of(s)]
 
 
+def strings(*words):
+    """The weak compositions written as digit strings: "0103" is (0, 1, 0, 3)."""
+    return {tuple(int(c) for c in w) for w in words}
+
+
 def pad_composition(alpha, positions, n):
     """Place alpha at the given positions inside a length-n zero string."""
     s = [0] * n

@@ -1,15 +1,19 @@
 import argparse
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import glidekit
 from glidekit.cli import build_parser, run
+from glidekit.errors import GlidekitError
 from glidekit.verify import load_fixtures, run_all, run_fixture
 
 
@@ -277,6 +281,136 @@ def test_integer_flags_take_only_ascii_decimal_text(capsys, argv):
         run(argv)
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+HUGE = 99999999999999999999
+TERA = 2**40
+
+# valid requests whose values are large but whose answers are small.  Each
+# once ended in OverflowError or MemoryError: the coordinate tables of the
+# string poset and of the K-class were lists as long as the largest part or
+# as m, not keyed by the values present
+LARGE_VALUE_ARGV = [
+    (
+        ["poset", "--alpha", str(HUGE), "--n", "1", "--mobius"],
+        {"elements": [[HUGE]], "mobius": {str(HUGE): 1}},
+    ),
+    (["poset", "--alpha", str(HUGE), "--n", "1", "--hasse"], {"elements": [[HUGE]], "covers": []}),
+    (
+        ["glide", "--alpha", str(HUGE), "--n", "1", "--method", "poset"],
+        {"polynomial": [{"exp": [HUGE], "coeff": "1"}]},
+    ),
+    (
+        ["poset", "--alpha", str(TERA), "--n", "2", "--mobius"],
+        {
+            "elements": [[0, TERA], [TERA, 0], [TERA, TERA]],
+            "mobius": {f"0,{TERA}": 1, f"{TERA},0": 1, f"{TERA},{TERA}": -1},
+        },
+    ),
+    (["kclass", "--alpha", "1", "--n", "1", "--m", str(HUGE)], {"kclass": [{"exp": [1], "coeff": "1"}]}),
+    (["kclass", "--alpha", "1", "--n", "1", "--m", str(TERA)], {"kclass": [{"exp": [1], "coeff": "1"}]}),
+]
+
+
+@pytest.mark.parametrize("argv, output", LARGE_VALUE_ARGV, ids=[" ".join(a) for a, _ in LARGE_VALUE_ARGV])
+def test_large_values_are_answered(capsys, argv, output):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["output"] == output
+
+
+# The argv grammar below keeps out the sizes whose work grows without bound
+# until the CLI has budgets (ROADMAP item 4): ``--chern`` with a large m or
+# n (the Chern box has (m + 1)**n entries), a poset, glide or kclass n beyond
+# 5, a ``--degree`` beyond 6, and large parts for ``lr`` and ``buk``, whose
+# skew-shape cell loop is as long as the parts.  Large parts and large m
+# without ``--chern`` stay in: the answers there are small.
+_JUNK = st.sampled_from(["-1", f"-{HUGE}", "\u0661", "1_0", "+1", "x", "", " ", "1.5"])
+_SMALL = st.integers(0, 3).map(str)
+_ANY = st.one_of(_SMALL, st.sampled_from([str(TERA), str(HUGE)]), _JUNK)
+
+
+_SUBCOMMANDS = next(
+    a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+).choices
+_ERROR_CODES = {cls.code for cls in [GlidekitError, *GlidekitError.__subclasses__()]}
+
+
+def _comma_list(part):
+    return st.lists(part, max_size=3).map(",".join)
+
+
+def _size(top):
+    return st.one_of(st.integers(0, top).map(str), _JUNK)
+
+
+@st.composite
+def _argv(draw, input_dir):
+    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
+    if command in ("poset", "glide"):
+        argv = [command, "--alpha", draw(_comma_list(_ANY)), "--n", draw(_size(5))]
+        if command == "poset":
+            argv += draw(st.lists(st.sampled_from(["--hasse", "--mobius"]), unique=True))
+        else:
+            argv += ["--method", draw(st.sampled_from(["poset", "barred", "closed"]))]
+        return argv
+    if command in ("shuffle", "mprod"):
+        return [command, "--a", draw(_comma_list(_ANY)), "--b", draw(_comma_list(_ANY))]
+    if command == "glide-struct":
+        argv = ["glide-struct", "--a", draw(_comma_list(_ANY)), "--b", draw(_comma_list(_ANY))]
+        return argv + ["--degree", draw(_size(6))]
+    if command == "glide-expand":
+        path = input_dir / "element.json"
+        entry = st.fixed_dictionaries({
+            "comp": st.lists(st.one_of(st.integers(-1, 3), st.sampled_from([TERA, HUGE])), max_size=3),
+            "coeff": st.sampled_from(["1", "-2/3", "1/0", 2, "x"]),
+        })
+        path.write_text(json.dumps({"coords": draw(st.lists(entry, max_size=3))}), encoding="utf-8")
+        target = draw(st.sampled_from([str(path), str(input_dir / "missing.json"), str(input_dir)]))
+        return ["glide-expand", "--input", target, "--degree", draw(_size(6))]
+    if command == "kclass":
+        argv = ["kclass", "--alpha", draw(_comma_list(_ANY))]
+        if draw(st.booleans()):
+            return argv + ["--n", draw(_size(3)), "--m", draw(_size(3)), "--chern"]
+        return argv + ["--n", draw(_size(5)), "--m", draw(_ANY)]
+    small = _comma_list(st.one_of(_SMALL, _JUNK))
+    if command == "lr":
+        return ["lr", "--lambda", draw(small), "--mu", draw(small), "--nu", draw(small)]
+    if command == "buk":
+        partitions = st.lists(small, max_size=3).map(";".join)
+        argv = ["buk", "--k", draw(_size(3))]
+        return argv + ["--lambda", draw(partitions), "--m", draw(partitions), "--n", draw(partitions)]
+    return [command]
+
+
+@pytest.fixture(scope="module")
+def input_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("argv-grammar")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_argv_grammar_ends_in_exit_0_typed_error_or_usage_error(input_dir, data):
+    """Every argv of the grammar, for every subcommand, ends in exit 0 with
+    JSON on stdout, exit 1 with a typed JSON error on stderr, or argparse's
+    exit 2; any other exception fails the test."""
+    argv = data.draw(_argv(input_dir))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    try:
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            code = run(argv)
+    except SystemExit as exc:
+        assert exc.code == 2, argv
+        assert stdout.getvalue() == ""
+        return
+    out, err = stdout.getvalue(), stderr.getvalue()
+    if code == 0:
+        assert json.loads(out)["command"] == argv[0]
+    else:
+        assert (code, out) == (1, ""), argv
+        payload = json.loads(err)
+        assert payload["command"] == argv[0]
+        assert payload["error"]["code"] in _ERROR_CODES, argv
 
 
 def test_usage_error_exit_code():

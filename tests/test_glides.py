@@ -22,11 +22,7 @@ from glidekit.poset import atoms, build_poset, join
 from glidekit.poly import SparsePoly
 from glidekit.qsym import m_to_polynomial, polynomial_to_m
 
-from conftest import all_compositions
-
-
-def strings(*words):
-    return {tuple(int(c) for c in w) for w in words}
+from conftest import all_compositions, strings
 
 
 def test_enumerate_C_paper_examples():

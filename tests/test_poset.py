@@ -11,11 +11,7 @@ from glidekit.errors import InvalidCompositionError, LengthMismatchError, OutOfR
 from glidekit.glides import enumerate_C
 from glidekit.poset import BOTTOM, GlidePoset, atoms, build_poset, join, leq
 
-from conftest import all_compositions, pairwise_closure
-
-
-def strings(*words):
-    return {tuple(int(c) for c in w) for w in words}
+from conftest import all_compositions, pairwise_closure, strings
 
 
 def test_atoms_paper_examples():
