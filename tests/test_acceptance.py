@@ -204,45 +204,57 @@ def test_criterion_06_ktheory_main_identity(kclass_sweep):
         )
 
 
+def chern_rows(kclass_sweep):
+    """(alpha, n, m, kclass, Chern image) for each row of ``kclass_sweep``.
+    Each image is computed when its row is reached and let go after it, so
+    a test walking the rows holds one image at a time, not all 515."""
+    for alpha, n, m, kclass, _ in kclass_sweep:
+        yield alpha, n, m, kclass, chern_substitute(kclass)
+
+
 def test_criterion_07_chern_substitution(kclass_sweep):
-    # each image is computed once, read by every check on its row and let go
-    # after it, so at most one row's images are alive at a time
     with criterion(7, "Chern images quasisymmetric; series coefficients exact"):
         for m in range(1, 6):
             coeffs = chern_series_coeffs(m)
             for j in range(1, m + 1):
                 assert coeffs[j] == Fraction((-1) ** (j + 1), factorial(j))
-        for alpha, n, m, kclass, _ in kclass_sweep:
-            chern = chern_substitute(kclass)
+        for alpha, n, m, _, chern in chern_rows(kclass_sweep):
             assert is_quasisymmetric(chern, n), (alpha, n, m)
-            assert_box_is_image(chern, n)
-            # the check above read the image with the box reader; the
-            # grouping reader, on a box-less copy, must give the same
-            # coordinates in the same order.  The copy is built with
-            # ``_trusted``: the terms were checked when the image was built
-            coords, failed = _group_by_positive_part(SparsePoly._trusted(n, chern.terms), n)
-            assert failed is None, (alpha, n, m)
-            assert list(_read_box(chern, n)[0].items()) == list(coords.items()), (alpha, n, m)
-            if n < 2:
-                continue
-            # y_n alone is not quasisymmetric, and the Chern map carries that
-            # to the image: x_n gains a coefficient that x_(n-1) does not.
-            # Only the last pair of axes breaks, which the box reader checks
-            # block by block at n = 2 and by strided slices from n = 3 on, so
-            # the sweep reaches both branches.  The box reader must refuse
-            # the image; the grouping reader, which ``polynomial_to_m`` falls
-            # back on, must name a composition whose placements really carry
-            # more than one coefficient
-            terms = dict(kclass.poly.terms)
-            y_n = (0,) * (n - 1) + (1,)
-            terms[y_n] = terms.get(y_n, 0) + 1
-            broken = chern_substitute(KRingElement(SparsePoly(n, terms), m))
-            assert _read_box(broken, n) is None, (alpha, n, m)
-            with pytest.raises(NotQuasisymmetricError) as raised:
-                polynomial_to_m(broken, n)
-            failed = read_m_coords(broken, n)[1]
-            assert len({broken.terms.get(p) for p in all_paddings(failed, n)}) > 1, (alpha, n, m)
-            raised.match(re.escape(f"of {failed} do"))
+
+
+def test_chern_image_box_is_its_terms(kclass_sweep):
+    for alpha, n, m, _, chern in chern_rows(kclass_sweep):
+        assert_box_is_image(chern, n)
+
+
+def test_chern_image_readers_check_each_other(kclass_sweep):
+    # the box reader and the grouping reader, on a box-less copy, must give
+    # the same coordinates in the same order.  The copy is built with
+    # ``_trusted``: the terms were checked when the image was built
+    for alpha, n, m, kclass, chern in chern_rows(kclass_sweep):
+        coords, failed = _group_by_positive_part(SparsePoly._trusted(n, chern.terms), n)
+        assert failed is None, (alpha, n, m)
+        assert list(_read_box(chern, n)[0].items()) == list(coords.items()), (alpha, n, m)
+        if n < 2:
+            continue
+        # y_n alone is not quasisymmetric, and the Chern map carries that to
+        # the image: x_n gains a coefficient that x_(n-1) does not.  Only the
+        # last pair of axes breaks, which the box reader checks block by
+        # block at n = 2 and by strided slices from n = 3 on, so the sweep
+        # reaches both branches.  The box reader must refuse the image; the
+        # grouping reader, which ``polynomial_to_m`` falls back on, must name
+        # a composition whose placements really carry more than one
+        # coefficient
+        terms = dict(kclass.poly.terms)
+        y_n = (0,) * (n - 1) + (1,)
+        terms[y_n] = terms.get(y_n, 0) + 1
+        broken = chern_substitute(KRingElement(SparsePoly(n, terms), m))
+        assert _read_box(broken, n) is None, (alpha, n, m)
+        with pytest.raises(NotQuasisymmetricError) as raised:
+            polynomial_to_m(broken, n)
+        failed = read_m_coords(broken, n)[1]
+        assert len({broken.terms.get(p) for p in all_paddings(failed, n)}) > 1, (alpha, n, m)
+        raised.match(re.escape(f"of {failed} do"))
 
 
 def test_criterion_08_tableau_fixtures():
