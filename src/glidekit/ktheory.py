@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 from .compositions import _container, _exact, _instance, _size, as_composition, closure, paddings
 from .errors import LengthMismatchError, OutOfRangeError
 from .poly import SparsePoly, _integer_numerators
-from .qsym import read_m_coords
+from .qsym import _checked_box, _group_by_positive_part
 
 
 @dataclass(frozen=True)
@@ -213,7 +213,7 @@ def chern_substitute(element: KRingElement) -> SparsePoly:
     substituted keeps its |E| digits until its pass.
     The terms are the nonzero entries over the common denominator, in index
     order, which is lexicographic order.  The image keeps ``(box, V)`` for
-    ``qsym.read_m_coords``, which reads the coefficients off the terms.
+    the slice check of ``qsym.read_m_coords`` and ``is_quasisymmetric``.
     """
     m = _instance(element, KRingElement, "element").m
     n = element.nvars
@@ -261,4 +261,4 @@ def chern_substitute(element: KRingElement) -> SparsePoly:
 
 def is_quasisymmetric(f: SparsePoly, n: int) -> bool:
     """Whether all placements of each composition carry equal coefficients."""
-    return read_m_coords(f, n)[1] is None
+    return _checked_box(f, n) is not None or _group_by_positive_part(f, n)[1] is None

@@ -34,12 +34,10 @@ def _integer_numerators(
 
 
 class SparsePoly:
-    # ``_m_read`` is left unset here: only ``qsym.read_m_coords`` fills it,
-    # with its result for this polynomial, which cannot change.  ``_box`` is
-    # left unset too: only ``ktheory.chern_substitute`` fills it, with the
-    # dense box the image was computed on, and only the monomial reader
-    # reads it
-    __slots__ = ("nvars", "terms", "_m_read", "_box")
+    # ``_box`` is left unset here: only ``ktheory.chern_substitute`` fills
+    # it, with the dense box the image was computed on, and only the slice
+    # check ``qsym._checked_box`` reads it
+    __slots__ = ("nvars", "terms", "_box")
 
     def __init__(self, nvars: int, terms: Mapping[ExponentVector, Fraction | int] | None = None):
         self.nvars = _size(nvars, 0, "nvars")

@@ -140,28 +140,21 @@ def read_m_coords(
     length, then in lexicographic order.
 
     Two readers share nothing.  A Chern image carries the dense box it was
-    computed on, and ``_read_box`` checks and reads it.  Every other
-    polynomial, and a box that fails the check, goes to
-    ``_group_by_positive_part``, which also names the failing composition.
-
-    A polynomial is immutable and ``n`` must equal its variable count, so
-    the result is kept on it (the ``_m_read`` slot) and a second read costs
-    one copy of the coordinates.  Each call returns a fresh dict, so no
-    caller can change what is kept.  Nothing else writes the slot: a
-    builder that filled it would make the quasisymmetry check true by
-    construction.
+    computed on: ``_checked_box`` checks it, which is all that
+    ``is_quasisymmetric`` runs on it, and ``_read_box`` reads a box that
+    passes.  Every other polynomial, and a box that fails the check, goes
+    to ``_group_by_positive_part``, which also names the failing
+    composition.  Nothing is kept between calls.
     """
-    if _instance(f, SparsePoly, "f").nvars != _size(n, 0, "n"):
-        raise LengthMismatchError(f"polynomial has {f.nvars} variables, expected {n}")
-    kept = getattr(f, "_m_read", None)
-    if kept is None:
-        kept = f._m_read = _read_box(f, n) or _group_by_positive_part(f, n)
-    coords, failed = kept
-    return dict(coords), failed
+    boxed = _checked_box(f, n)
+    if boxed is None:
+        return _group_by_positive_part(f, n)
+    return _read_box(f, n, *boxed), None
 
 
-def _read_box(f: SparsePoly, n: int) -> tuple[dict[Composition, Fraction], None] | None:
-    """The box reader: None when f carries no box or is not quasisymmetric.
+def _checked_box(f: SparsePoly, n: int) -> tuple[list[int], tuple[int, ...]] | None:
+    """The slice check: f's ``(box, values)`` if f carries a box and is
+    quasisymmetric, else None; ``n`` must be f's variable count.
 
     The box holds f's integer numerators at the exponent vectors whose
     entries lie in ``values``, the base-|V| digits of an index being the
@@ -173,13 +166,9 @@ def _read_box(f: SparsePoly, n: int) -> tuple[dict[Composition, Fraction], None]
     blocks of |V|^(n - i - 2) entries after each of the |V|^i prefixes,
     compared block by block, or as strided slices when the prefixes are
     the more numerous.
-
-    The coordinates are then read at the placements (0, ..., 0, gamma),
-    the indices whose digits are some 0s followed by no 0; in index order
-    they come by length, then in lexicographic order.  Each coefficient is
-    f's own: the mask picks the placements' terms out of ``f.terms``, and
-    the box only says which placements are nonzero.
     """
+    if _instance(f, SparsePoly, "f").nvars != _size(n, 0, "n"):
+        raise LengthMismatchError(f"polynomial has {f.nvars} variables, expected {n}")
     boxed = getattr(f, "_box", None)
     if boxed is None:
         return None
@@ -199,6 +188,18 @@ def _read_box(f: SparsePoly, n: int) -> tuple[dict[Composition, Fraction], None]
                 for t in range(inner):
                     if box[left + t :: outer] != box[right + t :: outer]:
                         return None
+    return boxed
+
+
+def _read_box(f: SparsePoly, n: int, box: list, values: tuple) -> dict[Composition, Fraction]:
+    """The box reader: f's coordinates, once its box has passed the check,
+    read at the placements (0, ..., 0, gamma), the indices whose digits are
+    some 0s followed by no 0; in index order they come by length, then in
+    lexicographic order.  Each coefficient is f's own: the mask picks the
+    placements' terms out of ``f.terms``, and the box only says which
+    placements are nonzero.
+    """
+    b = len(values)
     # over k digits, tails[i] is 1 when i's digits are 0s then no 0, and
     # full[i] when no digit of i is 0
     tails = full = [1]
@@ -209,7 +210,7 @@ def _read_box(f: SparsePoly, n: int) -> tuple[dict[Composition, Fraction], None]
     # their compositions
     coeffs = compress(f.terms.values(), compress(tails, box))
     gammas = chain.from_iterable(product(values[1:], repeat=k) for k in range(n + 1))
-    return dict(zip(compress(gammas, compress(box, tails)), coeffs)), None
+    return dict(zip(compress(gammas, compress(box, tails)), coeffs))
 
 
 def _group_by_positive_part(

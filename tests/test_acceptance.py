@@ -6,6 +6,7 @@ see the per-criterion lines.
 
 import random
 import re
+from ast import literal_eval
 from contextlib import contextmanager
 from fractions import Fraction
 from math import factorial
@@ -29,13 +30,13 @@ from glidekit.poly import SparsePoly
 from glidekit.poset import BOTTOM, build_poset, join
 from glidekit.qsym import (
     QSymElement,
+    _checked_box,
     _group_by_positive_part,
     _read_box,
     m_multiply,
     m_to_polynomial,
     polynomial_to_m,
     qsym_r_product,
-    read_m_coords,
 )
 from glidekit.schur import (
     _partitions_of,
@@ -234,27 +235,30 @@ def test_chern_image_readers_check_each_other(kclass_sweep):
     for alpha, n, m, kclass, chern in chern_rows(kclass_sweep):
         coords, failed = _group_by_positive_part(SparsePoly._trusted(n, chern.terms), n)
         assert failed is None, (alpha, n, m)
-        assert list(_read_box(chern, n)[0].items()) == list(coords.items()), (alpha, n, m)
+        boxed = _read_box(chern, n, *_checked_box(chern, n))
+        assert list(boxed.items()) == list(coords.items()), (alpha, n, m)
         if n < 2:
             continue
         # y_n alone is not quasisymmetric, and the Chern map carries that to
         # the image: x_n gains a coefficient that x_(n-1) does not.  Only the
-        # last pair of axes breaks, which the box reader checks block by
+        # last pair of axes breaks, which the slice check compares block by
         # block at n = 2 and by strided slices from n = 3 on, so the sweep
-        # reaches both branches.  The box reader must refuse the image; the
-        # grouping reader, which ``polynomial_to_m`` falls back on, must name
-        # a composition whose placements really carry more than one
-        # coefficient
+        # reaches both branches.  The slice check must refuse the image, and
+        # so must ``is_quasisymmetric``, which falls back on the grouping
+        # reader, as ``polynomial_to_m`` does.  The composition named in
+        # ``polynomial_to_m``'s error, the grouping reader's first failure,
+        # must have placements that really carry more than one coefficient
         terms = dict(kclass.poly.terms)
         y_n = (0,) * (n - 1) + (1,)
         terms[y_n] = terms.get(y_n, 0) + 1
         broken = chern_substitute(KRingElement(SparsePoly(n, terms), m))
-        assert _read_box(broken, n) is None, (alpha, n, m)
+        assert _checked_box(broken, n) is None, (alpha, n, m)
+        assert not is_quasisymmetric(broken, n), (alpha, n, m)
         with pytest.raises(NotQuasisymmetricError) as raised:
             polynomial_to_m(broken, n)
-        failed = read_m_coords(broken, n)[1]
+        named = re.search(r"placements of (\(.*\)) do not", str(raised.value))
+        failed = literal_eval(named[1])
         assert len({broken.terms.get(p) for p in all_paddings(failed, n)}) > 1, (alpha, n, m)
-        raised.match(re.escape(f"of {failed} do"))
 
 
 def test_criterion_08_tableau_fixtures():

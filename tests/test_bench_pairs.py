@@ -1,10 +1,11 @@
 """The claim and verdict rules of tools/bench_pairs.py, on made-up pair
-results, and its checks that the staged index it measures is the tree it
-records, in a throwaway repository."""
+results, its checks that the staged index it measures is the tree it
+records, in a throwaway repository, and its tier-1 record."""
 
 import importlib.util
 import json
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -103,6 +104,7 @@ def repo(tmp_path, monkeypatch):
         return {"metrics": {"wall_s": {"value": 1.0}}, "failed": 0, "attempted": 1}
 
     monkeypatch.setattr(bench_pairs, "run", run)
+    monkeypatch.setattr(bench_pairs, "tier1", lambda checkout: {"summary": checkout.name})
     return tmp_path, runs
 
 
@@ -161,3 +163,36 @@ def test_a_committed_change_side_needs_no_clean_tree(repo):
     assert bench_pairs.main([*ARGV, "--change", "HEAD"]) == 0
     written = json.loads((root / "BENCH_7.json").read_text())
     assert written["revisions"]["change"] == _git(root, "rev-parse", "HEAD")
+
+
+def test_tier1_runs_once_per_side_after_the_pairs(repo, monkeypatch):
+    root, runs = repo
+    sides = []
+
+    def tier1(checkout):
+        # every benchmark run is done before the suite runs
+        assert len(runs) == 2 * bench_pairs.PAIRS
+        sides.append(checkout.name)
+        return {"summary": f"{checkout.name} suite"}
+
+    monkeypatch.setattr(bench_pairs, "tier1", tier1)
+    assert bench_pairs.main(ARGV) == 0
+    assert sides == ["parent", "change"]
+    record = json.loads((root / "BENCH_7.json").read_text())["tier1"]
+    assert record["parent"] == {"summary": "parent suite"}
+    assert record["change"] == {"summary": "change suite"}
+    assert "no bound and no verdict" in record["command"]
+
+
+def test_tier1_peak_counts_only_the_suite(tmp_path, monkeypatch):
+    # a 48 MiB child of this process, waited for before the suite runs,
+    # stays out of the suite's peak, which still sees the suite's 16 MiB.
+    # Both stay below the tier-1 suite's own peak, which this test is part of
+    subprocess.run([sys.executable, "-c", "b = b'x' * (48 << 20)"], check=True)
+    suite = "b = b'x' * (16 << 20); print('noise'); print('1 passed in 0.01s')"
+    monkeypatch.setattr(bench_pairs, "TIER1", ["-c", suite])
+    record = bench_pairs.tier1(tmp_path)
+    assert 16 <= record["peak_rss_mib"] < 48
+    assert record["summary"] == "1 passed in 0.01s"
+    assert record["returncode"] == 0
+    assert record["wall_s"] > 0

@@ -24,6 +24,7 @@ from glidekit.poly import SparsePoly
 from glidekit.poset import build_poset
 from glidekit.qsym import (
     QSymElement,
+    _checked_box,
     _group_by_positive_part,
     _read_box,
     glide_expand,
@@ -418,9 +419,9 @@ def test_chern_substitute_matches_series_products(element):
     # the box reader and the grouping reader agree, whichever pair of
     # axes breaks quasisymmetry
     coords, failed = _group_by_positive_part(SparsePoly(n, image.terms), n)
-    boxed = _read_box(image, n)
+    boxed = _checked_box(image, n)
     assert (boxed is None) == (failed is not None)
-    assert boxed is None or list(boxed[0].items()) == list(coords.items())
+    assert boxed is None or list(_read_box(image, n, *boxed).items()) == list(coords.items())
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@ class that nothing in the package references, no coefficient coerced
 with ``Fraction(x)`` outside the one coefficient rule, no link between
 the two Mobius oracles (the string poset's and the K-side's) or between
 the crosscut Mobius and the string poset's bitset core, no use of
-``SparsePoly``'s monomial-read memo outside the reader that fills it, no
+``SparsePoly``'s Chern box outside its one writer and its one reader, no
 ``isinstance`` test of a library class outside the one object rule, no
 count read off ``ssyt_enumerate``'s list of tableaux, and no use of the
 tableau walker outside ``schur.py``.
@@ -169,19 +169,16 @@ def test_crosscut_oracle_shares_no_core_with_mobius():
         assert not named, f"{name} reaches the Mobius core through {sorted(named)}"
 
 
-# ``SparsePoly._m_read`` keeps ``qsym.read_m_coords``'s result.  A builder
-# that filled it (``chern_substitute``, ``knutson_class``) would make the
-# quasisymmetry check of criterion 07 true by construction, so only the
-# reader may name the slot (``poly.py`` only declares it).  ``_box`` holds
-# the dense box a Chern image was computed on: only ``chern_substitute`` may
-# write it, and only the reader (``read_m_coords`` or its ``_read_box``) may
-# read it, so the box reader reads the computed image and nothing else.
+# ``SparsePoly._box`` holds the dense box a Chern image was computed on,
+# and the slice check answers criterion 07 from it.  Only
+# ``chern_substitute`` may write it, so no other builder can hand the check
+# a box it did not compute, and only the slice check (``qsym._checked_box``)
+# may read it (``poly.py`` only declares it), so the box reader is given a
+# box that passed the check and nothing else.
 _SLOT_USES = {
-    "_m_read": {("qsym.py", "read_m_coords"): {"read", "write"}},
     "_box": {
         ("ktheory.py", "chern_substitute"): {"write"},
-        ("qsym.py", "read_m_coords"): {"read"},
-        ("qsym.py", "_read_box"): {"read"},
+        ("qsym.py", "_checked_box"): {"read"},
     },
 }
 

@@ -17,8 +17,15 @@ workload in the change's BENCHMARK.json and each of ten seeds from
 ``perfbench/run.py --workload W --seed S --trace 0`` once in its own
 checkout; the side that runs first alternates from pair to pair, the
 parent first in the first pair.  Each ``--trace W:S`` adds one ``--trace 1``
-run per side and keeps every per-layer metric of both.  The end-to-end metrics, their units and which way is better come
-from BENCHMARK.json.
+run per side and keeps every per-layer metric of both.  The end-to-end
+metrics, their units and which way is better come from BENCHMARK.json.
+
+After the pairs, each side runs the tier-1 suite once, parent first, and
+its wall time and the peak RSS of its processes are written as reported
+values, with no bound and no verdict.  Each tier-1 run is timed by a
+wrapper process of its own: ``RUSAGE_CHILDREN`` keeps the largest RSS of
+every child already waited for, so read in this process it would also
+count the benchmark runs.
 
 A claim is met when the change is better in at least nine tenths of the
 pairs (ties count for neither) and the medians differ, in the better
@@ -50,6 +57,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 PAIRS = 10
+TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+# run as ``python -c TIMED argv...``: runs argv, then prints its wall time,
+# the peak RSS of its processes (ru_maxrss is in KiB on Linux), its exit
+# code and the last line it printed
+TIMED = """
+import json, resource, subprocess, sys, time
+start = time.perf_counter()
+done = subprocess.run(sys.argv[1:], capture_output=True, text=True)
+wall = time.perf_counter() - start
+lines = done.stdout.strip().splitlines() or [""]
+print(json.dumps({
+    "wall_s": round(wall, 3),
+    "peak_rss_mib": round(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024, 1),
+    "returncode": done.returncode,
+    "summary": lines[-1],
+}))
+"""
 
 
 def git(*args: str) -> bytes:
@@ -80,6 +104,20 @@ def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     if done.returncode:
         raise SystemExit(f"{checkout.name} {workload} seed {seed} failed:\n{done.stderr}")
     return json.loads(done.stdout.splitlines()[-1])
+
+
+def tier1(checkout: Path) -> dict:
+    """One tier-1 run in ``checkout``, timed by its own wrapper process."""
+    path = os.pathsep.join(filter(None, ["src", os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", TIMED, sys.executable, *TIER1],
+        cwd=checkout,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return json.loads(done.stdout)
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -218,6 +256,13 @@ def main(argv=None) -> int:
             "seeds_note": args.seeds_note,
             "workloads": {
                 w["name"]: pairs(checkouts, w["name"], seeds, metrics) for w in bench["workloads"]
+            },
+            "tier1": {
+                "command": "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors, "
+                "once per side after the pairs, parent first, each timed by a wrapper process "
+                "of its own; wall_s is not scaled, peak_rss_mib is the largest RSS of the "
+                "suite's processes; reported values, with no bound and no verdict",
+                **{side: tier1(checkouts[side]) for side in SIDES},
             },
         }
         for spec in args.trace:
