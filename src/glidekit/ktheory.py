@@ -260,5 +260,11 @@ def chern_substitute(element: KRingElement) -> SparsePoly:
 
 
 def is_quasisymmetric(f: SparsePoly, n: int) -> bool:
-    """Whether all placements of each composition carry equal coefficients."""
+    """Whether all placements of each composition carry equal coefficients.
+
+    ``polynomial_to_m`` runs the same slice check before it reads a Chern
+    image's coordinates, so calling this and then ``polynomial_to_m`` runs
+    the check twice.  A caller that wants the coordinates should call
+    ``polynomial_to_m`` alone and catch ``NotQuasisymmetricError``.
+    """
     return _checked_box(f, n) is not None or _group_by_positive_part(f, n)[1] is None

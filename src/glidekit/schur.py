@@ -209,7 +209,9 @@ def schur_polynomial(lam: Iterable[int], k: int) -> SparsePoly:
 
 
 def coxeter_length(w: Sequence[int]) -> int:
-    """Inversion count of a permutation in one-line notation."""
+    """Inversion count of a permutation in one-line notation; its entries
+    are ints >= 1 by the part rule."""
+    w = _int_parts(w, 1, "permutation")
     return sum(
         1
         for i, j in combinations(range(len(w)), 2)
@@ -218,7 +220,10 @@ def coxeter_length(w: Sequence[int]) -> int:
 
 
 def is_grassmannian(w: Sequence[int], k: int) -> bool:
-    """Identity, or descent exactly at position k."""
+    """Identity, or descent exactly at position k.  The entries of w are
+    ints >= 1 by the part rule, and k is a size."""
+    w = _int_parts(w, 1, "permutation")
+    _size(k, 0, "k")
     descents = [i for i in range(1, len(w)) if w[i - 1] > w[i]]
     return descents == [] or descents == [k]
 

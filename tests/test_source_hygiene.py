@@ -1,5 +1,7 @@
 """Source guards: no unused import, no private module-level function or
-class that nothing in the package references, no coefficient coerced
+class that nothing in the package references, no public one that is
+neither in ``glidekit.__all__`` nor named elsewhere in the package, no
+coefficient coerced
 with ``Fraction(x)`` outside the one coefficient rule, no link between
 the two Mobius oracles (the string poset's and the K-side's) or between
 the crosscut Mobius and the string poset's bitset core, no use of
@@ -9,7 +11,8 @@ count read off ``ssyt_enumerate``'s list of tableaux, and no use of the
 tableau walker outside ``schur.py``.
 
 The checks read the package with the stdlib ``ast`` module only.
-``__init__.py`` is left out: its imports are the package's re-exports.
+``__init__.py`` is left out but for its ``__all__``: its imports are the
+package's re-exports.
 """
 
 import ast
@@ -85,6 +88,31 @@ def test_no_unreferenced_private_definition():
         and node.name not in referenced
     ]
     assert not unreferenced, f"private definitions nothing references: {unreferenced}"
+
+
+def _exported() -> set[str]:
+    """The names in ``glidekit.__all__``, read off ``__init__.py``."""
+    for node in _tree(PACKAGE / "__init__.py").body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["__all__"]:
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_no_public_definition_outside_the_api_that_nothing_names():
+    exported = _exported()
+    # the guard reads ``__all__``, so it is not matching everything
+    assert exported
+    tops = [(path, node) for path in MODULES for node in _tree(path).body]
+    named = [(node, _used_names(node)) for _, node in tops]
+    stray = [
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, node in tops
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in exported
+        and not any(node.name in names for other, names in named if other is not node)
+    ]
+    assert not stray, f"public definitions outside __all__ that nothing names: {stray}"
 
 
 # the coefficient rule (``compositions._exact``), the JSON text parser and
@@ -170,11 +198,11 @@ def test_crosscut_oracle_shares_no_core_with_mobius():
 
 
 # ``SparsePoly._box`` holds the dense box a Chern image was computed on,
-# and the slice check answers criterion 07 from it.  Only
-# ``chern_substitute`` may write it, so no other builder can hand the check
-# a box it did not compute, and only the slice check (``qsym._checked_box``)
-# may read it (``poly.py`` only declares it), so the box reader is given a
-# box that passed the check and nothing else.
+# and the slice check answers criterion 07 from it.  The box has one writer
+# and one reader.  Only ``chern_substitute`` may write it, so no other
+# builder can hand the check a box it did not compute, and only the slice
+# check (``qsym._checked_box``) may read it (``poly.py`` only declares it),
+# so the box reader is given a box that passed the check and nothing else.
 _SLOT_USES = {
     "_box": {
         ("ktheory.py", "chern_substitute"): {"write"},
@@ -202,7 +230,7 @@ def _slot_uses(node: ast.AST, slot: str, function: str | None = None):
         yield from _slot_uses(child, slot, function)
 
 
-def test_only_the_monomial_reader_uses_its_memo():
+def test_only_the_chern_box_writer_and_reader_use_the_box():
     for slot, allowed_uses in _SLOT_USES.items():
         seen, found = set(), []
         for path in sorted(PACKAGE.glob("*.py")):
