@@ -17,9 +17,11 @@ from a closed product of binomials; all three routes are implemented.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from math import comb, prod
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 from .compositions import (
     Composition,
@@ -139,13 +141,30 @@ def _inflations(
     return tuple(out)
 
 
-def _closed_terms(a: Composition, n: int) -> dict[WeakComposition, int]:
+def _closed(a: Composition, n: int) -> Mapping[WeakComposition, Fraction]:
+    # checked before the cache, which would serve n=2.0 from its n=2 entry
+    return _closed_terms(a, _size(n, len(a), "n"))
+
+
+_CLOSED_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_CLOSED_CACHE_SIZE)
+def _closed_terms(a: Composition, n: int) -> Mapping[WeakComposition, Fraction]:
     """Every padding into n slots of every run inflation of a, with the
-    inflation's binomial coefficient: the closed glide's terms."""
-    _size(n, len(a), "n")
+    inflation's binomial coefficient: the closed glide's terms.
+
+    No coefficient is zero, and one Fraction is shared per inflation.  The
+    result is cached and shared by every caller, so it is a read-only view.
+    """
+    terms: dict[WeakComposition, Fraction] = {}
     # no part exceeds max(a), so n * max(a) bounds no inflation of length n
-    gammas = _inflations(a, n, n * max(a, default=0))
-    return {s: c for gamma, c in gammas for s in paddings(gamma, n)}
+    for gamma, c in _inflations(a, n, n * max(a, default=0)):
+        # an integer numerator over 1, as ``SparsePoly._from_numerators`` builds
+        q = Fraction(c, 1)
+        for s in paddings(gamma, n):
+            terms[s] = q
+    return MappingProxyType(terms)
 
 
 def enumerate_C(alpha: Iterable[int], n: int) -> frozenset[WeakComposition]:
@@ -158,7 +177,7 @@ def enumerate_C(alpha: Iterable[int], n: int) -> frozenset[WeakComposition]:
     """
     # from the keys view, not the dict: a set presizes its table for a dict,
     # which would change the iteration order
-    return frozenset(_closed_terms(as_composition(alpha), n).keys())
+    return frozenset(_closed(as_composition(alpha), n).keys())
 
 
 def mu_closed(sigma: Sequence[int], alpha: Iterable[int]) -> int:
@@ -200,13 +219,14 @@ def glide_polynomial(alpha: Iterable[int], n: int, method: str = "closed") -> Sp
     a = as_composition(alpha)
     if method not in GLIDE_METHODS:
         raise OutOfRangeError(f"unknown method {method!r}, expected one of {GLIDE_METHODS}")
+    if method == "closed":
+        # a fresh dict, so a caller's changes never reach the cache
+        return SparsePoly._trusted(n, _closed(a, n).copy())
     if method == "poset":
         terms = build_poset(a, n).mobius()
-    elif method == "barred":
+    else:
         # the closure is a set; sorting fixes the term order
         terms = dict(sorted(_signed_projection(enumerate_C_tilde(a, n)).items()))
-    else:
-        terms = _closed_terms(a, n)
     # every key is a length-n string built here
     return SparsePoly._from_numerators(n, terms, 1)
 

@@ -196,3 +196,32 @@ def test_tier1_peak_counts_only_the_suite(tmp_path, monkeypatch):
     assert record["summary"] == "1 passed in 0.01s"
     assert record["returncode"] == 0
     assert record["wall_s"] > 0
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        ["--claim", "wall_s"],
+        ["--claim", "w:wall_s:x"],
+        ["--claim", "nope:wall_s"],
+        ["--claim", "w:nope"],
+        ["--trace", "w"],
+        ["--trace", "w:x"],
+        ["--trace", "nope:1"],
+    ],
+)
+def test_a_bad_claim_or_trace_stops_the_tool_before_any_run(repo, bad):
+    root, runs = repo
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.main([*ARGV, "--change", "HEAD", *bad])
+    assert info.value.code not in (0, None)
+    assert runs == []
+    assert not (root / "BENCH_7.json").exists()
+
+
+def test_a_good_claim_and_trace_are_recorded(repo):
+    root, runs = repo
+    assert bench_pairs.main([*ARGV, "--change", "HEAD", "--claim", "w:wall_s", "--trace", "w:3"]) == 0
+    written = json.loads((root / "BENCH_7.json").read_text())
+    assert written["claim"]["workload"] == "w" and written["claim"]["metric"] == "wall_s"
+    assert ("change", 3) in runs and "trace_w_seed_3" in written

@@ -33,6 +33,7 @@ def test_every_cache_is_bounded():
     caches = _module_caches()
     assert caches["glidekit.schur._lr"] is schur._lr
     assert caches["glidekit.glides._inflations"] is glides._inflations
+    assert caches["glidekit.glides._closed_terms"] is glides._closed_terms
     assert "glidekit.cli.build_parser" in caches
     for name, cached in caches.items():
         maxsize = cached.cache_info().maxsize
@@ -50,17 +51,22 @@ def _cold_then_warm(cached, call):
 
 
 @pytest.mark.parametrize(
-    "call",
+    "cached, call",
     [
         # dicts as item lists, so their order is compared too
-        lambda: list(glide_m_expansion((1, 2, 2), 8).items()),
-        lambda: enumerate_C((2, 1, 1), 5),
-        lambda: list(glide_polynomial((1, 3, 1), 5, "closed").terms.items()),
+        (glides._inflations, lambda: list(glide_m_expansion((1, 2, 2), 8).items())),
+        # a warm closed glide never reaches the inflations, so these two
+        # rows read the closed-glide cache that serves them
+        (glides._closed_terms, lambda: list(enumerate_C((2, 1, 1), 5))),
+        (
+            glides._closed_terms,
+            lambda: list(glide_polynomial((1, 3, 1), 5, "closed").terms.items()),
+        ),
     ],
     ids=["glide_m_expansion", "enumerate_C", "closed-glide"],
 )
-def test_inflation_cache_leaves_results_unchanged(call):
-    cold, warm = _cold_then_warm(glides._inflations, call)
+def test_inflation_cache_leaves_results_unchanged(cached, call):
+    cold, warm = _cold_then_warm(cached, call)
     assert cold == warm
 
 
@@ -86,12 +92,18 @@ def test_changing_a_result_leaves_the_next_call_unchanged():
     assert glide_m_expansion((1, 2), 6) == expected
 
     poly = glide_polynomial((1, 2), 4, "closed")
-    expected = dict(poly.terms)
+    expected = list(poly.terms.items())
+    expected_c = list(enumerate_C((1, 2), 4))
     poly.terms.clear()
-    assert glide_polynomial((1, 2), 4, "closed").terms == expected
+    assert list(glide_polynomial((1, 2), 4, "closed").terms.items()) == expected
+    assert list(enumerate_C((1, 2), 4)) == expected_c
 
-    # the shared cached value itself cannot be changed
+    # the shared cached values themselves cannot be changed
     assert type(glides._inflations((1, 2), 4, 8)) is tuple
+    cached = glides._closed_terms((1, 2), 4)
+    with pytest.raises(TypeError):
+        cached[(0, 0, 0, 9)] = 1
+    assert list(cached.items()) == expected
 
 
 def test_ring_products_cannot_be_changed_by_a_caller():

@@ -7,6 +7,7 @@ from glidekit.compositions import paddings, semistandardize, sorting_data
 from glidekit.errors import InvalidCompositionError, NotInCSetError, OutOfRangeError
 from glidekit.glides import (
     GLIDE_METHODS,
+    _closed_terms,
     _inflations,
     check_binomial_identity,
     enumerate_C,
@@ -147,11 +148,18 @@ def test_glide_methods_agree_small_sweep():
 def test_glide_routes_agree_property(data, alpha, cold):
     n = data.draw(st.integers(len(alpha), 6), label="n")
     if cold:
-        # the closed route reads the run inflations from a cache; the
-        # routes must agree whatever earlier examples left in it
+        # the closed route reads its terms, and on a miss the run
+        # inflations, from caches; the routes must agree whatever earlier
+        # examples left in them
+        _closed_terms.cache_clear()
         _inflations.cache_clear()
     polys = [glide_polynomial(alpha, n, m) for m in GLIDE_METHODS]
     assert polys[0] == polys[1] == polys[2]
+    # the barred and poset routes are uncached oracles; the closed glide and
+    # the C set share one cache entry, and a warm call repeats it item for item
+    closed = polys[GLIDE_METHODS.index("closed")]
+    assert enumerate_C(alpha, n) == frozenset(closed.terms)
+    assert list(glide_polynomial(alpha, n, "closed").terms.items()) == list(closed.terms.items())
 
 
 def test_barred_glide_terms_come_in_ascending_order():

@@ -19,6 +19,9 @@ checkout; the side that runs first alternates from pair to pair, the
 parent first in the first pair.  Each ``--trace W:S`` adds one ``--trace 1``
 run per side and keeps every per-layer metric of both.  The end-to-end
 metrics, their units and which way is better come from BENCHMARK.json.
+A malformed ``--claim`` or ``--trace`` stops the tool before the export,
+and a workload or claimed metric that the change's BENCHMARK.json does not
+name stops it right after, so neither wastes a run.
 
 After the pairs, each side runs the tier-1 suite once, parent first, and
 its wall time and the peak RSS of its processes are written as reported
@@ -207,14 +210,52 @@ def traced(checkouts: dict, workload: str, seed: int) -> dict:
     }
 
 
+def workload_and(kind, name: str):
+    """An argparse type for ``WORKLOAD:<name>``, the part after the colon read
+    by ``kind``; a malformed value stops the tool before any run."""
+
+    def parse(text: str):
+        workload, colon, value = text.partition(":")
+        try:
+            if workload and colon and value and ":" not in value:
+                return workload, kind(value)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected WORKLOAD:{name}, got {text!r}")
+
+    return parse
+
+
+def check_names(bench: dict, claim, traces: list) -> None:
+    """Stop before any run when a workload or the claimed metric is not in
+    the change's BENCHMARK.json."""
+    workloads = [w["name"] for w in bench["workloads"]]
+    metrics = [m["name"] for m in bench["end_to_end"]]
+    for workload, _ in ([claim] if claim else []) + traces:
+        if workload not in workloads:
+            raise SystemExit(f"no workload {workload!r}; BENCHMARK.json has {workloads}")
+    if claim and claim[1] not in metrics:
+        raise SystemExit(f"no end-to-end metric {claim[1]!r}; BENCHMARK.json has {metrics}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", required=True, help="names the output BENCH_<pr>.json")
     parser.add_argument("--first-seed", type=int, required=True)
     parser.add_argument("--parent", default="HEAD")
     parser.add_argument("--change", help="a commit; default: the staged index")
-    parser.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
-    parser.add_argument("--trace", action="append", default=[], help="WORKLOAD:SEED")
+    parser.add_argument(
+        "--claim",
+        type=workload_and(str, "METRIC"),
+        help="WORKLOAD:METRIC the change claims to improve",
+    )
+    parser.add_argument(
+        "--trace",
+        type=workload_and(int, "SEED"),
+        action="append",
+        default=[],
+        help="WORKLOAD:SEED",
+    )
     parser.add_argument("--note", required=True, help="what the change does")
     parser.add_argument("--seeds-note", required=True)
     args = parser.parse_args(argv)
@@ -240,6 +281,7 @@ def main(argv=None) -> int:
         for side in SIDES:
             export(revisions[side], checkouts[side])
         bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+        check_names(bench, args.claim, args.trace)
         metrics = bench["end_to_end"]
         out = {
             "change": args.note,
@@ -265,9 +307,8 @@ def main(argv=None) -> int:
                 **{side: tier1(checkouts[side]) for side in SIDES},
             },
         }
-        for spec in args.trace:
-            workload, seed = spec.split(":")
-            out[f"trace_{workload}_seed_{seed}"] = traced(checkouts, workload, int(seed))
+        for workload, seed in args.trace:
+            out[f"trace_{workload}_seed_{seed}"] = traced(checkouts, workload, seed)
     tree = revisions["change"] if args.change else git("write-tree").decode().strip()
     if tree != revisions["change"]:
         raise SystemExit(
@@ -275,7 +316,7 @@ def main(argv=None) -> int:
             f"{revisions['change']} was measured; {output} is not written"
         )
     if args.claim:
-        workload, metric = args.claim.split(":")
+        workload, metric = args.claim
         better = next(m["better"] for m in metrics if m["name"] == metric)
         out["claim"] = {
             "workload": workload,
