@@ -13,10 +13,11 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import accumulate, chain, compress, product, repeat
 from math import comb, factorial
 from operator import add, and_, getitem, mul, or_
+from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from .compositions import _container, _exact, _instance, _size, as_composition, closure, paddings
@@ -42,18 +43,6 @@ class KRingElement:
         reduced = {e: c for e, c in poly.terms.items() if all(x <= self.m for x in e)}
         # a subset of a polynomial's terms needs no second check
         object.__setattr__(self, "poly", SparsePoly._trusted(poly.nvars, reduced))
-
-    @classmethod
-    def _trusted(cls, poly: SparsePoly, m: int) -> "KRingElement":
-        """Wrap a polynomial built inside the package without checking it again.
-
-        The caller guarantees what ``__post_init__`` enforces: ``m`` is an int
-        >= 0 and no exponent of ``poly`` is above it.
-        """
-        self = object.__new__(cls)
-        object.__setattr__(self, "poly", poly)
-        object.__setattr__(self, "m", m)
-        return self
 
     @property
     def nvars(self) -> int:
@@ -165,8 +154,7 @@ def knutson_class(alpha: Iterable[int], n: int, m: int) -> KRingElement:
         if c:
             nonzero |= 1 << k
             terms[tuple(m - r for r in w)] = c
-    # every exponent is m - r with 0 <= r <= m, so the cap holds by construction
-    return KRingElement._trusted(SparsePoly._from_numerators(n, terms, 1), m)
+    return KRingElement(SparsePoly._from_numerators(n, terms, 1), m)
 
 
 def chern_series_coeffs(m: int) -> tuple[Fraction, ...]:
@@ -177,9 +165,6 @@ def chern_series_coeffs(m: int) -> tuple[Fraction, ...]:
     )
 
 
-# one entry per truncation degree m; a few dozen cover every m a
-# desk-scale K-class reaches
-@lru_cache(maxsize=32)
 def _chern_rows(m: int) -> tuple[tuple[int, ...], ...]:
     """Row g holds m! * [x^d] phi^g for d = 0..m, for g = 0..m, where
     phi = 1 - exp(-x); it is zero below d = g.  Since phi' = 1 - phi,
@@ -213,7 +198,8 @@ def chern_substitute(element: KRingElement) -> SparsePoly:
     substituted keeps its |E| digits until its pass.
     The terms are the nonzero entries over the common denominator, in index
     order, which is lexicographic order.  The image keeps ``(box, V)`` for
-    the slice check of ``qsym.read_m_coords`` and ``is_quasisymmetric``.
+    the slice check of ``qsym.polynomial_to_m`` and ``is_quasisymmetric``,
+    and its terms are a read-only view, so the two cannot part.
     """
     m = _instance(element, KRingElement, "element").m
     n = element.nvars
@@ -254,7 +240,8 @@ def chern_substitute(element: KRingElement) -> SparsePoly:
     # one Fraction per distinct numerator
     shared = {c: Fraction(c, denominator) for c in set(box) if c}
     keys = compress(product(values, repeat=n), box)
-    image = SparsePoly._trusted(n, dict(zip(keys, map(shared.__getitem__, filter(None, box)))))
+    terms = dict(zip(keys, map(shared.__getitem__, filter(None, box))))
+    image = SparsePoly._trusted(n, MappingProxyType(terms))
     image._box = (box, values)
     return image
 

@@ -36,7 +36,8 @@ def _integer_numerators(
 class SparsePoly:
     # ``_box`` is left unset here: only ``ktheory.chern_substitute`` fills
     # it, with the dense box the image was computed on, and only the slice
-    # check ``qsym._checked_box`` reads it
+    # check ``qsym._checked_box`` reads it; such an image's terms are a
+    # read-only view, so they cannot drift from the box
     __slots__ = ("nvars", "terms", "_box")
 
     def __init__(self, nvars: int, terms: Mapping[ExponentVector, Fraction | int] | None = None):
@@ -54,7 +55,7 @@ class SparsePoly:
         self.terms = clean
 
     @classmethod
-    def _trusted(cls, nvars: int, terms: dict[ExponentVector, Fraction]) -> "SparsePoly":
+    def _trusted(cls, nvars: int, terms: Mapping[ExponentVector, Fraction]) -> "SparsePoly":
         """Wrap terms built inside the package without checking them again.
 
         The caller guarantees what ``__init__`` enforces: every key is a

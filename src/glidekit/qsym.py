@@ -129,29 +129,6 @@ def m_to_polynomial(alpha: Iterable[int], n: int) -> SparsePoly:
     return SparsePoly._trusted(_size(n, 0, "n"), dict.fromkeys(paddings(a, n), _ONE))
 
 
-def read_m_coords(
-    f: SparsePoly, n: int
-) -> tuple[dict[Composition, Fraction], Composition | None]:
-    """Read f's monomial-basis coordinates and check that f is quasisymmetric.
-
-    Returns the coordinates together with the first composition whose
-    placements fail, or None when f is quasisymmetric.  When f's terms are
-    in lexicographic order, as a Chern image's are, the coordinates come by
-    length, then in lexicographic order.
-
-    Two readers share nothing.  A Chern image carries the dense box it was
-    computed on: ``_checked_box`` checks it, which is all that
-    ``is_quasisymmetric`` runs on it, and ``_read_box`` reads a box that
-    passes.  Every other polynomial, and a box that fails the check, goes
-    to ``_group_by_positive_part``, which also names the failing
-    composition.  Nothing is kept between calls.
-    """
-    boxed = _checked_box(f, n)
-    if boxed is None:
-        return _group_by_positive_part(f, n)
-    return _read_box(f, n, *boxed), None
-
-
 def _checked_box(f: SparsePoly, n: int) -> tuple[list[int], tuple[int, ...]] | None:
     """The slice check: f's ``(box, values)`` if f carries a box and is
     quasisymmetric, else None; ``n`` must be f's variable count.
@@ -246,14 +223,27 @@ def polynomial_to_m(f: SparsePoly, n: int) -> QSymElement:
 
     The coordinate of a composition is the coefficient shared by all its
     placements; raises if some placement of a composition carries a
-    different coefficient (the input was not quasisymmetric).
+    different coefficient (the input was not quasisymmetric).  When f's
+    terms are in lexicographic order, as a Chern image's are, the
+    coordinates come by length, then in lexicographic order.
+
+    Two readers share nothing.  A Chern image carries the dense box it was
+    computed on: ``_checked_box`` checks it, which is all that
+    ``is_quasisymmetric`` runs on it, and ``_read_box`` reads a box that
+    passes.  Every other polynomial, and a box that fails the check, goes
+    to ``_group_by_positive_part``, which also names the failing
+    composition.  Nothing is kept between calls.
     """
-    coords, failed = read_m_coords(f, n)
-    if failed is not None:
-        raise NotQuasisymmetricError(
-            f"the {comb(n, len(failed))} placements of {failed} "
-            f"do not all carry one coefficient"
-        )
+    boxed = _checked_box(f, n)
+    if boxed is not None:
+        coords = _read_box(f, n, *boxed)
+    else:
+        coords, failed = _group_by_positive_part(f, n)
+        if failed is not None:
+            raise NotQuasisymmetricError(
+                f"the {comb(n, len(failed))} placements of {failed} "
+                f"do not all carry one coefficient"
+            )
     # keys are positive parts of nonnegative exponent vectors: compositions
     return QSymElement._trusted(coords, UNBOUNDED)
 

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import glidekit
 from glidekit.cli import build_parser, run
 from glidekit.errors import GlidekitError
-from glidekit.verify import load_fixtures, run_all, run_fixture
+from glidekit.verify import FixtureRow, load_fixtures, run_all, run_fixture
 
 
 def invoke(capsys, *argv):
@@ -443,6 +443,20 @@ def test_verify_paper_all_pass(capsys):
     assert output["failed"] == 0
     assert output["total"] >= 12
     assert all(row["status"] == "PASS" for row in output["rows"])
+
+
+def test_verify_paper_exits_1_on_a_failing_row(capsys, monkeypatch):
+    row = FixtureRow(name="planted", kind="shuffle", passed=False, expected=[1], actual=[2])
+    monkeypatch.setattr("glidekit.cli.run_all", lambda: [row])
+    code, out, _ = invoke(capsys, "verify-paper")
+    assert code == 1
+    assert '"failed": 1' in out
+    assert '"all_pass": false' in out
+    output = json.loads(out)["output"]
+    assert output["total"] == 1
+    assert output["rows"] == [
+        {"name": "planted", "kind": "shuffle", "status": "FAIL", "expected": [1], "actual": [2]}
+    ]
 
 
 def test_fixture_suite_detects_corruption():

@@ -25,6 +25,7 @@ from glidekit.qsym import (
     GradedRingData,
     QSymElement,
     _add_slot_product,
+    _group_by_positive_part,
     cpinf_ring,
     glide_element,
     glide_expand,
@@ -35,7 +36,6 @@ from glidekit.qsym import (
     polynomial_to_m,
     qsym_r_product,
     qsym_r_product_shuffle,
-    read_m_coords,
 )
 from glidekit.schur import buk_structure_constant, schur_ring
 
@@ -209,7 +209,7 @@ def test_counting_reader_matches_term_loop(data, start):
             terms[target] = Fraction(c.numerator * 2, c.denominator * 2)
             assert terms[target] is not c
     g = SparsePoly(n, terms)
-    got = read_m_coords(g, n)
+    got = _group_by_positive_part(g, n)
     expected = _term_loop_m_coords(g, n)
     assert got[1] == expected[1]
     assert list(got[0].items()) == list(expected[0].items())
@@ -777,7 +777,7 @@ def test_engine_rejects_labels_of_degree_at_most_zero(n):
     assert qsym_r_product((1,), (2,), negative, n) == {(3,): 1, (1, 2): 1, (2, 1): 1}
 
 
-# ``read_m_coords`` keeps nothing between calls, and ``is_quasisymmetric``
+# ``polynomial_to_m`` keeps nothing between calls, and ``is_quasisymmetric``
 # answers a Chern image from the box's slice check alone.  A second read of
 # an image already checked or read must give exactly what a first read of
 # an equal, never-read polynomial gives.
@@ -795,21 +795,20 @@ def test_second_read_of_a_chern_image_matches_a_fresh_read():
         kept = polynomial_to_m(f, n).coords
         fresh = polynomial_to_m(_fresh(f), n).coords
         assert list(kept.items()) == list(fresh.items())
-        assert list(read_m_coords(f, n)[0].items()) == list(fresh.items())
+        assert list(polynomial_to_m(f, n).coords.items()) == list(fresh.items())
 
 
 def test_changing_a_read_leaves_the_next_read_unchanged():
     f = chern_substitute(knutson_class((1, 2), 3, 2))
-    coords, failed = read_m_coords(f, 3)
+    # the read passes: it returns without NotQuasisymmetricError
+    coords = polynomial_to_m(f, 3).coords
     expected = list(coords.items())
     coords.clear()
     coords[(9,)] = Fraction(5)
-    assert failed is None
     element = polynomial_to_m(f, 3)
     assert list(element.coords.items()) == expected
     element.coords[(7,)] = Fraction(1)
     del element.coords[expected[0][0]]
-    assert list(read_m_coords(f, 3)[0].items()) == expected
     assert list(polynomial_to_m(f, 3).coords.items()) == expected
 
 
@@ -818,10 +817,10 @@ def test_kept_failure_raises_as_a_fresh_read_does():
     terms = dict(f.terms)
     terms[(0, 1, 2)] += 1
     g = SparsePoly(3, terms)
-    coords, failed = read_m_coords(_fresh(g), 3)
+    coords, failed = _group_by_positive_part(_fresh(g), 3)
     assert failed == (1, 2)
     assert not is_quasisymmetric(g, 3)
-    assert read_m_coords(g, 3) == (coords, failed)
+    assert _group_by_positive_part(g, 3) == (coords, failed)
     with pytest.raises(NotQuasisymmetricError) as kept:
         polynomial_to_m(g, 3)
     with pytest.raises(NotQuasisymmetricError) as fresh:
@@ -835,7 +834,7 @@ def test_kept_read_still_checks_the_variable_count():
     f = chern_substitute(knutson_class((1, 1), 3, 1))
     assert is_quasisymmetric(f, 3)
     polynomial_to_m(f, 3)
-    for read in (read_m_coords, is_quasisymmetric, polynomial_to_m):
+    for read in (is_quasisymmetric, polynomial_to_m):
         for n in (2, 4):
             with pytest.raises(LengthMismatchError) as exc:
                 read(f, n)
@@ -845,6 +844,20 @@ def test_kept_read_still_checks_the_variable_count():
     assert list(polynomial_to_m(f, 3).coords.items()) == list(
         polynomial_to_m(_fresh(f), 3).coords.items()
     )
+
+
+def _built_from(f):
+    """Every constructor and operation that takes a polynomial, applied to f."""
+    return [
+        SparsePoly(f.nvars, f.terms),
+        SparsePoly._trusted(f.nvars, f.terms),
+        f + f,
+        f * f,
+        -f,
+        f - f,
+        f.scale(3),
+        f.restrict(2),
+    ]
 
 
 def test_polynomials_start_unboxed():
@@ -859,14 +872,7 @@ def test_polynomials_start_unboxed():
         SparsePoly.zero(2),
         SparsePoly.one(2),
         SparsePoly.monomial((1, 2)),
-        SparsePoly(3, chern.terms),
-        SparsePoly._trusted(3, chern.terms),
-        chern + chern,
-        chern * chern,
-        -chern,
-        chern - chern,
-        chern.scale(3),
-        chern.restrict(2),
+        *_built_from(chern),
         m_to_polynomial((1,), 2),
         knutson_class((1, 2), 3, 2).poly,
         glide_polynomial((1, 2), 3),
@@ -874,4 +880,28 @@ def test_polynomials_start_unboxed():
     for f in built:
         assert not hasattr(f, "_box"), f
     assert hasattr(chern, "_box")
-    assert read_m_coords(SparsePoly(3, chern.terms), 3) == read_m_coords(chern, 3)
+    assert polynomial_to_m(SparsePoly(3, chern.terms), 3) == polynomial_to_m(chern, 3)
+
+
+def test_chern_image_terms_cannot_part_from_its_box():
+    # the readers answer an image from its box, so its terms are read-only
+    chern = chern_substitute(knutson_class((1, 2), 3, 2))
+    coords = list(polynomial_to_m(chern, 3).coords.items())
+    with pytest.raises(TypeError):
+        chern.terms[(0, 1, 0)] = Fraction(99)
+    with pytest.raises(TypeError):
+        del chern.terms[(0, 1, 0)]
+    assert is_quasisymmetric(chern, 3)
+    assert list(polynomial_to_m(chern, 3).coords.items()) == coords
+    # the change made on a copy is refused, as the image would be
+    changed = dict(chern.terms)
+    changed[(0, 1, 0)] = Fraction(99)
+    assert not is_quasisymmetric(SparsePoly(3, changed), 3)
+    with pytest.raises(NotQuasisymmetricError):
+        polynomial_to_m(SparsePoly(3, changed), 3)
+    # every constructor and operation takes the read-only terms, and builds
+    # what it builds from a plain copy, term order included
+    for got, expected in zip(_built_from(chern), _built_from(_fresh(chern)), strict=True):
+        assert got == expected
+        assert list(got.terms.items()) == list(expected.terms.items())
+    assert hash(chern) == hash(_fresh(chern))

@@ -4,7 +4,10 @@ neither in ``glidekit.__all__`` nor named elsewhere in the package, no
 coefficient coerced
 with ``Fraction(x)`` outside the one coefficient rule, no link between
 the two Mobius oracles (the string poset's and the K-side's) or between
-the crosscut Mobius and the string poset's bitset core, no use of
+two routes that check each other (the crosscut Mobius and the string
+poset's bitset core, the tensor engine and the overlapping shuffle, the
+two coordinate readers, the closed and barred glides, the tableau rule
+and the tensor engine), no use of
 ``SparsePoly``'s Chern box outside its one writer and its one reader, no
 ``isinstance`` test of a library class outside the one object rule, no
 count read off ``ssyt_enumerate``'s list of tableaux, and no use of the
@@ -177,24 +180,78 @@ def test_mobius_oracles_stay_independent(name):
     assert not named, f"{name} reaches the other Mobius oracle through {sorted(named)}"
 
 
-# the crosscut Mobius checks ``GlidePoset.mobius`` only while it and the
-# atoms it sums over are found without the bitset downsets, the Mobius
-# recurrence or the covers that ``mobius`` shares its tables with
-_CROSSCUT = ("mobius_crosscut", "atom_set")
-_MOBIUS_CORE = {"_downsets", "_down", "mobius", "covers"}
+# routes that check each other, each kept apart from the code it checks:
+# (module, the route's functions, names those functions must not use)
+_ROUTES_APART = {
+    # the crosscut Mobius checks ``GlidePoset.mobius`` only while it and the
+    # atoms it sums over are found without the bitset downsets, the Mobius
+    # recurrence or the covers that ``mobius`` shares its tables with
+    "crosscut": (
+        "poset.py",
+        {"mobius_crosscut", "atom_set"},
+        {"_downsets", "_down", "mobius", "covers"},
+    ),
+    # the tensor engine keeps its own placement, so it checks the shared
+    # generator, the overlapping shuffle
+    "tensor-engine": (
+        "qsym.py",
+        {"qsym_r_product"},
+        {"overlapping_paddings", "overlapping_shuffle", "qsym_r_product_shuffle"},
+    ),
+    # the two coordinate readers share nothing, in either direction
+    "grouping-reader": (
+        "qsym.py",
+        {"_group_by_positive_part"},
+        {"_checked_box", "_read_box", "_box"},
+    ),
+    "box-readers": ("qsym.py", {"_checked_box", "_read_box"}, {"_group_by_positive_part"}),
+    # the closed and barred glide routes check each other and the poset route
+    "closed-glide": (
+        "glides.py",
+        {"_closed", "_closed_terms", "_inflations", "enumerate_C", "mu_closed", "glide_m_expansion"},
+        {
+            "_move_closure",
+            "_signed_projection",
+            "_c_tilde",
+            "enumerate_C_tilde",
+            "mu_prime",
+            "build_poset",
+        },
+    ),
+    "barred-glide": (
+        "glides.py",
+        {
+            "_move_closure",
+            "_signed_projection",
+            "_c_tilde",
+            "enumerate_C_tilde",
+            "mu_prime",
+            "monomial_glide_weak",
+        },
+        {"_closed", "_closed_terms", "_inflations", "glide_m_expansion", "mu_closed", "build_poset"},
+    ),
+    # the tableau rule checks the tensor engine over the Schur ring
+    "tableau-rule": (
+        "schur.py",
+        {"buk_structure_constant"},
+        {"qsym_r_product", "schur_ring", "GradedRingData"},
+    ),
+}
 
 
-def test_crosscut_oracle_shares_no_core_with_mobius():
+@pytest.mark.parametrize("route", sorted(_ROUTES_APART))
+def test_independent_routes_share_no_core(route):
+    module, functions, forbidden = _ROUTES_APART[route]
     bodies = {
         node.name: node
-        for node in ast.walk(_tree(PACKAGE / "poset.py"))
-        if isinstance(node, ast.FunctionDef) and node.name in _CROSSCUT
+        for node in ast.walk(_tree(PACKAGE / module))
+        if isinstance(node, ast.FunctionDef) and node.name in functions
     }
-    # both are found, so the guard is not matching nothing
-    assert sorted(bodies) == sorted(_CROSSCUT)
+    # every function is found, so the guard is not matching nothing
+    assert sorted(bodies) == sorted(functions)
     for name, node in bodies.items():
-        named = _used_names(node) & _MOBIUS_CORE
-        assert not named, f"{name} reaches the Mobius core through {sorted(named)}"
+        named = _used_names(node) & forbidden
+        assert not named, f"{name} reaches the route it checks through {sorted(named)}"
 
 
 # ``SparsePoly._box`` holds the dense box a Chern image was computed on,
