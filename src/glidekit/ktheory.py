@@ -14,7 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, chain, compress, product, repeat
+from itertools import accumulate, chain, repeat
 from math import comb, factorial
 from operator import add, and_, getitem, mul, or_
 from types import MappingProxyType
@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 from .compositions import _container, _exact, _instance, _size, as_composition, closure, paddings
 from .errors import LengthMismatchError, OutOfRangeError
-from .poly import SparsePoly, _integer_numerators
+from .poly import SparsePoly, _BoxTerms, _integer_numerators
 from .qsym import _checked_box, _group_by_positive_part
 
 
@@ -41,8 +41,11 @@ class KRingElement:
         poly = _instance(self.poly, SparsePoly, "poly")
         _size(self.m, 0, "truncation degree m")
         reduced = {e: c for e, c in poly.terms.items() if all(x <= self.m for x in e)}
-        # a subset of a polynomial's terms needs no second check
-        object.__setattr__(self, "poly", SparsePoly._trusted(poly.nvars, reduced))
+        # a subset of a polynomial's terms needs no second check; read-only,
+        # so no exponent above the cap can be put in afterwards
+        object.__setattr__(
+            self, "poly", SparsePoly._trusted(poly.nvars, MappingProxyType(reduced))
+        )
 
     @property
     def nvars(self) -> int:
@@ -197,9 +200,12 @@ def chern_substitute(element: KRingElement) -> SparsePoly:
     axis to the back, so n moves restore the order.  An axis not yet
     substituted keeps its |E| digits until its pass.
     The terms are the nonzero entries over the common denominator, in index
-    order, which is lexicographic order.  The image keeps ``(box, V)`` for
-    the slice check of ``qsym.polynomial_to_m`` and ``is_quasisymmetric``,
-    and its terms are a read-only view, so the two cannot part.
+    order, which is lexicographic order.  They are a read-only view over
+    the box that builds its dict and Fractions on its first read and never
+    before, so a caller that only counts the terms or reads coordinates
+    builds neither.  The image keeps ``(box, V, denominator)`` for the
+    slice check of ``qsym.polynomial_to_m`` and ``is_quasisymmetric``, and
+    neither the view nor the box can be rebound, so the two cannot part.
     """
     m = _instance(element, KRingElement, "element").m
     n = element.nvars
@@ -237,12 +243,8 @@ def chern_substitute(element: KRingElement) -> SparsePoly:
             if column is not None:
                 box[d::b] = column
     denominator = factorial(m) ** n * lcm_coeff
-    # one Fraction per distinct numerator
-    shared = {c: Fraction(c, denominator) for c in set(box) if c}
-    keys = compress(product(values, repeat=n), box)
-    terms = dict(zip(keys, map(shared.__getitem__, filter(None, box))))
-    image = SparsePoly._trusted(n, MappingProxyType(terms))
-    image._box = (box, values)
+    image = SparsePoly._trusted(n, _BoxTerms(n, box, values, denominator))
+    image._box = (box, values, denominator)
     return image
 
 

@@ -13,9 +13,10 @@ numerator.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress, product
 from math import lcm
 from operator import add
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .compositions import _container, _exact, _instance, _int_parts, _size, _string
 from .errors import LengthMismatchError
@@ -33,15 +34,84 @@ def _integer_numerators(
     return [(e, c.numerator * (d // c.denominator)) for e, c in terms.items()], d
 
 
+def _fractions(numerators: list[int], denominator: int) -> Iterator[Fraction]:
+    """The nonzero numerators over one denominator, in order, with one
+    Fraction per distinct numerator (Fractions are immutable)."""
+    shared = {c: Fraction(c, denominator) for c in set(numerators) if c}
+    return map(shared.__getitem__, filter(None, numerators))
+
+
+class _BoxTerms(Mapping):
+    """Read-only terms of a polynomial in ``nvars`` variables held as a
+    dense box: the entries of ``numerators`` are integer numerators over
+    ``denominator``, entry i sitting at the exponent vector whose entries
+    are the values at the base-|V| digits of i in V = ``exponents``.  The
+    terms are the nonzero entries, in index order, which is lexicographic
+    order.
+
+    ``len`` counts the nonzero entries.  Every other read builds the dict
+    of terms the first time, one Fraction per distinct numerator, and goes
+    to it from then on, so a reader that only counts builds nothing and
+    one that walks the terms makes no Python call per term.
+    """
+
+    __slots__ = ("_nvars", "_numerators", "_exponents", "_denominator", "_terms")
+
+    def __init__(
+        self, nvars: int, numerators: list[int], exponents: tuple[int, ...], denominator: int
+    ):
+        self._nvars = nvars
+        self._numerators = numerators
+        self._exponents = exponents
+        self._denominator = denominator
+        self._terms: dict[ExponentVector, Fraction] | None = None
+
+    def _built(self) -> dict[ExponentVector, Fraction]:
+        terms = self._terms
+        if terms is None:
+            box = self._numerators
+            keys = compress(product(self._exponents, repeat=self._nvars), box)
+            terms = self._terms = dict(zip(keys, _fractions(box, self._denominator)))
+        return terms
+
+    def __len__(self) -> int:
+        return len(self._numerators) - self._numerators.count(0)
+
+    def __getitem__(self, key: ExponentVector) -> Fraction:
+        return self._built()[key]
+
+    def __iter__(self) -> Iterator[ExponentVector]:
+        return iter(self._built())
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._built()
+
+    def __eq__(self, other: object) -> bool:
+        return self._built() == other
+
+    def get(self, key, default=None):
+        return self._built().get(key, default)
+
+    def keys(self):
+        return self._built().keys()
+
+    def values(self):
+        return self._built().values()
+
+    def items(self):
+        return self._built().items()
+
+
 class SparsePoly:
     # ``_box`` is left unset here: only ``ktheory.chern_substitute`` fills
-    # it, with the dense box the image was computed on, and only the slice
-    # check ``qsym._checked_box`` reads it; such an image's terms are a
-    # read-only view, so they cannot drift from the box
+    # it, with ``(numerators, V, denominator)`` of the dense box the image
+    # was computed on, and only the slice check ``qsym._checked_box`` reads
+    # it.  Such an image's terms are a ``_BoxTerms`` over the same box, and
+    # no attribute is set twice, so the terms cannot drift from the box
     __slots__ = ("nvars", "terms", "_box")
 
     def __init__(self, nvars: int, terms: Mapping[ExponentVector, Fraction | int] | None = None):
-        self.nvars = _size(nvars, 0, "nvars")
+        object.__setattr__(self, "nvars", _size(nvars, 0, "nvars"))
         clean: dict[ExponentVector, Fraction] = {}
         # one Fraction per distinct int coefficient, as in ``_from_numerators``
         shared: dict[int, Fraction] = {}
@@ -52,7 +122,7 @@ class SparsePoly:
                 c = shared[coeff] = _exact(coeff, "coefficient")
             if c:
                 clean[e] = c
-        self.terms = clean
+        object.__setattr__(self, "terms", clean)
 
     @classmethod
     def _trusted(cls, nvars: int, terms: Mapping[ExponentVector, Fraction]) -> "SparsePoly":
@@ -63,8 +133,8 @@ class SparsePoly:
         ``Fraction`` (``__init__`` also takes int coefficients).
         """
         self = object.__new__(cls)
-        self.nvars = nvars
-        self.terms = terms
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "terms", terms)
         return self
 
     @classmethod
@@ -86,6 +156,16 @@ class SparsePoly:
                     q = shared[c] = Fraction(c, denominator)
                 terms[e] = q
         return cls._trusted(nvars, terms)
+
+    # the constructors set ``nvars`` and ``terms`` with ``object.__setattr__``,
+    # as a frozen dataclass does, so building a polynomial pays no check
+    def __setattr__(self, name: str, value: object) -> None:
+        if hasattr(self, name):
+            raise AttributeError(f"cannot rebind {name!r}: a polynomial's attributes are set once")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: a polynomial's attributes are set once")
 
     @classmethod
     def zero(cls, nvars: int) -> "SparsePoly":

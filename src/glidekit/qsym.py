@@ -42,7 +42,7 @@ from .errors import (
 )
 from .glides import glide_m_expansion
 from .jsonio import parse_frac, read_json
-from .poly import SparsePoly
+from .poly import SparsePoly, _fractions
 
 UNBOUNDED = None
 
@@ -129,27 +129,27 @@ def m_to_polynomial(alpha: Iterable[int], n: int) -> SparsePoly:
     return SparsePoly._trusted(_size(n, 0, "n"), dict.fromkeys(paddings(a, n), _ONE))
 
 
-def _checked_box(f: SparsePoly, n: int) -> tuple[list[int], tuple[int, ...]] | None:
-    """The slice check: f's ``(box, values)`` if f carries a box and is
-    quasisymmetric, else None; ``n`` must be f's variable count.
+def _checked_box(f: SparsePoly, n: int) -> tuple[list[int], tuple[int, ...], int] | None:
+    """The slice check: f's ``(box, values, denominator)`` if f carries a
+    box and is quasisymmetric, else None; ``n`` must be f's variable count.
 
-    The box holds f's integer numerators at the exponent vectors whose
-    entries lie in ``values``, the base-|V| digits of an index being the
-    positions of e_1, ..., e_n in ``values``; f's terms are its nonzero
-    entries, in index order.  Moving a 0 past a part keeps the positive
-    part, and such moves join any two placements of a composition, so f is
-    quasisymmetric exactly when A[..., 0, v, ...] = A[..., v, 0, ...] on
-    each adjacent pair of axes.  For the pair (i, i + 1) the two sides are
-    blocks of |V|^(n - i - 2) entries after each of the |V|^i prefixes,
-    compared block by block, or as strided slices when the prefixes are
-    the more numerous.
+    The box holds f's integer numerators over ``denominator`` at the
+    exponent vectors whose entries lie in ``values``, the base-|V| digits
+    of an index being the positions of e_1, ..., e_n in ``values``; f's
+    terms are its nonzero entries, in index order.  Moving a 0 past a part
+    keeps the positive part, and such moves join any two placements of a
+    composition, so f is quasisymmetric exactly when
+    A[..., 0, v, ...] = A[..., v, 0, ...] on each adjacent pair of axes.
+    For the pair (i, i + 1) the two sides are blocks of |V|^(n - i - 2)
+    entries after each of the |V|^i prefixes, compared block by block, or
+    as strided slices when the prefixes are the more numerous.
     """
     if _instance(f, SparsePoly, "f").nvars != _size(n, 0, "n"):
         raise LengthMismatchError(f"polynomial has {f.nvars} variables, expected {n}")
     boxed = getattr(f, "_box", None)
     if boxed is None:
         return None
-    box, values = boxed
+    box, values, _ = boxed
     b = len(values)
     for i in range(n - 1):
         outer = b ** (n - i)
@@ -168,13 +168,13 @@ def _checked_box(f: SparsePoly, n: int) -> tuple[list[int], tuple[int, ...]] | N
     return boxed
 
 
-def _read_box(f: SparsePoly, n: int, box: list, values: tuple) -> dict[Composition, Fraction]:
-    """The box reader: f's coordinates, once its box has passed the check,
-    read at the placements (0, ..., 0, gamma), the indices whose digits are
-    some 0s followed by no 0; in index order they come by length, then in
-    lexicographic order.  Each coefficient is f's own: the mask picks the
-    placements' terms out of ``f.terms``, and the box only says which
-    placements are nonzero.
+def _read_box(n: int, box: list, values: tuple, denominator: int) -> dict[Composition, Fraction]:
+    """The box reader: the coordinates of a polynomial whose box has passed
+    the check, read at the placements (0, ..., 0, gamma), the indices whose
+    digits are some 0s followed by no 0; in index order they come by
+    length, then in lexicographic order.  Each coefficient is the
+    placement's numerator over ``denominator``, one Fraction per distinct
+    numerator, as the polynomial's terms are built; the terms are not read.
     """
     b = len(values)
     # over k digits, tails[i] is 1 when i's digits are 0s then no 0, and
@@ -182,12 +182,11 @@ def _read_box(f: SparsePoly, n: int, box: list, values: tuple) -> dict[Compositi
     tails = full = [1]
     for _ in range(n):
         tails, full = tails + full * (b - 1), [0] * len(full) + full * (b - 1)
-    # the terms are the nonzero entries: the mask read at those picks the
-    # placements' coefficients, and the entries at the placements pick
-    # their compositions
-    coeffs = compress(f.terms.values(), compress(tails, box))
+    # the entries at the placements: the nonzero ones pick the compositions
+    # and give the coefficients
+    placed = list(compress(box, tails))
     gammas = chain.from_iterable(product(values[1:], repeat=k) for k in range(n + 1))
-    return dict(zip(compress(gammas, compress(box, tails)), coeffs))
+    return dict(zip(compress(gammas, placed), _fractions(placed, denominator)))
 
 
 def _group_by_positive_part(
@@ -236,7 +235,7 @@ def polynomial_to_m(f: SparsePoly, n: int) -> QSymElement:
     """
     boxed = _checked_box(f, n)
     if boxed is not None:
-        coords = _read_box(f, n, *boxed)
+        coords = _read_box(n, *boxed)
     else:
         coords, failed = _group_by_positive_part(f, n)
         if failed is not None:

@@ -1,4 +1,5 @@
 import inspect
+from fractions import Fraction
 from itertools import combinations, compress, product, repeat
 from operator import attrgetter, mul
 from pathlib import Path
@@ -57,13 +58,15 @@ def pairwise_closure(generators, pick):
 def assert_box_is_image(image, n):
     """The dense box a Chern image keeps lines up with the image's terms:
     its nonzero entries sit at the terms' exponent vectors, in term order,
-    and are the terms' coefficients over one common denominator.  The box
-    reader of criterion 07 checks the box and reads the coefficients off
-    the terms, so the two must describe one polynomial."""
-    box, values = image._box
+    and each is the numerator of its term's coefficient over the box's
+    denominator.  The slice check and the box reader of criterion 07 read
+    the box, and the terms are a view built from it, so the two must
+    describe one polynomial."""
+    box, values, denominator = image._box
     assert len(box) == len(values) ** n
     assert list(compress(product(values, repeat=n), box)) == list(image.terms)
     numerators = list(filter(None, box))
+    assert list(image.terms.values()) == [Fraction(c, denominator) for c in numerators]
     if not numerators:
         return
     coeffs = image.terms.values()

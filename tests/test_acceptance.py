@@ -235,7 +235,7 @@ def test_chern_image_readers_check_each_other(kclass_sweep):
     for alpha, n, m, kclass, chern in chern_rows(kclass_sweep):
         coords, failed = _group_by_positive_part(SparsePoly._trusted(n, chern.terms), n)
         assert failed is None, (alpha, n, m)
-        boxed = _read_box(chern, n, *_checked_box(chern, n))
+        boxed = _read_box(n, *_checked_box(chern, n))
         assert list(boxed.items()) == list(coords.items()), (alpha, n, m)
         if n < 2:
             continue

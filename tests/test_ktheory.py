@@ -1,11 +1,11 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from glidekit.compositions import closure
+from glidekit.compositions import closure, paddings
 from glidekit.errors import LengthMismatchError, MalformedInputError, OutOfRangeError
 from glidekit.glides import glide_polynomial
 from glidekit.ktheory import (
@@ -204,6 +204,21 @@ def test_kring_element_reduces_eagerly():
         y * KRingElement(SparsePoly(1, {(1,): 1}), 3)
 
 
+def test_kring_element_terms_are_read_only():
+    # an exponent above the cap cannot be put into a reduced element, where
+    # ``chern_substitute`` would index past its last series row
+    k = knutson_class((1, 2), 3, 2)
+    terms = list(k.poly.terms.items())
+    with pytest.raises(TypeError):
+        k.poly.terms[(9, 9, 9)] = Fraction(1)
+    with pytest.raises(TypeError):
+        del k.poly.terms[terms[0][0]]
+    with pytest.raises(AttributeError):
+        k.poly.terms = {(9, 9, 9): Fraction(1)}
+    assert list(k.poly.terms.items()) == terms
+    assert chern_substitute(k) == chern_substitute(knutson_class((1, 2), 3, 2))
+
+
 @pytest.mark.parametrize(
     "call",
     [
@@ -289,10 +304,10 @@ def test_chern_substitute_without_variables(m):
     # with n = 0 no pass runs: the scattered one-entry box is the image
     constant = chern_substitute(KRingElement(SparsePoly(0, {(): Fraction(-2, 3)}), m))
     assert constant.terms == {(): Fraction(-2, 3)}
-    assert constant._box == ([-2], (0,))
+    assert constant._box == ([-2], (0,), 3)
     zero = chern_substitute(KRingElement(SparsePoly.zero(0), m))
     assert zero.terms == {}
-    assert zero._box == ([0], (0,))
+    assert zero._box == ([0], (0,), 1)
 
 
 def test_chern_substitute_matches_naive_expansion():
@@ -421,7 +436,7 @@ def test_chern_substitute_matches_series_products(element):
     coords, failed = _group_by_positive_part(SparsePoly(n, image.terms), n)
     boxed = _checked_box(image, n)
     assert (boxed is None) == (failed is not None)
-    assert boxed is None or list(_read_box(image, n, *boxed).items()) == list(coords.items())
+    assert boxed is None or list(_read_box(n, *boxed).items()) == list(coords.items())
 
 
 @pytest.mark.parametrize(
@@ -436,6 +451,32 @@ def test_chern_heavy_tail_sizes(alpha, kclass_terms, chern_terms, m_coords):
     assert len(chern.terms) == chern_terms
     assert is_quasisymmetric(chern, 6)
     assert len(polynomial_to_m(chern, 6).coords) == m_coords
+
+
+@pytest.mark.parametrize(
+    "alpha, n, m",
+    [((1, 2, 1), 6, 5), ((), 0, 1), ((), 2, 1), ((2,), 1, 3), ((1, 1), 3, 1), ((2, 1), 4, 2)],
+)
+def test_coordinate_path_builds_no_term_dict(alpha, n, m):
+    # counting the terms, the slice check and the box reader read the box
+    # alone; the first full read of the terms builds them from it
+    image = chern_substitute(knutson_class(alpha, n, m))
+    terms = image.terms
+    count = len(terms)
+    assert is_quasisymmetric(image, n)
+    coords = polynomial_to_m(image, n).coords
+    assert terms._terms is None
+    assert_box_is_image(image, n)
+    assert terms._terms is not None
+    assert len(terms) == count == len(dict(terms.items()))
+    # equal numerators share one Fraction
+    assert len({id(c) for c in terms.values()}) == len(set(terms.values()))
+    plain = SparsePoly._trusted(n, dict(terms.items()))
+    assert image == plain and plain == image and hash(image) == hash(plain)
+    # each coordinate is the coefficient of every placement of its composition
+    for gamma, c in coords.items():
+        assert all(terms[p] == c for p in paddings(gamma, n)), gamma
+    assert sum(comb(n, len(gamma)) for gamma in coords) == count
 
 
 def test_quasisymmetry_detection():

@@ -905,3 +905,25 @@ def test_chern_image_terms_cannot_part_from_its_box():
         assert got == expected
         assert list(got.terms.items()) == list(expected.terms.items())
     assert hash(chern) == hash(_fresh(chern))
+
+
+def test_polynomial_attributes_are_set_once():
+    # a Chern image's readers answer from its box, so neither the box nor
+    # the terms nor the variable count can be rebound or deleted
+    chern = chern_substitute(knutson_class((1, 2), 3, 2))
+    coords = list(polynomial_to_m(chern, 3).coords.items())
+    terms = list(chern.terms.items())
+    changed = dict(chern.terms)
+    changed[(0, 1, 0)] = Fraction(99)
+    for name, value in [("terms", changed), ("nvars", 4), ("_box", None)]:
+        with pytest.raises(AttributeError):
+            setattr(chern, name, value)
+        with pytest.raises(AttributeError):
+            delattr(chern, name)
+    assert is_quasisymmetric(chern, 3)
+    assert list(polynomial_to_m(chern, 3).coords.items()) == coords
+    assert list(chern.terms.items()) == terms
+    plain = SparsePoly(2, {(1, 0): 1})
+    with pytest.raises(AttributeError):
+        plain.terms = {(0, 1): Fraction(1)}
+    assert plain == SparsePoly(2, {(1, 0): 1})
