@@ -7,16 +7,18 @@ Zero coefficients are never stored.
 Products run on integers: each factor is scaled to integer numerators over
 the lcm of its denominators, the numerators are multiplied and summed as
 plain ints, and the Fractions are built at the end, one per distinct
-numerator.
+numerator.  The product also keys its sums by ints: each exponent vector is
+packed into one int, a byte-aligned field per variable, so adding two keys
+adds the vectors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress, product
+from itertools import chain, compress, product, repeat
 from math import lcm
-from operator import add
-from typing import Iterable, Iterator, Mapping
+from operator import methodcaller
+from typing import Hashable, Iterable, Iterator, Mapping
 
 from .compositions import _container, _exact, _instance, _int_parts, _size, _string
 from .errors import LengthMismatchError
@@ -27,11 +29,36 @@ _ZERO = Fraction(0)
 
 
 def _integer_numerators(
-    terms: Mapping[ExponentVector, Fraction],
-) -> tuple[list[tuple[ExponentVector, int]], int]:
-    """The terms as integer numerators over the lcm of their denominators."""
-    d = lcm(*{c.denominator for c in terms.values()})
+    terms: Mapping[Hashable, Fraction], denominator: int | None = None
+) -> tuple[list[tuple[Hashable, int]], int]:
+    """The terms as integer numerators over ``denominator``, which must be a
+    multiple of each of their denominators; by default the lcm of them."""
+    d = lcm(*{c.denominator for c in terms.values()}) if denominator is None else denominator
     return [(e, c.numerator * (d // c.denominator)) for e, c in terms.items()], d
+
+
+def _packed(rows: list[tuple[ExponentVector, int]], width: int) -> list[tuple[int, int]]:
+    """The rows with each exponent vector packed into one int: entry i
+    fills bytes [i * width, (i + 1) * width), little-endian."""
+    exps, numerators = (e for e, _ in rows), (c for _, c in rows)
+    if width == 1:
+        keys = map(int.from_bytes, map(bytes, exps), repeat("little"))
+    else:
+        keys = (
+            int.from_bytes(b"".join([x.to_bytes(width, "little") for x in e]), "little")
+            for e in exps
+        )
+    return list(zip(keys, numerators))
+
+
+def _unpacked(keys: Iterable[int], nvars: int, width: int) -> Iterator[ExponentVector]:
+    """The exponent vectors of packed keys, one ``to_bytes`` call each."""
+    size = nvars * width
+    raw = map(methodcaller("to_bytes", size, "little"), keys)
+    if width == 1:
+        return map(tuple, raw)
+    fields = range(0, size, width)
+    return (tuple([int.from_bytes(b[i : i + width], "little") for i in fields]) for b in raw)
 
 
 def _fractions(numerators: list[int], denominator: int) -> Iterator[Fraction]:
@@ -219,18 +246,28 @@ class SparsePoly:
         self._check_compatible(other)
         left, d1 = _integer_numerators(self.terms)
         right, d2 = _integer_numerators(other.terms)
+        # a field wide enough for the largest sum of two exponents never
+        # carries into the next, so adding two packed keys adds the vectors
+        top = sum(
+            max(chain.from_iterable(e for e, _ in rows), default=0) for rows in (left, right)
+        )
+        width = (top.bit_length() + 7) // 8 or 1
+        right = _packed(right, width)
         # both scalings are positive, so a running sum is zero exactly when
         # the rational one is, and keys come and go in the same order
-        out: dict[ExponentVector, int] = {}
-        for e1, a in left:
-            for e2, b in right:
-                e = tuple(map(add, e1, e2))
-                c = out.get(e, 0) + a * b
+        out: dict[int, int] = {}
+        get = out.get
+        for k1, a in _packed(left, width):
+            for k2, b in right:
+                k = k1 + k2
+                c = get(k, 0) + a * b
                 if c:
-                    out[e] = c
+                    out[k] = c
                 else:
-                    del out[e]
-        return SparsePoly._from_numerators(self.nvars, out, d1 * d2)
+                    del out[k]
+        exps = _unpacked(out, self.nvars, width)
+        terms = dict(zip(exps, _fractions(list(out.values()), d1 * d2)))
+        return SparsePoly._trusted(self.nvars, terms)
 
     def scale(self, factor: Fraction | int) -> "SparsePoly":
         f = _exact(factor, "factor")

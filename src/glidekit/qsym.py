@@ -8,6 +8,10 @@ drop terms beyond the bound.
 Also here: the generic construction that replaces the single variable ring by
 an arbitrary graded ring with a basis, realizing monomial-type sums inside
 tensor powers, with products read back off initial-segment tensors.
+
+Every product here runs as ``poly``'s do: the sums are plain ints, integer
+numerators over one common denominator, and the Fractions are built at the
+end, one per distinct numerator.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import chain, compress, product
-from math import comb, prod
+from math import comb, lcm, prod
 from operator import add
 from types import MappingProxyType
 from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
@@ -42,7 +46,7 @@ from .errors import (
 )
 from .glides import glide_m_expansion
 from .jsonio import parse_frac, read_json
-from .poly import SparsePoly, _fractions
+from .poly import SparsePoly, _fractions, _integer_numerators
 
 UNBOUNDED = None
 
@@ -59,7 +63,7 @@ class QSymElement:
     the element represents a truncation.
     """
 
-    coords: Mapping[Composition, Fraction]
+    coords: Mapping[Composition, Fraction]  # read-only
     degree_bound: int | None = UNBOUNDED
 
     def __post_init__(self):
@@ -73,7 +77,7 @@ class QSymElement:
                 raise OutOfRangeError(f"coordinate {a} exceeds degree bound {self.degree_bound}")
             if cf:
                 clean[a] = cf
-        object.__setattr__(self, "coords", clean)
+        object.__setattr__(self, "coords", MappingProxyType(clean))
 
     @classmethod
     def _trusted(cls, coords: dict[Composition, Fraction], degree_bound: int | None) -> "QSymElement":
@@ -81,10 +85,11 @@ class QSymElement:
 
         The caller guarantees what ``__post_init__`` enforces: every key is a
         composition within the bound and every value a nonzero ``Fraction``
-        (``__post_init__`` also takes int coefficients).
+        (``__post_init__`` also takes int coefficients).  The element holds
+        a read-only view of ``coords``, which no one else may change.
         """
         self = object.__new__(cls)
-        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "coords", MappingProxyType(coords))
         object.__setattr__(self, "degree_bound", degree_bound)
         return self
 
@@ -268,16 +273,22 @@ def m_multiply(f: QSymElement, g: QSymElement) -> QSymElement:
     _instance(f, QSymElement, "f")
     _instance(g, QSymElement, "g")
     bound = _combined_bound(f.degree_bound, g.degree_bound)
-    out: dict[Composition, Fraction] = {}
-    for a, ca in f.coords.items():
-        for b, cb in g.coords.items():
+    # the sums run on integer numerators over d1 * d2
+    left, d1 = _integer_numerators(f.coords)
+    right, d2 = _integer_numerators(g.coords)
+    out: dict[Composition, int] = {}
+    for a, ca in left:
+        for b, cb in right:
             if bound is not None and sum(a) + sum(b) > bound:
                 continue
             c = ca * cb
             for gamma, mult in overlapping_shuffle(a, b).items():
-                out[gamma] = out.get(gamma, _ZERO) + mult * c
-    # every pair over the bound was skipped, and the shuffle keeps the size
-    return QSymElement(out, bound)
+                out[gamma] = out.get(gamma, 0) + mult * c
+    # every pair over the bound was skipped, and the shuffle keeps the size;
+    # a sum of 0 kept its place in the loop and is dropped only here
+    numerators = list(out.values())
+    coords = dict(zip(compress(out, numerators), _fractions(numerators, d1 * d2)))
+    return QSymElement._trusted(coords, bound)
 
 
 def glide_element(alpha: Iterable[int], degree_bound: int) -> QSymElement:
@@ -305,20 +316,26 @@ def glide_expand(f: QSymElement, degree_bound: int) -> dict[Composition, Fractio
     _size(degree_bound, 0, "degree bound")
     if f.degree_bound is not None:
         _size(f.degree_bound, degree_bound, "the element's degree bound")
-    coords: dict[Composition, Fraction] = {}
-    residual = {a: c for a, c in f.coords.items() if sum(a) <= degree_bound}
+    # the glide coordinates are ints, so the peeling runs on integer
+    # numerators over the one denominator of the kept coordinates
+    kept, denominator = _integer_numerators(
+        {a: c for a, c in f.coords.items() if sum(a) <= degree_bound}
+    )
+    coords: dict[Composition, int] = {}
+    residual = dict(kept)
     while residual:
         d = min(sum(a) for a in residual)
         layer = {a: c for a, c in residual.items() if sum(a) == d}
         for a, c in layer.items():
             coords[a] = c
             for g, gc in glide_m_expansion(a, degree_bound).items():
-                v = residual.get(g, _ZERO) - c * gc
+                v = residual.get(g, 0) - c * gc
                 if v:
                     residual[g] = v
                 else:
                     residual.pop(g, None)
-    return coords
+    # every peeled coefficient is a nonzero residual
+    return dict(zip(coords, _fractions(list(coords.values()), denominator)))
 
 
 def glide_structure_constants(
@@ -496,18 +513,19 @@ def _validate_label_tuple(labels: Iterable[Label], ring: GradedRingData) -> Labe
 
 
 def _add_slot_product(
-    out: dict[LabelTuple, Fraction], slots: Sequence[Mapping[Label, Fraction]]
+    out: dict[LabelTuple, int], slots: Sequence[Iterable[tuple[Label, int]]], weight: int
 ) -> None:
     """Add a product of one sparse sum per slot into ``out``, deleting a key
     whose sum is 0.
 
-    Each choice of one item per slot gives the tuple of the chosen labels,
-    weighted by the product of the chosen coefficients; the choices come
+    A slot is its (label, integer numerator) items.  Each choice of one
+    item per slot gives the tuple of the chosen labels, weighted by
+    ``weight`` times the product of the chosen numerators; the choices come
     with the first slot outermost, and an empty slot gives none.
     """
-    for choice in product(*[slot.items() for slot in slots]):
+    for choice in product(*slots):
         key = tuple(l for l, _ in choice)
-        v = out.get(key, _ZERO) + prod((c for _, c in choice), start=_ONE)
+        v = out.get(key, 0) + prod((c for _, c in choice), start=weight)
         if v:
             out[key] = v
         else:
@@ -527,12 +545,16 @@ def qsym_r_product(
     initial-segment pure tensors (non-unit labels packed at the front),
     which pick out each basis element exactly once.  Only the pairs of
     paddings that reach such a tensor are multiplied.
+
+    The sums run on integer numerators over L^n, L the lcm of the
+    denominators of every slot's constants: a pair whose first j slots
+    are hit is weighted by L^(n - j).
     """
     t = _validate_label_tuple(theta, ring)
     k = _validate_label_tuple(kappa, ring)
     _size(n, len(t) + len(k), "n")
     unit = ring.unit
-    out: dict[LabelTuple, Fraction] = {}
+    pairs: list[list[dict[Label, Fraction]]] = []
     for k1 in paddings(t, n, unit):
         for k2 in paddings(k, n, unit):
             # labels in t and k have positive degree (``_validate_label_tuple``
@@ -543,8 +565,13 @@ def qsym_r_product(
             length = hit.count(True)
             if any(hit[length:]):
                 continue
-            _add_slot_product(out, [ring.product(a, b) for a, b in zip(k1[:length], k2[:length])])
-    return out
+            pairs.append([ring.product(a, b) for a, b in zip(k1[:length], k2[:length])])
+    d = lcm(*{c.denominator for slots in pairs for slot in slots for c in slot.values()})
+    out: dict[LabelTuple, int] = {}
+    for slots in pairs:
+        numerators = [_integer_numerators(slot, d)[0] for slot in slots]
+        _add_slot_product(out, numerators, d ** (n - len(slots)))
+    return dict(zip(out, _fractions(list(out.values()), d**n)))
 
 
 def qsym_r_product_shuffle(
@@ -553,11 +580,24 @@ def qsym_r_product_shuffle(
     ring: GradedRingData,
 ) -> dict[LabelTuple, Fraction]:
     """Cross-check route: overlapping shuffle of label tuples with collisions
-    resolved through the ring's structure constants."""
+    resolved through the ring's structure constants.
+
+    The sums run on integer numerators over L^n, n = len(theta) +
+    len(kappa) the longest placement and L the lcm of the denominators of
+    every slot's constants: a placement into j slots is weighted by
+    L^(n - j).
+    """
     t = _validate_label_tuple(theta, ring)
     k = _validate_label_tuple(kappa, ring)
-    out: dict[LabelTuple, Fraction] = {}
-    for length in range(max(len(t), len(k)), len(t) + len(k) + 1):
-        for l, r in overlapping_paddings(t, k, length, ring.unit):
-            _add_slot_product(out, [ring.product(x, y) for x, y in zip(l, r)])
-    return out
+    n = len(t) + len(k)
+    pairs = [
+        [ring.product(x, y) for x, y in zip(l, r)]
+        for length in range(max(len(t), len(k)), n + 1)
+        for l, r in overlapping_paddings(t, k, length, ring.unit)
+    ]
+    d = lcm(*{c.denominator for slots in pairs for slot in slots for c in slot.values()})
+    out: dict[LabelTuple, int] = {}
+    for slots in pairs:
+        numerators = [_integer_numerators(slot, d)[0] for slot in slots]
+        _add_slot_product(out, numerators, d ** (n - len(slots)))
+    return dict(zip(out, _fractions(list(out.values()), d**n)))

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from glidekit.errors import InvalidCompositionError, LengthMismatchError
-from glidekit.poly import SparsePoly
+from glidekit.poly import SparsePoly, _integer_numerators
 
 
 def reference_mul(f, g):
@@ -19,6 +19,23 @@ def reference_mul(f, g):
             else:
                 del out[e]
     return out
+
+
+def tuple_key_mul(f, g):
+    """The integer loop keyed by exponent tuples that SparsePoly.__mul__
+    ran before its keys were packed into ints."""
+    left, d1 = _integer_numerators(f.terms)
+    right, d2 = _integer_numerators(g.terms)
+    out = {}
+    for e1, a in left:
+        for e2, b in right:
+            e = tuple(x + y for x, y in zip(e1, e2))
+            c = out.get(e, 0) + a * b
+            if c:
+                out[e] = c
+            else:
+                del out[e]
+    return {e: Fraction(c, d1 * d2) for e, c in out.items()}
 
 
 def reference_add(f_terms, g_terms):
@@ -68,6 +85,57 @@ def test_arithmetic_matches_the_fraction_loops(pair):
     assert_terms(
         f.restrict(k), {e[:k]: c for e, c in f.terms.items() if not any(e[k:])}
     )
+
+
+# exponents whose pairwise sums reach 255 (the widest one-byte field), 256
+# (two bytes) and past 2^64 (nine bytes and more)
+_EXPONENTS = st.one_of(
+    st.integers(0, 3), st.sampled_from([127, 128, 254, 255, 256, 2**64 - 1, 2**64, 2**70])
+)
+
+
+@st.composite
+def wide_poly_pairs(draw):
+    n = draw(st.integers(0, 6))
+    keys = st.tuples(*[_EXPONENTS] * n)
+    return tuple(
+        SparsePoly(n, draw(st.dictionaries(keys, _COEFFS, max_size=6))) for _ in range(2)
+    )
+
+
+def _powers(n, i, exps_coeffs):
+    """The polynomial sum of c * x_i^e over the given (e, c) in n variables."""
+    unit = [0] * n
+    return SparsePoly(n, {(*unit[:i], e, *unit[i + 1 :]): c for e, c in exps_coeffs})
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=wide_poly_pairs())
+@example(pair=(SparsePoly(3), SparsePoly(3, {(255, 0, 1): Fraction(1, 2)})))
+@example(pair=(SparsePoly(0, {(): Fraction(-1, 2)}), SparsePoly(0, {(): Fraction(2, 3)})))
+@example(pair=(SparsePoly(2, {(128, 127): 1}), SparsePoly(2, {(127, 128): Fraction(2, 3)})))
+@example(pair=(SparsePoly(2, {(128, 0): 1}), SparsePoly(2, {(128, 1): Fraction(-3, 4)})))
+@example(pair=(SparsePoly(1, {(2**64,): 1}), SparsePoly(1, {(2**64 + 5,): 2})))
+@example(
+    # x^600 is made, cancelled and made again, in two-byte fields
+    pair=(
+        _powers(2, 1, [(0, 1), (300, 1), (600, 1)]),
+        _powers(2, 1, [(600, 1), (300, -1), (0, 1)]),
+    )
+)
+@example(
+    # the same past 2^64, with rational coefficients
+    pair=(
+        _powers(6, 5, [(0, Fraction(1, 2)), (2**64, 1), (2**65, Fraction(1, 3))]),
+        _powers(6, 5, [(2**65, 3), (2**64, Fraction(-3, 2)), (0, 2)]),
+    )
+)
+def test_product_matches_the_tuple_key_loop(pair):
+    f, g = pair
+    product = f * g
+    assert_terms(product, tuple_key_mul(f, g))
+    assert all(type(x) is int for e in product.terms for x in e)
+    assert all(len(e) == f.nvars for e in product.terms)
 
 
 def test_mixed_denominators():

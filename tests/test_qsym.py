@@ -2,12 +2,12 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from glidekit.compositions import paddings
+from glidekit.compositions import overlapping_paddings, paddings
 from glidekit.errors import (
     GlidekitError,
     InputFileError,
@@ -252,28 +252,41 @@ def _reference_slot_expansion(slots, scale):
         max_size=4,
     ),
     held=st.lists(st.one_of(st.none(), _COEFFS), max_size=8),
+    w=st.integers(1, 3),
 )
-@example(slots=[{"a": Fraction(1, 2)}, {}, {"b": Fraction(1, 2)}], held=[])
-@example(slots=[], held=[None])
+@example(slots=[{"a": Fraction(1, 2)}, {}, {"b": Fraction(1, 2)}], held=[], w=1)
+@example(slots=[], held=[None], w=1)
 @example(
     slots=[{"a": Fraction(1, 2), "b": Fraction(2)}, {"c": Fraction(1, 2)}],
     held=[None, Fraction(3)],
+    w=1,
 )
-def test_slot_product_matches_prefix_expansion(slots, held):
-    expected = _reference_slot_expansion(slots, Fraction(1))
+def test_slot_product_matches_prefix_expansion(slots, held, w):
+    # the rational slots as the routes hand them over: integer numerators
+    # over d, the lcm of every denominator here, with a weight that makes
+    # the sums the rational ones times S = d^(len(slots) + 1) * w, so every
+    # held coefficient scales to an int as well
+    denominators = [c.denominator for slot in slots for c in slot.values()]
+    d = lcm(*denominators, *(h.denominator for h in held if h is not None))
+    scale = d ** (len(slots) + 1) * w
+    numerators = [[(l, int(c * d)) for l, c in slot.items()] for slot in slots]
+    expected = {
+        key: int(c * scale) for key, c in _reference_slot_expansion(slots, Fraction(1)).items()
+    }
     out = {}
-    _add_slot_product(out, slots)
+    _add_slot_product(out, numerators, d * w)
     assert list(out.items()) == list(expected.items())
+    assert all(type(c) is int for c in out.values())
     # into a dict that already holds keys: a held coefficient of None cancels
     # its expansion key, which must leave the dict
-    start = {("held",): Fraction(5)}
+    start = {("held",): 5 * scale}
     for (key, c), h in zip(expected.items(), held):
-        start[key] = -c if h is None else h
+        start[key] = -c if h is None else int(h * scale)
     merged = dict(start)
     for key, c in expected.items():
-        merged[key] = merged.get(key, Fraction(0)) + c
+        merged[key] = merged.get(key, 0) + c
     out = dict(start)
-    _add_slot_product(out, slots)
+    _add_slot_product(out, numerators, d * w)
     assert list(out.items()) == [(key, c) for key, c in merged.items() if c]
 
 
@@ -361,6 +374,32 @@ def test_degree_bound_truncation():
         QSymElement({}, degree_bound=-1)
 
 
+def test_returned_coordinates_are_read_only():
+    # a write would put a coordinate past the bound check
+    f = QSymElement({(1,): 1}, 2)
+    with pytest.raises(TypeError):
+        f.coords[(7,)] = Fraction(1)
+    chern = chern_substitute(knutson_class((1, 2), 3, 2))
+    returned = [
+        f,
+        QSymElement.monomial((1, 2)),
+        f + QSymElement.monomial((1,), 3),
+        f.scale(Fraction(1, 2)),
+        m_multiply(f, f),
+        glide_element((1, 2), 4),
+        polynomial_to_m(chern, 3),
+        polynomial_to_m(glide_polynomial((1, 2), 3), 3),
+    ]
+    for element in returned:
+        before = list(element.coords.items())
+        with pytest.raises(TypeError):
+            element.coords[(7,)] = Fraction(1)
+        with pytest.raises(TypeError):
+            del element.coords[before[0][0]]
+        assert list(element.coords.items()) == before
+    assert f.coords == {(1,): 1}
+
+
 def test_m_multiply_keeps_the_one_bound_given():
     bounded, unbounded = QSymElement.monomial((1,), 2), QSymElement.monomial((1,))
     for f, g in ((bounded, unbounded), (unbounded, bounded)):
@@ -437,6 +476,81 @@ def test_glide_expand_inverts_glide_element(coeffs, bound):
     for alpha, c in glide_expand(monomials, bound).items():
         rebuilt = rebuilt + glide_element(alpha, bound).scale(c)
     assert rebuilt.coords == expected
+
+
+def _reference_m_multiply(f, g):
+    """The Fraction loop that m_multiply replaces, term for term: zero sums
+    stay in place until the element drops them."""
+    bound = min((b for b in (f.degree_bound, g.degree_bound) if b is not None), default=None)
+    out = {}
+    for a, ca in f.coords.items():
+        for b, cb in g.coords.items():
+            if bound is not None and sum(a) + sum(b) > bound:
+                continue
+            for gamma, mult in overlapping_shuffle(a, b).items():
+                out[gamma] = out.get(gamma, Fraction(0)) + mult * ca * cb
+    return QSymElement(out, bound)
+
+
+def _reference_glide_expand(f, degree_bound):
+    """The Fraction peeling that glide_expand replaces, term for term."""
+    coords = {}
+    residual = {a: c for a, c in f.coords.items() if sum(a) <= degree_bound}
+    while residual:
+        d = min(sum(a) for a in residual)
+        layer = {a: c for a, c in residual.items() if sum(a) == d}
+        for a, c in layer.items():
+            coords[a] = c
+            for g, gc in glide_element(a, degree_bound).coords.items():
+                v = residual.get(g, Fraction(0)) - c * gc
+                if v:
+                    residual[g] = v
+                else:
+                    residual.pop(g, None)
+    return coords
+
+
+def _within(coords, bound):
+    """The element of the coordinates up to ``bound`` (None: all of them)."""
+    return QSymElement({a: c for a, c in coords.items() if bound is None or sum(a) <= bound}, bound)
+
+
+_RATIONAL_COORDS = st.dictionaries(st.sampled_from(all_compositions(4)), _COEFFS, max_size=4)
+_BOUNDS = st.one_of(st.none(), st.integers(0, 6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=_RATIONAL_COORDS, g=_RATIONAL_COORDS, bounds=st.tuples(_BOUNDS, _BOUNDS))
+@example(
+    # (3), (1, 2) and (2, 1) sum to 0 and are dropped, in place
+    f={(1,): Fraction(1, 2), (2,): Fraction(1, 2)},
+    g={(1,): Fraction(1, 3), (2,): Fraction(-1, 3)},
+    bounds=(None, None),
+)
+def test_integer_m_multiply_matches_the_fraction_loop(f, g, bounds):
+    f, g = _within(f, bounds[0]), _within(g, bounds[1])
+    got, expected = m_multiply(f, g), _reference_m_multiply(f, g)
+    assert got.degree_bound == expected.degree_bound
+    assert list(got.coords.items()) == list(expected.coords.items())
+    assert all(type(c) is Fraction and c for c in got.coords.values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    coords=st.dictionaries(st.sampled_from(all_compositions(5)), _COEFFS, max_size=5),
+    bound=st.integers(0, 5),
+    slack=st.one_of(st.none(), st.integers(0, 1)),
+)
+@example(
+    coords={(1,): Fraction(1, 2), (1, 1): Fraction(-1, 2), (2,): Fraction(2, 3)},
+    bound=3,
+    slack=None,
+)
+def test_integer_glide_expand_matches_the_fraction_peeling(coords, bound, slack):
+    f = _within(coords, None if slack is None else bound + slack)
+    got = glide_expand(f, bound)
+    assert list(got.items()) == list(_reference_glide_expand(f, bound).items())
+    assert all(type(c) is Fraction and c for c in got.values())
 
 
 def test_glide_structure_constants_examples():
@@ -575,6 +689,61 @@ def test_tensor_engine_matches_full_tensor_product(case, extra):
         assert got == qsym_r_product_shuffle(theta, kappa, ring)
         for nu, coeff in got.items():
             assert buk_structure_constant(theta, kappa, nu, k) == coeff
+
+
+# a ring whose constants have denominators 2, 3, 4 and 6, so the tensor
+# routes sum over a common denominator L^n with L = 12; x*x and y*y meet
+# with opposite signs on a, so sums cancel
+RATIONAL_RING = GradedRingData.from_dict(
+    {
+        "basis": [
+            {"label": "1", "degree": 0},
+            {"label": "x", "degree": 1},
+            {"label": "y", "degree": 1},
+            {"label": "a", "degree": 2},
+            {"label": "b", "degree": 2},
+            {"label": "c", "degree": 3},
+        ],
+        "constants": {
+            "x": {"x": {"a": "1/2", "b": "-1/3"}, "y": {"a": "2/3"}, "a": {"c": "3/4"}},
+            "y": {"y": {"a": "-1/2", "b": "1/2"}, "b": {"c": "-1/6"}},
+            "a": {"y": {"c": 2}},
+        },
+    }
+)
+
+
+def _reference_label_shuffle(theta, kappa, ring):
+    """The Fraction accumulation that qsym_r_product_shuffle replaces."""
+    out = {}
+    for length in range(max(len(theta), len(kappa)), len(theta) + len(kappa) + 1):
+        for l, r in overlapping_paddings(theta, kappa, length, ring.unit):
+            slots = [ring.product(x, y) for x, y in zip(l, r)]
+            for key, c in _reference_slot_expansion(slots, Fraction(1)).items():
+                v = out.get(key, Fraction(0)) + c
+                if v:
+                    out[key] = v
+                else:
+                    del out[key]
+    return out
+
+
+_RATIONAL_LABELS = st.lists(st.sampled_from(["x", "y", "a", "b"]), max_size=3).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(theta=_RATIONAL_LABELS, kappa=_RATIONAL_LABELS, extra=st.integers(0, 1))
+@example(theta=("x", "x", "y"), kappa=("x", "y", "y"), extra=0)
+@example(theta=("x", "y"), kappa=("x", "y"), extra=1)
+def test_tensor_routes_on_rational_constants_match_the_fraction_loops(theta, kappa, extra):
+    n = len(theta) + len(kappa) + extra
+    ring = RATIONAL_RING
+    tensor = qsym_r_product(theta, kappa, ring, n)
+    assert list(tensor.items()) == list(_reference_r_product(theta, kappa, ring, n).items())
+    shuffle = qsym_r_product_shuffle(theta, kappa, ring)
+    assert list(shuffle.items()) == list(_reference_label_shuffle(theta, kappa, ring).items())
+    assert all(type(c) is Fraction and c for c in [*tensor.values(), *shuffle.values()])
+    assert tensor == shuffle
 
 
 def test_qsym_r_product_errors():
@@ -803,12 +972,17 @@ def test_changing_a_read_leaves_the_next_read_unchanged():
     # the read passes: it returns without NotQuasisymmetricError
     coords = polynomial_to_m(f, 3).coords
     expected = list(coords.items())
-    coords.clear()
-    coords[(9,)] = Fraction(5)
+    # the coordinates are read-only, so every write raises
+    with pytest.raises(AttributeError):
+        coords.clear()
+    with pytest.raises(TypeError):
+        coords[(9,)] = Fraction(5)
     element = polynomial_to_m(f, 3)
     assert list(element.coords.items()) == expected
-    element.coords[(7,)] = Fraction(1)
-    del element.coords[expected[0][0]]
+    with pytest.raises(TypeError):
+        element.coords[(7,)] = Fraction(1)
+    with pytest.raises(TypeError):
+        del element.coords[expected[0][0]]
     assert list(polynomial_to_m(f, 3).coords.items()) == expected
 
 
