@@ -220,8 +220,7 @@ def glide_polynomial(alpha: Iterable[int], n: int, method: str = "closed") -> Sp
     if method not in GLIDE_METHODS:
         raise OutOfRangeError(f"unknown method {method!r}, expected one of {GLIDE_METHODS}")
     if method == "closed":
-        # a fresh dict, so a caller's changes never reach the cache
-        return SparsePoly._trusted(n, _closed(a, n).copy())
+        return SparsePoly._trusted(n, _closed(a, n))
     if method == "poset":
         terms = build_poset(a, n).mobius()
     else:

@@ -17,7 +17,6 @@ from functools import reduce
 from itertools import accumulate, chain, repeat
 from math import comb, factorial
 from operator import add, and_, getitem, mul, or_
-from types import MappingProxyType
 from typing import Iterable, Sequence
 
 from .compositions import _container, _exact, _instance, _size, as_composition, closure, paddings
@@ -41,11 +40,8 @@ class KRingElement:
         poly = _instance(self.poly, SparsePoly, "poly")
         _size(self.m, 0, "truncation degree m")
         reduced = {e: c for e, c in poly.terms.items() if all(x <= self.m for x in e)}
-        # a subset of a polynomial's terms needs no second check; read-only,
-        # so no exponent above the cap can be put in afterwards
-        object.__setattr__(
-            self, "poly", SparsePoly._trusted(poly.nvars, MappingProxyType(reduced))
-        )
+        # a subset of a polynomial's terms needs no second check
+        object.__setattr__(self, "poly", SparsePoly._trusted(poly.nvars, reduced))
 
     @property
     def nvars(self) -> int:

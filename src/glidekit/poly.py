@@ -2,7 +2,9 @@
 
 The universal polynomial container of the package: a finitely supported
 mapping exponent-vector -> Fraction, with a fixed number of variables.
-Zero coefficients are never stored.
+Zero coefficients are never stored.  The terms are read-only: every
+constructor holds them behind a view that refuses writes, so a polynomial's
+value and hash never change.
 
 Products run on integers: each factor is scaled to integer numerators over
 the lcm of its denominators, the numerators are multiplied and summed as
@@ -18,6 +20,7 @@ from fractions import Fraction
 from itertools import chain, compress, product, repeat
 from math import lcm
 from operator import methodcaller
+from types import MappingProxyType
 from typing import Hashable, Iterable, Iterator, Mapping
 
 from .compositions import _container, _exact, _instance, _int_parts, _size, _string
@@ -119,6 +122,9 @@ class _BoxTerms(Mapping):
     def get(self, key, default=None):
         return self._built().get(key, default)
 
+    def copy(self) -> dict[ExponentVector, Fraction]:
+        return self._built().copy()
+
     def keys(self):
         return self._built().keys()
 
@@ -149,7 +155,7 @@ class SparsePoly:
                 c = shared[coeff] = _exact(coeff, "coefficient")
             if c:
                 clean[e] = c
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     @classmethod
     def _trusted(cls, nvars: int, terms: Mapping[ExponentVector, Fraction]) -> "SparsePoly":
@@ -157,10 +163,16 @@ class SparsePoly:
 
         The caller guarantees what ``__init__`` enforces: every key is a
         tuple of ``nvars`` nonnegative ints and every value a nonzero
-        ``Fraction`` (``__init__`` also takes int coefficients).
+        ``Fraction`` (``__init__`` also takes int coefficients).  A dict is
+        held behind a read-only view, which no one else may change; any
+        other mapping is held as it is, so it must already be read-only,
+        as the closed-glide cache's view and a Chern image's ``_BoxTerms``
+        are.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "nvars", nvars)
+        if isinstance(terms, dict):
+            terms = MappingProxyType(terms)
         object.__setattr__(self, "terms", terms)
         return self
 
@@ -223,7 +235,8 @@ class SparsePoly:
 
     def __add__(self, other: "SparsePoly") -> "SparsePoly":
         self._check_compatible(other)
-        out = dict(self.terms)
+        # ``dict(view)`` copies key by key; ``copy`` copies the table whole
+        out = self.terms.copy()
         for exps, coeff in other.terms.items():
             c = out.get(exps)
             if c is None:

@@ -24,7 +24,7 @@ from itertools import chain, compress, product
 from math import comb, lcm, prod
 from operator import add
 from types import MappingProxyType
-from typing import Any, Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Any, Callable, Hashable, Iterable, Mapping
 
 from .compositions import (
     Composition,
@@ -93,6 +93,11 @@ class QSymElement:
         object.__setattr__(self, "degree_bound", degree_bound)
         return self
 
+    # as ``SparsePoly`` hashes its terms: the hash the dataclass would
+    # build takes the coords view itself, which has none
+    def __hash__(self) -> int:
+        return hash((frozenset(self.coords.items()), self.degree_bound))
+
     @classmethod
     def monomial(cls, alpha: Iterable[int], degree_bound: int | None = UNBOUNDED) -> "QSymElement":
         return cls({as_composition(alpha): Fraction(1)}, degree_bound)
@@ -100,7 +105,8 @@ class QSymElement:
     def __add__(self, other: "QSymElement") -> "QSymElement":
         _instance(other, QSymElement, "other")
         bound = _combined_bound(self.degree_bound, other.degree_bound)
-        out = dict(self.coords)
+        # ``dict(view)`` copies key by key; ``copy`` copies the table whole
+        out = self.coords.copy()
         for a, c in other.coords.items():
             out[a] = out.get(a, _ZERO) + c
         return QSymElement(_truncate(out, bound), bound)
@@ -512,24 +518,34 @@ def _validate_label_tuple(labels: Iterable[Label], ring: GradedRingData) -> Labe
     return out
 
 
-def _add_slot_product(
-    out: dict[LabelTuple, int], slots: Sequence[Iterable[tuple[Label, int]]], weight: int
-) -> None:
-    """Add a product of one sparse sum per slot into ``out``, deleting a key
-    whose sum is 0.
+def _slot_products(
+    pairs: list[list[Mapping[Label, Fraction]]], n: int
+) -> dict[LabelTuple, Fraction]:
+    """The sum over ``pairs`` of the product of one sparse sum per slot,
+    for pairs of at most n slots.
 
-    A slot is its (label, integer numerator) items.  Each choice of one
-    item per slot gives the tuple of the chosen labels, weighted by
-    ``weight`` times the product of the chosen numerators; the choices come
-    with the first slot outermost, and an empty slot gives none.
+    A slot maps labels to their coefficients.  Each choice of one item per
+    slot of a pair gives the tuple of the chosen labels, weighted by the
+    product of the chosen coefficients; the choices come with the first
+    slot outermost, and an empty slot gives none.  A key whose sum is 0 is
+    dropped where it falls to 0.
+
+    The sums run on integer numerators over L^n, L the lcm of the
+    denominators of every slot's coefficients: a pair of j slots is
+    weighted by L^(n - j).
     """
-    for choice in product(*slots):
-        key = tuple(l for l, _ in choice)
-        v = out.get(key, 0) + prod((c for _, c in choice), start=weight)
-        if v:
-            out[key] = v
-        else:
-            del out[key]
+    d = lcm(*{c.denominator for slots in pairs for slot in slots for c in slot.values()})
+    out: dict[LabelTuple, int] = {}
+    for slots in pairs:
+        weight = d ** (n - len(slots))
+        for choice in product(*[_integer_numerators(slot, d)[0] for slot in slots]):
+            key = tuple(l for l, _ in choice)
+            v = out.get(key, 0) + prod((c for _, c in choice), start=weight)
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+    return dict(zip(out, _fractions(list(out.values()), d**n)))
 
 
 def qsym_r_product(
@@ -544,11 +560,8 @@ def qsym_r_product(
     their paddings with the unit; the product is read off the
     initial-segment pure tensors (non-unit labels packed at the front),
     which pick out each basis element exactly once.  Only the pairs of
-    paddings that reach such a tensor are multiplied.
-
-    The sums run on integer numerators over L^n, L the lcm of the
-    denominators of every slot's constants: a pair whose first j slots
-    are hit is weighted by L^(n - j).
+    paddings that reach such a tensor are multiplied, each over the slots
+    it hits.
     """
     t = _validate_label_tuple(theta, ring)
     k = _validate_label_tuple(kappa, ring)
@@ -566,12 +579,7 @@ def qsym_r_product(
             if any(hit[length:]):
                 continue
             pairs.append([ring.product(a, b) for a, b in zip(k1[:length], k2[:length])])
-    d = lcm(*{c.denominator for slots in pairs for slot in slots for c in slot.values()})
-    out: dict[LabelTuple, int] = {}
-    for slots in pairs:
-        numerators = [_integer_numerators(slot, d)[0] for slot in slots]
-        _add_slot_product(out, numerators, d ** (n - len(slots)))
-    return dict(zip(out, _fractions(list(out.values()), d**n)))
+    return _slot_products(pairs, n)
 
 
 def qsym_r_product_shuffle(
@@ -580,12 +588,8 @@ def qsym_r_product_shuffle(
     ring: GradedRingData,
 ) -> dict[LabelTuple, Fraction]:
     """Cross-check route: overlapping shuffle of label tuples with collisions
-    resolved through the ring's structure constants.
-
-    The sums run on integer numerators over L^n, n = len(theta) +
-    len(kappa) the longest placement and L the lcm of the denominators of
-    every slot's constants: a placement into j slots is weighted by
-    L^(n - j).
+    resolved through the ring's structure constants.  Each placement into
+    at most len(theta) + len(kappa) slots is one pair of the sum.
     """
     t = _validate_label_tuple(theta, ring)
     k = _validate_label_tuple(kappa, ring)
@@ -595,9 +599,4 @@ def qsym_r_product_shuffle(
         for length in range(max(len(t), len(k)), n + 1)
         for l, r in overlapping_paddings(t, k, length, ring.unit)
     ]
-    d = lcm(*{c.denominator for slots in pairs for slot in slots for c in slot.values()})
-    out: dict[LabelTuple, int] = {}
-    for slots in pairs:
-        numerators = [_integer_numerators(slot, d)[0] for slot in slots]
-        _add_slot_product(out, numerators, d ** (n - len(slots)))
-    return dict(zip(out, _fractions(list(out.values()), d**n)))
+    return _slot_products(pairs, n)

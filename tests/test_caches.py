@@ -94,7 +94,11 @@ def test_changing_a_result_leaves_the_next_call_unchanged():
     poly = glide_polynomial((1, 2), 4, "closed")
     expected = list(poly.terms.items())
     expected_c = list(enumerate_C((1, 2), 4))
-    poly.terms.clear()
+    # the terms are read-only, so every write raises
+    with pytest.raises(AttributeError):
+        poly.terms.clear()
+    with pytest.raises(TypeError):
+        poly.terms[(0, 0, 0, 9)] = 1
     assert list(glide_polynomial((1, 2), 4, "closed").terms.items()) == expected
     assert list(enumerate_C((1, 2), 4)) == expected_c
 

@@ -4,7 +4,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from glidekit.errors import InvalidCompositionError, LengthMismatchError
+from glidekit.glides import glide_polynomial
+from glidekit.ktheory import chern_substitute, knutson_class
 from glidekit.poly import SparsePoly, _integer_numerators
+from glidekit.qsym import m_to_polynomial, polynomial_to_m
+from glidekit.schur import schur_polynomial
 
 
 def reference_mul(f, g):
@@ -186,6 +190,50 @@ def test_equality_and_hash_ignore_the_term_order():
     g = SparsePoly(2, {(0, 1): Fraction(2, 3), (1, 0): 1})
     assert list(f.terms) != list(g.terms)
     assert f == g and hash(f) == hash(g)
+
+
+def _returned_values():
+    f = SparsePoly(2, {(1, 0): 1, (0, 1): Fraction(2, 3)})
+    g = SparsePoly(2, {(1, 1): Fraction(1, 2), (0, 1): 2})
+    chern = chern_substitute(knutson_class((1, 2), 3, 2))
+    return [
+        ("SparsePoly", f),
+        ("+", f + g),
+        ("-", f - g),
+        ("*", f * g),
+        ("scale", f.scale(Fraction(3, 2))),
+        ("restrict", f.restrict(1)),
+        ("knutson_class", knutson_class((1, 2), 3, 2).poly),
+        *[(method, glide_polynomial((1, 2), 3, method)) for method in ("poset", "barred", "closed")],
+        ("m_to_polynomial", m_to_polynomial((1, 2), 3)),
+        ("schur_polynomial", schur_polynomial((2, 1), 2)),
+        ("chern image", chern),
+        ("polynomial_to_m", polynomial_to_m(chern, 3)),
+    ]
+
+
+_RETURNED = _returned_values()
+
+
+@pytest.mark.parametrize("name, value", _RETURNED, ids=[name for name, _ in _RETURNED])
+def test_returned_values_are_read_only(name, value):
+    terms = value.coords if name == "polynomial_to_m" else value.terms
+    before = list(terms.items())
+    # a write would change the terms, and with them the hash, so a value
+    # kept in a set would be lost from it
+    kept = {value}
+    assert before, name
+    key, _ = before[0]
+    with pytest.raises(TypeError):
+        terms[key] = Fraction(5)
+    with pytest.raises(TypeError):
+        terms[(9,) * len(key)] = Fraction(5)
+    with pytest.raises(TypeError):
+        del terms[key]
+    with pytest.raises(AttributeError):
+        terms.clear()
+    assert list(terms.items()) == before
+    assert value in kept
 
 
 def test_public_constructor_keeps_its_checks():

@@ -24,8 +24,8 @@ from glidekit.poly import SparsePoly
 from glidekit.qsym import (
     GradedRingData,
     QSymElement,
-    _add_slot_product,
     _group_by_positive_part,
+    _slot_products,
     cpinf_ring,
     glide_element,
     glide_expand,
@@ -252,41 +252,36 @@ def _reference_slot_expansion(slots, scale):
         max_size=4,
     ),
     held=st.lists(st.one_of(st.none(), _COEFFS), max_size=8),
-    w=st.integers(1, 3),
+    extra=st.integers(0, 2),
 )
-@example(slots=[{"a": Fraction(1, 2)}, {}, {"b": Fraction(1, 2)}], held=[], w=1)
-@example(slots=[], held=[None], w=1)
+@example(slots=[{"a": Fraction(1, 2)}, {}, {"b": Fraction(1, 2)}], held=[], extra=0)
+@example(slots=[], held=[None], extra=0)
 @example(
     slots=[{"a": Fraction(1, 2), "b": Fraction(2)}, {"c": Fraction(1, 2)}],
     held=[None, Fraction(3)],
-    w=1,
+    extra=0,
 )
-def test_slot_product_matches_prefix_expansion(slots, held, w):
-    # the rational slots as the routes hand them over: integer numerators
-    # over d, the lcm of every denominator here, with a weight that makes
-    # the sums the rational ones times S = d^(len(slots) + 1) * w, so every
-    # held coefficient scales to an int as well
-    denominators = [c.denominator for slot in slots for c in slot.values()]
-    d = lcm(*denominators, *(h.denominator for h in held if h is not None))
-    scale = d ** (len(slots) + 1) * w
-    numerators = [[(l, int(c * d)) for l, c in slot.items()] for slot in slots]
-    expected = {
-        key: int(c * scale) for key, c in _reference_slot_expansion(slots, Fraction(1)).items()
-    }
-    out = {}
-    _add_slot_product(out, numerators, d * w)
+def test_slot_product_matches_prefix_expansion(slots, held, extra):
+    # the rational slots as the routes hand them over, as one pair; n is at
+    # least the length of every pair, and the sum comes back as Fractions
+    n = max(len(slots), 1) + extra
+    expected = _reference_slot_expansion(slots, Fraction(1))
+    out = _slot_products([slots], n)
     assert list(out.items()) == list(expected.items())
-    assert all(type(c) is int for c in out.values())
-    # into a dict that already holds keys: a held coefficient of None cancels
-    # its expansion key, which must leave the dict
-    start = {("held",): 5 * scale}
+    assert all(type(c) is Fraction for c in out.values())
+    # after earlier pairs that already hold keys: a pair of one item per slot
+    # holds one key, and a held coefficient of None cancels its expansion
+    # key, which must leave the sum.  The empty key is the empty pair's
+    # product, 1, so no earlier pair holds another coefficient there
+    earlier = [[{"held": Fraction(5)}]]
+    merged = {("held",): Fraction(5)}
     for (key, c), h in zip(expected.items(), held):
-        start[key] = -c if h is None else int(h * scale)
-    merged = dict(start)
+        if key:
+            merged[key] = -c if h is None else h
+            earlier.append([{key[0]: merged[key]}] + [{l: Fraction(1)} for l in key[1:]])
     for key, c in expected.items():
         merged[key] = merged.get(key, 0) + c
-    out = dict(start)
-    _add_slot_product(out, numerators, d * w)
+    out = _slot_products(earlier + [slots], n)
     assert list(out.items()) == [(key, c) for key, c in merged.items() if c]
 
 
@@ -372,6 +367,16 @@ def test_degree_bound_truncation():
         QSymElement({(2, 2): Fraction(1)}, degree_bound=3)
     with pytest.raises(OutOfRangeError):
         QSymElement({}, degree_bound=-1)
+
+
+def test_equal_elements_hash_equal():
+    # equal coordinates in another order: one hash, and a set finds either
+    q = QSymElement({(1,): 1, (2, 1): Fraction(1, 2)}, 4)
+    r = QSymElement({(2, 1): Fraction(1, 2), (1,): 1}, 4)
+    assert list(q.coords) != list(r.coords)
+    assert q == r and hash(q) == hash(r)
+    assert q in {q} and r in {q}
+    assert QSymElement({(1,): 1}, 4) not in {QSymElement({(1,): 1})}
 
 
 def test_returned_coordinates_are_read_only():
