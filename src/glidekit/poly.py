@@ -4,7 +4,8 @@ The universal polynomial container of the package: a finitely supported
 mapping exponent-vector -> Fraction, with a fixed number of variables.
 Zero coefficients are never stored.  The terms are read-only: every
 constructor holds them behind a view that refuses writes, so a polynomial's
-value and hash never change.
+value and hash never change.  Pickle and copy rebuild a polynomial through
+the checked constructor.
 
 Products run on integers: each factor is scaled to integer numerators over
 the lcm of its denominators, the numerators are multiplied and summed as
@@ -205,6 +206,11 @@ class SparsePoly:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete {name!r}: a polynomial's attributes are set once")
+
+    # pickle and copy rebuild through the checked constructor, as the
+    # read-only view over the terms cannot be pickled
+    def __reduce__(self):
+        return SparsePoly, (self.nvars, self.terms.copy())
 
     @classmethod
     def zero(cls, nvars: int) -> "SparsePoly":

@@ -98,6 +98,11 @@ class QSymElement:
     def __hash__(self) -> int:
         return hash((frozenset(self.coords.items()), self.degree_bound))
 
+    # as ``SparsePoly``: the coords view cannot be pickled, so pickle and
+    # copy rebuild through the checked constructor
+    def __reduce__(self):
+        return QSymElement, (self.coords.copy(), self.degree_bound)
+
     @classmethod
     def monomial(cls, alpha: Iterable[int], degree_bound: int | None = UNBOUNDED) -> "QSymElement":
         return cls({as_composition(alpha): Fraction(1)}, degree_bound)

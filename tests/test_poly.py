@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -7,7 +9,7 @@ from glidekit.errors import InvalidCompositionError, LengthMismatchError
 from glidekit.glides import glide_polynomial
 from glidekit.ktheory import chern_substitute, knutson_class
 from glidekit.poly import SparsePoly, _integer_numerators
-from glidekit.qsym import m_to_polynomial, polynomial_to_m
+from glidekit.qsym import QSymElement, m_to_polynomial, polynomial_to_m
 from glidekit.schur import schur_polynomial
 
 
@@ -234,6 +236,27 @@ def test_returned_values_are_read_only(name, value):
         terms.clear()
     assert list(terms.items()) == before
     assert value in kept
+
+
+_COPIED = [
+    *_RETURNED,
+    ("KRingElement", knutson_class((1, 2), 3, 2)),
+    ("bounded QSymElement", QSymElement({(1, 2): Fraction(1, 3), (2,): 2}, 4)),
+]
+
+
+@pytest.mark.parametrize("name, value", _COPIED, ids=[name for name, _ in _COPIED])
+@pytest.mark.parametrize(
+    "copier",
+    [lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy],
+    ids=["pickle", "copy", "deepcopy"],
+)
+def test_returned_values_pickle_and_copy(name, value, copier):
+    # the read-only views cannot be pickled themselves; the values rebuild
+    # through their checked constructors
+    got = copier(value)
+    assert type(got) is type(value), name
+    assert got == value and hash(got) == hash(value), name
 
 
 def test_public_constructor_keeps_its_checks():
