@@ -199,9 +199,9 @@ def chern_substitute(element: KRingElement) -> SparsePoly:
     order, which is lexicographic order.  They are a read-only view over
     the box that builds its dict and Fractions on its first read and never
     before, so a caller that only counts the terms or reads coordinates
-    builds neither.  The image keeps ``(box, V, denominator)`` for the
-    slice check of ``qsym.polynomial_to_m`` and ``is_quasisymmetric``, and
-    neither the view nor the box can be rebound, so the two cannot part.
+    builds neither.  The view is the box's one home: the slice check of
+    ``qsym.polynomial_to_m`` and ``is_quasisymmetric`` reads the box from
+    it, and an image's terms cannot be rebound, so the two cannot part.
     """
     m = _instance(element, KRingElement, "element").m
     n = element.nvars
@@ -239,9 +239,7 @@ def chern_substitute(element: KRingElement) -> SparsePoly:
             if column is not None:
                 box[d::b] = column
     denominator = factorial(m) ** n * lcm_coeff
-    image = SparsePoly._trusted(n, _BoxTerms(n, box, values, denominator))
-    image._box = (box, values, denominator)
-    return image
+    return SparsePoly._trusted(n, _BoxTerms(n, box, values, denominator))
 
 
 def is_quasisymmetric(f: SparsePoly, n: int) -> bool:

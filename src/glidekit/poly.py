@@ -3,9 +3,9 @@
 The universal polynomial container of the package: a finitely supported
 mapping exponent-vector -> Fraction, with a fixed number of variables.
 Zero coefficients are never stored.  The terms are read-only: every
-constructor holds them behind a view that refuses writes, so a polynomial's
-value and hash never change.  Pickle and copy rebuild a polynomial through
-the checked constructor.
+constructor holds them behind a view that refuses writes, and no attribute
+can be set or deleted, so a polynomial's value and hash never change.
+Pickle and copy rebuild a polynomial through the checked constructor.
 
 Products run on integers: each factor is scaled to integer numerators over
 the lcm of its denominators, the numerators are multiplied and summed as
@@ -78,7 +78,8 @@ class _BoxTerms(Mapping):
     ``denominator``, entry i sitting at the exponent vector whose entries
     are the values at the base-|V| digits of i in V = ``exponents``.  The
     terms are the nonzero entries, in index order, which is lexicographic
-    order.
+    order.  A Chern image's terms are such a view, the one place its box is
+    kept.
 
     ``len`` counts the nonzero entries.  Every other read builds the dict
     of terms the first time, one Fraction per distinct numerator, and goes
@@ -137,12 +138,7 @@ class _BoxTerms(Mapping):
 
 
 class SparsePoly:
-    # ``_box`` is left unset here: only ``ktheory.chern_substitute`` fills
-    # it, with ``(numerators, V, denominator)`` of the dense box the image
-    # was computed on, and only the slice check ``qsym._checked_box`` reads
-    # it.  Such an image's terms are a ``_BoxTerms`` over the same box, and
-    # no attribute is set twice, so the terms cannot drift from the box
-    __slots__ = ("nvars", "terms", "_box")
+    __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[ExponentVector, Fraction | int] | None = None):
         object.__setattr__(self, "nvars", _size(nvars, 0, "nvars"))
@@ -198,14 +194,12 @@ class SparsePoly:
         return cls._trusted(nvars, terms)
 
     # the constructors set ``nvars`` and ``terms`` with ``object.__setattr__``,
-    # as a frozen dataclass does, so building a polynomial pays no check
+    # as a frozen dataclass does, and nothing else sets or deletes either
     def __setattr__(self, name: str, value: object) -> None:
-        if hasattr(self, name):
-            raise AttributeError(f"cannot rebind {name!r}: a polynomial's attributes are set once")
-        object.__setattr__(self, name, value)
+        raise AttributeError(f"cannot set {name!r}: a polynomial is read-only")
 
     def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete {name!r}: a polynomial's attributes are set once")
+        raise AttributeError(f"cannot delete {name!r}: a polynomial is read-only")
 
     # pickle and copy rebuild through the checked constructor, as the
     # read-only view over the terms cannot be pickled

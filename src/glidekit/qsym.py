@@ -46,7 +46,7 @@ from .errors import (
 )
 from .glides import glide_m_expansion
 from .jsonio import parse_frac, read_json
-from .poly import SparsePoly, _fractions, _integer_numerators
+from .poly import SparsePoly, _BoxTerms, _fractions, _integer_numerators
 
 UNBOUNDED = None
 
@@ -145,15 +145,15 @@ def m_to_polynomial(alpha: Iterable[int], n: int) -> SparsePoly:
     return SparsePoly._trusted(_size(n, 0, "n"), dict.fromkeys(paddings(a, n), _ONE))
 
 
-def _checked_box(f: SparsePoly, n: int) -> tuple[list[int], tuple[int, ...], int] | None:
-    """The slice check: f's ``(box, values, denominator)`` if f carries a
-    box and is quasisymmetric, else None; ``n`` must be f's variable count.
+def _checked_box(f: SparsePoly, n: int) -> _BoxTerms | None:
+    """The slice check: f's terms if they are a box view (``_BoxTerms``)
+    and f is quasisymmetric, else None; ``n`` must be f's variable count.
 
-    The box holds f's integer numerators over ``denominator`` at the
-    exponent vectors whose entries lie in ``values``, the base-|V| digits
-    of an index being the positions of e_1, ..., e_n in ``values``; f's
-    terms are its nonzero entries, in index order.  Moving a 0 past a part
-    keeps the positive part, and such moves join any two placements of a
+    The box holds f's integer numerators over one denominator at the
+    exponent vectors whose entries lie in V, the base-|V| digits of an
+    index being the positions of e_1, ..., e_n in V; f's terms are its
+    nonzero entries, in index order.  Moving a 0 past a part keeps the
+    positive part, and such moves join any two placements of a
     composition, so f is quasisymmetric exactly when
     A[..., 0, v, ...] = A[..., v, 0, ...] on each adjacent pair of axes.
     For the pair (i, i + 1) the two sides are blocks of |V|^(n - i - 2)
@@ -162,11 +162,10 @@ def _checked_box(f: SparsePoly, n: int) -> tuple[list[int], tuple[int, ...], int
     """
     if _instance(f, SparsePoly, "f").nvars != _size(n, 0, "n"):
         raise LengthMismatchError(f"polynomial has {f.nvars} variables, expected {n}")
-    boxed = getattr(f, "_box", None)
-    if boxed is None:
+    view = f.terms
+    if type(view) is not _BoxTerms:
         return None
-    box, values, _ = boxed
-    b = len(values)
+    box, b = view._numerators, len(view._exponents)
     for i in range(n - 1):
         outer = b ** (n - i)
         inner = outer // b // b
@@ -181,17 +180,18 @@ def _checked_box(f: SparsePoly, n: int) -> tuple[list[int], tuple[int, ...], int
                 for t in range(inner):
                     if box[left + t :: outer] != box[right + t :: outer]:
                         return None
-    return boxed
+    return view
 
 
-def _read_box(n: int, box: list, values: tuple, denominator: int) -> dict[Composition, Fraction]:
+def _read_box(view: _BoxTerms) -> dict[Composition, Fraction]:
     """The box reader: the coordinates of a polynomial whose box has passed
     the check, read at the placements (0, ..., 0, gamma), the indices whose
     digits are some 0s followed by no 0; in index order they come by
     length, then in lexicographic order.  Each coefficient is the
-    placement's numerator over ``denominator``, one Fraction per distinct
-    numerator, as the polynomial's terms are built; the terms are not read.
+    placement's numerator over the box's denominator, one Fraction per
+    distinct numerator, as the view builds the terms, which are not read.
     """
+    n, values = view._nvars, view._exponents
     b = len(values)
     # over k digits, tails[i] is 1 when i's digits are 0s then no 0, and
     # full[i] when no digit of i is 0
@@ -200,9 +200,9 @@ def _read_box(n: int, box: list, values: tuple, denominator: int) -> dict[Compos
         tails, full = tails + full * (b - 1), [0] * len(full) + full * (b - 1)
     # the entries at the placements: the nonzero ones pick the compositions
     # and give the coefficients
-    placed = list(compress(box, tails))
+    placed = list(compress(view._numerators, tails))
     gammas = chain.from_iterable(product(values[1:], repeat=k) for k in range(n + 1))
-    return dict(zip(compress(gammas, placed), _fractions(placed, denominator)))
+    return dict(zip(compress(gammas, placed), _fractions(placed, view._denominator)))
 
 
 def _group_by_positive_part(
@@ -249,9 +249,9 @@ def polynomial_to_m(f: SparsePoly, n: int) -> QSymElement:
     to ``_group_by_positive_part``, which also names the failing
     composition.  Nothing is kept between calls.
     """
-    boxed = _checked_box(f, n)
-    if boxed is not None:
-        coords = _read_box(n, *boxed)
+    view = _checked_box(f, n)
+    if view is not None:
+        coords = _read_box(view)
     else:
         coords, failed = _group_by_positive_part(f, n)
         if failed is not None:

@@ -7,6 +7,7 @@ from typing import Any, Callable, NamedTuple
 
 import glidekit as gk
 from glidekit.errors import LengthMismatchError, MalformedInputError, UnknownLabelError
+from glidekit.poly import _BoxTerms
 
 
 def compositions_of(total):
@@ -62,7 +63,9 @@ def assert_box_is_image(image, n):
     denominator.  The slice check and the box reader of criterion 07 read
     the box, and the terms are a view built from it, so the two must
     describe one polynomial."""
-    box, values, denominator = image._box
+    view = image.terms
+    assert type(view) is _BoxTerms, type(view)
+    box, values, denominator = view._numerators, view._exponents, view._denominator
     assert len(box) == len(values) ** n
     assert list(compress(product(values, repeat=n), box)) == list(image.terms)
     numerators = list(filter(None, box))

@@ -304,10 +304,12 @@ def test_chern_substitute_without_variables(m):
     # with n = 0 no pass runs: the scattered one-entry box is the image
     constant = chern_substitute(KRingElement(SparsePoly(0, {(): Fraction(-2, 3)}), m))
     assert constant.terms == {(): Fraction(-2, 3)}
-    assert constant._box == ([-2], (0,), 3)
+    box = constant.terms
+    assert (box._numerators, box._exponents, box._denominator) == ([-2], (0,), 3)
     zero = chern_substitute(KRingElement(SparsePoly.zero(0), m))
     assert zero.terms == {}
-    assert zero._box == ([0], (0,), 1)
+    box = zero.terms
+    assert (box._numerators, box._exponents, box._denominator) == ([0], (0,), 1)
 
 
 def test_chern_substitute_matches_naive_expansion():
@@ -436,7 +438,7 @@ def test_chern_substitute_matches_series_products(element):
     coords, failed = _group_by_positive_part(SparsePoly(n, image.terms), n)
     boxed = _checked_box(image, n)
     assert (boxed is None) == (failed is not None)
-    assert boxed is None or list(_read_box(n, *boxed).items()) == list(coords.items())
+    assert boxed is None or list(_read_box(boxed).items()) == list(coords.items())
 
 
 @pytest.mark.parametrize(

@@ -20,7 +20,7 @@ from glidekit.errors import (
 )
 from glidekit.glides import glide_polynomial
 from glidekit.ktheory import chern_substitute, is_quasisymmetric, knutson_class
-from glidekit.poly import SparsePoly
+from glidekit.poly import SparsePoly, _BoxTerms
 from glidekit.qsym import (
     GradedRingData,
     QSymElement,
@@ -1040,8 +1040,9 @@ def _built_from(f):
 
 
 def test_polynomials_start_unboxed():
-    # only ``chern_substitute`` keeps a box on what it builds; a polynomial
-    # made from a Chern image by any constructor or operation has none
+    # only ``chern_substitute`` builds terms that are a box view; a polynomial
+    # made from a Chern image by any constructor or operation has plain terms,
+    # but ``_trusted`` of the image's own view shares that read-only view
     p = SparsePoly(2, {(1, 0): 1, (0, 1): 1})
     chern = chern_substitute(knutson_class((1, 2), 3, 2))
     built = [
@@ -1056,9 +1057,8 @@ def test_polynomials_start_unboxed():
         knutson_class((1, 2), 3, 2).poly,
         glide_polynomial((1, 2), 3),
     ]
-    for f in built:
-        assert not hasattr(f, "_box"), f
-    assert hasattr(chern, "_box")
+    assert [f.terms is chern.terms for f in built if type(f.terms) is _BoxTerms] == [True]
+    assert type(chern.terms) is _BoxTerms
     assert polynomial_to_m(SparsePoly(3, chern.terms), 3) == polynomial_to_m(chern, 3)
 
 
@@ -1087,14 +1087,15 @@ def test_chern_image_terms_cannot_part_from_its_box():
 
 
 def test_polynomial_attributes_are_set_once():
-    # a Chern image's readers answer from its box, so neither the box nor
-    # the terms nor the variable count can be rebound or deleted
+    # a Chern image's readers answer from the box its terms hold, so
+    # neither the terms nor the variable count can be rebound or deleted,
+    # and no other name, ``_box`` included, can be set
     chern = chern_substitute(knutson_class((1, 2), 3, 2))
     coords = list(polynomial_to_m(chern, 3).coords.items())
     terms = list(chern.terms.items())
     changed = dict(chern.terms)
     changed[(0, 1, 0)] = Fraction(99)
-    for name, value in [("terms", changed), ("nvars", 4), ("_box", None)]:
+    for name, value in [("terms", changed), ("nvars", 4), ("_box", None), ("other", 1)]:
         with pytest.raises(AttributeError):
             setattr(chern, name, value)
         with pytest.raises(AttributeError):
@@ -1105,4 +1106,6 @@ def test_polynomial_attributes_are_set_once():
     plain = SparsePoly(2, {(1, 0): 1})
     with pytest.raises(AttributeError):
         plain.terms = {(0, 1): Fraction(1)}
+    with pytest.raises(AttributeError):
+        plain._box = ([1], (0, 1), 1)
     assert plain == SparsePoly(2, {(1, 0): 1})

@@ -7,8 +7,8 @@ the two Mobius oracles (the string poset's and the K-side's) or between
 two routes that check each other (the crosscut Mobius and the string
 poset's bitset core, the tensor engine and the overlapping shuffle, the
 two coordinate readers, the closed and barred glides, the tableau rule
-and the tensor engine), no use of
-``SparsePoly``'s Chern box outside its one writer and its one reader, no
+and the tensor engine), no Chern box view built outside
+``chern_substitute`` or read outside itself and the two box readers, no
 ``isinstance`` test of a library class outside the one object rule, no
 count read off ``ssyt_enumerate``'s list of tableaux, and no use of the
 tableau walker outside ``schur.py``.
@@ -202,7 +202,8 @@ _ROUTES_APART = {
     "grouping-reader": (
         "qsym.py",
         {"_group_by_positive_part"},
-        {"_checked_box", "_read_box", "_box"},
+        {"_checked_box", "_read_box", "_BoxTerms"}
+        | {"_nvars", "_numerators", "_exponents", "_denominator"},
     ),
     "box-readers": ("qsym.py", {"_checked_box", "_read_box"}, {"_group_by_positive_part"}),
     # the closed and barred glide routes check each other and the poset route
@@ -254,52 +255,45 @@ def test_independent_routes_share_no_core(route):
         assert not named, f"{name} reaches the route it checks through {sorted(named)}"
 
 
-# ``SparsePoly._box`` holds the dense box a Chern image was computed on,
-# and the slice check answers criterion 07 from it.  The box has one writer
-# and one reader.  Only ``chern_substitute`` may write it, so no other
-# builder can hand the check a box it did not compute, and only the slice
-# check (``qsym._checked_box``) may read it (``poly.py`` only declares it),
-# so the box reader is given a box that passed the check and nothing else.
-_SLOT_USES = {
-    "_box": {
-        ("ktheory.py", "chern_substitute"): {"write"},
-        ("qsym.py", "_checked_box"): {"read"},
-    },
+# A Chern image's dense box lives in its terms view, ``poly._BoxTerms``, and
+# the slice check answers criterion 07 from it.  Only ``chern_substitute``
+# may build a view, so no other builder can hand the check a box it did not
+# compute, and only the view itself and the two box readers may read the
+# box's fields, so the box reader is given a box that passed the check.
+_BOX_FIELDS = {"_nvars", "_numerators", "_exponents", "_denominator"}
+_BOX_USES = {
+    ("ktheory.py", "chern_substitute"): {"build"},
+    ("poly.py", "_BoxTerms"): {"read"},
+    ("qsym.py", "_checked_box"): {"read"},
+    ("qsym.py", "_read_box"): {"read"},
 }
 
 
-def _slot_uses(node: ast.AST, slot: str, function: str | None = None):
-    """(function, line, kind) of every attribute or string constant naming
-    the slot, with the innermost enclosing function; kind is "write" for an
-    attribute assignment and "read" otherwise.  A ``__slots__`` assignment
-    declares the slot and neither reads nor writes it."""
-    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-        function = node.name
-    if isinstance(node, ast.Assign) and any(
-        isinstance(t, ast.Name) and t.id == "__slots__" for t in node.targets
-    ):
-        return
-    if isinstance(node, ast.Attribute) and node.attr == slot:
-        yield function, node.lineno, "write" if isinstance(node.ctx, ast.Store) else "read"
-    if isinstance(node, ast.Constant) and node.value == slot:
-        yield function, node.lineno, "read"
-    for child in ast.iter_child_nodes(node):
-        yield from _slot_uses(child, slot, function)
+def _box_uses(tree: ast.Module):
+    """(top-level definition, line, kind) of each call of ``_BoxTerms``, kind
+    "build", and of each attribute or string naming a box field, "read"."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and "_BoxTerms" in _used_names(node.func):
+                yield getattr(top, "name", None), node.lineno, "build"
+            elif (isinstance(node, ast.Attribute) and node.attr in _BOX_FIELDS) or (
+                isinstance(node, ast.Constant) and node.value in _BOX_FIELDS
+            ):
+                yield getattr(top, "name", None), node.lineno, "read"
 
 
 def test_only_the_chern_box_writer_and_reader_use_the_box():
-    for slot, allowed_uses in _SLOT_USES.items():
-        seen, found = set(), []
-        for path in sorted(PACKAGE.glob("*.py")):
-            for function, line, kind in _slot_uses(_tree(path), slot):
-                if kind in allowed_uses.get((path.name, function), ()):
-                    seen.add((path.name, function, kind))
-                else:
-                    found.append(f"{path.name}:{line} {kind} in {function or 'module'}")
-        assert not found, f"{slot} is used outside its reader and writer: {found}"
-        # the guard sees the slot both read and written, so it is not
-        # matching nothing
-        assert {kind for *_, kind in seen} == {"read", "write"}, slot
+    seen, found = set(), []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top, line, kind in _box_uses(_tree(path)):
+            if kind in _BOX_USES.get((path.name, top), ()):
+                seen.add((path.name, top))
+            else:
+                found.append(f"{path.name}:{line} {kind} in {top or 'module'}")
+    assert not found, f"the Chern box is used outside its builder and readers: {found}"
+    # the guard sees the view built and each reader read it, so it is not
+    # matching nothing
+    assert seen == set(_BOX_USES)
 
 
 # every library-object argument goes through ``compositions._instance``,
