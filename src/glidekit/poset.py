@@ -104,6 +104,16 @@ class GlidePoset:
         self._down: list[int] | None = None
         self._atoms: frozenset[WeakComposition] | None = None
 
+    # an attribute is set once and never deleted; the order tables and the
+    # atoms are memos that ``_fill`` sets to None and the first query fills
+    def __setattr__(self, name: str, value: object) -> None:
+        if self.__dict__.get(name) is not None:
+            raise AttributeError(f"cannot rebind {name!r}: a poset is immutable")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: a poset is immutable")
+
     @property
     def atom_set(self) -> frozenset[WeakComposition]:
         """The minimal elements, found with the componentwise order alone.

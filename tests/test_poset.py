@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -442,3 +444,38 @@ def test_atom_set_is_the_minimal_elements(p):
 @given(p=st.one_of(small_string_sets(), hand_built_posets()))
 def test_meet_matches_the_greatest_common_lower_bound(p):
     _check_meets(p)
+
+
+def test_poset_cannot_be_changed_after_it_is_built():
+    p = build_poset((1, 2), 3)
+    mu = p.mobius()
+    assert len(mu) == 5
+    for name, value in [("n", 4), ("elements", p.elements[:2]), ("_index", {})]:
+        with pytest.raises(AttributeError):
+            setattr(p, name, value)
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    assert p.mobius() == mu and p.n == 3 and len(p) == 5
+    # the order tables and the atoms fill once, on their first query
+    atoms_found = p.atom_set
+    for name in ("_down", "_atoms"):
+        with pytest.raises(AttributeError):
+            setattr(p, name, None)
+        with pytest.raises(AttributeError):
+            delattr(p, name)
+    assert p.atom_set == atoms_found and p.mobius() == mu
+
+
+@pytest.mark.parametrize("queried", [False, True])
+def test_poset_pickles_and_copies(queried):
+    p = build_poset((1, 2), 3)
+    expected = (build_poset((1, 2), 3).mobius(), build_poset((1, 2), 3).covers())
+    if queried:
+        p.mobius(), p.atom_set
+    for copier in (lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy):
+        got = copier(p)
+        assert got.n == p.n and got.elements == p.elements
+        assert (got.mobius(), got.covers()) == expected
+        assert got.atom_set == p.atom_set
+        with pytest.raises(AttributeError):
+            got.elements = ()
