@@ -3,9 +3,9 @@
 The universal polynomial container of the package: a finitely supported
 mapping exponent-vector -> Fraction, with a fixed number of variables.
 Zero coefficients are never stored.  The terms are read-only: every
-constructor holds them behind a view that refuses writes, and no attribute
-can be set or deleted, so a polynomial's value and hash never change.
-Pickle and copy rebuild a polynomial through the checked constructor.
+constructor holds them behind a view that refuses writes, and a polynomial
+is a frozen dataclass, equal by ``(nvars, terms)``, so its value and hash
+never change.  Pickle and copy rebuild it through the checked constructor.
 
 Products run on integers: each factor is scaled to integer numerators over
 the lcm of its denominators, the numerators are multiplied and summed as
@@ -17,6 +17,7 @@ adds the vectors.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, product, repeat
 from math import lcm
@@ -137,8 +138,12 @@ class _BoxTerms(Mapping):
         return self._built().items()
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class SparsePoly:
+    # slots by hand: with ``slots=True``, 3.10 and 3.11 raise TypeError on other names
     __slots__ = ("nvars", "terms")
+    nvars: int
+    terms: Mapping[ExponentVector, Fraction]
 
     def __init__(self, nvars: int, terms: Mapping[ExponentVector, Fraction | int] | None = None):
         object.__setattr__(self, "nvars", _size(nvars, 0, "nvars"))
@@ -193,14 +198,6 @@ class SparsePoly:
                 terms[e] = q
         return cls._trusted(nvars, terms)
 
-    # the constructors set ``nvars`` and ``terms`` with ``object.__setattr__``,
-    # as a frozen dataclass does, and nothing else sets or deletes either
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot set {name!r}: a polynomial is read-only")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete {name!r}: a polynomial is read-only")
-
     # pickle and copy rebuild through the checked constructor, as the
     # read-only view over the terms cannot be pickled
     def __reduce__(self):
@@ -224,11 +221,6 @@ class SparsePoly:
 
     def coefficient(self, exps: Iterable[int]) -> Fraction:
         return self.terms.get(_string(exps, self.nvars, "exponent vector"), _ZERO)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SparsePoly):
-            return NotImplemented
-        return self.nvars == other.nvars and self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash((self.nvars, frozenset(self.terms.items())))

@@ -24,7 +24,8 @@ cover pair.
 from __future__ import annotations
 
 from collections import defaultdict
-from functools import reduce
+from dataclasses import dataclass
+from functools import cached_property, reduce
 from itertools import accumulate, combinations
 from operator import and_, getitem, le, or_
 from typing import Iterable, Sequence
@@ -70,6 +71,7 @@ def atoms(alpha: Iterable[int], n: int) -> frozenset[WeakComposition]:
     return frozenset(paddings(a, _size(n, len(a), "n")))
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class GlidePoset:
     """Length-n strings ordered componentwise (for ``build_poset``, the
     closure of the zero-paddings of alpha under componentwise max).
@@ -78,13 +80,20 @@ class GlidePoset:
     elements, when ``atom_set`` is first read.  Every element must be a weak
     composition of length n; repeated elements count once.  Elements are
     stored lexicographically sorted, so iteration order, linear extensions,
-    and serialized output are deterministic.  Instances are immutable after
-    construction; the order tables are built on the first order query.
+    and serialized output are deterministic.  A poset is a frozen dataclass
+    that compares and hashes by ``(n, elements)``; the element index, the
+    order tables and the atoms are cached properties, each built on its
+    first read.
     """
+
+    n: int
+    elements: tuple[WeakComposition, ...]
 
     def __init__(self, n: int, elements: Iterable[WeakComposition]):
         n = _size(n, 0, "n")
-        self._fill(n, {_string(e, n, "poset element") for e in _container(elements, "elements")})
+        strings = {_string(e, n, "poset element") for e in _container(elements, "elements")}
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "elements", tuple(sorted(strings)))
 
     @classmethod
     def _trusted(cls, n: int, elements: set[WeakComposition]) -> "GlidePoset":
@@ -94,27 +103,15 @@ class GlidePoset:
         >= 0 and every element is a tuple of n nonnegative ints.
         """
         self = object.__new__(cls)
-        self._fill(n, elements)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "elements", tuple(sorted(elements)))
         return self
 
-    def _fill(self, n: int, elements: set[WeakComposition]) -> None:
-        self.n = n
-        self.elements = tuple(sorted(elements))
-        self._index = {p: i for i, p in enumerate(self.elements)}
-        self._down: list[int] | None = None
-        self._atoms: frozenset[WeakComposition] | None = None
+    @cached_property
+    def _index(self) -> dict[WeakComposition, int]:
+        return {p: i for i, p in enumerate(self.elements)}
 
-    # an attribute is set once and never deleted; the order tables and the
-    # atoms are memos that ``_fill`` sets to None and the first query fills
-    def __setattr__(self, name: str, value: object) -> None:
-        if self.__dict__.get(name) is not None:
-            raise AttributeError(f"cannot rebind {name!r}: a poset is immutable")
-        object.__setattr__(self, name, value)
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete {name!r}: a poset is immutable")
-
-    @property
+    @cached_property
     def atom_set(self) -> frozenset[WeakComposition]:
         """The minimal elements, found with the componentwise order alone.
 
@@ -124,13 +121,11 @@ class GlidePoset:
         kept one lies below it.  The bitset downsets are never read, so
         ``mobius_crosscut`` shares no order query with ``mobius``.
         """
-        if self._atoms is None:
-            minimal: list[WeakComposition] = []
-            for e in sorted(self.elements, key=sum):
-                if not any(all(map(le, a, e)) for a in minimal):
-                    minimal.append(e)
-            self._atoms = frozenset(minimal)
-        return self._atoms
+        minimal: list[WeakComposition] = []
+        for e in sorted(self.elements, key=sum):
+            if not any(all(map(le, a, e)) for a in minimal):
+                minimal.append(e)
+        return frozenset(minimal)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -145,6 +140,7 @@ class GlidePoset:
             raise OutOfRangeError(f"{s} is not an element of this poset")
         return s
 
+    @cached_property
     def _downsets(self) -> list[int]:
         """Bitset of the downset of every element, by index.
 
@@ -153,8 +149,6 @@ class GlidePoset:
         Each table is keyed by the values coordinate i takes, so it has at
         most one entry per element however large a part is.
         """
-        if self._down is not None:
-            return self._down
         tables = []
         for i in range(self.n):
             exact: defaultdict[int, int] = defaultdict(int)
@@ -163,8 +157,7 @@ class GlidePoset:
             present = sorted(exact)
             tables.append(dict(zip(present, accumulate(map(exact.__getitem__, present), or_))))
         full = (1 << len(self.elements)) - 1
-        self._down = [reduce(and_, map(getitem, tables, e), full) for e in self.elements]
-        return self._down
+        return [reduce(and_, map(getitem, tables, e), full) for e in self.elements]
 
     def mobius(self) -> dict[WeakComposition, int]:
         """Unique table with sum over {q <= p} of mu(q) equal to 1, for all p.
@@ -180,7 +173,7 @@ class GlidePoset:
         planes: list[list[int]] = []
         values = []
         bit = 1
-        for d in self._downsets():
+        for d in self._downsets:
             below = 0
             b = 0
             for plus, minus in planes:
@@ -235,7 +228,7 @@ class GlidePoset:
         is one of them.
         """
         a, b = self._element(p), self._element(q)
-        down = self._downsets()
+        down = self._downsets
         common = down[self._index[a]] & down[self._index[b]]
         if not common:
             return BOTTOM
@@ -252,7 +245,7 @@ class GlidePoset:
         above it has a larger index; it is a cover, and it and its whole
         downset leave the candidates, until none is left.
         """
-        down = self._downsets()
+        down = self._downsets
         out = []
         for j, d in enumerate(down):
             candidates = d ^ (1 << j)

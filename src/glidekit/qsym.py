@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, compress, product
 from math import comb, lcm, prod
-from operator import add
+from operator import add, getitem
 from types import MappingProxyType
 from typing import Any, Callable, Hashable, Iterable, Mapping
 
@@ -441,7 +441,7 @@ class GradedRingData:
                 raise UnknownLabelError(
                     f"labels other than the unit must have positive degree: {nonpositive}"
                 )
-            constants: dict[tuple[str, str], Mapping[str, Fraction]] = {}
+            constants: dict[tuple[str, str], dict[str, Fraction]] = {}
             for left, rights in data.get("constants", {}).items():
                 for right, terms in rights.items():
                     if left not in degrees or right not in degrees:
@@ -464,8 +464,7 @@ class GradedRingData:
                             f"constants for {left!r}*{right!r} must give the other factor "
                             "with coefficient 1, as the unit does"
                         )
-                    # every product of this pair returns this one mapping
-                    constants[(left, right)] = MappingProxyType(expansion)
+                    constants[(left, right)] = expansion
             for label, value in data.get("counit", {}).items():
                 if label not in degrees or parse_frac(value) != int(label == unit):
                     raise UnknownLabelError(
@@ -477,23 +476,30 @@ class GradedRingData:
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise MalformedInputError(f"malformed ring data: {exc!r}") from exc
 
-        def multiply(a: str, b: str) -> Mapping[str, Fraction]:
-            if (a, b) in constants:
-                return constants[(a, b)]
-            if (b, a) in constants:
-                return constants[(b, a)]
-            return {}
-
         return cls(
             unit=unit,
-            degree=lambda l: degrees[l],
-            multiply=multiply,
-            contains=lambda l: type(l) is str and l in degrees,
+            degree=partial(getitem, degrees),
+            multiply=partial(_table_product, constants),
+            contains=partial(_is_table_label, degrees),
         )
 
     @classmethod
     def from_json_file(cls, path) -> "GradedRingData":
         return cls.from_dict(read_json(path))
+
+
+# a ``from_dict`` ring's functions, over its plain tables, so the ring pickles
+def _table_product(
+    constants: Mapping[tuple[str, str], dict[str, Fraction]], a: str, b: str
+) -> Mapping[str, Fraction]:
+    terms = constants.get((a, b))
+    if terms is None:
+        terms = constants.get((b, a), {})
+    return MappingProxyType(terms)
+
+
+def _is_table_label(degrees: Mapping[str, int], label: object) -> bool:
+    return type(label) is str and label in degrees
 
 
 def cpinf_ring() -> GradedRingData:
@@ -504,11 +510,20 @@ def cpinf_ring() -> GradedRingData:
     ordinary compositions exactly.
     """
     return GradedRingData(
-        unit=0,
-        degree=lambda a: a,
-        multiply=lambda a, b: {a + b: _ONE},
-        contains=lambda a: type(a) is int and a >= 0,
+        unit=0, degree=_cpinf_degree, multiply=_cpinf_product, contains=_is_cpinf_label
     )
+
+
+def _cpinf_degree(a: int) -> int:
+    return a
+
+
+def _cpinf_product(a: int, b: int) -> Mapping[int, Fraction]:
+    return {a + b: _ONE}
+
+
+def _is_cpinf_label(a: object) -> bool:
+    return type(a) is int and a >= 0
 
 
 LabelTuple = tuple[Label, ...]

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate, combinations
 from operator import ge, gt
 from types import MappingProxyType
@@ -294,33 +294,36 @@ def schur_ring(k: int) -> GradedRingData:
     """Graded ring data on length-k partitions with tableau constants.
 
     Labels are tuples of k ints forming a partition, the zero partition being
-    the unit.  Products are exact, generated on demand and kept in a bounded
-    cache; each is a read-only view, so no caller can change a cached one.
+    the unit.  Products are exact, generated on demand and kept in one
+    bounded cache that every such ring shares; each is a read-only view, so
+    no caller can change a cached one.  The ring's functions are module
+    level, so it pickles.
     """
-    _size(k, 0, "k")
-
-    @lru_cache(maxsize=4096)
-    def multiply(lam: Partition, mu: Partition) -> Mapping[Partition, Fraction]:
-        total = sum(lam) + sum(mu)
-        out = {}
-        for nu in _partitions_of(total, k, lam[0] + sum(mu) if lam else sum(mu)):
-            c = lr_coefficient(lam, mu, nu)
-            if c:
-                out[nu] = _exact(c, "coefficient")
-        return MappingProxyType(out)
-
-    def is_label(label: object) -> bool:
-        try:
-            return type(label) is tuple and as_partition(label, k) == label
-        except (InvalidCompositionError, LengthMismatchError):
-            return False
-
     return GradedRingData(
-        unit=(0,) * k,
-        degree=lambda l: sum(l),
-        multiply=multiply,
-        contains=is_label,
+        unit=(0,) * _size(k, 0, "k"),
+        degree=sum,
+        multiply=_schur_product,
+        contains=partial(_is_partition_label, k),
     )
+
+
+@lru_cache(maxsize=4096)
+def _schur_product(lam: Partition, mu: Partition) -> Mapping[Partition, Fraction]:
+    """The product of two labels of ``schur_ring(len(lam))``."""
+    total = sum(lam) + sum(mu)
+    out = {}
+    for nu in _partitions_of(total, len(lam), lam[0] + sum(mu) if lam else sum(mu)):
+        c = lr_coefficient(lam, mu, nu)
+        if c:
+            out[nu] = _exact(c, "coefficient")
+    return MappingProxyType(out)
+
+
+def _is_partition_label(k: int, label: object) -> bool:
+    try:
+        return type(label) is tuple and as_partition(label, k) == label
+    except (InvalidCompositionError, LengthMismatchError):
+        return False
 
 
 def _partitions_of(total: int, k: int, bound: int) -> Iterator[Partition]:

@@ -1,5 +1,6 @@
 import inspect
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations, compress, product, repeat
 from operator import attrgetter, mul
 from pathlib import Path
@@ -90,16 +91,19 @@ _OPERATORS = ("__add__", "__sub__", "__mul__")
 def public_callables():
     """name -> callable for the public API: the callables in
     ``glidekit.__all__``, and the public methods and the ``+``, ``-`` and
-    ``*`` operators of its classes (as ``Class.method``)."""
+    ``*`` operators of its classes (as ``Class.method``).  A ``property``
+    or ``cached_property`` is read as an attribute, so it is no method."""
     found = {}
     for name in gk.__all__:
         obj = getattr(gk, name)
         if callable(obj):
             found[name] = obj
         if inspect.isclass(obj):
-            for attr in vars(obj):
-                if (not attr.startswith("_") or attr in _OPERATORS) and inspect.isroutine(
-                    getattr(obj, attr)
+            for attr, value in vars(obj).items():
+                if (
+                    (not attr.startswith("_") or attr in _OPERATORS)
+                    and inspect.isroutine(getattr(obj, attr))
+                    and not isinstance(value, cached_property)
                 ):
                     found[f"{name}.{attr}"] = getattr(obj, attr)
     return found

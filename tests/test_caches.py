@@ -62,8 +62,16 @@ def _cold_then_warm(cached, call):
             glides._closed_terms,
             lambda: list(glide_polynomial((1, 3, 1), 5, "closed").terms.items()),
         ),
+        # one product cache serves every tableau ring
+        (
+            schur._schur_product,
+            lambda: [
+                list(qsym_r_product((a, a), (b,), schur_ring(len(a)), 3).items())
+                for a, b in [((1, 0), (2, 1)), ((1, 0, 0), (2, 1, 0))]
+            ],
+        ),
     ],
-    ids=["glide_m_expansion", "enumerate_C", "closed-glide"],
+    ids=["glide_m_expansion", "enumerate_C", "closed-glide", "schur-ring-product"],
 )
 def test_inflation_cache_leaves_results_unchanged(cached, call):
     cold, warm = _cold_then_warm(cached, call)

@@ -458,12 +458,24 @@ def test_poset_cannot_be_changed_after_it_is_built():
     assert p.mobius() == mu and p.n == 3 and len(p) == 5
     # the order tables and the atoms fill once, on their first query
     atoms_found = p.atom_set
-    for name in ("_down", "_atoms"):
+    for name in ("_downsets", "atom_set"):
         with pytest.raises(AttributeError):
             setattr(p, name, None)
         with pytest.raises(AttributeError):
             delattr(p, name)
     assert p.atom_set == atoms_found and p.mobius() == mu
+
+
+def test_posets_compare_and_hash_by_value():
+    p = build_poset((1, 2), 3)
+    q = build_poset((1, 2), 3)
+    assert p == q and hash(p) == hash(q)
+    assert p != build_poset((1, 2), 4) and p != build_poset((2, 1), 3)
+    # a queried poset equals an unqueried one: the memos are not compared
+    p.mobius(), p.atom_set
+    by_hand = GlidePoset(3, reversed(p.elements))
+    assert by_hand == p == q and hash(by_hand) == hash(p)
+    assert p in {q} and len({p, q, by_hand}) == 1
 
 
 @pytest.mark.parametrize("queried", [False, True])
@@ -474,6 +486,7 @@ def test_poset_pickles_and_copies(queried):
         p.mobius(), p.atom_set
     for copier in (lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy):
         got = copier(p)
+        assert got == p and hash(got) == hash(p)
         assert got.n == p.n and got.elements == p.elements
         assert (got.mobius(), got.covers()) == expected
         assert got.atom_set == p.atom_set

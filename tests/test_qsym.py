@@ -1,4 +1,7 @@
+import contextlib
+import copy
 import json
+import pickle
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -790,6 +793,27 @@ def test_graded_ring_from_dict(tmp_path):
     ring2 = GradedRingData.from_json_file(path)
     out = qsym_r_product(("x",), ("x",), ring2, 2)
     assert out == {("x", "x"): Fraction(2), ("x2",): Fraction(1)}
+
+
+@pytest.mark.parametrize(
+    "ring, theta, kappa, n",
+    [
+        (schur_ring(3), ((1, 0, 0), (2, 1, 0)), ((2, 1, 0),), 3),
+        (cpinf_ring(), (1, 2), (1,), 3),
+        (GradedRingData.from_dict(RING_JSON), ("x",), ("x", "x"), 3),
+    ],
+    ids=["schur", "cpinf", "from_dict"],
+)
+def test_every_ring_pickles_and_copies(ring, theta, kappa, n):
+    expected = list(qsym_r_product(theta, kappa, ring, n).items())
+    assert expected
+    for copier in (lambda v: pickle.loads(pickle.dumps(v)), copy.copy, copy.deepcopy):
+        got = copier(ring)
+        assert got.unit == ring.unit
+        # a caller cannot change what a copy's later products read
+        with contextlib.suppress(TypeError):
+            got.multiply(theta[0], kappa[0])[theta[0]] = 1
+        assert list(qsym_r_product(theta, kappa, got, n).items()) == expected
 
 
 def test_graded_ring_validation():
