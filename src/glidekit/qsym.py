@@ -367,12 +367,11 @@ class GradedRingData:
 
     ``multiply`` maps a pair of non-unit basis labels to a finitely supported
     label -> int or Fraction mapping, which callers only read; ``product``
-    checks each coefficient and handles the unit.  ``contains`` tests label
-    validity, so rings with infinitely many basis labels (one generator per
-    degree, the tableau rings) can be given lazily.  ``degree``, ``multiply``
-    and ``contains`` must be callable, which the ring checks when it is
-    built.  The tensor engine takes only labels of positive degree, and
-    checks each one it is given.
+    checks each coefficient and handles the unit.  ``contains`` says lazily
+    what a label is, as a ring may have infinitely many; ``product`` and the
+    tensor engine refuse any other label, and the engine any of degree 0 or
+    less.  ``degree``, ``multiply`` and ``contains`` must be callable and the
+    unit a label of degree 0, which the ring checks when it is built.
     """
 
     unit: Label
@@ -386,8 +385,19 @@ class GradedRingData:
             if not callable(value):
                 kind = type(value).__name__
                 raise MalformedInputError(f"ring {name} must be callable, got {kind}")
+        if self.degree(self._label(self.unit)) != 0:
+            raise UnknownLabelError(f"the unit {self.unit!r} must have degree 0")
+
+    def _label(self, label: Label) -> Label:
+        if not self.contains(label):
+            raise UnknownLabelError(f"not a label of the ring: {label!r}")
+        return label
 
     def product(self, a: Label, b: Label) -> dict[Label, Fraction]:
+        return self._product(self._label(a), self._label(b))
+
+    def _product(self, a: Label, b: Label) -> dict[Label, Fraction]:
+        """``product`` of two labels already checked, for the tensor routes."""
         if a == self.unit:
             return {b: _ONE}
         if b == self.unit:
@@ -533,8 +543,8 @@ def _validate_label_tuple(labels: Iterable[Label], ring: GradedRingData) -> Labe
     _instance(ring, GradedRingData, "ring")
     out = tuple(_container(labels, "labels"))
     for l in out:
-        if not ring.contains(l) or ring.degree(l) <= 0:
-            raise UnknownLabelError(f"not a basis label of positive degree: {l!r}")
+        if ring.degree(ring._label(l)) <= 0:
+            raise UnknownLabelError(f"not a label of positive degree: {l!r}")
     return out
 
 
@@ -598,7 +608,7 @@ def qsym_r_product(
             length = hit.count(True)
             if any(hit[length:]):
                 continue
-            pairs.append([ring.product(a, b) for a, b in zip(k1[:length], k2[:length])])
+            pairs.append([ring._product(a, b) for a, b in zip(k1[:length], k2[:length])])
     return _slot_products(pairs, n)
 
 
@@ -615,7 +625,7 @@ def qsym_r_product_shuffle(
     k = _validate_label_tuple(kappa, ring)
     n = len(t) + len(k)
     pairs = [
-        [ring.product(x, y) for x, y in zip(l, r)]
+        [ring._product(x, y) for x, y in zip(l, r)]
         for length in range(max(len(t), len(k)), n + 1)
         for l, r in overlapping_paddings(t, k, length, ring.unit)
     ]

@@ -123,6 +123,7 @@ class Arg(NamedTuple):
       argument holds one, if ``with_first`` cannot;
     - "object": an object of another library class;
     - "container": an item the container refuses, and the error it raises;
+    - "label": a label of another ring, which the ring refuses;
     - "other": nothing; the junk sweep alone feeds it.
     """
 
@@ -154,6 +155,8 @@ _RING = gk.cpinf_ring()
 _DATA = gk.sorting_data((1,))
 # a factor of the tensor product takes only labels of positive degree, not the unit
 _LABEL = (0, UnknownLabelError)
+# a label of ``schur_ring(2)``, which ``_RING`` refuses
+_TABLEAU = (1, 0)
 
 # one row per parameter of every public callable but ``self``
 ARGS = {
@@ -185,8 +188,8 @@ ARGS = {
     ("GradedRingData.from_json_file", "path"): Arg(
         gk.GradedRingData.from_json_file, str(Path(__file__).with_name("ring.json")), "other"
     ),
-    ("GradedRingData.product", "a"): Arg(lambda x: _RING.product(x, 2), 1, "other"),
-    ("GradedRingData.product", "b"): Arg(lambda x: _RING.product(1, x), 2, "other"),
+    ("GradedRingData.product", "a"): Arg(lambda x: _RING.product(x, 2), 1, "label", _TABLEAU),
+    ("GradedRingData.product", "b"): Arg(lambda x: _RING.product(1, x), 2, "label", _TABLEAU),
     ("KRingElement", "poly"): Arg(lambda x: gk.KRingElement(x, 1), _ONE, "object", _Q),
     ("KRingElement", "m"): Arg(lambda x: gk.KRingElement(_ONE, x), 2, "size", 0),
     ("KRingElement.__add__", "other"): Arg(lambda x: _K + x, _K, "object", _ONE),

@@ -3,8 +3,10 @@ fed a value of the wrong kind, ends in a return or a typed error.  The
 arguments are the rows of ``conftest.ARGS``."""
 
 import inspect
+import operator
 import os
 import traceback
+from dataclasses import replace
 
 import pytest
 
@@ -97,8 +99,22 @@ def test_k_is_a_size_even_where_as_partition_reads_none(call):
 
 
 def test_a_ring_that_cannot_multiply_its_arguments_is_malformed_input():
-    with pytest.raises(MalformedInputError, match="cannot multiply"):
+    # a label outside the ring never reaches ``multiply``
+    with pytest.raises(UnknownLabelError, match="not a label of the ring: 'x'"):
         gk.cpinf_ring().product("x", 1)
+    # a hand-built ring whose ``multiply`` answers two of its own labels with
+    # an int, not a mapping
+    broken = replace(gk.cpinf_ring(), multiply=operator.add)
+    with pytest.raises(MalformedInputError, match="cannot multiply 1 by 2"):
+        broken.product(1, 2)
+
+
+@pytest.mark.parametrize("entry", rows("label"), ids=".".join)
+def test_a_label_of_another_ring_is_unknown_label(entry):
+    call, valid, _, other = ARGS[entry]
+    call(valid)
+    with pytest.raises(UnknownLabelError, match="not a label of the ring"):
+        call(other)
 
 
 @pytest.mark.parametrize("path", [3, True, 1.5, None, b"ring.json"], ids=repr)

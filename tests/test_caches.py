@@ -11,6 +11,7 @@ import pytest
 
 import glidekit
 from glidekit import glides, schur
+from glidekit.errors import UnknownLabelError
 from glidekit.glides import enumerate_C, glide_m_expansion, glide_polynomial
 from glidekit.qsym import GradedRingData, qsym_r_product
 from glidekit.schur import buk_structure_constant, lr_coefficient, schur_ring
@@ -135,3 +136,14 @@ def test_ring_products_cannot_be_changed_by_a_caller():
         with pytest.raises(TypeError):
             ring.multiply(label, label)[label] = 1
         assert qsym_r_product((label,), (label,), ring, 2) == before
+
+
+def test_a_refused_product_leaves_the_ring_cache_unchanged():
+    # the labels are checked before the shared product cache is reached
+    ring = schur_ring(2)
+    ring.product((1, 0), (1, 0))
+    size = schur._schur_product.cache_info().currsize
+    for a, b in [((1, 0, 0), (1, 0, 0)), ((2, 1), (0, 1)), ((1, 0), "x")]:
+        with pytest.raises(UnknownLabelError):
+            ring.product(a, b)
+    assert schur._schur_product.cache_info().currsize == size

@@ -3,8 +3,9 @@ import copy
 import json
 import pickle
 import random
+from dataclasses import replace
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, lcm
 
 import pytest
@@ -939,8 +940,13 @@ def test_graded_ring_file_errors_are_typed(tmp_path):
 
 
 def test_ring_fields_must_be_callable():
-    fields = dict(unit=0, degree=lambda a: a, multiply=lambda a, b: {a + b: 1}, contains=bool)
+    fields = dict(
+        unit=0, degree=lambda a: a, multiply=lambda a, b: {a + b: 1}, contains=lambda a: a >= 0
+    )
     GradedRingData(**fields)
+    # ``bool`` is callable, but it refuses the unit 0
+    with pytest.raises(UnknownLabelError, match="^not a label of the ring: 0$"):
+        GradedRingData(**{**fields, "contains": bool})
     for field in ("degree", "multiply", "contains"):
         with pytest.raises(MalformedInputError, match=f"^ring {field} must be callable, got int$"):
             GradedRingData(**{**fields, field: 5})
@@ -973,6 +979,94 @@ def test_engine_rejects_labels_of_degree_at_most_zero(n):
     with pytest.raises(UnknownLabelError):
         qsym_r_product(("e",), ("x",), zero_degree, n)
     assert qsym_r_product((1,), (2,), negative, n) == {(3,): 1, (1, 2): 1, (2, 1): 1}
+
+
+# a label outside the ring once met one of four fates: a wrong product, an
+# echo of the label, an empty product or a malformed-input error
+@pytest.mark.parametrize(
+    "ring, a, b",
+    [
+        (schur_ring(2), (1, 0, 0), (1, 0, 0)),
+        (cpinf_ring(), -3, 1),
+        (cpinf_ring(), 0, "junk"),
+        (GradedRingData.from_dict(RING_JSON), "zzz", "x"),
+        (cpinf_ring(), "x", 1),
+    ],
+    ids=["wrong-product", "negative-degree", "echo", "empty", "malformed"],
+)
+def test_a_label_outside_the_ring_is_unknown_label(ring, a, b):
+    for x, y in [(a, b), (b, a)]:
+        with pytest.raises(UnknownLabelError, match="not a label of the ring"):
+            ring.product(x, y)
+
+
+@pytest.mark.parametrize(
+    "ring, unit, message",
+    [
+        (cpinf_ring(), 5, "^the unit 5 must have degree 0$"),
+        (cpinf_ring(), -1, "^not a label of the ring: -1$"),
+        (cpinf_ring(), "1", "^not a label of the ring: '1'$"),
+        (schur_ring(2), (1, 0), r"^the unit \(1, 0\) must have degree 0$"),
+        (schur_ring(2), (0, 0, 0), r"^not a label of the ring: \(0, 0, 0\)$"),
+    ],
+    ids=["cpinf-degree-5", "cpinf-negative", "cpinf-string", "schur-degree-1", "schur-length-3"],
+)
+def test_a_unit_that_is_no_degree_0_label_is_refused_when_built(ring, unit, message):
+    # the unit 5 of degree 5 once gave 2 on (1,) for (5) * (1)
+    with pytest.raises(UnknownLabelError, match=message):
+        replace(ring, unit=unit)
+
+
+def _partitions(k, top=3):
+    return [p for p in product(range(top, -1, -1), repeat=k) if list(p) == sorted(p, reverse=True)]
+
+
+# each ring with a strategy for its own labels
+_LABEL_RINGS = {
+    "schur2": (schur_ring(2), st.sampled_from(_partitions(2))),
+    "schur3": (schur_ring(3), st.sampled_from(_partitions(3))),
+    "cpinf": (cpinf_ring(), st.integers(0, 6)),
+    "from_dict": (GradedRingData.from_dict(RING_JSON), st.sampled_from(["1", "x", "x2"])),
+}
+# labels of every ring above, near misses and junk
+_ANY_LABEL = st.one_of(
+    st.lists(st.integers(-1, 3), min_size=1, max_size=4).map(tuple),
+    st.integers(-3, 6),
+    st.sampled_from(["1", "x", "x2", "zzz", "", True, None, 1.5, (2.0, 1), [1, 0]]),
+)
+# each label is the ring's own half the time
+_LABEL_CASES = st.sampled_from(sorted(_LABEL_RINGS)).flatmap(
+    lambda name: st.tuples(
+        st.just(name),
+        *[st.booleans().flatmap(lambda own: _LABEL_RINGS[name][1] if own else _ANY_LABEL)] * 2,
+    )
+)
+
+
+def _reference_product(ring, a, b):
+    """``a * b`` from the ring's unit and ``multiply`` alone."""
+    if a == ring.unit:
+        return {b: 1}
+    if b == ring.unit:
+        return {a: 1}
+    return {label: Fraction(c) for label, c in ring.multiply(a, b).items() if c}
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_LABEL_CASES)
+@example(case=("schur2", (1, 0, 0), (1, 0, 0)))
+@example(case=("cpinf", 0, "junk"))
+@example(case=("from_dict", "zzz", "x"))
+def test_product_refuses_exactly_the_labels_contains_refuses(case):
+    name, a, b = case
+    ring = _LABEL_RINGS[name][0]
+    if ring.contains(a) and ring.contains(b):
+        got = ring.product(a, b)
+        assert got == _reference_product(ring, a, b)
+        assert all(type(c) is Fraction for c in got.values())
+    else:
+        with pytest.raises(UnknownLabelError):
+            ring.product(a, b)
 
 
 # ``polynomial_to_m`` keeps nothing between calls, and ``is_quasisymmetric``

@@ -10,6 +10,7 @@ two coordinate readers, the closed and barred glides, the tableau rule
 and the tensor engine), no Chern box view built outside
 ``chern_substitute`` or read outside itself and the two box readers, no
 ``isinstance`` test of a library class outside the one object rule, no
+ring's ``contains`` asked outside the one label rule, no
 count read off ``ssyt_enumerate``'s list of tableaux, and no use of the
 tableau walker outside ``schur.py``.
 
@@ -305,21 +306,27 @@ _LIBRARY_CLASSES = {
 }
 
 
-def _class_tests(node: ast.AST, scope: str = ""):
-    """(scope, line) of every ``isinstance`` call whose class argument names
-    a library class, with the dotted class and function names around it."""
+def _scoped_calls(node: ast.AST, matches, scope: str = ""):
+    """(scope, line) of every call that ``matches`` accepts, with the dotted
+    class and function names around it."""
     if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
         scope = f"{scope}.{node.name}" if scope else node.name
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Name)
-        and node.func.id == "isinstance"
-        and len(node.args) == 2
-        and _used_names(node.args[1]) & _LIBRARY_CLASSES
-    ):
+    if isinstance(node, ast.Call) and matches(node):
         yield scope, node.lineno
     for child in ast.iter_child_nodes(node):
-        yield from _class_tests(child, scope)
+        yield from _scoped_calls(child, matches, scope)
+
+
+def _class_tests(node: ast.AST):
+    """(scope, line) of every ``isinstance`` call whose class argument names
+    a library class."""
+    return _scoped_calls(
+        node,
+        lambda call: isinstance(call.func, ast.Name)
+        and call.func.id == "isinstance"
+        and len(call.args) == 2
+        and _used_names(call.args[1]) & _LIBRARY_CLASSES,
+    )
 
 
 def test_library_objects_are_checked_by_one_rule():
@@ -332,6 +339,21 @@ def test_library_objects_are_checked_by_one_rule():
     # the guard sees a planted test, so it is not matching nothing
     planted = ast.parse("class A:\n    def f(self, x):\n        return isinstance(x, SparsePoly)")
     assert list(_class_tests(planted)) == [("A.f", 3)]
+
+
+# a label is what a ring's ``contains`` admits, and only the ring's label
+# rule, ``GradedRingData._label``, asks it: the constructor, ``product`` and
+# the tensor engine take that rule's answer, so none can decide another way
+def test_ring_labels_are_checked_by_one_rule():
+    found = [
+        f"{path.name} in {scope or 'module'}"
+        for path in MODULES
+        for scope, _ in _scoped_calls(
+            _tree(path), lambda call: getattr(call.func, "attr", None) == "contains"
+        )
+    ]
+    # the guard sees the rule's own call, so it is not matching nothing
+    assert found == ["qsym.py in GradedRingData._label"], f"contains asked elsewhere: {found}"
 
 
 # ``schur._fillings`` walks the fillings once and the counts (``_lr``,
