@@ -166,10 +166,12 @@ def closure(
     nonnegative ints, and ``pick`` is ``max`` or ``min``.  Every caller meets
     it by construction.
 
-    Yields each element once, the distinct generators first in their given
-    order, so a caller that stops early never builds the rest.  Every
-    element is ``pick`` of some set of generators, so each one only needs
-    combining with the generators, never with everything found so far.
+    Yields each element once: the distinct generators first, in their given
+    order, then each other one as soon as it is found, so a caller that
+    stops early never builds the rest.  Generators g join the closure L in
+    increasing packed order, L growing by g and each x v g for x in L (none
+    if g is in L already); a join of a set holding g is g v (the join of
+    the rest), and (x v g) v (y v g) = (x v y) v g, so L stays closed.
 
     Each tuple is packed into one int, coordinate 0 in the highest field.
     A field holds s value bits, s the bit length of the largest entry, and
@@ -188,20 +190,25 @@ def closure(
     guards = sum(1 << (k + s) for k in shifts)
     flip = sum(ones << k for k in shifts) if pick is min else 0
     packed = tuple(dict.fromkeys(sum(v << k for v, k in zip(g, shifts)) ^ flip for g in gens))
-    elements = set(packed)
-    frontier = packed
-    while frontier:
-        fresh = []
-        for p in frontier:
-            yield tuple((p ^ flip) >> k & ones for k in shifts)
-            high = p | guards
-            for g in packed:
-                t = (high - g) & guards
+
+    def joins() -> Iterator[int]:
+        lattice, members, given = [], set(), set(packed)
+        for g in sorted(packed):
+            if g in members:
+                continue
+            members.add(g)
+            fresh = [g]
+            for p in lattice:
+                t = ((p | guards) - g) & guards
                 x = g ^ ((p ^ g) & (t - (t >> s)))
-                if x not in elements:
-                    elements.add(x)
+                if x not in members:
+                    members.add(x)
                     fresh.append(x)
-        frontier = fresh
+                    if x not in given:
+                        yield x
+            lattice += fresh
+    for p in chain(packed, joins()):
+        yield tuple((p ^ flip) >> k & ones for k in shifts)
 
 
 def run_encode(alpha: Sequence[int]) -> tuple[tuple[int, int], ...]:

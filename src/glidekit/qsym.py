@@ -17,6 +17,7 @@ end, one per distinct numerator.
 from __future__ import annotations
 
 from collections import Counter
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -389,9 +390,11 @@ class GradedRingData:
             raise UnknownLabelError(f"the unit {self.unit!r} must have degree 0")
 
     def _label(self, label: Label) -> Label:
-        if not self.contains(label):
-            raise UnknownLabelError(f"not a label of the ring: {label!r}")
-        return label
+        # a label that ``contains`` cannot even test is no label of the ring
+        with suppress(AttributeError, TypeError):
+            if self.contains(label):
+                return label
+        raise UnknownLabelError(f"not a label of the ring: {label!r}")
 
     def product(self, a: Label, b: Label) -> dict[Label, Fraction]:
         return self._product(self._label(a), self._label(b))

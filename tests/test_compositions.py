@@ -131,6 +131,13 @@ def _both_orders(gens):
 @example(_both_orders([(3, 4, 0, 4), (4, 3, 4, 0), (0, 4, 3, 3)]))
 @example(_both_orders([(7, 8, 0, 9, 8), (8, 7, 9, 0, 7), (9, 9, 7, 8, 0), (0, 8, 8, 7, 9)]))
 @example(_both_orders([tuple(range(9)), tuple(range(8, -1, -1)), (9,) * 9, (0,) * 9]))
+# generators already in the closure when their turn comes: the max and the
+# min of earlier ones, and tuples in decreasing lex order, whose max comes
+# first; and a chain, where each generator is its join with any earlier one
+@example(_both_orders([(1, 0), (0, 1), (1, 1), (0, 0)]))
+@example(_both_orders([(2, 0, 1), (0, 2, 1), (2, 2, 1), (0, 0, 1), (2, 2, 0)]))
+@example(_both_orders([(3, 3, 0), (3, 1, 0), (2, 3, 0), (2, 1, 0), (1, 2, 3), (0, 2, 1)]))
+@example(_both_orders([(0, 0, 1), (0, 1, 1), (1, 1, 1), (1, 2, 1), (3, 2, 1)]))
 def test_closure_matches_pairwise_fixed_point(pick, instance):
     gens, reordered = instance
     closed = set(closure(gens, pick))

@@ -361,15 +361,18 @@ def test_order_queries_property(alpha, extra):
 
 
 # (elements, covers, nonzero mu) of the largest posets of the |alpha| <= 6,
-# n <= 7 sweep, and of (3,1,2) at n = 8
+# n <= 7 sweep, and of (3,1,2) at n = 8 and 9
 _HEAVY_TAIL = {
     ((3, 1, 2), 7): (787, 2788, 351),
     ((2, 1, 3), 7): (787, 2788, 351),
     ((3, 1, 2), 8): (3204, 13828, 1023),
+    ((3, 1, 2), 9): (12900, 65484, 2815),
 }
 
 
-@pytest.mark.parametrize("alpha, n", list(_HEAVY_TAIL), ids=["alpha0", "alpha1", "alpha0-n8"])
+@pytest.mark.parametrize(
+    "alpha, n", list(_HEAVY_TAIL), ids=["alpha0", "alpha1", "alpha0-n8", "alpha0-n9"]
+)
 def test_heavy_tail_instances(alpha, n):
     elements, covers, nonzero_mu = _HEAVY_TAIL[alpha, n]
     p = build_poset(alpha, n)

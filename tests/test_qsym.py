@@ -1000,6 +1000,23 @@ def test_a_label_outside_the_ring_is_unknown_label(ring, a, b):
             ring.product(x, y)
 
 
+def test_a_label_that_contains_cannot_test_is_unknown_label():
+    # ``l in degrees`` raises TypeError on an unhashable label, and
+    # ``l.isalnum()`` AttributeError on a non-string; both once escaped bare
+    degrees = {"1": 0, "x": 1}
+    ring = GradedRingData("1", degrees.__getitem__, lambda a, b: {}, lambda l: l in degrees)
+    strict = replace(ring, contains=lambda l: l.isalnum() and l in degrees)
+    calls = [
+        lambda: ring.product([None], "x"),
+        lambda: ring.product("x", {}),
+        lambda: qsym_r_product(([None],), ("x",), ring, 2),
+        lambda: strict.product("x", 5),
+    ]
+    for call in calls:
+        with pytest.raises(UnknownLabelError, match="^not a label of the ring: "):
+            call()
+
+
 @pytest.mark.parametrize(
     "ring, unit, message",
     [
