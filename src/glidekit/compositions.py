@@ -208,7 +208,7 @@ def closure(
                         yield x
             lattice += fresh
     for p in chain(packed, joins()):
-        yield tuple((p ^ flip) >> k & ones for k in shifts)
+        yield tuple([(p ^ flip) >> k & ones for k in shifts])
 
 
 def run_encode(alpha: Sequence[int]) -> tuple[tuple[int, int], ...]:

@@ -12,6 +12,9 @@ Order queries run on bitsets over the element indices: bit k of a downset
 is set when element k lies below.  Per-coordinate tables give every
 downset as an AND of n integers, so the Mobius recurrence, the cover
 relations and meets cost bit operations instead of loops over pairs.
+The tables are read off one byte matrix of the n columns, one
+``bytes.translate`` and one ``int(..., 2)`` per entry value; a poset with an
+entry of 256 or more, which no byte holds, fills them one element at a time.
 The elements are stored in lex order, which extends the componentwise
 order, so everything below an element has a smaller index.  The Mobius
 values found so far are kept as bit-planes, one bitset per binary digit
@@ -26,7 +29,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, reduce
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from operator import and_, getitem, le, or_
 from typing import Iterable, Sequence
 
@@ -40,7 +43,7 @@ from .compositions import (
     closure,
     paddings,
 )
-from .errors import OutOfRangeError
+from .errors import InvalidCompositionError, LengthMismatchError, OutOfRangeError
 
 
 class _Bottom:
@@ -51,6 +54,9 @@ class _Bottom:
 
 
 BOTTOM = _Bottom()
+
+# _AT_MOST[v] translates a byte to "1" when it is at most v and to "0" otherwise
+_AT_MOST = [b"1" * (v + 1) + b"0" * (255 - v) for v in range(256)]
 
 
 def join(p: Sequence[int], q: Sequence[int]) -> WeakComposition:
@@ -131,7 +137,12 @@ class GlidePoset:
         return len(self.elements)
 
     def __contains__(self, p: object) -> bool:
-        return p in self._index
+        """Whether p is an element: a string by the string rule, of length n,
+        in the poset.  A value the rule refuses is not a member."""
+        try:
+            return _string(p, self.n, "string") in self._index
+        except (InvalidCompositionError, LengthMismatchError):
+            return False
 
     def _element(self, p: Sequence[int]) -> WeakComposition:
         """A string of length n that is an element of this poset."""
@@ -146,18 +157,33 @@ class GlidePoset:
 
         ``tables[i][v]`` holds the elements whose coordinate i is at most v;
         a downset is the AND of ``tables[i][p_i]`` over the coordinates.
-        Each table is keyed by the values coordinate i takes, so it has at
-        most one entry per element however large a part is.
+        When every entry is below 256 the columns, joined and reversed, make
+        one byte matrix in which bit i*N + k is coordinate i of element k.
+        For each entry value v, one ``translate`` writes "1" where a byte is
+        at most v and "0" elsewhere, and one ``int(..., 2)`` reads that as the
+        tables of every coordinate at v; a shift and a mask take out each
+        one.  Larger entries do not fit in a byte, and their tables are
+        filled one element at a time, keyed by the values coordinate i takes.
         """
-        tables = []
-        for i in range(self.n):
-            exact: defaultdict[int, int] = defaultdict(int)
-            for k, e in enumerate(self.elements):
-                exact[e[i]] |= 1 << k
-            present = sorted(exact)
-            tables.append(dict(zip(present, accumulate(map(exact.__getitem__, present), or_))))
-        full = (1 << len(self.elements)) - 1
-        return [reduce(and_, map(getitem, tables, e), full) for e in self.elements]
+        elements = self.elements
+        size = len(elements)
+        full = (1 << size) - 1
+        if max(chain.from_iterable(elements), default=0) < 256:
+            matrix = bytes(chain.from_iterable(zip(*elements)))[::-1]
+            planes = {v: int(matrix.translate(_AT_MOST[v]), 2) for v in set(matrix)}
+            tables = [
+                {v: (plane >> i * size) & full for v, plane in planes.items()}
+                for i in range(self.n)
+            ]
+        else:
+            tables = []
+            for column in zip(*elements):
+                exact: defaultdict[int, int] = defaultdict(int)
+                for k, v in enumerate(column):
+                    exact[v] |= 1 << k
+                present = sorted(exact)
+                tables.append(dict(zip(present, accumulate(map(exact.__getitem__, present), or_))))
+        return [reduce(and_, map(getitem, tables, e), full) for e in elements]
 
     def mobius(self) -> dict[WeakComposition, int]:
         """Unique table with sum over {q <= p} of mu(q) equal to 1, for all p.

@@ -402,7 +402,8 @@ def _fan(n, k, m, lift):
 @st.composite
 def hand_built_posets(draw):
     n = draw(st.integers(1, 4))
-    entries = st.integers(0, 12)
+    # entries on both sides of 256, the first value no byte holds
+    entries = st.one_of(st.integers(0, 12), st.sampled_from([254, 255, 256, 2**16]))
     elements = set(draw(st.lists(st.tuples(*[entries] * n), max_size=20)))
     if n >= 2 and draw(st.booleans()):
         elements |= _fan(n, draw(st.integers(1, 40)), draw(st.integers(0, 4)), draw(entries))
@@ -447,6 +448,66 @@ def test_atom_set_is_the_minimal_elements(p):
 @given(p=st.one_of(small_string_sets(), hand_built_posets()))
 def test_meet_matches_the_greatest_common_lower_bound(p):
     _check_meets(p)
+
+
+# The order tables come from one byte matrix when every entry is below 256
+# and are filled one element at a time otherwise.  A map of the entry values
+# that keeps their order keeps the lex order of the elements, so it keeps
+# the downsets, the covers and the Mobius values of each index: the two
+# fills are checked against each other by moving a poset across 256.
+
+
+def _relabelled(p, value):
+    return GlidePoset(p.n, [tuple(map(value, e)) for e in p.elements])
+
+
+def _check_same_order(p, q, value):
+    """q is p relabelled by the order-keeping ``value``."""
+    assert q.elements == tuple(tuple(map(value, e)) for e in p.elements)
+    assert q._downsets == p._downsets
+    assert q.covers() == p.covers()
+    assert q.mobius() == {tuple(map(value, s)): v for s, v in p.mobius().items()}
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_poset_tables_are_the_same_above_and_below_256(n):
+    small, large = build_poset((2, 1, 3), n), build_poset((300, 1, 700), n)
+    assert max(map(max, small.elements)) < 256 <= max(map(max, large.elements))
+    _check_same_order(small, large, {0: 0, 1: 1, 2: 300, 3: 700}.__getitem__)
+
+
+# a chain of 300 one-part strings, which the byte matrix cannot hold, and
+# four columns of 200 values each, the most translations per element
+_CHAIN = GlidePoset(1, [(v,) for v in range(300)])
+_WIDE = GlidePoset(4, {(i % 200, i * 7 % 200, i * 13 % 200, i // 15) for i in range(3000)})
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.one_of(small_string_sets(), hand_built_posets()))
+@example(p=_CHAIN)
+@example(p=_WIDE)
+@example(p=GlidePoset(0, [()]))
+@example(p=GlidePoset(2, []))
+def test_order_tables_keep_to_the_order_of_the_entries(p):
+    # v + 256 sends every poset to the element-by-element fill, and the rank
+    # of v among the entries sends one with fewer than 257 values to the bytes
+    _check_same_order(p, _relabelled(p, (256).__add__), (256).__add__)
+    rank = {v: r for r, v in enumerate(sorted({v for e in p.elements for v in e}))}
+    _check_same_order(p, _relabelled(p, rank.__getitem__), rank.__getitem__)
+
+
+def test_chain_across_256_has_the_chain_order():
+    assert _CHAIN.covers() == [(k, k + 1) for k in range(299)]
+    assert _CHAIN.mobius() == {(v,): int(v == 0) for v in range(300)}
+    assert _CHAIN._downsets == [(1 << (k + 1)) - 1 for k in range(300)]
+
+
+def test_membership_follows_the_string_rule():
+    p = build_poset((1,), 2)
+    assert (1, 0) in p and [1, 0] in p and iter([0, 1]) in p
+    # a bool or a float is no part, and a string of another length no element
+    for value in [(True, 0), (1.0, 0), (1, 0, 0), (2, 0), (1,), 5, None, "10", [[1], 0]]:
+        assert value not in p, value
 
 
 def test_poset_cannot_be_changed_after_it_is_built():
