@@ -245,9 +245,10 @@ def chern_substitute(element: KRingElement) -> SparsePoly:
 def is_quasisymmetric(f: SparsePoly, n: int) -> bool:
     """Whether all placements of each composition carry equal coefficients.
 
-    ``polynomial_to_m`` runs the same slice check before it reads a Chern
-    image's coordinates, so calling this and then ``polynomial_to_m`` runs
-    the check twice.  A caller that wants the coordinates should call
-    ``polynomial_to_m`` alone and catch ``NotQuasisymmetricError``.
+    A Chern image is answered by the slice check of ``qsym._checked_box``
+    alone, which keeps its verdict in the image's box view: calling this
+    and then ``polynomial_to_m`` on one image runs the check once.  Any
+    other polynomial, or an image whose box fails the check, goes to the
+    grouping reader.
     """
     return _checked_box(f, n) is not None or _group_by_positive_part(f, n)[1] is None

@@ -86,9 +86,17 @@ class _BoxTerms(Mapping):
     of terms the first time, one Fraction per distinct numerator, and goes
     to it from then on, so a reader that only counts builds nothing and
     one that walks the terms makes no Python call per term.
+
+    ``_quasisymmetric`` keeps the slice check's verdict: None until
+    ``qsym._checked_box`` first runs on the view, then a bool, never
+    coordinates, which a later ``is_quasisymmetric`` or ``polynomial_to_m``
+    on the image reuses.  The box is never written after
+    ``chern_substitute`` returns, so the verdict cannot go stale.
     """
 
-    __slots__ = ("_nvars", "_numerators", "_exponents", "_denominator", "_terms")
+    __slots__ = (
+        "_nvars", "_numerators", "_exponents", "_denominator", "_terms", "_quasisymmetric"
+    )
 
     def __init__(
         self, nvars: int, numerators: list[int], exponents: tuple[int, ...], denominator: int
@@ -98,6 +106,7 @@ class _BoxTerms(Mapping):
         self._exponents = exponents
         self._denominator = denominator
         self._terms: dict[ExponentVector, Fraction] | None = None
+        self._quasisymmetric: bool | None = None
 
     def _built(self) -> dict[ExponentVector, Fraction]:
         terms = self._terms

@@ -160,12 +160,17 @@ def _checked_box(f: SparsePoly, n: int) -> _BoxTerms | None:
     For the pair (i, i + 1) the two sides are blocks of |V|^(n - i - 2)
     entries after each of the |V|^i prefixes, compared block by block, or
     as strided slices when the prefixes are the more numerous.
+
+    The verdict is kept in the view, so the slices are compared once per
+    image: a later check answers from it.
     """
     if _instance(f, SparsePoly, "f").nvars != _size(n, 0, "n"):
         raise LengthMismatchError(f"polynomial has {f.nvars} variables, expected {n}")
     view = f.terms
     if type(view) is not _BoxTerms:
         return None
+    if view._quasisymmetric is not None:
+        return view if view._quasisymmetric else None
     box, b = view._numerators, len(view._exponents)
     for i in range(n - 1):
         outer = b ** (n - i)
@@ -176,11 +181,14 @@ def _checked_box(f: SparsePoly, n: int) -> _BoxTerms | None:
             if b**i <= inner:
                 for p in range(0, len(box), outer):
                     if box[p + left : p + left + inner] != box[p + right : p + right + inner]:
+                        view._quasisymmetric = False
                         return None
             else:
                 for t in range(inner):
                     if box[left + t :: outer] != box[right + t :: outer]:
+                        view._quasisymmetric = False
                         return None
+    view._quasisymmetric = True
     return view
 
 
@@ -195,10 +203,11 @@ def _read_box(view: _BoxTerms) -> dict[Composition, Fraction]:
     n, values = view._nvars, view._exponents
     b = len(values)
     # over k digits, tails[i] is 1 when i's digits are 0s then no 0, and
-    # full[i] when no digit of i is 0
-    tails = full = [1]
+    # full[i] when no digit of i is 0; bytes, one byte an entry where a
+    # list holds a pointer, as ``compress`` takes any selector
+    tails = full = b"\x01"
     for _ in range(n):
-        tails, full = tails + full * (b - 1), [0] * len(full) + full * (b - 1)
+        tails, full = tails + full * (b - 1), bytes(len(full)) + full * (b - 1)
     # the entries at the placements: the nonzero ones pick the compositions
     # and give the coefficients
     placed = list(compress(view._numerators, tails))
@@ -248,7 +257,9 @@ def polynomial_to_m(f: SparsePoly, n: int) -> QSymElement:
     ``is_quasisymmetric`` runs on it, and ``_read_box`` reads a box that
     passes.  Every other polynomial, and a box that fails the check, goes
     to ``_group_by_positive_part``, which also names the failing
-    composition.  Nothing is kept between calls.
+    composition.  The slice check's verdict is kept in the box view, so a
+    Chern image already checked by ``is_quasisymmetric`` is not checked
+    again; no coordinates are kept between calls.
     """
     view = _checked_box(f, n)
     if view is not None:

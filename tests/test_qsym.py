@@ -23,12 +23,14 @@ from glidekit.errors import (
     UnknownLabelError,
 )
 from glidekit.glides import glide_polynomial
-from glidekit.ktheory import chern_substitute, is_quasisymmetric, knutson_class
+from glidekit.ktheory import KRingElement, chern_substitute, is_quasisymmetric, knutson_class
 from glidekit.poly import SparsePoly, _BoxTerms
 from glidekit.qsym import (
     GradedRingData,
     QSymElement,
+    _checked_box,
     _group_by_positive_part,
+    _read_box,
     _slot_products,
     cpinf_ring,
     glide_element,
@@ -1086,10 +1088,11 @@ def test_product_refuses_exactly_the_labels_contains_refuses(case):
             ring.product(a, b)
 
 
-# ``polynomial_to_m`` keeps nothing between calls, and ``is_quasisymmetric``
-# answers a Chern image from the box's slice check alone.  A second read of
-# an image already checked or read must give exactly what a first read of
-# an equal, never-read polynomial gives.
+# ``polynomial_to_m`` keeps no coordinates between calls, and
+# ``is_quasisymmetric`` answers a Chern image from the box's slice check
+# alone, whose verdict the image's box view keeps.  A second read of an
+# image already checked or read must give exactly what a first read of an
+# equal, never-read polynomial gives.
 
 
 def _fresh(f):
@@ -1098,13 +1101,121 @@ def _fresh(f):
 
 
 def test_second_read_of_a_chern_image_matches_a_fresh_read():
-    for alpha, n, m in [((1, 2, 1), 4, 3), ((2, 1), 3, 2), ((), 2, 1)]:
+    for alpha, n, m in [((1, 2, 1), 4, 3), ((2, 1), 3, 2), ((), 2, 1), ((1,), 1, 2), ((), 0, 1)]:
         f = chern_substitute(knutson_class(alpha, n, m))
         assert is_quasisymmetric(f, n)
+        assert f.terms._quasisymmetric is True
         kept = polynomial_to_m(f, n).coords
         fresh = polynomial_to_m(_fresh(f), n).coords
         assert list(kept.items()) == list(fresh.items())
         assert list(polynomial_to_m(f, n).coords.items()) == list(fresh.items())
+        # a freshly substituted image, whose box has no verdict yet
+        again = polynomial_to_m(chern_substitute(knutson_class(alpha, n, m)), n).coords
+        assert list(again.items()) == list(fresh.items())
+
+
+def _broken_image(alpha, n, m):
+    """The Chern image of the K-class with 1 added to the coefficient of
+    y_n, which criterion 07 refuses (``tests/test_acceptance.py``)."""
+    terms = dict(knutson_class(alpha, n, m).poly.terms)
+    y_n = (0,) * (n - 1) + (1,)
+    terms[y_n] = terms.get(y_n, 0) + 1
+    return chern_substitute(KRingElement(SparsePoly(n, terms), m))
+
+
+@pytest.mark.parametrize("alpha, n, m", [((1, 2), 2, 2), ((1, 2, 1), 4, 3), ((1, 1), 3, 1)])
+def test_kept_verdict_refuses_a_broken_image_each_time(alpha, n, m):
+    broken = _broken_image(alpha, n, m)
+    assert broken.terms._quasisymmetric is None
+    assert not is_quasisymmetric(broken, n)
+    assert broken.terms._quasisymmetric is False
+    assert not is_quasisymmetric(broken, n)
+    assert _checked_box(broken, n) is None
+    # the grouping reader names the composition it names on a plain copy,
+    # which never had a box or a verdict
+    with pytest.raises(NotQuasisymmetricError) as kept:
+        polynomial_to_m(broken, n)
+    with pytest.raises(NotQuasisymmetricError) as fresh:
+        polynomial_to_m(_fresh(broken), n)
+    assert kept.value.code == "not-quasisymmetric"
+    assert str(kept.value) == str(fresh.value)
+    assert broken.terms._quasisymmetric is False
+
+
+class _CountedSlices(list):
+    """A box that counts the slices taken of it, as the slice check takes."""
+
+    slices = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.slices += 1
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("alpha, n, m", [((1, 2), 3, 2), ((1, 2, 1), 4, 3)])
+def test_slice_check_runs_once_per_image(alpha, n, m):
+    for image in (chern_substitute(knutson_class(alpha, n, m)), _broken_image(alpha, n, m)):
+        view = image.terms
+        box = _CountedSlices(view._numerators)
+        f = SparsePoly._trusted(n, _BoxTerms(n, box, view._exponents, view._denominator))
+        verdict = is_quasisymmetric(f, n)
+        checked = box.slices
+        assert checked > 0
+        assert is_quasisymmetric(f, n) is verdict
+        with contextlib.suppress(NotQuasisymmetricError):
+            polynomial_to_m(f, n)
+        assert box.slices == checked
+
+
+def test_copies_of_an_image_carry_no_box_and_no_verdict():
+    f = chern_substitute(knutson_class((1, 2), 3, 2))
+    assert is_quasisymmetric(f, 3)
+    coords = list(polynomial_to_m(f, 3).coords.items())
+    for copied in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert copied == f
+        assert type(copied.terms) is not _BoxTerms
+        assert not hasattr(copied.terms, "_quasisymmetric")
+        # the grouping reader reads the copy
+        assert _checked_box(copied, 3) is None
+        assert is_quasisymmetric(copied, 3)
+        assert list(polynomial_to_m(copied, 3).coords.items()) == coords
+
+
+def _placements_by_digits(numerators, values, denominator, n):
+    """The coordinates at the placements (0, ..., 0, gamma), each placement's
+    index worked out from its base-|V| digits, by length, then in
+    lexicographic order; zero entries are left out."""
+    b = len(values)
+    coords = {}
+    for k in range(n + 1):
+        for gamma in product(values[1:], repeat=k):
+            index = 0
+            for x in (0,) * (n - k) + gamma:
+                index = index * b + values.index(x)
+            if numerators[index]:
+                coords[gamma] = Fraction(numerators[index], denominator)
+    return coords
+
+
+@pytest.mark.parametrize(
+    "values",
+    [(0,), (0, 1), (0, 1, 2), (0, 1, 2, 3), (0, 2, 3), (0, 3)],
+)
+@pytest.mark.parametrize("n", range(5))
+def test_box_reader_reads_the_right_justified_placements(values, n):
+    # all-distinct nonzero numerators, so reading any other entry than the
+    # placement (0, ..., 0, gamma) gives another coefficient; a box that
+    # is not quasisymmetric, so no two placements of gamma agree
+    size = len(values) ** n
+    rng = random.Random(size * 10 + n)
+    numerators = rng.sample(range(-3 * size, 3 * size + 1), size + 1)
+    numerators = [c for c in numerators if c][:size]
+    for box in (numerators, [0 if i % 3 == 1 else c for i, c in enumerate(numerators)]):
+        view = _BoxTerms(n, box, values, 7)
+        got = _read_box(view)
+        assert list(got.items()) == list(_placements_by_digits(box, values, 7, n).items())
+        assert all(type(c) is Fraction for c in got.values())
 
 
 def test_changing_a_read_leaves_the_next_read_unchanged():

@@ -9,6 +9,7 @@ poset's bitset core, the tensor engine and the overlapping shuffle, the
 two coordinate readers, the closed and barred glides, the tableau rule
 and the tensor engine), no Chern box view built outside
 ``chern_substitute`` or read outside itself and the two box readers, no
+slice-check verdict read or written outside the slice check, no
 ``isinstance`` test of a library class outside the one object rule, no
 ring's ``contains`` asked outside the one label rule, no
 count read off ``ssyt_enumerate``'s list of tableaux, and no use of the
@@ -204,7 +205,7 @@ _ROUTES_APART = {
         "qsym.py",
         {"_group_by_positive_part"},
         {"_checked_box", "_read_box", "_BoxTerms"}
-        | {"_nvars", "_numerators", "_exponents", "_denominator"},
+        | {"_nvars", "_numerators", "_exponents", "_denominator", "_quasisymmetric"},
     ),
     "box-readers": ("qsym.py", {"_checked_box", "_read_box"}, {"_group_by_positive_part"}),
     # the closed and barred glide routes check each other and the poset route
@@ -261,40 +262,75 @@ def test_independent_routes_share_no_core(route):
 # may build a view, so no other builder can hand the check a box it did not
 # compute, and only the view itself and the two box readers may read the
 # box's fields, so the box reader is given a box that passed the check.
+# The view also keeps the check's verdict, ``_VERDICT``: the view declares
+# it and ``__init__`` sets it to None, and only the slice check reads or
+# writes it, so no other code can pass an image off as checked.
 _BOX_FIELDS = {"_nvars", "_numerators", "_exponents", "_denominator"}
+_VERDICT = "_quasisymmetric"
 _BOX_USES = {
     ("ktheory.py", "chern_substitute"): {"build"},
-    ("poly.py", "_BoxTerms"): {"read"},
-    ("qsym.py", "_checked_box"): {"read"},
+    ("poly.py", "_BoxTerms"): {"read", "declare verdict"},
+    ("poly.py", "_BoxTerms.__init__"): {"clear verdict"},
+    ("qsym.py", "_checked_box"): {"read", "read verdict", "write verdict"},
     ("qsym.py", "_read_box"): {"read"},
 }
 
 
 def _box_uses(tree: ast.Module):
-    """(top-level definition, line, kind) of each call of ``_BoxTerms``, kind
-    "build", and of each attribute or string naming a box field, "read"."""
-    for top in tree.body:
-        for node in ast.walk(top):
-            if isinstance(node, ast.Call) and "_BoxTerms" in _used_names(node.func):
-                yield getattr(top, "name", None), node.lineno, "build"
-            elif (isinstance(node, ast.Attribute) and node.attr in _BOX_FIELDS) or (
-                isinstance(node, ast.Constant) and node.value in _BOX_FIELDS
-            ):
-                yield getattr(top, "name", None), node.lineno, "read"
+    """(place, line, kind) of each use of the box.  A call of ``_BoxTerms``,
+    kind "build", and an attribute or string naming a box field, "read",
+    are placed at their top-level definition.  A use of the verdict is
+    placed at the dotted name of the function or class around it: its name
+    as a string in a class body is "declare verdict", an assignment of None
+    to it "clear verdict", any other assignment or deletion "write verdict",
+    and every other use "read verdict"."""
+    cleared = {
+        id(target)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and isinstance(node.value, ast.Constant)
+        and node.value.value is None
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+    }
+
+    def walk(node, scope, in_class):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+            in_class = isinstance(node, ast.ClassDef)
+        top = scope.split(".")[0] if scope else None
+        if isinstance(node, ast.Call) and "_BoxTerms" in _used_names(node.func):
+            yield top, node.lineno, "build"
+        elif isinstance(node, ast.Attribute) and node.attr == _VERDICT:
+            if isinstance(node.ctx, ast.Load):
+                kind = "read"
+            else:
+                kind = "clear" if id(node) in cleared else "write"
+            yield scope, node.lineno, f"{kind} verdict"
+        elif isinstance(node, ast.Constant) and node.value == _VERDICT:
+            yield scope, node.lineno, "declare verdict" if in_class else "read verdict"
+        elif (isinstance(node, ast.Attribute) and node.attr in _BOX_FIELDS) or (
+            isinstance(node, ast.Constant) and node.value in _BOX_FIELDS
+        ):
+            yield top, node.lineno, "read"
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, scope, in_class)
+
+    return walk(tree, "", False)
 
 
 def test_only_the_chern_box_writer_and_reader_use_the_box():
     seen, found = set(), []
     for path in sorted(PACKAGE.glob("*.py")):
-        for top, line, kind in _box_uses(_tree(path)):
-            if kind in _BOX_USES.get((path.name, top), ()):
-                seen.add((path.name, top))
+        for place, line, kind in _box_uses(_tree(path)):
+            if kind in _BOX_USES.get((path.name, place), ()):
+                seen.add((path.name, place, kind))
             else:
-                found.append(f"{path.name}:{line} {kind} in {top or 'module'}")
+                found.append(f"{path.name}:{line} {kind} in {place or 'module'}")
     assert not found, f"the Chern box is used outside its builder and readers: {found}"
-    # the guard sees the view built and each reader read it, so it is not
+    # the guard sees every use it allows: the view built, each reader read
+    # it, and the verdict declared, cleared, read and written, so it is not
     # matching nothing
-    assert seen == set(_BOX_USES)
+    assert seen == {(*place, kind) for place, kinds in _BOX_USES.items() for kind in kinds}
 
 
 # every library-object argument goes through ``compositions._instance``,
