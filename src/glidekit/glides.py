@@ -11,8 +11,11 @@ rewrite a zero followed by an unbarred positive p:
 Starting from the zero-paddings of a composition, the M.1/M.2 closure gives
 the barred support, its bar-forgetting projection gives the unbarred support,
 and the signed count of barred preimages gives the coefficients of the glide
-polynomial.  The same polynomial arises from the poset Mobius function and
-from a closed product of binomials; all three routes are implemented.
+polynomial.  Each barred string carries its sign (-1)^(number of bars) from
+the move that made it: M.1 keeps its parent's sign and M.2 flips it, so the
+projection only sums signs.  The same polynomial arises from the poset
+Mobius function and from a closed product of binomials; all three routes
+are implemented.
 """
 
 from __future__ import annotations
@@ -45,48 +48,58 @@ def barred_count(s: Sequence[int]) -> int:
     return sum(1 for x in s if x < 0)
 
 
-def unbar(s: Sequence[int]) -> WeakComposition:
-    """Forget bars: project a barred string onto a weak composition."""
-    return tuple(abs(x) for x in s)
-
-
-def _signed_projection(strings: Iterable[tuple[int, ...]]) -> dict[WeakComposition, int]:
-    """Sum of (-1)^(number of bars) over the strings with each bar-forgetting
-    projection, keyed in first-seen order."""
+def _signed_projection(signed: Mapping[tuple[int, ...], int]) -> dict[WeakComposition, int]:
+    """Sum of the strings' signs under each bar-forgetting projection, keyed
+    in first-seen order; the signs come with the strings."""
     terms: dict[WeakComposition, int] = {}
-    for t in strings:
-        s = unbar(t)
-        terms[s] = terms.get(s, 0) + (-1) ** barred_count(t)
+    for t, sign in signed.items():
+        s = tuple(map(abs, t))
+        terms[s] = terms.get(s, 0) + sign
     return terms
 
 
-def _move_closure(seed: Iterable[tuple[int, ...]]) -> frozenset[tuple[int, ...]]:
-    """Closure of the seed strings under the barred moves (M.1) and (M.2)."""
-    seen = set(seed)
-    frontier = list(seen)
+def _move_closure(seed: Iterable[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
+    """Closure of the seed strings under the barred moves (M.1) and (M.2),
+    each string mapped to its sign (-1)^(number of bars).
+
+    The sign rides with the string: M.1 keeps its parent's sign and M.2,
+    which adds one bar, flips it.
+    """
+    signs = {s: (-1) ** barred_count(s) for s in seed}
+    frontier = list(signs.items())
     while frontier:
-        s = frontier.pop()
+        s, sign = frontier.pop()
         for i in range(len(s) - 1):
             if s[i] == 0 and s[i + 1] > 0:
                 p = s[i + 1]
-                for replacement in ((p, 0), (p, -p)):
-                    t = s[:i] + replacement + s[i + 2 :]
-                    if t not in seen:
-                        seen.add(t)
-                        frontier.append(t)
-    return frozenset(seen)
+                head, tail = s[:i], s[i + 2 :]
+                for replacement, t_sign in (((p, 0), sign), ((p, -p), -sign)):
+                    t = head + replacement + tail
+                    if t not in signs:
+                        signs[t] = t_sign
+                        frontier.append((t, t_sign))
+    return signs
 
 
 def enumerate_C_tilde(alpha: Iterable[int], n: int) -> frozenset[tuple[int, ...]]:
     """Barred strings reachable from the zero-paddings of alpha by M.1/M.2."""
-    a = as_composition(alpha)
+    # from the keys view, as enumerate_C takes its closed terms
+    return frozenset(_barred(as_composition(alpha), n).keys())
+
+
+def _barred(a: Composition, n: int) -> Mapping[tuple[int, ...], int]:
     # checked before the cache, which would serve n=2.0 from its n=2 entry
     return _c_tilde(a, _size(n, len(a), "n"))
 
 
 @lru_cache(maxsize=1024)
-def _c_tilde(alpha: Composition, n: int) -> frozenset[tuple[int, ...]]:
-    return _move_closure(atoms(alpha, n))
+def _c_tilde(alpha: Composition, n: int) -> Mapping[tuple[int, ...], int]:
+    """The signed barred move closure of alpha's paddings into n slots.
+
+    The result is cached and shared by every caller, so it is a read-only
+    view.
+    """
+    return MappingProxyType(_move_closure(atoms(alpha, n)))
 
 
 # the cache is keyed on the normalised arguments; its statistics and its
@@ -203,7 +216,7 @@ def mu_prime(sigma: Sequence[int], alpha: Iterable[int], n: int) -> int:
     """Signed count of barred preimages of sigma; zero off the move closure."""
     a = as_composition(alpha)
     s = _string(sigma, _size(n, 0, "n"), "string")
-    return _signed_projection(enumerate_C_tilde(a, n)).get(s, 0)
+    return _signed_projection(_barred(a, n)).get(s, 0)
 
 
 def glide_polynomial(alpha: Iterable[int], n: int, method: str = "closed") -> SparsePoly:
@@ -224,8 +237,8 @@ def glide_polynomial(alpha: Iterable[int], n: int, method: str = "closed") -> Sp
     if method == "poset":
         terms = build_poset(a, n).mobius()
     else:
-        # the closure is a set; sorting fixes the term order
-        terms = dict(sorted(_signed_projection(enumerate_C_tilde(a, n)).items()))
+        # sorting fixes the term order, whatever order the closure found
+        terms = dict(sorted(_signed_projection(_barred(a, n)).items()))
     # every key is a length-n string built here
     return SparsePoly._from_numerators(n, terms, 1)
 

@@ -12,7 +12,13 @@ import pytest
 import glidekit
 from glidekit import glides, schur
 from glidekit.errors import UnknownLabelError
-from glidekit.glides import enumerate_C, glide_m_expansion, glide_polynomial
+from glidekit.glides import (
+    enumerate_C,
+    enumerate_C_tilde,
+    glide_m_expansion,
+    glide_polynomial,
+    mu_prime,
+)
 from glidekit.qsym import GradedRingData, qsym_r_product
 from glidekit.schur import buk_structure_constant, lr_coefficient, schur_ring
 
@@ -35,6 +41,10 @@ def test_every_cache_is_bounded():
     assert caches["glidekit.schur._lr"] is schur._lr
     assert caches["glidekit.glides._inflations"] is glides._inflations
     assert caches["glidekit.glides._closed_terms"] is glides._closed_terms
+    assert caches["glidekit.glides._c_tilde"] is glides._c_tilde
+    # the public barred closure reports and resets the signed closure's cache
+    assert enumerate_C_tilde.cache_info.__self__ is glides._c_tilde
+    assert enumerate_C_tilde.cache_clear.__self__ is glides._c_tilde
     assert "glidekit.cli.build_parser" in caches
     for name, cached in caches.items():
         maxsize = cached.cache_info().maxsize
@@ -63,6 +73,14 @@ def _cold_then_warm(cached, call):
             glides._closed_terms,
             lambda: list(glide_polynomial((1, 3, 1), 5, "closed").terms.items()),
         ),
+        # the barred glide, the barred C set and mu_prime read one signed
+        # closure
+        (
+            glides._c_tilde,
+            lambda: list(glide_polynomial((1, 3, 1), 5, "barred").terms.items()),
+        ),
+        (glides._c_tilde, lambda: sorted(enumerate_C_tilde((2, 1, 1), 5))),
+        (glides._c_tilde, lambda: mu_prime((1, 1, 1, 2), (1, 1, 2), 4)),
         # one product cache serves every tableau ring
         (
             schur._schur_product,
@@ -72,7 +90,15 @@ def _cold_then_warm(cached, call):
             ],
         ),
     ],
-    ids=["glide_m_expansion", "enumerate_C", "closed-glide", "schur-ring-product"],
+    ids=[
+        "glide_m_expansion",
+        "enumerate_C",
+        "closed-glide",
+        "barred-glide",
+        "enumerate_C_tilde",
+        "mu_prime",
+        "schur-ring-product",
+    ],
 )
 def test_inflation_cache_leaves_results_unchanged(cached, call):
     cold, warm = _cold_then_warm(cached, call)
@@ -117,6 +143,15 @@ def test_changing_a_result_leaves_the_next_call_unchanged():
     with pytest.raises(TypeError):
         cached[(0, 0, 0, 9)] = 1
     assert list(cached.items()) == expected
+
+    barred = glides._c_tilde((1, 2), 4)
+    expected = list(barred.items())
+    with pytest.raises(TypeError):
+        barred[(0, 0, 0, 9)] = 1
+    with pytest.raises(AttributeError):
+        barred.clear()
+    assert list(glides._c_tilde((1, 2), 4).items()) == expected
+    assert enumerate_C_tilde((1, 2), 4) == frozenset(dict(expected))
 
 
 def test_ring_products_cannot_be_changed_by_a_caller():

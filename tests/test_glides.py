@@ -9,6 +9,7 @@ from glidekit.glides import (
     GLIDE_METHODS,
     _closed_terms,
     _inflations,
+    _move_closure,
     check_binomial_identity,
     enumerate_C,
     enumerate_C_tilde,
@@ -95,6 +96,45 @@ def test_enumerate_C_matches_move_closure_oracle():
             assert enumerate_C(alpha, n) == _move_closure_unbarred(alpha, n), (alpha, n)
 
 
+def _signed_barred_closure(alpha, n):
+    """Reference: breadth-first closure of the paddings under M.1 and M.2,
+    each string's sign counted off its own bars."""
+    seen = set(atoms(alpha, n))
+    layer = list(seen)
+    while layer:
+        found = []
+        for s in layer:
+            for i in range(len(s) - 1):
+                if s[i] == 0 and s[i + 1] > 0:
+                    p = s[i + 1]
+                    for repl in ((p, 0), (p, -p)):
+                        t = s[:i] + repl + s[i + 2:]
+                        if t not in seen:
+                            seen.add(t)
+                            found.append(t)
+        layer = found
+    return {t: (-1) ** sum(1 for x in t if x < 0) for t in seen}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), alpha=st.sampled_from(all_compositions(5)))
+def test_signed_closure_matches_its_definition(data, alpha):
+    n = data.draw(st.integers(len(alpha), len(alpha) + 2), label="n")
+    reference = _signed_barred_closure(alpha, n)
+    signed = _move_closure(atoms(alpha, n))
+    assert signed.keys() == reference.keys()
+    assert signed == reference
+    projection = {}
+    for t, sign in reference.items():
+        s = tuple(abs(x) for x in t)
+        projection[s] = projection.get(s, 0) + sign
+    # the glide keeps the nonzero coefficients, in ascending string order
+    expected = [(s, c) for s, c in dict(sorted(projection.items())).items() if c]
+    assert list(glide_polynomial(alpha, n, "barred").terms.items()) == expected
+    for sigma, value in build_poset(alpha, n).mobius().items():
+        assert mu_prime(sigma, alpha, n) == value, sigma
+
+
 def test_mu_prime_values():
     assert mu_prime((1, 1, 1), (1, 1), 3) == -2
     assert mu_prime((0, 0, 1, 3), (1, 3), 4) == 1
@@ -149,22 +189,24 @@ def test_glide_routes_agree_property(data, alpha, cold):
     n = data.draw(st.integers(len(alpha), 6), label="n")
     if cold:
         # the closed route reads its terms, and on a miss the run
-        # inflations, from caches; the routes must agree whatever earlier
-        # examples left in them
+        # inflations, from caches, and the barred route its signed closure;
+        # the routes must agree whatever earlier examples left in them
         _closed_terms.cache_clear()
         _inflations.cache_clear()
+        enumerate_C_tilde.cache_clear()
     polys = [glide_polynomial(alpha, n, m) for m in GLIDE_METHODS]
     assert polys[0] == polys[1] == polys[2]
-    # the barred and poset routes are uncached oracles; the closed glide and
-    # the C set share one cache entry, and a warm call repeats it item for item
+    # the poset route is an uncached oracle; the closed glide and the C set
+    # share one cache entry, and a warm call repeats it item for item
     closed = polys[GLIDE_METHODS.index("closed")]
     assert enumerate_C(alpha, n) == frozenset(closed.terms)
     assert list(glide_polynomial(alpha, n, "closed").terms.items()) == list(closed.terms.items())
 
 
 def test_barred_glide_terms_come_in_ascending_order():
-    # the barred route sums over a set; the two frozenset layouts of the
-    # paddings differ on part of this range, and neither may show through
+    # the barred route sums in the order its closure found the strings,
+    # starting from the paddings' frozenset; the two frozenset layouts of
+    # the paddings differ on part of this range, and neither may show through
     layouts_differ = 0
     for alpha in all_compositions(5):
         pads = list(paddings(alpha, 7))

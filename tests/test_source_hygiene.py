@@ -215,6 +215,7 @@ _ROUTES_APART = {
         {
             "_move_closure",
             "_signed_projection",
+            "_barred",
             "_c_tilde",
             "enumerate_C_tilde",
             "mu_prime",
@@ -226,6 +227,7 @@ _ROUTES_APART = {
         {
             "_move_closure",
             "_signed_projection",
+            "_barred",
             "_c_tilde",
             "enumerate_C_tilde",
             "mu_prime",
