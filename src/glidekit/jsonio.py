@@ -18,7 +18,9 @@ from .poly import SparsePoly
 
 
 def frac_str(value: Fraction | int) -> str:
-    return str(Fraction(value))
+    """A coefficient as "p/q" text, or "p" for an integer, by the
+    coefficient rule; a Fraction is written as it is, not wrapped again."""
+    return str(_exact(value, "coefficient"))
 
 
 def parse_frac(text: str | int) -> Fraction:

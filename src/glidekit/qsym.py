@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain, compress, product
 from math import comb, lcm, prod
-from operator import add, getitem
+from operator import getitem
 from types import MappingProxyType
 from typing import Any, Callable, Hashable, Iterable, Mapping
 
@@ -280,15 +280,34 @@ def overlapping_shuffle(alpha: Iterable[int], beta: Iterable[int]) -> dict[Compo
 
     Sums over surjections that are strictly order preserving on each side:
     each side keeps its order, and a slot hit from both sides adds the two
-    parts.
+    parts.  Counted by the quasi-shuffle recursion on the first parts,
+    x·u ⋆ y·v = x(u ⋆ y·v) + y(x·u ⋆ v) + (x+y)(u ⋆ v) (Hoffman, 2000),
+    over the suffix pairs of alpha and beta, one row of suffixes of alpha
+    at a time, so no placement is listed and nothing recurses.
     """
     a, b = as_composition(alpha), as_composition(beta)
-    out: dict[Composition, int] = {}
-    for k in range(max(len(a), len(b)), len(a) + len(b) + 1):
-        for l, r in overlapping_paddings(a, b, k):
-            gamma = tuple(map(add, l, r))
-            out[gamma] = out.get(gamma, 0) + 1
-    return out
+    m, n = len(a), len(b)
+    # below[j] is a[i + 1:] ⋆ b[j:] while row i is filled, from the right
+    below: list[dict[Composition, int]] = [{b[j:]: 1} for j in range(n + 1)]
+    for i in range(m - 1, -1, -1):
+        x = a[i]
+        first = (x,)
+        row: list[dict[Composition, int]] = [{}] * n + [{a[i:]: 1}]
+        for j in range(n - 1, -1, -1):
+            y = b[j]
+            out = {first + g: c for g, c in below[j].items()}
+            # parts are positive, so x + y starts no other term, and y
+            # starts an x term only when y = x
+            if y == x:
+                for g, c in row[j + 1].items():
+                    key = first + g
+                    out[key] = out.get(key, 0) + c
+            else:
+                out.update({(y,) + g: c for g, c in row[j + 1].items()})
+            out.update({(x + y,) + g: c for g, c in below[j + 1].items()})
+            row[j] = out
+        below = row
+    return below[0]
 
 
 def m_multiply(f: QSymElement, g: QSymElement) -> QSymElement:
@@ -576,13 +595,16 @@ def _slot_products(
 
     The sums run on integer numerators over L^n, L the lcm of the
     denominators of every slot's coefficients: a pair of j slots is
-    weighted by L^(n - j).
+    weighted by L^(n - j).  Each distinct slot mapping is scaled to those
+    numerators once, however many pairs hold it.
     """
-    d = lcm(*{c.denominator for slots in pairs for slot in slots for c in slot.values()})
+    distinct = {id(slot): slot for slots in pairs for slot in slots}
+    d = lcm(*{c.denominator for slot in distinct.values() for c in slot.values()})
+    scaled = {key: _integer_numerators(slot, d)[0] for key, slot in distinct.items()}
     out: dict[LabelTuple, int] = {}
     for slots in pairs:
         weight = d ** (n - len(slots))
-        for choice in product(*[_integer_numerators(slot, d)[0] for slot in slots]):
+        for choice in product(*[scaled[id(slot)] for slot in slots]):
             key = tuple(l for l, _ in choice)
             v = out.get(key, 0) + prod((c for _, c in choice), start=weight)
             if v:
@@ -605,25 +627,41 @@ def qsym_r_product(
     initial-segment pure tensors (non-unit labels packed at the front),
     which pick out each basis element exactly once.  Only the pairs of
     paddings that reach such a tensor are multiplied, each over the slots
-    it hits.
+    it hits; the ring is asked for each pair of labels once per call.
     """
     t = _validate_label_tuple(theta, ring)
     k = _validate_label_tuple(kappa, ring)
     _size(n, len(t) + len(k), "n")
     unit = ring.unit
+    # each padding with the bitmask of the slots its labels hit
+    lefts = [(k1, _hit_mask(k1, unit)) for k1 in paddings(t, n, unit)]
+    rights = [(k2, _hit_mask(k2, unit)) for k2 in paddings(k, n, unit)]
+    products: dict[tuple[Label, Label], dict[Label, Fraction]] = {}
     pairs: list[list[dict[Label, Fraction]]] = []
-    for k1 in paddings(t, n, unit):
-        for k2 in paddings(k, n, unit):
+    for k1, m1 in lefts:
+        for k2, m2 in rights:
             # labels in t and k have positive degree (``_validate_label_tuple``
             # checks it), so their graded products never hold the unit:
             # a pair's tensors are non-unit exactly on the slots hit from
-            # either side, and an initial segment needs those to come first
-            hit = [a != unit or b != unit for a, b in zip(k1, k2)]
-            length = hit.count(True)
-            if any(hit[length:]):
+            # either side, and an initial segment needs those to be the
+            # low bits, a mask of the form 2^L - 1
+            hit = m1 | m2
+            if hit & (hit + 1):
                 continue
-            pairs.append([ring._product(a, b) for a, b in zip(k1[:length], k2[:length])])
+            slots = []
+            for ab in zip(k1[: hit.bit_length()], k2):
+                slot = products.get(ab)
+                if slot is None:
+                    slot = products[ab] = ring._product(*ab)
+                slots.append(slot)
+            pairs.append(slots)
     return _slot_products(pairs, n)
+
+
+def _hit_mask(padding: tuple, unit: Label) -> int:
+    """The bitmask of the slots of ``padding`` that do not hold ``unit``:
+    bit i for slot i."""
+    return sum(1 << i for i, label in enumerate(padding) if label != unit)
 
 
 def qsym_r_product_shuffle(

@@ -302,6 +302,37 @@ def test_overlapping_shuffle_examples():
     assert overlapping_shuffle((1,), (1,)) == {(1, 1): 2, (2,): 1}
 
 
+def _listed_overlapping_shuffle(a, b):
+    """The overlapping shuffle by listing every surjective placement pair
+    into k slots, adding the parts slot by slot."""
+    out = {}
+    for k in range(max(len(a), len(b)), len(a) + len(b) + 1):
+        for l, r in overlapping_paddings(a, b, k):
+            gamma = tuple(x + y for x, y in zip(l, r))
+            out[gamma] = out.get(gamma, 0) + 1
+    return out
+
+
+_SHORT_COMPOSITIONS = st.lists(st.integers(1, 3), max_size=4).map(tuple)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_SHORT_COMPOSITIONS, b=_SHORT_COMPOSITIONS)
+@example(a=(1, 1, 1, 1), b=(1, 1, 1, 1))
+@example(a=(), b=())
+def test_overlapping_shuffle_recursion_matches_the_placement_listing(a, b):
+    got = overlapping_shuffle(a, b)
+    assert got == _listed_overlapping_shuffle(a, b)
+    # every placement pair is counted once: the Delannoy number D(m, n)
+    m, n = len(a), len(b)
+    assert sum(got.values()) == sum(comb(m, k) * comb(n, k) * 2**k for k in range(min(m, n) + 1))
+
+
+def test_overlapping_shuffle_does_not_recurse_on_the_length():
+    assert overlapping_shuffle((1, 2) * 600, ()) == {(1, 2) * 600: 1}
+    assert overlapping_shuffle((), (2, 1) * 600) == {(2, 1) * 600: 1}
+
+
 _SMALL_COMPOSITIONS = st.lists(st.integers(1, 3), max_size=3).map(tuple)
 
 
