@@ -128,29 +128,42 @@ def _inflations(
     pairs come in lexicographic order of the run-size vectors.  The result
     is cached and shared by every caller, so it is a tuple that none can
     change.
+
+    The run-size vectors are walked depth first on an explicit stack, so
+    an alpha of many runs needs no deeper Python stack: each prefix pushes
+    its children in reverse, and the smallest comes off first.  The last
+    run's children are the pairs themselves, written out in order.  Each
+    run's blocks and factors are built once, for its largest inflation.
     """
     runs = run_encode(alpha)
-    out: list[tuple[Composition, int]] = []
-
-    def extend(i: int, prefix: Composition, length: int, degree: int, coeff: int) -> None:
-        # length and degree are the slack left once every run keeps its
-        # original multiplicity
-        if i == len(runs):
-            out.append((prefix, coeff))
-            return
-        v, m = runs[i]
-        for extra in range(min(length, degree // v) + 1):
-            extend(
-                i + 1,
-                prefix + (v,) * (m + extra),
-                length - extra,
-                degree - extra * v,
-                coeff * _run_factor(m + extra, m),
-            )
-
+    # length and degree are the slack left once every run keeps its
+    # original multiplicity
     length, degree = max_length - len(alpha), max_degree - sum(alpha)
-    if length >= 0 and degree >= 0:
-        extend(0, (), length, degree, 1)
+    if length < 0 or degree < 0:
+        return ()
+    if not runs:
+        return (((), 1),)
+    # tables[i][extra]: run i inflated by extra entries, and its factor
+    tables = [
+        [((v,) * (m + e), _run_factor(m + e, m)) for e in range(min(length, degree // v) + 1)]
+        for v, m in runs
+    ]
+    last = len(runs) - 1
+    out: list[tuple[Composition, int]] = []
+    stack = [(0, (), length, degree, 1)]
+    while stack:
+        i, prefix, length, degree, coeff = stack.pop()
+        v = runs[i][0]
+        table = tables[i][: min(length, degree // v) + 1]
+        if i == last:
+            for block, factor in table:
+                out.append((prefix + block, coeff * factor))
+        else:
+            for extra in range(len(table) - 1, -1, -1):
+                block, factor = table[extra]
+                stack.append(
+                    (i + 1, prefix + block, length - extra, degree - extra * v, coeff * factor)
+                )
     return tuple(out)
 
 

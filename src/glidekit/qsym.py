@@ -20,8 +20,8 @@ from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
-from itertools import chain, compress, product
+from functools import lru_cache, partial
+from itertools import chain, compress, islice, product
 from math import comb, lcm, prod
 from operator import getitem
 from types import MappingProxyType
@@ -45,7 +45,7 @@ from .errors import (
     OutOfRangeError,
     UnknownLabelError,
 )
-from .glides import glide_m_expansion
+from .glides import _inflations, glide_m_expansion
 from .jsonio import parse_frac, read_json
 from .poly import SparsePoly, _BoxTerms, _fractions, _integer_numerators
 
@@ -334,9 +334,28 @@ def m_multiply(f: QSymElement, g: QSymElement) -> QSymElement:
 
 
 def glide_element(alpha: Iterable[int], degree_bound: int) -> QSymElement:
-    """The glide of alpha as truncated monomial-basis coordinates."""
-    _size(degree_bound, 0, "degree bound")
-    return QSymElement(glide_m_expansion(alpha, degree_bound), degree_bound)
+    """The glide of alpha as truncated monomial-basis coordinates.
+
+    The element is cached and shared by every caller; its coordinates are
+    read-only, as every element's are.
+    """
+    # checked before the cache, which would serve (True,) or a bool bound
+    # from an int entry; the bound first
+    bound = _size(degree_bound, 0, "degree bound")
+    return _glide_element(as_composition(alpha), bound)
+
+
+_GLIDE_ELEMENT_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_GLIDE_ELEMENT_CACHE_SIZE)
+def _glide_element(alpha: Composition, degree_bound: int) -> QSymElement:
+    """``glide_element`` on a validated composition and bound, one Fraction
+    per distinct coefficient."""
+    expansion = glide_m_expansion(alpha, degree_bound)
+    coefficients = list(expansion.values())
+    coords = dict(zip(compress(expansion, coefficients), _fractions(coefficients, 1)))
+    return QSymElement._trusted(coords, degree_bound)
 
 
 def glide_expand(f: QSymElement, degree_bound: int) -> dict[Composition, Fraction]:
@@ -358,35 +377,68 @@ def glide_expand(f: QSymElement, degree_bound: int) -> dict[Composition, Fractio
     _size(degree_bound, 0, "degree bound")
     if f.degree_bound is not None:
         _size(f.degree_bound, degree_bound, "the element's degree bound")
+    return _peel(f.coords, degree_bound)
+
+
+def _peel(
+    coords: Mapping[Composition, Fraction], degree_bound: int
+) -> dict[Composition, Fraction]:
+    """``glide_expand`` on checked coordinates: the glide coordinates, the
+    peeled layers in increasing size, each in the order its residual keys
+    came.
+
+    The residual is kept as one dict per size, keyed by the sizes present,
+    and the smallest is peeled next.  Each peeled composition a subtracts
+    its cached inflations, integer pairs; the first is a itself with
+    coefficient 1, which only clears a's own place, and every other is
+    larger.
+    """
     # the glide coordinates are ints, so the peeling runs on integer
     # numerators over the one denominator of the kept coordinates
     kept, denominator = _integer_numerators(
-        {a: c for a, c in f.coords.items() if sum(a) <= degree_bound}
+        {a: c for a, c in coords.items() if sum(a) <= degree_bound}
     )
-    coords: dict[Composition, int] = {}
-    residual = dict(kept)
-    while residual:
-        d = min(sum(a) for a in residual)
-        layer = {a: c for a, c in residual.items() if sum(a) == d}
-        for a, c in layer.items():
-            coords[a] = c
-            for g, gc in glide_m_expansion(a, degree_bound).items():
+    layers: dict[int, dict[Composition, int]] = {}
+    for a, c in kept:
+        layers.setdefault(sum(a), {})[a] = c
+    out: dict[Composition, int] = {}
+    while layers:
+        for a, c in layers.pop(min(layers)).items():
+            out[a] = c
+            for g, gc in islice(_inflations(a, degree_bound, degree_bound), 1, None):
+                residual = layers.setdefault(sum(g), {})
                 v = residual.get(g, 0) - c * gc
                 if v:
                     residual[g] = v
                 else:
                     residual.pop(g, None)
     # every peeled coefficient is a nonzero residual
-    return dict(zip(coords, _fractions(list(coords.values()), denominator)))
+    return dict(zip(out, _fractions(list(out.values()), denominator)))
 
 
 def glide_structure_constants(
     alpha: Iterable[int], beta: Iterable[int], degree_bound: int
 ) -> dict[Composition, Fraction]:
-    """Glide-basis coordinates of a product of two glides, up to a degree bound."""
-    fa = glide_element(alpha, degree_bound)
-    fb = glide_element(beta, degree_bound)
-    return glide_expand(m_multiply(fa, fb), degree_bound)
+    """Glide-basis coordinates of a product of two glides, up to a degree bound.
+
+    The table is cached and shared; the dict returned is a fresh copy.
+    """
+    # checked before the cache as the two glide elements check: the bound,
+    # then alpha, then beta
+    bound = _size(degree_bound, 0, "degree bound")
+    return _glide_constants(as_composition(alpha), as_composition(beta), bound).copy()
+
+
+_GLIDE_CONSTANTS_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_GLIDE_CONSTANTS_CACHE_SIZE)
+def _glide_constants(
+    alpha: Composition, beta: Composition, degree_bound: int
+) -> Mapping[Composition, Fraction]:
+    """``glide_structure_constants`` on validated arguments, read-only."""
+    product = m_multiply(_glide_element(alpha, degree_bound), _glide_element(beta, degree_bound))
+    return MappingProxyType(_peel(product.coords, degree_bound))
 
 
 Label = Hashable

@@ -327,17 +327,24 @@ def _is_partition_label(k: int, label: object) -> bool:
 
 
 def _partitions_of(total: int, k: int, bound: int) -> Iterator[Partition]:
-    """Length-k partitions of ``total`` with parts at most ``bound``."""
+    """Length-k partitions of ``total`` with parts at most ``bound``, in
+    decreasing lexicographic order; ``total`` and ``bound`` are at least 0.
 
-    def rec(remaining: int, parts_left: int, high: int) -> Iterator[tuple[int, ...]]:
-        if parts_left == 0:
-            if remaining == 0:
-                yield ()
-            return
-        for first in range(min(remaining, high), -1, -1):
-            if first * parts_left < remaining:
-                break
-            for rest in rec(remaining - first, parts_left - 1, first):
-                yield (first,) + rest
-
-    yield from rec(total, k, bound)
+    The prefixes are walked depth first on an explicit stack, so a large k
+    needs no deeper Python stack: each prefix pushes its next parts from
+    the least that can still reach ``total`` up to the largest allowed, and
+    the largest comes off first.  A prefix that reaches ``total`` ends in
+    zeros.
+    """
+    stack = [((), total, bound)]
+    while stack:
+        prefix, remaining, high = stack.pop()
+        parts_left = k - len(prefix)
+        if remaining == 0:
+            yield prefix + (0,) * parts_left
+        elif parts_left:
+            least = -(-remaining // parts_left)
+            stack.extend(
+                (prefix + (first,), remaining - first, first)
+                for first in range(least, min(remaining, high) + 1)
+            )

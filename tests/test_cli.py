@@ -319,6 +319,28 @@ def test_large_values_are_answered(capsys, argv, output):
     assert json.loads(out)["output"] == output
 
 
+# valid requests whose inputs are long but whose answers are small, each
+# with the argv of another route that gives the same answer.  Each once
+# ended in a RecursionError traceback out of ``run``: the closed glide's
+# inflation walk recursed once per run of alpha
+_ALTERNATING = ",".join(["1", "2"] * 500)
+LONG_INPUT_ARGV = [
+    (
+        ["glide", "--alpha", _ALTERNATING, "--n", "1000"],
+        ["glide", "--alpha", _ALTERNATING, "--n", "1000", "--method", "barred"],
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, check_argv", LONG_INPUT_ARGV, ids=["glide-1000-parts"])
+def test_long_inputs_are_answered(capsys, argv, check_argv):
+    code, out, err = invoke(capsys, *argv)
+    assert (code, err) == (0, "")
+    code, check, err = invoke(capsys, *check_argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["output"] == json.loads(check)["output"]
+
+
 # The argv grammar below keeps out the sizes whose work grows without bound
 # until the CLI has budgets (ROADMAP item 4): ``--chern`` with a large m or
 # n (the Chern box has (m + 1)**n entries), a poset, glide or kclass n beyond

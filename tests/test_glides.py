@@ -1,15 +1,18 @@
 import random
+from itertools import product
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glidekit.compositions import paddings, semistandardize, sorting_data
+from glidekit.compositions import paddings, run_encode, semistandardize, sorting_data
 from glidekit.errors import InvalidCompositionError, NotInCSetError, OutOfRangeError
 from glidekit.glides import (
     GLIDE_METHODS,
     _closed_terms,
     _inflations,
     _move_closure,
+    _run_factor,
     check_binomial_identity,
     enumerate_C,
     enumerate_C_tilde,
@@ -300,6 +303,20 @@ def test_glide_m_expansion_matches_poset_route():
             assert glide_m_expansion(alpha, D) == truncated, (alpha, D)
     assert glide_m_expansion((2, 1), 2) == {}
     assert glide_m_expansion((), -1) == {}
+
+
+def test_inflations_come_in_lexicographic_order_of_run_sizes():
+    # the reference: every run-size vector within the slack, in the order
+    # itertools.product lists them, which is lexicographic
+    for alpha in all_compositions(5):
+        runs = run_encode(alpha)
+        for length, degree in product(range(len(alpha), 9), range(sum(alpha), 12)):
+            expected = []
+            for sizes in product(*[range(m, length + 1) for _, m in runs]):
+                gamma = tuple(v for (v, _), size in zip(runs, sizes) for _ in range(size))
+                if len(gamma) <= length and sum(gamma) <= degree:
+                    expected.append((gamma, prod(map(_run_factor, sizes, (m for _, m in runs)))))
+            assert _inflations(alpha, length, degree) == tuple(expected), (alpha, length, degree)
 
 
 def test_check_binomial_identity():

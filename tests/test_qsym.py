@@ -603,6 +603,19 @@ def test_glide_structure_constants_examples():
     assert glide_structure_constants((), (1, 2), 4) == {(1, 2): Fraction(1)}
 
 
+def test_glide_element_of_many_runs():
+    # the inflation walk keeps no Python frame per run of alpha
+    alpha = (1, 2) * 500
+    element = glide_element(alpha, 1500)
+    assert dict(element.coords) == {alpha: Fraction(1)}
+    assert element.degree_bound == 1500
+
+
+def test_glide_expand_keys_sizes_by_those_present():
+    # no table as long as the degree bound is built
+    assert glide_expand(QSymElement({}), 10**9) == {}
+
+
 def test_glide_structure_constants_stable_in_degree():
     for a, b in [((1,), (1,)), ((2,), (1, 1)), ((1, 2), (1,))]:
         lo = glide_structure_constants(a, b, 4)

@@ -432,6 +432,30 @@ def test_buk_agrees_with_generic_engine_random():
             )
 
 
+def test_partitions_of_comes_in_decreasing_lexicographic_order():
+    for total, k, bound in product(range(8), range(5), range(9)):
+        expected = sorted(
+            (
+                p
+                for p in product(range(min(total, bound) + 1), repeat=k)
+                if sum(p) == total and all(a >= b for a, b in zip(p, p[1:]))
+            ),
+            reverse=True,
+        )
+        assert list(_partitions_of(total, k, bound)) == expected, (total, k, bound)
+
+
+def test_schur_ring_of_many_parts():
+    # the partition walk keeps no Python frame per part
+    k = 1500
+    one, two, pair = (1,) + (0,) * (k - 1), (2,) + (0,) * (k - 1), (1, 1) + (0,) * (k - 2)
+    assert qsym_r_product((one,), (one,), schur_ring(k), 2) == {
+        (two,): Fraction(1),
+        (pair,): Fraction(1),
+        (one, one): Fraction(2),
+    }
+
+
 def test_schur_ring_respects_grading():
     ring = schur_ring(3)
     out = ring.product((1, 0, 0), (2, 1, 0))

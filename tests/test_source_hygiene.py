@@ -443,12 +443,10 @@ def test_only_schur_names_its_walker():
 
 # no function may call itself: a recursion on the size of an input ends in
 # a RecursionError traceback on a long enough one, where the CLI promises a
-# typed error or an answer.  These three still do, each on an explicit stack
-# to be; the list may only shrink
+# typed error or an answer.  This one still does, on an explicit stack to
+# be; the list may only shrink
 _STILL_RECURSIVE = {
-    "glides.py: _inflations.extend",
     "schur.py: _fillings.walk",
-    "schur.py: _partitions_of.rec",
 }
 
 
