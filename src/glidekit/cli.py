@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Any
 
 from . import __version__
@@ -123,6 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     """
     parser = argparse.ArgumentParser(
         prog="glidekit",
+        allow_abbrev=False,
         description=(
             "Exact computations with monomial quasisymmetric functions, string-poset "
             "Mobius data, glide polynomials, truncated K-ring classes, and tableau "
@@ -135,68 +136,69 @@ def build_parser() -> argparse.ArgumentParser:
 
     # the same flag is accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering a value parsed at the top level
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     common.add_argument("--pretty", action="store_true", default=argparse.SUPPRESS)
 
+    # no flag may be abbreviated, so a new flag never turns an argv that
+    # works into a usage error by sharing its prefix
     sub = parser.add_subparsers(dest="command", required=True)
+    add = partial(sub.add_parser, parents=[common], allow_abbrev=False)
 
-    p = sub.add_parser(
-        "poset", parents=[common], help="string poset of a composition's zero-paddings"
-    )
+    p = add("poset", help="string poset of a composition's zero-paddings")
     p.add_argument("--alpha", required=True)
     p.add_argument("--n", type=decimal_int, required=True)
     p.add_argument("--hasse", action="store_true", help="include cover relations")
     p.add_argument("--mobius", action="store_true", help="include the Mobius table")
     p.set_defaults(func=_cmd_poset)
 
-    p = sub.add_parser("glide", parents=[common], help="glide polynomial of a composition")
+    p = add("glide", help="glide polynomial of a composition")
     p.add_argument("--alpha", required=True)
     p.add_argument("--n", type=decimal_int, required=True)
     p.add_argument("--method", choices=GLIDE_METHODS, default="closed")
     p.set_defaults(func=_cmd_glide)
 
-    p = sub.add_parser("shuffle", parents=[common], help="overlapping shuffle product of two compositions")
+    p = add("shuffle", help="overlapping shuffle product of two compositions")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.set_defaults(func=_cmd_shuffle)
 
-    p = sub.add_parser("mprod", parents=[common], help="monomial-basis product of two compositions")
+    p = add("mprod", help="monomial-basis product of two compositions")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.set_defaults(func=_cmd_mprod)
 
-    p = sub.add_parser("glide-expand", parents=[common], help="expand monomial coordinates over the glide basis")
+    p = add("glide-expand", help="expand monomial coordinates over the glide basis")
     p.add_argument("--input", required=True, help="JSON file with monomial coordinates")
     p.add_argument("--degree", type=decimal_int, required=True)
     p.set_defaults(func=_cmd_glide_expand)
 
-    p = sub.add_parser("glide-struct", parents=[common], help="glide-basis structure constants of two glides")
+    p = add("glide-struct", help="glide-basis structure constants of two glides")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
     p.add_argument("--degree", type=decimal_int, required=True)
     p.set_defaults(func=_cmd_glide_struct)
 
-    p = sub.add_parser("kclass", parents=[common], help="structure-sheaf class of the dual Schubert union")
+    p = add("kclass", help="structure-sheaf class of the dual Schubert union")
     p.add_argument("--alpha", required=True)
     p.add_argument("--n", type=decimal_int, required=True)
     p.add_argument("--m", type=decimal_int, required=True)
     p.add_argument("--chern", action="store_true", help="include the Chern character image")
     p.set_defaults(func=_cmd_kclass)
 
-    p = sub.add_parser("lr", parents=[common], help="Littlewood-Richardson coefficient by ballot tableaux")
+    p = add("lr", help="Littlewood-Richardson coefficient by ballot tableaux")
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--mu", required=True)
     p.add_argument("--nu", required=True)
     p.set_defaults(func=_cmd_lr)
 
-    p = sub.add_parser("buk", parents=[common], help="structure constant for tuples of length-k partitions")
+    p = add("buk", help="structure constant for tuples of length-k partitions")
     p.add_argument("--k", type=decimal_int, required=True)
     p.add_argument("--lambda", dest="lam", required=True)
     p.add_argument("--m", dest="mu", required=True)
     p.add_argument("--n", dest="nu", required=True)
     p.set_defaults(func=_cmd_buk)
 
-    p = sub.add_parser("verify-paper", parents=[common], help="replay the built-in reference fixtures")
+    p = add("verify-paper", help="replay the built-in reference fixtures")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -455,6 +455,12 @@ class GradedRingData:
     tensor engine refuse any other label, and the engine any of degree 0 or
     less.  ``degree``, ``multiply`` and ``contains`` must be callable and the
     unit a label of degree 0, which the ring checks when it is built.
+
+    A ring is compared and hashed by its four fields, each of which must be
+    hashable, and the tensor engine keeps its expansions keyed by the ring.
+    So the three functions must be pure: the same arguments give the same
+    answer on every call.  Labels that compare equal are one label, as they
+    are to the engine's own dicts.
     """
 
     unit: Label
@@ -470,6 +476,10 @@ class GradedRingData:
                 raise MalformedInputError(f"ring {name} must be callable, got {kind}")
         if self.degree(self._label(self.unit)) != 0:
             raise UnknownLabelError(f"the unit {self.unit!r} must have degree 0")
+        try:
+            hash(self)
+        except TypeError as exc:
+            raise MalformedInputError(f"ring fields must be hashable: {exc}") from exc
 
     def _label(self, label: Label) -> Label:
         # a label that ``contains`` cannot even test is no label of the ring
@@ -602,11 +612,9 @@ def cpinf_ring() -> GradedRingData:
 
     The basis label a stands for the a-th power of a single generator; with
     this ring the generic product reproduces the overlapping shuffle on
-    ordinary compositions exactly.
+    ordinary compositions exactly.  Every call returns the one shared ring.
     """
-    return GradedRingData(
-        unit=0, degree=_cpinf_degree, multiply=_cpinf_product, contains=_is_cpinf_label
-    )
+    return _CPINF_RING
 
 
 def _cpinf_degree(a: int) -> int:
@@ -619,6 +627,11 @@ def _cpinf_product(a: int, b: int) -> Mapping[int, Fraction]:
 
 def _is_cpinf_label(a: object) -> bool:
     return type(a) is int and a >= 0
+
+
+_CPINF_RING = GradedRingData(
+    unit=0, degree=_cpinf_degree, multiply=_cpinf_product, contains=_is_cpinf_label
+)
 
 
 LabelTuple = tuple[Label, ...]
@@ -679,11 +692,26 @@ def qsym_r_product(
     initial-segment pure tensors (non-unit labels packed at the front),
     which pick out each basis element exactly once.  Only the pairs of
     paddings that reach such a tensor are multiplied, each over the slots
-    it hits; the ring is asked for each pair of labels once per call.
+    it hits; the ring is asked for each pair of labels once per cached
+    (theta, kappa, ring, n).
+
+    The expansion is cached and shared; the dict returned is a fresh copy.
     """
+    # checked before the cache, which would serve (True,) or a bool n from
+    # an int entry: theta, kappa, then n
     t = _validate_label_tuple(theta, ring)
     k = _validate_label_tuple(kappa, ring)
-    _size(n, len(t) + len(k), "n")
+    return _r_expansion(t, k, ring, _size(n, len(t) + len(k), "n")).copy()
+
+
+_R_EXPANSION_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_R_EXPANSION_CACHE_SIZE)
+def _r_expansion(
+    t: LabelTuple, k: LabelTuple, ring: GradedRingData, n: int
+) -> Mapping[LabelTuple, Fraction]:
+    """``qsym_r_product`` on validated label tuples and n, read-only."""
     unit = ring.unit
     # each padding with the bitmask of the slots its labels hit
     lefts = [(k1, _hit_mask(k1, unit)) for k1 in paddings(t, n, unit)]
@@ -707,7 +735,7 @@ def qsym_r_product(
                     slot = products[ab] = ring._product(*ab)
                 slots.append(slot)
             pairs.append(slots)
-    return _slot_products(pairs, n)
+    return MappingProxyType(_slot_products(pairs, n))
 
 
 def _hit_mask(padding: tuple, unit: Label) -> int:

@@ -126,6 +126,12 @@ def _fillings(shape: SkewShape, weight: Sequence[int], ballot: bool) -> Iterator
     above are filled first: the first gives its largest value, the second
     one less than its least.  With ``ballot`` a value v > 1 goes in only
     while v - 1 has been placed more often than v.
+
+    The word is walked depth first in place, with no deeper Python stack
+    for a larger shape: cell i tries its values v in increasing order, a
+    value that fits moves on to cell i + 1 (or yields the word at the last
+    cell), and a cell with no value left steps back to try the next value
+    of cell i - 1.
     """
     outer, inner = shape.outer, shape.inner
     # (right, above) of each cell: word positions, or None outside the shape
@@ -140,23 +146,39 @@ def _fillings(shape: SkewShape, weight: Sequence[int], ballot: bool) -> Iterator
     cap = (0, *weight)
     placed = [0] * len(cap)
     word = [0] * len(neighbours)
+    last = len(word) - 1
+    if last < 0:
+        yield ()
+        return
 
-    def walk(i: int) -> Iterator[tuple[int, ...]]:
-        if i == len(word):
-            yield tuple(word)
-            return
-        right, above = neighbours[i]
-        least = 1 if above is None else word[above] + 1
+    def least(i: int) -> int:
+        above = neighbours[i][1]
+        return 1 if above is None else word[above] + 1
+
+    i, v = 0, least(0)
+    while True:
+        right = neighbours[i][0]
         most = len(weight) if right is None else word[right]
-        for v in range(least, most + 1):
-            if placed[v] == cap[v] or ballot and v > 1 and placed[v - 1] <= placed[v]:
-                continue
+        while v <= most and (
+            placed[v] == cap[v] or ballot and v > 1 and placed[v - 1] <= placed[v]
+        ):
+            v += 1
+        if v > most:
+            if i == 0:
+                return
+            i -= 1
+            v = word[i]
+            placed[v] -= 1
+            v += 1
+        elif i == last:
+            word[i] = v
+            yield tuple(word)
+            v += 1
+        else:
             word[i] = v
             placed[v] += 1
-            yield from walk(i + 1)
-            placed[v] -= 1
-
-    return walk(0)
+            i += 1
+            v = least(i)
 
 
 def ssyt_enumerate(shape: SkewShape, weight: Sequence[int]) -> list[Tableau]:
@@ -297,10 +319,20 @@ def schur_ring(k: int) -> GradedRingData:
     the unit.  Products are exact, generated on demand and kept in one
     bounded cache that every such ring shares; each is a read-only view, so
     no caller can change a cached one.  The ring's functions are module
-    level, so it pickles.
+    level, so it pickles.  Every call with the same k returns one shared
+    ring, so the tensor engine's cache, keyed by the ring, serves it again.
     """
+    # checked before the cache, which would serve a bool k from an int entry
+    return _schur_ring(_size(k, 0, "k"))
+
+
+_SCHUR_RING_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=_SCHUR_RING_CACHE_SIZE)
+def _schur_ring(k: int) -> GradedRingData:
     return GradedRingData(
-        unit=(0,) * _size(k, 0, "k"),
+        unit=(0,) * k,
         degree=sum,
         multiply=_schur_product,
         contains=partial(_is_partition_label, k),

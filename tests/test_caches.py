@@ -13,7 +13,12 @@ import pytest
 
 import glidekit
 from glidekit import glides, qsym, schur
-from glidekit.errors import InvalidCompositionError, OutOfRangeError, UnknownLabelError
+from glidekit.errors import (
+    InvalidCompositionError,
+    MalformedInputError,
+    OutOfRangeError,
+    UnknownLabelError,
+)
 from glidekit.glides import (
     enumerate_C,
     enumerate_C_tilde,
@@ -23,6 +28,7 @@ from glidekit.glides import (
 )
 from glidekit.qsym import (
     GradedRingData,
+    cpinf_ring,
     glide_element,
     glide_structure_constants,
     m_multiply,
@@ -54,6 +60,8 @@ def test_every_cache_is_bounded():
     assert caches["glidekit.glides._c_tilde"] is glides._c_tilde
     assert caches["glidekit.qsym._glide_element"] is qsym._glide_element
     assert caches["glidekit.qsym._glide_constants"] is qsym._glide_constants
+    assert caches["glidekit.qsym._r_expansion"] is qsym._r_expansion
+    assert caches["glidekit.schur._schur_ring"] is schur._schur_ring
     # the public barred closure reports and resets the signed closure's cache
     assert enumerate_C_tilde.cache_info.__self__ is glides._c_tilde
     assert enumerate_C_tilde.cache_clear.__self__ is glides._c_tilde
@@ -61,6 +69,21 @@ def test_every_cache_is_bounded():
     for name, cached in caches.items():
         maxsize = cached.cache_info().maxsize
         assert type(maxsize) is int and maxsize > 0, name
+
+
+# a ``from_dict`` ring, built once so every call hands the engine one ring
+_LOADED = GradedRingData.from_dict(
+    {
+        "basis": [
+            {"label": "1", "degree": 0},
+            {"label": "x", "degree": 1},
+            {"label": "y", "degree": 1},
+            {"label": "x2", "degree": 2},
+            {"label": "xy", "degree": 2},
+        ],
+        "constants": {"x": {"x": {"x2": "1/2"}, "y": {"xy": "3", "x2": "-1/3"}}},
+    }
+)
 
 
 def _cold_then_warm(cached, call):
@@ -99,14 +122,22 @@ def _cold_then_warm(cached, call):
             qsym._glide_constants,
             lambda: list(glide_structure_constants((2, 1), (1, 1), 6).items()),
         ),
-        # one product cache serves every tableau ring
+        # one product cache serves every tableau ring; a warm tensor engine
+        # never reaches the ring, so this row asks the rings themselves
         (
             schur._schur_product,
             lambda: [
-                list(qsym_r_product((a, a), (b,), schur_ring(len(a)), 3).items())
+                list(schur_ring(len(a)).product(a, b).items())
                 for a, b in [((1, 0), (2, 1)), ((1, 0, 0), (2, 1, 0))]
             ],
         ),
+        # the tensor engine's expansions, over each kind of ring
+        (qsym._r_expansion, lambda: list(qsym_r_product((1, 2), (2, 1), cpinf_ring(), 4).items())),
+        (
+            qsym._r_expansion,
+            lambda: list(qsym_r_product(((1, 0), (1, 0)), ((2, 1),), schur_ring(2), 3).items()),
+        ),
+        (qsym._r_expansion, lambda: list(qsym_r_product(("x", "y"), ("x",), _LOADED, 3).items())),
     ],
     ids=[
         "glide_m_expansion",
@@ -118,6 +149,9 @@ def _cold_then_warm(cached, call):
         "glide_element",
         "glide_structure_constants",
         "schur-ring-product",
+        "r-product-cpinf",
+        "r-product-schur",
+        "r-product-from-dict",
     ],
 )
 def test_inflation_cache_leaves_results_unchanged(cached, call):
@@ -179,6 +213,18 @@ def test_changing_a_result_leaves_the_next_call_unchanged():
     constants[(9,)] = Fraction(5)
     del constants[(1, 1, 2)]
     assert list(glide_structure_constants((1, 2), (1,), 5).items()) == expected
+
+    # the engine's expansion is a fresh dict over a read-only cached table
+    for t, k, ring in [((1, 2), (1,), cpinf_ring()), (((1, 0),), ((1, 0),), schur_ring(2))]:
+        expansion = qsym_r_product(t, k, ring, 3)
+        expected = list(expansion.items())
+        first = next(iter(expansion))
+        expansion[first] += 1
+        expansion[("z",)] = Fraction(5)
+        del expansion[first]
+        assert list(qsym_r_product(t, k, ring, 3).items()) == expected
+        with pytest.raises(TypeError):
+            qsym._r_expansion(t, k, ring, 3)[first] = Fraction(1)
 
     # a glide element is shared, and its coordinates cannot be changed
     element = glide_element((1, 2), 5)
@@ -243,6 +289,63 @@ def test_the_glide_caches_refuse_what_equals_a_cached_int_key(call, error):
     with pytest.raises(error):
         call()
     assert [cached.cache_info().currsize for cached in caches] == sizes
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: qsym_r_product((True,), (1,), cpinf_ring(), 2), UnknownLabelError),
+        (lambda: qsym_r_product((1,), (True,), cpinf_ring(), 2), UnknownLabelError),
+        (lambda: qsym_r_product((1,), (1,), cpinf_ring(), True), OutOfRangeError),
+    ],
+    ids=["bool-theta", "bool-kappa", "bool-n"],
+)
+def test_the_engine_cache_refuses_what_equals_a_cached_int_key(call, error):
+    # the labels and n are checked before the cache, which would serve
+    # these from the entry for ((1,), (1,), ring, 2)
+    qsym_r_product((1,), (1,), cpinf_ring(), 2)
+    size = qsym._r_expansion.cache_info().currsize
+    with pytest.raises(error):
+        call()
+    assert qsym._r_expansion.cache_info().currsize == size
+
+
+class _UnhashableProduct:
+    __hash__ = None
+
+    def __call__(self, a, b):
+        return {a + b: 1}
+
+
+def test_only_equal_rings_share_an_expansion():
+    base = cpinf_ring()
+    doubled = GradedRingData(0, base.degree, lambda a, b: {a + b: 2}, base.contains)
+    tripled = GradedRingData(0, base.degree, lambda a, b: {a + b: 3}, base.contains)
+    qsym._r_expansion.cache_clear()
+    answers = [qsym_r_product((1,), (1,), ring, 2)[(2,)] for ring in (base, doubled, tripled)]
+    assert answers == [1, 2, 3]
+    assert qsym._r_expansion.cache_info().currsize == 3
+    # a ring built from the same fields is the same ring, and is served
+    same = GradedRingData(0, base.degree, base.multiply, base.contains)
+    assert same == base and same is not base
+    hits = qsym._r_expansion.cache_info().hits
+    assert qsym_r_product((1,), (1,), same, 2)[(2,)] == 1
+    assert qsym._r_expansion.cache_info().hits == hits + 1
+    # a ring is hashed by its fields, so a field that cannot be hashed is refused
+    with pytest.raises(MalformedInputError):
+        GradedRingData(0, base.degree, _UnhashableProduct(), base.contains)
+
+
+def test_each_ring_is_built_once():
+    assert schur_ring(2) is schur_ring(2)
+    assert schur_ring(2) is not schur_ring(3)
+    assert cpinf_ring() is cpinf_ring()
+    # k is checked before the ring cache, which would serve True from 1
+    schur_ring(1)
+    size = schur._schur_ring.cache_info().currsize
+    with pytest.raises(OutOfRangeError):
+        schur_ring(True)
+    assert schur._schur_ring.cache_info().currsize == size
 
 
 def _constants_and_certificates():

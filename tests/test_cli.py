@@ -320,25 +320,49 @@ def test_large_values_are_answered(capsys, argv, output):
 
 
 # valid requests whose inputs are long but whose answers are small, each
-# with the argv of another route that gives the same answer.  Each once
-# ended in a RecursionError traceback out of ``run``: the closed glide's
-# inflation walk recursed once per run of alpha
+# with the argv of another route that gives the same answer, or with the
+# answer.  Each once ended in a RecursionError traceback out of ``run``: the
+# closed glide's inflation walk recursed once per run of alpha, and the
+# tableau walk once per cell of the skew shape (1,000 cells here)
 _ALTERNATING = ",".join(["1", "2"] * 500)
 LONG_INPUT_ARGV = [
     (
         ["glide", "--alpha", _ALTERNATING, "--n", "1000"],
         ["glide", "--alpha", _ALTERNATING, "--n", "1000", "--method", "barred"],
     ),
+    (["lr", "--lambda", "1000", "--mu", "1000", "--nu", "2000"], {"coefficient": 1}),
+    (["buk", "--k", "1", "--lambda", "1000", "--m", "1000", "--n", "2000"], {"coefficient": 1}),
 ]
 
 
-@pytest.mark.parametrize("argv, check_argv", LONG_INPUT_ARGV, ids=["glide-1000-parts"])
-def test_long_inputs_are_answered(capsys, argv, check_argv):
+@pytest.mark.parametrize(
+    "argv, check", LONG_INPUT_ARGV, ids=["glide-1000-parts", "lr-1000-cells", "buk-1000-cells"]
+)
+def test_long_inputs_are_answered(capsys, argv, check):
     code, out, err = invoke(capsys, *argv)
     assert (code, err) == (0, "")
-    code, check, err = invoke(capsys, *check_argv)
-    assert (code, err) == (0, "")
-    assert json.loads(out)["output"] == json.loads(check)["output"]
+    if isinstance(check, list):
+        code, answer, err = invoke(capsys, *check)
+        assert (code, err) == (0, "")
+        check = json.loads(answer)["output"]
+    assert json.loads(out)["output"] == check
+
+
+# no flag may be abbreviated: argparse's prefix matching once read these as
+# ``--chern`` and ``--lambda``, and ``--pre`` as ``--pretty``
+ABBREVIATED_ARGV = [
+    ["kclass", "--alpha", "1", "--n", "1", "--m", "1", "--ch"],
+    ["lr", "--la", "1", "--mu", "1", "--nu", "2"],
+    ["--pre", "lr", "--lambda", "1", "--mu", "1", "--nu", "2"],
+]
+
+
+@pytest.mark.parametrize("argv", ABBREVIATED_ARGV, ids=" ".join)
+def test_abbreviated_flags_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 # The argv grammar below keeps out the sizes whose work grows without bound

@@ -167,6 +167,33 @@ def test_tableau_takes_exactly_the_semistandard_fillings():
                 assert ssyt_enumerate(shape, weight) == expected
 
 
+def test_ssyt_enumerate_walks_the_reading_words_in_lexicographic_order():
+    # brute force: every word with entries 1..4, in itertools.product's
+    # lexicographic order, read back into rows (each row right to left);
+    # the reading words of the semistandard fillings, grouped by content,
+    # are the order the tableau walk must keep
+    for shape in _skew_shapes_inside((3, 3, 2), 6):
+        lengths = [o - i for o, i in zip(shape.outer, shape.inner)]
+        cells = sum(lengths)
+        by_content = {}
+        for word in product(range(1, 5), repeat=cells):
+            it = iter(word)
+            rows = tuple(tuple(next(it) for _ in range(k))[::-1] for k in lengths)
+            if _is_semistandard(shape, rows):
+                by_content.setdefault(tuple(map(word.count, range(1, 5))), []).append(word)
+        for weight in product(range(cells + 1), repeat=4):
+            if sum(weight) == cells:
+                words = [reading_word(t) for t in ssyt_enumerate(shape, weight)]
+                assert words == by_content.get(weight, []), (shape, weight)
+
+
+def test_a_long_skew_shape_needs_no_deeper_stack():
+    # the tableau walk keeps no Python frame per cell
+    assert lr_coefficient((1000,), (1000,), (2000,)) == 1
+    [t] = ssyt_enumerate(SkewShape((1000, 1000), (0, 0)), (1000, 1000))
+    assert t.rows == ((1,) * 1000, (2,) * 1000)
+
+
 def _ballot_by_filter(lam, mu, nu):
     return sum(map(is_ballot, ssyt_enumerate(SkewShape(nu, lam), mu)))
 

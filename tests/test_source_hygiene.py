@@ -197,10 +197,10 @@ _ROUTES_APART = {
         {"_downsets", "mobius", "covers"},
     ),
     # the tensor engine keeps its own placement, so it checks the shared
-    # generator, the overlapping shuffle
+    # generator, the overlapping shuffle; its loop runs in the cached body
     "tensor-engine": (
         "qsym.py",
-        {"qsym_r_product"},
+        {"qsym_r_product", "_r_expansion"},
         {"overlapping_paddings", "overlapping_shuffle", "qsym_r_product_shuffle"},
     ),
     # the overlapping shuffle counts by its recursion, so over ``cpinf_ring``
@@ -443,11 +443,8 @@ def test_only_schur_names_its_walker():
 
 # no function may call itself: a recursion on the size of an input ends in
 # a RecursionError traceback on a long enough one, where the CLI promises a
-# typed error or an answer.  This one still does, on an explicit stack to
-# be; the list may only shrink
-_STILL_RECURSIVE = {
-    "schur.py: _fillings.walk",
-}
+# typed error or an answer.  None does any more; the list may only shrink
+_STILL_RECURSIVE: set[str] = set()
 
 
 def _self_calls(tree: ast.AST):
