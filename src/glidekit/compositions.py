@@ -8,8 +8,9 @@ empty composition ``()`` is a first-class value (it indexes the unit class).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache, wraps
 from itertools import chain, combinations
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Sized, TypeVar
 
 from .errors import (
     InvalidCompositionError, LengthMismatchError, MalformedInputError, OutOfRangeError,
@@ -19,6 +20,7 @@ from .errors import (
 Composition = tuple[int, ...]
 WeakComposition = tuple[int, ...]
 T = TypeVar("T")
+S = TypeVar("S", bound=Sized)
 
 
 def _int_parts(parts: Iterable[int], least: int, kind: str) -> tuple[int, ...]:
@@ -91,6 +93,46 @@ def _container(value: Iterable[T], name: str, items: bool = False) -> Iterator[T
     except (AttributeError, TypeError):
         kind = "mapping" if items else "container"
         raise MalformedInputError(f"{name} must be a {kind}, got {type(value).__name__}") from None
+
+
+class _Oversized(Exception):
+    """Carries a result over a cache's size cap out of the cached call."""
+
+    def __init__(self, value: Sized):
+        super().__init__()
+        self.value = value
+
+
+def _size_capped_cache(maxsize: int, cap: int) -> Callable[[Callable[..., S]], Callable[..., S]]:
+    """The one rule for a cache bounded in size as well as in entries: an
+    ``lru_cache`` of ``maxsize`` entries that keeps no result of more than
+    ``cap`` items (by ``len``).  Such a result is returned all the same, is
+    counted as a miss and adds no entry, so one large value cannot pin its
+    memory until ``maxsize`` newer keys evict it.  The cached function
+    reports and resets the ``lru_cache`` by its ``cache_info`` and
+    ``cache_clear``."""
+
+    def decorate(function: Callable[..., S]) -> Callable[..., S]:
+        @lru_cache(maxsize=maxsize)
+        def kept(*args):
+            value = function(*args)
+            if len(value) > cap:
+                # ``lru_cache`` keeps nothing for a call that raises
+                raise _Oversized(value)
+            return value
+
+        @wraps(function)
+        def cached(*args):
+            try:
+                return kept(*args)
+            except _Oversized as over:
+                return over.value
+
+        cached.cache_info = kept.cache_info
+        cached.cache_clear = kept.cache_clear
+        return cached
+
+    return decorate
 
 
 def as_composition(parts: Iterable[int]) -> Composition:

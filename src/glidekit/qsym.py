@@ -18,12 +18,11 @@ from __future__ import annotations
 
 from collections import Counter
 from contextlib import suppress
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain, compress, islice, product
 from math import comb, lcm, prod
-from operator import getitem
 from types import MappingProxyType
 from typing import Any, Callable, Hashable, Iterable, Mapping
 
@@ -33,6 +32,7 @@ from .compositions import (
     _exact,
     _instance,
     _size,
+    _size_capped_cache,
     as_composition,
     overlapping_paddings,
     paddings,
@@ -280,12 +280,32 @@ def overlapping_shuffle(alpha: Iterable[int], beta: Iterable[int]) -> dict[Compo
 
     Sums over surjections that are strictly order preserving on each side:
     each side keeps its order, and a slot hit from both sides adds the two
-    parts.  Counted by the quasi-shuffle recursion on the first parts,
-    x·u ⋆ y·v = x(u ⋆ y·v) + y(x·u ⋆ v) + (x+y)(u ⋆ v) (Hoffman, 2000),
-    over the suffix pairs of alpha and beta, one row of suffixes of alpha
-    at a time, so no placement is listed and nothing recurses.
+    parts.  The table is cached and shared; the dict returned is a fresh
+    copy, in the recursion's key order.
     """
-    a, b = as_composition(alpha), as_composition(beta)
+    # checked before the cache, which would serve (True,) or (1.0,) from an
+    # int entry: alpha, then beta
+    return _overlapping_shuffle(as_composition(alpha), as_composition(beta)).copy()
+
+
+# a table of two compositions of total size at most 10 has at most 146 keys,
+# so every such table is kept; the largest algebra_requests asks for has 27.
+# (1,)^k ⋆ (1,)^k has F(2k + 1) keys, 610 at k = 7.  The cache holds at most
+# 2048 * 256 keys, about 75 MB at some 140 bytes a key
+_SHUFFLE_CACHE_SIZE = 2048
+_SHUFFLE_CACHE_CAP = 256
+
+
+@_size_capped_cache(_SHUFFLE_CACHE_SIZE, _SHUFFLE_CACHE_CAP)
+def _overlapping_shuffle(a: Composition, b: Composition) -> Mapping[Composition, int]:
+    """``overlapping_shuffle`` on validated compositions, read-only.
+
+    Counted by the quasi-shuffle recursion on the first parts,
+    x·u ⋆ y·v = x(u ⋆ y·v) + y(x·u ⋆ v) + (x+y)(u ⋆ v) (Hoffman, 2000),
+    over the suffix pairs of a and b, one row of suffixes of a at a time,
+    so no placement is listed and nothing recurses.  A table of more than
+    ``_SHUFFLE_CACHE_CAP`` keys is returned without being kept.
+    """
     m, n = len(a), len(b)
     # below[j] is a[i + 1:] ⋆ b[j:] while row i is filled, from the right
     below: list[dict[Composition, int]] = [{b[j:]: 1} for j in range(n + 1)]
@@ -307,7 +327,7 @@ def overlapping_shuffle(alpha: Iterable[int], beta: Iterable[int]) -> dict[Compo
             out.update({(x + y,) + g: c for g, c in below[j + 1].items()})
             row[j] = out
         below = row
-    return below[0]
+    return MappingProxyType(below[0])
 
 
 def m_multiply(f: QSymElement, g: QSymElement) -> QSymElement:
@@ -324,7 +344,9 @@ def m_multiply(f: QSymElement, g: QSymElement) -> QSymElement:
             if bound is not None and sum(a) + sum(b) > bound:
                 continue
             c = ca * cb
-            for gamma, mult in overlapping_shuffle(a, b).items():
+            # the coordinates are compositions already, so the shared table
+            # is read as it is
+            for gamma, mult in _overlapping_shuffle(a, b).items():
                 out[gamma] = out.get(gamma, 0) + mult * c
     # every pair over the bound was skipped, and the shuffle keeps the size;
     # a sum of 0 kept its place in the loop and is dropped only here
@@ -460,7 +482,8 @@ class GradedRingData:
     hashable, and the tensor engine keeps its expansions keyed by the ring.
     So the three functions must be pure: the same arguments give the same
     answer on every call.  Labels that compare equal are one label, as they
-    are to the engine's own dicts.
+    are to the engine's own dicts.  A ``from_dict`` ring's functions compare
+    by its tables, so two loads of equal data are one ring.
     """
 
     unit: Label
@@ -519,6 +542,10 @@ class GradedRingData:
         shape ``MalformedInputError``: among others a label that is not a
         string, a degree that is not a JSON integer, or a label listed twice
         in the basis.
+
+        The ring's functions are frozen tables (``_Table``), compared and
+        hashed by their items in load order: loading the same data again
+        gives an equal ring, which the tensor engine's cache serves.
         """
         try:
             degrees: dict[str, int] = {}
@@ -583,9 +610,9 @@ class GradedRingData:
 
         return cls(
             unit=unit,
-            degree=partial(getitem, degrees),
-            multiply=partial(_table_product, constants),
-            contains=partial(_is_table_label, degrees),
+            degree=_TableDegree(tuple(degrees.items())),
+            multiply=_TableProduct(tuple((k, tuple(v.items())) for k, v in constants.items())),
+            contains=_TableLabel(tuple(degrees.items())),
         )
 
     @classmethod
@@ -593,18 +620,50 @@ class GradedRingData:
         return cls.from_dict(read_json(path))
 
 
-# a ``from_dict`` ring's functions, over its plain tables, so the ring pickles
-def _table_product(
-    constants: Mapping[tuple[str, str], dict[str, Fraction]], a: str, b: str
-) -> Mapping[str, Fraction]:
-    terms = constants.get((a, b))
-    if terms is None:
-        terms = constants.get((b, a), {})
-    return MappingProxyType(terms)
+@dataclass(frozen=True)
+class _Table:
+    """A ``from_dict`` ring's function over one of its tables.
+
+    The table is kept as its items in the order they were loaded, and the
+    function compares and hashes by them, so two loads of equal data make
+    one ring, which the tensor engine's cache serves, and different tables
+    make different rings.  The dict built from the items serves the calls
+    and takes no part; tuples and dicts, so the ring pickles.
+    """
+
+    items: tuple
+    lookup: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "lookup", dict(self.items))
 
 
-def _is_table_label(degrees: Mapping[str, int], label: object) -> bool:
-    return type(label) is str and label in degrees
+class _TableDegree(_Table):
+    """A loaded ring's ``degree``, over its (label, degree) items."""
+
+    def __call__(self, label: str) -> int:
+        return self.lookup[label]
+
+
+class _TableLabel(_Table):
+    """A loaded ring's ``contains``, over its (label, degree) items."""
+
+    def __call__(self, label: object) -> bool:
+        return type(label) is str and label in self.lookup
+
+
+class _TableProduct(_Table):
+    """A loaded ring's ``multiply``, over its ((left, right), terms) items,
+    each terms a tuple of (label, Fraction) items."""
+
+    def __post_init__(self):
+        object.__setattr__(self, "lookup", {pair: dict(terms) for pair, terms in self.items})
+
+    def __call__(self, a: str, b: str) -> Mapping[str, Fraction]:
+        terms = self.lookup.get((a, b))
+        if terms is None:
+            terms = self.lookup.get((b, a), {})
+        return MappingProxyType(terms)
 
 
 def cpinf_ring() -> GradedRingData:

@@ -225,3 +225,67 @@ def test_a_good_claim_and_trace_are_recorded(repo):
     written = json.loads((root / "BENCH_7.json").read_text())
     assert written["claim"]["workload"] == "w" and written["claim"]["metric"] == "wall_s"
     assert ("change", 3) in runs and "trace_w_seed_3" in written
+
+
+# what an untraced perfbench/run.py prints, made up, its JSON result last
+STDOUT = """workload w  seed 1  seconds 1  trace 0
+  op_p50_ms                                          0.05 ms  samples=6000
+  raw wall time 1.2 s, 40 calibration marks
+  op_p50_ms of cli: 0.228734 ms over 1173
+  op_p50_ms of m_multiply: 0.0286935 ms over 1163
+  FAILED x1 m_multiply {(1,): 1}: product differs
+{"correct": true, "attempted": 2, "failed": 0, "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}
+"""
+
+
+def test_a_run_reads_the_median_of_each_request_kind(tmp_path, monkeypatch):
+    def fake(argv, **kwargs):
+        assert argv[-2:] == ["--trace", "0"]
+        return subprocess.CompletedProcess(argv, 0, STDOUT, "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake)
+    result = bench_pairs.run(tmp_path, "w", 1, 0)
+    assert result["kinds"] == {"cli": 0.228734, "m_multiply": 0.0286935}
+    assert result["metrics"] == {"wall_s": {"value": 1.0, "unit": "s"}}
+    # the whole-stream median is not a kind's line
+    assert bench_pairs.kind_medians("  op_p50_ms    0.05 ms  samples=6000") == {}
+
+
+def test_the_kind_medians_are_summarized_per_side_with_no_verdict():
+    def runs(values, extra):
+        return [{"kinds": {"m": v, extra: 1.0}} for v in values]
+
+    # a kind that not every run printed is left out
+    results = {"parent": runs(PARENT, "a"), "change": runs([0.5] * 9 + [0.7], "b")}
+    assert bench_pairs.by_kind(results) == {
+        "m": {
+            "unit": "ms",
+            "parent_median": 1.005,
+            "parent_quartiles": [0.9925, 1.0275],
+            "change_median": 0.5,
+            "change_quartiles": [0.5, 0.5],
+        }
+    }
+    assert bench_pairs.by_kind({"parent": [{}], "change": [{}]}) == {}
+
+
+def test_the_kind_medians_are_written_per_workload(repo, monkeypatch):
+    root, runs = repo
+
+    def run(checkout, workload, seed, trace):
+        runs.append((checkout.name, seed))
+        value = 0.06 if checkout.name == "parent" else 0.05
+        return {
+            "metrics": {"wall_s": {"value": 1.0}},
+            "failed": 0,
+            "attempted": 1,
+            "kinds": {"m_multiply": value - 0.02 + seed / 1000},
+        }
+
+    monkeypatch.setattr(bench_pairs, "run", run)
+    assert bench_pairs.main([*ARGV, "--change", "HEAD"]) == 0
+    kinds = json.loads((root / "BENCH_7.json").read_text())["workloads"]["w"]["kinds"]
+    assert list(kinds) == ["m_multiply"]
+    row = kinds["m_multiply"]
+    assert (row["parent_median"], row["change_median"]) == (0.0455, 0.0355)
+    assert "verdict" not in row

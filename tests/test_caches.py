@@ -5,6 +5,7 @@ every module-level object with a ``cache_clear``.
 """
 
 import importlib
+import pickle
 import pkgutil
 from fractions import Fraction
 from itertools import product
@@ -28,10 +29,12 @@ from glidekit.glides import (
 )
 from glidekit.qsym import (
     GradedRingData,
+    QSymElement,
     cpinf_ring,
     glide_element,
     glide_structure_constants,
     m_multiply,
+    overlapping_shuffle,
     qsym_r_product,
 )
 from glidekit.schur import buk_structure_constant, lr_coefficient, schur_ring
@@ -61,6 +64,7 @@ def test_every_cache_is_bounded():
     assert caches["glidekit.qsym._glide_element"] is qsym._glide_element
     assert caches["glidekit.qsym._glide_constants"] is qsym._glide_constants
     assert caches["glidekit.qsym._r_expansion"] is qsym._r_expansion
+    assert caches["glidekit.qsym._overlapping_shuffle"] is qsym._overlapping_shuffle
     assert caches["glidekit.schur._schur_ring"] is schur._schur_ring
     # the public barred closure reports and resets the signed closure's cache
     assert enumerate_C_tilde.cache_info.__self__ is glides._c_tilde
@@ -138,6 +142,17 @@ def _cold_then_warm(cached, call):
             lambda: list(qsym_r_product(((1, 0), (1, 0)), ((2, 1),), schur_ring(2), 3).items()),
         ),
         (qsym._r_expansion, lambda: list(qsym_r_product(("x", "y"), ("x",), _LOADED, 3).items())),
+        # the shuffle tables, read as they are by the monomial product
+        (
+            qsym._overlapping_shuffle,
+            lambda: list(
+                m_multiply(
+                    QSymElement({(1, 2): Fraction(1, 2), (2,): -1}),
+                    QSymElement({(2, 1): 3, (1,): Fraction(2, 3)}),
+                ).coords.items()
+            ),
+        ),
+        (qsym._overlapping_shuffle, lambda: list(overlapping_shuffle((2, 1), (1, 2)).items())),
     ],
     ids=[
         "glide_m_expansion",
@@ -152,6 +167,8 @@ def _cold_then_warm(cached, call):
         "r-product-cpinf",
         "r-product-schur",
         "r-product-from-dict",
+        "m_multiply",
+        "overlapping_shuffle",
     ],
 )
 def test_inflation_cache_leaves_results_unchanged(cached, call):
@@ -225,6 +242,18 @@ def test_changing_a_result_leaves_the_next_call_unchanged():
         assert list(qsym_r_product(t, k, ring, 3).items()) == expected
         with pytest.raises(TypeError):
             qsym._r_expansion(t, k, ring, 3)[first] = Fraction(1)
+
+    # the shuffle is a fresh dict over a read-only cached table
+    shuffle = overlapping_shuffle((1, 2), (1,))
+    expected = list(shuffle.items())
+    shuffle[(1, 1, 2)] += 1
+    shuffle[(9,)] = 5
+    del shuffle[(2, 2)]
+    assert list(overlapping_shuffle((1, 2), (1,)).items()) == expected
+    with pytest.raises(TypeError):
+        qsym._overlapping_shuffle((1, 2), (1,))[(9,)] = 5
+    with pytest.raises(AttributeError):
+        qsym._overlapping_shuffle((1, 2), (1,)).clear()
 
     # a glide element is shared, and its coordinates cannot be changed
     element = glide_element((1, 2), 5)
@@ -310,6 +339,42 @@ def test_the_engine_cache_refuses_what_equals_a_cached_int_key(call, error):
     assert qsym._r_expansion.cache_info().currsize == size
 
 
+@pytest.mark.parametrize(
+    "alpha, beta", [((True,), (1,)), ((1,), (True,)), ((1.0,), (1,)), ((1,), (1.0,))]
+)
+def test_the_shuffle_cache_refuses_what_equals_a_cached_int_key(alpha, beta):
+    # both compositions are checked before the cache, which would serve
+    # these from the entry for ((1,), (1,))
+    overlapping_shuffle((1,), (1,))
+    size = qsym._overlapping_shuffle.cache_info().currsize
+    with pytest.raises(InvalidCompositionError):
+        overlapping_shuffle(alpha, beta)
+    assert qsym._overlapping_shuffle.cache_info().currsize == size
+
+
+def test_a_shuffle_over_the_cap_is_returned_but_not_kept():
+    recursion = qsym._overlapping_shuffle.__wrapped__
+    ones = (1,) * 7
+    assert len(recursion(ones, ones)) == 610 > qsym._SHUFFLE_CACHE_CAP
+    # the largest table two compositions of total size 10 give is kept
+    largest = max(
+        (recursion(a, b) for a in all_compositions(10) for b in all_compositions(10 - sum(a))),
+        key=len,
+    )
+    assert len(largest) == 146 <= qsym._SHUFFLE_CACHE_CAP
+    qsym._overlapping_shuffle.cache_clear()
+    overlapping_shuffle((2,), (1,))
+    for _ in range(2):
+        big = overlapping_shuffle(ones, ones)
+        assert list(big.items()) == list(recursion(ones, ones).items())
+        # each call is a miss, and no entry is added
+        assert qsym._overlapping_shuffle.cache_info().currsize == 1
+    product = m_multiply(QSymElement.monomial(ones), QSymElement.monomial(ones))
+    assert list(product.coords.items()) == [(g, Fraction(c)) for g, c in big.items()]
+    info = qsym._overlapping_shuffle.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 4, 1)
+
+
 class _UnhashableProduct:
     __hash__ = None
 
@@ -334,6 +399,60 @@ def test_only_equal_rings_share_an_expansion():
     # a ring is hashed by its fields, so a field that cannot be hashed is refused
     with pytest.raises(MalformedInputError):
         GradedRingData(0, base.degree, _UnhashableProduct(), base.contains)
+
+
+_RING_DATA = {
+    "basis": [
+        {"label": "1", "degree": 0},
+        {"label": "x", "degree": 1},
+        {"label": "x2", "degree": 2},
+    ],
+    "constants": {"x": {"x": {"x2": "1/2"}}},
+}
+
+
+def test_loads_of_equal_data_are_one_ring():
+    first, second = (GradedRingData.from_dict(_RING_DATA) for _ in range(2))
+    assert first == second and hash(first) == hash(second) and first is not second
+    # a second load is served the first load's expansion
+    qsym._r_expansion.cache_clear()
+    expected = {("x", "x"): Fraction(2), ("x2",): Fraction(1, 2)}
+    assert qsym_r_product(("x",), ("x",), first, 2) == expected
+    assert qsym_r_product(("x",), ("x",), second, 2) == expected
+    info = qsym._r_expansion.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    # a pickled ring is still the same ring, and still multiplies
+    copied = pickle.loads(pickle.dumps(first))
+    assert copied == first and hash(copied) == hash(first)
+    assert copied.multiply("x", "x") == {"x2": Fraction(1, 2)}
+    assert (copied.degree("x2"), copied.contains("x2"), copied.contains(2)) == (2, True, False)
+
+
+@pytest.mark.parametrize(
+    "changes",
+    [
+        # another constant, another degree, one more label, another unit
+        {"constants": {"x": {"x": {"x2": "1/3"}}}},
+        {
+            "basis": [
+                {"label": "1", "degree": 0},
+                {"label": "x", "degree": 2},
+                {"label": "x2", "degree": 4},
+            ]
+        },
+        {"basis": _RING_DATA["basis"] + [{"label": "y", "degree": 1}]},
+        {"basis": [{"label": "e", "degree": 0}] + _RING_DATA["basis"][1:]},
+    ],
+    ids=["constant", "degree", "label", "unit"],
+)
+def test_loads_of_different_tables_are_different_rings(changes):
+    ring = GradedRingData.from_dict(_RING_DATA)
+    other = GradedRingData.from_dict({**_RING_DATA, **changes})
+    assert other != ring
+    qsym._r_expansion.cache_clear()
+    qsym_r_product(("x",), ("x",), ring, 2)
+    qsym_r_product(("x",), ("x",), other, 2)
+    assert qsym._r_expansion.cache_info().currsize == 2
 
 
 def test_each_ring_is_built_once():

@@ -24,6 +24,7 @@ from glidekit.errors import (
 )
 from glidekit.glides import glide_polynomial
 from glidekit.ktheory import KRingElement, chern_substitute, is_quasisymmetric, knutson_class
+from glidekit import qsym
 from glidekit.poly import SparsePoly, _BoxTerms
 from glidekit.qsym import (
     GradedRingData,
@@ -353,6 +354,48 @@ def test_cpinf_tensor_product_matches_both_shuffles(a, b, extra):
     tensor = qsym_r_product(a, b, ring, len(a) + len(b) + extra)
     assert tensor == qsym_r_product_shuffle(a, b, ring)
     assert tensor == {g: Fraction(c) for g, c in overlapping_shuffle(a, b).items()}
+
+
+def _folded_m_multiply(f, g):
+    """``m_multiply`` as a plain Fraction fold over the uncached shuffle
+    recursion, pair by pair in coordinate order; a sum of 0 keeps its place
+    until the end, where it is dropped."""
+    bound = min((e.degree_bound for e in (f, g) if e.degree_bound is not None), default=None)
+    recursion = qsym._overlapping_shuffle.__wrapped__
+    out = {}
+    for a, ca in f.coords.items():
+        for b, cb in g.coords.items():
+            if bound is not None and sum(a) + sum(b) > bound:
+                continue
+            for gamma, mult in recursion(a, b).items():
+                out[gamma] = out.get(gamma, 0) + ca * cb * mult
+    return [(gamma, c) for gamma, c in out.items() if c], bound
+
+
+def _bounded_element(coords, bound):
+    return QSymElement({a: c for a, c in coords.items() if bound is None or sum(a) <= bound}, bound)
+
+
+_ELEMENTS = st.builds(
+    _bounded_element,
+    st.dictionaries(_SHORT_COMPOSITIONS, st.fractions(max_denominator=6).filter(bool), max_size=3),
+    st.none() | st.integers(0, 9),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=_ELEMENTS, g=_ELEMENTS)
+# the (2,) coordinate sums to 0 after it has its place
+@example(f=QSymElement({(1,): 1, (2,): -1}), g=QSymElement({(1,): 1, (): 1}, 3))
+def test_m_multiply_is_the_fold_over_the_shuffle_recursion(f, g):
+    # items and their order, cold and warm: the cached shuffle tables are
+    # read in the recursion's key order
+    expected, bound = _folded_m_multiply(f, g)
+    qsym._overlapping_shuffle.cache_clear()
+    for _ in range(2):
+        product = m_multiply(f, g)
+        assert list(product.coords.items()) == expected
+        assert product.degree_bound == bound
 
 
 def test_m_multiply_examples():

@@ -197,17 +197,24 @@ _ROUTES_APART = {
         {"_downsets", "mobius", "covers"},
     ),
     # the tensor engine keeps its own placement, so it checks the shared
-    # generator, the overlapping shuffle; its loop runs in the cached body
+    # generator, the overlapping shuffle, whose cached table it may not
+    # read either; its loop runs in the cached body
     "tensor-engine": (
         "qsym.py",
         {"qsym_r_product", "_r_expansion"},
-        {"overlapping_paddings", "overlapping_shuffle", "qsym_r_product_shuffle"},
+        {
+            "overlapping_paddings",
+            "overlapping_shuffle",
+            "_overlapping_shuffle",
+            "qsym_r_product_shuffle",
+        },
     ),
     # the overlapping shuffle counts by its recursion, so over ``cpinf_ring``
-    # it checks both tensor routes with no placement code in common
+    # it checks both tensor routes with no placement code in common; the
+    # recursion runs in the cached body
     "overlapping-shuffle": (
         "qsym.py",
-        {"overlapping_shuffle"},
+        {"overlapping_shuffle", "_overlapping_shuffle"},
         {
             "overlapping_paddings",
             "paddings",

@@ -30,6 +30,12 @@ wrapper process of its own: ``RUSAGE_CHILDREN`` keeps the largest RSS of
 every child already waited for, so read in this process it would also
 count the benchmark runs.
 
+Each untraced run also prints one ``op_p50_ms of <kind>: X ms over N``
+line per request kind of its workload.  For every kind that each run
+printed, the medians and quartiles of X over each side's runs are written
+under the workload's ``kinds``, as reported values, with no verdict: they
+show which kind moved the stream median.
+
 A claim is met when the change is better in at least nine tenths of the
 pairs (ties count for neither) and the medians differ, in the better
 direction, by more than the parent's interquartile range.  Every
@@ -50,6 +56,7 @@ import io
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -99,14 +106,39 @@ def export(treeish: str, dest: Path) -> None:
 
 
 def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
-    """One benchmark process; its last stdout line is the JSON result."""
+    """One benchmark process; its last stdout line is the JSON result, to
+    which the median of each request kind it printed is added as ``kinds``."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     done = subprocess.run(
         argv + ["--trace", str(trace)], cwd=checkout, capture_output=True, text=True
     )
     if done.returncode:
         raise SystemExit(f"{checkout.name} {workload} seed {seed} failed:\n{done.stderr}")
-    return json.loads(done.stdout.splitlines()[-1])
+    return {**json.loads(done.stdout.splitlines()[-1]), "kinds": kind_medians(done.stdout)}
+
+
+KIND_LINE = re.compile(r"\s*op_p50_ms of (\S+): (\S+) ms over \d+")
+
+
+def kind_medians(stdout: str) -> dict[str, float]:
+    """The X of each ``op_p50_ms of <kind>: X ms over N`` line, by kind."""
+    return {m[1]: float(m[2]) for m in map(KIND_LINE.fullmatch, stdout.splitlines()) if m}
+
+
+def by_kind(results: dict) -> dict:
+    """The medians and quartiles, per side, of each kind's median over the
+    runs, for the kinds that every run printed; no verdict."""
+    runs = [r.get("kinds", {}) for side in SIDES for r in results[side]]
+    common = sorted(set.intersection(*map(set, runs))) if runs else []
+    out = {}
+    for kind in common:
+        row = {"unit": "ms"}
+        for side in SIDES:
+            values = [r["kinds"][kind] for r in results[side]]
+            row[f"{side}_median"] = round(statistics.median(values), 6)
+            row[f"{side}_quartiles"] = quartiles(values)
+        out[kind] = row
+    return out
 
 
 def tier1(checkout: Path) -> dict:
@@ -186,6 +218,7 @@ def pairs(checkouts: dict, workload: str, seeds: list[int], metrics: list[dict])
         "failed_ops": ", ".join(f"{s} {sum(r['failed'] for r in results[s])}" for s in SIDES),
         "attempted_ops": ", ".join(f"{s} {sum(r['attempted'] for r in results[s])}" for s in SIDES),
         "metrics": {m["name"]: judged(m, results) for m in metrics},
+        "kinds": by_kind(results),
         "first_in_pair": first,
     }
 
