@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, wraps
-from itertools import chain, combinations
+from itertools import chain, combinations, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Sized, TypeVar
 
 from .errors import (
@@ -199,6 +199,52 @@ def canonical_key(alpha: Sequence[int]) -> tuple[int, int, tuple[int, ...]]:
     return (sum(alpha), len(alpha), tuple(alpha))
 
 
+def _fields(count: int, width: int) -> range:
+    """The shifts of ``count`` fields of ``width`` bits in one int, coordinate 0
+    in the highest field.  Tuples of one length packed into the same fields
+    compare as ints as they compare as tuples, lexicographically, so sorting
+    the ints sorts the tuples."""
+    return range(width * (count - 1), -1, -width)
+
+
+def _width(bits: int) -> int:
+    """The width of a field of ``bits`` bits: ``bits``, but 3 for 2, so that
+    every field of at most 4 bits is one digit in base 2, 8 or 16."""
+    return 3 if bits == 2 else bits
+
+
+def _pack(parts: Iterable[int], shifts: range) -> int:
+    """The parts packed into the fields at ``shifts``; each must fit its field."""
+    return sum(v << k for v, k in zip(parts, shifts))
+
+
+def _unpack(p: int, shifts: range, ones: int) -> tuple[int, ...]:
+    """The tuple packed into ``p``: the bits ``ones`` of each field."""
+    return tuple([p >> k & ones for k in shifts])
+
+
+# the format code that writes a field of each width as one digit
+_DIGIT_FORMATS = {1: "b", 3: "o", 4: "x"}
+_DIGIT_VALUES = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
+
+
+def _unpack_all(packed: Iterable[int], shifts: range, ones: int) -> Iterator[tuple[int, ...]]:
+    """The tuples packed into ``packed`` at ``shifts`` (as ``_fields`` makes
+    them), in order; every bit of a field outside ``ones`` must be clear.
+
+    A field of 1, 3 or 4 bits is one digit of the int in base 2, 8 or 16,
+    so one ``format`` per int and one ``translate`` over them all write the
+    entries as bytes, which ``zip`` cuts into tuples.  Other widths take
+    each field out by a shift and a mask.
+    """
+    count, width = len(shifts), -shifts.step
+    if not count or width not in _DIGIT_FORMATS:
+        return (_unpack(p, shifts, ones) for p in packed)
+    spec = f"0{count}{_DIGIT_FORMATS[width]}"
+    digits = "".join(map(format, packed, repeat(spec))).encode().translate(_DIGIT_VALUES)
+    return zip(*[iter(digits)] * count)
+
+
 def closure(
     generators: Iterable[WeakComposition], pick: Callable[[int, int], int]
 ) -> Iterator[WeakComposition]:
@@ -209,48 +255,69 @@ def closure(
     it by construction.
 
     Yields each element once: the distinct generators first, in their given
-    order, then each other one as soon as it is found, so a caller that
-    stops early never builds the rest.  Generators g join the closure L in
-    increasing packed order, L growing by g and each x v g for x in L (none
-    if g is in L already); a join of a set holding g is g v (the join of
-    the rest), and (x v g) v (y v g) = (x v y) v g, so L stays closed.
+    order, then each other one as soon as ``_joins`` finds it, so a caller
+    that stops early never builds the rest.  The elements are joined packed,
+    as ``_packed_closure`` lays them out, and each is unpacked into a tuple
+    when yielded.
+    """
+    s, shifts, flip, found = _packed_closure(generators, pick)
+    ones = (1 << s) - 1
+    for p in found:
+        yield tuple([(p ^ flip) >> k & ones for k in shifts])
 
-    Each tuple is packed into one int, coordinate 0 in the highest field.
-    A field holds s value bits, s the bit length of the largest entry, and
-    one guard bit above them.  ``((p | guards) - g) & guards`` keeps the
-    guard of each field where p_i >= g_i (no borrow crosses a field, since
-    every entry is below 2**s); subtracting that shifted down by s turns
-    each kept guard into s ones, a mask of the fields where p holds the
-    maximum, and ``g ^ ((p ^ g) & mask)`` is the componentwise max.  The
+
+def _packed_closure(
+    generators: Iterable[WeakComposition], pick: Callable[[int, int], int]
+) -> tuple[int, range, int, Iterator[int]]:
+    """The closure that ``closure`` yields, packed: (s, shifts, flip, elements).
+
+    Each tuple is packed into one int, a field of ``_width(s + 1)`` bits per
+    coordinate at ``shifts``, s the bit length of the largest entry.  The
     min-closure is the max-closure of the complements 2**s - 1 - v, so both
-    run the same join.  Each element is unpacked into a tuple when yielded.
+    run the same join, and an element XORed with ``flip`` is its tuple
+    packed.  The elements are the distinct generators, in their given order,
+    then the other elements, lazily, in the order ``_joins`` finds them.
     """
     gens = tuple(generators)
     s = max(chain.from_iterable(gens), default=0).bit_length()
-    ones = (1 << s) - 1
-    shifts = range((s + 1) * (len(gens[0]) - 1), -1, -(s + 1)) if gens else ()
-    guards = sum(1 << (k + s) for k in shifts)
-    flip = sum(ones << k for k in shifts) if pick is min else 0
-    packed = tuple(dict.fromkeys(sum(v << k for v, k in zip(g, shifts)) ^ flip for g in gens))
+    shifts = _fields(len(gens[0]), _width(s + 1)) if gens else range(0)
+    flip = sum(((1 << s) - 1) << k for k in shifts) if pick is min else 0
+    packed = tuple(dict.fromkeys(_pack(g, shifts) ^ flip for g in gens))
+    return s, shifts, flip, chain(packed, _joins(packed, shifts, s))
 
-    def joins() -> Iterator[int]:
-        lattice, members, given = [], set(), set(packed)
-        for g in sorted(packed):
-            if g in members:
-                continue
-            members.add(g)
-            fresh = [g]
-            for p in lattice:
-                t = ((p | guards) - g) & guards
-                x = g ^ ((p ^ g) & (t - (t >> s)))
-                if x not in members:
-                    members.add(x)
-                    fresh.append(x)
-                    if x not in given:
-                        yield x
-            lattice += fresh
-    for p in chain(packed, joins()):
-        yield tuple([(p ^ flip) >> k & ones for k in shifts])
+
+def _joins(packed: Sequence[int], shifts: range, s: int) -> Iterator[int]:
+    """The join-closure of distinct packed tuples under componentwise max,
+    less the tuples themselves, lazily, in the order it is found.
+
+    A field at each of ``shifts`` holds s value bits and one guard bit
+    above them; the guard, and any bit above it, is clear in every packed
+    tuple.  Generators g join the closure L in increasing packed order, L
+    growing by g and each x v g for x in L (none if g is in L already); a
+    join of a set holding g is g v (the join of the rest), and
+    (x v g) v (y v g) = (x v y) v g, so L stays closed.
+    ``((p | guards) - g) & guards`` keeps the guard of each field where
+    p_i >= g_i (no borrow crosses a field, since every entry is below
+    2**s); subtracting that shifted down by s turns each kept guard into s
+    ones, a mask of the fields where p holds the maximum, and
+    ``g ^ ((p ^ g) & mask)`` is the componentwise max.
+    """
+    guards = sum(1 << (k + s) for k in shifts)
+    lattice, members, given = [], set(), set(packed)
+    for g in sorted(packed):
+        if g in members:
+            continue
+        members.add(g)
+        fresh = [g]
+        for p in lattice:
+            t = ((p | guards) - g) & guards
+            x = g ^ ((p ^ g) & (t - (t >> s)))
+            if x not in members:
+                members.add(x)
+                fresh.append(x)
+                if x not in given:
+                    yield x
+        lattice += fresh
 
 
 def run_encode(alpha: Sequence[int]) -> tuple[tuple[int, int], ...]:

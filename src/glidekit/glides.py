@@ -13,15 +13,17 @@ the barred support, its bar-forgetting projection gives the unbarred support,
 and the signed count of barred preimages gives the coefficients of the glide
 polynomial.  Each barred string carries its sign (-1)^(number of bars) from
 the move that made it: M.1 keeps its parent's sign and M.2 flips it, so the
-projection only sums signs.  The same polynomial arises from the poset
-Mobius function and from a closed product of binomials; all three routes
-are implemented.
+projection only sums signs.  The barred route runs on packed strings, one int
+each (see ``_barred_fields``), where both moves are int additions.  The same
+polynomial arises from the poset Mobius function and from a closed product
+of binomials; all three routes are implemented.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import comb, prod
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -29,8 +31,12 @@ from typing import Iterable, Mapping, Sequence
 from .compositions import (
     Composition,
     WeakComposition,
+    _fields,
+    _pack,
     _size,
     _string,
+    _unpack_all,
+    _width,
     as_composition,
     as_weak_composition,
     paddings,
@@ -39,67 +45,135 @@ from .compositions import (
 )
 from .errors import NotInCSetError, OutOfRangeError
 from .poly import SparsePoly
-from .poset import atoms, build_poset
+from .poset import build_poset
 
 GLIDE_METHODS = ("poset", "barred", "closed")
 
 
-def barred_count(s: Sequence[int]) -> int:
-    return sum(1 for x in s if x < 0)
+def _barred_fields(largest: int, n: int) -> tuple[int, range]:
+    """The value bits s and the field shifts of packed barred strings of n
+    entries, none above ``largest``.
+
+    A field holds s value bits, then a bar bit, then a guard bit; the guard,
+    and any bit above it, is clear in every packed string.  Coordinate 0 is
+    in the highest field, so masking off the bars leaves the unbarred string
+    packed in lexicographic order.
+    """
+    s = largest.bit_length()
+    return s, _fields(n, _width(s + 2))
 
 
-def _signed_projection(signed: Mapping[tuple[int, ...], int]) -> dict[WeakComposition, int]:
-    """Sum of the strings' signs under each bar-forgetting projection, keyed
-    in first-seen order; the signs come with the strings."""
-    terms: dict[WeakComposition, int] = {}
-    for t, sign in signed.items():
-        s = tuple(map(abs, t))
-        terms[s] = terms.get(s, 0) + sign
+def _barred_strings(packed: Iterable[int], s: int, shifts: range) -> list[tuple[int, ...]]:
+    """The barred strings packed into ``packed``, in order, a barred p as -p:
+    each field's value and bar bits index a table of its entry."""
+    bar = 1 << s
+    entries = [bar - f if f & bar else f for f in range(2 * bar)]
+    mask = 2 * bar - 1
+    return [tuple([entries[x >> k & mask] for k in shifts]) for x in packed]
+
+
+def _signed_projection(signed: Mapping[int, int], s: int, shifts: range) -> dict[int, int]:
+    """Sum of the packed strings' signs under each bar-forgetting projection,
+    keyed by the packed unbarred string; the signs come with the strings."""
+    values = sum(((1 << s) - 1) << k for k in shifts)
+    terms: dict[int, int] = {}
+    for x, sign in signed.items():
+        y = x & values
+        terms[y] = terms.get(y, 0) + sign
     return terms
 
 
-def _move_closure(seed: Iterable[tuple[int, ...]]) -> dict[tuple[int, ...], int]:
-    """Closure of the seed strings under the barred moves (M.1) and (M.2),
-    each string mapped to its sign (-1)^(number of bars).
+def _ascending_terms(
+    signed: Mapping[int, int], s: int, shifts: range
+) -> dict[WeakComposition, int]:
+    """The nonzero signed projection, each string unpacked once, in ascending
+    order: the packed ints sort as the strings do."""
+    terms = _signed_projection(signed, s, shifts)
+    kept = [y for y in sorted(terms) if terms[y]]
+    return dict(zip(_unpack_all(kept, shifts, (1 << s) - 1), map(terms.__getitem__, kept)))
 
-    The sign rides with the string: M.1 keeps its parent's sign and M.2,
-    which adds one bar, flips it.
+
+def _move_closure(seed: Iterable[int], s: int, shifts: range) -> dict[int, int]:
+    """Closure of packed unbarred seed strings under the barred moves (M.1)
+    and (M.2), each packed string mapped to its sign (-1)^(number of bars).
+
+    The sign rides with the string: a seed has no bar, M.1 keeps its
+    parent's sign and M.2, which adds one bar, flips it.  With ``low`` the
+    lowest bit of each field, ``((x & values) | guards) - low`` keeps the
+    guard of each field whose value is nonzero; clearing those of barred
+    fields (the bar bit shifted up one) and moving each down one field's
+    width onto the coordinate before it, an AND with the guards of the zero
+    fields flags every coordinate i holding 0 with an unbarred positive p
+    at i + 1.  Both moves add p to field i; M.1 subtracts it from field
+    i + 1 and M.2 sets that field's bar bit.
     """
-    signs = {s: (-1) ** barred_count(s) for s in seed}
+    width = -shifts.step
+    ones = (1 << s) - 1
+    low = sum(1 << k for k in shifts)
+    values, guards = low * ones, low << (s + 1)
+    # from a flagged guard bit down to the lowest bit of the next field
+    drop = s + 1 + width
+    signs = dict.fromkeys(seed, 1)
     frontier = list(signs.items())
+    found = frontier.append
     while frontier:
-        s, sign = frontier.pop()
-        for i in range(len(s) - 1):
-            if s[i] == 0 and s[i + 1] > 0:
-                p = s[i + 1]
-                head, tail = s[:i], s[i + 2 :]
-                for replacement, t_sign in (((p, 0), sign), ((p, -p), -sign)):
-                    t = head + replacement + tail
-                    if t not in signs:
-                        signs[t] = t_sign
-                        frontier.append((t, t_sign))
+        x, sign = frontier.pop()
+        nonzero = (((x & values) | guards) - low) & guards
+        pairs = (guards ^ nonzero) & ((nonzero & ~(x << 1)) << width)
+        while pairs:
+            g = pairs.bit_length() - 1
+            pairs ^= 1 << g
+            k = g - drop
+            p = x >> k & ones
+            up = x + (p << k + width)
+            t = up - (p << k)
+            if t not in signs:
+                signs[t] = sign
+                found((t, sign))
+            t = up + (1 << k + s)
+            if t not in signs:
+                signs[t] = -sign
+                found((t, -sign))
     return signs
+
+
+@dataclass(frozen=True, eq=False)
+class _BarredClosure:
+    """A signed barred move closure, as ``_c_tilde`` caches it: ``signs``, a
+    read-only view mapping each string, packed by ``_barred_fields`` into
+    the field shifts ``shifts`` with s value bits, to its sign."""
+
+    signs: Mapping[int, int]
+    s: int
+    shifts: range
+
+    @cached_property
+    def strings(self) -> frozenset[tuple[int, ...]]:
+        """The barred strings, decoded on the first read and kept."""
+        return frozenset(_barred_strings(self.signs, self.s, self.shifts))
 
 
 def enumerate_C_tilde(alpha: Iterable[int], n: int) -> frozenset[tuple[int, ...]]:
     """Barred strings reachable from the zero-paddings of alpha by M.1/M.2."""
-    # from the keys view, as enumerate_C takes its closed terms
-    return frozenset(_barred(as_composition(alpha), n).keys())
+    return _barred(as_composition(alpha), n).strings
 
 
-def _barred(a: Composition, n: int) -> Mapping[tuple[int, ...], int]:
+def _barred(a: Composition, n: int) -> _BarredClosure:
     # checked before the cache, which would serve n=2.0 from its n=2 entry
     return _c_tilde(a, _size(n, len(a), "n"))
 
 
 @lru_cache(maxsize=1024)
-def _c_tilde(alpha: Composition, n: int) -> Mapping[tuple[int, ...], int]:
-    """The signed barred move closure of alpha's paddings into n slots.
+def _c_tilde(alpha: Composition, n: int) -> _BarredClosure:
+    """The signed barred move closure of alpha's paddings into n slots,
+    each string packed by ``_barred_fields(max(alpha), n)``.
 
-    The result is cached and shared by every caller, so it is a read-only
-    view.
+    The result is cached and shared by every caller, so it is frozen and its
+    signs are a read-only view.
     """
-    return MappingProxyType(_move_closure(atoms(alpha, n)))
+    s, shifts = _barred_fields(max(alpha, default=0), n)
+    seed = [_pack(p, shifts) for p in paddings(alpha, n)]
+    return _BarredClosure(MappingProxyType(_move_closure(seed, s, shifts)), s, shifts)
 
 
 # the cache is keyed on the normalised arguments; its statistics and its
@@ -229,7 +303,12 @@ def mu_prime(sigma: Sequence[int], alpha: Iterable[int], n: int) -> int:
     """Signed count of barred preimages of sigma; zero off the move closure."""
     a = as_composition(alpha)
     s = _string(sigma, _size(n, 0, "n"), "string")
-    return _signed_projection(_barred(a, n)).get(s, 0)
+    barred = _barred(a, n)
+    # no move makes an entry above the largest part, nor would it fit a field
+    if max(s, default=0) > max(a, default=0):
+        return 0
+    terms = _signed_projection(barred.signs, barred.s, barred.shifts)
+    return terms.get(_pack(s, barred.shifts), 0)
 
 
 def glide_polynomial(alpha: Iterable[int], n: int, method: str = "closed") -> SparsePoly:
@@ -250,8 +329,8 @@ def glide_polynomial(alpha: Iterable[int], n: int, method: str = "closed") -> Sp
     if method == "poset":
         terms = build_poset(a, n).mobius()
     else:
-        # sorting fixes the term order, whatever order the closure found
-        terms = dict(sorted(_signed_projection(_barred(a, n)).items()))
+        barred = _barred(a, n)
+        terms = _ascending_terms(barred.signs, barred.s, barred.shifts)
     # every key is a length-n string built here
     return SparsePoly._from_numerators(n, terms, 1)
 
@@ -264,7 +343,10 @@ def monomial_glide_weak(a: Iterable[int]) -> SparsePoly:
     degenerates to the single monomial y^a.
     """
     start = as_weak_composition(a)
-    return SparsePoly(len(start), _signed_projection(_move_closure([start])))
+    s, shifts = _barred_fields(max(start, default=0), len(start))
+    terms = _ascending_terms(_move_closure([_pack(start, shifts)], s, shifts), s, shifts)
+    # every key is a length-n string unpacked here, in ascending order
+    return SparsePoly._from_numerators(len(start), terms, 1)
 
 
 def glide_m_expansion(alpha: Iterable[int], degree_bound: int) -> dict[Composition, int]:

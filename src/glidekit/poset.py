@@ -13,8 +13,9 @@ is set when element k lies below.  Per-coordinate tables give every
 downset as an AND of n integers, so the Mobius recurrence, the cover
 relations and meets cost bit operations instead of loops over pairs.
 The tables are read off one byte matrix of the n columns, one
-``bytes.translate`` and one ``int(..., 2)`` per entry value; a poset with an
-entry of 256 or more, which no byte holds, fills them one element at a time.
+``bytes.translate`` and one ``int(..., 2)`` per entry value, unless the
+entries take so many distinct values that filling them one element at a
+time is faster.
 The elements are stored in lex order, which extends the componentwise
 order, so everything below an element has a smaller index.  The Mobius
 values found so far are kept as bit-planes, one bitset per binary digit
@@ -26,7 +27,6 @@ cover pair.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate, chain, combinations
@@ -36,8 +36,10 @@ from typing import Iterable, Sequence
 from .compositions import (
     WeakComposition,
     _container,
+    _packed_closure,
     _size,
     _string,
+    _unpack_all,
     as_composition,
     as_weak_composition,
     closure,
@@ -57,6 +59,62 @@ BOTTOM = _Bottom()
 
 # _AT_MOST[v] translates a byte to "1" when it is at most v and to "0" otherwise
 _AT_MOST = [b"1" * (v + 1) + b"0" * (255 - v) for v in range(256)]
+
+# The byte fill pays one pass over the whole matrix per distinct entry value,
+# the element fill one Python step per entry, whatever the values.  Timed on
+# random posets of 800 elements in 7 coordinates and 3000 in 4, the byte
+# fill took a third to a half of the element fill's time up to 32 distinct
+# values, the two were within 10 % at 48 and 64, and the element fill was
+# twice as fast at 96 and three times at 200 (``_WIDE`` in the poset tests:
+# 11.3 against 3.7 ms).  A string poset's entries are 0 and the parts of
+# alpha, so it takes the byte fill unless alpha has over 63 distinct parts.
+# No workload of perfbench reaches the element fill: glide_sweep's posets
+# take at most 4 distinct values and algebra_requests' at most 3 (seed 777),
+# so the threshold's element side rests on the random posets alone.
+_BYTE_FILL_VALUES = 64
+
+
+def _byte_tables(
+    elements: Sequence[WeakComposition], n: int, values: list[int]
+) -> list[dict[int, int]]:
+    """The order tables of ``GlidePoset._downsets``, at every value of
+    ``values`` (the sorted distinct entries, at most 256 of them), from one
+    byte matrix.
+
+    The columns, joined and reversed, make one byte matrix in which bit
+    i*N + k is coordinate i of element k; an entry of 256 or more is first
+    replaced by its rank among ``values``, which keeps the order.  For each
+    value, one ``translate`` writes "1" where a byte is at most it and "0"
+    elsewhere, and one ``int(..., 2)`` reads that as the tables of every
+    coordinate at that value; a shift and a mask take out each one.
+    """
+    size = len(elements)
+    full = (1 << size) - 1
+    entries = chain.from_iterable(zip(*elements))
+    if values and values[-1] > 255:
+        rank = {v: r for r, v in enumerate(values)}
+        entries, codes = map(rank.__getitem__, entries), range(len(values))
+    else:
+        codes = values
+    matrix = bytes(entries)[::-1]
+    planes = [int(matrix.translate(_AT_MOST[c]), 2) for c in codes]
+    return [{v: plane >> i * size & full for v, plane in zip(values, planes)} for i in range(n)]
+
+
+def _element_tables(
+    elements: Sequence[WeakComposition], n: int, values: list[int]
+) -> list[dict[int, int]]:
+    """The order tables of ``GlidePoset._downsets``, at every value of
+    ``values`` (the sorted distinct entries), filled one element at a time:
+    each coordinate's bitsets of "entry equal to v", ORed up in the order of
+    the values."""
+    tables = []
+    for i in range(n):
+        exact = dict.fromkeys(values, 0)
+        for k, e in enumerate(elements):
+            exact[e[i]] |= 1 << k
+        tables.append(dict(zip(values, accumulate(exact.values(), or_))))
+    return tables
 
 
 def join(p: Sequence[int], q: Sequence[int]) -> WeakComposition:
@@ -102,15 +160,16 @@ class GlidePoset:
         object.__setattr__(self, "elements", tuple(sorted(strings)))
 
     @classmethod
-    def _trusted(cls, n: int, elements: set[WeakComposition]) -> "GlidePoset":
+    def _trusted(cls, n: int, elements: tuple[WeakComposition, ...]) -> "GlidePoset":
         """Wrap strings built inside the package without checking them again.
 
-        The caller guarantees what ``__init__`` enforces: ``n`` is an int
-        >= 0 and every element is a tuple of n nonnegative ints.
+        The caller guarantees what ``__init__`` enforces and sorts: ``n`` is
+        an int >= 0, and the elements are distinct tuples of n nonnegative
+        ints in lexicographic order.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "elements", tuple(sorted(elements)))
+        object.__setattr__(self, "elements", elements)
         return self
 
     @cached_property
@@ -156,33 +215,16 @@ class GlidePoset:
         """Bitset of the downset of every element, by index.
 
         ``tables[i][v]`` holds the elements whose coordinate i is at most v;
-        a downset is the AND of ``tables[i][p_i]`` over the coordinates.
-        When every entry is below 256 the columns, joined and reversed, make
-        one byte matrix in which bit i*N + k is coordinate i of element k.
-        For each entry value v, one ``translate`` writes "1" where a byte is
-        at most v and "0" elsewhere, and one ``int(..., 2)`` reads that as the
-        tables of every coordinate at v; a shift and a mask take out each
-        one.  Larger entries do not fit in a byte, and their tables are
-        filled one element at a time, keyed by the values coordinate i takes.
+        a downset is the AND of ``tables[i][p_i]`` over the coordinates.  The
+        tables come from ``_byte_tables`` when the elements take at most
+        ``_BYTE_FILL_VALUES`` distinct entry values and from
+        ``_element_tables`` otherwise; both give the same tables.
         """
         elements = self.elements
-        size = len(elements)
-        full = (1 << size) - 1
-        if max(chain.from_iterable(elements), default=0) < 256:
-            matrix = bytes(chain.from_iterable(zip(*elements)))[::-1]
-            planes = {v: int(matrix.translate(_AT_MOST[v]), 2) for v in set(matrix)}
-            tables = [
-                {v: (plane >> i * size) & full for v, plane in planes.items()}
-                for i in range(self.n)
-            ]
-        else:
-            tables = []
-            for column in zip(*elements):
-                exact: defaultdict[int, int] = defaultdict(int)
-                for k, v in enumerate(column):
-                    exact[v] |= 1 << k
-                present = sorted(exact)
-                tables.append(dict(zip(present, accumulate(map(exact.__getitem__, present), or_))))
+        values = sorted(set(chain.from_iterable(elements)))
+        fill = _byte_tables if len(values) <= _BYTE_FILL_VALUES else _element_tables
+        tables = fill(elements, self.n, values)
+        full = (1 << len(elements)) - 1
         return [reduce(and_, map(getitem, tables, e), full) for e in elements]
 
     def mobius(self) -> dict[WeakComposition, int]:
@@ -314,6 +356,12 @@ class GlidePoset:
 
 
 def build_poset(alpha: Iterable[int], n: int) -> GlidePoset:
-    """Join-closure of the zero-paddings of alpha inside length-n strings."""
-    # atoms checked n and alpha, and the closure of its strings is made of them
-    return GlidePoset._trusted(n, closure(atoms(alpha, n), max))
+    """Join-closure of the zero-paddings of alpha inside length-n strings.
+
+    The closure's packed ints are sorted, which sorts the strings
+    lexicographically, and unpacked once, in that order.
+    """
+    a = as_composition(alpha)
+    n = _size(n, len(a), "n")
+    s, shifts, _, found = _packed_closure(paddings(a, n), max)
+    return GlidePoset._trusted(n, tuple(_unpack_all(sorted(found), shifts, (1 << s) - 1)))

@@ -177,10 +177,33 @@ def test_tier1_runs_once_per_side_after_the_pairs(repo, monkeypatch):
 
     monkeypatch.setattr(bench_pairs, "tier1", tier1)
     assert bench_pairs.main(ARGV) == 0
-    assert sides == ["parent", "change"]
+    # each round runs the suite once on each side
+    rounds = [sides[i:i + 2] for i in range(0, len(sides), 2)]
+    assert len(rounds) == bench_pairs.TIER1_ROUNDS
+    assert all(sorted(r) == ["change", "parent"] for r in rounds)
     record = json.loads((root / "BENCH_7.json").read_text())["tier1"]
-    assert record["parent"] == {"summary": "parent suite"}
-    assert record["change"] == {"summary": "change suite"}
+    for side in ("parent", "change"):
+        assert record[side] == [{"summary": f"{side} suite"}] * bench_pairs.TIER1_ROUNDS
+
+
+def test_tier1_runs_twice_per_side_after_the_pairs_alternating(repo, monkeypatch):
+    root, runs = repo
+    sides = []
+
+    def tier1(checkout):
+        # every benchmark run is done before the suite runs
+        assert len(runs) == 2 * bench_pairs.PAIRS
+        sides.append(checkout.name)
+        return {"summary": f"{checkout.name} suite {sides.count(checkout.name)}"}
+
+    monkeypatch.setattr(bench_pairs, "tier1", tier1)
+    assert bench_pairs.main(ARGV) == 0
+    # the side that runs first alternates from round to round
+    assert sides == ["parent", "change", "change", "parent"]
+    record = json.loads((root / "BENCH_7.json").read_text())["tier1"]
+    assert record["parent"] == [{"summary": "parent suite 1"}, {"summary": "parent suite 2"}]
+    assert record["change"] == [{"summary": "change suite 1"}, {"summary": "change suite 2"}]
+    assert record["first_in_round"] == ["parent", "change"]
     assert "no bound and no verdict" in record["command"]
 
 
@@ -289,3 +312,128 @@ def test_the_kind_medians_are_written_per_workload(repo, monkeypatch):
     row = kinds["m_multiply"]
     assert (row["parent_median"], row["change_median"]) == (0.0455, 0.0355)
     assert "verdict" not in row
+
+
+def test_no_cold_run_for_a_workload_other_than_the_stream(repo, monkeypatch):
+    root, runs = repo
+    monkeypatch.setattr(bench_pairs, "cold", lambda checkout, seed: pytest.fail("cold run"))
+    assert bench_pairs.main([*ARGV, "--change", "HEAD"]) == 0
+    assert "cold" not in json.loads((root / "BENCH_7.json").read_text())["workloads"]["w"]
+
+
+def test_the_stream_runs_cold_once_per_pair_on_each_side(repo, monkeypatch):
+    root, runs = repo
+    monkeypatch.setattr(bench_pairs, "COLD_WORKLOAD", "w")
+
+    def cold(checkout, seed):
+        # right after the same side's run of the same pair
+        assert runs[-1] == (checkout.name, seed)
+        runs.append(("cold " + checkout.name, seed))
+        value = 0.19 if checkout.name == "parent" else 0.17
+        p50 = value + seed / 1000
+        return {"op_p50_ms": p50, "kinds": {"cli": 0.3}, "attempted": 5, "failed": 0}
+
+    monkeypatch.setattr(bench_pairs, "cold", cold)
+    assert bench_pairs.main([*ARGV, "--change", "HEAD"]) == 0
+    assert [r for r in runs if r[0].startswith("cold")][:4] == [
+        ("cold parent", 1), ("cold change", 1), ("cold change", 2), ("cold parent", 2)
+    ]
+    assert len(runs) == 4 * bench_pairs.PAIRS
+    row = json.loads((root / "BENCH_7.json").read_text())["workloads"]["w"]["cold"]
+    assert row["op_p50_ms"]["parent"][:2] == [0.191, 0.192]
+    p50 = row["op_p50_ms"]
+    assert (p50["parent_median"], p50["change_median"]) == (0.1955, 0.1755)
+    assert row["kinds"]["cli"]["change_median"] == 0.3
+    assert row["failed_ops"] == "parent 0, change 0"
+    assert "verdict" not in json.dumps({k: v for k, v in row.items() if k != "command"})
+
+
+def test_the_cold_stream_is_summarized_per_side_with_no_verdict():
+    def runs(values, extra):
+        return [{"op_p50_ms": v, "kinds": {"m": v / 2, extra: 1.0}, "failed": 0} for v in values]
+
+    # a kind that not every run printed is left out, as in the warm stream
+    results = {"parent": runs(PARENT, "a"), "change": runs([0.5] * 10, "b")}
+    summary = bench_pairs.cold_summary(results)
+    assert summary["op_p50_ms"] == {
+        "parent": PARENT,
+        "change": [0.5] * 10,
+        "unit": "ms",
+        "parent_median": 1.005,
+        "parent_quartiles": [0.9925, 1.0275],
+        "change_median": 0.5,
+        "change_quartiles": [0.5, 0.5],
+    }
+    assert list(summary["kinds"]) == ["m"]
+    assert summary["kinds"]["m"]["parent_median"] == 0.5025
+    assert "no bound and no verdict" in summary["command"]
+    assert "verdict" not in json.dumps({k: v for k, v in summary.items() if k != "command"})
+
+
+def test_a_cold_run_reads_the_scripts_last_line(tmp_path, monkeypatch):
+    line = {"op_p50_ms": 0.18, "kinds": {"cli": 0.29}, "attempted": 3, "failed": 0}
+
+    def fake(argv, **kwargs):
+        assert argv[1:] == [str(bench_pairs.COLD_SCRIPT), str(tmp_path), "--seed", "4"]
+        return subprocess.CompletedProcess(argv, 0, "noise\n" + json.dumps(line) + "\n", "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake)
+    assert bench_pairs.cold(tmp_path, 4) == line
+
+
+# a made-up checkout: a stream of three ops of two kinds, a cache-clearing
+# hook that counts its calls, and a harness that runs each op's reset
+_FAKE_WORKLOADS = """
+from types import SimpleNamespace
+CLEARED = []
+
+def clear_caches():
+    CLEARED.append(1)
+
+def build(name, seed, seconds):
+    assert (name, seconds) == ("algebra_requests", 20)
+    kinds = ["cli", "m_multiply", "cli"]
+    return SimpleNamespace(ops=[SimpleNamespace(kind=k, reset=None, seed=seed) for k in kinds])
+"""
+_FAKE_HARNESS = """
+from types import SimpleNamespace
+import workloads
+
+def run_ops(ops):
+    for op in ops:
+        op.reset()
+    # in ms, so the made-up medians are exact
+    latencies = [len(workloads.CLEARED) * (i + 1) for i in range(len(ops))]
+    return SimpleNamespace(latencies=latencies, kinds=[op.kind for op in ops], failures=[],
+                           attempted=len(ops))
+
+def end_to_end(outcome, setup_s):
+    return {"op_p50_ms": {"value": sorted(outcome.latencies)[1]}}
+
+def p50_by_kind(outcome):
+    by = {}
+    for kind, latency in zip(outcome.kinds, outcome.latencies):
+        by.setdefault(kind, []).append(latency)
+    return {k: (sorted(v)[len(v) // 2], len(v)) for k, v in sorted(by.items())}
+"""
+
+
+def test_the_cold_script_clears_the_checkouts_caches_before_each_op(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "workloads.py").write_text(_FAKE_WORKLOADS)
+    (tmp_path / "perfbench" / "harness.py").write_text(_FAKE_HARNESS)
+    (tmp_path / "src" / "glidekit").mkdir(parents=True)
+    (tmp_path / "src" / "glidekit" / "__init__.py").write_text("")
+    done = subprocess.run(
+        [sys.executable, str(bench_pairs.COLD_SCRIPT), str(tmp_path), "--seed", "5"],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    # three ops, each reset by the checkout's own clear_caches: 3 ms per op rank
+    assert json.loads(done.stdout.splitlines()[-1]) == {
+        "op_p50_ms": 6.0,
+        "kinds": {"cli": 9.0, "m_multiply": 6.0},
+        "attempted": 3,
+        "failed": 0,
+    }

@@ -7,6 +7,7 @@ every module-level object with a ``cache_clear``.
 import importlib
 import pickle
 import pkgutil
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import product
 
@@ -215,14 +216,37 @@ def test_changing_a_result_leaves_the_next_call_unchanged():
         cached[(0, 0, 0, 9)] = 1
     assert list(cached.items()) == expected
 
-    barred = glides._c_tilde((1, 2), 4)
+    # the barred closure is cached packed, each string one int, in a frozen
+    # record whose signs are a read-only view
+    cached = glides._c_tilde((1, 2), 4)
+    barred = cached.signs
     expected = list(barred.items())
+    s, shifts = glides._barred_fields(2, 4)
+    assert (cached.s, cached.shifts) == (s, shifts)
+    packed = glides._pack((0, 0, 2, 2), shifts)
+    assert packed not in barred
+    first = next(iter(barred))
     with pytest.raises(TypeError):
-        barred[(0, 0, 0, 9)] = 1
+        barred[packed] = 1
+    with pytest.raises(TypeError):
+        barred[first] = -barred[first]
+    with pytest.raises(TypeError):
+        del barred[first]
     with pytest.raises(AttributeError):
         barred.clear()
-    assert list(glides._c_tilde((1, 2), 4).items()) == expected
-    assert enumerate_C_tilde((1, 2), 4) == frozenset(dict(expected))
+    for field, value in (("signs", {packed: 1}), ("s", 5), ("shifts", range(0))):
+        with pytest.raises(FrozenInstanceError):
+            setattr(cached, field, value)
+    assert glides._c_tilde((1, 2), 4) is cached
+    assert list(glides._c_tilde((1, 2), 4).signs.items()) == expected
+    decoded = dict(zip(glides._barred_strings(barred, s, shifts), barred.values()))
+    assert enumerate_C_tilde((1, 2), 4) == frozenset(decoded)
+    # the decoded strings are kept with the closure, one frozenset
+    c_tilde = enumerate_C_tilde((1, 2), 4)
+    assert c_tilde is cached.strings
+    with pytest.raises(AttributeError):
+        c_tilde.add((0, 0, 0, 9))
+    assert enumerate_C_tilde((1, 2), 4) == frozenset(decoded)
 
     # the structure constants are a fresh dict over a read-only cached table
     constants = glide_structure_constants((1, 2), (1,), 5)

@@ -1,14 +1,17 @@
 import random
-from itertools import product
+from itertools import chain, product
 from math import prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from glidekit.compositions import paddings, run_encode, semistandardize, sorting_data
 from glidekit.errors import InvalidCompositionError, NotInCSetError, OutOfRangeError
+from glidekit.compositions import _pack
 from glidekit.glides import (
     GLIDE_METHODS,
+    _barred_fields,
+    _barred_strings,
     _closed_terms,
     _inflations,
     _move_closure,
@@ -99,10 +102,10 @@ def test_enumerate_C_matches_move_closure_oracle():
             assert enumerate_C(alpha, n) == _move_closure_unbarred(alpha, n), (alpha, n)
 
 
-def _signed_barred_closure(alpha, n):
-    """Reference: breadth-first closure of the paddings under M.1 and M.2,
-    each string's sign counted off its own bars."""
-    seen = set(atoms(alpha, n))
+def _signed_barred_closure(seeds):
+    """Reference: breadth-first closure of the seed strings under M.1 and
+    M.2, on tuples, each string's sign counted off its own bars."""
+    seen = set(seeds)
     layer = list(seen)
     while layer:
         found = []
@@ -119,23 +122,86 @@ def _signed_barred_closure(alpha, n):
     return {t: (-1) ** sum(1 for x in t if x < 0) for t in seen}
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), alpha=st.sampled_from(all_compositions(5)))
-def test_signed_closure_matches_its_definition(data, alpha):
-    n = data.draw(st.integers(len(alpha), len(alpha) + 2), label="n")
-    reference = _signed_barred_closure(alpha, n)
-    signed = _move_closure(atoms(alpha, n))
+def _decoded_closure(seeds, n):
+    """The packed move closure of the seed strings, each string decoded."""
+    s, shifts = _barred_fields(max(chain.from_iterable(seeds), default=0), n)
+    signed = _move_closure([_pack(t, shifts) for t in seeds], s, shifts)
+    return dict(zip(_barred_strings(signed, s, shifts), signed.values()))
+
+
+def _check_barred_route(alpha, n):
+    reference = _signed_barred_closure(atoms(alpha, n))
+    signed = _decoded_closure(sorted(atoms(alpha, n)), n)
     assert signed.keys() == reference.keys()
     assert signed == reference
+    assert enumerate_C_tilde(alpha, n) == reference.keys()
     projection = {}
     for t, sign in reference.items():
         s = tuple(abs(x) for x in t)
         projection[s] = projection.get(s, 0) + sign
     # the glide keeps the nonzero coefficients, in ascending string order
-    expected = [(s, c) for s, c in dict(sorted(projection.items())).items() if c]
+    expected = [(s, c) for s, c in sorted(projection.items()) if c]
     assert list(glide_polynomial(alpha, n, "barred").terms.items()) == expected
+    for s, c in projection.items():
+        assert mu_prime(s, alpha, n) == c, s
+    padded = (0,) * (n - len(alpha)) + alpha
+    weak = _signed_barred_closure([padded])
+    assert _decoded_closure([padded], n) == weak
+    assert list(monomial_glide_weak(padded).terms.items()) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), alpha=st.sampled_from(all_compositions(5)))
+def test_signed_closure_matches_its_definition(data, alpha):
+    n = data.draw(st.integers(len(alpha), len(alpha) + 2), label="n")
+    _check_barred_route(alpha, n)
     for sigma, value in build_poset(alpha, n).mobius().items():
         assert mu_prime(sigma, alpha, n) == value, sigma
+
+
+# a field holds a part's bits, a bar bit and a guard bit; one part of 63 or
+# less leaves a field of at most 8 bits, and 64, 256 and 1000 each take one
+# more bit than the part below them
+_WIDTH_EDGES = (1, 2, 3, 4, 7, 8, 63, 64, 127, 128, 255, 256, 1000)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.lists(st.one_of(st.integers(1, 4), st.sampled_from(_WIDTH_EDGES)), max_size=3),
+    data=st.data(),
+)
+@example(alpha=[], data=None)
+@example(alpha=[1], data=None)
+@example(alpha=[63, 1], data=None)
+@example(alpha=[64, 1], data=None)
+@example(alpha=[2, 255], data=None)
+@example(alpha=[256, 3], data=None)
+@example(alpha=[1000, 1000], data=None)
+def test_packed_barred_closure_decodes_to_the_tuple_closure(alpha, data):
+    alpha = tuple(alpha)
+    if data is None:
+        ns = range(len(alpha), len(alpha) + 3)
+    else:
+        ns = [data.draw(st.integers(len(alpha), len(alpha) + 3), label="n")]
+    for n in ns:
+        _check_barred_route(alpha, n)
+        if n:
+            # an entry above every part is in no string of the closure
+            assert mu_prime((max(alpha, default=0) + 1,) + (0,) * (n - 1), alpha, n) == 0
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_barred_route_at_zero_and_one_slot(n):
+    expected = {(): 1} if n == 0 else {(0,): 1}
+    assert dict(glide_polynomial((), n, "barred").terms) == expected
+    assert enumerate_C_tilde((), n) == {(0,) * n}
+    assert mu_prime((0,) * n, (), n) == 1
+    if n == 1:
+        for part in (1, 63, 64, 255, 256, 1000):
+            assert dict(glide_polynomial((part,), 1, "barred").terms) == {(part,): 1}
+            assert enumerate_C_tilde((part,), 1) == {(part,)}
+            assert mu_prime((part,), (part,), 1) == 1
+            assert mu_prime((part + 1,), (part,), 1) == 0
 
 
 def test_mu_prime_values():
@@ -207,9 +273,9 @@ def test_glide_routes_agree_property(data, alpha, cold):
 
 
 def test_barred_glide_terms_come_in_ascending_order():
-    # the barred route sums in the order its closure found the strings,
-    # starting from the paddings' frozenset; the two frozenset layouts of
-    # the paddings differ on part of this range, and neither may show through
+    # the order in which the closure finds the strings, which once started
+    # from the paddings' frozenset, must not show through; the two frozenset
+    # layouts of the paddings differ on part of this range
     layouts_differ = 0
     for alpha in all_compositions(5):
         pads = list(paddings(alpha, 7))

@@ -11,7 +11,17 @@ from glidekit import poset
 from glidekit.compositions import closure
 from glidekit.errors import InvalidCompositionError, LengthMismatchError, OutOfRangeError
 from glidekit.glides import enumerate_C
-from glidekit.poset import BOTTOM, GlidePoset, atoms, build_poset, join, leq
+from glidekit.poset import (
+    _BYTE_FILL_VALUES,
+    BOTTOM,
+    GlidePoset,
+    _byte_tables,
+    _element_tables,
+    atoms,
+    build_poset,
+    join,
+    leq,
+)
 
 from conftest import all_compositions, pairwise_closure, strings
 
@@ -450,11 +460,12 @@ def test_meet_matches_the_greatest_common_lower_bound(p):
     _check_meets(p)
 
 
-# The order tables come from one byte matrix when every entry is below 256
-# and are filled one element at a time otherwise.  A map of the entry values
-# that keeps their order keeps the lex order of the elements, so it keeps
-# the downsets, the covers and the Mobius values of each index: the two
-# fills are checked against each other by moving a poset across 256.
+# The order tables come from one byte matrix when the entries take at most
+# ``_BYTE_FILL_VALUES`` distinct values (an entry of 256 or more replaced by
+# its rank) and are filled one element at a time otherwise.  A map of the
+# entry values that keeps their order keeps the lex order of the elements,
+# so it keeps the downsets, the covers and the Mobius values of each index;
+# and wherever both fills can run, they give the same tables.
 
 
 def _relabelled(p, value):
@@ -489,11 +500,43 @@ _WIDE = GlidePoset(4, {(i % 200, i * 7 % 200, i * 13 % 200, i // 15) for i in ra
 @example(p=GlidePoset(0, [()]))
 @example(p=GlidePoset(2, []))
 def test_order_tables_keep_to_the_order_of_the_entries(p):
-    # v + 256 sends every poset to the element-by-element fill, and the rank
-    # of v among the entries sends one with fewer than 257 values to the bytes
+    # v + 256 sends every entry past a byte, and the rank of v among the
+    # entries brings every value of a poset of at most 256 values into one
     _check_same_order(p, _relabelled(p, (256).__add__), (256).__add__)
     rank = {v: r for r, v in enumerate(sorted({v for e in p.elements for v in e}))}
     _check_same_order(p, _relabelled(p, rank.__getitem__), rank.__getitem__)
+    if len(rank) <= 256:
+        _check_fills_agree(p)
+
+
+def _check_fills_agree(p):
+    """Both fills give the same tables, and ``_downsets`` is their AND."""
+    values = sorted({v for e in p.elements for v in e})
+    tables = _byte_tables(p.elements, p.n, values)
+    assert tables == _element_tables(p.elements, p.n, values)
+    full = (1 << len(p)) - 1
+    expected = [full] * len(p)
+    for k, e in enumerate(p.elements):
+        for table, v in zip(tables, e):
+            expected[k] &= table[v]
+    assert p._downsets == expected
+    return values
+
+
+@pytest.mark.parametrize(
+    "p, byte_fill",
+    [
+        (_WIDE, False),
+        (build_poset((3, 1, 2), 6), True),
+        (build_poset((300, 1, 700), 4), True),
+        (GlidePoset(2, [(v, 300 - v) for v in range(0, 300, 4)]), False),
+    ],
+    ids=["wide", "string-poset", "string-poset-over-256", "many-values-over-256"],
+)
+def test_byte_and_element_fills_give_the_same_tables(p, byte_fill):
+    # the fill is chosen by the number of distinct entry values alone
+    values = _check_fills_agree(p)
+    assert (len(values) <= _BYTE_FILL_VALUES) is byte_fill
 
 
 def test_chain_across_256_has_the_chain_order():

@@ -185,6 +185,21 @@ def test_mobius_oracles_stay_independent(name):
     assert not named, f"{name} reaches the other Mobius oracle through {sorted(named)}"
 
 
+# the barred glide's functions in ``glides.py``; ``strings`` is the cached
+# closure's decoder
+_BARRED_ROUTE = {
+    "_barred_fields",
+    "_barred_strings",
+    "_move_closure",
+    "_signed_projection",
+    "_ascending_terms",
+    "_barred",
+    "_c_tilde",
+    "strings",
+    "enumerate_C_tilde",
+    "mu_prime",
+}
+
 # routes that check each other, each kept apart from the code it checks:
 # (module, the route's functions, names those functions must not use)
 _ROUTES_APART = {
@@ -236,28 +251,25 @@ _ROUTES_APART = {
     "closed-glide": (
         "glides.py",
         {"_closed", "_closed_terms", "_inflations", "enumerate_C", "mu_closed", "glide_m_expansion"},
-        {
-            "_move_closure",
-            "_signed_projection",
-            "_barred",
-            "_c_tilde",
-            "enumerate_C_tilde",
-            "mu_prime",
-            "build_poset",
-        },
+        _BARRED_ROUTE | {"build_poset"},
     ),
+    # the barred route runs on packed strings, as the poset closure does, but
+    # reaches neither the closure nor its join core: it shares only the
+    # plumbing listed in ``_PLUMBING``
     "barred-glide": (
         "glides.py",
+        _BARRED_ROUTE | {"monomial_glide_weak"},
         {
-            "_move_closure",
-            "_signed_projection",
-            "_barred",
-            "_c_tilde",
-            "enumerate_C_tilde",
-            "mu_prime",
-            "monomial_glide_weak",
+            "_closed",
+            "_closed_terms",
+            "_inflations",
+            "glide_m_expansion",
+            "mu_closed",
+            "build_poset",
+            "closure",
+            "_packed_closure",
+            "_joins",
         },
-        {"_closed", "_closed_terms", "_inflations", "glide_m_expansion", "mu_closed", "build_poset"},
     ),
     # the tableau rule checks the tensor engine over the Schur ring
     "tableau-rule": (
@@ -266,6 +278,55 @@ _ROUTES_APART = {
         {"qsym_r_product", "schur_ring", "GradedRingData"},
     ),
 }
+
+
+# The package's helpers that two routes which check each other may both
+# call, each with the reason it may be shared: it only validates, lays out,
+# packs or unpacks strings, and decides no value of either route.
+_PLUMBING = {
+    "_size": "the one rule for a size, which checks n",
+    "_fields": "the shifts of fixed-width fields, coordinate 0 highest",
+    "_width": "rounds a field up to one digit in base 2, 8 or 16",
+    "_pack": "packs a tuple into the fields",
+    "_unpack_all": "unpacks ints into tuples, in the order given",
+}
+# (module, the route's functions): two routes whose shared helpers must be
+# plumbing; the poset route's closure and join core live in compositions.py
+_SHARING = {
+    "barred-glide": [("glides.py", _BARRED_ROUTE | {"monomial_glide_weak"})],
+    "poset-closure": [
+        ("poset.py", {"build_poset"}),
+        ("compositions.py", {"closure", "_packed_closure", "_joins"}),
+    ],
+}
+
+
+def _route_names(parts) -> set[str]:
+    names = set()
+    for module, functions in parts:
+        bodies = [
+            node
+            for node in ast.walk(_tree(PACKAGE / module))
+            if isinstance(node, ast.FunctionDef) and node.name in functions
+        ]
+        assert sorted(node.name for node in bodies) == sorted(functions)
+        for node in bodies:
+            names |= _used_names(node)
+    return names
+
+
+def test_barred_and_poset_routes_share_only_declared_plumbing():
+    helpers = {
+        node.name
+        for path in MODULES
+        for node in _tree(path).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+    }
+    barred, poset = (_route_names(_SHARING[route]) for route in ("barred-glide", "poset-closure"))
+    shared = barred & poset & helpers
+    # every shared helper is declared, and every declared one is shared, so
+    # the table neither misses a helper nor keeps a stale one
+    assert shared == set(_PLUMBING), f"shared {sorted(shared)}, declared {sorted(_PLUMBING)}"
 
 
 @pytest.mark.parametrize("route", sorted(_ROUTES_APART))

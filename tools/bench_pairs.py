@@ -23,10 +23,19 @@ A malformed ``--claim`` or ``--trace`` stops the tool before the export,
 and a workload or claimed metric that the change's BENCHMARK.json does not
 name stops it right after, so neither wastes a run.
 
-After the pairs, each side runs the tier-1 suite once, parent first, and
-its wall time and the peak RSS of its processes are written as reported
-values, with no bound and no verdict.  Each tier-1 run is timed by a
-wrapper process of its own: ``RUSAGE_CHILDREN`` keeps the largest RSS of
+In each pair of algebra_requests, each side also runs that stream cold
+once, right after its own run: ``tools/cold_requests.py`` imports the
+side's own perfbench harness and workloads and clears every glidekit cache
+before each op, untimed, as both sweeps do.  The cold ``op_p50_ms`` and the
+cold median of each request kind are written under the workload's ``cold``
+as reported values, with no bound and no verdict: they show what a first
+request pays, which the warm stream, mostly cache hits, does not.
+
+After the pairs, each side runs the tier-1 suite twice, in two rounds; the
+parent runs first in the first round and the change in the second.  Both
+runs' wall times and the peak RSS of their processes are written as
+reported values, with no bound and no verdict.  Each tier-1 run is timed by
+a wrapper process of its own: ``RUSAGE_CHILDREN`` keeps the largest RSS of
 every child already waited for, so read in this process it would also
 count the benchmark runs.
 
@@ -67,6 +76,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 PAIRS = 10
+TIER1_ROUNDS = 2
+# the stream that is also run cold, by the script next to this tool
+COLD_WORKLOAD = "algebra_requests"
+COLD_SCRIPT = Path(__file__).resolve().parent / "cold_requests.py"
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
 # run as ``python -c TIMED argv...``: runs argv, then prints its wall time,
 # the peak RSS of its processes (ru_maxrss is in KiB on Linux), its exit
@@ -130,15 +143,48 @@ def by_kind(results: dict) -> dict:
     runs, for the kinds that every run printed; no verdict."""
     runs = [r.get("kinds", {}) for side in SIDES for r in results[side]]
     common = sorted(set.intersection(*map(set, runs))) if runs else []
-    out = {}
-    for kind in common:
-        row = {"unit": "ms"}
-        for side in SIDES:
-            values = [r["kinds"][kind] for r in results[side]]
-            row[f"{side}_median"] = round(statistics.median(values), 6)
-            row[f"{side}_quartiles"] = quartiles(values)
-        out[kind] = row
-    return out
+    return {
+        kind: reported({side: [r["kinds"][kind] for r in results[side]] for side in SIDES})
+        for kind in common
+    }
+
+
+def reported(values: dict) -> dict:
+    """The median and quartiles of each side's values, in ms; no verdict."""
+    row = {"unit": "ms"}
+    for side in SIDES:
+        row[f"{side}_median"] = round(statistics.median(values[side]), 6)
+        row[f"{side}_quartiles"] = quartiles(values[side])
+    return row
+
+
+def cold(checkout: Path, seed: int) -> dict:
+    """One cold run of the algebra_requests stream in ``checkout``, by the
+    cold script; its last stdout line is the JSON result."""
+    argv = [sys.executable, str(COLD_SCRIPT), str(checkout), "--seed", str(seed)]
+    done = subprocess.run(argv, capture_output=True, text=True)
+    if done.returncode:
+        raise SystemExit(f"{checkout.name} cold seed {seed} failed:\n{done.stderr}")
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def cold_summary(results: dict) -> dict:
+    """The cold stream's ``op_p50_ms`` and each kind's median, per side, as
+    reported values: every run's value, their median and quartiles, and no
+    bound or verdict."""
+    p50 = {side: [r["op_p50_ms"] for r in results[side]] for side in SIDES}
+    return {
+        "command": "python3 tools/cold_requests.py CHECKOUT --seed S, once per pair on each "
+        "side, right after that side's run of the pair: the algebra_requests stream with "
+        "every glidekit cache cleared before each op, untimed; reported values, with no "
+        "bound and no verdict",
+        "failed_ops": ", ".join(f"{s} {sum(r['failed'] for r in results[s])}" for s in SIDES),
+        "op_p50_ms": {
+            **{side: [round(v, 6) for v in p50[side]] for side in SIDES},
+            **reported(p50),
+        },
+        "kinds": by_kind(results),
+    }
 
 
 def tier1(checkout: Path) -> dict:
@@ -153,6 +199,19 @@ def tier1(checkout: Path) -> dict:
         check=True,
     )
     return json.loads(done.stdout)
+
+
+def tier1_rounds(checkouts: dict) -> dict:
+    """Every side's tier-1 runs, in order, and the side that ran first in
+    each round."""
+    runs = {side: [] for side in SIDES}
+    first = []
+    for i in range(TIER1_ROUNDS):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        first.append(order[0])
+        for side in order:
+            runs[side].append(tier1(checkouts[side]))
+    return {**runs, "first_in_round": first}
 
 
 def quartiles(values: list[float]) -> list[float]:
@@ -205,6 +264,7 @@ def verdict(row: dict, better: str, bound: float) -> str:
 
 def pairs(checkouts: dict, workload: str, seeds: list[int], metrics: list[dict]) -> dict:
     results = {side: [] for side in SIDES}
+    colds = {side: [] for side in SIDES}
     first = []
     for i, seed in enumerate(seeds):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -213,7 +273,9 @@ def pairs(checkouts: dict, workload: str, seeds: list[int], metrics: list[dict])
             results[side].append(run(checkouts[side], workload, seed, 0))
             value = results[side][-1]["metrics"]["wall_s"]["value"]
             print(f"{workload} seed {seed} {side}: wall_s {value:.4f}", file=sys.stderr)
-    return {
+            if workload == COLD_WORKLOAD:
+                colds[side].append(cold(checkouts[side], seed))
+    out = {
         "seeds": seeds,
         "failed_ops": ", ".join(f"{s} {sum(r['failed'] for r in results[s])}" for s in SIDES),
         "attempted_ops": ", ".join(f"{s} {sum(r['attempted'] for r in results[s])}" for s in SIDES),
@@ -221,6 +283,9 @@ def pairs(checkouts: dict, workload: str, seeds: list[int], metrics: list[dict])
         "kinds": by_kind(results),
         "first_in_pair": first,
     }
+    if workload == COLD_WORKLOAD:
+        out["cold"] = cold_summary(colds)
+    return out
 
 
 def judged(metric: dict, results: dict) -> dict:
@@ -334,10 +399,12 @@ def main(argv=None) -> int:
             },
             "tier1": {
                 "command": "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors, "
-                "once per side after the pairs, parent first, each timed by a wrapper process "
-                "of its own; wall_s is not scaled, peak_rss_mib is the largest RSS of the "
-                "suite's processes; reported values, with no bound and no verdict",
-                **{side: tier1(checkouts[side]) for side in SIDES},
+                f"{TIER1_ROUNDS} runs per side after the pairs, in rounds whose first side "
+                "alternates, the parent first in the first round; each run is timed by a "
+                "wrapper process of its own; wall_s is not scaled, peak_rss_mib is the "
+                "largest RSS of the suite's processes; reported values, with no bound and "
+                "no verdict",
+                **tier1_rounds(checkouts),
             },
         }
         for workload, seed in args.trace:
