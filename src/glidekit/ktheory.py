@@ -10,12 +10,14 @@ the truncated exponential series for each variable.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, chain, repeat
-from math import comb, factorial
+from math import comb, factorial, prod
 from operator import add, and_, getitem, mul, or_
 from typing import Iterable, Sequence
 
@@ -179,6 +181,18 @@ def _chern_rows(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, rows))
 
 
+# a box of fewer entries runs its passes on a list.  Timed on the
+# kclass_sweep rows, the words' fixed cost per pass and the int a reader
+# makes of each word it takes outweigh what they save on every box of up
+# to 9^3 entries, and on boxes of up to 6^4 read for all their terms; from
+# 5^5 entries on the words are faster read for the coordinates, and within
+# a few per cent either way read for all the terms
+_WORD_BOX = 2048
+_WORD_LIMIT = 1 << 63
+# a 64-bit word with only its top bit set, in the order ``array("q")`` keeps
+_HALF = (1 << 63).to_bytes(8, sys.byteorder)
+
+
 def chern_substitute(element: KRingElement) -> SparsePoly:
     """Substitute the truncated exponential series for each variable.
 
@@ -195,6 +209,14 @@ def chern_substitute(element: KRingElement) -> SparsePoly:
     writing output column d with ``out[d::|V|] = ...``, which moves that
     axis to the back, so n moves restore the order.  An axis not yet
     substituted keeps its |E| digits until its pass.
+
+    The box takes one of two forms, chosen from the element alone.  A box
+    of at least ``_WORD_BOX`` entries whose bound (``_chern_bound``) is
+    below 2^63 is an ``array("q")`` of signed 64-bit words, run through
+    ``_word_passes``; every other box is a list of ints, which hold entries
+    of any size, run through the list passes here.  Both give the same
+    entries, so the terms do not depend on the form.
+
     The terms are the nonzero entries over the common denominator, in index
     order, which is lexicographic order.  They are a read-only view over
     the box that builds its dict and Fractions on its first read and never
@@ -217,29 +239,89 @@ def chern_substitute(element: KRingElement) -> SparsePoly:
         [(d, a) for d, a in enumerate(map(rows[g].__getitem__, values)) if a] for g in present
     ]
     digit = dict(zip(present, range(width)))
-    box = [0] * width**n
+    words = b**n >= _WORD_BOX and _chern_bound(numerators, rows) < _WORD_LIMIT
+    box = array("q", bytes(8)) * width**n if words else [0] * width**n
     for e, c in numerators:
         i = 0
         for x in e:
             i = i * width + digit[x]
         box[i] = c
-    for _ in range(n):
-        # output column d sums the scaled blocks g; zero blocks are skipped
-        stride = len(box) // width
-        columns = [None] * b
-        for g, targets in enumerate(images):
-            block = box[g * stride : (g + 1) * stride]
-            if any(block):
-                for d, a in targets:
-                    scaled = map(mul, block, repeat(a))
-                    column = columns[d]
-                    columns[d] = scaled if column is None else map(add, column, scaled)
-        box = [0] * (stride * b)
-        for d, column in enumerate(columns):
-            if column is not None:
-                box[d::b] = column
+    if words:
+        box = _word_passes(box, n, width, images, b)
+    else:
+        # the list passes, inline: a call would cost a box of a few entries
+        # about 2 %
+        for _ in range(n):
+            # output column d sums the scaled blocks g; zero blocks are skipped
+            stride = len(box) // width
+            columns = [None] * b
+            for g, targets in enumerate(images):
+                block = box[g * stride : (g + 1) * stride]
+                if any(block):
+                    for d, a in targets:
+                        scaled = map(mul, block, repeat(a))
+                        column = columns[d]
+                        columns[d] = scaled if column is None else map(add, column, scaled)
+            box = [0] * (stride * b)
+            for d, column in enumerate(columns):
+                if column is not None:
+                    box[d::b] = column
     denominator = factorial(m) ** n * lcm_coeff
     return SparsePoly._trusted(n, _BoxTerms(n, box, values, denominator))
+
+
+def _chern_bound(
+    numerators: list[tuple[tuple[int, ...], int]], rows: tuple[tuple[int, ...], ...]
+) -> int:
+    """A bound on |entry| over every box the passes make from the terms
+    c * y^e given as ``numerators``: the sum of |c| times the product over
+    i of the largest |entry| of row e_i of the table ``rows``.  Each such
+    largest entry is at least 1 (row g holds m! at d = g), so the bound
+    also covers the boxes made part way through the passes."""
+    peaks = [max(map(abs, row)) for row in rows]
+    return sum(abs(c) * prod(map(peaks.__getitem__, e)) for e, c in numerators)
+
+
+def _word_passes(box: array, n: int, width: int, images, b: int) -> array:
+    """The n passes on signed 64-bit words, for a box whose entries fit one
+    before, during and after the passes (``_chern_bound``).  Each block is
+    read as one int, a 64-bit field an entry, so output column d, the sum
+    of the blocks g scaled by their table entries, takes one exact
+    multiply-add a block, not one an entry; it is written back with one
+    strided assignment."""
+    # column d's blocks, as (g, table entry)
+    sources = [[] for _ in range(b)]
+    for g, targets in enumerate(images):
+        for d, a in targets:
+            sources[d].append((g, a))
+    for _ in range(n):
+        stride = len(box) // width
+        size = 8 * stride
+        # 2^63 in each field: a field read unsigned is its value plus 2^63
+        # once its top bit is flipped, and a column plus 2^63 in each field
+        # has every field in [0, 2^64), whose top bit flipped back is the word
+        half = int.from_bytes(_HALF * stride, sys.byteorder)
+        view = memoryview(box)
+        blocks = [
+            (int.from_bytes(view[g * stride : (g + 1) * stride], sys.byteorder) ^ half) - half
+            for g in range(width)
+        ]
+        view.release()
+        # the old box goes before the new one is made
+        box = None
+        box = array("q", bytes(8)) * (stride * b)
+        out = memoryview(box)
+        for d, pairs in enumerate(sources):
+            column = 0
+            for g, a in pairs:
+                column += a * blocks[g]
+            if column:
+                # rebound at each step, so one column-sized int at a time
+                # is let go
+                column += half
+                column ^= half
+                out[d::b] = memoryview(column.to_bytes(size, sys.byteorder)).cast("q")
+    return box
 
 
 def is_quasisymmetric(f: SparsePoly, n: int) -> bool:

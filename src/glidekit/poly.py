@@ -23,7 +23,7 @@ from itertools import chain, compress, product, repeat
 from math import lcm
 from operator import methodcaller
 from types import MappingProxyType
-from typing import Hashable, Iterable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .compositions import _container, _exact, _instance, _int_parts, _size, _string
 from .errors import LengthMismatchError
@@ -82,6 +82,11 @@ class _BoxTerms(Mapping):
     order.  A Chern image's terms are such a view, the one place its box is
     kept.
 
+    ``numerators`` is a list of ints or, when ``chern_substitute`` has shown
+    every entry fits one, an ``array("q")`` of signed 64-bit words; the view
+    and its readers take either through the sequence API (``len``,
+    ``count``, iteration, slices), so the terms do not depend on the form.
+
     ``len`` counts the nonzero entries.  Every other read builds the dict
     of terms the first time, one Fraction per distinct numerator, and goes
     to it from then on, so a reader that only counts builds nothing and
@@ -99,7 +104,7 @@ class _BoxTerms(Mapping):
     )
 
     def __init__(
-        self, nvars: int, numerators: list[int], exponents: tuple[int, ...], denominator: int
+        self, nvars: int, numerators: Sequence[int], exponents: tuple[int, ...], denominator: int
     ):
         self._nvars = nvars
         self._numerators = numerators

@@ -159,7 +159,9 @@ def _checked_box(f: SparsePoly, n: int) -> _BoxTerms | None:
     A[..., 0, v, ...] = A[..., v, 0, ...] on each adjacent pair of axes.
     For the pair (i, i + 1) the two sides are blocks of |V|^(n - i - 2)
     entries after each of the |V|^i prefixes, compared block by block, or
-    as strided slices when the prefixes are the more numerous.
+    as strided slices when the prefixes are the more numerous.  A box of
+    64-bit words (``array("q")``) compares its slices as memory, a list of
+    ints entry by entry.
 
     The verdict is kept in the view, so the slices are compared once per
     image: a later check answers from it.

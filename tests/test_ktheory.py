@@ -1,15 +1,20 @@
+import json
 import random
+from array import array
 from fractions import Fraction
 from math import comb, factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from glidekit import ktheory
 from glidekit.compositions import closure, paddings
 from glidekit.errors import LengthMismatchError, MalformedInputError, OutOfRangeError
 from glidekit.glides import glide_polynomial
 from glidekit.ktheory import (
     KRingElement,
+    _chern_bound,
     _chern_rows,
     chern_series_coeffs,
     chern_substitute,
@@ -20,7 +25,7 @@ from glidekit.ktheory import (
     y_to_line_bundle,
     z_locus,
 )
-from glidekit.poly import SparsePoly
+from glidekit.poly import SparsePoly, _integer_numerators
 from glidekit.poset import build_poset
 from glidekit.qsym import (
     QSymElement,
@@ -407,14 +412,15 @@ def _expand_chern(element):
 
 
 @st.composite
-def _sparse_kring_elements(draw):
+def _sparse_kring_elements(draw, max_n=4, max_m=4, max_numerator=9):
     """Random elements, most of them not quasisymmetric, whose positive
     exponents start at ``low``, so that V may be smaller than [0, m]."""
-    n = draw(st.integers(0, 4))
-    m = draw(st.integers(0, 4))
+    n = draw(st.integers(0, max_n))
+    m = draw(st.integers(0, max_m))
     low = draw(st.integers(1, max(m, 1)))
     part = st.sampled_from((0, *range(low, m + 1)))
-    coeff = st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 7]))
+    numerator = st.integers(-max_numerator, max_numerator)
+    coeff = st.builds(Fraction, numerator, st.sampled_from([1, 2, 3, 7]))
     terms = draw(st.dictionaries(st.tuples(*[part] * n), coeff, max_size=5))
     return KRingElement(SparsePoly(n, terms), m)
 
@@ -439,6 +445,90 @@ def test_chern_substitute_matches_series_products(element):
     boxed = _checked_box(image, n)
     assert (boxed is None) == (failed is not None)
     assert boxed is None or list(_read_box(boxed).items()) == list(coords.items())
+
+
+def _chern_box(element, word_box):
+    """(box, V, denominator) of the element's Chern image, with the word
+    kernel's size cut-off set to ``word_box``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ktheory, "_WORD_BOX", word_box)
+        view = chern_substitute(element).terms
+    return view._numerators, view._exponents, view._denominator
+
+
+def _bound(element):
+    numerators, _ = _integer_numerators(element.poly.terms)
+    return _chern_bound(numerators, _chern_rows(element.m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sparse_kring_elements(max_n=5, max_m=6, max_numerator=10**6))
+@example(KRingElement(SparsePoly.zero(4), 5))
+@example(KRingElement(SparsePoly(0, {(): Fraction(-5, 3)}), 6))
+@example(KRingElement(SparsePoly(5, {(1, 1, 1, 1, 1): Fraction(-3, 7), (0,) * 5: 1}), 6))
+@example(KRingElement(SparsePoly(5, {(0, 2, 0, 0, 6): Fraction(10**6, 7)}), 6))
+def test_word_and_list_passes_give_one_box(element):
+    # with no size cut-off every element whose bound is below 2^63 takes the
+    # word passes, and with an unreachable one every element takes the
+    # list passes: the two boxes must agree entry by entry, with one V and
+    # one denominator
+    words, values, denominator = _chern_box(element, 0)
+    ints, int_values, int_denominator = _chern_box(element, float("inf"))
+    assert type(ints) is list
+    assert type(words) is (array if _bound(element) < 2**63 else list)
+    assert len(words) == len(ints) and list(words) == ints
+    assert (values, denominator) == (int_values, int_denominator)
+    assert max(map(abs, words), default=0) <= _bound(element)
+
+
+# the largest c whose c * y_1 at n = 6, m = 5 has a bound below 2^63
+_UNDER = (2**63 - 1) // _bound(KRingElement(SparsePoly(6, {(1, 0, 0, 0, 0, 0): 1}), 5))
+
+
+@pytest.mark.parametrize(
+    "terms, n, m, form",
+    [
+        # a single term's bound is its largest entry: c * y_1 reaches
+        # 2^63 - 1 less at most 120^6, of either sign, and one more unit of
+        # c crosses 2^63
+        ({(1, 0, 0, 0, 0, 0): _UNDER}, 6, 5, array),
+        ({(1, 0, 0, 0, 0, 0): -_UNDER}, 6, 5, array),
+        ({(1, 0, 0, 0, 0, 0): _UNDER + 1}, 6, 5, list),
+        ({(1, 0, 0, 0, 0, 0): -_UNDER - 1}, 6, 5, list),
+        # y_1 * y_2 at m = 20: each axis scales by 20!, about 2^61, so the
+        # entries reach about 2^184, in a box of 21^3 entries
+        ({(1, 1, 0): 1}, 3, 20, list),
+    ],
+)
+def test_chern_words_hold_entries_up_to_two_to_the_63(terms, n, m, form):
+    element = KRingElement(SparsePoly(n, terms), m)
+    image = chern_substitute(element)
+    box = image.terms._numerators
+    assert len(box) >= ktheory._WORD_BOX
+    assert type(box) is form
+    assert (form is array) == (_bound(element) < 2**63)
+    assert image == _expand_chern(element)
+    assert_box_is_image(image, n)
+    if form is array:
+        assert max(map(abs, box)) == _bound(element)
+
+
+KCLASS_ROWS = Path(__file__).resolve().parent.parent / "perfbench/data/kclass_sweep.json"
+
+
+def test_every_large_benchmark_box_takes_the_words():
+    # the bound holds every entry of each benchmark row's box, and is below
+    # 2^63 on every row, so each box of at least ``_WORD_BOX`` entries runs
+    # on words
+    rows = json.loads(KCLASS_ROWS.read_text(encoding="utf-8"))["instances"]
+    assert len(rows) == 515
+    for row in rows:
+        alpha, n, m = tuple(row["alpha"]), row["n"], row["m"]
+        element = knutson_class(alpha, n, m)
+        box = chern_substitute(element).terms._numerators
+        bound = _bound(element)
+        assert max(map(abs, box)) <= bound < 2**63, (alpha, n, m)
+        assert (type(box) is array) == (len(box) >= ktheory._WORD_BOX), (alpha, n, m)
 
 
 @pytest.mark.parametrize(
