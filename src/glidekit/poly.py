@@ -10,17 +10,19 @@ never change.  Pickle and copy rebuild it through the checked constructor.
 Products run on integers: each factor is scaled to integer numerators over
 the lcm of its denominators, the numerators are multiplied and summed as
 plain ints, and the Fractions are built at the end, one per distinct
-numerator.  The product also keys its sums by ints: each exponent vector is
-packed into one int, a byte-aligned field per variable, so adding two keys
-adds the vectors.
+numerator, each from one gcd with its two slots written directly
+(``_FractionTable``).  The product also keys its sums by ints: each
+exponent vector is packed into one int, a byte-aligned field per variable,
+so adding two keys adds the vectors.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, product, repeat
-from math import lcm
+from math import gcd, lcm
 from operator import methodcaller
 from types import MappingProxyType
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
@@ -66,11 +68,38 @@ def _unpacked(keys: Iterable[int], nvars: int, width: int) -> Iterator[ExponentV
     return (tuple([int.from_bytes(b[i : i + width], "little") for i in fields]) for b in raw)
 
 
-def _fractions(numerators: list[int], denominator: int) -> Iterator[Fraction]:
-    """The nonzero numerators over one denominator, in order, with one
-    Fraction per distinct numerator (Fractions are immutable)."""
-    shared = {c: Fraction(c, denominator) for c in set(numerators) if c}
-    return map(shared.__getitem__, filter(None, numerators))
+class _FractionTable(dict):
+    """numerator -> the Fraction numerator / ``denominator``, built on the
+    first lookup of the numerator and shared from then on (Fractions are
+    immutable); ``denominator`` must be positive.
+
+    The build is one ``gcd`` and the two slots of a bare ``Fraction``
+    written directly: the value ``Fraction(c, d)`` returns, without its
+    argument parsing and checks.  ``Fraction`` has
+    ``__slots__ = ("_numerator", "_denominator")`` and no ``__dict__``, so
+    on a Python that renamed a slot the write raises ``AttributeError``
+    and never builds a wrong value; ``tests/test_poly.py`` pins the layout.
+    """
+
+    __slots__ = ("denominator",)
+
+    def __init__(self, denominator: int):
+        self.denominator = denominator
+
+    def __missing__(self, c: int) -> Fraction:
+        d = self.denominator
+        g = gcd(c, d)
+        q = self[c] = object.__new__(Fraction)
+        q._numerator = c // g
+        q._denominator = d // g
+        return q
+
+
+def _fractions(numerators: Iterable[int], denominator: int) -> Iterator[Fraction]:
+    """The nonzero numerators over one positive denominator, in order, with
+    one Fraction per distinct numerator, built by a ``_FractionTable`` the
+    first time the numerator comes."""
+    return map(_FractionTable(denominator).__getitem__, filter(None, numerators))
 
 
 class _BoxTerms(Mapping):
@@ -80,17 +109,22 @@ class _BoxTerms(Mapping):
     are the values at the base-|V| digits of i in V = ``exponents``.  The
     terms are the nonzero entries, in index order, which is lexicographic
     order.  A Chern image's terms are such a view, the one place its box is
-    kept.
+    kept.  The denominator is held as ``_over``, a name apart from
+    ``Fraction``'s ``_denominator`` slot, which ``_FractionTable`` writes,
+    so the source guard on the box's fields sees only the box's readers.
 
     ``numerators`` is a list of ints or, when ``chern_substitute`` has shown
     every entry fits one, an ``array("q")`` of signed 64-bit words; the view
     and its readers take either through the sequence API (``len``,
     ``count``, iteration, slices), so the terms do not depend on the form.
 
-    ``len`` counts the nonzero entries.  Every other read builds the dict
-    of terms the first time, one Fraction per distinct numerator, and goes
-    to it from then on, so a reader that only counts builds nothing and
-    one that walks the terms makes no Python call per term.
+    ``len`` counts the nonzero entries: ``count(0)`` on a list, and on
+    words the zero bytes of the OR of the box's eight byte planes, taken
+    as ints, so no word becomes an int of its own.  Every other read
+    builds the dict of terms the first time, through one
+    ``_FractionTable``, so each distinct numerator's Fraction is built
+    once, and goes to it from then on; a reader that only counts builds
+    nothing and one that walks the terms makes no Python call per term.
 
     ``_quasisymmetric`` keeps the slice check's verdict: None until
     ``qsym._checked_box`` first runs on the view, then a bool, never
@@ -100,7 +134,7 @@ class _BoxTerms(Mapping):
     """
 
     __slots__ = (
-        "_nvars", "_numerators", "_exponents", "_denominator", "_terms", "_quasisymmetric"
+        "_nvars", "_numerators", "_exponents", "_over", "_terms", "_quasisymmetric"
     )
 
     def __init__(
@@ -109,7 +143,7 @@ class _BoxTerms(Mapping):
         self._nvars = nvars
         self._numerators = numerators
         self._exponents = exponents
-        self._denominator = denominator
+        self._over = denominator
         self._terms: dict[ExponentVector, Fraction] | None = None
         self._quasisymmetric: bool | None = None
 
@@ -118,11 +152,20 @@ class _BoxTerms(Mapping):
         if terms is None:
             box = self._numerators
             keys = compress(product(self._exponents, repeat=self._nvars), box)
-            terms = self._terms = dict(zip(keys, _fractions(box, self._denominator)))
+            terms = self._terms = dict(zip(keys, _fractions(box, self._over)))
         return terms
 
     def __len__(self) -> int:
-        return len(self._numerators) - self._numerators.count(0)
+        box = self._numerators
+        if not isinstance(box, array):
+            return len(box) - box.count(0)
+        # a word is 0 exactly when each of its bytes is, so one OR of the
+        # strided byte planes has a zero byte at each zero word
+        raw, width = box.tobytes(), box.itemsize
+        nonzero = 0
+        for i in range(width):
+            nonzero |= int.from_bytes(raw[i::width], "little")
+        return len(box) - nonzero.to_bytes(len(box), "little").count(0)
 
     def __getitem__(self, key: ExponentVector) -> Fraction:
         return self._built()[key]
@@ -285,7 +328,7 @@ class SparsePoly:
                 else:
                     del out[k]
         exps = _unpacked(out, self.nvars, width)
-        terms = dict(zip(exps, _fractions(list(out.values()), d1 * d2)))
+        terms = dict(zip(exps, _fractions(out.values(), d1 * d2)))
         return SparsePoly._trusted(self.nvars, terms)
 
     def scale(self, factor: Fraction | int) -> "SparsePoly":

@@ -11,7 +11,8 @@ tensor powers, with products read back off initial-segment tensors.
 
 Every product here runs as ``poly``'s do: the sums are plain ints, integer
 numerators over one common denominator, and the Fractions are built at the
-end, one per distinct numerator.
+end by ``poly._fractions``: one per distinct numerator, made on its first
+lookup from one gcd with ``Fraction``'s two slots written directly.
 """
 
 from __future__ import annotations
@@ -199,8 +200,10 @@ def _read_box(view: _BoxTerms) -> dict[Composition, Fraction]:
     the check, read at the placements (0, ..., 0, gamma), the indices whose
     digits are some 0s followed by no 0; in index order they come by
     length, then in lexicographic order.  Each coefficient is the
-    placement's numerator over the box's denominator, one Fraction per
-    distinct numerator, as the view builds the terms, which are not read.
+    placement's numerator over the box's denominator, built by
+    ``poly._fractions`` as the view's terms are (they are not read): each
+    distinct numerator's Fraction on its first lookup, one gcd and two
+    slot writes, with no pass over the placements before it.
     """
     n, values = view._nvars, view._exponents
     b = len(values)
@@ -214,7 +217,7 @@ def _read_box(view: _BoxTerms) -> dict[Composition, Fraction]:
     # and give the coefficients
     placed = list(compress(view._numerators, tails))
     gammas = chain.from_iterable(product(values[1:], repeat=k) for k in range(n + 1))
-    return dict(zip(compress(gammas, placed), _fractions(placed, view._denominator)))
+    return dict(zip(compress(gammas, placed), _fractions(placed, view._over)))
 
 
 def _group_by_positive_part(
@@ -437,7 +440,7 @@ def _peel(
                 else:
                     residual.pop(g, None)
     # every peeled coefficient is a nonzero residual
-    return dict(zip(out, _fractions(list(out.values()), denominator)))
+    return dict(zip(out, _fractions(out.values(), denominator)))
 
 
 def glide_structure_constants(
@@ -737,7 +740,7 @@ def _slot_products(
                 out[key] = v
             else:
                 del out[key]
-    return dict(zip(out, _fractions(list(out.values()), d**n)))
+    return dict(zip(out, _fractions(out.values(), d**n)))
 
 
 def qsym_r_product(

@@ -66,7 +66,7 @@ def assert_box_is_image(image, n):
     describe one polynomial."""
     view = image.terms
     assert type(view) is _BoxTerms, type(view)
-    box, values, denominator = view._numerators, view._exponents, view._denominator
+    box, values, denominator = view._numerators, view._exponents, view._over
     assert len(box) == len(values) ** n
     assert list(compress(product(values, repeat=n), box)) == list(image.terms)
     numerators = list(filter(None, box))

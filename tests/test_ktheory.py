@@ -310,11 +310,11 @@ def test_chern_substitute_without_variables(m):
     constant = chern_substitute(KRingElement(SparsePoly(0, {(): Fraction(-2, 3)}), m))
     assert constant.terms == {(): Fraction(-2, 3)}
     box = constant.terms
-    assert (box._numerators, box._exponents, box._denominator) == ([-2], (0,), 3)
+    assert (box._numerators, box._exponents, box._over) == ([-2], (0,), 3)
     zero = chern_substitute(KRingElement(SparsePoly.zero(0), m))
     assert zero.terms == {}
     box = zero.terms
-    assert (box._numerators, box._exponents, box._denominator) == ([0], (0,), 1)
+    assert (box._numerators, box._exponents, box._over) == ([0], (0,), 1)
 
 
 def test_chern_substitute_matches_naive_expansion():
@@ -453,7 +453,7 @@ def _chern_box(element, word_box):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ktheory, "_WORD_BOX", word_box)
         view = chern_substitute(element).terms
-    return view._numerators, view._exponents, view._denominator
+    return view._numerators, view._exponents, view._over
 
 
 def _bound(element):

@@ -1,5 +1,6 @@
 import copy
 import pickle
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from glidekit.errors import InvalidCompositionError, LengthMismatchError
 from glidekit.glides import glide_polynomial
 from glidekit.ktheory import chern_substitute, knutson_class
-from glidekit.poly import SparsePoly, _integer_numerators
+from glidekit.poly import SparsePoly, _BoxTerms, _fractions, _integer_numerators
 from glidekit.qsym import QSymElement, m_to_polynomial, polynomial_to_m
 from glidekit.schur import schur_polynomial
 
@@ -272,3 +273,66 @@ def test_monomial_reads_its_exponents_by_the_part_rule():
     # this was a bare TypeError from tuple(5)
     with pytest.raises(InvalidCompositionError):
         SparsePoly.monomial(5)
+
+
+# ``_fractions`` builds each Fraction from one gcd by writing its two slots,
+# so item by item it must hand out what the public constructor returns
+_NUMERATORS = st.one_of(st.integers(-60, 60), st.integers(-(2**80), 2**80))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    numerators=st.lists(_NUMERATORS, max_size=30),
+    denominator=st.one_of(st.integers(1, 60), st.integers(1, 2**80)),
+)
+@example(numerators=[0, 6, -6, 4, 9, -12, 7], denominator=12)
+@example(numerators=[-3, 0, 5, 2**70, -(2**70)], denominator=1)
+@example(numerators=[3 * 2**65, -9 * 2**64, 2**64 + 1, -(2**64)], denominator=3 * 2**64)
+def test_fractions_match_the_public_constructor(numerators, denominator):
+    got = list(_fractions(numerators, denominator))
+    expected = [Fraction(c, denominator) for c in numerators if c]
+    assert len(got) == len(expected)
+    for q, r in zip(got, expected):
+        assert type(q) is Fraction
+        assert (q, q.numerator, q.denominator, hash(q)) == (r, r.numerator, r.denominator, hash(r))
+        back = pickle.loads(pickle.dumps(q))
+        assert type(back) is Fraction
+        assert (back.numerator, back.denominator) == (r.numerator, r.denominator)
+        s, t = q * 3 - Fraction(1, 7), r * 3 - Fraction(1, 7)
+        assert (s.numerator, s.denominator) == (t.numerator, t.denominator)
+
+
+def test_equal_numerators_share_one_fraction():
+    got = list(_fractions([4, 0, -2, 4, 6, -2, 0, 4], 6))
+    assert got[0] is got[2] is got[5]
+    assert got[1] is got[4]
+    assert len({id(q) for q in got}) == 3
+
+
+def test_fraction_keeps_the_slots_the_table_writes():
+    # the table writes these two slots of a bare Fraction; a Python that
+    # changes the layout fails here before any value is built
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+    assert not hasattr(object.__new__(Fraction), "__dict__")
+
+
+# a Chern box's length counts its nonzero entries, on words by one OR of
+# the byte planes: a word with only its high byte set, or negative, is
+# nonzero in one plane alone
+_WORDS = st.one_of(
+    st.integers(-(2**63), 2**63 - 1),
+    st.sampled_from([0, 1, -1, 1 << 56, 0x7F << 56, -(1 << 63), (1 << 63) - 1]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(words=st.lists(_WORDS, max_size=64))
+@example(words=[])
+@example(words=[0, 0, 0])
+@example(words=[1 << 56, 0, -(1 << 63), 0, -1, 0x7F << 56, 0, 255])
+def test_box_length_counts_the_nonzero_entries_of_either_form(words):
+    for box in (list(words), array("q", words)):
+        view = _BoxTerms(1, box, tuple(range(len(words))), 1)
+        assert len(view) == len(words) - words.count(0)
+        assert SparsePoly._trusted(1, view).is_zero() == (not any(words))
+        assert len(view) == len(view.copy())

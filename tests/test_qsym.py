@@ -1245,7 +1245,7 @@ def test_slice_check_runs_once_per_image(alpha, n, m):
     for image in (chern_substitute(knutson_class(alpha, n, m)), _broken_image(alpha, n, m)):
         view = image.terms
         box = _CountedSlices(view._numerators)
-        f = SparsePoly._trusted(n, _BoxTerms(n, box, view._exponents, view._denominator))
+        f = SparsePoly._trusted(n, _BoxTerms(n, box, view._exponents, view._over))
         verdict = is_quasisymmetric(f, n)
         checked = box.slices
         assert checked > 0

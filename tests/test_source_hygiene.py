@@ -244,7 +244,7 @@ _ROUTES_APART = {
         "qsym.py",
         {"_group_by_positive_part"},
         {"_checked_box", "_read_box", "_BoxTerms"}
-        | {"_nvars", "_numerators", "_exponents", "_denominator", "_quasisymmetric"},
+        | {"_nvars", "_numerators", "_exponents", "_over", "_quasisymmetric"},
     ),
     "box-readers": ("qsym.py", {"_checked_box", "_read_box"}, {"_group_by_positive_part"}),
     # the closed and barred glide routes check each other and the poset route
@@ -352,7 +352,7 @@ def test_independent_routes_share_no_core(route):
 # The view also keeps the check's verdict, ``_VERDICT``: the view declares
 # it and ``__init__`` sets it to None, and only the slice check reads or
 # writes it, so no other code can pass an image off as checked.
-_BOX_FIELDS = {"_nvars", "_numerators", "_exponents", "_denominator"}
+_BOX_FIELDS = {"_nvars", "_numerators", "_exponents", "_over"}
 _VERDICT = "_quasisymmetric"
 _BOX_USES = {
     ("ktheory.py", "chern_substitute"): {"build"},
