@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, wraps
 from itertools import chain, combinations, repeat
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, Sized, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import (
     InvalidCompositionError, LengthMismatchError, MalformedInputError, OutOfRangeError,
@@ -20,7 +20,7 @@ from .errors import (
 Composition = tuple[int, ...]
 WeakComposition = tuple[int, ...]
 T = TypeVar("T")
-S = TypeVar("S", bound=Sized)
+R = TypeVar("R")
 
 
 def _int_parts(parts: Iterable[int], least: int, kind: str) -> tuple[int, ...]:
@@ -96,40 +96,58 @@ def _container(value: Iterable[T], name: str, items: bool = False) -> Iterator[T
 
 
 class _Oversized(Exception):
-    """Carries a result over a cache's size cap out of the cached call."""
+    """Carries a result over a kernel's size cap out of the cached call."""
 
-    def __init__(self, value: Sized):
+    def __init__(self, value: object):
         super().__init__()
         self.value = value
 
 
-def _size_capped_cache(maxsize: int, cap: int) -> Callable[[Callable[..., S]], Callable[..., S]]:
-    """The one rule for a cache bounded in size as well as in entries: an
-    ``lru_cache`` of ``maxsize`` entries that keeps no result of more than
-    ``cap`` items (by ``len``).  Such a result is returned all the same, is
-    counted as a miss and adds no entry, so one large value cannot pin its
-    memory until ``maxsize`` newer keys evict it.  The cached function
-    reports and resets the ``lru_cache`` by its ``cache_info`` and
-    ``cache_clear``."""
+# every result cache of the package, by module and name, with its size cap
+_KERNELS: dict[str, tuple[Callable[..., object], int | None]] = {}
 
-    def decorate(function: Callable[..., S]) -> Callable[..., S]:
-        @lru_cache(maxsize=maxsize)
-        def kept(*args):
-            value = function(*args)
-            if len(value) > cap:
-                # ``lru_cache`` keeps nothing for a call that raises
-                raise _Oversized(value)
-            return value
 
-        @wraps(function)
-        def cached(*args):
-            try:
-                return kept(*args)
-            except _Oversized as over:
-                return over.value
+def _kernel(
+    maxsize: int, cap: int | None, size: Callable[[R], int] = len
+) -> Callable[[Callable[..., R]], Callable[..., R]]:
+    """The one rule for a result cache: an ``lru_cache`` of ``maxsize``
+    entries, registered in ``_KERNELS``.
 
-        cached.cache_info = kept.cache_info
-        cached.cache_clear = kept.cache_clear
+    A kernel's caller checks every argument by its rule first: True == 1 ==
+    1.0 and their hashes agree, so an unchecked bool or float would be
+    served an int entry.  The caller hands out a read-only value as it is
+    or a fresh container built from it.  With a ``cap``, no result of more
+    than ``cap`` items (by ``size``) is kept: it is returned all the same,
+    counts as a miss and adds no entry, so one large value cannot pin its
+    memory until ``maxsize`` newer keys evict it; ``cache_info`` and
+    ``cache_clear`` reach the ``lru_cache`` underneath.  With no cap (a
+    value that does not grow) the kernel is the ``lru_cache`` itself, so a
+    hit stays in C.
+    """
+
+    def decorate(function: Callable[..., R]) -> Callable[..., R]:
+        if cap is None:
+            cached = lru_cache(maxsize)(function)
+        else:
+
+            @lru_cache(maxsize)
+            def kept(*args):
+                value = function(*args)
+                if size(value) > cap:
+                    # ``lru_cache`` keeps nothing for a call that raises
+                    raise _Oversized(value)
+                return value
+
+            @wraps(function)
+            def cached(*args):
+                try:
+                    return kept(*args)
+                except _Oversized as over:
+                    return over.value
+
+            cached.cache_info = kept.cache_info
+            cached.cache_clear = kept.cache_clear
+        _KERNELS[f"{function.__module__}.{function.__name__}"] = (cached, cap)
         return cached
 
     return decorate

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import comb, prod
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -32,6 +32,7 @@ from .compositions import (
     Composition,
     WeakComposition,
     _fields,
+    _kernel,
     _pack,
     _size,
     _string,
@@ -147,6 +148,9 @@ class _BarredClosure:
     s: int
     shifts: range
 
+    def __len__(self) -> int:
+        return len(self.signs)
+
     @cached_property
     def strings(self) -> frozenset[tuple[int, ...]]:
         """The barred strings, decoded on the first read and kept."""
@@ -159,25 +163,21 @@ def enumerate_C_tilde(alpha: Iterable[int], n: int) -> frozenset[tuple[int, ...]
 
 
 def _barred(a: Composition, n: int) -> _BarredClosure:
-    # checked before the cache, which would serve n=2.0 from its n=2 entry
     return _c_tilde(a, _size(n, len(a), "n"))
 
 
-@lru_cache(maxsize=1024)
+@_kernel(1024, 1024)
 def _c_tilde(alpha: Composition, n: int) -> _BarredClosure:
     """The signed barred move closure of alpha's paddings into n slots,
-    each string packed by ``_barred_fields(max(alpha), n)``.
-
-    The result is cached and shared by every caller, so it is frozen and its
-    signs are a read-only view.
+    each string packed by ``_barred_fields(max(alpha), n)``, in a frozen
+    record whose signs are a read-only view.
     """
     s, shifts = _barred_fields(max(alpha, default=0), n)
     seed = [_pack(p, shifts) for p in paddings(alpha, n)]
     return _BarredClosure(MappingProxyType(_move_closure(seed, s, shifts)), s, shifts)
 
 
-# the cache is keyed on the normalised arguments; its statistics and its
-# reset stay reachable from the public function
+# the signed closure's statistics and reset, from the public function
 enumerate_C_tilde.cache_info = _c_tilde.cache_info
 enumerate_C_tilde.cache_clear = _c_tilde.cache_clear
 
@@ -188,10 +188,7 @@ def _run_factor(size: int, mult: int) -> int:
     return (-1) ** (size - mult) * comb(size - 1, mult - 1)
 
 
-_INFLATIONS_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=_INFLATIONS_CACHE_SIZE)
+@_kernel(1024, 256)
 def _inflations(
     alpha: Composition, max_length: int, max_degree: int
 ) -> tuple[tuple[Composition, int], ...]:
@@ -199,9 +196,7 @@ def _inflations(
 
     Each run of alpha, value v repeated N times, becomes v repeated l >= N
     times; the coefficient is the product of the _run_factor(l, N).  The
-    pairs come in lexicographic order of the run-size vectors.  The result
-    is cached and shared by every caller, so it is a tuple that none can
-    change.
+    pairs come in lexicographic order of the run-size vectors, in a tuple.
 
     The run-size vectors are walked depth first on an explicit stack, so
     an alpha of many runs needs no deeper Python stack: each prefix pushes
@@ -242,20 +237,15 @@ def _inflations(
 
 
 def _closed(a: Composition, n: int) -> Mapping[WeakComposition, Fraction]:
-    # checked before the cache, which would serve n=2.0 from its n=2 entry
     return _closed_terms(a, _size(n, len(a), "n"))
 
 
-_CLOSED_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=_CLOSED_CACHE_SIZE)
+@_kernel(1024, 1024)
 def _closed_terms(a: Composition, n: int) -> Mapping[WeakComposition, Fraction]:
     """Every padding into n slots of every run inflation of a, with the
     inflation's binomial coefficient: the closed glide's terms.
 
-    No coefficient is zero, and one Fraction is shared per inflation.  The
-    result is cached and shared by every caller, so it is a read-only view.
+    No coefficient is zero, and one Fraction is shared per inflation.
     """
     terms: dict[WeakComposition, Fraction] = {}
     # no part exceeds max(a), so n * max(a) bounds no inflation of length n
@@ -357,8 +347,9 @@ def glide_m_expansion(alpha: Iterable[int], degree_bound: int) -> dict[Compositi
     The coordinate of alpha itself is 1 and every other key has strictly
     larger size.
     """
+    bound = _size(degree_bound, 0, "degree bound")
     # every part is at least 1, so the degree bound also bounds the length
-    return dict(_inflations(as_composition(alpha), degree_bound, degree_bound))
+    return dict(_inflations(as_composition(alpha), bound, bound))
 
 
 def check_binomial_identity(N: int, l: int) -> bool:

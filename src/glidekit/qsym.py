@@ -21,7 +21,7 @@ from collections import Counter
 from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain, compress, islice, product
 from math import comb, lcm, prod
 from types import MappingProxyType
@@ -32,8 +32,8 @@ from .compositions import (
     _container,
     _exact,
     _instance,
+    _kernel,
     _size,
-    _size_capped_cache,
     as_composition,
     overlapping_paddings,
     paddings,
@@ -288,28 +288,17 @@ def overlapping_shuffle(alpha: Iterable[int], beta: Iterable[int]) -> dict[Compo
     parts.  The table is cached and shared; the dict returned is a fresh
     copy, in the recursion's key order.
     """
-    # checked before the cache, which would serve (True,) or (1.0,) from an
-    # int entry: alpha, then beta
     return _overlapping_shuffle(as_composition(alpha), as_composition(beta)).copy()
 
 
-# a table of two compositions of total size at most 10 has at most 146 keys,
-# so every such table is kept; the largest algebra_requests asks for has 27.
-# (1,)^k ⋆ (1,)^k has F(2k + 1) keys, 610 at k = 7.  The cache holds at most
-# 2048 * 256 keys, about 75 MB at some 140 bytes a key
-_SHUFFLE_CACHE_SIZE = 2048
-_SHUFFLE_CACHE_CAP = 256
-
-
-@_size_capped_cache(_SHUFFLE_CACHE_SIZE, _SHUFFLE_CACHE_CAP)
+@_kernel(2048, 256)
 def _overlapping_shuffle(a: Composition, b: Composition) -> Mapping[Composition, int]:
     """``overlapping_shuffle`` on validated compositions, read-only.
 
     Counted by the quasi-shuffle recursion on the first parts,
     x·u ⋆ y·v = x(u ⋆ y·v) + y(x·u ⋆ v) + (x+y)(u ⋆ v) (Hoffman, 2000),
     over the suffix pairs of a and b, one row of suffixes of a at a time,
-    so no placement is listed and nothing recurses.  A table of more than
-    ``_SHUFFLE_CACHE_CAP`` keys is returned without being kept.
+    so no placement is listed and nothing recurses.
     """
     m, n = len(a), len(b)
     # below[j] is a[i + 1:] ⋆ b[j:] while row i is filled, from the right
@@ -366,16 +355,12 @@ def glide_element(alpha: Iterable[int], degree_bound: int) -> QSymElement:
     The element is cached and shared by every caller; its coordinates are
     read-only, as every element's are.
     """
-    # checked before the cache, which would serve (True,) or a bool bound
-    # from an int entry; the bound first
     bound = _size(degree_bound, 0, "degree bound")
     return _glide_element(as_composition(alpha), bound)
 
 
-_GLIDE_ELEMENT_CACHE_SIZE = 1024
-
-
-@lru_cache(maxsize=_GLIDE_ELEMENT_CACHE_SIZE)
+# counted by its coordinates: a ``len`` would change an element's truth value
+@_kernel(1024, 256, lambda element: len(element.coords))
 def _glide_element(alpha: Composition, degree_bound: int) -> QSymElement:
     """``glide_element`` on a validated composition and bound, one Fraction
     per distinct coefficient."""
@@ -450,16 +435,11 @@ def glide_structure_constants(
 
     The table is cached and shared; the dict returned is a fresh copy.
     """
-    # checked before the cache as the two glide elements check: the bound,
-    # then alpha, then beta
     bound = _size(degree_bound, 0, "degree bound")
     return _glide_constants(as_composition(alpha), as_composition(beta), bound).copy()
 
 
-_GLIDE_CONSTANTS_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=_GLIDE_CONSTANTS_CACHE_SIZE)
+@_kernel(4096, 256)
 def _glide_constants(
     alpha: Composition, beta: Composition, degree_bound: int
 ) -> Mapping[Composition, Fraction]:
@@ -761,17 +741,12 @@ def qsym_r_product(
 
     The expansion is cached and shared; the dict returned is a fresh copy.
     """
-    # checked before the cache, which would serve (True,) or a bool n from
-    # an int entry: theta, kappa, then n
     t = _validate_label_tuple(theta, ring)
     k = _validate_label_tuple(kappa, ring)
     return _r_expansion(t, k, ring, _size(n, len(t) + len(k), "n")).copy()
 
 
-_R_EXPANSION_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=_R_EXPANSION_CACHE_SIZE)
+@_kernel(4096, 256)
 def _r_expansion(
     t: LabelTuple, k: LabelTuple, ring: GradedRingData, n: int
 ) -> Mapping[LabelTuple, Fraction]:

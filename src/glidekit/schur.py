@@ -10,14 +10,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from itertools import accumulate, combinations
 from operator import ge, gt
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .compositions import (
-    _container, _exact, _instance, _int_parts, _size, _string, overlapping_paddings,
+    _container, _exact, _instance, _int_parts, _kernel, _size, _string, overlapping_paddings,
 )
 from .errors import (
     InvalidCompositionError,
@@ -204,10 +204,7 @@ def lr_coefficient(lam: Iterable[int], mu: Iterable[int], nu: Iterable[int]) -> 
     return _lr(l, as_partition(mu, len(l)), as_partition(nu, len(l)))
 
 
-_LR_CACHE_SIZE = 4096
-
-
-@lru_cache(maxsize=_LR_CACHE_SIZE)
+@_kernel(4096, None)
 def _lr(lam: Partition, mu: Partition, nu: Partition) -> int:
     """``lr_coefficient`` on partitions already validated to share one length.
 
@@ -322,14 +319,10 @@ def schur_ring(k: int) -> GradedRingData:
     level, so it pickles.  Every call with the same k returns one shared
     ring, so the tensor engine's cache, keyed by the ring, serves it again.
     """
-    # checked before the cache, which would serve a bool k from an int entry
     return _schur_ring(_size(k, 0, "k"))
 
 
-_SCHUR_RING_CACHE_SIZE = 64
-
-
-@lru_cache(maxsize=_SCHUR_RING_CACHE_SIZE)
+@_kernel(64, None)
 def _schur_ring(k: int) -> GradedRingData:
     return GradedRingData(
         unit=(0,) * k,
@@ -339,7 +332,7 @@ def _schur_ring(k: int) -> GradedRingData:
     )
 
 
-@lru_cache(maxsize=4096)
+@_kernel(4096, 256)
 def _schur_product(lam: Partition, mu: Partition) -> Mapping[Partition, Fraction]:
     """The product of two labels of ``schur_ring(len(lam))``."""
     total = sum(lam) + sum(mu)

@@ -250,6 +250,18 @@ def test_a_good_claim_and_trace_are_recorded(repo):
     assert ("change", 3) in runs and "trace_w_seed_3" in written
 
 
+# Python reads the variable as set when it is not empty
+@pytest.mark.parametrize("value, written", [("1", "set"), ("", "not set"), (None, "not set")])
+def test_the_machine_line_says_whether_bytecode_is_written(repo, monkeypatch, value, written):
+    root, runs = repo
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    if value is not None:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    assert bench_pairs.main([*ARGV, "--change", "HEAD"]) == 0
+    machine = json.loads((root / "BENCH_7.json").read_text())["machine"]
+    assert machine.endswith(f", PYTHONDONTWRITEBYTECODE {written}")
+
+
 # what an untraced perfbench/run.py prints, made up, its JSON result last
 STDOUT = """workload w  seed 1  seconds 1  trace 0
   op_p50_ms                                          0.05 ms  samples=6000

@@ -1,20 +1,25 @@
-"""The package's caches: every one is bounded, and none changes a result.
+"""The package's result caches: each is a kernel, declared, bounded and
+registered by ``compositions._kernel``, and none changes a result.
 
 The caches are found the way the benchmark's ``clear_caches`` finds them:
 every module-level object with a ``cache_clear``.
 """
 
+import ast
 import importlib
 import pickle
 import pkgutil
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 import glidekit
 from glidekit import glides, qsym, schur
+from glidekit.cli import build_parser
+from glidekit.compositions import _KERNELS
 from glidekit.errors import (
     InvalidCompositionError,
     MalformedInputError,
@@ -43,37 +48,121 @@ from glidekit.schur import buk_structure_constant, lr_coefficient, schur_ring
 from conftest import all_compositions
 
 
-def _module_caches():
+# per kernel: a public function, arguments that add one entry, arguments
+# whose result is over a capped kernel's cap, and by error, arguments equal
+# to the first (True == 1 == 1.0, with equal hashes) that must be refused
+# before the lookup
+PART, SIZE, LABEL = InvalidCompositionError, OutOfRangeError, UnknownLabelError
+ROWS = {
+    "glidekit.glides._closed_terms": (
+        enumerate_C, ((1,), 2), ((1,), 11),
+        {PART: [((True,), 2), ((1.0,), 2)], SIZE: [((1,), 2.0), ((1,), True)]},
+    ),
+    "glidekit.glides._c_tilde": (
+        enumerate_C_tilde, ((1,), 2), ((1,), 11),
+        {PART: [((True,), 2), ((1.0,), 2)], SIZE: [((1,), 2.0), ((1,), True)]},
+    ),
+    "glidekit.glides._inflations": (
+        glide_m_expansion, ((1,), 2), ((1,), 300),
+        {PART: [((True,), 2)], SIZE: [((1,), True), ((1,), 2.0), ((1,), -1), ((1,), "3")]},
+    ),
+    "glidekit.qsym._glide_element": (
+        lambda alpha, bound: glide_element(alpha, bound).coords, ((1,), 1), ((1,), 300),
+        {PART: [((True,), 1), ((1.0,), 1)], SIZE: [((1,), True)]},
+    ),
+    "glidekit.qsym._glide_constants": (
+        glide_structure_constants, ((1,), (1,), 1), ((1,), (1,), 12),
+        {PART: [((True,), (1,), 1), ((1,), (1.0,), 1)], SIZE: [((1,), (1,), True)]},
+    ),
+    # over distinct powers of two, every quasi-shuffle is its own key
+    "glidekit.qsym._r_expansion": (
+        lambda t, k, n: qsym_r_product(t, k, cpinf_ring(), n),
+        ((1,), (1,), 2), ((1, 2, 4, 8), (16, 32, 64, 128), 8),
+        {LABEL: [((True,), (1,), 2), ((1,), (True,), 2), ((1,), (1.0,), 2)],
+         SIZE: [((1,), (1,), True)]},
+    ),
+    "glidekit.qsym._overlapping_shuffle": (
+        overlapping_shuffle, ((1,), (1,)), ((1,) * 7, (1,) * 7),
+        {PART: [((True,), (1,)), ((1,), (True,)), ((1.0,), (1,)), ((1,), (1.0,))]},
+    ),
+    # the ring checks both labels before the product cache
+    "glidekit.schur._schur_product": (
+        lambda k, a, b: schur_ring(k).product(a, b),
+        (2, (1, 0), (1, 0)), (9, (5, 3, 2, 1) + (0,) * 5, (4, 3, 2, 1) + (0,) * 5),
+        {LABEL: [(2, (True, 0), (1, 0)), (2, (1, 0), (1.0, 0)), (2, (1, 0), "x"),
+                 (2, (1, 0, 0), (1, 0, 0)), (2, (2, 1), (0, 1))]},
+    ),
+    "glidekit.schur._lr": (
+        lr_coefficient, ((1,), (1,), (2,)), None,
+        {PART: [((True,), (1,), (2,)), ((1,), (1,), (2.0,))]},
+    ),
+    "glidekit.schur._schur_ring": (schur_ring, (1,), None, {SIZE: [(True,), (1.0,)]}),
+}
+
+
+def test_every_cache_is_bounded():
+    # the parser, and the public barred closure, whose ``cache_info`` and
+    # ``cache_clear`` are its kernel's, read by the benchmark's trace
+    kept = [cached for cached, _ in _KERNELS.values()] + [build_parser, enumerate_C_tilde]
     modules = [glidekit] + [
         importlib.import_module(f"glidekit.{info.name}")
         for info in pkgutil.iter_modules(glidekit.__path__)
     ]
-    found = {}
-    for module in modules:
-        for name, obj in vars(module).items():
-            if callable(getattr(obj, "cache_clear", None)):
-                found[f"{module.__name__}.{name}"] = obj
-    return found
-
-
-def test_every_cache_is_bounded():
-    caches = _module_caches()
-    assert caches["glidekit.schur._lr"] is schur._lr
-    assert caches["glidekit.glides._inflations"] is glides._inflations
-    assert caches["glidekit.glides._closed_terms"] is glides._closed_terms
-    assert caches["glidekit.glides._c_tilde"] is glides._c_tilde
-    assert caches["glidekit.qsym._glide_element"] is qsym._glide_element
-    assert caches["glidekit.qsym._glide_constants"] is qsym._glide_constants
-    assert caches["glidekit.qsym._r_expansion"] is qsym._r_expansion
-    assert caches["glidekit.qsym._overlapping_shuffle"] is qsym._overlapping_shuffle
-    assert caches["glidekit.schur._schur_ring"] is schur._schur_ring
-    # the public barred closure reports and resets the signed closure's cache
-    assert enumerate_C_tilde.cache_info.__self__ is glides._c_tilde
-    assert enumerate_C_tilde.cache_clear.__self__ is glides._c_tilde
-    assert "glidekit.cli.build_parser" in caches
-    for name, cached in caches.items():
+    strays = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name, obj in vars(module).items()
+        if callable(getattr(obj, "cache_clear", None)) and not any(obj is k for k in kept)
+    ]
+    assert not strays, f"caches declared outside compositions._kernel: {strays}"
+    assert sorted(ROWS) == sorted(_KERNELS)
+    for name, (cached, cap) in _KERNELS.items():
         maxsize = cached.cache_info().maxsize
         assert type(maxsize) is int and maxsize > 0, name
+        assert cap is None or (type(cap) is int and cap > 0), name
+        # a kernel with no cap is the ``lru_cache`` itself, its hits in C
+        assert (cap is None) == (type(cached) is type(build_parser)), name
+    assert enumerate_C_tilde.cache_info == glides._c_tilde.cache_info
+    assert enumerate_C_tilde.cache_clear == glides._c_tilde.cache_clear
+
+
+@pytest.mark.parametrize("name", sorted(_KERNELS))
+def test_each_kernel_refuses_equal_keys_and_keeps_nothing_over_its_cap(name):
+    (cached, cap), (public, args, over, refused) = _KERNELS[name], ROWS[name]
+    cached.cache_clear()
+    public(*args)
+    public(*args)
+    info = cached.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    for error, calls in refused.items():
+        for bad in calls:
+            with pytest.raises(error):
+                public(*bad)
+            assert cached.cache_info() == info, bad
+    assert (over is None) == (cap is None)
+    if over is not None:
+        first, second = public(*over), public(*over)
+        assert len(first) > cap and first == second
+        # each call is a miss, and no entry is added
+        info = cached.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 3, 1)
+
+
+def test_the_benchmark_resets_every_kernel_and_reads_its_counts():
+    # perfbench's ``clear_caches`` resets the modules its loop names: a
+    # kernel anywhere else would escape the sweeps' cold reset
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    clear = next(n for n in tree.body if getattr(n, "name", None) == "clear_caches")
+    loop = next(n for n in ast.walk(clear) if isinstance(n, ast.For))
+    walked = {f"glidekit.{module.id}" for module in loop.iter.elts}
+    for name, (cached, _) in _KERNELS.items():
+        module, attr = name.rsplit(".", 1)
+        assert module in walked, name
+        assert getattr(importlib.import_module(module), attr) is cached, name
+    # the traced run reads these two
+    for info in (enumerate_C_tilde.cache_info(), schur_ring(2).multiply.cache_info()):
+        assert type(info.hits) is int and type(info.misses) is int
 
 
 # a ``from_dict`` ring, built once so every call hands the engine one ring
@@ -101,77 +190,72 @@ def _cold_then_warm(cached, call):
     return cold, warm
 
 
-@pytest.mark.parametrize(
-    "cached, call",
-    [
-        # dicts as item lists, so their order is compared too
-        (glides._inflations, lambda: list(glide_m_expansion((1, 2, 2), 8).items())),
-        # a warm closed glide never reaches the inflations, so these two
-        # rows read the closed-glide cache that serves them
-        (glides._closed_terms, lambda: list(enumerate_C((2, 1, 1), 5))),
-        (
-            glides._closed_terms,
-            lambda: list(glide_polynomial((1, 3, 1), 5, "closed").terms.items()),
+# dicts as item lists, so their order is compared too
+COLD_AND_WARM = {
+    "glide_m_expansion": (glides._inflations, lambda: list(glide_m_expansion((1, 2, 2), 8).items())),
+    # a warm closed glide never reaches the inflations, so these two rows
+    # read the closed-glide cache that serves them
+    "enumerate_C": (glides._closed_terms, lambda: list(enumerate_C((2, 1, 1), 5))),
+    "closed-glide": (
+        glides._closed_terms,
+        lambda: list(glide_polynomial((1, 3, 1), 5, "closed").terms.items()),
+    ),
+    # the barred glide, the barred C set and mu_prime read one signed closure
+    "barred-glide": (
+        glides._c_tilde,
+        lambda: list(glide_polynomial((1, 3, 1), 5, "barred").terms.items()),
+    ),
+    "enumerate_C_tilde": (glides._c_tilde, lambda: sorted(enumerate_C_tilde((2, 1, 1), 5))),
+    "mu_prime": (glides._c_tilde, lambda: mu_prime((1, 1, 1, 2), (1, 1, 2), 4)),
+    # the glide ring's elements and its structure-constant tables
+    "glide_element": (
+        qsym._glide_element,
+        lambda: list(glide_element((1, 2, 2), 8).coords.items()),
+    ),
+    "glide_structure_constants": (
+        qsym._glide_constants,
+        lambda: list(glide_structure_constants((2, 1), (1, 1), 6).items()),
+    ),
+    # one product cache serves every tableau ring; a warm tensor engine
+    # never reaches the ring, so this row asks the rings themselves
+    "schur-ring-product": (
+        schur._schur_product,
+        lambda: [
+            list(schur_ring(len(a)).product(a, b).items())
+            for a, b in [((1, 0), (2, 1)), ((1, 0, 0), (2, 1, 0))]
+        ],
+    ),
+    # the tensor engine's expansions, over each kind of ring
+    "r-product-cpinf": (
+        qsym._r_expansion,
+        lambda: list(qsym_r_product((1, 2), (2, 1), cpinf_ring(), 4).items()),
+    ),
+    "r-product-schur": (
+        qsym._r_expansion,
+        lambda: list(qsym_r_product(((1, 0), (1, 0)), ((2, 1),), schur_ring(2), 3).items()),
+    ),
+    "r-product-from-dict": (
+        qsym._r_expansion,
+        lambda: list(qsym_r_product(("x", "y"), ("x",), _LOADED, 3).items()),
+    ),
+    # the shuffle tables, read as they are by the monomial product
+    "m_multiply": (
+        qsym._overlapping_shuffle,
+        lambda: list(
+            m_multiply(
+                QSymElement({(1, 2): Fraction(1, 2), (2,): -1}),
+                QSymElement({(2, 1): 3, (1,): Fraction(2, 3)}),
+            ).coords.items()
         ),
-        # the barred glide, the barred C set and mu_prime read one signed
-        # closure
-        (
-            glides._c_tilde,
-            lambda: list(glide_polynomial((1, 3, 1), 5, "barred").terms.items()),
-        ),
-        (glides._c_tilde, lambda: sorted(enumerate_C_tilde((2, 1, 1), 5))),
-        (glides._c_tilde, lambda: mu_prime((1, 1, 1, 2), (1, 1, 2), 4)),
-        # the glide ring's elements and its structure-constant tables
-        (qsym._glide_element, lambda: list(glide_element((1, 2, 2), 8).coords.items())),
-        (
-            qsym._glide_constants,
-            lambda: list(glide_structure_constants((2, 1), (1, 1), 6).items()),
-        ),
-        # one product cache serves every tableau ring; a warm tensor engine
-        # never reaches the ring, so this row asks the rings themselves
-        (
-            schur._schur_product,
-            lambda: [
-                list(schur_ring(len(a)).product(a, b).items())
-                for a, b in [((1, 0), (2, 1)), ((1, 0, 0), (2, 1, 0))]
-            ],
-        ),
-        # the tensor engine's expansions, over each kind of ring
-        (qsym._r_expansion, lambda: list(qsym_r_product((1, 2), (2, 1), cpinf_ring(), 4).items())),
-        (
-            qsym._r_expansion,
-            lambda: list(qsym_r_product(((1, 0), (1, 0)), ((2, 1),), schur_ring(2), 3).items()),
-        ),
-        (qsym._r_expansion, lambda: list(qsym_r_product(("x", "y"), ("x",), _LOADED, 3).items())),
-        # the shuffle tables, read as they are by the monomial product
-        (
-            qsym._overlapping_shuffle,
-            lambda: list(
-                m_multiply(
-                    QSymElement({(1, 2): Fraction(1, 2), (2,): -1}),
-                    QSymElement({(2, 1): 3, (1,): Fraction(2, 3)}),
-                ).coords.items()
-            ),
-        ),
-        (qsym._overlapping_shuffle, lambda: list(overlapping_shuffle((2, 1), (1, 2)).items())),
-    ],
-    ids=[
-        "glide_m_expansion",
-        "enumerate_C",
-        "closed-glide",
-        "barred-glide",
-        "enumerate_C_tilde",
-        "mu_prime",
-        "glide_element",
-        "glide_structure_constants",
-        "schur-ring-product",
-        "r-product-cpinf",
-        "r-product-schur",
-        "r-product-from-dict",
-        "m_multiply",
-        "overlapping_shuffle",
-    ],
-)
+    ),
+    "overlapping_shuffle": (
+        qsym._overlapping_shuffle,
+        lambda: list(overlapping_shuffle((2, 1), (1, 2)).items()),
+    ),
+}
+
+
+@pytest.mark.parametrize("cached, call", COLD_AND_WARM.values(), ids=COLD_AND_WARM)
 def test_inflation_cache_leaves_results_unchanged(cached, call):
     cold, warm = _cold_then_warm(cached, call)
     assert cold == warm
@@ -309,17 +393,6 @@ def test_ring_products_cannot_be_changed_by_a_caller():
         assert qsym_r_product((label,), (label,), ring, 2) == before
 
 
-def test_a_refused_product_leaves_the_ring_cache_unchanged():
-    # the labels are checked before the shared product cache is reached
-    ring = schur_ring(2)
-    ring.product((1, 0), (1, 0))
-    size = schur._schur_product.cache_info().currsize
-    for a, b in [((1, 0, 0), (1, 0, 0)), ((2, 1), (0, 1)), ((1, 0), "x")]:
-        with pytest.raises(UnknownLabelError):
-            ring.product(a, b)
-    assert schur._schur_product.cache_info().currsize == size
-
-
 @pytest.mark.parametrize(
     "call, error",
     [
@@ -378,14 +451,15 @@ def test_the_shuffle_cache_refuses_what_equals_a_cached_int_key(alpha, beta):
 
 def test_a_shuffle_over_the_cap_is_returned_but_not_kept():
     recursion = qsym._overlapping_shuffle.__wrapped__
+    _, cap = _KERNELS["glidekit.qsym._overlapping_shuffle"]
     ones = (1,) * 7
-    assert len(recursion(ones, ones)) == 610 > qsym._SHUFFLE_CACHE_CAP
+    assert len(recursion(ones, ones)) == 610 > cap
     # the largest table two compositions of total size 10 give is kept
     largest = max(
         (recursion(a, b) for a in all_compositions(10) for b in all_compositions(10 - sum(a))),
         key=len,
     )
-    assert len(largest) == 146 <= qsym._SHUFFLE_CACHE_CAP
+    assert len(largest) == 146 <= cap
     qsym._overlapping_shuffle.cache_clear()
     overlapping_shuffle((2,), (1,))
     for _ in range(2):
@@ -483,12 +557,6 @@ def test_each_ring_is_built_once():
     assert schur_ring(2) is schur_ring(2)
     assert schur_ring(2) is not schur_ring(3)
     assert cpinf_ring() is cpinf_ring()
-    # k is checked before the ring cache, which would serve True from 1
-    schur_ring(1)
-    size = schur._schur_ring.cache_info().currsize
-    with pytest.raises(OutOfRangeError):
-        schur_ring(True)
-    assert schur._schur_ring.cache_info().currsize == size
 
 
 def _constants_and_certificates():

@@ -368,7 +368,9 @@ def test_glide_m_expansion_matches_poset_route():
             truncated = {g: c for g, c in coords.items() if sum(g) <= D}
             assert glide_m_expansion(alpha, D) == truncated, (alpha, D)
     assert glide_m_expansion((2, 1), 2) == {}
-    assert glide_m_expansion((), -1) == {}
+    # a negative bound is a bad size, not an empty expansion
+    with pytest.raises(OutOfRangeError):
+        glide_m_expansion((), -1)
 
 
 def test_inflations_come_in_lexicographic_order_of_run_sizes():

@@ -14,8 +14,9 @@ slice-check verdict read or written outside the slice check, no
 ``isinstance`` test of a library class outside the one object rule, no
 ring's ``contains`` asked outside the one label rule, no
 count read off ``ssyt_enumerate``'s list of tableaux, no use of the
-tableau walker outside ``schur.py``, and no function that calls itself
-beyond the listed ones left to rewrite.
+tableau walker outside ``schur.py``, no function that calls itself
+beyond the listed ones left to rewrite, and no cache outside
+``compositions._kernel`` but ``cli.build_parser``'s.
 
 The checks read the package with the stdlib ``ast`` module only.
 ``__init__.py`` is left out but for its ``__all__``: its imports are the
@@ -555,3 +556,18 @@ def test_no_function_calls_itself():
         "class A:\n    def h(self):\n        return self.h()\n"
     )
     assert sorted(_self_calls(planted)) == ["A.h", "f", "f.g"]
+
+
+def test_every_cache_is_declared_by_the_kernel_rule():
+    # functools' bounded and unbounded caches, by (module, definition, line)
+    uses = {
+        (path.name, getattr(top, "name", None), node.lineno)
+        for path in MODULES
+        for top in _tree(path).body
+        for node in ast.walk(top)
+        if getattr(node, "id", getattr(node, "attr", None)) in ("lru_cache", "cache")
+    }
+    # the parser, built once, is the one cache that is not a kernel; the
+    # guard sees both, so it is not matching nothing
+    declared = {("compositions.py", "_kernel"), ("cli.py", "build_parser")}
+    assert {use[:2] for use in uses} == declared, sorted(uses)

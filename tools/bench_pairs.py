@@ -53,7 +53,8 @@ BENCHMARK.json, a fraction of the parent median: ``worse beyond bound``
 when the change median is worse than the parent median by more than that;
 else ``unresolved`` when the parent's interquartile range exceeds it and not
 every change run beats every parent run; else ``within bound``.  Quartiles
-are ``statistics.quantiles(n=4, method='inclusive')``.  Stdlib only; the
+are ``statistics.quantiles(n=4, method='inclusive')``.  The ``machine``
+line says whether ``PYTHONDONTWRITEBYTECODE`` is set.  Stdlib only; the
 export uses tarfile's ``data`` filter, so it needs Python 3.10.12 or 3.11.4
 on.
 """
@@ -380,6 +381,8 @@ def main(argv=None) -> int:
             export(revisions[side], checkouts[side])
         bench = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
         check_names(bench, args.claim, args.trace)
+        # set, every run compiles the source, so setup_s and peak RSS grow with it
+        bytecode = "set" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "not set"
         metrics = bench["end_to_end"]
         out = {
             "change": args.note,
@@ -392,7 +395,7 @@ def main(argv=None) -> int:
             "the pair; quartiles are statistics.quantiles(n=4, method='inclusive')",
             "machine": f"{os.cpu_count()}-CPU {platform.machine()} {platform.system()}, "
             f"Python {platform.python_version()}, times scaled to the calibration slice of "
-            "perfbench/speed.py",
+            f"perfbench/speed.py, PYTHONDONTWRITEBYTECODE {bytecode}",
             "seeds_note": args.seeds_note,
             "workloads": {
                 w["name"]: pairs(checkouts, w["name"], seeds, metrics) for w in bench["workloads"]
