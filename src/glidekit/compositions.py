@@ -3,13 +3,25 @@
 A composition is a tuple of strictly positive integers, a weak composition a
 tuple of nonnegative integers.  Both are represented as plain tuples; the
 empty composition ``()`` is a first-class value (it indexes the unit class).
+
+Closures under componentwise max or min run on packed tuples: one int per
+tuple, a field per coordinate holding s value bits and a guard bit above
+them, coordinate 0 highest.  One guard-bit expression joins two tuples in
+every field at once, since no borrow of its subtraction leaves a field.
+Once the lattice holds ``_JOIN_WORDS`` elements, each generator is joined
+with all of it in one step: the lattice is one int of 64-bit words, one
+per element, the generator is repeated into every word by one multiply,
+and the same expression runs once over all the words.  Tuples whose top
+guard lies past bit 63 keep the step per element.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache, wraps
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations, filterfalse, repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TypeVar
 
 from .errors import (
@@ -263,6 +275,20 @@ def _unpack_all(packed: Iterable[int], shifts: range, ones: int) -> Iterator[tup
     return zip(*[iter(digits)] * count)
 
 
+# a 64-bit word holding 1
+_ONE_WORD = (1).to_bytes(8, sys.byteorder)
+# the lattice size from which ``_joins`` joins a generator with the whole
+# lattice in one step.  Timed as one generator's step on lattices drawn
+# from (2,1,3) at n = 7 (medians of 200), the word step took 3.3 against
+# 2.5 us for the step per element at 8 elements and 4.8 against 4.5 us at
+# 16, and won from 24 on: 6.7 against 7.1 us, 9.6 against 12.3 us at 48.
+# Over the closures of all 320 glide_sweep rows and the min-closures of
+# all 515 kclass_sweep rows, every cut-off from 24 to 48 was within 2 % of
+# the best (39.1-39.4 ms and 28.7-29.6 ms, against 50.9 and 31.2 ms with
+# no word step)
+_JOIN_WORDS = 32
+
+
 def closure(
     generators: Iterable[WeakComposition], pick: Callable[[int, int], int]
 ) -> Iterator[WeakComposition]:
@@ -273,10 +299,12 @@ def closure(
     it by construction.
 
     Yields each element once: the distinct generators first, in their given
-    order, then each other one as soon as ``_joins`` finds it, so a caller
-    that stops early never builds the rest.  The elements are joined packed,
-    as ``_packed_closure`` lays them out, and each is unpacked into a tuple
-    when yielded.
+    order, then each other one as soon as ``_joins`` finds it, one
+    generator's step at a time, so a caller that stops early never builds
+    the rest.  The elements are joined packed, as ``_packed_closure`` lays
+    them out, a generator with the whole lattice at once from
+    ``_JOIN_WORDS`` elements on, and each is unpacked into a tuple when
+    yielded.
     """
     s, shifts, flip, found = _packed_closure(generators, pick)
     ones = (1 << s) - 1
@@ -319,13 +347,30 @@ def _joins(packed: Sequence[int], shifts: range, s: int) -> Iterator[int]:
     2**s); subtracting that shifted down by s turns each kept guard into s
     ones, a mask of the fields where p holds the maximum, and
     ``g ^ ((p ^ g) & mask)`` is the componentwise max.
+
+    Once L holds ``_JOIN_WORDS`` elements, and when a tuple's top guard
+    lies within 64 bits, each generator is joined with all of L in one
+    step of ``_word_joins``; the new elements are then taken in L's order,
+    each once, so the yields and their order are those of the step per
+    element, which smaller lattices keep.
     """
     guards = sum(1 << (k + s) for k in shifts)
     lattice, members, given = [], set(), set(packed)
+    # L as 64-bit words, one per element, for the whole-lattice step
+    words = array("Q") if guards.bit_length() <= 64 else None
     for g in sorted(packed):
         if g in members:
             continue
         members.add(g)
+        if words is not None and len(lattice) >= _JOIN_WORDS:
+            words.extend(lattice[len(words) :])
+            joined = dict.fromkeys(_word_joins(words, g, guards, s))
+            fresh = list(filterfalse(members.__contains__, joined))
+            members.update(fresh)
+            lattice.append(g)
+            lattice += fresh
+            yield from filterfalse(given.__contains__, fresh)
+            continue
         fresh = [g]
         for p in lattice:
             t = ((p | guards) - g) & guards
@@ -336,6 +381,26 @@ def _joins(packed: Sequence[int], shifts: range, s: int) -> Iterator[int]:
                 if x not in given:
                     yield x
         lattice += fresh
+
+
+def _word_joins(words: array, g: int, guards: int, s: int) -> array:
+    """x v g for every x in ``words``, in their order, by one join over one
+    int that holds the words side by side.
+
+    ``ones`` holds 1 in every word, so ``g * ones`` and ``guards * ones``
+    repeat g and the guards in each word, and the join of ``_joins`` runs
+    once over all the fields.  Each field's guard is set in ``p | guards``
+    and every word's bits above its top guard are clear, so no borrow of
+    the subtraction leaves its field, let alone its word, and ``t >> s``
+    moves each kept guard within its field.  The ints are read and written
+    in ``sys.byteorder``, the order ``array("Q")`` keeps its words in.
+    """
+    order = sys.byteorder
+    ones = int.from_bytes(_ONE_WORD * len(words), order)
+    lattice, spread, mask = int.from_bytes(words, order), g * ones, guards * ones
+    t = ((lattice | mask) - spread) & mask
+    joined = spread ^ ((lattice ^ spread) & (t - (t >> s)))
+    return array("Q", joined.to_bytes(8 * len(words), order))
 
 
 def run_encode(alpha: Sequence[int]) -> tuple[tuple[int, int], ...]:

@@ -12,6 +12,9 @@ Order queries run on bitsets over the element indices: bit k of a downset
 is set when element k lies below.  Per-coordinate tables give every
 downset as an AND of n integers, so the Mobius recurrence, the cover
 relations and meets cost bit operations instead of loops over pairs.
+The ANDs walk the lex order and keep the partial ANDs of the element
+before, so an element redoes them only from the first coordinate where it
+differs from that one.
 The tables are read off one byte matrix of the n columns, one
 ``bytes.translate`` and one ``int(..., 2)`` per entry value, unless the
 entries take so many distinct values that filling them one element at a
@@ -28,9 +31,9 @@ cover pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import accumulate, chain, combinations
-from operator import and_, getitem, le, or_
+from operator import le, or_
 from typing import Iterable, Sequence
 
 from .compositions import (
@@ -219,13 +222,33 @@ class GlidePoset:
         tables come from ``_byte_tables`` when the elements take at most
         ``_BYTE_FILL_VALUES`` distinct entry values and from
         ``_element_tables`` otherwise; both give the same tables.
+
+        The ANDs walk the stored lex order: ``partial[i]`` is the AND over
+        the first i coordinates of the element before, and an element that
+        first differs from it at coordinate j shares those up to j, so only
+        the ANDs from coordinate j on are redone.  Neighbours in lex order
+        mostly differ in their last coordinates.
         """
-        elements = self.elements
+        elements, n = self.elements, self.n
         values = sorted(set(chain.from_iterable(elements)))
         fill = _byte_tables if len(values) <= _BYTE_FILL_VALUES else _element_tables
-        tables = fill(elements, self.n, values)
-        full = (1 << len(elements)) - 1
-        return [reduce(and_, map(getitem, tables, e), full) for e in elements]
+        tables = fill(elements, n, values)
+        partial = [(1 << len(elements)) - 1] * (n + 1)
+        downsets = []
+        # two distinct elements first differ at coordinate n - 1 at the
+        # latest; the first element differs from ``before`` at coordinate 0
+        last, before = n - 1, (-1,) * n
+        for e in elements:
+            j = 0
+            while j < last and e[j] == before[j]:
+                j += 1
+            d = partial[j]
+            for i in range(j, n):
+                d &= tables[i][e[i]]
+                partial[i + 1] = d
+            downsets.append(d)
+            before = e
+        return downsets
 
     def mobius(self) -> dict[WeakComposition, int]:
         """Unique table with sum over {q <= p} of mu(q) equal to 1, for all p.

@@ -10,7 +10,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import accumulate, combinations
 from operator import ge, gt
 from types import MappingProxyType
@@ -328,7 +327,7 @@ def _schur_ring(k: int) -> GradedRingData:
         unit=(0,) * k,
         degree=sum,
         multiply=_schur_product,
-        contains=partial(_is_partition_label, k),
+        contains=_PartitionLabel(k),
     )
 
 
@@ -344,11 +343,20 @@ def _schur_product(lam: Partition, mu: Partition) -> Mapping[Partition, Fraction
     return MappingProxyType(out)
 
 
-def _is_partition_label(k: int, label: object) -> bool:
-    try:
-        return type(label) is tuple and as_partition(label, k) == label
-    except (InvalidCompositionError, LengthMismatchError):
-        return False
+@dataclass(frozen=True)
+class _PartitionLabel:
+    """``schur_ring(k)``'s ``contains``: whether a label is a length-k
+    partition, a tuple of ints by the partition rule.  It compares and
+    hashes by k, so a pickled ring equals the ring it was pickled from and
+    the tensor engine's cache, keyed by the ring, serves both."""
+
+    k: int
+
+    def __call__(self, label: object) -> bool:
+        try:
+            return type(label) is tuple and as_partition(label, self.k) == label
+        except (InvalidCompositionError, LengthMismatchError):
+            return False
 
 
 def _partitions_of(total: int, k: int, bound: int) -> Iterator[Partition]:

@@ -250,6 +250,32 @@ def test_a_good_claim_and_trace_are_recorded(repo):
     assert ("change", 3) in runs and "trace_w_seed_3" in written
 
 
+def test_a_trace_runs_three_times_per_side_alternated(repo, monkeypatch):
+    root, runs = repo
+    traced = []
+
+    def run(checkout, workload, seed, trace):
+        if not trace:
+            return {"metrics": {"wall_s": {"value": 1.0}}, "failed": 0, "attempted": 1}
+        traced.append(checkout.name)
+        # each side's values are 1, 2, 3 (parent) or 10, 20, 30 (change), in run order
+        value = traced.count(checkout.name) * (1 if checkout.name == "parent" else 10)
+        return {"metrics": {"layer.busy_s": {"value": value}, "layer.calls": {"value": 5}}}
+
+    monkeypatch.setattr(bench_pairs, "run", run)
+    assert bench_pairs.main([*ARGV, "--change", "HEAD", "--trace", "w:3"]) == 0
+    assert traced == ["parent", "change", "change", "parent", "parent", "change"]
+    written = json.loads((root / "BENCH_7.json").read_text())["trace_w_seed_3"]
+    assert written["metrics"]["layer.busy_s"] == {
+        "parent": [1, 2, 3],
+        "change": [10, 20, 30],
+        "parent_median": 2,
+        "change_median": 20,
+    }
+    assert written["metrics"]["layer.calls"]["change"] == [5, 5, 5]
+    assert "3 runs per side" in written["command"]
+
+
 # Python reads the variable as set when it is not empty
 @pytest.mark.parametrize("value, written", [("1", "set"), ("", "not set"), (None, "not set")])
 def test_the_machine_line_says_whether_bytecode_is_written(repo, monkeypatch, value, written):

@@ -559,6 +559,30 @@ def test_each_ring_is_built_once():
     assert cpinf_ring() is cpinf_ring()
 
 
+def test_a_pickled_schur_ring_is_the_same_ring():
+    ring = schur_ring(2)
+    copied = pickle.loads(pickle.dumps(ring))
+    assert copied is not ring
+    assert copied == ring and hash(copied) == hash(ring)
+    assert copied != pickle.loads(pickle.dumps(schur_ring(3)))
+    assert (copied.contains((2, 1)), copied.contains((1, 2)), copied.contains((1,))) == (
+        True,
+        False,
+        False,
+    )
+
+
+def test_a_pickled_schur_ring_is_served_the_original_rings_expansion():
+    ring = schur_ring(2)
+    copied = pickle.loads(pickle.dumps(ring))
+    left, right = ((1, 0), (1, 0)), ((2, 1),)
+    qsym._r_expansion.cache_clear()
+    expected = qsym_r_product(left, right, ring, 3)
+    assert qsym_r_product(left, right, copied, 3) == expected
+    info = qsym._r_expansion.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+
+
 def _constants_and_certificates():
     """For |alpha|, |beta| <= 3 and D <= 6: the structure constants as an
     item list, Σ_γ c_γ · glide_element(γ, D), and the product of the two

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import glidekit as gk
+from glidekit import compositions
 from glidekit.compositions import (
     as_composition,
     as_weak_composition,
@@ -147,6 +148,70 @@ def test_closure_matches_pairwise_fixed_point(pick, instance):
     drawn = list(closure(gens, pick))
     assert len(drawn) == len(closed)
     assert drawn[: len(set(gens))] == list(dict.fromkeys(gens))
+
+
+def _closure_with_cut(gens, pick, cut):
+    """``closure(gens, pick)`` drawn whole, with the lattice size from which
+    ``_joins`` takes the whole-lattice word step set to ``cut``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(compositions, "_JOIN_WORDS", cut)
+        return list(closure(gens, pick))
+
+
+# 13 coordinates of 4-bit entries make 5-bit fields whose top guard is bit
+# 64, and 22 of 1-bit entries 3-bit fields whose top guard is bit 64: one
+# past a word, so these take the step per element at any cut-off
+_OVER_64 = [
+    [tuple((i * 7 + j * 3) % 16 for j in range(13)) for i in range(6)],
+    [tuple((i >> j) & 1 for j in range(22)) for i in range(1, 12)],
+]
+
+
+@pytest.mark.parametrize("pick", [max, min], ids=["max", "min"])
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(0, 8).flatmap(
+        lambda n: st.lists(st.tuples(*[st.integers(0, 15)] * n), max_size=16)
+    )
+)
+@example([])
+@example([(2, 0, 1), (0, 1, 1), (2, 0, 1), (0, 1, 1), (2, 0, 1)])
+# a generator that is the join (and one that is the meet) of earlier ones
+@example([(1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1), (1, 1, 1), (0, 0, 0)])
+@example(_OVER_64[0])
+@example(_OVER_64[1])
+def test_word_and_element_joins_give_one_closure(pick, gens):
+    # with no cut-off every generator's step joins the whole lattice as
+    # words, and with an unreachable one none does: the elements and the
+    # order they are yielded in must be the same, and the module's own
+    # cut-off switches part way
+    by_elements = _closure_with_cut(gens, pick, float("inf"))
+    assert _closure_with_cut(gens, pick, 0) == by_elements
+    assert list(closure(gens, pick)) == by_elements
+
+
+@pytest.mark.parametrize(
+    "gens, words",
+    [
+        (_OVER_64[0], False),
+        (_OVER_64[1], False),
+        # one coordinate less: the top guard is bit 59 or 61
+        ([g[1:] for g in _OVER_64[0]], True),
+        ([g[1:] for g in _OVER_64[1]], True),
+    ],
+)
+def test_only_strings_whose_guards_fit_a_word_take_the_word_step(gens, words):
+    calls = []
+    join_words = compositions._word_joins
+
+    def counted(*args):
+        calls.append(args)
+        return join_words(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(compositions, "_word_joins", counted)
+        _closure_with_cut(gens, max, 0)
+    assert bool(calls) is words
 
 
 def test_positive_part_inverts_zero_insertion():

@@ -1,8 +1,10 @@
 import copy
+import json
 import pickle
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -499,6 +501,8 @@ _WIDE = GlidePoset(4, {(i % 200, i * 7 % 200, i * 13 % 200, i // 15) for i in ra
 @example(p=_WIDE)
 @example(p=GlidePoset(0, [()]))
 @example(p=GlidePoset(2, []))
+# neighbours in lex order that first differ at each coordinate in turn
+@example(p=GlidePoset(3, [(0, 0, 1), (0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 1, 1), (2, 0, 0)]))
 def test_order_tables_keep_to_the_order_of_the_entries(p):
     # v + 256 sends every entry past a byte, and the rank of v among the
     # entries brings every value of a poset of at most 256 values into one
@@ -510,7 +514,8 @@ def test_order_tables_keep_to_the_order_of_the_entries(p):
 
 
 def _check_fills_agree(p):
-    """Both fills give the same tables, and ``_downsets`` is their AND."""
+    """Both fills give the same tables, and ``_downsets`` is their AND over
+    all n coordinates, element by element."""
     values = sorted({v for e in p.elements for v in e})
     tables = _byte_tables(p.elements, p.n, values)
     assert tables == _element_tables(p.elements, p.n, values)
@@ -537,6 +542,16 @@ def test_byte_and_element_fills_give_the_same_tables(p, byte_fill):
     # the fill is chosen by the number of distinct entry values alone
     values = _check_fills_agree(p)
     assert (len(values) <= _BYTE_FILL_VALUES) is byte_fill
+
+
+GLIDE_ROWS = Path(__file__).resolve().parent.parent / "perfbench/data/glide_sweep.json"
+
+
+def test_downsets_are_the_and_per_coordinate_on_the_glide_rows():
+    rows = json.loads(GLIDE_ROWS.read_text(encoding="utf-8"))["instances"]
+    assert len(rows) == 320
+    for row in rows:
+        _check_fills_agree(build_poset(tuple(row["alpha"]), row["n"]))
 
 
 def test_chain_across_256_has_the_chain_order():

@@ -16,9 +16,12 @@ workload in the change's BENCHMARK.json and each of ten seeds from
 ``--first-seed`` on, each side runs
 ``perfbench/run.py --workload W --seed S --trace 0`` once in its own
 checkout; the side that runs first alternates from pair to pair, the
-parent first in the first pair.  Each ``--trace W:S`` adds one ``--trace 1``
-run per side and keeps every per-layer metric of both.  The end-to-end
-metrics, their units and which way is better come from BENCHMARK.json.
+parent first in the first pair.  Each ``--trace W:S`` adds three
+``--trace 1`` runs per side, alternated (parent, change, change, parent,
+parent, change), and keeps every per-layer metric of every run with each
+side's median, since one traced run per side is too noisy to place a
+saving.  The end-to-end metrics, their units and which way is better come
+from BENCHMARK.json.
 A malformed ``--claim`` or ``--trace`` stops the tool before the export,
 and a workload or claimed metric that the change's BENCHMARK.json does not
 name stops it right after, so neither wastes a run.
@@ -78,6 +81,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 PAIRS = 10
 TIER1_ROUNDS = 2
+# the sides of the traced runs of each ``--trace``, in the order they run
+TRACE_ORDER = ("parent", "change", "change", "parent", "parent", "change")
 # the stream that is also run cold, by the script next to this tool
 COLD_WORKLOAD = "algebra_requests"
 COLD_SCRIPT = Path(__file__).resolve().parent / "cold_requests.py"
@@ -298,14 +303,22 @@ def judged(metric: dict, results: dict) -> dict:
 
 
 def traced(checkouts: dict, workload: str, seed: int) -> dict:
-    values = {side: run(checkouts[side], workload, seed, 1)["metrics"] for side in SIDES}
+    """The traced runs of one ``--trace``: every per-layer value of each
+    side's runs, in the order they ran, and each side's median."""
+    values = {side: [] for side in SIDES}
+    for side in TRACE_ORDER:
+        values[side].append(run(checkouts[side], workload, seed, 1)["metrics"])
+    metrics = {}
+    for name in values["parent"][0]:
+        row = {side: [round(v[name]["value"], 6) for v in values[side]] for side in SIDES}
+        for side in SIDES:
+            row[f"{side}_median"] = round(statistics.median(row[side]), 6)
+        metrics[name] = row
     return {
         "command": f"python3 perfbench/run.py --workload {workload} --seed {seed} --trace 1, "
-        "one run per side, parent first; busy_s are scaled self times",
-        "metrics": {
-            name: {side: round(values[side][name]["value"], 6) for side in SIDES}
-            for name in values["parent"]
-        },
+        f"{len(TRACE_ORDER) // 2} runs per side in the order {', '.join(TRACE_ORDER)}; "
+        "busy_s are scaled self times",
+        "metrics": metrics,
     }
 
 
