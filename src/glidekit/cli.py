@@ -3,6 +3,9 @@
 All output is a single JSON document on stdout with a top-level schema tag;
 rationals are "p/q" strings.  Exit codes: 0 success, 1 domain error, 2 usage
 error.  Identical argv on the same build produces byte-identical output.
+
+``COMMANDS`` is the one list of the subcommands, with each one's help,
+handler and flags; ``build_parser``, ``run`` and the CLI tests all read it.
 """
 
 from __future__ import annotations
@@ -10,8 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import lru_cache, partial
-from typing import Any
+from collections.abc import Callable
+from functools import lru_cache
+from typing import Any, NamedTuple
 
 from . import __version__
 from .errors import GlidekitError, MalformedInputError
@@ -34,78 +38,67 @@ from .verify import run_all
 
 SCHEMA = "glidekit/1"
 
+# per kind, the keywords argparse gets and the parser ``run`` then passes
+# the flag's text through (None: argparse's value is the value).  A kind
+# only parses, never validates: a size argparse cannot read is a usage
+# error, and every other check is the library call's own
+_KINDS: dict[str, tuple[dict[str, Any], Callable[[str], Any] | None]] = {
+    "composition": ({"required": True}, parse_composition),
+    "partition tuple": ({"required": True}, parse_partition_tuple),
+    "file": ({"required": True}, None),
+    "size": ({"type": decimal_int, "required": True}, None),
+    "switch": ({"action": "store_true"}, None),
+    "method": ({"choices": GLIDE_METHODS, "default": "closed"}, None),
+}
 
-def _cmd_poset(args: argparse.Namespace) -> dict[str, Any]:
-    alpha = parse_composition(args.alpha)
-    p = build_poset(alpha, args.n)
+
+class Flag(NamedTuple):
+    name: str
+    kind: str  # a key of ``_KINDS``
+    dest: str | None = None
+    help: str | None = None
+
+    @property
+    def key(self) -> str:
+        """The flag's keyword in its handler's call and its key in ``inputs``."""
+        return self.dest or self.name[2:]
+
+
+class Command(NamedTuple):
+    help: str
+    handler: Callable[..., dict[str, Any]]
+    flags: tuple[Flag, ...] = ()
+
+
+def _poset(alpha: tuple[int, ...], n: int, hasse: bool, mobius: bool) -> dict[str, Any]:
+    p = build_poset(alpha, n)
     out: dict[str, Any] = {"elements": [list(e) for e in p.elements]}
-    if args.hasse:
+    if hasse:
         out["covers"] = [list(pair) for pair in p.covers()]
-    if args.mobius:
+    if mobius:
         mu = p.mobius()
         out["mobius"] = {string_key(e): mu[e] for e in p.elements}
     return out
 
 
-def _cmd_glide(args: argparse.Namespace) -> dict[str, Any]:
-    alpha = parse_composition(args.alpha)
-    return {"polynomial": poly_to_json(glide_polynomial(alpha, args.n, args.method))}
-
-
-def _cmd_shuffle(args: argparse.Namespace) -> dict[str, Any]:
-    product = overlapping_shuffle(parse_composition(args.a), parse_composition(args.b))
-    return {"product": comp_map_to_json(product)}
-
-
-def _cmd_mprod(args: argparse.Namespace) -> dict[str, Any]:
-    f = QSymElement.monomial(parse_composition(args.a))
-    g = QSymElement.monomial(parse_composition(args.b))
-    return {"product": comp_map_to_json(m_multiply(f, g).coords)}
-
-
-def _cmd_glide_expand(args: argparse.Namespace) -> dict[str, Any]:
-    payload = read_json(args.input)
+def _glide_expand(input: str, degree: int) -> dict[str, Any]:
+    payload = read_json(input)
     if isinstance(payload, dict) and "coords" not in payload:
-        raise MalformedInputError(f"{args.input} has no \"coords\" key")
+        raise MalformedInputError(f"{input} has no \"coords\" key")
     items = payload["coords"] if isinstance(payload, dict) else payload
-    element = QSymElement(comp_map_from_json(items), args.degree)
-    return {"coords": comp_map_to_json(glide_expand(element, args.degree))}
+    element = QSymElement(comp_map_from_json(items), degree)
+    return {"coords": comp_map_to_json(glide_expand(element, degree))}
 
 
-def _cmd_glide_struct(args: argparse.Namespace) -> dict[str, Any]:
-    coords = glide_structure_constants(
-        parse_composition(args.a), parse_composition(args.b), args.degree
-    )
-    return {"coords": comp_map_to_json(coords)}
-
-
-def _cmd_kclass(args: argparse.Namespace) -> dict[str, Any]:
-    alpha = parse_composition(args.alpha)
-    element = knutson_class(alpha, args.n, args.m)
+def _kclass(alpha: tuple[int, ...], n: int, m: int, chern: bool) -> dict[str, Any]:
+    element = knutson_class(alpha, n, m)
     out: dict[str, Any] = {"kclass": poly_to_json(element.poly)}
-    if args.chern:
+    if chern:
         out["chern"] = poly_to_json(chern_substitute(element))
     return out
 
 
-def _cmd_lr(args: argparse.Namespace) -> dict[str, Any]:
-    coeff = lr_coefficient(
-        parse_composition(args.lam), parse_composition(args.mu), parse_composition(args.nu)
-    )
-    return {"coefficient": coeff}
-
-
-def _cmd_buk(args: argparse.Namespace) -> dict[str, Any]:
-    coeff = buk_structure_constant(
-        parse_partition_tuple(args.lam),
-        parse_partition_tuple(args.mu),
-        parse_partition_tuple(args.nu),
-        args.k,
-    )
-    return {"coefficient": coeff}
-
-
-def _cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
+def _verify_paper() -> dict[str, Any]:
     rows = run_all()
     return {
         "rows": [row.as_json() for row in rows],
@@ -115,9 +108,71 @@ def _cmd_verify(args: argparse.Namespace) -> dict[str, Any]:
     }
 
 
+# A row lists its flags in ``--help`` order, and its handler takes their
+# parsed values as keywords, by key.  A handler names the library functions
+# as this module's globals, read at call time, so that a patched name (a
+# tracer's wrapper, a test's stub) is the one called.
+COMMANDS: dict[str, Command] = {
+    "poset": Command(
+        "string poset of a composition's zero-paddings",
+        _poset,
+        (Flag("--alpha", "composition"), Flag("--n", "size"),
+         Flag("--hasse", "switch", help="include cover relations"),
+         Flag("--mobius", "switch", help="include the Mobius table")),
+    ),
+    "glide": Command(
+        "glide polynomial of a composition",
+        lambda alpha, n, method: {"polynomial": poly_to_json(glide_polynomial(alpha, n, method))},
+        (Flag("--alpha", "composition"), Flag("--n", "size"), Flag("--method", "method")),
+    ),
+    "shuffle": Command(
+        "overlapping shuffle product of two compositions",
+        lambda a, b: {"product": comp_map_to_json(overlapping_shuffle(a, b))},
+        (Flag("--a", "composition"), Flag("--b", "composition")),
+    ),
+    "mprod": Command(
+        "monomial-basis product of two compositions",
+        lambda a, b: {"product": comp_map_to_json(
+            m_multiply(QSymElement.monomial(a), QSymElement.monomial(b)).coords)},
+        (Flag("--a", "composition"), Flag("--b", "composition")),
+    ),
+    "glide-expand": Command(
+        "expand monomial coordinates over the glide basis",
+        _glide_expand,
+        (Flag("--input", "file", help="JSON file with monomial coordinates"),
+         Flag("--degree", "size")),
+    ),
+    "glide-struct": Command(
+        "glide-basis structure constants of two glides",
+        lambda a, b, degree: {"coords": comp_map_to_json(glide_structure_constants(a, b, degree))},
+        (Flag("--a", "composition"), Flag("--b", "composition"), Flag("--degree", "size")),
+    ),
+    "kclass": Command(
+        "structure-sheaf class of the dual Schubert union",
+        _kclass,
+        (Flag("--alpha", "composition"), Flag("--n", "size"), Flag("--m", "size"),
+         Flag("--chern", "switch", help="include the Chern character image")),
+    ),
+    "lr": Command(
+        "Littlewood-Richardson coefficient by ballot tableaux",
+        lambda lam, mu, nu: {"coefficient": lr_coefficient(lam, mu, nu)},
+        (Flag("--lambda", "composition", "lam"),
+         Flag("--mu", "composition"), Flag("--nu", "composition")),
+    ),
+    "buk": Command(
+        "structure constant for tuples of length-k partitions",
+        lambda k, lam, mu, nu: {"coefficient": buk_structure_constant(lam, mu, nu, k)},
+        (Flag("--k", "size"), Flag("--lambda", "partition tuple", "lam"),
+         Flag("--m", "partition tuple", "mu"), Flag("--n", "partition tuple", "nu")),
+    ),
+    "verify-paper": Command("replay the built-in reference fixtures", _verify_paper),
+}
+
+
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by every later call.
+    """The argument parser, built from ``COMMANDS`` on first use and shared
+    by every later call.
 
     Parsing leaves it unchanged: each call gets a fresh namespace.
     """
@@ -142,73 +197,22 @@ def build_parser() -> argparse.ArgumentParser:
     # no flag may be abbreviated, so a new flag never turns an argv that
     # works into a usage error by sharing its prefix
     sub = parser.add_subparsers(dest="command", required=True)
-    add = partial(sub.add_parser, parents=[common], allow_abbrev=False)
-
-    p = add("poset", help="string poset of a composition's zero-paddings")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--n", type=decimal_int, required=True)
-    p.add_argument("--hasse", action="store_true", help="include cover relations")
-    p.add_argument("--mobius", action="store_true", help="include the Mobius table")
-    p.set_defaults(func=_cmd_poset)
-
-    p = add("glide", help="glide polynomial of a composition")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--n", type=decimal_int, required=True)
-    p.add_argument("--method", choices=GLIDE_METHODS, default="closed")
-    p.set_defaults(func=_cmd_glide)
-
-    p = add("shuffle", help="overlapping shuffle product of two compositions")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.set_defaults(func=_cmd_shuffle)
-
-    p = add("mprod", help="monomial-basis product of two compositions")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.set_defaults(func=_cmd_mprod)
-
-    p = add("glide-expand", help="expand monomial coordinates over the glide basis")
-    p.add_argument("--input", required=True, help="JSON file with monomial coordinates")
-    p.add_argument("--degree", type=decimal_int, required=True)
-    p.set_defaults(func=_cmd_glide_expand)
-
-    p = add("glide-struct", help="glide-basis structure constants of two glides")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--degree", type=decimal_int, required=True)
-    p.set_defaults(func=_cmd_glide_struct)
-
-    p = add("kclass", help="structure-sheaf class of the dual Schubert union")
-    p.add_argument("--alpha", required=True)
-    p.add_argument("--n", type=decimal_int, required=True)
-    p.add_argument("--m", type=decimal_int, required=True)
-    p.add_argument("--chern", action="store_true", help="include the Chern character image")
-    p.set_defaults(func=_cmd_kclass)
-
-    p = add("lr", help="Littlewood-Richardson coefficient by ballot tableaux")
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--mu", required=True)
-    p.add_argument("--nu", required=True)
-    p.set_defaults(func=_cmd_lr)
-
-    p = add("buk", help="structure constant for tuples of length-k partitions")
-    p.add_argument("--k", type=decimal_int, required=True)
-    p.add_argument("--lambda", dest="lam", required=True)
-    p.add_argument("--m", dest="mu", required=True)
-    p.add_argument("--n", dest="nu", required=True)
-    p.set_defaults(func=_cmd_buk)
-
-    p = add("verify-paper", help="replay the built-in reference fixtures")
-    p.set_defaults(func=_cmd_verify)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help, parents=[common], allow_abbrev=False)
+        for flag in command.flags:
+            p.add_argument(flag.name, dest=flag.key, help=flag.help, **_KINDS[flag.kind][0])
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = COMMANDS[args.command]
     try:
-        output = args.func(args)
+        values = {}
+        for flag in command.flags:
+            value, parse = getattr(args, flag.key), _KINDS[flag.kind][1]
+            values[flag.key] = value if parse is None else parse(value)
+        output = command.handler(**values)
     except GlidekitError as exc:
         error = {
             "schema": SCHEMA,
@@ -220,7 +224,7 @@ def run(argv: list[str] | None = None) -> int:
     result: dict[str, Any] = {
         "schema": SCHEMA,
         "command": args.command,
-        "inputs": _echo_inputs(args),
+        "inputs": {key: getattr(args, key) for key in sorted(f.key for f in command.flags)},
         "exact": True,
         "output": output,
     }
@@ -229,11 +233,6 @@ def run(argv: list[str] | None = None) -> int:
     if args.command == "verify-paper" and not output["all_pass"]:
         return 1
     return 0
-
-
-def _echo_inputs(args: argparse.Namespace) -> dict[str, Any]:
-    skip = {"func", "command", "pretty"}
-    return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
 def main() -> None:

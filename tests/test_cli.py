@@ -1,8 +1,9 @@
-import argparse
 import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -12,8 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import glidekit
-from glidekit.cli import build_parser, run
+from glidekit.cli import COMMANDS, build_parser, run
 from glidekit.errors import GlidekitError
+from glidekit.glides import GLIDE_METHODS
 from glidekit.verify import FixtureRow, load_fixtures, run_all, run_fixture
 
 
@@ -207,61 +209,100 @@ def test_negative_degree_bound_is_out_of_range(tmp_path, capsys, command):
     assert json.loads(err)["error"]["code"] == "out-of-range"
 
 
-# argv that parse but carry a bad value, for every subcommand, with the typed
-# error code each must end in (None: the request is valid and exits 0)
+# argv that parse but carry a bad value, for every subcommand, each with the
+# flag it breaks and the typed error code it must end in (None, None: the
+# request is valid and exits 0)
 MALFORMED_ARGV = [
-    (["poset", "--alpha", "1,x", "--n", "3"], "invalid-composition"),
-    (["poset", "--alpha", "0,1", "--n", "3"], "invalid-composition"),
-    (["poset", "--alpha", "1", "--n", "-1"], "out-of-range"),
-    (["glide", "--alpha", "a", "--n", "2"], "invalid-composition"),
-    (["glide", "--alpha", "", "--n", "-2"], "out-of-range"),
-    (["glide", "--alpha", "1", "--n", "0", "--method", "poset"], "out-of-range"),
-    (["shuffle", "--a", "1,0", "--b", "1"], "invalid-composition"),
-    (["shuffle", "--a", "1", "--b", "1;2"], "invalid-composition"),
-    (["shuffle", "--a", "", "--b", ""], None),
-    (["mprod", "--a", "-3", "--b", "1"], "invalid-composition"),
-    (["mprod", "--a", "1", "--b", "1.5"], "invalid-composition"),
-    (["glide-expand", "--input", ".", "--degree", "2"], "input-unreadable"),
-    (["glide-struct", "--a", "0", "--b", "1", "--degree", "2"], "invalid-composition"),
-    (["kclass", "--alpha", "", "--n", "2", "--m", "-1"], "out-of-range"),
-    (["kclass", "--alpha", "", "--n", "2", "--m", "-1", "--chern"], "out-of-range"),
-    (["kclass", "--alpha", "3", "--n", "2", "--m", "2"], "out-of-range"),
-    (["kclass", "--alpha", "1", "--n", "-1", "--m", "1", "--chern"], "out-of-range"),
-    (["kclass", "--alpha", "", "--n", "0", "--m", "0", "--chern"], None),
-    (["lr", "--lambda", "1", "--mu", "1", "--nu", "-1"], "invalid-composition"),
-    (["lr", "--lambda", "2,1", "--mu", "1", "--nu", "3,1"], "length-mismatch"),
-    (["buk", "--k", "0", "--lambda", "1", "--m", "1", "--n", "2"], "length-mismatch"),
-    (["buk", "--k", "-1", "--lambda", "", "--m", "", "--n", ""], "out-of-range"),
-    (["buk", "--k", "2", "--lambda", "0,0", "--m", "1,0", "--n", "1,0"], "invalid-composition"),
-    (["buk", "--k", "2", "--lambda", "1,2", "--m", "1,0", "--n", "2,1"], "invalid-composition"),
-    (["buk", "--k", "2", "--lambda", "1,0;;2,0", "--m", "1,0", "--n", "2,0"], "length-mismatch"),
-    (["verify-paper", "--pretty"], None),
+    (["poset", "--alpha", "1,x", "--n", "3"], "--alpha", "invalid-composition"),
+    (["poset", "--alpha", "0,1", "--n", "3"], "--alpha", "invalid-composition"),
+    (["poset", "--alpha", "1", "--n", "-1"], "--n", "out-of-range"),
+    (["glide", "--alpha", "a", "--n", "2"], "--alpha", "invalid-composition"),
+    (["glide", "--alpha", "", "--n", "-2"], "--n", "out-of-range"),
+    (["glide", "--alpha", "1", "--n", "0", "--method", "poset"], "--n", "out-of-range"),
+    (["shuffle", "--a", "1,0", "--b", "1"], "--a", "invalid-composition"),
+    (["shuffle", "--a", "1", "--b", "1;2"], "--b", "invalid-composition"),
+    (["shuffle", "--a", "", "--b", ""], None, None),
+    (["mprod", "--a", "-3", "--b", "1"], "--a", "invalid-composition"),
+    (["mprod", "--a", "1", "--b", "1.5"], "--b", "invalid-composition"),
+    (["glide-expand", "--input", ".", "--degree", "2"], "--input", "input-unreadable"),
+    (["glide-struct", "--a", "0", "--b", "1", "--degree", "2"], "--a", "invalid-composition"),
+    (["glide-struct", "--a", "1", "--b", "1,x", "--degree", "2"], "--b", "invalid-composition"),
+    (["kclass", "--alpha", "", "--n", "2", "--m", "-1"], "--m", "out-of-range"),
+    (["kclass", "--alpha", "", "--n", "2", "--m", "-1", "--chern"], "--m", "out-of-range"),
+    (["kclass", "--alpha", "3", "--n", "2", "--m", "2"], "--m", "out-of-range"),
+    (["kclass", "--alpha", "1", "--n", "-1", "--m", "1", "--chern"], "--n", "out-of-range"),
+    (["kclass", "--alpha", "1,x", "--n", "2", "--m", "1"], "--alpha", "invalid-composition"),
+    (["kclass", "--alpha", "", "--n", "0", "--m", "0", "--chern"], None, None),
+    (["lr", "--lambda", "1", "--mu", "1", "--nu", "-1"], "--nu", "invalid-composition"),
+    (["lr", "--lambda", "2,1", "--mu", "1", "--nu", "3,1"], "--mu", "length-mismatch"),
+    (["lr", "--lambda", "x", "--mu", "1", "--nu", "2"], "--lambda", "invalid-composition"),
+    (["lr", "--lambda", "1", "--mu", "1;1", "--nu", "2"], "--mu", "invalid-composition"),
+    (["buk", "--k", "0", "--lambda", "1", "--m", "1", "--n", "2"], "--k", "length-mismatch"),
+    (["buk", "--k", "-1", "--lambda", "", "--m", "", "--n", ""], "--k", "out-of-range"),
+    (["buk", "--k", "2", "--lambda", "0,0", "--m", "1,0", "--n", "1,0"], "--lambda", "invalid-composition"),
+    (["buk", "--k", "2", "--lambda", "1,2", "--m", "1,0", "--n", "2,1"], "--lambda", "invalid-composition"),
+    (["buk", "--k", "2", "--lambda", "1,0;;2,0", "--m", "1,0", "--n", "2,0"], "--lambda", "length-mismatch"),
+    (["buk", "--k", "1", "--lambda", "1", "--m", "x", "--n", "2"], "--m", "invalid-composition"),
+    (["buk", "--k", "1", "--lambda", "1", "--m", "1", "--n", "2,1"], "--n", "length-mismatch"),
+    (["verify-paper", "--pretty"], None, None),
     # a part is ASCII decimal text: int() alone would read these as 10, 1 and 1
-    (["glide", "--alpha", "1_0", "--n", "2"], "invalid-composition"),
-    (["glide", "--alpha", "\u0661", "--n", "2"], "invalid-composition"),
-    (["glide", "--alpha", "+1", "--n", "2"], "invalid-composition"),
-    (["glide", "--alpha", " 1 , 2 ", "--n", " 3 "], None),
+    (["glide", "--alpha", "1_0", "--n", "2"], "--alpha", "invalid-composition"),
+    (["glide", "--alpha", "\u0661", "--n", "2"], "--alpha", "invalid-composition"),
+    (["glide", "--alpha", "+1", "--n", "2"], "--alpha", "invalid-composition"),
+    (["glide", "--alpha", " 1 , 2 ", "--n", " 3 "], None, None),
 ]
 
+
+def _valid_argv(command, flag, text):
+    """``command`` with ``flag`` at ``text`` and every other required flag
+    at a value that parses."""
+    plain = {"composition": "1", "partition tuple": "1", "file": "coords.json", "size": "1"}
+    argv = [command]
+    for f in COMMANDS[command].flags:
+        if f.name == flag:
+            argv += [f.name, text]
+        elif f.kind in plain:
+            argv += [f.name, plain[f.kind]]
+    return argv
+
+
 # integer flags whose text int() reads but that are not ASCII decimal: each
-# is argparse's usage error
+# is argparse's usage error.  Every size flag of every command is tried with
+# each of three texts, after three hand-written rows with two more texts
 NON_DECIMAL_FLAGS = [
-    ["glide", "--alpha", "1", "--n", "0_2"],
-    ["glide", "--alpha", "1", "--n", "\u0661"],
-    ["poset", "--alpha", "1", "--n", "+2"],
     ["kclass", "--alpha", "1", "--n", "1", "--m", "1_0"],
     ["buk", "--k", "\u0661", "--lambda", "1", "--m", "1", "--n", "2"],
     ["glide-struct", "--a", "1", "--b", "1", "--degree", "\u0662"],
+] + [
+    _valid_argv(command, flag.name, text)
+    for command, row in COMMANDS.items()
+    for flag in row.flags
+    if flag.kind == "size"
+    for text in ("0_2", "\u0661", "+2")
 ]
 
 
 def test_malformed_argv_corpus_covers_every_subcommand():
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    assert {argv[0] for argv, _ in MALFORMED_ARGV} == set(sub.choices)
+    """Every command has a row, and every flag whose text the library reads
+    (a composition, a partition tuple, a file) is broken by one."""
+    assert {argv[0] for argv, _, _ in MALFORMED_ARGV} == set(COMMANDS)
+    for argv, flag, error_code in MALFORMED_ARGV:
+        assert (flag is None) == (error_code is None)
+        assert flag is None or flag in argv
+    broken = {(argv[0], flag) for argv, flag, _ in MALFORMED_ARGV}
+    read = {
+        (command, flag.name)
+        for command, row in COMMANDS.items()
+        for flag in row.flags
+        if flag.kind in ("composition", "partition tuple", "file")
+    }
+    assert read - broken == set()
 
 
-@pytest.mark.parametrize("argv, error_code", MALFORMED_ARGV, ids=[" ".join(a) for a, _ in MALFORMED_ARGV])
-def test_malformed_argv_ends_in_typed_error_or_valid_json(capsys, monkeypatch, argv, error_code):
+@pytest.mark.parametrize(
+    "argv, flag, error_code", MALFORMED_ARGV, ids=[" ".join(a) for a, _, _ in MALFORMED_ARGV]
+)
+def test_malformed_argv_ends_in_typed_error_or_valid_json(capsys, monkeypatch, argv, flag, error_code):
     monkeypatch.chdir(REPO_ROOT)
     code, out, err = invoke(capsys, *argv)
     if error_code is None:
@@ -365,20 +406,28 @@ def test_abbreviated_flags_are_usage_errors(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
-# The argv grammar below keeps out the sizes whose work grows without bound
-# until the CLI has budgets (ROADMAP item 4): ``--chern`` with a large m or
-# n (the Chern box has (m + 1)**n entries), a poset, glide or kclass n beyond
-# 5, a ``--degree`` beyond 6, and large parts for ``lr`` and ``buk``, whose
-# skew-shape cell loop is as long as the parts.  Large parts and large m
-# without ``--chern`` stay in: the answers there are small.
+# The argv grammar below draws each flag of ``COMMANDS`` from its kind.  Until
+# the CLI has budgets (ROADMAP item 4) it caps the sizes whose work grows
+# without bound, per (command, flag): a poset, glide or kclass n beyond 5, a
+# ``--degree`` beyond 6, and large parts for ``lr`` and ``buk``, whose
+# skew-shape cell loop is as long as the parts; with ``--chern``, a large m
+# or n too (the Chern box has (m + 1)**n entries).  Large parts and a large
+# m without ``--chern`` stay in: the answers there are small.
 _JUNK = st.sampled_from(["-1", f"-{HUGE}", "\u0661", "1_0", "+1", "x", "", " ", "1.5"])
 _SMALL = st.integers(0, 3).map(str)
 _ANY = st.one_of(_SMALL, st.sampled_from([str(TERA), str(HUGE)]), _JUNK)
+_CAPS = {
+    ("poset", "--n"): 5,
+    ("glide", "--n"): 5,
+    ("glide-expand", "--degree"): 6,
+    ("glide-struct", "--degree"): 6,
+    ("kclass", "--n"): 5,
+    ("buk", "--k"): 3,
+    **{("lr", flag): 3 for flag in ("--lambda", "--mu", "--nu")},
+    **{("buk", flag): 3 for flag in ("--lambda", "--m", "--n")},
+}
+_CHERN_CAPS = {("kclass", "--n"): 3, ("kclass", "--m"): 3}
 
-
-_SUBCOMMANDS = next(
-    a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
-).choices
 _ERROR_CODES = {cls.code for cls in [GlidekitError, *GlidekitError.__subclasses__()]}
 
 
@@ -386,47 +435,46 @@ def _comma_list(part):
     return st.lists(part, max_size=3).map(",".join)
 
 
-def _size(top):
-    return st.one_of(st.integers(0, top).map(str), _JUNK)
+@st.composite
+def _input_file(draw, input_dir):
+    """A path to a file of random entries, to a missing file or to a directory."""
+    entry = st.fixed_dictionaries({
+        "comp": st.lists(st.one_of(st.integers(-1, 3), st.sampled_from([TERA, HUGE])), max_size=3),
+        "coeff": st.sampled_from(["1", "-2/3", "1/0", 2, "x"]),
+    })
+    path = input_dir / "element.json"
+    path.write_text(json.dumps({"coords": draw(st.lists(entry, max_size=3))}), encoding="utf-8")
+    return draw(st.sampled_from([str(path), str(input_dir / "missing.json"), str(input_dir)]))
+
+
+def _text(kind, cap, input_dir):
+    """The strategy for the text of a flag of ``kind`` whose numbers are at most ``cap``."""
+    number = _ANY if cap is None else st.one_of(st.integers(0, cap).map(str), _JUNK)
+    if kind == "size":
+        return number
+    if kind == "composition":
+        return _comma_list(number)
+    if kind == "partition tuple":
+        return st.lists(_comma_list(number), max_size=3).map(";".join)
+    if kind == "file":
+        return _input_file(input_dir)
+    assert kind == "method", kind
+    return st.sampled_from(GLIDE_METHODS)
 
 
 @st.composite
 def _argv(draw, input_dir):
-    command = draw(st.sampled_from(sorted(_SUBCOMMANDS)))
-    if command in ("poset", "glide"):
-        argv = [command, "--alpha", draw(_comma_list(_ANY)), "--n", draw(_size(5))]
-        if command == "poset":
-            argv += draw(st.lists(st.sampled_from(["--hasse", "--mobius"]), unique=True))
-        else:
-            argv += ["--method", draw(st.sampled_from(["poset", "barred", "closed"]))]
-        return argv
-    if command in ("shuffle", "mprod"):
-        return [command, "--a", draw(_comma_list(_ANY)), "--b", draw(_comma_list(_ANY))]
-    if command == "glide-struct":
-        argv = ["glide-struct", "--a", draw(_comma_list(_ANY)), "--b", draw(_comma_list(_ANY))]
-        return argv + ["--degree", draw(_size(6))]
-    if command == "glide-expand":
-        path = input_dir / "element.json"
-        entry = st.fixed_dictionaries({
-            "comp": st.lists(st.one_of(st.integers(-1, 3), st.sampled_from([TERA, HUGE])), max_size=3),
-            "coeff": st.sampled_from(["1", "-2/3", "1/0", 2, "x"]),
-        })
-        path.write_text(json.dumps({"coords": draw(st.lists(entry, max_size=3))}), encoding="utf-8")
-        target = draw(st.sampled_from([str(path), str(input_dir / "missing.json"), str(input_dir)]))
-        return ["glide-expand", "--input", target, "--degree", draw(_size(6))]
-    if command == "kclass":
-        argv = ["kclass", "--alpha", draw(_comma_list(_ANY))]
-        if draw(st.booleans()):
-            return argv + ["--n", draw(_size(3)), "--m", draw(_size(3)), "--chern"]
-        return argv + ["--n", draw(_size(5)), "--m", draw(_ANY)]
-    small = _comma_list(st.one_of(_SMALL, _JUNK))
-    if command == "lr":
-        return ["lr", "--lambda", draw(small), "--mu", draw(small), "--nu", draw(small)]
-    if command == "buk":
-        partitions = st.lists(small, max_size=3).map(";".join)
-        argv = ["buk", "--k", draw(_size(3))]
-        return argv + ["--lambda", draw(partitions), "--m", draw(partitions), "--n", draw(partitions)]
-    return [command]
+    command = draw(st.sampled_from(list(COMMANDS)))
+    flags = COMMANDS[command].flags
+    on = {f.name for f in flags if f.kind == "switch" and draw(st.booleans())}
+    caps = {**_CAPS, **_CHERN_CAPS} if "--chern" in on else _CAPS
+    pieces = [[f.name] for f in flags if f.name in on]
+    for f in flags:
+        if f.kind != "switch" and (f.kind != "method" or draw(st.booleans())):
+            pieces.append([f.name, draw(_text(f.kind, caps.get((command, f.name)), input_dir))])
+    argv = [command] + [word for piece in draw(st.permutations(pieces)) for word in piece]
+    pretty = draw(st.sampled_from([[], ["--pretty"]]))
+    return pretty + argv if draw(st.booleans()) else argv + pretty
 
 
 @pytest.fixture(scope="module")
@@ -450,12 +498,15 @@ def test_argv_grammar_ends_in_exit_0_typed_error_or_usage_error(input_dir, data)
         assert stdout.getvalue() == ""
         return
     out, err = stdout.getvalue(), stderr.getvalue()
+    command = next(word for word in argv if word in COMMANDS)
     if code == 0:
-        assert json.loads(out)["command"] == argv[0]
+        payload = json.loads(out)
+        assert payload["command"] == command
+        assert ("\n  " in out) == ("--pretty" in argv)
     else:
         assert (code, out) == (1, ""), argv
         payload = json.loads(err)
-        assert payload["command"] == argv[0]
+        assert payload["command"] == command
         assert payload["error"]["code"] in _ERROR_CODES, argv
 
 
@@ -583,3 +634,24 @@ def test_shared_parser_keeps_no_state_between_calls(capsys):
     assert capsys.readouterr().out.startswith("glidekit ")
     code, out, _ = invoke(capsys, "shuffle", "--a", "1", "--b", "1")
     assert code == 0 and out == plain
+
+
+def test_readme_cli_block_lists_every_command_with_its_flags():
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n.*?^```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    lines = [shlex.split(line, comments=True) for line in block.splitlines() if line.startswith("glidekit ")]
+    assert [words[1] for words in lines] == list(COMMANDS)
+    for words in lines:
+        flags = [word for word in words if word.startswith("--")]
+        assert flags == [f.name for f in COMMANDS[words[1]].flags], words
+
+
+def test_version_is_the_one_in_pyproject(capsys):
+    # read without tomllib, which Python 3.10 lacks
+    pyproject = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    project = pyproject.split("[project]\n", 1)[1].split("\n[", 1)[0]
+    assert re.findall(r'^version = "([^"]+)"$', project, re.M) == [glidekit.__version__]
+    with pytest.raises(SystemExit) as exc:
+        run(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"glidekit {glidekit.__version__}\n"
