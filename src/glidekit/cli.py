@@ -187,12 +187,13 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=f"glidekit {__version__}")
-    parser.add_argument("--pretty", action="store_true", help="indent the JSON output")
+    pretty = "indent the JSON output"
+    parser.add_argument("--pretty", action="store_true", help=pretty)
 
     # the same flag is accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering a value parsed at the top level
     common = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    common.add_argument("--pretty", action="store_true", default=argparse.SUPPRESS)
+    common.add_argument("--pretty", action="store_true", default=argparse.SUPPRESS, help=pretty)
 
     # no flag may be abbreviated, so a new flag never turns an argv that
     # works into a usage error by sharing its prefix

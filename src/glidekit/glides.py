@@ -45,7 +45,7 @@ from .compositions import (
     run_encode,
 )
 from .errors import NotInCSetError, OutOfRangeError
-from .poly import SparsePoly
+from .poly import SparsePoly, _exact_terms
 from .poset import build_poset
 
 GLIDE_METHODS = ("poset", "barred", "closed")
@@ -250,7 +250,8 @@ def _closed_terms(a: Composition, n: int) -> Mapping[WeakComposition, Fraction]:
     terms: dict[WeakComposition, Fraction] = {}
     # no part exceeds max(a), so n * max(a) bounds no inflation of length n
     for gamma, c in _inflations(a, n, n * max(a, default=0)):
-        # an integer numerator over 1, as ``SparsePoly._from_numerators`` builds
+        # the public constructor, not ``poly._exact_terms``: this oracle
+        # shares no Fraction builder with the poset and barred routes
         q = Fraction(c, 1)
         for s in paddings(gamma, n):
             terms[s] = q
@@ -322,7 +323,7 @@ def glide_polynomial(alpha: Iterable[int], n: int, method: str = "closed") -> Sp
         barred = _barred(a, n)
         terms = _ascending_terms(barred.signs, barred.s, barred.shifts)
     # every key is a length-n string built here
-    return SparsePoly._from_numerators(n, terms, 1)
+    return SparsePoly._trusted(n, _exact_terms(terms, 1))
 
 
 def monomial_glide_weak(a: Iterable[int]) -> SparsePoly:
@@ -336,7 +337,7 @@ def monomial_glide_weak(a: Iterable[int]) -> SparsePoly:
     s, shifts = _barred_fields(max(start, default=0), len(start))
     terms = _ascending_terms(_move_closure([_pack(start, shifts)], s, shifts), s, shifts)
     # every key is a length-n string unpacked here, in ascending order
-    return SparsePoly._from_numerators(len(start), terms, 1)
+    return SparsePoly._trusted(len(start), _exact_terms(terms, 1))
 
 
 def glide_m_expansion(alpha: Iterable[int], degree_bound: int) -> dict[Composition, int]:

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 from .compositions import _container, _exact, _instance, _size, as_composition, closure, paddings
 from .errors import LengthMismatchError, OutOfRangeError
-from .poly import SparsePoly, _BoxTerms, _integer_numerators
+from .poly import SparsePoly, _BoxTerms, _exact_terms, _integer_numerators
 from .qsym import _checked_box, _group_by_positive_part
 
 
@@ -155,7 +155,7 @@ def knutson_class(alpha: Iterable[int], n: int, m: int) -> KRingElement:
         if c:
             nonzero |= 1 << k
             terms[tuple(m - r for r in w)] = c
-    return KRingElement(SparsePoly._from_numerators(n, terms, 1), m)
+    return KRingElement(SparsePoly._trusted(n, _exact_terms(terms, 1)), m)
 
 
 def chern_series_coeffs(m: int) -> tuple[Fraction, ...]:

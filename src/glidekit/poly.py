@@ -14,6 +14,12 @@ numerator, each from one gcd with its two slots written directly
 (``_FractionTable``).  The product also keys its sums by ints: each
 exponent vector is packed into one int, a byte-aligned field per variable,
 so adding two keys adds the vectors.
+
+``_FractionTable`` is the one place in the package where an integer
+numerator becomes a Fraction.  Two helpers read it: ``_exact_terms`` turns
+a mapping of numerators into terms, and ``_fractions`` turns a stream of
+numerators whose keys the caller picks apart with ``compress``, as the box
+readers and the product do.
 """
 
 from __future__ import annotations
@@ -95,10 +101,20 @@ class _FractionTable(dict):
         return q
 
 
+def _exact_terms(
+    numerators: Mapping[Hashable, int], denominator: int
+) -> dict[Hashable, Fraction]:
+    """The keys with a nonzero numerator, in order, each mapped to its
+    numerator over one positive denominator, with one Fraction per distinct
+    numerator, built by a ``_FractionTable`` the first time it comes."""
+    table = _FractionTable(denominator)
+    return {k: table[c] for k, c in numerators.items() if c}
+
+
 def _fractions(numerators: Iterable[int], denominator: int) -> Iterator[Fraction]:
-    """The nonzero numerators over one positive denominator, in order, with
-    one Fraction per distinct numerator, built by a ``_FractionTable`` the
-    first time the numerator comes."""
+    """The nonzero numerators over one positive denominator, in order, as
+    ``_exact_terms`` builds them, for a stream whose keys the caller picks
+    apart with ``compress``."""
     return map(_FractionTable(denominator).__getitem__, filter(None, numerators))
 
 
@@ -205,13 +221,11 @@ class SparsePoly:
     def __init__(self, nvars: int, terms: Mapping[ExponentVector, Fraction | int] | None = None):
         object.__setattr__(self, "nvars", _size(nvars, 0, "nvars"))
         clean: dict[ExponentVector, Fraction] = {}
-        # one Fraction per distinct int coefficient, as in ``_from_numerators``
-        shared: dict[int, Fraction] = {}
+        # one Fraction per distinct int coefficient
+        ints = _FractionTable(1)
         for exps, coeff in _container({} if terms is None else terms, "terms", items=True):
             e = _string(exps, nvars, "exponent vector")
-            c = shared.get(coeff) if type(coeff) is int else _exact(coeff, "coefficient")
-            if c is None:
-                c = shared[coeff] = _exact(coeff, "coefficient")
+            c = ints[coeff] if type(coeff) is int else _exact(coeff, "coefficient")
             if c:
                 clean[e] = c
         object.__setattr__(self, "terms", MappingProxyType(clean))
@@ -234,26 +248,6 @@ class SparsePoly:
             terms = MappingProxyType(terms)
         object.__setattr__(self, "terms", terms)
         return self
-
-    @classmethod
-    def _from_numerators(
-        cls, nvars: int, numerators: Mapping[ExponentVector, int], denominator: int
-    ) -> "SparsePoly":
-        """Terms given as integer numerators over one positive denominator.
-
-        The keys must be as ``_trusted`` requires.  Zero numerators are
-        dropped, and equal numerators share one Fraction (Fractions are
-        immutable), so a polynomial with few distinct coefficients builds few.
-        """
-        shared: dict[int, Fraction] = {}
-        terms: dict[ExponentVector, Fraction] = {}
-        for e, c in numerators.items():
-            if c:
-                q = shared.get(c)
-                if q is None:
-                    q = shared[c] = Fraction(c, denominator)
-                terms[e] = q
-        return cls._trusted(nvars, terms)
 
     # pickle and copy rebuild through the checked constructor, as the
     # read-only view over the terms cannot be pickled
@@ -335,7 +329,7 @@ class SparsePoly:
         f = _exact(factor, "factor")
         numerators, d = _integer_numerators(self.terms)
         scaled = {e: a * f.numerator for e, a in numerators}
-        return SparsePoly._from_numerators(self.nvars, scaled, d * f.denominator)
+        return SparsePoly._trusted(self.nvars, _exact_terms(scaled, d * f.denominator))
 
     def restrict(self, nvars: int) -> "SparsePoly":
         """Set the variables beyond index ``nvars`` to zero."""

@@ -11,8 +11,10 @@ tensor powers, with products read back off initial-segment tensors.
 
 Every product here runs as ``poly``'s do: the sums are plain ints, integer
 numerators over one common denominator, and the Fractions are built at the
-end by ``poly._fractions``: one per distinct numerator, made on its first
-lookup from one gcd with ``Fraction``'s two slots written directly.
+end by ``poly._exact_terms`` from the dict of sums: one per distinct
+numerator, made on its first lookup from one gcd with ``Fraction``'s two
+slots written directly.  Only the box reader, whose numerators come as a
+stream, builds them through ``poly._fractions``.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .errors import (
 )
 from .glides import _inflations, glide_m_expansion
 from .jsonio import parse_frac, read_json
-from .poly import SparsePoly, _BoxTerms, _fractions, _integer_numerators
+from .poly import SparsePoly, _BoxTerms, _exact_terms, _fractions, _integer_numerators
 
 UNBOUNDED = None
 
@@ -344,9 +346,7 @@ def m_multiply(f: QSymElement, g: QSymElement) -> QSymElement:
                 out[gamma] = out.get(gamma, 0) + mult * c
     # every pair over the bound was skipped, and the shuffle keeps the size;
     # a sum of 0 kept its place in the loop and is dropped only here
-    numerators = list(out.values())
-    coords = dict(zip(compress(out, numerators), _fractions(numerators, d1 * d2)))
-    return QSymElement._trusted(coords, bound)
+    return QSymElement._trusted(_exact_terms(out, d1 * d2), bound)
 
 
 def glide_element(alpha: Iterable[int], degree_bound: int) -> QSymElement:
@@ -365,9 +365,7 @@ def _glide_element(alpha: Composition, degree_bound: int) -> QSymElement:
     """``glide_element`` on a validated composition and bound, one Fraction
     per distinct coefficient."""
     expansion = glide_m_expansion(alpha, degree_bound)
-    coefficients = list(expansion.values())
-    coords = dict(zip(compress(expansion, coefficients), _fractions(coefficients, 1)))
-    return QSymElement._trusted(coords, degree_bound)
+    return QSymElement._trusted(_exact_terms(expansion, 1), degree_bound)
 
 
 def glide_expand(f: QSymElement, degree_bound: int) -> dict[Composition, Fraction]:
@@ -424,8 +422,7 @@ def _peel(
                     residual[g] = v
                 else:
                     residual.pop(g, None)
-    # every peeled coefficient is a nonzero residual
-    return dict(zip(out, _fractions(out.values(), denominator)))
+    return _exact_terms(out, denominator)
 
 
 def glide_structure_constants(
@@ -720,7 +717,7 @@ def _slot_products(
                 out[key] = v
             else:
                 del out[key]
-    return dict(zip(out, _fractions(out.values(), d**n)))
+    return _exact_terms(out, d**n)
 
 
 def qsym_r_product(

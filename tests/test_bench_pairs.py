@@ -99,7 +99,9 @@ def repo(tmp_path, monkeypatch):
     monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
     runs = []
 
-    def run(checkout, workload, seed, trace):
+    def run(checkout, workload, seed, trace, seconds):
+        # every run is as long as BENCHMARK.json says
+        assert seconds == BENCH["run_seconds"]
         runs.append((checkout.name, seed))
         return {"metrics": {"wall_s": {"value": 1.0}}, "failed": 0, "attempted": 1}
 
@@ -143,11 +145,11 @@ def test_index_side_writes_nothing_when_the_index_changes_during_the_runs(repo, 
     measured = _git(root, "write-tree")
     run = bench_pairs.run
 
-    def run_then_stage(checkout, workload, seed, trace):
+    def run_then_stage(checkout, workload, seed, trace, seconds):
         if not runs:
             (root / "late.txt").write_text("staged after the runs began\n")
             _git(root, "add", "late.txt")
-        return run(checkout, workload, seed, trace)
+        return run(checkout, workload, seed, trace, seconds)
 
     monkeypatch.setattr(bench_pairs, "run", run_then_stage)
     with pytest.raises(SystemExit, match=f"tree {measured} was measured") as info:
@@ -163,6 +165,8 @@ def test_a_committed_change_side_needs_no_clean_tree(repo):
     assert bench_pairs.main([*ARGV, "--change", "HEAD"]) == 0
     written = json.loads((root / "BENCH_7.json").read_text())
     assert written["revisions"]["change"] == _git(root, "rev-parse", "HEAD")
+    run = "`python3 perfbench/run.py --workload W --seed S --seconds 1 --trace 0`"
+    assert run in written["method"]
 
 
 def test_tier1_runs_once_per_side_after_the_pairs(repo, monkeypatch):
@@ -254,7 +258,8 @@ def test_a_trace_runs_three_times_per_side_alternated(repo, monkeypatch):
     root, runs = repo
     traced = []
 
-    def run(checkout, workload, seed, trace):
+    def run(checkout, workload, seed, trace, seconds):
+        assert seconds == BENCH["run_seconds"]
         if not trace:
             return {"metrics": {"wall_s": {"value": 1.0}}, "failed": 0, "attempted": 1}
         traced.append(checkout.name)
@@ -266,6 +271,9 @@ def test_a_trace_runs_three_times_per_side_alternated(repo, monkeypatch):
     assert bench_pairs.main([*ARGV, "--change", "HEAD", "--trace", "w:3"]) == 0
     assert traced == ["parent", "change", "change", "parent", "parent", "change"]
     written = json.loads((root / "BENCH_7.json").read_text())["trace_w_seed_3"]
+    assert written["command"].startswith(
+        "python3 perfbench/run.py --workload w --seed 3 --seconds 1 "
+    )
     assert written["metrics"]["layer.busy_s"] == {
         "parent": [1, 2, 3],
         "change": [10, 20, 30],
@@ -301,11 +309,13 @@ STDOUT = """workload w  seed 1  seconds 1  trace 0
 
 def test_a_run_reads_the_median_of_each_request_kind(tmp_path, monkeypatch):
     def fake(argv, **kwargs):
-        assert argv[-2:] == ["--trace", "0"]
+        assert argv[1:] == [
+            "perfbench/run.py", "--workload", "w", "--seed", "1", "--seconds", "9", "--trace", "0"
+        ]
         return subprocess.CompletedProcess(argv, 0, STDOUT, "")
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake)
-    result = bench_pairs.run(tmp_path, "w", 1, 0)
+    result = bench_pairs.run(tmp_path, "w", 1, 0, 9)
     assert result["kinds"] == {"cli": 0.228734, "m_multiply": 0.0286935}
     assert result["metrics"] == {"wall_s": {"value": 1.0, "unit": "s"}}
     # the whole-stream median is not a kind's line
@@ -333,7 +343,7 @@ def test_the_kind_medians_are_summarized_per_side_with_no_verdict():
 def test_the_kind_medians_are_written_per_workload(repo, monkeypatch):
     root, runs = repo
 
-    def run(checkout, workload, seed, trace):
+    def run(checkout, workload, seed, trace, seconds):
         runs.append((checkout.name, seed))
         value = 0.06 if checkout.name == "parent" else 0.05
         return {
@@ -354,7 +364,7 @@ def test_the_kind_medians_are_written_per_workload(repo, monkeypatch):
 
 def test_no_cold_run_for_a_workload_other_than_the_stream(repo, monkeypatch):
     root, runs = repo
-    monkeypatch.setattr(bench_pairs, "cold", lambda checkout, seed: pytest.fail("cold run"))
+    monkeypatch.setattr(bench_pairs, "cold", lambda checkout, seed, seconds: pytest.fail("cold"))
     assert bench_pairs.main([*ARGV, "--change", "HEAD"]) == 0
     assert "cold" not in json.loads((root / "BENCH_7.json").read_text())["workloads"]["w"]
 
@@ -363,9 +373,10 @@ def test_the_stream_runs_cold_once_per_pair_on_each_side(repo, monkeypatch):
     root, runs = repo
     monkeypatch.setattr(bench_pairs, "COLD_WORKLOAD", "w")
 
-    def cold(checkout, seed):
-        # right after the same side's run of the same pair
+    def cold(checkout, seed, seconds):
+        # right after the same side's run of the same pair, as long as it
         assert runs[-1] == (checkout.name, seed)
+        assert seconds == BENCH["run_seconds"]
         runs.append(("cold " + checkout.name, seed))
         value = 0.19 if checkout.name == "parent" else 0.17
         p50 = value + seed / 1000
@@ -412,11 +423,13 @@ def test_a_cold_run_reads_the_scripts_last_line(tmp_path, monkeypatch):
     line = {"op_p50_ms": 0.18, "kinds": {"cli": 0.29}, "attempted": 3, "failed": 0}
 
     def fake(argv, **kwargs):
-        assert argv[1:] == [str(bench_pairs.COLD_SCRIPT), str(tmp_path), "--seed", "4"]
+        assert argv[1:] == [
+            str(bench_pairs.COLD_SCRIPT), str(tmp_path), "--seed", "4", "--seconds", "9"
+        ]
         return subprocess.CompletedProcess(argv, 0, "noise\n" + json.dumps(line) + "\n", "")
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake)
-    assert bench_pairs.cold(tmp_path, 4) == line
+    assert bench_pairs.cold(tmp_path, 4, 9) == line
 
 
 # a made-up checkout: a stream of three ops of two kinds, a cache-clearing
@@ -429,7 +442,7 @@ def clear_caches():
     CLEARED.append(1)
 
 def build(name, seed, seconds):
-    assert (name, seconds) == ("algebra_requests", 20)
+    assert (name, seconds) == ("algebra_requests", 7)
     kinds = ["cli", "m_multiply", "cli"]
     return SimpleNamespace(ops=[SimpleNamespace(kind=k, reset=None, seed=seed) for k in kinds])
 """
@@ -463,7 +476,8 @@ def test_the_cold_script_clears_the_checkouts_caches_before_each_op(tmp_path):
     (tmp_path / "src" / "glidekit").mkdir(parents=True)
     (tmp_path / "src" / "glidekit" / "__init__.py").write_text("")
     done = subprocess.run(
-        [sys.executable, str(bench_pairs.COLD_SCRIPT), str(tmp_path), "--seed", "5"],
+        [sys.executable, str(bench_pairs.COLD_SCRIPT), str(tmp_path), "--seed", "5"]
+        + ["--seconds", "7"],
         capture_output=True,
         text=True,
         check=True,

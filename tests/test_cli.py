@@ -516,6 +516,21 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+def _pretty_help(capsys, *argv) -> list[str]:
+    """The description of ``--pretty`` in the help of ``glidekit argv...``."""
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--help"])
+    assert exc.value.code == 0
+    return re.findall(r"^  --pretty\s+(\S.*)$", capsys.readouterr().out, re.M)
+
+
+def test_every_command_describes_pretty_as_the_top_level_does(capsys):
+    top = _pretty_help(capsys)
+    assert top == ["indent the JSON output"]
+    for name in COMMANDS:
+        assert _pretty_help(capsys, name) == top, name
+
+
 def test_pretty_flag_and_no_timing_flag(capsys):
     _, plain, _ = invoke(capsys, "shuffle", "--a", "1", "--b", "1")
     _, pretty, _ = invoke(capsys, "shuffle", "--a", "1", "--b", "1", "--pretty")

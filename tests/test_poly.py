@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from glidekit.errors import InvalidCompositionError, LengthMismatchError
 from glidekit.glides import glide_polynomial
 from glidekit.ktheory import chern_substitute, knutson_class
-from glidekit.poly import SparsePoly, _BoxTerms, _fractions, _integer_numerators
+from glidekit.poly import SparsePoly, _BoxTerms, _exact_terms, _fractions, _integer_numerators
 from glidekit.qsym import QSymElement, m_to_polynomial, polynomial_to_m
 from glidekit.schur import schur_polynomial
 
@@ -275,8 +275,9 @@ def test_monomial_reads_its_exponents_by_the_part_rule():
         SparsePoly.monomial(5)
 
 
-# ``_fractions`` builds each Fraction from one gcd by writing its two slots,
-# so item by item it must hand out what the public constructor returns
+# ``_fractions`` and ``_exact_terms`` build each Fraction from one gcd by
+# writing its two slots, so item by item they must hand out what the public
+# constructor returns
 _NUMERATORS = st.one_of(st.integers(-60, 60), st.integers(-(2**80), 2**80))
 
 
@@ -284,12 +285,24 @@ _NUMERATORS = st.one_of(st.integers(-60, 60), st.integers(-(2**80), 2**80))
 @given(
     numerators=st.lists(_NUMERATORS, max_size=30),
     denominator=st.one_of(st.integers(1, 60), st.integers(1, 2**80)),
+    mapping=st.booleans(),
 )
-@example(numerators=[0, 6, -6, 4, 9, -12, 7], denominator=12)
-@example(numerators=[-3, 0, 5, 2**70, -(2**70)], denominator=1)
-@example(numerators=[3 * 2**65, -9 * 2**64, 2**64 + 1, -(2**64)], denominator=3 * 2**64)
-def test_fractions_match_the_public_constructor(numerators, denominator):
-    got = list(_fractions(numerators, denominator))
+@example(numerators=[0, 6, -6, 4, 9, -12, 7], denominator=12, mapping=False)
+@example(numerators=[0, 6, -6, 4, 9, -12, 7], denominator=12, mapping=True)
+@example(numerators=[-3, 0, 5, 2**70, -(2**70)], denominator=1, mapping=False)
+@example(numerators=[-3, 0, 5, 2**70, -(2**70)], denominator=1, mapping=True)
+@example(
+    numerators=[3 * 2**65, -9 * 2**64, 2**64 + 1, -(2**64)], denominator=3 * 2**64, mapping=False
+)
+def test_fractions_match_the_public_constructor(numerators, denominator, mapping):
+    if mapping:
+        # keyed in descending order, so the kept keys show the order is the
+        # mapping's own, not a sorted one, and that the zeros are dropped
+        terms = _exact_terms({-i: c for i, c in enumerate(numerators)}, denominator)
+        assert list(terms) == [-i for i, c in enumerate(numerators) if c]
+        got = list(terms.values())
+    else:
+        got = list(_fractions(numerators, denominator))
     expected = [Fraction(c, denominator) for c in numerators if c]
     assert len(got) == len(expected)
     for q, r in zip(got, expected):

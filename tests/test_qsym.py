@@ -25,7 +25,7 @@ from glidekit.errors import (
 from glidekit.glides import glide_polynomial
 from glidekit.ktheory import KRingElement, chern_substitute, is_quasisymmetric, knutson_class
 from glidekit import qsym
-from glidekit.poly import SparsePoly, _BoxTerms
+from glidekit.poly import SparsePoly, _BoxTerms, _exact_terms
 from glidekit.qsym import (
     GradedRingData,
     QSymElement,
@@ -1381,7 +1381,7 @@ def test_polynomials_start_unboxed():
     built = [
         p,
         SparsePoly._trusted(2, {(1, 1): Fraction(1)}),
-        SparsePoly._from_numerators(2, {(1, 1): 2, (2, 0): 0}, 3),
+        SparsePoly._trusted(2, _exact_terms({(1, 1): 2, (2, 0): 0}, 3)),
         SparsePoly.zero(2),
         SparsePoly.one(2),
         SparsePoly.monomial((1, 2)),

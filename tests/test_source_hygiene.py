@@ -2,7 +2,9 @@
 class that nothing in the package references, no public one that is
 neither in ``glidekit.__all__`` nor named elsewhere in the package, no
 coefficient coerced
-with ``Fraction(x)`` outside the one coefficient rule, no link between
+with ``Fraction(x)`` outside the one coefficient rule, no integer numerator
+made a Fraction outside ``poly._FractionTable`` and the declared public
+constructor calls, no link between
 the two Mobius oracles (the string poset's and the K-side's) or between
 two routes that check each other (the crosscut Mobius and the string
 poset's bitset core, the tensor engine and the overlapping shuffle, the
@@ -15,8 +17,10 @@ slice-check verdict read or written outside the slice check, no
 ring's ``contains`` asked outside the one label rule, no
 count read off ``ssyt_enumerate``'s list of tableaux, no use of the
 tableau walker outside ``schur.py``, no function that calls itself
-beyond the listed ones left to rewrite, and no cache outside
-``compositions._kernel`` but ``cli.build_parser``'s.
+beyond the listed ones left to rewrite, no cache outside
+``compositions._kernel`` but ``cli.build_parser``'s, and no private or
+module-qualified name in README.md's backticks that the package does not
+define.
 
 The checks read the package with the stdlib ``ast`` module only.
 ``__init__.py`` is left out but for its ``__all__``: its imports are the
@@ -24,6 +28,7 @@ package's re-exports.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -159,6 +164,47 @@ def test_no_coefficient_coerced_outside_the_coefficient_rule():
     assert not found, f"Fraction(x) outside the coefficient rule: {found}"
 
 
+# an integer numerator becomes a Fraction in ``poly._FractionTable``, read by
+# ``_exact_terms`` for a mapping of numerators and by ``_fractions`` for a
+# stream that ``compress`` picks apart; only the JSON text parser, the
+# closed-glide oracle (which shares no builder with the routes it checks)
+# and the Chern series' factorials call the public ``Fraction(c, d)``
+_FRACTION_BUILDS = {
+    "bare Fraction": {("poly.py", "_FractionTable.__missing__")},
+    "Fraction(c, d)": {
+        ("jsonio.py", "parse_frac"),
+        ("glides.py", "_closed_terms"),
+        ("ktheory.py", "chern_series_coeffs"),
+    },
+    "_fractions": {
+        ("qsym.py", "_read_box"),
+        ("poly.py", "_BoxTerms._built"),
+        ("poly.py", "SparsePoly.__mul__"),
+    },
+}
+_FRACTION_MATCHES = {
+    "bare Fraction": lambda call: isinstance(call.func, ast.Attribute)
+    and call.func.attr == "__new__"
+    and _used_names(call.func.value) == {"object"}
+    and any(_used_names(arg) == {"Fraction"} for arg in call.args),
+    "Fraction(c, d)": lambda call: getattr(call.func, "id", None) == "Fraction"
+    and len(call.args) + len(call.keywords) >= 2,
+    "_fractions": lambda call: "_fractions"
+    in (getattr(call.func, "id", None), getattr(call.func, "attr", None)),
+}
+
+
+def test_numerators_become_fractions_in_one_table():
+    seen = {rule: set() for rule in _FRACTION_MATCHES}
+    for path in MODULES:
+        tree = _tree(path)
+        for rule, matches in _FRACTION_MATCHES.items():
+            seen[rule] |= {(path.name, scope) for scope, _ in _scoped_calls(tree, matches)}
+    # every declared site is seen, and nothing else, so the guard is not
+    # matching nothing
+    assert seen == _FRACTION_BUILDS
+
+
 def _names_and_modules(tree: ast.AST) -> set[str]:
     """Every name ``_used_names`` finds, every imported name and alias, and
     each dotted part of an imported module's path."""
@@ -248,11 +294,12 @@ _ROUTES_APART = {
         | {"_nvars", "_numerators", "_exponents", "_over", "_quasisymmetric"},
     ),
     "box-readers": ("qsym.py", {"_checked_box", "_read_box"}, {"_group_by_positive_part"}),
-    # the closed and barred glide routes check each other and the poset route
+    # the closed and barred glide routes check each other and the poset
+    # route, and share no Fraction builder with them
     "closed-glide": (
         "glides.py",
         {"_closed", "_closed_terms", "_inflations", "enumerate_C", "mu_closed", "glide_m_expansion"},
-        _BARRED_ROUTE | {"build_poset"},
+        _BARRED_ROUTE | {"build_poset", "_exact_terms"},
     ),
     # the barred route runs on packed strings, as the poset closure does, but
     # reaches neither the closure nor its join core: it shares only the
@@ -571,3 +618,69 @@ def test_every_cache_is_declared_by_the_kernel_rule():
     # guard sees both, so it is not matching nothing
     declared = {("compositions.py", "_kernel"), ("cli.py", "build_parser")}
     assert {use[:2] for use in uses} == declared, sorted(uses)
+
+
+def _defined(tree: ast.AST) -> set[str]:
+    """Every name ``tree`` defines: its functions and classes, and the
+    names and attributes it assigns."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return names
+
+
+def _top_level(tree: ast.Module) -> set[str]:
+    """A module's own names: its top-level definitions and assignments."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            names |= _defined(node)
+    return names
+
+
+# a dotted name in backticks, not part of a path or a file name
+_README_NAME = re.compile(r"(?<![\w./])([A-Za-z_]\w*(?:\.\w+)*)(?![\w/]|\.\w)")
+
+
+def _readme_names() -> list[str]:
+    """Every dotted name inside a backticked span of README.md, which may
+    break across lines, fenced blocks left out."""
+    text = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    text = re.sub(r"^```.*?^```", "", text, flags=re.M | re.S)
+    spans = re.findall(r"`([^`]+)`", text)
+    return [name for span in spans for name in _README_NAME.findall(span)]
+
+
+def test_readme_names_only_what_the_package_defines():
+    trees = {path.stem: _tree(path) for path in PACKAGE.glob("*.py")}
+    tops = {module: _top_level(tree) for module, tree in trees.items()}
+    classes = {
+        node.name: _defined(node)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    anywhere = set().union(*map(_defined, trees.values()))
+    checked, missing = set(), set()
+    for name in _readme_names():
+        head, _, rest = name.removeprefix("glidekit.").partition(".")
+        attr = rest.partition(".")[0]
+        if head in trees and attr and attr != "py":
+            known = attr in tops[head]
+        elif head in classes and attr:
+            known = attr in classes[head]
+        elif head.startswith("_") and not head.startswith("__") and not attr:
+            known = head in anywhere
+        else:
+            continue
+        (checked if known else missing).add(name)
+    assert not missing, f"README.md names what src/glidekit does not define: {sorted(missing)}"
+    # the guard sees names of each form, so it is not matching nothing
+    assert {"poly._BoxTerms", "SparsePoly.__mul__", "_read_box"} <= checked

@@ -14,9 +14,10 @@ aside), and after the runs it writes nothing and exits non-zero unless
 ``git write-tree`` still names the tree it measured.  For every
 workload in the change's BENCHMARK.json and each of ten seeds from
 ``--first-seed`` on, each side runs
-``perfbench/run.py --workload W --seed S --trace 0`` once in its own
-checkout; the side that runs first alternates from pair to pair, the
-parent first in the first pair.  Each ``--trace W:S`` adds three
+``perfbench/run.py --workload W --seed S --seconds T --trace 0`` once in
+its own checkout, T the ``run_seconds`` of the change's BENCHMARK.json
+(the traced and cold runs take the same T); the side that runs first
+alternates from pair to pair, the parent first in the first pair.  Each ``--trace W:S`` adds three
 ``--trace 1`` runs per side, alternated (parent, change, change, parent,
 parent, change), and keeps every per-layer metric of every run with each
 side's median, since one traced run per side is too noisy to place a
@@ -124,13 +125,12 @@ def export(treeish: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
-def run(checkout: Path, workload: str, seed: int, trace: int) -> dict:
+def run(checkout: Path, workload: str, seed: int, trace: int, seconds: int) -> dict:
     """One benchmark process; its last stdout line is the JSON result, to
     which the median of each request kind it printed is added as ``kinds``."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
-    done = subprocess.run(
-        argv + ["--trace", str(trace)], cwd=checkout, capture_output=True, text=True
-    )
+    argv += ["--seconds", str(seconds), "--trace", str(trace)]
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True)
     if done.returncode:
         raise SystemExit(f"{checkout.name} {workload} seed {seed} failed:\n{done.stderr}")
     return {**json.loads(done.stdout.splitlines()[-1]), "kinds": kind_medians(done.stdout)}
@@ -164,10 +164,11 @@ def reported(values: dict) -> dict:
     return row
 
 
-def cold(checkout: Path, seed: int) -> dict:
+def cold(checkout: Path, seed: int, seconds: int) -> dict:
     """One cold run of the algebra_requests stream in ``checkout``, by the
     cold script; its last stdout line is the JSON result."""
     argv = [sys.executable, str(COLD_SCRIPT), str(checkout), "--seed", str(seed)]
+    argv += ["--seconds", str(seconds)]
     done = subprocess.run(argv, capture_output=True, text=True)
     if done.returncode:
         raise SystemExit(f"{checkout.name} cold seed {seed} failed:\n{done.stderr}")
@@ -180,7 +181,8 @@ def cold_summary(results: dict) -> dict:
     bound or verdict."""
     p50 = {side: [r["op_p50_ms"] for r in results[side]] for side in SIDES}
     return {
-        "command": "python3 tools/cold_requests.py CHECKOUT --seed S, once per pair on each "
+        "command": "python3 tools/cold_requests.py CHECKOUT --seed S --seconds T, T the "
+        "run_seconds of BENCHMARK.json, once per pair on each "
         "side, right after that side's run of the pair: the algebra_requests stream with "
         "every glidekit cache cleared before each op, untimed; reported values, with no "
         "bound and no verdict",
@@ -268,7 +270,9 @@ def verdict(row: dict, better: str, bound: float) -> str:
     return "within bound"
 
 
-def pairs(checkouts: dict, workload: str, seeds: list[int], metrics: list[dict]) -> dict:
+def pairs(
+    checkouts: dict, workload: str, seeds: list[int], metrics: list[dict], seconds: int
+) -> dict:
     results = {side: [] for side in SIDES}
     colds = {side: [] for side in SIDES}
     first = []
@@ -276,11 +280,11 @@ def pairs(checkouts: dict, workload: str, seeds: list[int], metrics: list[dict])
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         first.append(order[0])
         for side in order:
-            results[side].append(run(checkouts[side], workload, seed, 0))
+            results[side].append(run(checkouts[side], workload, seed, 0, seconds))
             value = results[side][-1]["metrics"]["wall_s"]["value"]
             print(f"{workload} seed {seed} {side}: wall_s {value:.4f}", file=sys.stderr)
             if workload == COLD_WORKLOAD:
-                colds[side].append(cold(checkouts[side], seed))
+                colds[side].append(cold(checkouts[side], seed, seconds))
     out = {
         "seeds": seeds,
         "failed_ops": ", ".join(f"{s} {sum(r['failed'] for r in results[s])}" for s in SIDES),
@@ -302,12 +306,12 @@ def judged(metric: dict, results: dict) -> dict:
     return row
 
 
-def traced(checkouts: dict, workload: str, seed: int) -> dict:
+def traced(checkouts: dict, workload: str, seed: int, seconds: int) -> dict:
     """The traced runs of one ``--trace``: every per-layer value of each
     side's runs, in the order they ran, and each side's median."""
     values = {side: [] for side in SIDES}
     for side in TRACE_ORDER:
-        values[side].append(run(checkouts[side], workload, seed, 1)["metrics"])
+        values[side].append(run(checkouts[side], workload, seed, 1, seconds)["metrics"])
     metrics = {}
     for name in values["parent"][0]:
         row = {side: [round(v[name]["value"], 6) for v in values[side]] for side in SIDES}
@@ -315,7 +319,8 @@ def traced(checkouts: dict, workload: str, seed: int) -> dict:
             row[f"{side}_median"] = round(statistics.median(row[side]), 6)
         metrics[name] = row
     return {
-        "command": f"python3 perfbench/run.py --workload {workload} --seed {seed} --trace 1, "
+        "command": f"python3 perfbench/run.py --workload {workload} --seed {seed} "
+        f"--seconds {seconds} --trace 1, "
         f"{len(TRACE_ORDER) // 2} runs per side in the order {', '.join(TRACE_ORDER)}; "
         "busy_s are scaled self times",
         "metrics": metrics,
@@ -396,14 +401,14 @@ def main(argv=None) -> int:
         check_names(bench, args.claim, args.trace)
         # set, every run compiles the source, so setup_s and peak RSS grow with it
         bytecode = "set" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "not set"
-        metrics = bench["end_to_end"]
+        metrics, seconds = bench["end_to_end"], bench["run_seconds"]
         out = {
             "change": args.note,
             "revisions": revisions,
             "claim": None,
             "method": f"{PAIRS} alternating parent/change pairs per workload; each run is "
-            "`python3 perfbench/run.py --workload W --seed S --trace 0` "
-            f"(run_seconds {bench['run_seconds']}) in its own checkout of the committed files, "
+            f"`python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0` "
+            "(the run_seconds of BENCHMARK.json) in its own checkout of the committed files, "
             "made by tools/bench_pairs.py; `first_in_pair` names the side that ran first in "
             "the pair; quartiles are statistics.quantiles(n=4, method='inclusive')",
             "machine": f"{os.cpu_count()}-CPU {platform.machine()} {platform.system()}, "
@@ -411,7 +416,8 @@ def main(argv=None) -> int:
             f"perfbench/speed.py, PYTHONDONTWRITEBYTECODE {bytecode}",
             "seeds_note": args.seeds_note,
             "workloads": {
-                w["name"]: pairs(checkouts, w["name"], seeds, metrics) for w in bench["workloads"]
+                w["name"]: pairs(checkouts, w["name"], seeds, metrics, seconds)
+                for w in bench["workloads"]
             },
             "tier1": {
                 "command": "PYTHONPATH=src python -m pytest -q --continue-on-collection-errors, "
@@ -424,7 +430,7 @@ def main(argv=None) -> int:
             },
         }
         for workload, seed in args.trace:
-            out[f"trace_{workload}_seed_{seed}"] = traced(checkouts, workload, seed)
+            out[f"trace_{workload}_seed_{seed}"] = traced(checkouts, workload, seed, seconds)
     tree = revisions["change"] if args.change else git("write-tree").decode().strip()
     if tree != revisions["change"]:
         raise SystemExit(

@@ -1,14 +1,15 @@
 """Run a checkout's algebra_requests stream cold, every cache cleared before each op.
 
-    python3 tools/cold_requests.py CHECKOUT --seed 91
+    python3 tools/cold_requests.py CHECKOUT --seed 91 --seconds 20
 
 The script imports the checkout's own perfbench harness and workloads, and
 glidekit from the checkout's src/ directory.  It builds the stream as
-``perfbench/run.py --workload algebra_requests`` does, sets each op's
-untimed ``reset`` to ``workloads.clear_caches`` (as both sweeps do) and runs
-the stream once.  Its last stdout line is one JSON object: the cold
-``op_p50_ms``, the median of each request kind in ms (``kinds``), and the
-ops attempted and failed.  Times are scaled as perfbench scales them.  No
+``perfbench/run.py --workload algebra_requests --seconds T`` does, for the
+T given as ``--seconds``, sets each op's untimed ``reset`` to
+``workloads.clear_caches`` (as both sweeps do) and runs the stream once.
+Its last stdout line is one JSON object: the cold ``op_p50_ms``, the
+median of each request kind in ms (``kinds``), and the ops attempted and
+failed.  Times are scaled as perfbench scales them.  No
 file of the checkout is changed.
 """
 
@@ -21,14 +22,13 @@ import sys
 from pathlib import Path
 
 WORKLOAD = "algebra_requests"
-# perfbench/run.py's default --seconds, the value tools/bench_pairs.py runs
-SECONDS = 20
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkout", type=Path)
     parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seconds", type=int, required=True, help="as perfbench/run.py's")
     args = parser.parse_args(argv)
     root = args.checkout.resolve()
     # the corpus names its input files relative to the root
@@ -41,7 +41,7 @@ def main(argv=None) -> int:
     if Path(glidekit.__file__).resolve().parent != root / "src" / "glidekit":
         raise SystemExit(f"glidekit imported from {glidekit.__file__}, not from {root / 'src'}")
 
-    built = workloads.build(WORKLOAD, args.seed, SECONDS)
+    built = workloads.build(WORKLOAD, args.seed, args.seconds)
     for op in built.ops:
         op.reset = workloads.clear_caches
     outcome = harness.run_ops(built.ops)
