@@ -309,7 +309,7 @@ def closure(
     s, shifts, flip, found = _packed_closure(generators, pick)
     ones = (1 << s) - 1
     for p in found:
-        yield tuple([(p ^ flip) >> k & ones for k in shifts])
+        yield _unpack(p ^ flip, shifts, ones)
 
 
 def _packed_closure(

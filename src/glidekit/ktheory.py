@@ -10,21 +10,19 @@ the truncated exponential series for each variable.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import accumulate, chain, repeat
-from math import comb, factorial, prod
-from operator import add, and_, getitem, mul, or_
+from itertools import accumulate
+from math import comb, factorial
+from operator import and_, getitem, or_
 from typing import Iterable, Sequence
 
 from .compositions import _container, _exact, _instance, _size, as_composition, closure, paddings
 from .errors import LengthMismatchError, OutOfRangeError
-from .poly import SparsePoly, _BoxTerms, _exact_terms, _integer_numerators
-from .qsym import _checked_box, _group_by_positive_part
+from .poly import SparsePoly, _BoxTerms, _exact_terms
+from .qsym import _box_passes, _group_by_positive_part
 
 
 @dataclass(frozen=True)
@@ -181,156 +179,30 @@ def _chern_rows(m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(map(tuple, rows))
 
 
-# a box of fewer entries runs its passes on a list.  Timed on the
-# kclass_sweep rows, the words' fixed cost per pass and the int a reader
-# makes of each word it takes outweigh what they save on every box of up
-# to 9^3 entries, and on boxes of up to 6^4 read for all their terms; from
-# 5^5 entries on the words are faster read for the coordinates, and within
-# a few per cent either way read for all the terms
-_WORD_BOX = 2048
-_WORD_LIMIT = 1 << 63
-# a 64-bit word with only its top bit set, in the order ``array("q")`` keeps
-_HALF = (1 << 63).to_bytes(8, sys.byteorder)
-
-
 def chern_substitute(element: KRingElement) -> SparsePoly:
     """Substitute the truncated exponential series for each variable.
 
     Replaces y_i by x_i - x_i^2/2 + x_i^3/6 - ... (up to the element's cap m)
     and reduces modulo x_i^(m+1); coefficients stay exact rationals.
 
-    The image is computed on a dense box of integer numerators over one
-    denominator.  Entry e sits at the index whose digits are the positions
-    of e_1, ..., e_n in V = {0} | [p, m], p the least positive exponent of
-    the element: row g of the table is zero below d = g, and only row 0
-    reaches d = 0, so no image exponent falls outside V.  The terms are
-    scattered into the box as they are, with digits over the exponents E of
-    the element; each of n equal passes then substitutes the leading axis,
-    writing output column d with ``out[d::|V|] = ...``, which moves that
-    axis to the back, so n moves restore the order.  An axis not yet
-    substituted keeps its |E| digits until its pass.
-
-    The box takes one of two forms, chosen from the element alone.  A box
-    of at least ``_WORD_BOX`` entries whose bound (``_chern_bound``) is
-    below 2^63 is an ``array("q")`` of signed 64-bit words, run through
-    ``_word_passes``; every other box is a list of ints, which hold entries
-    of any size, run through the list passes here.  Both give the same
-    entries, so the terms do not depend on the form.
-
-    The terms are the nonzero entries over the common denominator, in index
-    order, which is lexicographic order.  They are a read-only view over
-    the box that builds its dict and Fractions on its first read and never
-    before, so a caller that only counts the terms or reads coordinates
-    builds neither.  The view is the box's one home: the slice check of
-    ``qsym.polynomial_to_m`` and ``is_quasisymmetric`` reads the box from
-    it, and an image's terms cannot be rebound, so the two cannot part.
+    The image is computed on integers, with the table ``_chern_rows(m)``
+    scaled by m!, on a dense box that its terms hold: a read-only view,
+    ``poly._BoxTerms``, whose docstring describes the box.  The view builds
+    its dict and Fractions on its first read and never before, so a caller
+    that only counts the terms or reads coordinates builds neither.
     """
     m = _instance(element, KRingElement, "element").m
-    n = element.nvars
-    numerators, lcm_coeff = _integer_numerators(element.poly.terms)
-    # E, every exponent of the element
-    present = sorted(set(chain.from_iterable(element.poly.terms))) or [0]
-    values = (0, *range(min(filter(None, present), default=m + 1), m + 1))
-    width, b = len(present), len(values)
-    # the rows are scaled by m!: the substitution runs on integers.  Row g's
-    # nonzero entries at V, as (digit of d in V, entry), for g in E
-    rows = _chern_rows(m)
-    images = [
-        [(d, a) for d, a in enumerate(map(rows[g].__getitem__, values)) if a] for g in present
-    ]
-    digit = dict(zip(present, range(width)))
-    words = b**n >= _WORD_BOX and _chern_bound(numerators, rows) < _WORD_LIMIT
-    box = array("q", bytes(8)) * width**n if words else [0] * width**n
-    for e, c in numerators:
-        i = 0
-        for x in e:
-            i = i * width + digit[x]
-        box[i] = c
-    if words:
-        box = _word_passes(box, n, width, images, b)
-    else:
-        # the list passes, inline: a call would cost a box of a few entries
-        # about 2 %
-        for _ in range(n):
-            # output column d sums the scaled blocks g; zero blocks are skipped
-            stride = len(box) // width
-            columns = [None] * b
-            for g, targets in enumerate(images):
-                block = box[g * stride : (g + 1) * stride]
-                if any(block):
-                    for d, a in targets:
-                        scaled = map(mul, block, repeat(a))
-                        column = columns[d]
-                        columns[d] = scaled if column is None else map(add, column, scaled)
-            box = [0] * (stride * b)
-            for d, column in enumerate(columns):
-                if column is not None:
-                    box[d::b] = column
-    denominator = factorial(m) ** n * lcm_coeff
-    return SparsePoly._trusted(n, _BoxTerms(n, box, values, denominator))
-
-
-def _chern_bound(
-    numerators: list[tuple[tuple[int, ...], int]], rows: tuple[tuple[int, ...], ...]
-) -> int:
-    """A bound on |entry| over every box the passes make from the terms
-    c * y^e given as ``numerators``: the sum of |c| times the product over
-    i of the largest |entry| of row e_i of the table ``rows``.  Each such
-    largest entry is at least 1 (row g holds m! at d = g), so the bound
-    also covers the boxes made part way through the passes."""
-    peaks = [max(map(abs, row)) for row in rows]
-    return sum(abs(c) * prod(map(peaks.__getitem__, e)) for e, c in numerators)
-
-
-def _word_passes(box: array, n: int, width: int, images, b: int) -> array:
-    """The n passes on signed 64-bit words, for a box whose entries fit one
-    before, during and after the passes (``_chern_bound``).  Each block is
-    read as one int, a 64-bit field an entry, so output column d, the sum
-    of the blocks g scaled by their table entries, takes one exact
-    multiply-add a block, not one an entry; it is written back with one
-    strided assignment."""
-    # column d's blocks, as (g, table entry)
-    sources = [[] for _ in range(b)]
-    for g, targets in enumerate(images):
-        for d, a in targets:
-            sources[d].append((g, a))
-    for _ in range(n):
-        stride = len(box) // width
-        size = 8 * stride
-        # 2^63 in each field: a field read unsigned is its value plus 2^63
-        # once its top bit is flipped, and a column plus 2^63 in each field
-        # has every field in [0, 2^64), whose top bit flipped back is the word
-        half = int.from_bytes(_HALF * stride, sys.byteorder)
-        view = memoryview(box)
-        blocks = [
-            (int.from_bytes(view[g * stride : (g + 1) * stride], sys.byteorder) ^ half) - half
-            for g in range(width)
-        ]
-        view.release()
-        # the old box goes before the new one is made
-        box = None
-        box = array("q", bytes(8)) * (stride * b)
-        out = memoryview(box)
-        for d, pairs in enumerate(sources):
-            column = 0
-            for g, a in pairs:
-                column += a * blocks[g]
-            if column:
-                # rebound at each step, so one column-sized int at a time
-                # is let go
-                column += half
-                column ^= half
-                out[d::b] = memoryview(column.to_bytes(size, sys.byteorder)).cast("q")
-    return box
+    terms = _BoxTerms._substituted(element.nvars, element.poly.terms, _chern_rows(m), factorial(m))
+    return SparsePoly._trusted(element.nvars, terms)
 
 
 def is_quasisymmetric(f: SparsePoly, n: int) -> bool:
     """Whether all placements of each composition carry equal coefficients.
 
-    A Chern image is answered by the slice check of ``qsym._checked_box``
-    alone, which keeps its verdict in the image's box view: calling this
-    and then ``polynomial_to_m`` on one image runs the check once.  Any
-    other polynomial, or an image whose box fails the check, goes to the
+    A Chern image is answered by its box's slice check alone
+    (``qsym._box_passes``), which keeps its verdict: calling this and then
+    ``polynomial_to_m`` on one image runs the check once.  Any other
+    polynomial, or an image whose box fails the check, goes to the
     grouping reader.
     """
-    return _checked_box(f, n) is not None or _group_by_positive_part(f, n)[1] is None
+    return _box_passes(f, n) or _group_by_positive_part(f, n)[1] is None

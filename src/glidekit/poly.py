@@ -19,17 +19,21 @@ so adding two keys adds the vectors.
 numerator becomes a Fraction.  Two helpers read it: ``_exact_terms`` turns
 a mapping of numerators into terms, and ``_fractions`` turns a stream of
 numerators whose keys the caller picks apart with ``compress``, as the box
-readers and the product do.
+view's terms and placement reader and the product do.
+
+``_BoxTerms`` holds a Chern image's terms as a dense box of numerators; it
+is the one code that knows the box's layout, and its docstring describes it.
 """
 
 from __future__ import annotations
 
+import sys
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, compress, product, repeat
-from math import gcd, lcm
-from operator import methodcaller
+from itertools import chain, compress, count, product, repeat
+from math import gcd, lcm, prod
+from operator import add, methodcaller, mul
 from types import MappingProxyType
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -120,38 +124,45 @@ def _fractions(numerators: Iterable[int], denominator: int) -> Iterator[Fraction
 
 class _BoxTerms(Mapping):
     """Read-only terms of a polynomial in ``nvars`` variables held as a
-    dense box: the entries of ``numerators`` are integer numerators over
-    ``denominator``, entry i sitting at the exponent vector whose entries
-    are the values at the base-|V| digits of i in V = ``exponents``.  The
-    terms are the nonzero entries, in index order, which is lexicographic
-    order.  A Chern image's terms are such a view, the one place its box is
-    kept.  The denominator is held as ``_over``, a name apart from
-    ``Fraction``'s ``_denominator`` slot, which ``_FractionTable`` writes,
-    so the source guard on the box's fields sees only the box's readers.
+    dense box: the one code that knows the box, which it builds
+    (``_substituted``), counts, checks (``_slice_check``) and reads.
 
-    ``numerators`` is a list of ints or, when ``chern_substitute`` has shown
-    every entry fits one, an ``array("q")`` of signed 64-bit words; the view
-    and its readers take either through the sequence API (``len``,
-    ``count``, iteration, slices), so the terms do not depend on the form.
+    Entry i of the box ``_numerators`` is an integer numerator over ``_over``
+    (a name apart from ``Fraction``'s ``_denominator`` slot, which
+    ``_FractionTable`` writes) at the exponent vector whose entries are the
+    values at the base-|V| digits of i in V = ``_exponents``, and V[0] = 0.
+    The terms are the nonzero entries, in index order, which is
+    lexicographic order.  The box is a list of ints or, when
+    ``_substituted`` has shown every entry fits one (``_bound``), an
+    ``array("q")`` of signed 64-bit words; every read takes either through
+    the sequence API (``len``, ``count``, iteration, slices), so nothing
+    read depends on the form.
 
     ``len`` counts the nonzero entries: ``count(0)`` on a list, and on
     words the zero bytes of the OR of the box's eight byte planes, taken
-    as ints, so no word becomes an int of its own.  Every other read
-    builds the dict of terms the first time, through one
-    ``_FractionTable``, so each distinct numerator's Fraction is built
-    once, and goes to it from then on; a reader that only counts builds
-    nothing and one that walks the terms makes no Python call per term.
-
-    ``_quasisymmetric`` keeps the slice check's verdict: None until
-    ``qsym._checked_box`` first runs on the view, then a bool, never
-    coordinates, which a later ``is_quasisymmetric`` or ``polynomial_to_m``
-    on the image reuses.  The box is never written after
-    ``chern_substitute`` returns, so the verdict cannot go stale.
+    as ints, so no word becomes an int of its own.  The slice check and the
+    placement reader read the box alone.  Every other read builds the dict
+    of terms the first time, through one ``_FractionTable``, so each
+    distinct numerator's Fraction is built once, and goes to it from then
+    on.  ``_quasisymmetric`` is the slice check's verdict, a bool, set by
+    its first run and read by every later one, and by no other code; the
+    box is never written after it is built, so the verdict cannot go stale.
     """
 
     __slots__ = (
         "_nvars", "_numerators", "_exponents", "_over", "_terms", "_quasisymmetric"
     )
+
+    # a box of fewer entries runs its passes on a list.  Timed on the
+    # kclass_sweep rows, the words' fixed cost per pass and the int a reader
+    # makes of each word it takes outweigh what they save on every box of up
+    # to 9^3 entries, and on boxes of up to 6^4 read for all their terms; from
+    # 5^5 entries on the words are faster read for the coordinates, and within
+    # a few per cent either way read for all the terms
+    _WORD_BOX = 2048
+    _WORD_LIMIT = 1 << 63
+    # a 64-bit word with only its top bit set, in the order ``array("q")`` keeps
+    _HALF = (1 << 63).to_bytes(8, sys.byteorder)
 
     def __init__(
         self, nvars: int, numerators: Sequence[int], exponents: tuple[int, ...], denominator: int
@@ -161,7 +172,117 @@ class _BoxTerms(Mapping):
         self._exponents = exponents
         self._over = denominator
         self._terms: dict[ExponentVector, Fraction] | None = None
-        self._quasisymmetric: bool | None = None
+
+    @classmethod
+    def _substituted(
+        cls,
+        nvars: int,
+        terms: Mapping[ExponentVector, Fraction],
+        rows: Sequence[Sequence[int]],
+        scale: int,
+    ) -> "_BoxTerms":
+        """The box of ``terms`` with each y_i^g replaced by
+        sum_d rows[g][d] x_i^d / ``scale``, ``rows`` being ``scale`` times
+        a table of rationals, so that the substitution runs on ints.
+
+        V is 0 and every d at which the row of an exponent of the terms is
+        nonzero.  The terms are scattered into the box as they are, with
+        digits over their exponents E; each of n equal passes then
+        substitutes the leading axis, writing output column d with
+        ``out[d::|V|] = ...``, which moves that axis to the back, so n moves
+        restore the order.  A box of at least ``_WORD_BOX`` entries whose
+        ``_bound`` is below 2^63 runs its passes on words
+        (``_word_passes``), every other one on a list of ints, here.
+        """
+        numerators, lcm_coeff = _integer_numerators(terms)
+        # E, every exponent of the terms
+        present = sorted(set(chain.from_iterable(terms))) or [0]
+        values = tuple(sorted({0}.union(*(compress(count(), rows[g]) for g in present))))
+        width, b = len(present), len(values)
+        # row g's nonzero entries at V, as (digit of d in V, entry), for g in E
+        images = [
+            [(d, a) for d, a in enumerate(map(rows[g].__getitem__, values)) if a] for g in present
+        ]
+        digit = dict(zip(present, range(width)))
+        words = b**nvars >= cls._WORD_BOX and cls._bound(numerators, rows) < cls._WORD_LIMIT
+        box = array("q", bytes(8)) * width**nvars if words else [0] * width**nvars
+        for e, c in numerators:
+            i = 0
+            for x in e:
+                i = i * width + digit[x]
+            box[i] = c
+        if words:
+            box = cls._word_passes(box, nvars, width, images, b)
+        else:
+            # the list passes, inline: a call would cost a box of a few entries
+            # about 2 %
+            for _ in range(nvars):
+                # output column d sums the scaled blocks g; zero blocks are skipped
+                stride = len(box) // width
+                columns = [None] * b
+                for g, targets in enumerate(images):
+                    block = box[g * stride : (g + 1) * stride]
+                    if any(block):
+                        for d, a in targets:
+                            scaled = map(mul, block, repeat(a))
+                            column = columns[d]
+                            columns[d] = scaled if column is None else map(add, column, scaled)
+                box = [0] * (stride * b)
+                for d, column in enumerate(columns):
+                    if column is not None:
+                        box[d::b] = column
+        return cls(nvars, box, values, scale**nvars * lcm_coeff)
+
+    @staticmethod
+    def _bound(numerators: list[tuple[ExponentVector, int]], rows: Sequence[Sequence[int]]) -> int:
+        """A bound on |entry| over every box the passes make from the terms
+        c * y^e given as ``numerators``: the sum of |c| times the product
+        over i of the largest |entry| of row e_i of ``rows``.  A row of the
+        terms' exponents is nonzero (the Chern table's row g holds its scale
+        at d = g), so each such largest entry is at least 1 and the bound
+        also covers the boxes made part way through the passes."""
+        peaks = [max(map(abs, row)) for row in rows]
+        return sum(abs(c) * prod(map(peaks.__getitem__, e)) for e, c in numerators)
+
+    @classmethod
+    def _word_passes(cls, box: array, n: int, width: int, images, b: int) -> array:
+        """The n passes on words.  Each block is read as one int, a 64-bit
+        field an entry, so output column d, the sum of the blocks g scaled
+        by their table entries, takes one exact multiply-add a block, not
+        one an entry; it is written back with one strided assignment."""
+        # column d's blocks, as (g, table entry)
+        sources = [[] for _ in range(b)]
+        for g, targets in enumerate(images):
+            for d, a in targets:
+                sources[d].append((g, a))
+        for _ in range(n):
+            stride = len(box) // width
+            size = 8 * stride
+            # 2^63 in each field: a field read unsigned is its value plus 2^63
+            # once its top bit is flipped, and a column plus 2^63 in each field
+            # has every field in [0, 2^64), whose top bit flipped back is the word
+            half = int.from_bytes(cls._HALF * stride, sys.byteorder)
+            view = memoryview(box)
+            blocks = [
+                (int.from_bytes(view[g * stride : (g + 1) * stride], sys.byteorder) ^ half) - half
+                for g in range(width)
+            ]
+            view.release()
+            # the old box goes before the new one is made
+            box = None
+            box = array("q", bytes(8)) * (stride * b)
+            out = memoryview(box)
+            for d, pairs in enumerate(sources):
+                column = 0
+                for g, a in pairs:
+                    column += a * blocks[g]
+                if column:
+                    # rebound at each step, so one column-sized int at a time
+                    # is let go
+                    column += half
+                    column ^= half
+                    out[d::b] = memoryview(column.to_bytes(size, sys.byteorder)).cast("q")
+        return box
 
     def _built(self) -> dict[ExponentVector, Fraction]:
         terms = self._terms
@@ -170,6 +291,59 @@ class _BoxTerms(Mapping):
             keys = compress(product(self._exponents, repeat=self._nvars), box)
             terms = self._terms = dict(zip(keys, _fractions(box, self._over)))
         return terms
+
+    def _slice_check(self) -> bool:
+        """Whether the polynomial is quasisymmetric, read off the box once.
+
+        Moving a 0 past a part keeps the positive part, and such moves join
+        any two placements of a composition, so it is exactly when
+        A[..., 0, v, ...] = A[..., v, 0, ...] on each adjacent pair of axes.
+        For the pair (i, i + 1) the two sides are blocks of |V|^(n - i - 2)
+        entries after each of the |V|^i prefixes, compared block by block,
+        or as strided slices when the prefixes are the more numerous.
+        """
+        verdict = getattr(self, "_quasisymmetric", None)
+        if verdict is not None:
+            return verdict
+        box, n, b = self._numerators, self._nvars, len(self._exponents)
+        for i in range(n - 1):
+            outer = b ** (n - i)
+            inner = outer // b // b
+            for v in range(1, b):
+                # the blocks (0, v) and (v, 0) start here after a prefix
+                left, right = v * inner, v * b * inner
+                if b**i <= inner:
+                    for p in range(0, len(box), outer):
+                        if box[p + left : p + left + inner] != box[p + right : p + right + inner]:
+                            self._quasisymmetric = False
+                            return False
+                else:
+                    for t in range(inner):
+                        if box[left + t :: outer] != box[right + t :: outer]:
+                            self._quasisymmetric = False
+                            return False
+        self._quasisymmetric = True
+        return True
+
+    def _read_placements(self) -> dict[ExponentVector, Fraction]:
+        """The placement reader, for a box that passes the slice check:
+        each composition gamma with the coefficient its placements share,
+        read at (0, ..., 0, gamma), the index whose digits are some 0s then
+        no 0, by length, then in lexicographic order.  The terms are not
+        read."""
+        n, values = self._nvars, self._exponents
+        b = len(values)
+        # over k digits, tails[i] is 1 when i's digits are 0s then no 0, and
+        # full[i] when no digit of i is 0; bytes, one byte an entry where a
+        # list holds a pointer, as ``compress`` takes any selector
+        tails = full = b"\x01"
+        for _ in range(n):
+            tails, full = tails + full * (b - 1), bytes(len(full)) + full * (b - 1)
+        # the entries at the placements: the nonzero ones pick the compositions
+        # and give the coefficients
+        placed = list(compress(self._numerators, tails))
+        gammas = chain.from_iterable(product(values[1:], repeat=k) for k in range(n + 1))
+        return dict(zip(compress(gammas, placed), _fractions(placed, self._over)))
 
     def __len__(self) -> int:
         box = self._numerators
@@ -182,6 +356,12 @@ class _BoxTerms(Mapping):
         for i in range(width):
             nonzero |= int.from_bytes(raw[i::width], "little")
         return len(box) - nonzero.to_bytes(len(box), "little").count(0)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self._built()!r})"
+
+    def __reversed__(self) -> Iterator[ExponentVector]:
+        return reversed(self._built())
 
     def __getitem__(self, key: ExponentVector) -> Fraction:
         return self._built()[key]

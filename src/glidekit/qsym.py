@@ -13,8 +13,7 @@ Every product here runs as ``poly``'s do: the sums are plain ints, integer
 numerators over one common denominator, and the Fractions are built at the
 end by ``poly._exact_terms`` from the dict of sums: one per distinct
 numerator, made on its first lookup from one gcd with ``Fraction``'s two
-slots written directly.  Only the box reader, whose numerators come as a
-stream, builds them through ``poly._fractions``.
+slots written directly.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from contextlib import suppress
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from itertools import chain, compress, islice, product
+from itertools import islice, product
 from math import comb, lcm, prod
 from types import MappingProxyType
 from typing import Any, Callable, Hashable, Iterable, Mapping
@@ -50,7 +49,7 @@ from .errors import (
 )
 from .glides import _inflations, glide_m_expansion
 from .jsonio import parse_frac, read_json
-from .poly import SparsePoly, _BoxTerms, _exact_terms, _fractions, _integer_numerators
+from .poly import SparsePoly, _BoxTerms, _exact_terms, _integer_numerators
 
 UNBOUNDED = None
 
@@ -149,77 +148,12 @@ def m_to_polynomial(alpha: Iterable[int], n: int) -> SparsePoly:
     return SparsePoly._trusted(_size(n, 0, "n"), dict.fromkeys(paddings(a, n), _ONE))
 
 
-def _checked_box(f: SparsePoly, n: int) -> _BoxTerms | None:
-    """The slice check: f's terms if they are a box view (``_BoxTerms``)
-    and f is quasisymmetric, else None; ``n`` must be f's variable count.
-
-    The box holds f's integer numerators over one denominator at the
-    exponent vectors whose entries lie in V, the base-|V| digits of an
-    index being the positions of e_1, ..., e_n in V; f's terms are its
-    nonzero entries, in index order.  Moving a 0 past a part keeps the
-    positive part, and such moves join any two placements of a
-    composition, so f is quasisymmetric exactly when
-    A[..., 0, v, ...] = A[..., v, 0, ...] on each adjacent pair of axes.
-    For the pair (i, i + 1) the two sides are blocks of |V|^(n - i - 2)
-    entries after each of the |V|^i prefixes, compared block by block, or
-    as strided slices when the prefixes are the more numerous.  A box of
-    64-bit words (``array("q")``) compares its slices as memory, a list of
-    ints entry by entry.
-
-    The verdict is kept in the view, so the slices are compared once per
-    image: a later check answers from it.
-    """
+def _box_passes(f: SparsePoly, n: int) -> bool:
+    """Whether f's terms are a box view (``poly._BoxTerms``) that passes
+    the box's slice check; ``n`` must be f's variable count."""
     if _instance(f, SparsePoly, "f").nvars != _size(n, 0, "n"):
         raise LengthMismatchError(f"polynomial has {f.nvars} variables, expected {n}")
-    view = f.terms
-    if type(view) is not _BoxTerms:
-        return None
-    if view._quasisymmetric is not None:
-        return view if view._quasisymmetric else None
-    box, b = view._numerators, len(view._exponents)
-    for i in range(n - 1):
-        outer = b ** (n - i)
-        inner = outer // b // b
-        for v in range(1, b):
-            # the blocks (0, v) and (v, 0) start here after a prefix
-            left, right = v * inner, v * b * inner
-            if b**i <= inner:
-                for p in range(0, len(box), outer):
-                    if box[p + left : p + left + inner] != box[p + right : p + right + inner]:
-                        view._quasisymmetric = False
-                        return None
-            else:
-                for t in range(inner):
-                    if box[left + t :: outer] != box[right + t :: outer]:
-                        view._quasisymmetric = False
-                        return None
-    view._quasisymmetric = True
-    return view
-
-
-def _read_box(view: _BoxTerms) -> dict[Composition, Fraction]:
-    """The box reader: the coordinates of a polynomial whose box has passed
-    the check, read at the placements (0, ..., 0, gamma), the indices whose
-    digits are some 0s followed by no 0; in index order they come by
-    length, then in lexicographic order.  Each coefficient is the
-    placement's numerator over the box's denominator, built by
-    ``poly._fractions`` as the view's terms are (they are not read): each
-    distinct numerator's Fraction on its first lookup, one gcd and two
-    slot writes, with no pass over the placements before it.
-    """
-    n, values = view._nvars, view._exponents
-    b = len(values)
-    # over k digits, tails[i] is 1 when i's digits are 0s then no 0, and
-    # full[i] when no digit of i is 0; bytes, one byte an entry where a
-    # list holds a pointer, as ``compress`` takes any selector
-    tails = full = b"\x01"
-    for _ in range(n):
-        tails, full = tails + full * (b - 1), bytes(len(full)) + full * (b - 1)
-    # the entries at the placements: the nonzero ones pick the compositions
-    # and give the coefficients
-    placed = list(compress(view._numerators, tails))
-    gammas = chain.from_iterable(product(values[1:], repeat=k) for k in range(n + 1))
-    return dict(zip(compress(gammas, placed), _fractions(placed, view._over)))
+    return type(f.terms) is _BoxTerms and f.terms._slice_check()
 
 
 def _group_by_positive_part(
@@ -260,17 +194,16 @@ def polynomial_to_m(f: SparsePoly, n: int) -> QSymElement:
     coordinates come by length, then in lexicographic order.
 
     Two readers share nothing.  A Chern image carries the dense box it was
-    computed on: ``_checked_box`` checks it, which is all that
-    ``is_quasisymmetric`` runs on it, and ``_read_box`` reads a box that
-    passes.  Every other polynomial, and a box that fails the check, goes
-    to ``_group_by_positive_part``, which also names the failing
-    composition.  The slice check's verdict is kept in the box view, so a
+    computed on, ``poly._BoxTerms``: its slice check, which is all that
+    ``is_quasisymmetric`` runs on it, checks the box, and its placement
+    reader reads a box that passes.  Every other polynomial, and a box that
+    fails the check, goes to ``_group_by_positive_part``, which also names
+    the failing composition.  The box keeps the slice check's verdict, so a
     Chern image already checked by ``is_quasisymmetric`` is not checked
     again; no coordinates are kept between calls.
     """
-    view = _checked_box(f, n)
-    if view is not None:
-        coords = _read_box(view)
+    if _box_passes(f, n):
+        coords = f.terms._read_placements()
     else:
         coords, failed = _group_by_positive_part(f, n)
         if failed is not None:

@@ -30,9 +30,7 @@ from glidekit.poly import SparsePoly
 from glidekit.poset import BOTTOM, build_poset, join
 from glidekit.qsym import (
     QSymElement,
-    _checked_box,
     _group_by_positive_part,
-    _read_box,
     m_multiply,
     m_to_polynomial,
     polynomial_to_m,
@@ -236,7 +234,8 @@ def test_chern_image_readers_check_each_other(kclass_sweep):
     for alpha, n, m, kclass, chern in chern_rows(kclass_sweep):
         coords, failed = _group_by_positive_part(SparsePoly._trusted(n, chern.terms.copy()), n)
         assert failed is None, (alpha, n, m)
-        boxed = _read_box(_checked_box(chern, n))
+        assert chern.terms._slice_check(), (alpha, n, m)
+        boxed = chern.terms._read_placements()
         assert list(boxed.items()) == list(coords.items()), (alpha, n, m)
         if n < 2:
             continue
@@ -253,7 +252,7 @@ def test_chern_image_readers_check_each_other(kclass_sweep):
         y_n = (0,) * (n - 1) + (1,)
         terms[y_n] = terms.get(y_n, 0) + 1
         broken = chern_substitute(KRingElement(SparsePoly(n, terms), m))
-        assert _checked_box(broken, n) is None, (alpha, n, m)
+        assert not broken.terms._slice_check(), (alpha, n, m)
         assert not is_quasisymmetric(broken, n), (alpha, n, m)
         with pytest.raises(NotQuasisymmetricError) as raised:
             polynomial_to_m(broken, n)

@@ -8,13 +8,11 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from glidekit import ktheory
 from glidekit.compositions import closure, paddings
 from glidekit.errors import LengthMismatchError, MalformedInputError, OutOfRangeError
 from glidekit.glides import glide_polynomial
 from glidekit.ktheory import (
     KRingElement,
-    _chern_bound,
     _chern_rows,
     chern_series_coeffs,
     chern_substitute,
@@ -25,13 +23,11 @@ from glidekit.ktheory import (
     y_to_line_bundle,
     z_locus,
 )
-from glidekit.poly import SparsePoly, _integer_numerators
+from glidekit.poly import SparsePoly, _BoxTerms, _integer_numerators
 from glidekit.poset import build_poset
 from glidekit.qsym import (
     QSymElement,
-    _checked_box,
     _group_by_positive_part,
-    _read_box,
     glide_expand,
     m_to_polynomial,
     polynomial_to_m,
@@ -291,6 +287,19 @@ def test_integer_chern_rows_are_the_scaled_fraction_powers():
             power = [sum(power[i] * series[d - i] for i in range(d + 1)) for d in range(m + 1)]
 
 
+def test_chern_row_supports_give_the_box_values():
+    # the box's V is 0 and the supports of the rows the K-class uses; row
+    # g >= 1 is nonzero exactly on [g, m], so V is {0} | [p, m], p the least
+    # positive exponent of the class
+    for m in range(25):
+        rows = _chern_rows(m)
+        assert [d for d, a in enumerate(rows[0]) if a] == [0]
+        for g in range(1, m + 1):
+            assert [d for d, a in enumerate(rows[g]) if a] == list(range(g, m + 1)), (m, g)
+            image = chern_substitute(KRingElement(SparsePoly(1, {(0,): 1, (g,): 1}), m))
+            assert image.terms._exponents == (0, *range(g, m + 1)), (m, g)
+
+
 def test_chern_substitute_examples():
     f = KRingElement(SparsePoly(1, {(1,): 1}), 3)
     assert chern_substitute(f) == SparsePoly(
@@ -442,23 +451,23 @@ def test_chern_substitute_matches_series_products(element):
     # the box reader and the grouping reader agree, whichever pair of
     # axes breaks quasisymmetry
     coords, failed = _group_by_positive_part(SparsePoly(n, image.terms), n)
-    boxed = _checked_box(image, n)
-    assert (boxed is None) == (failed is not None)
-    assert boxed is None or list(_read_box(boxed).items()) == list(coords.items())
+    passes = image.terms._slice_check()
+    assert passes == (failed is None)
+    assert not passes or list(image.terms._read_placements().items()) == list(coords.items())
 
 
 def _chern_box(element, word_box):
     """(box, V, denominator) of the element's Chern image, with the word
     kernel's size cut-off set to ``word_box``."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(ktheory, "_WORD_BOX", word_box)
+        patch.setattr(_BoxTerms, "_WORD_BOX", word_box)
         view = chern_substitute(element).terms
     return view._numerators, view._exponents, view._over
 
 
 def _bound(element):
     numerators, _ = _integer_numerators(element.poly.terms)
-    return _chern_bound(numerators, _chern_rows(element.m))
+    return _BoxTerms._bound(numerators, _chern_rows(element.m))
 
 
 @settings(max_examples=150, deadline=None)
@@ -504,7 +513,7 @@ def test_chern_words_hold_entries_up_to_two_to_the_63(terms, n, m, form):
     element = KRingElement(SparsePoly(n, terms), m)
     image = chern_substitute(element)
     box = image.terms._numerators
-    assert len(box) >= ktheory._WORD_BOX
+    assert len(box) >= _BoxTerms._WORD_BOX
     assert type(box) is form
     assert (form is array) == (_bound(element) < 2**63)
     assert image == _expand_chern(element)
@@ -528,7 +537,7 @@ def test_every_large_benchmark_box_takes_the_words():
         box = chern_substitute(element).terms._numerators
         bound = _bound(element)
         assert max(map(abs, box)) <= bound < 2**63, (alpha, n, m)
-        assert (type(box) is array) == (len(box) >= ktheory._WORD_BOX), (alpha, n, m)
+        assert (type(box) is array) == (len(box) >= _BoxTerms._WORD_BOX), (alpha, n, m)
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import copy
 import json
 import pickle
 import random
+from array import array
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
@@ -29,9 +30,8 @@ from glidekit.poly import SparsePoly, _BoxTerms, _exact_terms
 from glidekit.qsym import (
     GradedRingData,
     QSymElement,
-    _checked_box,
+    _box_passes,
     _group_by_positive_part,
-    _read_box,
     _slot_products,
     cpinf_ring,
     glide_element,
@@ -1213,11 +1213,11 @@ def _broken_image(alpha, n, m):
 @pytest.mark.parametrize("alpha, n, m", [((1, 2), 2, 2), ((1, 2, 1), 4, 3), ((1, 1), 3, 1)])
 def test_kept_verdict_refuses_a_broken_image_each_time(alpha, n, m):
     broken = _broken_image(alpha, n, m)
-    assert broken.terms._quasisymmetric is None
+    assert not hasattr(broken.terms, "_quasisymmetric")
     assert not is_quasisymmetric(broken, n)
     assert broken.terms._quasisymmetric is False
     assert not is_quasisymmetric(broken, n)
-    assert _checked_box(broken, n) is None
+    assert not _box_passes(broken, n)
     # the grouping reader names the composition it names on a plain copy,
     # which never had a box or a verdict
     with pytest.raises(NotQuasisymmetricError) as kept:
@@ -1264,7 +1264,7 @@ def test_copies_of_an_image_carry_no_box_and_no_verdict():
         assert type(copied.terms) is not _BoxTerms
         assert not hasattr(copied.terms, "_quasisymmetric")
         # the grouping reader reads the copy
-        assert _checked_box(copied, 3) is None
+        assert not _box_passes(copied, 3)
         assert is_quasisymmetric(copied, 3)
         assert list(polynomial_to_m(copied, 3).coords.items()) == coords
 
@@ -1299,10 +1299,14 @@ def test_box_reader_reads_the_right_justified_placements(values, n):
     numerators = rng.sample(range(-3 * size, 3 * size + 1), size + 1)
     numerators = [c for c in numerators if c][:size]
     for box in (numerators, [0 if i % 3 == 1 else c for i, c in enumerate(numerators)]):
-        view = _BoxTerms(n, box, values, 7)
-        got = _read_box(view)
-        assert list(got.items()) == list(_placements_by_digits(box, values, 7, n).items())
-        assert all(type(c) is Fraction for c in got.values())
+        expected = list(_placements_by_digits(box, values, 7, n).items())
+        # the reader and the slice check take a list of ints or words alike
+        views = [_BoxTerms(n, form, values, 7) for form in (box, array("q", box))]
+        for view in views:
+            got = view._read_placements()
+            assert list(got.items()) == expected
+            assert all(type(c) is Fraction for c in got.values())
+        assert views[0]._slice_check() is views[1]._slice_check()
 
 
 def test_changing_a_read_leaves_the_next_read_unchanged():
@@ -1417,6 +1421,10 @@ def test_chern_image_terms_cannot_part_from_its_box():
         assert got == expected
         assert list(got.terms.items()) == list(expected.terms.items())
     assert hash(chern) == hash(_fresh(chern))
+    # the view prints and reverses the terms a plain copy holds
+    plain = _fresh(chern).terms
+    assert repr(chern.terms) == repr(plain).replace("mappingproxy", "_BoxTerms")
+    assert list(reversed(chern.terms)) == list(reversed(plain))
 
 
 def test_polynomial_attributes_are_set_once():

@@ -10,9 +10,9 @@ two routes that check each other (the crosscut Mobius and the string
 poset's bitset core, the tensor engine and the overlapping shuffle, the
 overlapping shuffle and both tensor routes, the two coordinate readers,
 the closed and barred glides, the tableau rule and the tensor engine), no
-Chern box view built outside
-``chern_substitute`` or read outside itself and the two box readers, no
-slice-check verdict read or written outside the slice check, no
+Chern box named outside ``poly._BoxTerms`` or built outside
+``chern_substitute``, no slice-check verdict named outside the slice
+check, no
 ``isinstance`` test of a library class outside the one object rule, no
 ring's ``contains`` asked outside the one label rule, no
 count read off ``ssyt_enumerate``'s list of tableaux, no use of the
@@ -177,7 +177,7 @@ _FRACTION_BUILDS = {
         ("ktheory.py", "chern_series_coeffs"),
     },
     "_fractions": {
-        ("qsym.py", "_read_box"),
+        ("poly.py", "_BoxTerms._read_placements"),
         ("poly.py", "_BoxTerms._built"),
         ("poly.py", "SparsePoly.__mul__"),
     },
@@ -290,10 +290,12 @@ _ROUTES_APART = {
     "grouping-reader": (
         "qsym.py",
         {"_group_by_positive_part"},
-        {"_checked_box", "_read_box", "_BoxTerms"}
+        {"_box_passes", "_slice_check", "_read_placements", "_BoxTerms"}
         | {"_nvars", "_numerators", "_exponents", "_over", "_quasisymmetric"},
     ),
-    "box-readers": ("qsym.py", {"_checked_box", "_read_box"}, {"_group_by_positive_part"}),
+    "box-readers": (
+        "poly.py", {"_slice_check", "_read_placements"}, {"_group_by_positive_part"}
+    ),
     # the closed and barred glide routes check each other and the poset
     # route, and share no Fraction builder with them
     "closed-glide": (
@@ -392,80 +394,38 @@ def test_independent_routes_share_no_core(route):
         assert not named, f"{name} reaches the route it checks through {sorted(named)}"
 
 
-# A Chern image's dense box lives in its terms view, ``poly._BoxTerms``, and
-# the slice check answers criterion 07 from it.  Only ``chern_substitute``
-# may build a view, so no other builder can hand the check a box it did not
-# compute, and only the view itself and the two box readers may read the
-# box's fields, so the box reader is given a box that passed the check.
-# The view also keeps the check's verdict, ``_VERDICT``: the view declares
-# it and ``__init__`` sets it to None, and only the slice check reads or
-# writes it, so no other code can pass an image off as checked.
-_BOX_FIELDS = {"_nvars", "_numerators", "_exponents", "_over"}
-_VERDICT = "_quasisymmetric"
-_BOX_USES = {
-    ("ktheory.py", "chern_substitute"): {"build"},
-    ("poly.py", "_BoxTerms"): {"read", "declare verdict"},
-    ("poly.py", "_BoxTerms.__init__"): {"clear verdict"},
-    ("qsym.py", "_checked_box"): {"read", "read verdict", "write verdict"},
-    ("qsym.py", "_read_box"): {"read"},
-}
+# A Chern image's dense box is known to one class, ``poly._BoxTerms``, the
+# view its terms are.  No other module names a box field or the slice
+# check's verdict, so every read of the box is the class's own; only
+# ``chern_substitute`` builds a box, so none holds what the substitution did
+# not compute; and within the class only the slice check names the verdict
+# (the class body declares it), so no code can pass a box off as checked.
+_BOX_FIELDS = {"_nvars", "_numerators", "_exponents", "_over", "_quasisymmetric"}
 
 
-def _box_uses(tree: ast.Module):
-    """(place, line, kind) of each use of the box.  A call of ``_BoxTerms``,
-    kind "build", and an attribute or string naming a box field, "read",
-    are placed at their top-level definition.  A use of the verdict is
-    placed at the dotted name of the function or class around it: its name
-    as a string in a class body is "declare verdict", an assignment of None
-    to it "clear verdict", any other assignment or deletion "write verdict",
-    and every other use "read verdict"."""
-    cleared = {
-        id(target)
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.Assign, ast.AnnAssign))
-        and isinstance(node.value, ast.Constant)
-        and node.value.value is None
-        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
-    }
-
-    def walk(node, scope, in_class):
-        if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-            scope = f"{scope}.{node.name}" if scope else node.name
-            in_class = isinstance(node, ast.ClassDef)
-        top = scope.split(".")[0] if scope else None
-        if isinstance(node, ast.Call) and "_BoxTerms" in _used_names(node.func):
-            yield top, node.lineno, "build"
-        elif isinstance(node, ast.Attribute) and node.attr == _VERDICT:
-            if isinstance(node.ctx, ast.Load):
-                kind = "read"
-            else:
-                kind = "clear" if id(node) in cleared else "write"
-            yield scope, node.lineno, f"{kind} verdict"
-        elif isinstance(node, ast.Constant) and node.value == _VERDICT:
-            yield scope, node.lineno, "declare verdict" if in_class else "read verdict"
-        elif (isinstance(node, ast.Attribute) and node.attr in _BOX_FIELDS) or (
-            isinstance(node, ast.Constant) and node.value in _BOX_FIELDS
-        ):
-            yield top, node.lineno, "read"
-        for child in ast.iter_child_nodes(node):
-            yield from walk(child, scope, in_class)
-
-    return walk(tree, "", False)
+def _naming(names: set[str]):
+    """A matcher of the attributes and strings that name one of ``names``."""
+    return lambda node: (isinstance(node, ast.Attribute) and node.attr in names) or (
+        isinstance(node, ast.Constant) and node.value in names
+    )
 
 
-def test_only_the_chern_box_writer_and_reader_use_the_box():
-    seen, found = set(), []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for place, line, kind in _box_uses(_tree(path)):
-            if kind in _BOX_USES.get((path.name, place), ()):
-                seen.add((path.name, place, kind))
-            else:
-                found.append(f"{path.name}:{line} {kind} in {place or 'module'}")
-    assert not found, f"the Chern box is used outside its builder and readers: {found}"
-    # the guard sees every use it allows: the view built, each reader read
-    # it, and the verdict declared, cleared, read and written, so it is not
-    # matching nothing
-    assert seen == {(*place, kind) for place, kinds in _BOX_USES.items() for kind in kinds}
+def test_only_the_box_class_knows_the_box():
+    def places(matches, top=False):
+        return {
+            (path.name, scope.split(".")[0] if top else scope)
+            for path in sorted(PACKAGE.glob("*.py"))
+            for scope, _ in _scoped(_tree(path), matches)
+        }
+
+    # each rule sees exactly the places it allows, so none matches nothing
+    assert places(_naming(_BOX_FIELDS), top=True) == {("poly.py", "_BoxTerms")}
+    verdict = places(_naming({"_quasisymmetric"}))
+    assert verdict == {("poly.py", "_BoxTerms"), ("poly.py", "_BoxTerms._slice_check")}
+    builds = places(
+        lambda call: isinstance(call, ast.Call) and "_BoxTerms" in _used_names(call.func)
+    )
+    assert builds == {("ktheory.py", "chern_substitute")}
 
 
 # every library-object argument goes through ``compositions._instance``,
@@ -477,15 +437,20 @@ _LIBRARY_CLASSES = {
 }
 
 
-def _scoped_calls(node: ast.AST, matches, scope: str = ""):
-    """(scope, line) of every call that ``matches`` accepts, with the dotted
+def _scoped(node: ast.AST, matches, scope: str = ""):
+    """(scope, line) of every node that ``matches`` accepts, with the dotted
     class and function names around it."""
     if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
         scope = f"{scope}.{node.name}" if scope else node.name
-    if isinstance(node, ast.Call) and matches(node):
+    if matches(node):
         yield scope, node.lineno
     for child in ast.iter_child_nodes(node):
-        yield from _scoped_calls(child, matches, scope)
+        yield from _scoped(child, matches, scope)
+
+
+def _scoped_calls(node: ast.AST, matches):
+    """``_scoped`` of the calls that ``matches`` accepts."""
+    return _scoped(node, lambda call: isinstance(call, ast.Call) and matches(call))
 
 
 def _class_tests(node: ast.AST):
@@ -683,4 +648,4 @@ def test_readme_names_only_what_the_package_defines():
         (checked if known else missing).add(name)
     assert not missing, f"README.md names what src/glidekit does not define: {sorted(missing)}"
     # the guard sees names of each form, so it is not matching nothing
-    assert {"poly._BoxTerms", "SparsePoly.__mul__", "_read_box"} <= checked
+    assert {"poly._BoxTerms", "SparsePoly.__mul__", "_BoxTerms._read_placements"} <= checked
