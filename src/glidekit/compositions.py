@@ -13,6 +13,11 @@ with all of it in one step: the lattice is one int of 64-bit words, one
 per element, the generator is repeated into every word by one multiply,
 and the same expression runs once over all the words.  Tuples whose top
 guard lies past bit 63 keep the step per element.
+
+The same fields (``_fields``, ``_width``, ``_pack``, ``_unpack_all``) also
+key ``SparsePoly``'s product, which packs each exponent vector into fields
+wide enough for the largest sum of two exponents, so adding two keys adds
+the vectors.
 """
 
 from __future__ import annotations

@@ -12,8 +12,10 @@ the lcm of its denominators, the numerators are multiplied and summed as
 plain ints, and the Fractions are built at the end, one per distinct
 numerator, each from one gcd with its two slots written directly
 (``_FractionTable``).  The product also keys its sums by ints: each
-exponent vector is packed into one int, a byte-aligned field per variable,
-so adding two keys adds the vectors.
+exponent vector is packed into one int in ``compositions``' layout, a field
+per variable, coordinate 0 highest, wide enough for the largest sum of two
+exponents, so adding two keys adds the vectors; ``_unpack_all`` unpacks the
+keys left at the end.
 
 ``_FractionTable`` is the one place in the package where an integer
 numerator becomes a Fraction.  Two helpers read it: ``_exact_terms`` turns
@@ -33,11 +35,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress, count, product, repeat
 from math import gcd, lcm, prod
-from operator import add, methodcaller, mul
+from operator import add, mul
 from types import MappingProxyType
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .compositions import _container, _exact, _instance, _int_parts, _size, _string
+from .compositions import (
+    _container,
+    _exact,
+    _fields,
+    _instance,
+    _int_parts,
+    _pack,
+    _size,
+    _string,
+    _unpack_all,
+    _width,
+)
 from .errors import LengthMismatchError
 
 ExponentVector = tuple[int, ...]
@@ -52,30 +65,6 @@ def _integer_numerators(
     multiple of each of their denominators; by default the lcm of them."""
     d = lcm(*{c.denominator for c in terms.values()}) if denominator is None else denominator
     return [(e, c.numerator * (d // c.denominator)) for e, c in terms.items()], d
-
-
-def _packed(rows: list[tuple[ExponentVector, int]], width: int) -> list[tuple[int, int]]:
-    """The rows with each exponent vector packed into one int: entry i
-    fills bytes [i * width, (i + 1) * width), little-endian."""
-    exps, numerators = (e for e, _ in rows), (c for _, c in rows)
-    if width == 1:
-        keys = map(int.from_bytes, map(bytes, exps), repeat("little"))
-    else:
-        keys = (
-            int.from_bytes(b"".join([x.to_bytes(width, "little") for x in e]), "little")
-            for e in exps
-        )
-    return list(zip(keys, numerators))
-
-
-def _unpacked(keys: Iterable[int], nvars: int, width: int) -> Iterator[ExponentVector]:
-    """The exponent vectors of packed keys, one ``to_bytes`` call each."""
-    size = nvars * width
-    raw = map(methodcaller("to_bytes", size, "little"), keys)
-    if width == 1:
-        return map(tuple, raw)
-    fields = range(0, size, width)
-    return (tuple([int.from_bytes(b[i : i + width], "little") for i in fields]) for b in raw)
 
 
 class _FractionTable(dict):
@@ -487,13 +476,15 @@ class SparsePoly:
         top = sum(
             max(chain.from_iterable(e for e, _ in rows), default=0) for rows in (left, right)
         )
-        width = (top.bit_length() + 7) // 8 or 1
-        right = _packed(right, width)
+        bits = top.bit_length() or 1
+        shifts = _fields(self.nvars, _width(bits))
+        right = [(_pack(e, shifts), b) for e, b in right]
         # both scalings are positive, so a running sum is zero exactly when
         # the rational one is, and keys come and go in the same order
         out: dict[int, int] = {}
         get = out.get
-        for k1, a in _packed(left, width):
+        for e, a in left:
+            k1 = _pack(e, shifts)
             for k2, b in right:
                 k = k1 + k2
                 c = get(k, 0) + a * b
@@ -501,7 +492,7 @@ class SparsePoly:
                     out[k] = c
                 else:
                     del out[k]
-        exps = _unpacked(out, self.nvars, width)
+        exps = _unpack_all(out, shifts, (1 << bits) - 1)
         terms = dict(zip(exps, _fractions(out.values(), d1 * d2)))
         return SparsePoly._trusted(self.nvars, terms)
 

@@ -214,6 +214,36 @@ def test_only_strings_whose_guards_fit_a_word_take_the_word_step(gens, words):
     assert bool(calls) is words
 
 
+@st.composite
+def packed_tuples(draw):
+    """(bits, tuples): 0 to 8 coordinates, each below 2**bits, bits 1 to 9."""
+    bits, n = draw(st.integers(1, 9)), draw(st.integers(0, 8))
+    entry = st.integers(0, (1 << bits) - 1)
+    return bits, draw(st.lists(st.tuples(*[entry] * n), max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_tuples())
+# the digit paths in base 2, 8 (2 bits widened to 3) and 16 at their top
+# entries, and field-by-field 5- and 9-bit fields
+@example((1, [(1, 0, 1), (0, 1, 1), (1, 1, 1)]))
+@example((2, [(3, 0, 2), (0, 3, 3)]))
+@example((4, [(15, 0, 8, 7), (15, 15, 15, 15)]))
+@example((5, [(31, 16), (1, 0)]))
+@example((9, [(511,) * 8, (0,) * 7 + (256,)]))
+@example((3, [(), ()]))
+def test_packed_tuples_unpack_in_order_and_sort_lexicographically(drawn):
+    # the layout every closure, the barred glide and the polynomial product
+    # pack into; ``build_poset`` sorts the ints to sort the strings
+    bits, tuples = drawn
+    n = len(tuples[0]) if tuples else 0
+    shifts = compositions._fields(n, compositions._width(bits))
+    ones = (1 << bits) - 1
+    packed = [compositions._pack(t, shifts) for t in tuples]
+    assert list(compositions._unpack_all(packed, shifts, ones)) == tuples
+    assert list(compositions._unpack_all(sorted(packed), shifts, ones)) == sorted(tuples)
+
+
 def test_positive_part_inverts_zero_insertion():
     for alpha in all_compositions(4):
         for n in range(len(alpha), 7):

@@ -94,10 +94,13 @@ def test_arithmetic_matches_the_fraction_loops(pair):
     )
 
 
-# exponents whose pairwise sums reach 255 (the widest one-byte field), 256
-# (two bytes) and past 2^64 (nine bytes and more)
+# exponents whose largest pairwise sums need every field width of the
+# product's packing: 1 bit, 2 bits widened to 3, 3 and 4 bits (one digit in
+# base 2, 8 or 16), 5 and 6 bits, 8 and 9 bits, and 64 bits and more (field
+# by field)
 _EXPONENTS = st.one_of(
-    st.integers(0, 3), st.sampled_from([127, 128, 254, 255, 256, 2**64 - 1, 2**64, 2**70])
+    st.integers(0, 3),
+    st.sampled_from([4, 7, 8, 16, 127, 128, 254, 255, 256, 2**64 - 1, 2**64, 2**70]),
 )
 
 
@@ -122,9 +125,13 @@ def _powers(n, i, exps_coeffs):
 @example(pair=(SparsePoly(0, {(): Fraction(-1, 2)}), SparsePoly(0, {(): Fraction(2, 3)})))
 @example(pair=(SparsePoly(2, {(128, 127): 1}), SparsePoly(2, {(127, 128): Fraction(2, 3)})))
 @example(pair=(SparsePoly(2, {(128, 0): 1}), SparsePoly(2, {(128, 1): Fraction(-3, 4)})))
+# largest exponents summing to 15, the widest hex-digit field, and to 16,
+# one bit past it
+@example(pair=(SparsePoly(2, {(7, 3): 1, (0, 1): 2}), SparsePoly(2, {(8, 1): Fraction(1, 3)})))
+@example(pair=(SparsePoly(2, {(8, 0): 1}), SparsePoly(2, {(8, 8): Fraction(-1, 2)})))
 @example(pair=(SparsePoly(1, {(2**64,): 1}), SparsePoly(1, {(2**64 + 5,): 2})))
 @example(
-    # x^600 is made, cancelled and made again, in two-byte fields
+    # x^600 is made, cancelled and made again, in 11-bit fields
     pair=(
         _powers(2, 1, [(0, 1), (300, 1), (600, 1)]),
         _powers(2, 1, [(600, 1), (300, -1), (0, 1)]),
